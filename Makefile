@@ -9,7 +9,7 @@ test: all
 	dune runtest
 
 # Only the morsel-parallel suite: domain-pool claiming discipline,
-# parallel-vs-serial parity across plan families, the mid-flight guard's
+# parallel-vs-serial parity across plan families, the parallel guard's
 # resumable prefix, and the sharded plan cache hammered from N domains.
 test-parallel: all
 	dune exec test/test_parallel.exe
@@ -67,8 +67,9 @@ bench-quick:
 bench-throughput: all
 	dune exec bin/robustopt.exe -- bench-throughput
 
-# Streaming-vs-materialized executor bench (early-exit page savings +
-# full-drain counter parity + GC peak); writes BENCH_exec.json.
+# Executor bench (early-exit page savings against full drains of the same
+# plans, zone-map skipping, GC peak, morsel domains axis); writes
+# BENCH_exec.json.
 bench-exec: all
 	dune exec bin/robustopt.exe -- bench-exec
 

@@ -100,17 +100,6 @@ let opt_budget_arg =
        ~doc:"Cap on candidate-cost evaluations during plan search; when exceeded the \
              optimizer answers with the deterministic left-deep fallback plan.")
 
-let exec_arg =
-  Arg.(value & opt string "streaming" & info [ "exec" ]
-       ~doc:"Execution engine: streaming (pull-based batch pipeline, early-exit LIMIT and \
-             mid-stream guards) or materialized (compute every operator's full output).")
-
-let mode_of_string = function
-  | "streaming" -> Rq_exec.Executor.Streaming
-  | "materialized" -> Rq_exec.Executor.Materialized
-  | other ->
-      failwith (Printf.sprintf "unknown --exec %S (expected streaming or materialized)" other)
-
 let trace_arg =
   Arg.(value & flag & info [ "trace" ]
        ~doc:"After execution, print the trace-event log (guards, re-optimization, \
@@ -206,9 +195,8 @@ let explain_cmd =
          ~doc:"Also execute the plan and report per-node estimated vs. actual rows.")
   in
   let run workload seed scale sample_size confidence estimator analyze data_dir fault_profile
-      reopt_threshold opt_budget exec trace metrics_json sql =
+      reopt_threshold opt_budget trace metrics_json sql =
     check_reopt_threshold reopt_threshold;
-    let mode = mode_of_string exec in
     let catalog, cost_scale = obtain_catalog ~workload ~seed ~scale ~data_dir in
     let stats = build_stats ~seed ~sample_size catalog in
     let bound = compile_sql catalog sql in
@@ -246,7 +234,7 @@ let explain_cmd =
       in
       print_newline ();
       let report =
-        Explain_analyze.analyze catalog ~scale:cost_scale ?obs:recorder ~mode
+        Explain_analyze.analyze catalog ~scale:cost_scale ?obs:recorder
           (Optimizer.estimator opt) plan
       in
       print_string (Explain_analyze.render_report report);
@@ -256,7 +244,7 @@ let explain_cmd =
   let term =
     Term.(const run $ workload_arg $ seed_arg $ scale_arg $ sample_arg $ confidence_arg
           $ estimator_arg $ analyze_arg $ data_dir_arg $ fault_profile_arg
-          $ reopt_threshold_arg $ opt_budget_arg $ exec_arg $ trace_arg $ metrics_json_arg
+          $ reopt_threshold_arg $ opt_budget_arg $ trace_arg $ metrics_json_arg
           $ sql_arg)
   in
   Cmd.v
@@ -284,9 +272,8 @@ let print_result_rows result =
 
 let run_cmd =
   let run workload seed scale sample_size confidence estimator data_dir fault_profile
-      reopt_threshold opt_budget exec trace metrics_json sql =
+      reopt_threshold opt_budget trace metrics_json sql =
     check_reopt_threshold reopt_threshold;
-    let mode = mode_of_string exec in
     let catalog, cost_scale = obtain_catalog ~workload ~seed ~scale ~data_dir in
     let stats = build_stats ~seed ~sample_size catalog in
     let bound = compile_sql catalog sql in
@@ -315,7 +302,7 @@ let run_cmd =
     | None ->
         let meter = Rq_exec.Cost.create ~scale:cost_scale () in
         let result =
-          Rq_exec.Executor.run ?obs:recorder ~mode catalog meter decision.Optimizer.plan
+          Rq_exec.Executor.run ?obs:recorder catalog meter decision.Optimizer.plan
         in
         let snapshot = Rq_exec.Cost.snapshot meter in
         Printf.printf "plan: %s\n" (Rq_exec.Plan.describe decision.Optimizer.plan);
@@ -324,7 +311,7 @@ let run_cmd =
         print_result_rows result
     | Some threshold ->
         let outcome =
-          Reopt.execute_plan ~threshold ?obs:recorder ~mode opt query decision.Optimizer.plan
+          Reopt.execute_plan ~threshold ?obs:recorder opt query decision.Optimizer.plan
         in
         Printf.printf "initial plan: %s\n"
           (Rq_exec.Plan.describe outcome.Reopt.initial_plan);
@@ -339,7 +326,7 @@ let run_cmd =
   let term =
     Term.(const run $ workload_arg $ seed_arg $ scale_arg $ sample_arg $ confidence_arg
           $ estimator_arg $ data_dir_arg $ fault_profile_arg $ reopt_threshold_arg
-          $ opt_budget_arg $ exec_arg $ trace_arg $ metrics_json_arg $ sql_arg)
+          $ opt_budget_arg $ trace_arg $ metrics_json_arg $ sql_arg)
   in
   Cmd.v
     (Cmd.info "run"
@@ -731,15 +718,7 @@ let bench_exec_cmd =
                down to whole chunks).  Capping well below the data size \
                exercises out-of-core execution.")
   in
-  let vectorize_arg =
-    Arg.(value & opt (enum [ ("on", true); ("off", false) ]) true
-         & info [ "vectorize" ] ~docv:"on|off"
-         ~doc:"Data plane of the streaming engine outside the vectorized \
-               comparison section (which always runs both planes): \
-               column-major vector batches with selection bitsets (on, the \
-               default) or row-at-a-time tuple batches (off).")
-  in
-  let run small seed domains scale pool_pages vectorize out =
+  let run small seed domains scale pool_pages out =
     let module E = Rq_experiments in
     let config = if small then E.Exp_exec.small_config else E.Exp_exec.default_config in
     let config =
@@ -753,9 +732,9 @@ let bench_exec_cmd =
       | None -> config
       | Some scale_factor ->
           (* Big catalogs: one repetition is already minutes of work, and
-             holding both engines' result sets for the exact tuple compare
-             costs ~1 GB at scale 1 — the digest compare keeps only one
-             result live at a time. *)
+             holding two result sets for the exact tuple compare costs ~1 GB
+             at scale 1 — the digest compare keeps only one result live at a
+             time. *)
           let repetitions = if scale_factor >= 0.1 then 1 else config.E.Exp_exec.repetitions in
           let exact_compare = scale_factor < 0.1 in
           { config with E.Exp_exec.scale_factor; repetitions; exact_compare }
@@ -766,8 +745,7 @@ let bench_exec_cmd =
       | Some buffer_pool_pages -> { config with E.Exp_exec.buffer_pool_pages }
     in
     let result =
-      with_bench_errors (fun () ->
-          Rq_exec.Vectorize.with_vectorize vectorize (fun () -> E.Exp_exec.run ~config ()))
+      with_bench_errors (fun () -> E.Exp_exec.run ~config ())
     in
     print_string (E.Exp_exec.render result);
     if out <> "-" then begin
@@ -781,15 +759,13 @@ let bench_exec_cmd =
   in
   let term =
     Term.(
-      const run $ small_arg $ seed_arg $ domains_arg $ scale_arg $ pool_arg
-      $ vectorize_arg $ out_arg)
+      const run $ small_arg $ seed_arg $ domains_arg $ scale_arg $ pool_arg $ out_arg)
   in
   Cmd.v
     (Cmd.info "bench-exec"
-       ~doc:"Streaming vs. materialized executor: early-exit page savings on LIMIT and \
-             mid-stream guard workloads, exact counter parity on full drains, real \
-             runtime/memory per engine, the morsel-parallel domains axis, and the \
-             vectorized-vs-row data plane comparison.")
+       ~doc:"Executor bench: early-exit page savings of LIMIT and mid-stream guard \
+             workloads against full drains of the same plans, zone-map skipping, real \
+             runtime/memory, and the morsel-parallel domains axis.")
     term
 
 (* ---------------- bench-optimizer ---------------- *)

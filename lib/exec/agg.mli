@@ -1,11 +1,9 @@
-(** Grouped-aggregation core shared by both execution engines.
+(** Grouped-aggregation core of the streaming engine's aggregate operator.
 
     Holds the hash of per-group accumulator states; the caller feeds input
-    tuples (all at once or batch by batch — the final state is identical)
-    and finalizes to output rows.  Both engines construct it identically
-    (same initial table size, same insertion pattern), so the finalize
-    fold order — hence the output row order — is byte-identical whether
-    the input arrived materialized or streamed. *)
+    batches and finalizes to output rows.  The finalize fold order — hence
+    the output row order — depends only on the sequence of logical rows
+    fed, never on how they were batched. *)
 
 open Rq_storage
 
@@ -15,13 +13,9 @@ val create : Schema.t -> group_by:string list -> aggs:Plan.agg list -> t
 (** Compiles the aggregate expressions against the input schema.  Raises
     [Invalid_argument] on unknown columns. *)
 
-val feed : t -> Relation.tuple array -> unit
-
-val feed_cols : t -> Value.t array array -> Bitset.t -> unit
-(** Columnar feed for the vectorized plane: visits the selected rows of the
-    batch's column arrays in ascending order, building the same keys and
-    applying the same accumulator updates as {!feed} — so mixing planes
-    still yields byte-identical finalize order. *)
+val feed : t -> Value.t array array -> Bitset.t -> unit
+(** Visits the selected rows of a batch's column arrays in ascending
+    order. *)
 
 val finalize : t -> Relation.tuple list
 (** Output rows (group key columns then aggregate columns), in the group

@@ -1,5 +1,5 @@
-(* The one scan planner shared by all three engines and the optimizer's
-   cost model: split a (possibly resuming) sequential scan into per-chunk
+(* The one scan planner shared by the engine and the optimizer's cost
+   model: split a (possibly resuming) sequential scan into per-chunk
    tasks, marking each chunk either read (sequential pages + per-row CPU)
    or skipped (its zone map disproves the predicate: pages_skipped only,
    zero simulated seconds, zero CPU).
@@ -8,8 +8,8 @@
    page containing its first row to the page containing its last, so
    summing over tasks gives [Relation.page_count] for a fresh scan and
    [Exec_common.resume_pages] for a resume — whether or not chunks in
-   between are skipped, and however tasks are divided among morsels
-   (chunk boundaries are page-aligned by construction). *)
+   between are skipped (chunk boundaries are page-aligned by
+   construction). *)
 
 open Rq_storage
 
@@ -81,8 +81,8 @@ let build_bitmap schema pred =
         let idxs = List.map (Schema.index_of schema) (Pred.columns atom) in
         let compiled = Pred.compile schema atom in
         fun chunk n ->
-          (* The scratch tuple is per-invocation: matchers are shared
-             across domains by the morsel-parallel executor. *)
+          (* The scratch tuple is per-invocation: bitmaps are computed
+             on several domains at once by the morsel prefetch. *)
           let scratch = Array.make arity Value.Null in
           Bitset.of_pred ~len:n (fun r ->
               List.iter

@@ -1,10 +1,11 @@
-(** The one sequential-scan planner shared by the materialized, streaming
-    and morsel-parallel engines and by the optimizer's cost model: a scan
-    becomes a list of per-chunk tasks, each either read (sequential pages
-    + per-row CPU) or skipped because its zone map disproves the predicate
-    (pages_skipped only — zero simulated seconds, zero CPU).  Because all
-    four consumers plan from the same task list, executed charges and
-    cost estimates agree exactly. *)
+(** The one sequential-scan planner shared by the streaming engine (its
+    scans, resumed scans, morsel prefetch and star-semijoin dimension
+    scans) and by the optimizer's cost model: a scan becomes a list of
+    per-chunk tasks, each either read (sequential pages + per-row CPU) or
+    skipped because its zone map disproves the predicate (pages_skipped
+    only — zero simulated seconds, zero CPU).  Because executor and cost
+    model plan from the same task list, executed charges and cost
+    estimates agree exactly. *)
 
 open Rq_storage
 

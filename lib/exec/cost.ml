@@ -70,6 +70,7 @@ let create ?(constants = default_constants) ?(scale = 1.0) () =
 
 let constants t = t.constants
 let scale t = t.scale
+let seconds (t : t) = t.seconds
 
 let add t s = t.seconds <- t.seconds +. (s *. t.scale)
 
@@ -159,27 +160,6 @@ let snapshot (t : t) =
     sort_units = t.sort_units;
     extra_seconds = t.extra_seconds;
   }
-
-(* Merge another meter's accumulated work into this one.  Used by the
-   morsel-parallel executor: every morsel charges a private meter and the
-   snapshots are absorbed in morsel-index order, so the merged totals are
-   identical no matter which domain ran which morsel.  The snapshot's
-   seconds already include its meter's scale, so they are added raw. *)
-let absorb (t : t) (s : snapshot) =
-  t.seconds <- t.seconds +. s.seconds;
-  t.seq_pages <- t.seq_pages + s.seq_pages;
-  t.random_pages <- t.random_pages + s.random_pages;
-  t.pages_skipped <- t.pages_skipped + s.pages_skipped;
-  t.cpu_tuples <- t.cpu_tuples + s.cpu_tuples;
-  t.index_probes <- t.index_probes + s.index_probes;
-  t.index_entries <- t.index_entries + s.index_entries;
-  t.hash_build <- t.hash_build + s.hash_build;
-  t.hash_probe <- t.hash_probe + s.hash_probe;
-  t.merge_tuples <- t.merge_tuples + s.merge_tuples;
-  t.sort_tuples <- t.sort_tuples + s.sort_tuples;
-  t.output_tuples <- t.output_tuples + s.output_tuples;
-  t.sort_units <- t.sort_units +. s.sort_units;
-  t.extra_seconds <- t.extra_seconds +. s.extra_seconds
 
 let reset (t : t) =
   t.seconds <- 0.0;

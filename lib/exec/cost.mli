@@ -37,6 +37,9 @@ val create : ?constants:constants -> ?scale:float -> unit -> t
 val constants : t -> constants
 val scale : t -> float
 
+val seconds : t -> float
+(** Simulated seconds accumulated so far ([(snapshot t).seconds]). *)
+
 val charge_seq_pages : t -> int -> unit
 val charge_random_pages : t -> int -> unit
 val charge_pages_skipped : t -> int -> unit
@@ -82,12 +85,6 @@ type snapshot = {
 
 val snapshot : t -> snapshot
 val reset : t -> unit
-
-val absorb : t -> snapshot -> unit
-(** Add every counter (and the already-scaled seconds) of the snapshot to
-    this meter.  The deterministic merge step of the morsel-parallel
-    executor: per-morsel meters are absorbed in morsel-index order, making
-    the merged totals independent of which domain ran which morsel. *)
 
 val seconds_of_counters : constants:constants -> scale:float -> snapshot -> float
 (** Recompute the snapshot's simulated seconds from its counters alone;

@@ -10,8 +10,8 @@
 
    Claims are issued in index order, and a claimed task always runs to
    completion even when the batch aborts.  Those two facts give the
-   invariant the parallel guard path relies on: at any abort, the set of
-   completed tasks is exactly the contiguous prefix [0, claimed).
+   invariant [run_prefix] relies on: at any abort, the set of completed
+   tasks is exactly the contiguous prefix [0, claimed).
 
    An exception raised by a task aborts the batch (no further claims; tasks
    already in flight on other domains still finish) and is re-raised in the
@@ -143,10 +143,8 @@ let run t n f =
   | None -> Array.map Option.get results
 
 (* Like [run], but an abort requested by a task (returning [`Stop]) is not
-   an error: the completed contiguous prefix is returned.  The guard path:
-   a morsel that sees the running row count overflow requests a stop; tasks
-   already claimed on other domains still finish and are part of the
-   prefix. *)
+   an error: the completed contiguous prefix is returned — tasks already
+   claimed on other domains still finish and are part of it. *)
 let run_prefix t n f =
   if n < 0 then invalid_arg "Domain_pool.run_prefix: negative task count";
   let results = Array.make n None in

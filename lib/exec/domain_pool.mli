@@ -6,8 +6,7 @@
     fast domain pulls more morsels instead of idling behind a static
     partition.  Claims are issued in strictly increasing index order and a
     claimed task always runs to completion, which makes the completed set
-    at any abort a contiguous prefix [0, k) — the invariant the parallel
-    guard's resume geometry relies on. *)
+    at any abort a contiguous prefix [0, k). *)
 
 type t
 
@@ -35,6 +34,4 @@ val run_prefix : t -> int -> (int -> [ `Done of 'a | `Stop of 'a ]) -> 'a array
 (** Like {!run}, but a task may return [`Stop v] to request an early
     abort without error: its own result is kept, tasks already in flight
     finish, no further indices are claimed, and the contiguous completed
-    prefix is returned.  Used by guarded parallel scans: the morsel that
-    observes the running row count overflow stops the batch and the
-    prefix becomes the guard violation's reusable result. *)
+    prefix is returned. *)

@@ -1,11 +1,7 @@
-(** Types and helpers shared by the two execution engines.
-
-    {!Executor} (materialize-everything) and {!Stream_exec} (pull-based
-    batch pipeline) must agree on the result representation, the guard
-    violation they raise, and the exact cost charged per physical action —
-    the differential parity suite holds every counter identical between
-    them on full drains.  Everything both engines touch lives here so the
-    agreement is by construction. *)
+(** Types and helpers of the execution engine: the result representation,
+    the guard violation it raises, and the exact cost charged per index
+    probe and heap fetch — shared with the optimizer's cost model so
+    estimates and executed charges agree by construction. *)
 
 open Rq_storage
 
@@ -20,8 +16,7 @@ type violation = {
                                {!Plan.Materialized} leaf *)
   subplan : Plan.t;        (** the guarded subplan that produced them *)
   complete : bool;         (** input fully consumed: [result] is the whole
-                               output (materialized execution, or a
-                               streaming underflow caught at drain) *)
+                               output (an underflow caught at drain) *)
   progress : float;        (** fraction of the input consumed, in [0, 1];
                                1.0 when [complete] *)
   resume : Plan.t option;  (** a plan computing exactly the rows NOT in

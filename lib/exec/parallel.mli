@@ -1,21 +1,15 @@
 (** Morsel-driven parallel execution on OCaml 5 domains.
 
-    Sequential scans (and resumed scans, guards directly over them, and
-    hash joins probing straight off them) are partitioned into
-    page-aligned morsels pulled by a work-stealing {!Domain_pool}; each
-    morsel charges a private {!Cost} meter and the snapshots are absorbed
-    into the caller's meter in morsel-index order, so merged totals are
-    deterministic and identical — counter for counter — to the serial
-    materialized engine.  Everything the morsel engine does not cover runs
-    through {!Executor.run} in [Materialized] mode on the same meter, over
-    [Plan.Materialized] leaves holding the parallel units' outputs.
-
-    Correctness bar (enforced by test_parallel and the differential
-    suite): results are multiset-identical to the serial engines, cost
-    counters equal the materialized engine's exactly, span/meter
-    reconciliation holds to 1e-9, and a guard whose violating morsel is
-    in flight on another domain still fires with a contiguous reusable
-    prefix and an exact [Scan_resume] continuation. *)
+    {!run} is {!Stream_exec.run} with a morsel prefetcher on the executor's
+    {!Domain_pool}: sequential scans (and resumed scans) hand their next
+    [domains] morsels — chunk-aligned row ranges — to the pool, whose
+    workers pin each read chunk and compute its predicate bitmap.  The scan
+    consumes the bitmaps in order through its unchanged serial loop, which
+    does all charging, window slicing, selection, progress and resume;
+    workers never touch the {!Cost} meter.  Results, every cost counter,
+    guard fire points and [Scan_resume] positions are therefore identical
+    to {!Executor.run}'s at any domain count, and the span tree is the
+    serial engine's. *)
 
 open Rq_storage
 
@@ -25,26 +19,19 @@ type t
 val create : ?domains:int -> unit -> t
 (** [domains] defaults to 1 (serial over the identical code path). *)
 
-val of_pool : Domain_pool.t -> t
 val domains : t -> int
 val shutdown : t -> unit
 
 val run :
   ?obs:Rq_obs.Recorder.t -> t -> Catalog.t -> Cost.t -> Plan.t -> Exec_common.result
-(** Execute the plan, charging the meter exactly as
-    [Executor.run ~mode:Materialized] would.  Raises
-    {!Exec_common.Guard_violation} when a guard fires; for a guard over a
-    scan the violation carries the contiguous completed morsel prefix and
-    a [Scan_resume] starting at the prefix's page-aligned end.  With
-    [?obs], each parallel unit attaches one leaf span (total = self = the
-    unit's meter delta) and the residual plan is spanned by the serial
-    engine, so [Recorder.sum_self] over the roots reconciles with the
-    meter. *)
+(** Execute the plan, charging the meter exactly as {!Executor.run} does.
+    Raises {!Exec_common.Guard_violation} when a guard fires. *)
 
 type report = {
-  morsels : int;           (** parallel morsels executed *)
+  morsels : int;           (** morsels dispatched to the pool *)
   morsel_seconds : float array;
-      (** per-morsel simulated seconds, in morsel-unit order *)
+      (** per-morsel simulated seconds: the scan charges for each morsel's
+          rows, in dispatch order *)
   serial_seconds : float;  (** simulated seconds charged outside morsels *)
   total_seconds : float;   (** the meter's movement across the whole run *)
 }

@@ -1,12 +1,10 @@
 (* The streaming operator protocol.
 
    An operator is opened by compiling it (constructor state is its "open");
-   [next_batch] returns [Some batch] with at least one row, or [None] once
-   drained — there are no empty batches, so consumers never spin.  Batches
-   are plain tuple arrays the consumer may keep (producers never reuse
-   buffers).  [close] releases operator state early (early exit under
-   LIMIT); it is idempotent and calling [next_batch] after [close] is
-   undefined.
+   [next_batch] returns [Some batch] with at least one selected row, or
+   [None] once drained — there are no empty batches, so consumers never
+   spin.  Batches are column-major {!Vbatch.t}s; consumers may keep them,
+   and producers never mutate emitted columns.
 
    [progress] and [resume] exist for mid-stream guard recovery: [progress]
    approximates the fraction of the operator's input already consumed (the
@@ -16,48 +14,19 @@
 
 open Rq_storage
 
-type batch = Relation.tuple array
-
 type t = {
   schema : Schema.t;
-  next_batch : unit -> batch option;
-  close : unit -> unit;
+  next_batch : unit -> Vbatch.t option;
   progress : unit -> float;
   resume : unit -> Plan.t option;
 }
 
 (* Most operators are neither resumable nor meaningfully measurable beyond
    their driving child; these defaults keep constructors terse. *)
-let no_resume () = None
-
-let make ?close ?progress ?resume ~schema next_batch =
+let make ?progress ?resume ~schema next_batch =
   {
     schema;
     next_batch;
-    close = Option.value close ~default:(fun () -> ());
     progress = Option.value progress ~default:(fun () -> 0.0);
-    resume = Option.value resume ~default:no_resume;
+    resume = Option.value resume ~default:(fun () -> None);
   }
-
-(* The vectorized twin of the protocol: identical contract, but batches are
-   column-major {!Vbatch.t}s whose selection bitset is never empty (the
-   no-empty-batches invariant, stated over logical rows).  Consumers may
-   keep batches; producers never mutate emitted columns. *)
-module Vec = struct
-  type t = {
-    schema : Schema.t;
-    next_batch : unit -> Vbatch.t option;
-    close : unit -> unit;
-    progress : unit -> float;
-    resume : unit -> Plan.t option;
-  }
-
-  let make ?close ?progress ?resume ~schema next_batch =
-    {
-      schema;
-      next_batch;
-      close = Option.value close ~default:(fun () -> ());
-      progress = Option.value progress ~default:(fun () -> 0.0);
-      resume = Option.value resume ~default:no_resume;
-    }
-end

@@ -1,14 +1,15 @@
-(* The pull-based streaming engine.
+(* The pull-based streaming engine — the one executor.
 
-   Every plan node compiles to a {!Stream.t}; pipelined operators (scans,
-   joins' probe sides, filter/project/limit/guard) emit batches as they are
-   pulled, and true pipeline breakers (hash build side, sort, aggregate,
-   merge-join inputs) drain their children on the first pull.  Charging is
-   arranged so a full drain moves every {!Cost} counter exactly as the
-   materialized engine does — the charges are the same amounts attached to
-   the same physical actions, just incrementally — while early exit
-   (a satisfied LIMIT, a mid-stream guard violation) simply stops pulling
-   and leaves the unperformed work uncharged.
+   Every plan node compiles to a {!Stream.t} carrying {!Vbatch.t}s —
+   column slices plus a selection bitset — between operators.  Pipelined
+   operators (scans, joins' probe sides, filter/project/limit/guard) emit
+   batches as they are pulled; true pipeline breakers (hash build side,
+   sort, aggregate, merge-join inputs) drain their children on the first
+   pull, and tuples materialize only there and at the final output.
+   Every charge is attached to the physical action it pays for, made at
+   the moment that action happens and denominated in logical (selected)
+   rows, so early exit (a satisfied LIMIT, a mid-stream guard violation)
+   simply stops pulling and leaves the unperformed work uncharged.
 
    Span accounting cannot use the recorder's open/close stack: operator
    windows interleave (a parent's pull nests each child pull inside it, but
@@ -30,7 +31,14 @@ let batch_rows = 1024
    either way. *)
 let fetch_ramp_rows = 64
 
-type ctx = { catalog : Catalog.t; meter : Cost.t; obs : Rq_obs.Recorder.t option }
+type morsels = { pool : Domain_pool.t; mutable charged : float ref list }
+
+type ctx = {
+  catalog : Catalog.t;
+  meter : Cost.t;
+  obs : Rq_obs.Recorder.t option;
+  morsels : morsels option;
+}
 
 let record ctx event =
   match ctx.obs with None -> () | Some r -> Rq_obs.Recorder.record r event
@@ -49,45 +57,25 @@ type span_node = {
   sp_children : span_node list;
 }
 
+(* Rows are logical (selected) rows. *)
 let wrap_spans ctx node (op : Stream.t) =
   let next_batch () =
     let before = meter_metrics ctx in
+    let add () =
+      node.sp_total <-
+        Rq_obs.Metrics.add node.sp_total (Rq_obs.Metrics.sub (meter_metrics ctx) before)
+    in
     match op.Stream.next_batch () with
     | r ->
-        node.sp_total <-
-          Rq_obs.Metrics.add node.sp_total (Rq_obs.Metrics.sub (meter_metrics ctx) before);
-        (match r with
-        | Some b -> node.sp_rows <- node.sp_rows + Array.length b
-        | None -> ());
+        add ();
+        Option.iter (fun vb -> node.sp_rows <- node.sp_rows + Vbatch.selected vb) r;
         r
     | exception e ->
-        node.sp_total <-
-          Rq_obs.Metrics.add node.sp_total (Rq_obs.Metrics.sub (meter_metrics ctx) before);
+        add ();
         node.sp_aborted <- true;
         raise e
   in
   { op with Stream.next_batch }
-
-(* Same accumulation for the vectorized plane; rows are logical (selected)
-   rows, so span row counts match the row plane batch for batch. *)
-let wrap_vspans ctx node (op : Stream.Vec.t) =
-  let next_batch () =
-    let before = meter_metrics ctx in
-    match op.Stream.Vec.next_batch () with
-    | r ->
-        node.sp_total <-
-          Rq_obs.Metrics.add node.sp_total (Rq_obs.Metrics.sub (meter_metrics ctx) before);
-        (match r with
-        | Some vb -> node.sp_rows <- node.sp_rows + Vbatch.selected vb
-        | None -> ());
-        r
-    | exception e ->
-        node.sp_total <-
-          Rq_obs.Metrics.add node.sp_total (Rq_obs.Metrics.sub (meter_metrics ctx) before);
-        node.sp_aborted <- true;
-        raise e
-  in
-  { op with Stream.Vec.next_batch }
 
 let rec finalize_span node =
   let children = List.map finalize_span node.sp_children in
@@ -109,12 +97,13 @@ let rec finalize_span node =
 (* Generic plumbing                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Drain to tuples: the breakers' input and the final output. *)
 let drain_all (op : Stream.t) =
   let acc = ref [] in
   let rec go () =
     match op.Stream.next_batch () with
-    | Some b ->
-        acc := b :: !acc;
+    | Some vb ->
+        acc := Vbatch.to_tuples vb :: !acc;
         go ()
     | None -> ()
   in
@@ -132,16 +121,70 @@ let slice_emitter arr =
       let k = min batch_rows (n - !pos) in
       let b = Array.sub !arr !pos k in
       pos := !pos + k;
-      Some b
+      Some (Vbatch.of_tuples b)
     end
 
+(* A batch of rows an operator built itself (newest first). *)
 let finish_batch ctx out =
   match out with
   | [] -> None
   | rows ->
       let arr = Array.of_list (List.rev rows) in
       Cost.charge_output_tuples ctx.meter (Array.length arr);
-      Some arr
+      Some (Vbatch.of_tuples arr)
+
+(* ------------------------------------------------------------------ *)
+(* Morsel prefetch                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Under {!Parallel}, sequential scans read ahead on a domain pool.  The
+   scan's remaining chunk tasks are grouped into morsels — row ranges on an
+   absolute grid of [morsel_rows], a whole number of chunks (hence pages)
+   of at least 4 x [batch_rows] — and the next [Domain_pool.size] morsels
+   are handed to the pool together: each worker pins its morsel's read
+   chunks and computes their predicate bitmaps.  The scan's serial loop
+   then consumes those bitmaps in order and does everything else —
+   charging, window slicing, selection, progress and resume — exactly as
+   without a pool.  Workers never touch the cost meter, so counters, guard
+   fire points and resume positions cannot depend on the pool.
+
+   Each dispatched morsel gets a cell in [charged] (newest first) that the
+   serial loop credits with the scan seconds it charges for the morsel's
+   tasks: the per-morsel work {!Parallel.makespan} schedules. *)
+
+let morsel_target_rows = 4 * batch_rows
+
+let morsel_rows rel =
+  let rpc = Relation.rows_per_chunk rel in
+  rpc * max 1 ((morsel_target_rows + rpc - 1) / rpc)
+
+(* Dispatch morsels [first, first + size pool) of the remaining [tasks]
+   (clipped to the table), storing each read chunk's bitmap in [ready];
+   returns the batch's charge cells. *)
+let prefetch ms ~rel ~bitmap ~m ~first tasks ready =
+  let n = Relation.row_count rel in
+  let count = min (Domain_pool.size ms.pool) (((n - 1) / m) - first + 1) in
+  let groups = Array.make count [] in
+  let rec collect = function
+    | (t : Chunk_scan.task) :: rest when (t.lo / m) - first < count ->
+        if not t.skip then groups.((t.lo / m) - first) <- t :: groups.((t.lo / m) - first);
+        collect rest
+    | _ -> ()
+  in
+  collect tasks;
+  let found =
+    Domain_pool.run ms.pool count (fun k ->
+        List.map
+          (fun (t : Chunk_scan.task) ->
+            ( t.ci,
+              Relation.with_chunk ~seq:true rel t.ci (fun chunk ->
+                  Option.map (fun bm -> bm chunk) bitmap) ))
+          groups.(k))
+  in
+  Array.iter (List.iter (fun (ci, bits) -> Hashtbl.replace ready ci bits)) found;
+  let cells = Array.init count (fun _ -> ref 0.0) in
+  Array.iter (fun c -> ms.charged <- c :: ms.charged) cells;
+  cells
 
 (* ------------------------------------------------------------------ *)
 (* Leaf operators                                                      *)
@@ -150,12 +193,16 @@ let finish_batch ctx out =
 (* Sequential scan starting at [from] (0 for a whole-table scan), walking
    the shared chunk-task plan: a zone-map-skipped chunk charges
    pages_skipped (free) and is stepped over whole; a read chunk is pulled
-   pinned from the buffer pool and sliced into batches, charging CPU per
-   source row and each heap page the first time a row on it is touched.
-   A full drain thus charges exactly the planner's read-page/read-row
-   totals (= page_count/row_count when nothing prunes), and stopping
-   early leaves the tail pages unread.  Matching rows inside a read chunk
-   come from a per-chunk bitmap computed once per chunk. *)
+   pinned from the buffer pool and sliced into (chunk ∩ [batch_rows]
+   window) batches, charging CPU per source row and each heap page the
+   first time a row on it is touched.  A full drain thus charges exactly
+   the planner's read-page/read-row totals (= page_count/row_count when
+   nothing prunes), and stopping early leaves the tail pages unread.
+
+   A window's batch shares the chunk's column arrays zero-copy; its
+   selection is the window ∧ the chunk's predicate bitmap, computed once
+   per chunk (by the morsel pool when there is one).  Zero-match windows
+   are charged but not emitted. *)
 let seq_scan_stream ctx ~table ~pred ~from =
   let rel = Catalog.find_table ctx.catalog table in
   let n = Relation.row_count rel in
@@ -165,13 +212,42 @@ let seq_scan_stream ctx ~table ~pred ~from =
   let tasks = ref (Chunk_scan.tasks ~from rel pred) in
   let pos = ref from in
   (* Absolute index of the next page to charge; starts at the page holding
-     [from], so a resume re-reads the split page (as before). *)
+     [from], so a resume re-reads the split page. *)
   let page_frontier = ref (from / rpp) in
-  (* Per-chunk bitmap cache: (chunk index, bits). *)
+  (* Bitmaps computed ahead by the morsel pool, by chunk index. *)
+  let ready = Hashtbl.create 8 in
+  let cell_of =
+    match ctx.morsels with
+    | None -> fun _ -> None
+    | Some ms ->
+        let m = morsel_rows rel in
+        let first = ref 0 and cells = ref [||] in
+        fun (t : Chunk_scan.task) ->
+          let k = t.lo / m in
+          if k >= !first + Array.length !cells then begin
+            cells := prefetch ms ~rel ~bitmap ~m ~first:k !tasks ready;
+            first := k
+          end;
+          Some !cells.(k - !first)
+  in
   let cached_bits = ref (-1, None) in
+  let bits_of (t : Chunk_scan.task) chunk =
+    match !cached_bits with
+    | ci, bits when ci = t.ci -> bits
+    | _ ->
+        let bits =
+          match Hashtbl.find_opt ready t.ci with
+          | Some bits ->
+              Hashtbl.remove ready t.ci;
+              bits
+          | None -> Option.map (fun bm -> bm chunk) bitmap
+        in
+        cached_bits := (t.ci, bits);
+        bits
+  in
   let next_batch () =
-    let out = ref [] in
-    while !out = [] && !tasks <> [] do
+    let out = ref None in
+    while !out = None && !tasks <> [] do
       match !tasks with
       | [] -> ()
       | t :: rest ->
@@ -183,35 +259,29 @@ let seq_scan_stream ctx ~table ~pred ~from =
           end
           else begin
             let stop = min t.hi (!pos + batch_rows) in
+            let cell = cell_of t in
+            let before = Cost.seconds ctx.meter in
             Cost.charge_cpu_tuples ctx.meter (stop - !pos);
             let pages_now = Chunk_scan.pages_upto rpp stop in
             if pages_now > !page_frontier then begin
               Cost.charge_seq_pages ctx.meter (pages_now - !page_frontier);
               page_frontier := pages_now
             end;
+            Option.iter (fun c -> c := !c +. (Cost.seconds ctx.meter -. before)) cell;
             let base = Relation.chunk_start rel t.ci in
             Relation.with_chunk ~seq:true rel t.ci (fun chunk ->
-                let bits =
-                  match (bitmap, !cached_bits) with
-                  | None, _ -> None
-                  | Some _, (ci, bits) when ci = t.ci -> bits
-                  | Some bm, _ ->
-                      let bits = Some (bm chunk) in
-                      cached_bits := (t.ci, bits);
-                      bits
+                let lo = !pos - base and hi = stop - base in
+                let sel =
+                  match bits_of t chunk with
+                  | None -> Bitset.window (Chunk.n_rows chunk) ~lo ~hi
+                  | Some b -> Bitset.inter_window b ~lo ~hi
                 in
-                for rid = !pos to stop - 1 do
-                  let r = rid - base in
-                  let keep =
-                    match bits with None -> true | Some b -> Bitset.get b r
-                  in
-                  if keep then out := Chunk.get chunk r :: !out
-                done);
+                if Bitset.popcount sel > 0 then out := Some (Vbatch.of_chunk chunk ~sel));
             pos := stop;
             if stop >= t.hi then tasks := rest
           end
     done;
-    match !out with [] -> None | rows -> Some (Array.of_list (List.rev rows))
+    !out
   in
   Stream.make
     ~schema:(Exec_common.qualified_schema ctx.catalog table)
@@ -250,7 +320,7 @@ let rid_fetch_stream ctx ~table ~pred ~probe_rids =
       done;
       fpos := stop
     done;
-    match !out with [] -> None | rows -> Some (Array.of_list (List.rev rows))
+    match !out with [] -> None | rows -> Some (Vbatch.of_tuples (Array.of_list (List.rev rows)))
   in
   Stream.make
     ~schema:(Exec_common.qualified_schema ctx.catalog table)
@@ -295,67 +365,125 @@ let index_intersect_stream ctx ~table ~pred ~probes =
             rest;
           Rid_set.to_array !acc)
 
+(* Already paid for when it was first produced; reading it back is free in
+   the simulated model. *)
 let materialized_stream ~schema ~tuples =
-  (* Already paid for when it was first produced; reading it back is free in
-     the simulated model. *)
-  let arr = ref tuples in
-  let emit = slice_emitter arr in
+  let emit = slice_emitter (ref tuples) in
   let n = Array.length tuples in
   let emitted = ref 0 in
   Stream.make ~schema
     ~progress:(fun () -> if n = 0 then 1.0 else float_of_int !emitted /. float_of_int n)
     (fun () ->
-      match emit () with
-      | Some b ->
-          emitted := !emitted + Array.length b;
-          Some b
-      | None -> None)
+      let r = emit () in
+      Option.iter (fun vb -> emitted := !emitted + vb.Vbatch.n_rows) r;
+      r)
 
 (* ------------------------------------------------------------------ *)
 (* Joins                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Build side materializes (a hash table is a breaker); probing reads the
+   key column directly at each selected index and the output batch is
+   assembled column-major.  One output batch per match-bearing probe batch,
+   matches in probe order × build-input order. *)
 let hash_join_stream ctx ~(bop : Stream.t) ~(pop : Stream.t) ~build_key ~probe_key =
   let schema = Schema.concat bop.Stream.schema pop.Stream.schema in
   let bpos = Schema.index_of bop.Stream.schema build_key in
   let ppos = Schema.index_of pop.Stream.schema probe_key in
+  let barity = Schema.arity bop.Stream.schema in
   let table = ref None in
   let ensure_table () =
     match !table with
     | Some t -> t
     | None ->
         let build_rows = drain_all bop in
-        let t = Hashtbl.create (max 16 (Array.length build_rows)) in
-        Array.iter
-          (fun tup ->
-            let key = tup.(bpos) in
-            if not (Value.is_null key) then Hashtbl.add t key tup)
-          build_rows;
-        Cost.charge_hash_build ctx.meter (Array.length build_rows);
+        let n = Array.length build_rows in
+        (* Columnarize the build side once; buckets hold build row indices
+           (in build-input order) so probing is one [find_opt] plus an
+           allocation-free walk over an int array per probe row. *)
+        let bcols =
+          Array.init barity (fun c -> Array.init n (fun r -> build_rows.(r).(c)))
+        in
+        let grouped = Hashtbl.create (max 16 n) in
+        for r = 0 to n - 1 do
+          let key = build_rows.(r).(bpos) in
+          if not (Value.is_null key) then
+            match Hashtbl.find_opt grouped key with
+            | Some l -> Hashtbl.replace grouped key (r :: l)
+            | None -> Hashtbl.replace grouped key [ r ]
+        done;
+        let buckets = Hashtbl.create (Hashtbl.length grouped) in
+        Hashtbl.iter
+          (fun key l -> Hashtbl.replace buckets key (Array.of_list (List.rev l)))
+          grouped;
+        Cost.charge_hash_build ctx.meter n;
+        let t = (bcols, buckets) in
         table := Some t;
         t
   in
   let drained = ref false in
   let next_batch () =
-    let t = ensure_table () in
-    let out = ref [] in
-    while !out = [] && not !drained do
+    let bcols, buckets = ensure_table () in
+    let result = ref None in
+    while !result = None && not !drained do
       match pop.Stream.next_batch () with
       | None -> drained := true
-      | Some pb ->
-          Cost.charge_hash_probe ctx.meter (Array.length pb);
-          Array.iter
-            (fun ptup ->
-              let key = ptup.(ppos) in
+      | Some vb ->
+          let selected = Vbatch.selected vb in
+          Cost.charge_hash_probe ctx.meter selected;
+          let pcols = vb.Vbatch.cols in
+          let pkey = pcols.(ppos) in
+          (* Growable parallel index arrays (build row, probe row). *)
+          let cap = ref (max 16 selected) and len = ref 0 in
+          let bis = ref (Array.make !cap 0) and pis = ref (Array.make !cap 0) in
+          let push r i =
+            if !len = !cap then begin
+              let cap' = 2 * !cap in
+              let bis' = Array.make cap' 0 and pis' = Array.make cap' 0 in
+              Array.blit !bis 0 bis' 0 !len;
+              Array.blit !pis 0 pis' 0 !len;
+              bis := bis';
+              pis := pis';
+              cap := cap'
+            end;
+            !bis.(!len) <- r;
+            !pis.(!len) <- i;
+            incr len
+          in
+          Bitset.iter_set
+            (fun i ->
+              let key = pkey.(i) in
               if not (Value.is_null key) then
-                (* find_all yields reverse insertion order; reverse it back so
-                   duplicate-key matches come out in build-input order. *)
-                List.iter
-                  (fun btup -> out := Exec_common.concat_tuples btup ptup :: !out)
-                  (List.rev (Hashtbl.find_all t key)))
-            pb
+                match Hashtbl.find_opt buckets key with
+                | Some rows -> Array.iter (fun r -> push r i) rows
+                | None -> ())
+            vb.Vbatch.sel;
+          let k = !len in
+          if k > 0 then begin
+            let bis = !bis and pis = !pis in
+            let parity = Array.length pcols in
+            let cols = Array.make (barity + parity) [||] in
+            for c = 0 to barity - 1 do
+              let src = bcols.(c) in
+              let dst = Array.make k src.(bis.(0)) in
+              for j = 1 to k - 1 do
+                dst.(j) <- src.(bis.(j))
+              done;
+              cols.(c) <- dst
+            done;
+            for c = 0 to parity - 1 do
+              let src = pcols.(c) in
+              let dst = Array.make k src.(pis.(0)) in
+              for j = 1 to k - 1 do
+                dst.(j) <- src.(pis.(j))
+              done;
+              cols.(barity + c) <- dst
+            done;
+            Cost.charge_output_tuples ctx.meter k;
+            result := Some { Vbatch.cols; n_rows = k; sel = Bitset.full k }
+          end
     done;
-    finish_batch ctx !out
+    !result
   in
   Stream.make ~schema ~progress:pop.Stream.progress next_batch
 
@@ -375,9 +503,8 @@ let merge_join_stream ctx ~left_plan ~right_plan ~(lop : Stream.t) ~(rop : Strea
           if already then rows
           else begin
             Cost.charge_sort ctx.meter (Array.length rows);
-            let copy = Array.copy rows in
-            Array.sort (fun a b -> Value.compare a.(pos) b.(pos)) copy;
-            copy
+            Array.sort (fun a b -> Value.compare a.(pos) b.(pos)) rows;
+            rows
           end
         in
         let ltups =
@@ -463,7 +590,7 @@ let inl_join_stream ctx ~(oop : Stream.t) ~outer_key ~inner_table ~inner_key ~in
                     if check itup then out := Exec_common.concat_tuples otup itup :: !out)
                   fetched
               end)
-            ob
+            (Vbatch.to_tuples ob)
     done;
     finish_batch ctx !out
   in
@@ -596,35 +723,41 @@ let star_semijoin_stream ctx ~fact ~fact_pred ~dims =
 (* Unary operators                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* Predicate atoms run as per-column bitmap kernels over the batch's
+   physical rows; the result ANDs into the selection.  Rows already
+   deselected are evaluated by the kernel but never observed — the charge
+   is the arriving logical rows. *)
 let filter_stream ctx ~(iop : Stream.t) ~pred =
-  let check = Pred.compile iop.Stream.schema pred in
+  let bitmap = Chunk_scan.bitmap iop.Stream.schema pred in
   let drained = ref false in
   let next_batch () =
     let out = ref None in
     while !out = None && not !drained do
       match iop.Stream.next_batch () with
       | None -> drained := true
-      | Some b ->
-          Cost.charge_cpu_tuples ctx.meter (Array.length b);
-          let kept = Array.of_seq (Seq.filter check (Array.to_seq b)) in
-          if Array.length kept > 0 then out := Some kept
+      | Some vb ->
+          Cost.charge_cpu_tuples ctx.meter (Vbatch.selected vb);
+          let sel =
+            match bitmap with
+            | None -> vb.Vbatch.sel
+            | Some bm -> Bitset.logand vb.Vbatch.sel (bm (Vbatch.chunk_view vb))
+          in
+          if Bitset.popcount sel > 0 then out := Some { vb with Vbatch.sel }
     done;
     !out
   in
   Stream.make ~schema:iop.Stream.schema ~progress:iop.Stream.progress next_batch
 
+(* Projection drops column references — no per-row work at all. *)
 let project_stream ctx ~(iop : Stream.t) ~cols =
-  let positions = List.map (Schema.index_of iop.Stream.schema) cols in
+  let positions = Array.of_list (List.map (Schema.index_of iop.Stream.schema) cols) in
   let schema = Schema.project iop.Stream.schema cols in
   let next_batch () =
     match iop.Stream.next_batch () with
     | None -> None
-    | Some b ->
-        Cost.charge_cpu_tuples ctx.meter (Array.length b);
-        Some
-          (Array.map
-             (fun tup -> Array.of_list (List.map (fun p -> tup.(p)) positions))
-             b)
+    | Some vb ->
+        Cost.charge_cpu_tuples ctx.meter (Vbatch.selected vb);
+        Some (Vbatch.project vb positions)
   in
   Stream.make ~schema ~progress:iop.Stream.progress next_batch
 
@@ -653,13 +786,8 @@ let sort_stream ctx ~(iop : Stream.t) ~keys =
       let rows = drain_all iop in
       Cost.charge_sort ctx.meter (Array.length rows);
       (* Stable, so ties keep the input order (deterministic output). *)
-      let indexed = Array.mapi (fun i tup -> (i, tup)) rows in
-      Array.sort
-        (fun (i, a) (j, b) ->
-          let c = compare_rows a b in
-          if c <> 0 then c else Int.compare i j)
-        indexed;
-      sorted := Array.map snd indexed
+      Array.stable_sort compare_rows rows;
+      sorted := rows
     end;
     emit ()
   in
@@ -677,11 +805,12 @@ let limit_stream ctx ~(iop : Stream.t) ~n =
       | None ->
           remaining := 0;
           None
-      | Some b ->
-          let keep = min !remaining (Array.length b) in
+      | Some vb ->
+          let k = Vbatch.selected vb in
+          let keep = min !remaining k in
           Cost.charge_cpu_tuples ctx.meter keep;
           remaining := !remaining - keep;
-          Some (if keep = Array.length b then b else Array.sub b 0 keep)
+          Some (if keep = k then vb else Vbatch.take vb keep)
   in
   Stream.make ~schema:iop.Stream.schema ~progress:iop.Stream.progress next_batch
 
@@ -696,9 +825,9 @@ let aggregate_stream ctx ~plan ~(iop : Stream.t) ~group_by ~aggs =
       let agg = Agg.create iop.Stream.schema ~group_by ~aggs in
       let rec pull () =
         match iop.Stream.next_batch () with
-        | Some b ->
-            Cost.charge_hash_build ctx.meter (Array.length b);
-            Agg.feed agg b;
+        | Some vb ->
+            Cost.charge_hash_build ctx.meter (Vbatch.selected vb);
+            Agg.feed agg vb.Vbatch.cols vb.Vbatch.sel;
             pull ()
         | None -> ()
       in
@@ -713,22 +842,27 @@ let aggregate_stream ctx ~plan ~(iop : Stream.t) ~group_by ~aggs =
     ~progress:(fun () -> if !started then 1.0 else 0.0)
     next_batch
 
+(* The one guard rule.  Overflow becomes unrecoverable the moment
+   actual > expected * max_q: the count only grows, so the drain-time
+   two-sided check would fire too — the guard fires on the batch that
+   crosses the bound, before handing it on, so a violated bound never
+   leaks rows downstream.  Underflow can only be judged at drain. *)
 let guard_stream ctx ~(iop : Stream.t) ~input_plan ~expected_rows ~max_q_error ~label =
   let count = ref 0 in
   let buffered = ref [] in
   let drained = ref false in
-  (* Overflow becomes unrecoverable the moment actual > expected * max_q:
-     the count only grows, so the drain-time two-sided check would fire
-     too.  Underflow can only be judged at drain. *)
   let overflow_bound = max_q_error *. Float.max expected_rows 0.5 in
   let fire ~complete q =
     record ctx
       (Rq_obs.Trace.Guard_fired
          { label; expected_rows; actual_rows = !count; q_error = q });
+    (* The carried partial result materializes only now, when the guard
+       fires.  [buffered] is newest-first, so rev_map restores arrival
+       order. *)
     let result =
       {
         Exec_common.schema = iop.Stream.schema;
-        tuples = Array.concat (List.rev !buffered);
+        tuples = Array.concat (List.rev_map Vbatch.to_tuples !buffered);
       }
     in
     raise
@@ -749,16 +883,15 @@ let guard_stream ctx ~(iop : Stream.t) ~input_plan ~expected_rows ~max_q_error ~
     if !drained then None
     else
       match iop.Stream.next_batch () with
-      | Some b ->
-          (* The guard inspects every row once (a counter pass); checked
-             before the batch is handed on, so a violated bound never leaks
-             rows downstream. *)
-          Cost.charge_cpu_tuples ctx.meter (Array.length b);
-          count := !count + Array.length b;
-          buffered := b :: !buffered;
+      | Some vb ->
+          (* The guard inspects every row once (a counter pass). *)
+          let k = Vbatch.selected vb in
+          Cost.charge_cpu_tuples ctx.meter k;
+          count := !count + k;
+          buffered := vb :: !buffered;
           if float_of_int !count > overflow_bound then
             fire ~complete:false (Plan.q_error ~expected:expected_rows ~actual:!count)
-          else Some b
+          else Some vb
       | None ->
           drained := true;
           let q = Plan.q_error ~expected:expected_rows ~actual:!count in
@@ -782,415 +915,13 @@ let append_stream ~schema parts =
     | [] -> None
     | (op : Stream.t) :: rest -> (
         match op.Stream.next_batch () with
-        | Some b -> Some b
-        | None ->
-            rem := rest;
-            incr done_parts;
-            next_batch ())
-  in
-  Stream.make ~schema
-    ~progress:(fun () ->
-      if total = 0 then 1.0 else float_of_int !done_parts /. float_of_int total)
-    next_batch
-
-(* ------------------------------------------------------------------ *)
-(* Vectorized operators                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* The vectorized plane carries {!Vbatch.t}s — column slices plus a
-   selection bitset — between operators, materializing tuples only at
-   breaker boundaries (hash builds, sorts, merge inputs) and final output.
-
-   Counter parity is structural, not coincidental: every vectorized
-   operator charges the same counter the same amount at the same point in
-   the pull sequence as its row twin, denominated in logical (selected)
-   rows.  The scan emits one batch per (chunk ∩ batch_rows window), exactly
-   the row scan's slicing, so per-batch logical counts — and hence guard
-   fire points, progress fractions and resume positions — are identical
-   between planes.  Plane conversions charge nothing: representation is
-   free in the cost model. *)
-
-let stream_of_vec (vop : Stream.Vec.t) =
-  Stream.make ~schema:vop.Stream.Vec.schema ~close:vop.Stream.Vec.close
-    ~progress:vop.Stream.Vec.progress ~resume:vop.Stream.Vec.resume (fun () ->
-      match vop.Stream.Vec.next_batch () with
-      | None -> None
-      | Some vb -> Some (Vbatch.to_tuples vb))
-
-let vec_of_stream (op : Stream.t) =
-  Stream.Vec.make ~schema:op.Stream.schema ~close:op.Stream.close
-    ~progress:op.Stream.progress ~resume:op.Stream.resume (fun () ->
-      match op.Stream.next_batch () with
-      | None -> None
-      | Some b -> Some (Vbatch.of_tuples b))
-
-let drain_all_vec (vop : Stream.Vec.t) =
-  let acc = ref [] in
-  let rec go () =
-    match vop.Stream.Vec.next_batch () with
-    | Some vb ->
-        acc := Vbatch.to_tuples vb :: !acc;
-        go ()
-    | None -> ()
-  in
-  go ();
-  Array.concat (List.rev !acc)
-
-(* Identical control flow and charge sites to [seq_scan_stream]; the only
-   difference is what a window becomes: instead of materializing matching
-   rows with [Chunk.get], the chunk's column arrays are shared zero-copy
-   and the window's matches become the selection ([bitmap ∧ window]).
-   Zero-match windows are stepped over (charged, not emitted) exactly as
-   the row scan's empty-out windows are. *)
-let seq_scan_vstream ctx ~table ~pred ~from =
-  let rel = Catalog.find_table ctx.catalog table in
-  let n = Relation.row_count rel in
-  let from = min (max 0 from) n in
-  let rpp = Relation.rows_per_page rel in
-  let bitmap = Chunk_scan.bitmap (Relation.schema rel) pred in
-  let tasks = ref (Chunk_scan.tasks ~from rel pred) in
-  let pos = ref from in
-  let page_frontier = ref (from / rpp) in
-  let cached_bits = ref (-1, None) in
-  let next_batch () =
-    let out = ref None in
-    while !out = None && !tasks <> [] do
-      match !tasks with
-      | [] -> ()
-      | t :: rest ->
-          if t.Chunk_scan.skip then begin
-            Cost.charge_pages_skipped ctx.meter t.pages;
-            page_frontier := Chunk_scan.pages_upto rpp t.hi;
-            pos := t.hi;
-            tasks := rest
-          end
-          else begin
-            let stop = min t.hi (!pos + batch_rows) in
-            Cost.charge_cpu_tuples ctx.meter (stop - !pos);
-            let pages_now = Chunk_scan.pages_upto rpp stop in
-            if pages_now > !page_frontier then begin
-              Cost.charge_seq_pages ctx.meter (pages_now - !page_frontier);
-              page_frontier := pages_now
-            end;
-            let base = Relation.chunk_start rel t.ci in
-            Relation.with_chunk ~seq:true rel t.ci (fun chunk ->
-                let bits =
-                  match (bitmap, !cached_bits) with
-                  | None, _ -> None
-                  | Some _, (ci, bits) when ci = t.ci -> bits
-                  | Some bm, _ ->
-                      let bits = Some (bm chunk) in
-                      cached_bits := (t.ci, bits);
-                      bits
-                in
-                let lo = !pos - base and hi = stop - base in
-                let sel =
-                  match bits with
-                  | None -> Bitset.window (Chunk.n_rows chunk) ~lo ~hi
-                  | Some b -> Bitset.inter_window b ~lo ~hi
-                in
-                if Bitset.popcount sel > 0 then
-                  out := Some (Vbatch.of_chunk chunk ~sel));
-            pos := stop;
-            if stop >= t.hi then tasks := rest
-          end
-    done;
-    !out
-  in
-  Stream.Vec.make
-    ~schema:(Exec_common.qualified_schema ctx.catalog table)
-    ~progress:(fun () ->
-      if n = from then 1.0 else float_of_int (!pos - from) /. float_of_int (n - from))
-    ~resume:(fun () ->
-      if !pos >= n then None else Some (Plan.Scan_resume { table; pred; from_rid = !pos }))
-    next_batch
-
-let materialized_vstream ~schema ~tuples =
-  let arr = ref tuples in
-  let emit = slice_emitter arr in
-  let n = Array.length tuples in
-  let emitted = ref 0 in
-  Stream.Vec.make ~schema
-    ~progress:(fun () -> if n = 0 then 1.0 else float_of_int !emitted /. float_of_int n)
-    (fun () ->
-      match emit () with
-      | Some b ->
-          emitted := !emitted + Array.length b;
-          Some (Vbatch.of_tuples b)
-      | None -> None)
-
-(* Predicate atoms run as per-column bitmap kernels over the batch's
-   physical rows; the result ANDs into the selection.  Rows already
-   deselected are evaluated by the kernel but never observed — the charge
-   is the arriving logical rows, same as the row filter's batch length. *)
-let filter_vstream ctx ~(iop : Stream.Vec.t) ~pred =
-  let bitmap = Chunk_scan.bitmap iop.Stream.Vec.schema pred in
-  let drained = ref false in
-  let next_batch () =
-    let out = ref None in
-    while !out = None && not !drained do
-      match iop.Stream.Vec.next_batch () with
-      | None -> drained := true
-      | Some vb ->
-          Cost.charge_cpu_tuples ctx.meter (Vbatch.selected vb);
-          let sel =
-            match bitmap with
-            | None -> vb.Vbatch.sel
-            | Some bm -> Bitset.logand vb.Vbatch.sel (bm (Vbatch.chunk_view vb))
-          in
-          if Bitset.popcount sel > 0 then out := Some { vb with Vbatch.sel }
-    done;
-    !out
-  in
-  Stream.Vec.make ~schema:iop.Stream.Vec.schema ~progress:iop.Stream.Vec.progress
-    next_batch
-
-(* Projection drops column references — no per-row work at all. *)
-let project_vstream ctx ~(iop : Stream.Vec.t) ~cols =
-  let positions =
-    Array.of_list (List.map (Schema.index_of iop.Stream.Vec.schema) cols)
-  in
-  let schema = Schema.project iop.Stream.Vec.schema cols in
-  let next_batch () =
-    match iop.Stream.Vec.next_batch () with
-    | None -> None
-    | Some vb ->
-        Cost.charge_cpu_tuples ctx.meter (Vbatch.selected vb);
-        Some (Vbatch.project vb positions)
-  in
-  Stream.Vec.make ~schema ~progress:iop.Stream.Vec.progress next_batch
-
-let limit_vstream ctx ~(iop : Stream.Vec.t) ~n =
-  let remaining = ref (max 0 n) in
-  let next_batch () =
-    if !remaining <= 0 then None
-    else
-      match iop.Stream.Vec.next_batch () with
-      | None ->
-          remaining := 0;
-          None
-      | Some vb ->
-          let k = Vbatch.selected vb in
-          let keep = min !remaining k in
-          Cost.charge_cpu_tuples ctx.meter keep;
-          remaining := !remaining - keep;
-          Some (if keep = k then vb else Vbatch.take vb keep)
-  in
-  Stream.Vec.make ~schema:iop.Stream.Vec.schema ~progress:iop.Stream.Vec.progress
-    next_batch
-
-let guard_vstream ctx ~(iop : Stream.Vec.t) ~input_plan ~expected_rows ~max_q_error
-    ~label =
-  let count = ref 0 in
-  let buffered = ref [] in
-  let drained = ref false in
-  let overflow_bound = max_q_error *. Float.max expected_rows 0.5 in
-  let fire ~complete q =
-    record ctx
-      (Rq_obs.Trace.Guard_fired
-         { label; expected_rows; actual_rows = !count; q_error = q });
-    (* The carried partial result materializes only now, when the guard
-       fires — the one point the vectorized plane must hand tuples to
-       recovery.  [buffered] is newest-first, so rev_map restores arrival
-       order. *)
-    let result =
-      {
-        Exec_common.schema = iop.Stream.Vec.schema;
-        tuples = Array.concat (List.rev_map Vbatch.to_tuples !buffered);
-      }
-    in
-    raise
-      (Exec_common.Guard_violation
-         {
-           label;
-           expected_rows;
-           actual_rows = !count;
-           q_error = q;
-           result;
-           subplan = input_plan;
-           complete;
-           progress = (if complete then 1.0 else iop.Stream.Vec.progress ());
-           resume = (if complete then None else iop.Stream.Vec.resume ());
-         })
-  in
-  let next_batch () =
-    if !drained then None
-    else
-      match iop.Stream.Vec.next_batch () with
-      | Some vb ->
-          let k = Vbatch.selected vb in
-          Cost.charge_cpu_tuples ctx.meter k;
-          count := !count + k;
-          buffered := vb :: !buffered;
-          if float_of_int !count > overflow_bound then
-            fire ~complete:false (Plan.q_error ~expected:expected_rows ~actual:!count)
-          else Some vb
-      | None ->
-          drained := true;
-          let q = Plan.q_error ~expected:expected_rows ~actual:!count in
-          if q > max_q_error then fire ~complete:true q
-          else begin
-            record ctx
-              (Rq_obs.Trace.Guard_ok
-                 { label; expected_rows; actual_rows = !count; q_error = q });
-            None
-          end
-  in
-  Stream.Vec.make ~schema:iop.Stream.Vec.schema ~progress:iop.Stream.Vec.progress
-    ~resume:iop.Stream.Vec.resume next_batch
-
-(* Build side materializes (a hash table is a breaker); probing reads the
-   key column directly at each selected index and the output batch is
-   assembled column-major.  One output batch per match-bearing probe batch,
-   matches in probe order × build-input order — the row join's order. *)
-let hash_join_vstream ctx ~(bop : Stream.Vec.t) ~(pop : Stream.Vec.t) ~build_key
-    ~probe_key =
-  let schema = Schema.concat bop.Stream.Vec.schema pop.Stream.Vec.schema in
-  let bpos = Schema.index_of bop.Stream.Vec.schema build_key in
-  let ppos = Schema.index_of pop.Stream.Vec.schema probe_key in
-  let barity = Schema.arity bop.Stream.Vec.schema in
-  let table = ref None in
-  let ensure_table () =
-    match !table with
-    | Some t -> t
-    | None ->
-        let build_rows = drain_all_vec bop in
-        let n = Array.length build_rows in
-        (* Columnarize the build side once; buckets hold build row indices
-           (in build-input order) so probing is one [find_opt] plus an
-           allocation-free walk over an int array per probe row. *)
-        let bcols =
-          Array.init barity (fun c -> Array.init n (fun r -> build_rows.(r).(c)))
-        in
-        let grouped = Hashtbl.create (max 16 n) in
-        for r = 0 to n - 1 do
-          let key = build_rows.(r).(bpos) in
-          if not (Value.is_null key) then
-            match Hashtbl.find_opt grouped key with
-            | Some l -> Hashtbl.replace grouped key (r :: l)
-            | None -> Hashtbl.replace grouped key [ r ]
-        done;
-        let buckets = Hashtbl.create (Hashtbl.length grouped) in
-        Hashtbl.iter
-          (fun key l -> Hashtbl.replace buckets key (Array.of_list (List.rev l)))
-          grouped;
-        Cost.charge_hash_build ctx.meter n;
-        let t = (bcols, buckets) in
-        table := Some t;
-        t
-  in
-  let drained = ref false in
-  let next_batch () =
-    let bcols, buckets = ensure_table () in
-    let result = ref None in
-    while !result = None && not !drained do
-      match pop.Stream.Vec.next_batch () with
-      | None -> drained := true
-      | Some vb ->
-          let selected = Vbatch.selected vb in
-          Cost.charge_hash_probe ctx.meter selected;
-          let pcols = vb.Vbatch.cols in
-          let pkey = pcols.(ppos) in
-          (* Growable parallel index arrays (build row, probe row): matches
-             land in probe order × build-input order, the row join's output
-             order. *)
-          let cap = ref (max 16 selected) and len = ref 0 in
-          let bis = ref (Array.make !cap 0) and pis = ref (Array.make !cap 0) in
-          let push r i =
-            if !len = !cap then begin
-              let cap' = 2 * !cap in
-              let bis' = Array.make cap' 0 and pis' = Array.make cap' 0 in
-              Array.blit !bis 0 bis' 0 !len;
-              Array.blit !pis 0 pis' 0 !len;
-              bis := bis';
-              pis := pis';
-              cap := cap'
-            end;
-            !bis.(!len) <- r;
-            !pis.(!len) <- i;
-            incr len
-          in
-          Bitset.iter_set
-            (fun i ->
-              let key = pkey.(i) in
-              if not (Value.is_null key) then
-                match Hashtbl.find_opt buckets key with
-                | Some rows -> Array.iter (fun r -> push r i) rows
-                | None -> ())
-            vb.Vbatch.sel;
-          let k = !len in
-          if k > 0 then begin
-            let bis = !bis and pis = !pis in
-            let parity = Array.length pcols in
-            let cols = Array.make (barity + parity) [||] in
-            for c = 0 to barity - 1 do
-              let src = bcols.(c) in
-              let dst = Array.make k src.(bis.(0)) in
-              for j = 1 to k - 1 do
-                dst.(j) <- src.(bis.(j))
-              done;
-              cols.(c) <- dst
-            done;
-            for c = 0 to parity - 1 do
-              let src = pcols.(c) in
-              let dst = Array.make k src.(pis.(0)) in
-              for j = 1 to k - 1 do
-                dst.(j) <- src.(pis.(j))
-              done;
-              cols.(barity + c) <- dst
-            done;
-            Cost.charge_output_tuples ctx.meter k;
-            result := Some { Vbatch.cols; n_rows = k; sel = Bitset.full k }
-          end
-    done;
-    !result
-  in
-  Stream.Vec.make ~schema ~progress:pop.Stream.Vec.progress next_batch
-
-let aggregate_vstream ctx ~plan ~(iop : Stream.Vec.t) ~group_by ~aggs =
-  let out_schema = Plan.schema_of ctx.catalog plan in
-  let rows = ref [||] in
-  let started = ref false in
-  let emit = slice_emitter rows in
-  let next_batch () =
-    if not !started then begin
-      started := true;
-      let agg = Agg.create iop.Stream.Vec.schema ~group_by ~aggs in
-      let rec pull () =
-        match iop.Stream.Vec.next_batch () with
-        | Some vb ->
-            Cost.charge_hash_build ctx.meter (Vbatch.selected vb);
-            Agg.feed_cols agg vb.Vbatch.cols vb.Vbatch.sel;
-            pull ()
-        | None -> ()
-      in
-      pull ();
-      let out = Agg.finalize agg in
-      Cost.charge_output_tuples ctx.meter (List.length out);
-      rows := Array.of_list out
-    end;
-    match emit () with None -> None | Some b -> Some (Vbatch.of_tuples b)
-  in
-  Stream.Vec.make ~schema:out_schema
-    ~progress:(fun () -> if !started then 1.0 else 0.0)
-    next_batch
-
-let append_vstream ~schema parts =
-  let rem = ref parts in
-  let done_parts = ref 0 in
-  let total = List.length parts in
-  let rec next_batch () =
-    match !rem with
-    | [] -> None
-    | (op : Stream.Vec.t) :: rest -> (
-        match op.Stream.Vec.next_batch () with
         | Some vb -> Some vb
         | None ->
             rem := rest;
             incr done_parts;
             next_batch ())
   in
-  Stream.Vec.make ~schema
+  Stream.make ~schema
     ~progress:(fun () ->
       if total = 0 then 1.0 else float_of_int !done_parts /. float_of_int total)
     next_batch
@@ -1272,118 +1003,13 @@ let rec compile ctx plan : Stream.t * span_node option =
       in
       (wrap_spans ctx node op, Some node)
 
-(* The vectorized compilation.  Scans, filter/project/limit/guard,
-   hash join, aggregate, append and materialized leaves run natively on
-   vector batches; index access paths, merge join, indexed-NL join, star
-   semijoin and sort reuse the row implementations with their inputs and
-   outputs converted at the operator boundary (they materialize tuples
-   internally anyway, so a native rewrite would buy nothing).  The span
-   tree mirrors [compile]'s exactly. *)
-let rec compile_vec ctx plan : Stream.Vec.t * span_node option =
-  let op, child_spans =
-    match plan with
-    | Plan.Scan { table; access; pred } -> (
-        match access with
-        | Plan.Seq_scan -> (seq_scan_vstream ctx ~table ~pred ~from:0, [])
-        | Plan.Index_range probe ->
-            (vec_of_stream (index_range_stream ctx ~table ~pred ~probe), [])
-        | Plan.Index_intersect probes ->
-            (vec_of_stream (index_intersect_stream ctx ~table ~pred ~probes), [])
-        | Plan.Index_order { column; descending } ->
-            (vec_of_stream (index_order_stream ctx ~table ~pred ~column ~descending), []))
-    | Plan.Scan_resume { table; pred; from_rid } ->
-        (seq_scan_vstream ctx ~table ~pred ~from:from_rid, [])
-    | Plan.Materialized { schema; tuples; _ } -> (materialized_vstream ~schema ~tuples, [])
-    | Plan.Hash_join { build; probe; build_key; probe_key } ->
-        let bop, bspan = compile_vec ctx build in
-        let pop, pspan = compile_vec ctx probe in
-        (hash_join_vstream ctx ~bop ~pop ~build_key ~probe_key, [ bspan; pspan ])
-    | Plan.Merge_join { left; right; left_key; right_key } ->
-        let lop, lspan = compile_vec ctx left in
-        let rop, rspan = compile_vec ctx right in
-        ( vec_of_stream
-            (merge_join_stream ctx ~left_plan:left ~right_plan:right
-               ~lop:(stream_of_vec lop) ~rop:(stream_of_vec rop) ~left_key ~right_key),
-          [ lspan; rspan ] )
-    | Plan.Indexed_nl_join { outer; outer_key; inner_table; inner_key; inner_pred } ->
-        let oop, ospan = compile_vec ctx outer in
-        ( vec_of_stream
-            (inl_join_stream ctx ~oop:(stream_of_vec oop) ~outer_key ~inner_table
-               ~inner_key ~inner_pred),
-          [ ospan ] )
-    | Plan.Star_semijoin { fact; fact_pred; dims } ->
-        (vec_of_stream (star_semijoin_stream ctx ~fact ~fact_pred ~dims), [])
-    | Plan.Filter (input, pred) ->
-        let iop, ispan = compile_vec ctx input in
-        (filter_vstream ctx ~iop ~pred, [ ispan ])
-    | Plan.Project (input, cols) ->
-        let iop, ispan = compile_vec ctx input in
-        (project_vstream ctx ~iop ~cols, [ ispan ])
-    | Plan.Sort { input; keys } ->
-        let iop, ispan = compile_vec ctx input in
-        (vec_of_stream (sort_stream ctx ~iop:(stream_of_vec iop) ~keys), [ ispan ])
-    | Plan.Limit (input, n) ->
-        let iop, ispan = compile_vec ctx input in
-        (limit_vstream ctx ~iop ~n, [ ispan ])
-    | Plan.Aggregate { input; group_by; aggs } ->
-        let iop, ispan = compile_vec ctx input in
-        (aggregate_vstream ctx ~plan ~iop ~group_by ~aggs, [ ispan ])
-    | Plan.Guard { input; expected_rows; max_q_error; label } ->
-        let iop, ispan = compile_vec ctx input in
-        ( guard_vstream ctx ~iop ~input_plan:input ~expected_rows ~max_q_error ~label,
-          [ ispan ] )
-    | Plan.Append parts ->
-        let compiled = List.map (compile_vec ctx) parts in
-        let schema =
-          match compiled with
-          | [] -> invalid_arg "Executor: Append needs at least one input"
-          | (op, _) :: _ -> op.Stream.Vec.schema
-        in
-        (append_vstream ~schema (List.map fst compiled), List.map snd compiled)
+let run ?obs ?morsels catalog meter plan =
+  let ctx = { catalog; meter; obs; morsels } in
+  let op, span = compile ctx plan in
+  let attach () =
+    match (ctx.obs, span) with
+    | Some r, Some node -> Rq_obs.Recorder.attach_span r (finalize_span node)
+    | _ -> ()
   in
-  match ctx.obs with
-  | None -> (op, None)
-  | Some _ ->
-      let node =
-        {
-          sp_label = Plan.node_label plan;
-          sp_rows = 0;
-          sp_total = Rq_obs.Metrics.zero;
-          sp_aborted = false;
-          sp_children = List.filter_map Fun.id child_spans;
-        }
-      in
-      (wrap_vspans ctx node op, Some node)
-
-let run ?obs catalog meter plan =
-  let ctx = { catalog; meter; obs } in
-  if !Vectorize.enabled then begin
-    let vop, span = compile_vec ctx plan in
-    let attach () =
-      match (ctx.obs, span) with
-      | Some r, Some node -> Rq_obs.Recorder.attach_span r (finalize_span node)
-      | _ -> ()
-    in
-    match drain_all_vec vop with
-    | tuples ->
-        attach ();
-        { Exec_common.schema = vop.Stream.Vec.schema; tuples }
-    | exception e ->
-        attach ();
-        raise e
-  end
-  else begin
-    let op, span = compile ctx plan in
-    let attach () =
-      match (ctx.obs, span) with
-      | Some r, Some node -> Rq_obs.Recorder.attach_span r (finalize_span node)
-      | _ -> ()
-    in
-    match drain_all op with
-    | tuples ->
-        attach ();
-        { Exec_common.schema = op.Stream.schema; tuples }
-    | exception e ->
-        attach ();
-        raise e
-  end
+  let tuples = Fun.protect ~finally:attach (fun () -> drain_all op) in
+  { Exec_common.schema = op.Stream.schema; tuples }

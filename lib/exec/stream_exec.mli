@@ -1,31 +1,38 @@
-(** The pull-based streaming engine behind {!Executor}'s [Streaming] mode.
+(** The pull-based streaming engine: the one executor behind {!Executor}
+    and {!Parallel}.
 
-    Compiles a plan into a tree of {!Stream.t} operators and drains the
-    root.  Pipeline breakers (hash build side, sort, aggregate, merge-join
-    inputs) drain their children on first pull; everything else streams
-    batch by batch, so a satisfied [Limit] or a mid-stream guard violation
-    stops pulling upstream and leaves the unperformed work uncharged.  On a
-    full drain every {!Cost} counter lands exactly where the materialized
-    engine puts it.
-
-    Two data planes share this operator protocol.  When {!Vectorize.enabled}
-    is set (the default), plans compile to {!Stream.Vec.t} operators carrying
-    column-major {!Vbatch.t}s — scans hand out chunk column slices zero-copy
-    with the predicate bitmap as initial selection, filters AND bitsets,
-    expressions/joins/aggregates run per-column loops over selected indices,
-    and tuples materialize only at breaker boundaries and final output.  The
-    vectorized scan slices rows into exactly the row plane's
-    (chunk ∩ [batch_rows] window) batches and every vectorized operator
-    charges the same counters the same logical-row amounts at the same pull
-    points, so counters, guard fire points, span row counts and resume
-    positions are identical between planes. *)
+    Compiles a plan into a tree of {!Stream.t} operators carrying
+    column-major {!Vbatch.t}s and drains the root.  Scans hand out chunk
+    column slices zero-copy with the predicate bitmap as the initial
+    selection, filters AND bitsets, expressions/joins/aggregates run
+    per-column loops over selected indices, and tuples materialize only at
+    pipeline breakers (hash build side, sort, aggregate, merge-join inputs)
+    and the final output.  Everything else streams batch by batch, so a
+    satisfied [Limit] or a mid-stream guard violation stops pulling
+    upstream and leaves the unperformed work uncharged. *)
 
 open Rq_storage
 
 val batch_rows : int
 (** Rows per pulled batch (producers may emit fewer, never zero). *)
 
-val run : ?obs:Rq_obs.Recorder.t -> Catalog.t -> Cost.t -> Plan.t -> Exec_common.result
+type morsels = { pool : Domain_pool.t; mutable charged : float ref list }
+(** A morsel prefetcher for {!run}: sequential scans hand their next
+    [Domain_pool.size pool] morsels (chunk-aligned row ranges of at least
+    4 x [batch_rows]) to the pool, whose workers pin each read chunk and
+    compute its predicate bitmap; the scan's serial loop consumes the
+    bitmaps in order and does all charging, so the pool never changes a
+    counter, a result, a guard fire point or a resume position.  Each
+    dispatched morsel adds one cell to [charged] (newest first), credited
+    with the scan seconds charged for that morsel's rows. *)
+
+val run :
+  ?obs:Rq_obs.Recorder.t ->
+  ?morsels:morsels ->
+  Catalog.t ->
+  Cost.t ->
+  Plan.t ->
+  Exec_common.result
 (** Raises {!Exec_common.Guard_violation} when a guard fires — mid-stream
     on overflow (with [complete = false] and a [resume] plan when the
     source scan supports it), or at drain on underflow.

@@ -1,13 +1,12 @@
 (* A column-major vector batch with a selection bitset — the unit of data
-   flow in the vectorized streaming plane.
+   flow in the streaming engine.
 
    [cols] are shared, never-mutated column arrays (for scan batches they
    are the pinned chunk's own columns, zero-copy; eviction after unpin only
    drops the pool's reference, the GC keeps shared columns alive).  [sel]
    picks out the live rows among the [n_rows] physical rows; the logical
    content of a batch is exactly its selected rows in ascending physical
-   order.  Producers never emit a batch with an empty selection, mirroring
-   the row plane's no-empty-batches invariant.
+   order.  Producers never emit a batch with an empty selection.
 
    Rows are materialized as tuples only at breaker boundaries (hash build
    sides, sorts, merge inputs) and at final output — late materialization

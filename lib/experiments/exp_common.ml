@@ -149,9 +149,7 @@ let result_digest (r : Executor.result) =
 let digests_equal a b =
   a.d_count = b.d_count && Int64.equal a.d_sum b.d_sum && Int64.equal a.d_xor b.d_xor
 
-(* Field-by-field cost-counter equality (floats under a 1e-9 tolerance):
-   the engine-differential contract that streaming and materialized
-   execution of the same plan move every counter identically. *)
+(* Field-by-field cost-counter equality (floats under a 1e-9 tolerance). *)
 let snapshots_equal (a : Cost.snapshot) (b : Cost.snapshot) =
   a.Cost.seq_pages = b.Cost.seq_pages
   && a.Cost.random_pages = b.Cost.random_pages

@@ -75,7 +75,7 @@ val empty_digest : digest
 
 val result_digest : Executor.result -> digest
 (** Streaming: consumes the result in one pass and keeps nothing live, so
-    two engines' outputs can be compared at scale without ever holding both
+    two runs' outputs can be compared at scale without ever holding both
     row sets in memory.  Uses {!canonical_rows}' rendering, so equal row
     multisets digest equally regardless of row order. *)
 
@@ -83,8 +83,8 @@ val digests_equal : digest -> digest -> bool
 
 val snapshots_equal : Cost.snapshot -> Cost.snapshot -> bool
 (** Field-by-field cost-counter equality (float fields under a 1e-9
-    tolerance): the streaming-vs-materialized differential contract that
-    both engines move every counter identically for the same plan. *)
+    tolerance): the contract that the serial and the morsel-parallel runs
+    of a plan move every counter identically. *)
 
 val results_equal : ?tol:float -> Executor.result -> Executor.result -> bool
 (** Multiset equality of results modulo column order, row order and

@@ -1,14 +1,14 @@
-(* Streaming-vs-materialized executor bench.
+(* Executor bench.
 
-   Four fixed physical plans over the TPC-H-lite catalog, each run under
-   both engines with fresh meters: two early-exit shapes (LIMIT over a seq
-   scan, LIMIT over a hash join's probe side) where streaming must charge
-   strictly fewer pages, one mid-stream guard firing where streaming stops
-   scanning at the first overflowing batch, and one full-drain join as the
-   parity control where every cost counter must land identically.  Real
-   wall time and allocation are measured over repeated runs alongside the
-   simulated counters, plus the GC's peak live words (sampled at major
-   collections) as the memory footprint of each engine. *)
+   Five fixed physical plans over the TPC-H-lite catalog, each run with
+   fresh meters next to a full drain of the same plan with its LIMIT or
+   guard stripped: two early-exit shapes (LIMIT over a seq scan, LIMIT over
+   a hash join's probe side) that must charge strictly fewer pages than the
+   full drain, one mid-stream guard firing that stops scanning at the first
+   overflowing batch, a full-drain join whose re-run must move every counter
+   identically, and a zone-map skip scan.  Real wall time and allocation
+   are measured over repeated runs alongside the simulated counters, plus
+   the GC's peak live words (sampled at major collections). *)
 
 open Rq_exec
 open Rq_workload
@@ -19,15 +19,13 @@ type config = {
   repetitions : int;
   domains : int;              (* top of the morsel-parallel domains axis *)
   min_scan_speedup : float;   (* gate: simulated scan-morsel speedup at [domains] *)
-  min_vec_speedup : float;    (* gate: vectorized wall-clock speedup over the
-                                 row plane on the gated vectorized workloads *)
   buffer_pool_pages : int;    (* global pool capacity in 8 KiB pages; 0 keeps
                                  the process default *)
   exact_compare : bool;       (* compare parallel arms against the serial
                                  engine tuple-by-tuple; off at bench scale,
-                                 where holding both engines' result sets
-                                 doubles peak memory and an order-insensitive
-                                 multiset digest suffices *)
+                                 where holding both result sets doubles peak
+                                 memory and an order-insensitive multiset
+                                 digest suffices *)
 }
 
 let default_config =
@@ -37,7 +35,6 @@ let default_config =
     repetitions = 5;
     domains = 4;
     min_scan_speedup = 2.5;
-    min_vec_speedup = 1.5;
     buffer_pool_pages = 0;
     exact_compare = true;
   }
@@ -61,8 +58,8 @@ type workload = {
   name : string;
   plan : Plan.t;
   early_exit : bool;
-      (* streaming is expected to charge strictly fewer pages; otherwise
-         every counter must be identical *)
+      (* the plan must charge strictly fewer pages than its full drain;
+         otherwise every counter must be identical *)
   zone_skip : bool;
       (* zone maps must skip whole chunks: pages_skipped > 0 and
          seq_pages + pages_skipped = the table's page count *)
@@ -143,10 +140,10 @@ let with_gc_peak f =
   sample ();
   (result, !peak)
 
-let run_arm ~mode ~scale ~repetitions catalog plan =
+let run_arm ~scale ~repetitions catalog plan =
   let execute () =
     let meter = Cost.create ~scale () in
-    match Executor.run ~mode catalog meter plan with
+    match Executor.run catalog meter plan with
     | res -> (Cost.snapshot meter, Array.length res.Executor.tuples, false)
     | exception Executor.Guard_violation v ->
         (Cost.snapshot meter, Array.length v.Executor.result.Executor.tuples, true)
@@ -181,12 +178,18 @@ let run_arm ~mode ~scale ~repetitions catalog plan =
 type comparison = {
   workload : workload;
   streaming : arm;
-  materialized : arm;
-  pages_saved : int;      (* (seq + random) pages materialized charged but
-                             streaming did not *)
+  full_drain : arm;       (* the same plan with its LIMIT and guards stripped *)
+  pages_saved : int;      (* (seq + random) pages the full drain charged but
+                             the plan did not *)
   counters_equal : bool;  (* every integer counter identical *)
   wl_ok : bool;
 }
+
+(* The early-exit baseline: the plan with its top LIMIT and every guard
+   removed, so it runs to completion. *)
+let full_drain_plan = function
+  | Plan.Limit (input, _) -> Plan.strip_guards input
+  | plan -> Plan.strip_guards plan
 
 let total_pages (s : Cost.snapshot) = s.Cost.seq_pages + s.Cost.random_pages
 
@@ -218,44 +221,18 @@ type parallel_check = {
   p_name : string;
   morsels : int;
   identical : bool;  (* result tuples byte-identical and every cost counter
-                        equal to the serial materialized engine, at every
-                        point of the axis *)
-  recovered : bool;  (* guard workload: fired with a morsel in flight and
-                        prefix + resume replayed to the full result *)
+                        equal to the serial engine, at every point of the
+                        axis *)
+  recovered : bool;  (* guard workload: fired mid-scan under the morsel pool
+                        and prefix + resume replayed to the full result *)
   arms : parallel_arm list;
   p_ok : bool;
-}
-
-(* Vectorized-vs-row data plane.  Both arms are the same streaming engine —
-   only the data plane differs ({!Vectorize.enabled} on vs. off) — so cost
-   counters must be byte-identical and the result multisets equal; the
-   gated workloads must additionally show a real wall-clock win (median of
-   repetitions, which a single outlier repetition cannot tilt). *)
-
-type vec_arm = {
-  v_snapshot : Cost.snapshot;
-  v_rows : int;
-  v_wall_ms : float;      (* median wall-clock per run *)
-  v_allocated_mb : float; (* mean bytes allocated per run *)
-}
-
-type vec_comparison = {
-  v_name : string;
-  v_plan : Plan.t;
-  v_vec : vec_arm;
-  v_row : vec_arm;
-  v_speedup : float;       (* row median wall / vec median wall *)
-  v_counters_equal : bool;
-  v_rows_equal : bool;     (* result multiset digests equal *)
-  v_gated : bool;          (* the speedup gate applies to this workload *)
-  v_ok : bool;
 }
 
 type result = {
   config : config;
   comparisons : comparison list;
   parallel : parallel_check list;
-  vectorized : vec_comparison list;
   buffer_pool : Rq_storage.Buffer_pool.stats;
       (* global pool traffic over the whole bench (stats reset after the
          catalog is generated, so this is query-time behaviour) *)
@@ -265,16 +242,15 @@ type result = {
 let domains_axis domains = List.sort_uniq compare [ 1; 2; max 1 domains ]
 
 (* One workload across the domains axis: every point must be byte-identical
-   to the serial materialized engine (results and counters); the simulated
+   to the serial engine (results and counters); the simulated
    makespan of the morsel schedule gives the deterministic speedup. *)
 let run_parallel_check ~scale ~axis ?(min_speedup = 0.0) ~exact catalog name plan =
   let serial_meter = Cost.create ~scale () in
   (* The serial result's tuples survive this binding only under [exact]:
      at bench scale the row set dies here and every arm compares against
-     the streaming multiset digest instead, so the two engines' results
-     are never live at once. *)
+     the multiset digest instead, so two results are never live at once. *)
   let serial_snap, serial_digest, serial_tuples =
-    let res = Executor.run ~mode:Executor.Materialized catalog serial_meter plan in
+    let res = Executor.run catalog serial_meter plan in
     ( Cost.snapshot serial_meter,
       Exp_common.result_digest res,
       if exact then Some res.Executor.tuples else None )
@@ -325,16 +301,13 @@ let run_parallel_check ~scale ~axis ?(min_speedup = 0.0) ~exact catalog name pla
     p_ok = !all_identical && top_speedup >= min_speedup;
   }
 
-(* The mid-stream robustness bar: a guard whose violating morsel is in
-   flight on another domain must still fire with a contiguous reusable
-   prefix, and [Materialized prefix; resume] must replay to exactly the
-   full unguarded result. *)
+(* The mid-stream robustness bar under the morsel pool: a guard must fire
+   mid-scan with a reusable prefix, and [Materialized prefix; resume] must
+   replay to exactly the full unguarded result. *)
 let run_guard_recovery ~scale ~domains ~exact catalog name plan =
   let full_meter = Cost.create ~scale () in
   let full_digest, full_tuples =
-    let full =
-      Executor.run ~mode:Executor.Materialized catalog full_meter (Plan.strip_guards plan)
-    in
+    let full = Executor.run catalog full_meter (Plan.strip_guards plan) in
     ( Exp_common.result_digest full,
       if exact then Some full.Executor.tuples else None )
   in
@@ -369,10 +342,7 @@ let run_guard_recovery ~scale ~domains ~exact catalog name plan =
         match v.Executor.resume with
         | Some resume ->
             let replay_meter = Cost.create ~scale () in
-            let replay =
-              Executor.run ~mode:Executor.Materialized catalog replay_meter
-                (Plan.Append [ prefix; resume ])
-            in
+            let replay = Executor.run catalog replay_meter (Plan.Append [ prefix; resume ]) in
             (not v.Executor.complete) && replay_matches replay
         | None -> v.Executor.complete && replay_matches v.Executor.result)
   in
@@ -417,125 +387,6 @@ let run_parallel_section config catalog ~scale =
          });
   ]
 
-(* ------------------------------------------------------------------ *)
-(* Vectorized-vs-row data plane                                        *)
-(* ------------------------------------------------------------------ *)
-
-let median walls =
-  let b = Array.copy walls in
-  Array.sort compare b;
-  b.(Array.length b / 2)
-
-let run_vec_arm ~vectorize ~scale ~repetitions catalog plan =
-  Rq_exec.Vectorize.with_vectorize vectorize (fun () ->
-      (* Level the heap before each arm: the earlier bench sections leave a
-         large major heap whose collection costs would otherwise bleed
-         unevenly into whichever arm runs first. *)
-      Gc.compact ();
-      let walls = Array.make (max 1 repetitions) 0.0 in
-      let last = ref None in
-      let a0 = Gc.allocated_bytes () in
-      for i = 0 to Array.length walls - 1 do
-        let meter = Cost.create ~scale () in
-        let t0 = Unix.gettimeofday () in
-        let res = Executor.run ~mode:Executor.Streaming catalog meter plan in
-        walls.(i) <- Unix.gettimeofday () -. t0;
-        last :=
-          Some
-            ( Cost.snapshot meter,
-              Array.length res.Executor.tuples,
-              Exp_common.result_digest res )
-      done;
-      let allocated =
-        (Gc.allocated_bytes () -. a0) /. float_of_int (Array.length walls)
-      in
-      let snapshot, rows, digest = Option.get !last in
-      ( {
-          v_snapshot = snapshot;
-          v_rows = rows;
-          v_wall_ms = median walls *. 1000.0;
-          v_allocated_mb = allocated /. (1024.0 *. 1024.0);
-        },
-        digest ))
-
-(* Full-drain shapes where late materialization has something to save: the
-   gated pair are a narrow projection over a full scan and a join with
-   projections pushed to both inputs — in the vectorized plane the scans
-   and projections are zero-copy and tuples exist only at the final output
-   (and the join's build side).  The ungated pair (selective filter,
-   grouped aggregation) are held to counter and result equality and
-   reported for the record. *)
-let vec_workloads () =
-  let narrow =
-    [ "lineitem.l_orderkey"; "lineitem.l_quantity"; "lineitem.l_extendedprice" ]
-  in
-  let pushed_join =
-    Plan.Project
-      ( Plan.Hash_join
-          {
-            build =
-              Plan.Project (scan "orders", [ "orders.o_orderkey"; "orders.o_orderdate" ]);
-            probe =
-              Plan.Project
-                (scan "lineitem", [ "lineitem.l_orderkey"; "lineitem.l_extendedprice" ]);
-            build_key = "orders.o_orderkey";
-            probe_key = "lineitem.l_orderkey";
-          },
-        [ "orders.o_orderdate"; "lineitem.l_extendedprice" ] )
-  in
-  [
-    ("full-drain", Plan.Project (scan "lineitem", narrow), true);
-    ("join", pushed_join, true);
-    ( "filter-drain",
-      Plan.Project
-        ( Plan.Filter
-            (scan "lineitem", Pred.lt (Expr.col "lineitem.l_quantity") (Expr.float 25.0)),
-          narrow ),
-      false );
-    ( "agg-drain",
-      Plan.Aggregate
-        {
-          input = scan "lineitem";
-          group_by = [ "lineitem.l_partkey" ];
-          aggs =
-            [
-              {
-                Plan.fn = Plan.Sum (Expr.col "lineitem.l_extendedprice");
-                output_name = "revenue";
-              };
-            ];
-        },
-      false );
-  ]
-
-let run_vectorized_section config catalog ~scale =
-  (* Three repetitions minimum so the median is a real middle even when the
-     configured repetition count is bench-scale-clamped to one. *)
-  let repetitions = max 3 config.repetitions in
-  List.map
-    (fun (name, plan, gated) ->
-      let vec, vec_digest = run_vec_arm ~vectorize:true ~scale ~repetitions catalog plan in
-      let row, row_digest = run_vec_arm ~vectorize:false ~scale ~repetitions catalog plan in
-      let speedup = row.v_wall_ms /. Float.max 1e-9 vec.v_wall_ms in
-      let counters_equal = Exp_common.snapshots_equal vec.v_snapshot row.v_snapshot in
-      let rows_equal =
-        vec.v_rows = row.v_rows && Exp_common.digests_equal vec_digest row_digest
-      in
-      {
-        v_name = name;
-        v_plan = plan;
-        v_vec = vec;
-        v_row = row;
-        v_speedup = speedup;
-        v_counters_equal = counters_equal;
-        v_rows_equal = rows_equal;
-        v_gated = gated;
-        v_ok =
-          counters_equal && rows_equal
-          && ((not gated) || speedup >= config.min_vec_speedup);
-      })
-    (vec_workloads ())
-
 let run ?(config = default_config) () =
   if config.buffer_pool_pages > 0 then
     Rq_storage.Buffer_pool.configure ~capacity_pages:config.buffer_pool_pages;
@@ -552,34 +403,27 @@ let run ?(config = default_config) () =
   let comparisons =
     List.map
       (fun workload ->
-        let streaming =
-          run_arm ~mode:Executor.Streaming ~scale ~repetitions:config.repetitions
-            catalog workload.plan
-        in
-        let materialized =
-          run_arm ~mode:Executor.Materialized ~scale ~repetitions:config.repetitions
-            catalog workload.plan
-        in
+        let arm plan = run_arm ~scale ~repetitions:config.repetitions catalog plan in
+        let streaming = arm workload.plan in
+        let full_drain = arm (full_drain_plan workload.plan) in
         let pages_saved =
-          total_pages materialized.snapshot - total_pages streaming.snapshot
+          total_pages full_drain.snapshot - total_pages streaming.snapshot
         in
-        let counters_equal = counters_equal streaming.snapshot materialized.snapshot in
+        let counters_equal = counters_equal streaming.snapshot full_drain.snapshot in
         let wl_ok =
           if workload.zone_skip then
             counters_equal
-            && streaming.rows = materialized.rows
-            && materialized.snapshot.Cost.pages_skipped > 0
-            && materialized.snapshot.Cost.seq_pages
-               + materialized.snapshot.Cost.pages_skipped
+            && streaming.rows = full_drain.rows
+            && streaming.snapshot.Cost.pages_skipped > 0
+            && streaming.snapshot.Cost.seq_pages + streaming.snapshot.Cost.pages_skipped
                = lineitem_pages
           else if workload.early_exit then pages_saved > 0
-          else counters_equal && streaming.rows = materialized.rows
+          else counters_equal && streaming.rows = full_drain.rows
         in
-        { workload; streaming; materialized; pages_saved; counters_equal; wl_ok })
+        { workload; streaming; full_drain; pages_saved; counters_equal; wl_ok })
       (workloads catalog)
   in
   let parallel = run_parallel_section config catalog ~scale in
-  let vectorized = run_vectorized_section config catalog ~scale in
   let buffer_pool = Rq_storage.Buffer_pool.global_stats () in
   (* The chunk path is the only road to data: a bench that reports no pool
      traffic is not measuring the storage layer it claims to. *)
@@ -588,12 +432,10 @@ let run ?(config = default_config) () =
     config;
     comparisons;
     parallel;
-    vectorized;
     buffer_pool;
     ok =
       List.for_all (fun c -> c.wl_ok) comparisons
       && List.for_all (fun p -> p.p_ok) parallel
-      && List.for_all (fun v -> v.v_ok) vectorized
       && pool_ok;
   }
 
@@ -633,7 +475,7 @@ let to_json r =
                    ("plan", Rq_obs.Json.Str (Plan.describe c.workload.plan));
                    ("early_exit", Rq_obs.Json.Bool c.workload.early_exit);
                    ("streaming", arm_to_json c.streaming);
-                   ("materialized", arm_to_json c.materialized);
+                   ("full_drain", arm_to_json c.full_drain);
                    ("pages_saved", Rq_obs.Json.Num (float_of_int c.pages_saved));
                    ("counters_equal", Rq_obs.Json.Bool c.counters_equal);
                    ("ok", Rq_obs.Json.Bool c.wl_ok);
@@ -666,38 +508,6 @@ let to_json r =
                    ("ok", Rq_obs.Json.Bool p.p_ok);
                  ])
              r.parallel) );
-      ("min_vec_speedup", Rq_obs.Json.Num r.config.min_vec_speedup);
-      ( "vectorized",
-        Rq_obs.Json.List
-          (List.map
-             (fun v ->
-               let varm (a : vec_arm) =
-                 Rq_obs.Json.Obj
-                   [
-                     ("wall_ms_median", Rq_obs.Json.Num a.v_wall_ms);
-                     ("allocated_mb", Rq_obs.Json.Num a.v_allocated_mb);
-                     ("rows", Rq_obs.Json.Num (float_of_int a.v_rows));
-                     ( "cpu_tuples",
-                       Rq_obs.Json.Num (float_of_int a.v_snapshot.Cost.cpu_tuples) );
-                     ( "seq_pages",
-                       Rq_obs.Json.Num (float_of_int a.v_snapshot.Cost.seq_pages) );
-                     ( "output_tuples",
-                       Rq_obs.Json.Num (float_of_int a.v_snapshot.Cost.output_tuples) );
-                   ]
-               in
-               Rq_obs.Json.Obj
-                 [
-                   ("name", Rq_obs.Json.Str v.v_name);
-                   ("plan", Rq_obs.Json.Str (Plan.describe v.v_plan));
-                   ("vectorized", varm v.v_vec);
-                   ("row", varm v.v_row);
-                   ("speedup", Rq_obs.Json.Num v.v_speedup);
-                   ("counters_equal", Rq_obs.Json.Bool v.v_counters_equal);
-                   ("rows_equal", Rq_obs.Json.Bool v.v_rows_equal);
-                   ("gated", Rq_obs.Json.Bool v.v_gated);
-                   ("ok", Rq_obs.Json.Bool v.v_ok);
-                 ])
-             r.vectorized) );
       ("buffer_pool_pages", Rq_obs.Json.Num (float_of_int r.config.buffer_pool_pages));
       ( "buffer_pool",
         (let s = r.buffer_pool in
@@ -718,25 +528,25 @@ let to_json r =
 let render r =
   let b = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "bench-exec: streaming vs. materialized (scale %.3f, %d reps)\n"
+  add "bench-exec: plans vs. their full drains (scale %.3f, %d reps)\n"
     r.config.scale_factor r.config.repetitions;
-  add "%-12s %-13s %10s %8s %8s %10s %12s\n" "workload" "engine" "sim_s" "pages"
+  add "%-12s %-13s %10s %8s %8s %10s %12s\n" "workload" "arm" "sim_s" "pages"
     "rows" "wall_ms" "peak_words";
   List.iter
     (fun c ->
-      let arm_row engine (a : arm) =
-        add "%-12s %-13s %10.4f %8d %8d %10.3f %12d\n" c.workload.name engine
+      let arm_row name (a : arm) =
+        add "%-12s %-13s %10.4f %8d %8d %10.3f %12d\n" c.workload.name name
           a.snapshot.Cost.seconds (total_pages a.snapshot) a.rows a.wall_ms
           a.peak_live_words
       in
-      arm_row "streaming" c.streaming;
-      arm_row "materialized" c.materialized;
+      arm_row "plan" c.streaming;
+      arm_row "full-drain" c.full_drain;
       let verdict =
         if c.workload.zone_skip then
           if c.wl_ok then
             Printf.sprintf "zone maps skipped %d pages (read %d, zero charge on skips)"
-              c.materialized.snapshot.Cost.pages_skipped
-              c.materialized.snapshot.Cost.seq_pages
+              c.streaming.snapshot.Cost.pages_skipped
+              c.streaming.snapshot.Cost.seq_pages
           else "ZONE MAPS SKIPPED NOTHING (or page accounting broke)"
         else if c.workload.early_exit then
           Printf.sprintf "%d pages saved%s" c.pages_saved
@@ -758,28 +568,13 @@ let render r =
         p.arms;
       let verdict =
         if p.arms = [] then
-          if p.recovered then "guard fired mid-morsel; prefix + resume replayed exactly"
+          if p.recovered then "guard fired mid-scan; prefix + resume replayed exactly"
           else "GUARD DID NOT RECOVER"
         else if p.identical then "results and counters identical to serial"
         else "PARALLEL RESULT MISMATCH"
       in
       add "%-16s   -> %s%s\n" p.p_name verdict (if p.p_ok then "" else "  [FAIL]"))
     r.parallel;
-  add "vectorized vs row data plane (median wall of %d+ reps):\n"
-    (max 3 r.config.repetitions);
-  add "%-14s %12s %12s %9s %10s %10s\n" "workload" "vec_ms" "row_ms" "speedup"
-    "counters" "rows";
-  List.iter
-    (fun v ->
-      add "%-14s %12.3f %12.3f %8.2fx %10s %10s%s\n" v.v_name v.v_vec.v_wall_ms
-        v.v_row.v_wall_ms v.v_speedup
-        (if v.v_counters_equal then "equal" else "MISMATCH")
-        (if v.v_rows_equal then "equal" else "MISMATCH")
-        (if v.v_ok then ""
-         else if v.v_gated then
-           Printf.sprintf "  [FAIL: need >= %.2fx]" r.config.min_vec_speedup
-         else "  [FAIL]"))
-    r.vectorized;
   let s = r.buffer_pool in
   add
     "buffer pool: %d hits / %d misses (hit rate %.3f), %d evictions, %d/%d chunks \

@@ -1,15 +1,16 @@
-(** Streaming-vs-materialized executor bench ([robustopt bench-exec]).
+(** Executor bench ([robustopt bench-exec]).
 
-    Runs four fixed physical plans over the TPC-H-lite catalog under both
-    execution engines: LIMIT-over-scan and LIMIT-over-join (streaming must
-    charge strictly fewer pages), a mid-stream guard firing (streaming
-    stops scanning at the first overflowing batch), and a full-drain join
-    (every cost counter must be identical).  Also measures real wall time,
-    allocation and GC peak live words per engine.
+    Runs five fixed physical plans over the TPC-H-lite catalog, each next
+    to a full drain of the same plan with its LIMIT or guard stripped:
+    LIMIT-over-scan and LIMIT-over-join (must charge strictly fewer pages
+    than the full drain), a mid-stream guard firing (stops scanning at the
+    first overflowing batch), a full-drain join (its re-run must move every
+    cost counter identically), and a zone-map skip scan.  Also measures real
+    wall time, allocation and GC peak live words per arm.
 
-    The [domains] axis runs the morsel-parallel engine ({!Rq_exec.Parallel})
+    The [domains] axis runs the morsel-parallel executor ({!Rq_exec.Parallel})
     over the same catalog: every point of the axis must reproduce the serial
-    materialized engine's result tuples and cost counters exactly, the
+    engine's result tuples and cost counters exactly, the
     deterministic simulated makespan at [config.domains] must beat one
     domain by at least [config.min_scan_speedup] on the scan-morsel
     workload, and a guard tuned to fire mid-scan must recover via
@@ -24,9 +25,6 @@ type config = {
   domains : int;              (** top of the morsel-parallel domains axis *)
   min_scan_speedup : float;
       (** gate: simulated scan-morsel speedup at [domains] over one domain *)
-  min_vec_speedup : float;
-      (** gate: wall-clock speedup of the vectorized data plane over the row
-          plane (median of repetitions) on the gated vectorized workloads *)
   buffer_pool_pages : int;
       (** global buffer-pool capacity in 8 KiB pages; 0 keeps the process
           default.  Capping it well below the data size is how the bench
@@ -34,8 +32,8 @@ type config = {
   exact_compare : bool;
       (** compare parallel arms against the serial engine tuple-by-tuple;
           when false (bench scale), an order-insensitive streaming multiset
-          digest is compared instead so both engines' result sets are never
-          live at once *)
+          digest is compared instead so two result sets are never live at
+          once *)
 }
 
 val default_config : config
@@ -63,8 +61,8 @@ type arm = {
 type comparison = {
   workload : workload;
   streaming : arm;
-  materialized : arm;
-  pages_saved : int;      (** pages materialized charged but streaming did not *)
+  full_drain : arm;       (** the same plan with its LIMIT and guards stripped *)
+  pages_saved : int;      (** pages the full drain charged but the plan did not *)
   counters_equal : bool;  (** every integer cost counter identical *)
   wl_ok : bool;
 }
@@ -81,42 +79,18 @@ type parallel_check = {
   morsels : int;
   identical : bool;
       (** result tuples and every cost counter identical to the serial
-          materialized engine at every point of the axis *)
+          engine at every point of the axis *)
   recovered : bool;
-      (** guard workload: fired mid-morsel and prefix + resume replayed to
+      (** guard workload: fired mid-scan and prefix + resume replayed to
           the full result *)
   arms : parallel_arm list;
   p_ok : bool;
-}
-
-type vec_arm = {
-  v_snapshot : Cost.snapshot;
-  v_rows : int;
-  v_wall_ms : float;      (** median wall-clock per run *)
-  v_allocated_mb : float; (** mean bytes allocated per run *)
-}
-
-type vec_comparison = {
-  v_name : string;
-  v_plan : Plan.t;
-  v_vec : vec_arm;
-  v_row : vec_arm;
-  v_speedup : float;       (** row median wall / vec median wall *)
-  v_counters_equal : bool; (** every cost counter byte-identical between planes *)
-  v_rows_equal : bool;     (** result multiset digests equal *)
-  v_gated : bool;          (** [min_vec_speedup] applies to this workload *)
-  v_ok : bool;
 }
 
 type result = {
   config : config;
   comparisons : comparison list;
   parallel : parallel_check list;
-  vectorized : vec_comparison list;
-      (** the streaming engine against itself with the vectorized data plane
-          on vs. off: counters must be byte-identical, result multisets
-          equal, and the gated full-drain workloads faster by
-          [min_vec_speedup] *)
   buffer_pool : Rq_storage.Buffer_pool.stats;
       (** global pool traffic over the bench queries (reset after catalog
           generation) — hits, misses, evictions, hit rate *)
@@ -124,14 +98,13 @@ type result = {
 }
 
 val run : ?config:config -> unit -> result
-(** [ok] is false when an early-exit workload saved no pages, a full-drain
-    workload's counters diverged, the zone-skip workload skipped nothing
-    (or its read + skipped pages missed the table's page count), a parallel
-    run failed to reproduce the serial result exactly, the scan-morsel
-    speedup gate missed, the parallel guard failed to recover, a vectorized
-    workload's counters or result multiset diverged from the row plane, a
-    gated vectorized workload missed [min_vec_speedup], or the buffer pool
-    reported no traffic at all. *)
+(** [ok] is false when an early-exit workload saved no pages against its
+    full drain, a full-drain workload's re-run moved a counter differently,
+    the zone-skip workload skipped nothing (or its read + skipped pages
+    missed the table's page count), a parallel run failed to reproduce the
+    serial result exactly, the scan-morsel speedup gate missed, the
+    parallel guard failed to recover, or the buffer pool reported no
+    traffic at all. *)
 
 val to_json : result -> Rq_obs.Json.t
 val render : result -> string

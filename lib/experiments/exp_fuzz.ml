@@ -3,8 +3,7 @@
    An evolutionary loop over (data-state mutation, stats-fault profile,
    query) triples.  Each case runs through every differential oracle the
    repo has accumulated — four estimators vs the exact oracle, cached vs
-   cold optimization, streaming vs materialized execution, evidence kernel
-   vs row scan — plus a fifth pass that plans with the *degrading*
+   cold optimization, evidence kernel vs row scan — plus a pass that plans with the *degrading*
    estimator over deliberately faulted statistics and executes under
    guard-driven re-optimization, reconciling the observability spans
    against the cost meter.  Whatever the estimates, the answers must
@@ -67,11 +66,6 @@ type case = {
       (* buffer-pool-capacity gene: cap the global pool (in 8 KiB pages)
          while the case's passes run.  Eviction pressure must never change
          answers — a tiny pool only re-faults chunks. *)
-  vectorize : bool;
-      (* data-plane gene: run the streaming engine's vectorized (columnar
-         batch) plane or the row-at-a-time plane.  The plane must never
-         change answers or cost counters; corpora predating the gene
-         default to [true] (the engine default). *)
 }
 
 let workload_to_string = function Tpch -> "tpch" | Star -> "star"
@@ -380,8 +374,6 @@ let case_to_json case =
     (match case.pool_pages with
     | None -> []
     | Some n -> [ ("pool_pages", Json.Num (float_of_int n)) ])
-    @ (* emitted only when off the default, same round-trip reason *)
-    (if case.vectorize then [] else [ ("vectorize", Json.Bool false) ])
     @ [
       ( "query",
         let gene_json g =
@@ -460,12 +452,8 @@ let case_of_json j =
     | Some (Json.Num n) -> Ok (Some (int_of_float n))
     | Some _ -> Error "field \"pool_pages\" must be a number"
   in
-  let* vectorize =
-    match (match j with Json.Obj fields -> List.assoc_opt "vectorize" fields | _ -> None) with
-    | None -> Ok true (* pre-gene corpora ran the engine default *)
-    | Some (Json.Bool b) -> Ok b
-    | Some _ -> Error "field \"vectorize\" must be a boolean"
-  in
+  (* Corpora from older builds may also carry a retired "vectorize" field;
+     it is ignored. *)
   if genes = [] then Error "query has no tables"
   else
     Ok
@@ -476,7 +464,6 @@ let case_of_json j =
         faults;
         query = { genes; shape; semis; order; descending; limit };
         pool_pages;
-        vectorize;
       }
 
 (* ------------------------------------------------------------------ *)
@@ -647,11 +634,7 @@ let run_case config ~self_test ~self_test_rewrite env case : (probe, string) res
       try f ()
       with exn -> fail ("crash:" ^ pass) (Printexc.to_string exn)
   in
-  let execute ?mode plan =
-    let meter = Cost.create ~scale () in
-    let result = Executor.run ?mode catalog meter plan in
-    (result, Cost.snapshot meter)
-  in
+  let execute plan = Executor.run catalog (Cost.create ~scale ()) plan in
   (* Pass 0: the exact oracle sets the reference answer. *)
   let oracle_opt = Optimizer.create ~scale stats (Cardinality.oracle catalog) in
   match Optimizer.optimize oracle_opt query with
@@ -663,7 +646,7 @@ let run_case config ~self_test ~self_test_rewrite env case : (probe, string) res
       let reference = ref None in
       guarded "oracle-execute" (fun () ->
           add_plan "o" od.Optimizer.plan;
-          reference := Some (fst (execute od.Optimizer.plan)));
+          reference := Some ((execute od.Optimizer.plan)));
       let against_reference pass result =
         match !reference with
         | Some r when not (Exp_common.results_equal r result) ->
@@ -679,7 +662,7 @@ let run_case config ~self_test ~self_test_rewrite env case : (probe, string) res
               | Error e -> fail ("estimator:" ^ name) ("rejected: " ^ e)
               | Ok d ->
                   add_plan name d.Optimizer.plan;
-                  against_reference ("estimator:" ^ name) (fst (execute d.Optimizer.plan))))
+                  against_reference ("estimator:" ^ name) ((execute d.Optimizer.plan))))
         (estimator_configs stats);
       (* Pass 2: cached-vs-cold through a fresh plan cache. *)
       guarded "cache" (fun () ->
@@ -699,31 +682,10 @@ let run_case config ~self_test ~self_test_rewrite env case : (probe, string) res
                   if got <> expected then
                     fail ("cache:" ^ pass)
                       (Printf.sprintf "expected %s lookup, got %s" expected got)
-                  else against_reference ("cache:" ^ pass) (fst (execute d.Optimizer.plan)))
+                  else against_reference ("cache:" ^ pass) ((execute d.Optimizer.plan)))
             [ ("cold", "miss"); ("cached", "hit") ])
       ;
-      (* Pass 3: streaming vs materialized on the robust plan: identical
-         tuples, identical cost counters. *)
-      guarded "engine" (fun () ->
-          let opt = Optimizer.robust ~scale stats in
-          match Optimizer.optimize opt query with
-          | Error e -> fail "engine" ("rejected: " ^ e)
-          | Ok d ->
-              let sres, ssnap = execute ~mode:Executor.Streaming d.Optimizer.plan in
-              let mres, msnap = execute ~mode:Executor.Materialized d.Optimizer.plan in
-              if sres.Executor.tuples <> mres.Executor.tuples then
-                fail "engine" (mismatch_detail mres sres)
-              else if
-                (* under LIMIT the streaming engine legitimately early-exits
-                   and reads fewer pages; only the tuples must agree *)
-                query.Logical.limit = None
-                && not (Exp_common.snapshots_equal ssnap msnap)
-              then
-                fail "engine:counters"
-                  (Printf.sprintf "streaming %s\nmaterialized %s"
-                     (Format.asprintf "%a" Cost.pp_snapshot ssnap)
-                     (Format.asprintf "%a" Cost.pp_snapshot msnap)));
-      (* Pass 4: evidence kernel vs row scan (the --self-test sabotage
+      (* Pass 3: evidence kernel vs row scan (the --self-test sabotage
          perturbs the scan arm's estimator here). *)
       guarded "kernel" (fun () ->
           let names =
@@ -766,13 +728,13 @@ let run_case config ~self_test ~self_test_rewrite env case : (probe, string) res
                        (Plan.describe kd.Optimizer.plan)
                        (Plan.describe sd.Optimizer.plan))
                 else begin
-                  let kres = fst (execute kd.Optimizer.plan) in
-                  let sres = fst (execute sd.Optimizer.plan) in
+                  let kres = (execute kd.Optimizer.plan) in
+                  let sres = (execute sd.Optimizer.plan) in
                   if not (Exp_common.results_equal sres kres) then
                     fail "kernel" (mismatch_detail sres kres)
                 end
           end);
-      (* Pass 5: the degrading estimator over *faulted* statistics, under
+      (* Pass 4: the degrading estimator over *faulted* statistics, under
          guard-driven re-optimization, with span/meter reconciliation.
          Bad statistics may cost time, never answers or unaccounted work. *)
       guarded "degraded" (fun () ->
@@ -797,7 +759,7 @@ let run_case config ~self_test ~self_test_rewrite env case : (probe, string) res
                 add_plan "deg" outcome.Reopt.final_plan;
                 tier := Trace_digest.of_recorder recorder
               end);
-      (* Pass 6: the logical rewrite layer.  Optimize the query with the
+      (* Pass 5: the logical rewrite layer.  Optimize the query with the
          pass list off and on; both plans must produce the same multiset of
          rows.  The --self-test-rewrite sabotage swaps the rewritten arm's
          input for one with a dropped filter conjunct, which this pass must
@@ -815,8 +777,8 @@ let run_case config ~self_test ~self_test_rewrite env case : (probe, string) res
           | _, Error e -> fail "rewrite" ("rewritten arm rejected: " ^ e)
           | Ok plain, Ok rewritten ->
               add_plan "rw" rewritten.Optimizer.plan;
-              let pres = fst (execute plain.Optimizer.plan) in
-              let rres = fst (execute rewritten.Optimizer.plan) in
+              let pres = (execute plain.Optimizer.plan) in
+              let rres = (execute rewritten.Optimizer.plan) in
               if not (Exp_common.results_equal pres rres) then
                 fail "rewrite"
                   (Printf.sprintf "%s (plain %s vs rewritten %s)"
@@ -829,24 +791,20 @@ let probe_case ?(self_test = false) ?(self_test_rewrite = false) config case =
   match build_env config case with
   | Error e -> Error e
   | Ok env ->
-      (* Apply the data-plane gene for the duration of the probe: the
-         vectorized and row planes must be indistinguishable in every
-         pass's answers and counters. *)
-      Rq_exec.Vectorize.with_vectorize case.vectorize (fun () ->
-          match case.pool_pages with
-          | None -> run_case config ~self_test ~self_test_rewrite env case
-          | Some pages ->
-              (* Apply the buffer-pool-capacity gene for the duration of the
-                 probe, then restore the previous capacity: a starved pool must
-                 only add fault-ins, never change an answer. *)
-              let before =
-                (Rq_storage.Buffer_pool.global_stats ()).Rq_storage.Buffer_pool.capacity_chunks
-                * Rq_storage.Page.pages_per_chunk
-              in
-              Rq_storage.Buffer_pool.configure ~capacity_pages:pages;
-              Fun.protect
-                ~finally:(fun () -> Rq_storage.Buffer_pool.configure ~capacity_pages:before)
-                (fun () -> run_case config ~self_test ~self_test_rewrite env case))
+      match case.pool_pages with
+      | None -> run_case config ~self_test ~self_test_rewrite env case
+      | Some pages ->
+          (* Apply the buffer-pool-capacity gene for the duration of the
+             probe, then restore the previous capacity: a starved pool must
+             only add fault-ins, never change an answer. *)
+          let before =
+            (Rq_storage.Buffer_pool.global_stats ()).Rq_storage.Buffer_pool.capacity_chunks
+            * Rq_storage.Page.pages_per_chunk
+          in
+          Rq_storage.Buffer_pool.configure ~capacity_pages:pages;
+          Fun.protect
+            ~finally:(fun () -> Rq_storage.Buffer_pool.configure ~capacity_pages:before)
+            (fun () -> run_case config ~self_test ~self_test_rewrite env case)
 
 (* ------------------------------------------------------------------ *)
 (* Random generation and the escalating mutator                        *)
@@ -928,8 +886,7 @@ let gen_case rng config =
   let pool_pages =
     if Rng.int rng 6 = 0 then Some (Rng.pick rng [| 64; 256; 2048 |]) else None
   in
-  let vectorize = Rng.int rng 4 <> 0 in
-  { workload; catalog_seed; mutations; faults; query; pool_pages; vectorize }
+  { workload; catalog_seed; mutations; faults; query; pool_pages }
 
 let cap_list n l = if List.length l > n then List.tl l else l
 
@@ -1046,10 +1003,7 @@ let mutate_case rng ~level _config case =
            transition sequences no single injection can produce *)
         { case with faults = cap_list 3 (case.faults @ [ gen_fault rng spec tables ]) }
   | _ ->
-      if Rng.int rng 6 = 0 then
-        (* flip the data-plane gene *)
-        { case with vectorize = not case.vectorize }
-      else if Rng.int rng 5 = 0 then
+      if Rng.int rng 5 = 0 then
         (* toggle or tighten the buffer-pool-capacity gene *)
         { case with
           pool_pages =
@@ -1115,11 +1069,6 @@ let shrink_candidates case =
   in
   let drop_pool =
     if case.pool_pages <> None then [ { case with pool_pages = None } ] else []
-  in
-  let drop_vectorize_off =
-    (* restoring the default plane first: a divergence that survives it is
-       not the vectorized plane's fault *)
-    if not case.vectorize then [ { case with vectorize = true } ] else []
   in
   let weaken_mutations =
     List.concat
@@ -1193,7 +1142,7 @@ let shrink_candidates case =
      (ORDER BY / LIMIT), then whole faults/mutations, then conjuncts, then
      literal values *)
   drop_tables @ drop_semis @ drop_order @ drop_limit @ simplify_shape @ drop_mutations
-  @ drop_pool @ drop_vectorize_off @ drop_faults @ weaken_mutations @ weaken_faults
+  @ drop_pool @ drop_faults @ weaken_mutations @ weaken_faults
   @ drop_atoms @ shrink_literals
 
 let shrink ~probe ~config case0 (div0 : divergence) =
@@ -1497,7 +1446,7 @@ let run ?(log = fun (_ : string) -> ()) ?(config = default_config) () =
 (* ------------------------------------------------------------------ *)
 
 let case_summary case =
-  Printf.sprintf "%s/seed%d tables=[%s] shape=%s faults=[%s] mutations=[%s]%s"
+  Printf.sprintf "%s/seed%d tables=[%s] shape=%s faults=[%s] mutations=[%s]"
     (workload_to_string case.workload)
     case.catalog_seed
     (String.concat ","
@@ -1507,7 +1456,6 @@ let case_summary case =
     (shape_to_string case.query.shape)
     (String.concat "," (List.map Fault.injection_to_string case.faults))
     (String.concat "," (List.map Mutate.to_string case.mutations))
-    (if case.vectorize then "" else " row-plane")
 
 let render r =
   let b = Buffer.create 512 in

@@ -3,7 +3,7 @@
     An evolutionary loop over (data-state mutation, stats-fault profile,
     query) genomes, each executed through every differential pass the repo
     has: four estimators vs the exact oracle, cached-vs-cold optimization,
-    streaming-vs-materialized execution, evidence-kernel-vs-row-scan, a
+    evidence-kernel-vs-row-scan, a
     degrading-estimator pass over deliberately faulted statistics with
     guard-driven re-optimization and span/meter reconciliation, and a
     rewritten-vs-unrewritten plan pass over the logical rewrite layer.
@@ -55,12 +55,6 @@ type case = {
           (restored afterwards) while the case's passes run — eviction
           pressure must never change an answer.  Emitted to JSON only when
           set, so older corpora round-trip. *)
-  vectorize : bool;
-      (** data-plane gene: run the case's passes on the streaming engine's
-          vectorized plane ([true], the engine default) or the row plane.
-          The plane must never change an answer or a counter.  Emitted to
-          JSON only when [false]; corpora predating the gene parse as
-          [true]. *)
 }
 
 val workload_to_string : workload -> string

@@ -395,15 +395,9 @@ let wrap_top catalog (query : Logical.t) plan =
       Plan.Aggregate
         { input = with_semijoins; group_by = query.Logical.group_by; aggs = query.Logical.aggs }
   in
-  let with_projection =
-    match query.Logical.projection with
-    | Some cols when query.Logical.aggs = [] && query.Logical.group_by = [] ->
-        Plan.Project (with_agg, cols)
-    | _ -> with_agg
-  in
   (* The Sort is elided when the plan below already delivers the requested
      order: an ordered index scan matching the single sort key, with only
-     order-preserving operators (Filter, Project) above it.  [Index.ordered_rids]
+     order-preserving operators (Filter) above it.  [Index.ordered_rids]
      tie-breaks identically to the stable Sort, so the outputs are equal,
      not merely equivalent. *)
   let sort_elided =
@@ -418,10 +412,18 @@ let wrap_top catalog (query : Logical.t) plan =
   in
   let with_order =
     match query.Logical.order_by with
-    | [] -> with_projection
-    | _ when sort_elided -> with_projection
-    | keys -> Plan.Sort { input = with_projection; keys }
+    | [] -> with_agg
+    | _ when sort_elided -> with_agg
+    | keys -> Plan.Sort { input = with_agg; keys }
   in
-  match query.Logical.limit with
-  | Some n -> Plan.Limit (with_order, n)
-  | None -> with_order
+  let with_limit =
+    match query.Logical.limit with
+    | Some n -> Plan.Limit (with_order, n)
+    | None -> with_order
+  in
+  (* Sort and Limit sit below the projection: ORDER BY may name a column
+     the SELECT list drops. *)
+  match query.Logical.projection with
+  | Some cols when query.Logical.aggs = [] && query.Logical.group_by = [] ->
+      Plan.Project (with_limit, cols)
+  | _ -> with_limit

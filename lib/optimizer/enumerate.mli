@@ -54,6 +54,7 @@ val join_plans :
 val wrap_top : Catalog.t -> Logical.t -> Plan.t -> Plan.t
 (** Adds everything above the join: residual filter, semijoin lowering
     (distinct-build hash joins plus a schema-restoring projection),
-    aggregation, projection, ORDER BY and LIMIT.  The Sort is elided when
+    aggregation, ORDER BY, LIMIT and the projection — last, so ORDER BY may
+    name a column the SELECT list drops.  The Sort is elided when
     the underlying plan is an ordered index scan that already delivers the
     single requested sort key. *)

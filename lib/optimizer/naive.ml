@@ -165,8 +165,10 @@ let evaluate_query catalog (q : Logical.t) =
         }
     | None -> ordered
   in
+  (* Order and limit before projecting: ORDER BY may name a column the
+     SELECT list drops. *)
   if q.Logical.aggs = [] && q.Logical.group_by = [] then
-    apply_order_limit (apply_projection joined)
+    apply_projection (apply_order_limit joined)
   else begin
     (* Delegate grouping to the executor over the materialized join: register
        it as a temporary table under a scratch catalog.  The temp table's

@@ -30,14 +30,14 @@ type entry = {
   table_versions : (string * int) list;  (* versions of the query's tables at plan time *)
 }
 
-(* The entry store is an {!Rq_stats.Lru}: recency, capacity eviction and
+(* The entry store is an {!Rq_storage.Lru}: recency, capacity eviction and
    the eviction counter live there (O(1), no victim scan); this module
    adds the plan-cache semantics on top — stats-versioned invalidation and
    the hit/miss/invalidated outcome counters, which are not the LRU's own
    (a lookup that finds a version-stale entry is an invalidation, not a
    hit or a miss). *)
 type t = {
-  lru : entry Rq_stats.Lru.t;
+  lru : entry Rq_storage.Lru.t;
   mutable hits : int;
   mutable misses : int;
   mutable invalidations : int;
@@ -45,20 +45,20 @@ type t = {
 
 let create ?(capacity = 256) () =
   if capacity <= 0 then invalid_arg "Plan_cache.create: capacity must be positive";
-  { lru = Rq_stats.Lru.create ~capacity (); hits = 0; misses = 0; invalidations = 0 }
+  { lru = Rq_storage.Lru.create ~capacity (); hits = 0; misses = 0; invalidations = 0 }
 
-let capacity t = Rq_stats.Lru.capacity t.lru
-let length t = Rq_stats.Lru.length t.lru
+let capacity t = Rq_storage.Lru.capacity t.lru
+let length t = Rq_storage.Lru.length t.lru
 
 let stats t =
   {
     hits = t.hits;
     misses = t.misses;
     invalidations = t.invalidations;
-    evictions = Rq_stats.Lru.evictions t.lru;
+    evictions = Rq_storage.Lru.evictions t.lru;
   }
 
-let clear t = Rq_stats.Lru.clear t.lru
+let clear t = Rq_storage.Lru.clear t.lru
 
 (* The stored key is the caller's fingerprint plus the estimator's name.
    [Fingerprint.of_logical ?estimator] already folds the identity in when
@@ -99,11 +99,11 @@ let insert ?obs t opt ~key ~version query decision =
      live key refreshes it in place, so no innocent victim is dropped.
      The eviction hook is armed just for this insert so the trace event
      carries this lookup's store version. *)
-  Rq_stats.Lru.set_on_evict t.lru (fun victim ->
+  Rq_storage.Lru.set_on_evict t.lru (fun victim ->
       record ?obs ~version ~fingerprint:victim "evicted");
   Fun.protect
-    ~finally:(fun () -> Rq_stats.Lru.set_on_evict t.lru (fun _ -> ()))
-    (fun () -> Rq_stats.Lru.insert t.lru key { decision; table_versions })
+    ~finally:(fun () -> Rq_storage.Lru.set_on_evict t.lru (fun _ -> ()))
+    (fun () -> Rq_storage.Lru.insert t.lru key { decision; table_versions })
 
 let find_or_optimize ?obs ?budget t opt ~fingerprint query =
   let key = compose_key opt ~fingerprint in
@@ -116,7 +116,7 @@ let find_or_optimize ?obs ?budget t opt ~fingerprint query =
         insert ?obs t opt ~key ~version query decision;
         Ok (decision, outcome)
   in
-  match Rq_stats.Lru.find t.lru key with
+  match Rq_storage.Lru.find t.lru key with
   | Some entry when entry_valid store entry ->
       t.hits <- t.hits + 1;
       record ?obs ~version ~fingerprint:key "hit";
@@ -125,7 +125,7 @@ let find_or_optimize ?obs ?budget t opt ~fingerprint query =
       (* The statistics moved under the entry: serving it could replay a
          plan chosen against a world that no longer exists.  Drop it and
          re-optimize — the cache can delay work, never correctness. *)
-      Rq_stats.Lru.remove t.lru key;
+      Rq_storage.Lru.remove t.lru key;
       t.invalidations <- t.invalidations + 1;
       record ?obs ~version ~fingerprint:key "invalidated";
       optimize_and_insert Invalidated
@@ -134,7 +134,7 @@ let find_or_optimize ?obs ?budget t opt ~fingerprint query =
       record ?obs ~version ~fingerprint:key "miss";
       optimize_and_insert Miss
 
-let mem t opt ~fingerprint = Rq_stats.Lru.mem t.lru (compose_key opt ~fingerprint)
+let mem t opt ~fingerprint = Rq_storage.Lru.mem t.lru (compose_key opt ~fingerprint)
 
 (* ------------------------------------------------------------------ *)
 (* Sharding                                                            *)

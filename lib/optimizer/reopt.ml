@@ -120,7 +120,7 @@ let continuation catalog (query : Logical.t) ~cost_fn ~mat_plan ~covered =
 (* Execution loop                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let execute_plan ?(threshold = 4.0) ?(max_reopts = 2) ?obs ?mode opt query start_plan =
+let execute_plan ?(threshold = 4.0) ?(max_reopts = 2) ?obs opt query start_plan =
   if threshold < 1.0 then invalid_arg "Reopt.execute_plan: threshold must be >= 1.0";
   let stats = Optimizer.stats opt in
   let catalog = Rq_stats.Stats_store.catalog stats in
@@ -157,7 +157,7 @@ let execute_plan ?(threshold = 4.0) ?(max_reopts = 2) ?obs ?mode opt query start
     let run_attempt () =
       with_attempt_span
         (Printf.sprintf "attempt%d" (reopts + 1))
-        (fun () -> Executor.run ?obs ?mode catalog meter plan)
+        (fun () -> Executor.run ?obs catalog meter plan)
     in
     match run_attempt () with
     | res -> (res, plan, reopts)
@@ -191,7 +191,7 @@ let execute_plan ?(threshold = 4.0) ?(max_reopts = 2) ?obs ?mode opt query start
           let res =
             with_attempt_span
               (Printf.sprintf "attempt%d:final" (reopts + 1))
-              (fun () -> Executor.run ?obs ?mode catalog meter plain)
+              (fun () -> Executor.run ?obs catalog meter plain)
           in
           (res, plain, reopts)
         in
@@ -284,10 +284,10 @@ let execute_plan ?(threshold = 4.0) ?(max_reopts = 2) ?obs ?mode opt query start
     reoptimizations;
   }
 
-let execute ?threshold ?max_reopts ?obs ?mode opt query =
+let execute ?threshold ?max_reopts ?obs opt query =
   match Optimizer.optimize opt query with
   | Error _ as e -> e
-  | Ok d -> Ok (execute_plan ?threshold ?max_reopts ?obs ?mode opt query d.Optimizer.plan)
+  | Ok d -> Ok (execute_plan ?threshold ?max_reopts ?obs opt query d.Optimizer.plan)
 
 let render_events events =
   match events with

@@ -1,5 +1,5 @@
 (** Mid-query re-optimization via cardinality guards (Kabra–DeWitt style,
-    adapted to the full-materialization executor).
+    adapted to the streaming executor).
 
     [execute] optimizes the query, instruments the chosen plan with
     {!Rq_exec.Plan.Guard} checkpoints at every materialization point below
@@ -41,7 +41,6 @@ val instrument : ?estimator:Cardinality.t -> threshold:float -> Optimizer.t -> P
 
 val execute_plan :
   ?threshold:float -> ?max_reopts:int -> ?obs:Rq_obs.Recorder.t ->
-  ?mode:Executor.mode ->
   Optimizer.t -> Logical.t -> Plan.t -> outcome
 (** Instrument the given starting plan and run it with guard-driven
     re-optimization.  The starting plan need not be the optimizer's choice —
@@ -50,7 +49,7 @@ val execute_plan :
     checkpoint tolerates before aborting; [max_reopts] (default 2) bounds
     replanning rounds, after which the current plan finishes guard-free.
 
-    Under the default streaming [mode] an overflowing guard fires mid-stream
+    An overflowing guard fires mid-stream
     with the input only partially consumed: the observed cardinality fed back
     to the estimator is extrapolated from the consumed fraction, and when the
     interrupted source is a resumable sequential scan the continuation is
@@ -66,7 +65,6 @@ val execute_plan :
 
 val execute :
   ?threshold:float -> ?max_reopts:int -> ?obs:Rq_obs.Recorder.t ->
-  ?mode:Executor.mode ->
   Optimizer.t -> Logical.t ->
   (outcome, string) result
 (** [execute_plan] starting from the optimizer's own choice.  [Error] only

@@ -8,8 +8,8 @@
    Inserting a newly-loaded chunk while the pool is at capacity evicts the
    least-recently-unpinned resident chunk.
 
-   All operations are mutex-protected: the morsel-parallel executor pins
-   chunks from several domains at once.  Hit/miss/eviction counters are
+   All operations are mutex-protected: the morsel prefetch pins chunks from
+   several domains at once.  Hit/miss/eviction counters are
    schedule-dependent under that concurrency (which domain faults a chunk
    in first is a race), so they are *not* part of the deterministic cost
    parity counters — they surface through {!stats} into the observability
@@ -104,6 +104,14 @@ let unpin pool ~key =
           if e.pins = 0 then
             if e.seq then Lru.insert_cold pool.lru key ()
             else Lru.insert pool.lru key ())
+
+let drop pool ~key =
+  locked pool (fun () ->
+      match Hashtbl.find_opt pool.resident key with
+      | Some e when e.pins = 0 ->
+          Lru.remove pool.lru key;
+          Hashtbl.remove pool.resident key
+      | Some _ | None -> ())
 
 let drop_unpinned pool =
   Lru.clear pool.lru  (* clear does not fire on_evict; sweep by pin count *)

@@ -5,8 +5,8 @@
     to the LRU recency list, where an insert at capacity evicts the
     least-recently-unpinned chunk.  Pinned chunks are never evicted.
 
-    All operations are mutex-protected (the morsel-parallel executor pins
-    from several domains).  Hit/miss/eviction counters are therefore
+    All operations are mutex-protected (the morsel prefetch pins from
+    several domains).  Hit/miss/eviction counters are therefore
     schedule-dependent and deliberately kept out of the deterministic
     cost-parity counters; they surface via {!stats} into
     [Rq_obs.Metrics.pool] and the bench [buffer_pool] section. *)
@@ -39,6 +39,11 @@ val pin : ?seq:bool -> t -> key:string -> load:(unit -> Chunk.t) -> Chunk.t
 val unpin : t -> key:string -> unit
 (** Release one pin; at zero pins the chunk becomes an eviction candidate.
     Raises [Invalid_argument] when the key is resident but not pinned. *)
+
+val drop : t -> key:string -> unit
+(** Drop the chunk from the pool if it is resident and unpinned — a
+    deliberate removal, not an eviction (the eviction counter is
+    untouched).  A pinned chunk stays until it is unpinned and ages out. *)
 
 val set_capacity_pages : t -> int -> unit
 (** Resize the pool, dropping all unpinned chunks and resetting the LRU

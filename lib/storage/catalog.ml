@@ -51,6 +51,10 @@ let replace_table t rel =
       if old_columns <> new_columns then
         invalid_arg (Printf.sprintf "Catalog.replace_table %s: schema changed" name);
       Hashtbl.replace t.tables name { entry with relation = rel };
+      (* Pool keys carry the relation id, so nothing would ever hit the old
+         relation's chunks again: release them now instead of holding their
+         memory until they age out. *)
+      Relation.evict entry.relation;
       (* Registered indexes reflect the heap; rebuild them in place. *)
       Hashtbl.iter
         (fun (table, column) _ ->

@@ -29,7 +29,8 @@ val find_table : t -> string -> Relation.t
 
 val replace_table : t -> Relation.t -> unit
 (** Swap in a new version of an existing table (same name and schema);
-    every registered index on it is rebuilt.  This is the mutation
+    every registered index on it is rebuilt and the old version's chunks
+    leave the global buffer pool ({!Relation.evict}).  This is the mutation
     primitive behind batched inserts/deletes — and the reason statistics
     go stale (see {!Rq_stats.Maintenance}). *)
 

@@ -57,6 +57,11 @@ let with_chunk ?(seq = false) t ci f =
     ~finally:(fun () -> Buffer_pool.unpin Buffer_pool.global ~key)
     (fun () -> f chunk)
 
+let evict t =
+  for ci = 0 to Array.length t.zone_maps - 1 do
+    Buffer_pool.drop Buffer_pool.global ~key:(pool_key t ci)
+  done
+
 (* -- Builder ------------------------------------------------------------- *)
 
 module Builder = struct

@@ -67,6 +67,10 @@ val with_chunk : ?seq:bool -> t -> int -> (Chunk.t -> 'a) -> 'a
     chunk a scan-resistant (cold-end) LRU entry on unpin; see
     {!Buffer_pool.pin}. *)
 
+val evict : t -> unit
+(** Drop the relation's unpinned chunks from the global buffer pool.  Later
+    reads still work: they fault the chunks in again. *)
+
 val get : t -> int -> tuple
 (** Tuple by RID (0-based); raises [Invalid_argument] out of range. *)
 

@@ -168,104 +168,6 @@ let run_differential catalog_name catalog gen () =
       (estimator_configs stats)
   done
 
-(* The streaming-vs-materialized pass: every chosen plan (no Limit, no
-   instrumented guards, so no early exit) must produce byte-identical
-   tuples AND move every cost counter identically under both engines.
-   (Counter equality itself lives in {!Exp_common.snapshots_equal}, shared
-   with the fuzzer's degraded-reconciliation pass.) *)
-let snapshots_equal = Rq_experiments.Exp_common.snapshots_equal
-
-let run_engine_differential catalog_name catalog gen () =
-  let rng = Rq_math.Rng.create (seed + 3) in
-  let scale = 1.0 in
-  let stats =
-    Rq_stats.Stats_store.update_statistics (Rq_math.Rng.split rng)
-      ~config:{ Rq_stats.Stats_store.default_config with sample_size = 200 }
-      catalog
-  in
-  for i = 1 to queries_per_catalog do
-    let query = gen rng in
-    List.iter
-      (fun (name, estimator) ->
-        let opt = Optimizer.create ~scale stats estimator in
-        match Optimizer.optimize opt query with
-        | Error e ->
-            fail_rejected ~label:(Printf.sprintf "%s query %d" catalog_name i) ~query name e
-        | Ok d ->
-            let run_mode mode =
-              let meter = Cost.create ~scale () in
-              let res = Executor.run ~mode catalog meter d.Optimizer.plan in
-              (res, Cost.snapshot meter)
-            in
-            let sres, ssnap = run_mode Executor.Streaming in
-            let mres, msnap = run_mode Executor.Materialized in
-            if sres.Executor.tuples <> mres.Executor.tuples then
-              fail_differential
-                ~label:
-                  (Printf.sprintf "%s query %d under %s: streaming vs materialized"
-                     catalog_name i name)
-                ~query ~reference:mres ~candidate:sres ();
-            if not (snapshots_equal ssnap msnap) then
-              Alcotest.failf
-                "%s query %d under %s: cost counters diverge (%s)\nstreaming:    %s\nmaterialized: %s"
-                catalog_name i name
-                (failure_context ~profile:"none" query)
-                (Format.asprintf "%a" Cost.pp_snapshot ssnap)
-                (Format.asprintf "%a" Cost.pp_snapshot msnap))
-      (estimator_configs stats)
-  done
-
-(* The vectorized-vs-row data plane pass: the streaming engine against
-   itself with the columnar batch plane switched off.  Same law as
-   streaming-vs-materialized — byte-identical tuples AND every cost
-   counter identical — because the vectorized operators charge per
-   selected row exactly where the row operators charge per tuple. *)
-let with_vectorize enabled f =
-  let saved = !Vectorize.enabled in
-  Vectorize.enabled := enabled;
-  Fun.protect ~finally:(fun () -> Vectorize.enabled := saved) f
-
-let run_vectorize_differential catalog_name catalog gen () =
-  let rng = Rq_math.Rng.create (seed + 11) in
-  let scale = 1.0 in
-  let stats =
-    Rq_stats.Stats_store.update_statistics (Rq_math.Rng.split rng)
-      ~config:{ Rq_stats.Stats_store.default_config with sample_size = 200 }
-      catalog
-  in
-  for i = 1 to queries_per_catalog do
-    let query = gen rng in
-    List.iter
-      (fun (name, estimator) ->
-        let opt = Optimizer.create ~scale stats estimator in
-        match Optimizer.optimize opt query with
-        | Error e ->
-            fail_rejected ~label:(Printf.sprintf "%s query %d" catalog_name i) ~query name e
-        | Ok d ->
-            let run_plane enabled =
-              with_vectorize enabled (fun () ->
-                  let meter = Cost.create ~scale () in
-                  let res = Executor.run ~mode:Executor.Streaming catalog meter d.Optimizer.plan in
-                  (res, Cost.snapshot meter))
-            in
-            let vres, vsnap = run_plane true in
-            let rres, rsnap = run_plane false in
-            if vres.Executor.tuples <> rres.Executor.tuples then
-              fail_differential
-                ~label:
-                  (Printf.sprintf "%s query %d under %s: vectorized vs row data plane"
-                     catalog_name i name)
-                ~query ~reference:rres ~candidate:vres ();
-            if not (snapshots_equal vsnap rsnap) then
-              Alcotest.failf
-                "%s query %d under %s: data planes' cost counters diverge (%s)\nvectorized: %s\nrow:        %s"
-                catalog_name i name
-                (failure_context ~profile:"none" query)
-                (Format.asprintf "%a" Cost.pp_snapshot vsnap)
-                (Format.asprintf "%a" Cost.pp_snapshot rsnap))
-      (estimator_configs stats)
-  done
-
 (* The kernel-vs-scan pass: the robust estimator through the bitset
    evidence kernel must be indistinguishable from the row-scan reference —
    identical evidence counts (k, n) on every generated predicate,
@@ -553,8 +455,7 @@ let widen_star rng (q : Logical.t) =
 (* Rewritten vs unrewritten: the same widened query optimized with the
    rewrite layer on and off, under every estimator; the chosen plans may
    differ (their digests go into the failure message) but the answers may
-   not — on the materialized engine, the streaming engine, and the morsel
-   engine at 1, 2 and 4 domains. *)
+   not — serially and through the morsel pool at 1, 2 and 4 domains. *)
 let run_rewrite_differential catalog_name catalog gen widen () =
   let rng = Rq_math.Rng.create (seed + 6) in
   let scale = 1.0 in
@@ -595,10 +496,7 @@ let run_rewrite_differential catalog_name catalog gen widen () =
                        name engine digests)
                   ~query ~reference ~candidate ()
             in
-            check "materialized" (execute catalog scale rewritten.Optimizer.plan);
-            let meter = Cost.create ~scale () in
-            check "streaming"
-              (Executor.run ~mode:Executor.Streaming catalog meter rewritten.Optimizer.plan);
+            check "serial" (execute catalog scale rewritten.Optimizer.plan);
             List.iter
               (fun pool ->
                 let meter = Cost.create ~scale () in
@@ -610,6 +508,51 @@ let run_rewrite_differential catalog_name catalog gen widen () =
       done)
 
 (* ------------------------------------------------------------------ *)
+(* SQL text against the Naive oracle                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Fixed SQL through the whole pipeline — bind, optimize under every
+   estimator, execute — against {!Naive.evaluate_query} on the bound
+   query: the ORDER BY/LIMIT surface the generated queries above cannot
+   reach, including sorting on a column the SELECT list drops. *)
+let sql_queries =
+  [
+    "SELECT l_orderkey FROM lineitem WHERE l_quantity > 10 ORDER BY l_extendedprice LIMIT 5";
+    "SELECT l_rowid FROM lineitem WHERE l_quantity <= 3 ORDER BY l_shipdate DESC, l_rowid";
+    "SELECT l_rowid, o_orderdate FROM lineitem, orders WHERE o_totalprice > 100000 ORDER BY \
+     o_totalprice, l_rowid LIMIT 20";
+    "SELECT l_quantity, COUNT(*) AS n FROM lineitem GROUP BY l_quantity ORDER BY n DESC, \
+     l_quantity LIMIT 7";
+  ]
+
+let run_sql_naive_differential catalog () =
+  let scale = 1.0 in
+  let stats =
+    Rq_stats.Stats_store.update_statistics (Rq_math.Rng.create seed)
+      ~config:{ Rq_stats.Stats_store.default_config with sample_size = 200 }
+      catalog
+  in
+  List.iter
+    (fun sql ->
+      let query =
+        match Rq_sql.Binder.compile catalog sql with
+        | Ok bound -> bound.Rq_sql.Binder.query
+        | Error e -> Alcotest.failf "%s: bind error %s" sql e
+      in
+      let reference = Naive.evaluate_query catalog query in
+      List.iter
+        (fun (name, estimator) ->
+          match Optimizer.optimize (Optimizer.create ~scale stats estimator) query with
+          | Error e -> fail_rejected ~label:sql ~query name e
+          | Ok d ->
+              let result = execute catalog scale d.Optimizer.plan in
+              if not (Rq_experiments.Exp_common.results_equal reference result) then
+                fail_differential ~label:(Printf.sprintf "%s under %s" sql name) ~query
+                  ~reference ~candidate:result ())
+        (estimator_configs stats))
+    sql_queries
+
+(* ------------------------------------------------------------------ *)
 (* Zone-map pruning is invisible                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -619,30 +562,23 @@ let with_prune enabled f =
   Fun.protect ~finally:(fun () -> Prune.enabled := saved) f
 
 let check_prune_invisible ~label catalog scale plan =
-  List.iter
-    (fun (engine, mode) ->
-      let run enabled =
-        with_prune enabled (fun () ->
-            let meter = Cost.create ~scale () in
-            let res = Executor.run ~mode catalog meter plan in
-            (res, Cost.snapshot meter))
-      in
-      let pres, psnap = run true in
-      let fres, fsnap = run false in
-      if pres.Executor.tuples <> fres.Executor.tuples then
-        Alcotest.failf
-          "%s (%s engine): pruned scan answered differently\npruned:\n%s\nfull:\n%s" label
-          engine
-          (String.concat "\n" (Array.to_list (Rq_experiments.Exp_common.canonical_rows pres)))
-          (String.concat "\n" (Array.to_list (Rq_experiments.Exp_common.canonical_rows fres)));
-      if fsnap.Cost.pages_skipped <> 0 then
-        Alcotest.failf "%s (%s engine): unpruned run reported %d skipped pages" label engine
-          fsnap.Cost.pages_skipped;
-      if psnap.Cost.seq_pages + psnap.Cost.pages_skipped <> fsnap.Cost.seq_pages then
-        Alcotest.failf
-          "%s (%s engine): page accounting broke: pruned read %d + skipped %d <> full read %d"
-          label engine psnap.Cost.seq_pages psnap.Cost.pages_skipped fsnap.Cost.seq_pages)
-    [ ("materialized", Executor.Materialized); ("streaming", Executor.Streaming) ]
+  let run enabled =
+    with_prune enabled (fun () ->
+        let meter = Cost.create ~scale () in
+        let res = Executor.run catalog meter plan in
+        (res, Cost.snapshot meter))
+  in
+  let pres, psnap = run true in
+  let fres, fsnap = run false in
+  if pres.Executor.tuples <> fres.Executor.tuples then
+    Alcotest.failf "%s: pruned scan answered differently\npruned:\n%s\nfull:\n%s" label
+      (String.concat "\n" (Array.to_list (Rq_experiments.Exp_common.canonical_rows pres)))
+      (String.concat "\n" (Array.to_list (Rq_experiments.Exp_common.canonical_rows fres)));
+  if fsnap.Cost.pages_skipped <> 0 then
+    Alcotest.failf "%s: unpruned run reported %d skipped pages" label fsnap.Cost.pages_skipped;
+  if psnap.Cost.seq_pages + psnap.Cost.pages_skipped <> fsnap.Cost.seq_pages then
+    Alcotest.failf "%s: page accounting broke: pruned read %d + skipped %d <> full read %d"
+      label psnap.Cost.seq_pages psnap.Cost.pages_skipped fsnap.Cost.seq_pages
 
 (* Generated queries under every estimator: each chosen plan must answer
    identically with chunk pruning on and off, and the pruned run's
@@ -816,18 +752,8 @@ let () =
           Alcotest.test_case "tpch" `Quick (run_cache_differential "tpch" tpch gen_tpch_query);
           Alcotest.test_case "star" `Quick (run_cache_differential "star" star gen_star_query);
         ] );
-      ( "streaming matches materialized",
-        [
-          Alcotest.test_case "tpch" `Quick (run_engine_differential "tpch" tpch gen_tpch_query);
-          Alcotest.test_case "star" `Quick (run_engine_differential "star" star gen_star_query);
-        ] );
-      ( "vectorized plane matches row plane",
-        [
-          Alcotest.test_case "tpch" `Quick
-            (run_vectorize_differential "tpch" tpch gen_tpch_query);
-          Alcotest.test_case "star" `Quick
-            (run_vectorize_differential "star" star gen_star_query);
-        ] );
+      ( "sql agrees with naive",
+        [ Alcotest.test_case "tpch" `Quick (run_sql_naive_differential tpch) ] );
       ( "evidence kernel matches row scan",
         [
           Alcotest.test_case "tpch" `Quick (run_kernel_differential "tpch" tpch gen_tpch_query);

@@ -94,16 +94,16 @@ let test_json_roundtrip_dense () =
           limit = Some 7;
         };
       pool_pages = Some 256;
-      vectorize = false;
     }
 
-(* A corpus entry written before the data-plane gene existed has no
-   "vectorize" field: it must parse as [true] (the engine default the old
-   build actually ran). *)
-let test_json_pre_gene_defaults_vectorized () =
-  let old_json =
+(* Corpus entries from older builds must keep parsing: one written before
+   the pool-capacity gene has no "pool_pages" field and runs uncapped, and
+   one carrying the retired "vectorize" data-plane gene parses with the
+   field ignored. *)
+let test_json_old_corpora_parse () =
+  let old_json extra =
     Json.Obj
-      [
+      ([
         ("workload", Json.Str "tpch");
         ("catalog_seed", Json.Num 1.0);
         ("mutations", Json.List []);
@@ -120,10 +120,21 @@ let test_json_pre_gene_defaults_vectorized () =
                   ] );
             ] );
       ]
+      @ extra)
   in
-  match F.case_of_json old_json with
-  | Error e -> Alcotest.failf "pre-gene corpus entry rejected: %s" e
-  | Ok case -> Alcotest.(check bool) "defaults to the vectorized plane" true case.F.vectorize
+  List.iter
+    (fun (label, extra) ->
+      match F.case_of_json (old_json extra) with
+      | Error e -> Alcotest.failf "%s corpus entry rejected: %s" label e
+      | Ok case ->
+          Alcotest.(check bool) (label ^ ": no pool cap") true (case.F.pool_pages = None);
+          Alcotest.(check bool)
+            (label ^ ": re-serializes without retired fields")
+            false
+            (match F.case_to_json case with
+            | Json.Obj fields -> List.mem_assoc "vectorize" fields
+            | _ -> true))
+    [ ("pre-gene", []); ("retired-gene", [ ("vectorize", Json.Bool false) ]) ]
 
 let test_json_rejects_garbage () =
   List.iter
@@ -345,8 +356,8 @@ let () =
           Alcotest.test_case "generated cases round-trip" `Quick test_json_roundtrip_generated;
           Alcotest.test_case "dense handcrafted case round-trips" `Quick
             test_json_roundtrip_dense;
-          Alcotest.test_case "pre-gene corpora default to the vectorized plane" `Quick
-            test_json_pre_gene_defaults_vectorized;
+          Alcotest.test_case "pre-gene corpora default to no pool cap, retired genes ignored"
+            `Quick test_json_old_corpora_parse;
           Alcotest.test_case "garbage rejected" `Quick test_json_rejects_garbage;
         ] );
       ( "mutation",

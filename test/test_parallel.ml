@@ -1,8 +1,8 @@
 (* Morsel-parallel execution suite: the domain pool's claiming discipline
    (in-order claims, contiguous completed prefix on abort), exact parity
-   of the parallel engine with the serial materialized engine — result
+   of the prefetching parallel executor with the serial engine — result
    tuples and every cost counter, at every pool size — the parallel
-   guard's mid-flight firing with an exactly-resumable prefix, span/meter
+   guard's firing with an exactly-resumable prefix, span/meter
    reconciliation under a recorder, and a multi-domain stress of the
    sharded plan cache and the evidence-kernel memos. *)
 
@@ -17,8 +17,8 @@ let check_float = Alcotest.(check (float 1e-9))
 
 (* orders <- lineitems, big enough that a lineitems scan spans more
    morsels than the pool has domains (morsel = one column chunk of 5456
-   rows for this 24-byte schema), so a guarded batch can stop before
-   every morsel is claimed. *)
+   rows for this 24-byte schema), so a scan dispatches several morsel
+   batches. *)
 let fixture ?(lineitems = 30_000) () =
   let rng = Rq_math.Rng.create 23 in
   let catalog = Catalog.create () in
@@ -158,7 +158,7 @@ let test_parallel_matches_serial () =
   List.iter
     (fun (name, plan) ->
       let serial_meter = Cost.create () in
-      let serial = Executor.run ~mode:Executor.Materialized catalog serial_meter plan in
+      let serial = Executor.run catalog serial_meter plan in
       let serial_snap = Cost.snapshot serial_meter in
       List.iter
         (fun domains ->
@@ -213,7 +213,7 @@ let test_parallel_guard_fires_with_resume () =
       { input = scan "lineitems"; expected_rows = 4.0; max_q_error = 2.0; label = "t" }
   in
   let full_meter = Cost.create () in
-  let full = Executor.run ~mode:Executor.Materialized catalog full_meter (scan "lineitems") in
+  let full = Executor.run catalog full_meter (scan "lineitems") in
   let par = Parallel.create ~domains:4 () in
   Fun.protect
     ~finally:(fun () -> Parallel.shutdown par)
@@ -234,7 +234,7 @@ let test_parallel_guard_fires_with_resume () =
               check_int "resume starts where the prefix ends" prefix_rows from_rid;
               let replay_meter = Cost.create () in
               let replay =
-                Executor.run ~mode:Executor.Materialized catalog replay_meter
+                Executor.run catalog replay_meter
                   (Plan.Append
                      [
                        Plan.Materialized

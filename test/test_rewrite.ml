@@ -525,7 +525,7 @@ let test_limit_pushdown_page_drop () =
   check_bool "unrewritten plan sorts" true (plan_exists is_sort plain.Optimizer.plan);
   let run plan =
     let meter = Cost.create () in
-    let res = Executor.run ~mode:Executor.Streaming catalog meter plan in
+    let res = Executor.run catalog meter plan in
     let s = Cost.snapshot meter in
     (res, s.Cost.seq_pages + s.Cost.random_pages)
   in

@@ -346,6 +346,29 @@ let test_binder_hint_flows_through () =
   | Some c -> Alcotest.(check (float 1e-9)) "hint" 33.0 (Rq_core.Confidence.to_percent c)
   | None -> Alcotest.fail "hint lost"
 
+(* ORDER BY may name a column the SELECT list drops: the plan must sort
+   (and limit) below its projection.  Checked end to end against the
+   Naive oracle, rows in order. *)
+let test_order_by_unselected_column () =
+  let check catalog sql =
+    let q = (bind_ok catalog sql).Binder.query in
+    let stats = Rq_stats.Stats_store.update_statistics (Rq_math.Rng.create 5) catalog in
+    let opt = Rq_optimizer.Optimizer.robust stats in
+    let d = Rq_optimizer.Optimizer.optimize_exn opt q in
+    let result, _ = Executor.run_timed catalog d.Rq_optimizer.Optimizer.plan in
+    let naive = Rq_optimizer.Naive.evaluate_query catalog q in
+    check_int (sql ^ ": rows") 5 (Array.length result.Executor.tuples);
+    check_bool (sql ^ ": naive's rows, in order") true
+      (result.Executor.tuples = naive.Executor.tuples)
+  in
+  check (sql_catalog ())
+    "SELECT e_id FROM emp WHERE salary > 40000 ORDER BY hired DESC, e_id LIMIT 5";
+  check
+    (Rq_workload.Tpch.generate (Rq_math.Rng.create 3)
+       ~params:{ Rq_workload.Tpch.default_params with scale_factor = 0.002 }
+       ())
+    "SELECT l_orderkey FROM lineitem WHERE l_quantity > 10 ORDER BY l_extendedprice LIMIT 5"
+
 let test_binder_projection () =
   let catalog = sql_catalog () in
   let bound = bind_ok catalog "SELECT salary, e_id FROM emp" in
@@ -637,6 +660,8 @@ let () =
           Alcotest.test_case "COUNT(expr)" `Quick test_binder_count_expr;
           Alcotest.test_case "hint flows through" `Quick test_binder_hint_flows_through;
           Alcotest.test_case "projection" `Quick test_binder_projection;
+          Alcotest.test_case "ORDER BY a column the SELECT list drops" `Quick
+            test_order_by_unselected_column;
         ] );
       ( "ddl+loader",
         [

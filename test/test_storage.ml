@@ -478,6 +478,31 @@ let test_buffer_pool_scan_resistance () =
   Buffer_pool.unpin pool ~key:"sweep9";
   check_int "promoted chunk survived the next sweep" 0 !reloads
 
+(* A replaced relation's chunks are unreachable through the catalog (pool
+   keys carry the relation id), so replace_table must release them instead
+   of holding their memory until they age out of the pool.  The old value
+   still reads fine — by faulting its chunks back in. *)
+let test_buffer_pool_replace_evicts () =
+  let schema =
+    Schema.create [ { Schema.name = "k"; ty = Value.T_int }; { Schema.name = "v"; ty = Value.T_int } ]
+  in
+  let rows = Array.init 20_000 (fun i -> [| v_int i; v_int (i mod 7) |]) in
+  let old_rel = Relation.create ~name:"replaced" ~schema rows in
+  let catalog = Catalog.create () in
+  Catalog.add_table catalog old_rel;
+  let chunks = Relation.chunk_count old_rel in
+  check_bool "fixture spans several chunks" true (chunks > 1);
+  let resident () = (Buffer_pool.global_stats ()).Buffer_pool.resident_chunks in
+  let before = resident () in
+  Relation.iter (fun _ _ -> ()) old_rel;
+  check_int "a read makes every chunk resident" (before + chunks) (resident ());
+  Catalog.replace_table catalog (Relation.create ~name:"replaced" ~schema (Array.sub rows 0 10));
+  check_int "replace drops the old chunks" before (resident ());
+  let misses () = (Buffer_pool.global_stats ()).Buffer_pool.misses in
+  let misses_before = misses () in
+  check_bool "the old relation still reads" true (Relation.get old_rel 12_345 = rows.(12_345));
+  check_int "by faulting its chunk in again" (misses_before + 1) (misses ())
+
 (* ------------------------------------------------------------------ *)
 (* Relation builder (heap and spill)                                   *)
 (* ------------------------------------------------------------------ *)
@@ -837,6 +862,8 @@ let () =
           Alcotest.test_case "resize and reset" `Quick test_buffer_pool_resize_and_reset;
           Alcotest.test_case "sequential sweeps don't flush lookup chunks" `Quick
             test_buffer_pool_scan_resistance;
+          Alcotest.test_case "replaced relations leave the pool" `Quick
+            test_buffer_pool_replace_evicts;
         ] );
       ( "builder",
         [

@@ -1,11 +1,12 @@
-(* Streaming executor suite: the pull-based engine must be observably
-   indistinguishable from the materialized engine on full drains —
-   byte-identical tuples AND every cost counter identical — while
-   early-exit shapes (LIMIT, mid-stream guard firing) charge strictly
-   less I/O.  Also pins the recovery primitives the reopt loop builds
-   on: [Scan_resume] page geometry, [Append] prefix replay, the
-   partial-result payload of a mid-stream [Guard_violation], and
-   duplicate-key hash-join ordering. *)
+(* Streaming executor suite.  Early-exit shapes (LIMIT, mid-stream guard
+   firing) must charge strictly less I/O than a full drain of the same
+   plan; the recovery primitives the reopt loop builds on must hold —
+   [Scan_resume] page geometry, [Append] prefix replay, the partial-result
+   payload of a mid-stream [Guard_violation], duplicate-key hash-join
+   ordering — and the engine must be invariant under the morsel pool:
+   {!Parallel.run} at any domain count and buffer-pool capacity returns the
+   same tuples, moves every counter identically and fires guards at the
+   same point as {!Executor.run}. *)
 
 open Rq_storage
 open Rq_exec
@@ -65,11 +66,6 @@ let scan_lineitems access = Plan.Scan { table = "lineitems"; access; pred = qty_
 
 let scan_all table = Plan.Scan { table; access = Plan.Seq_scan; pred = Pred.True }
 
-let run_mode mode catalog plan =
-  let meter = Cost.create ~scale:2.0 () in
-  let res = Executor.run ~mode catalog meter plan in
-  (res, Cost.snapshot meter)
-
 let check_snapshots name (s : Cost.snapshot) (m : Cost.snapshot) =
   let ci field = check_int (Printf.sprintf "%s: %s" name field) in
   ci "seq_pages" m.Cost.seq_pages s.Cost.seq_pages;
@@ -93,18 +89,53 @@ let check_results name (s : Executor.result) (m : Executor.result) =
   check_bool (name ^ ": tuples byte-identical") true
     (s.Executor.tuples = m.Executor.tuples)
 
+let run catalog plan =
+  let meter = Cost.create ~scale:2.0 () in
+  let res = Executor.run catalog meter plan in
+  (res, Cost.snapshot meter)
+
+(* What a fired guard's run leaves behind: the violation and the meter. *)
+let fire catalog plan =
+  let meter = Cost.create ~scale:2.0 () in
+  match Executor.run catalog meter plan with
+  | _ -> Alcotest.fail "guard did not fire"
+  | exception Executor.Guard_violation v -> (v, Cost.snapshot meter)
+
+let with_pool_pages pages f =
+  let before =
+    (Buffer_pool.global_stats ()).Buffer_pool.capacity_chunks * Page.pages_per_chunk
+  in
+  Buffer_pool.configure ~capacity_pages:pages;
+  Fun.protect ~finally:(fun () -> Buffer_pool.configure ~capacity_pages:before) f
+
+(* A guard or LIMIT over an input adds exactly one cpu-tuple charge per
+   row it passes on (the counter pass); every other counter is the
+   input's. *)
+let check_plus_cpu name ~rows (s : Cost.snapshot) (base : Cost.snapshot) =
+  check_snapshots name s
+    {
+      base with
+      Cost.cpu_tuples = base.Cost.cpu_tuples + rows;
+      seconds =
+        base.Cost.seconds
+        +. (2.0 *. float_of_int rows *. Cost.default_constants.Cost.cpu_tuple_s);
+    }
+
 (* ------------------------------------------------------------------ *)
-(* Full-drain parity across every plan family                          *)
+(* Every plan family under the morsel pool                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Without LIMIT or a firing guard the two engines must be a bisimulation:
-   same tuples in the same order, same value on every meter counter. *)
+let star_catalog () =
+  Rq_workload.Star.generate (Rq_math.Rng.create 23)
+    ~params:{ Rq_workload.Star.default_params with fact_rows = 5000; dim_rows = 100 } ()
+
+(* Index scans, merge and indexed-NL joins, the star semijoin and sort
+   build rows themselves; scans feed them through the morsel prefetch.
+   Every family must come out of [Parallel.run] byte-identical, counter
+   for counter. *)
 let test_family_parity () =
   let catalog = chain_catalog () in
-  let star =
-    Rq_workload.Star.generate (Rq_math.Rng.create 23)
-      ~params:{ Rq_workload.Star.default_params with fact_rows = 5000; dim_rows = 100 } ()
-  in
+  let star = star_catalog () in
   let dim i =
     {
       Plan.dim_table = Printf.sprintf "dim%d" i;
@@ -191,16 +222,21 @@ let test_family_parity () =
           } );
     ]
   in
-  List.iter
-    (fun (name, cat, plan) ->
-      (match Plan.validate cat plan with
-      | Ok () -> ()
-      | Error msg -> Alcotest.fail (name ^ ": fixture plan invalid: " ^ msg));
-      let sres, ssnap = run_mode Executor.Streaming cat plan in
-      let mres, msnap = run_mode Executor.Materialized cat plan in
-      check_results name sres mres;
-      check_snapshots name ssnap msnap)
-    families
+  let par = Parallel.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Parallel.shutdown par)
+    (fun () ->
+      List.iter
+        (fun (name, cat, plan) ->
+          (match Plan.validate cat plan with
+          | Ok () -> ()
+          | Error msg -> Alcotest.fail (name ^ ": fixture plan invalid: " ^ msg));
+          let sres, ssnap = run cat plan in
+          let meter = Cost.create ~scale:2.0 () in
+          let pres = Parallel.run par cat meter plan in
+          check_results name pres sres;
+          check_snapshots name (Cost.snapshot meter) ssnap)
+        families)
 
 (* ------------------------------------------------------------------ *)
 (* LIMIT early exit                                                    *)
@@ -210,31 +246,31 @@ let test_limit_early_exit () =
   let catalog = chain_catalog () in
   let lineitems = Catalog.find_table catalog "lineitems" in
   let plan = Plan.Limit (scan_all "lineitems", 10) in
-  let sres, ssnap = run_mode Executor.Streaming catalog plan in
-  let mres, msnap = run_mode Executor.Materialized catalog plan in
-  (* Same answer... *)
-  check_results "limit-scan" sres mres;
-  check_int "limit honored" 10 (Array.length sres.Executor.tuples);
-  (* ...but the materialized engine paid for the whole table while the
-     streaming engine stopped pulling after the first batch. *)
-  check_int "materialized scans every page" (Relation.page_count lineitems)
-    msnap.Cost.seq_pages;
+  let lres, lsnap = run catalog plan in
+  let full, fsnap = run catalog (scan_all "lineitems") in
+  (* Same first rows... *)
+  check_int "limit honored" 10 (Array.length lres.Executor.tuples);
+  check_bool "the first rows of the full scan" true
+    (lres.Executor.tuples = Array.sub full.Executor.tuples 0 10);
+  (* ...but the full drain paid for the whole table while the LIMIT
+     stopped pulling after the first batch. *)
+  check_int "full drain scans every page" (Relation.page_count lineitems)
+    fsnap.Cost.seq_pages;
   check_bool
-    (Printf.sprintf "streaming charges strictly fewer seq pages (%d < %d)"
-       ssnap.Cost.seq_pages msnap.Cost.seq_pages)
+    (Printf.sprintf "LIMIT charges strictly fewer seq pages (%d < %d)" lsnap.Cost.seq_pages
+       fsnap.Cost.seq_pages)
     true
-    (ssnap.Cost.seq_pages < msnap.Cost.seq_pages);
-  check_bool "streaming charges strictly fewer cpu tuples" true
-    (ssnap.Cost.cpu_tuples < msnap.Cost.cpu_tuples)
+    (lsnap.Cost.seq_pages < fsnap.Cost.seq_pages);
+  check_int "LIMIT charges one batch of cpu tuples plus its own pass"
+    (Stream_exec.batch_rows + 10) lsnap.Cost.cpu_tuples
 
-(* A LIMIT larger than the input is a full drain: exact parity again. *)
+(* A LIMIT larger than the input is a full drain plus its counter pass. *)
 let test_limit_full_drain_parity () =
   let catalog = chain_catalog () in
-  let plan = Plan.Limit (scan_all "lineitems", 10_000) in
-  let sres, ssnap = run_mode Executor.Streaming catalog plan in
-  let mres, msnap = run_mode Executor.Materialized catalog plan in
-  check_results "limit-full-drain" sres mres;
-  check_snapshots "limit-full-drain" ssnap msnap
+  let lres, lsnap = run catalog (Plan.Limit (scan_all "lineitems", 10_000)) in
+  let full, fsnap = run catalog (scan_all "lineitems") in
+  check_results "limit-full-drain" lres full;
+  check_plus_cpu "limit-full-drain" ~rows:(Array.length full.Executor.tuples) lsnap fsnap
 
 (* ------------------------------------------------------------------ *)
 (* Mid-stream guard firing                                             *)
@@ -247,24 +283,12 @@ let test_guard_fires_mid_stream () =
   let catalog = chain_catalog () in
   let lineitems = Catalog.find_table catalog "lineitems" in
   let n = Relation.row_count lineitems in
-  let plan = overflow_guard (scan_all "lineitems") in
-  let fire mode =
-    let meter = Cost.create ~scale:2.0 () in
-    match Executor.run ~mode catalog meter plan with
-    | _ -> Alcotest.fail "guard did not fire"
-    | exception Executor.Guard_violation v -> (v, Cost.snapshot meter)
-  in
-  let sv, ssnap = fire Executor.Streaming in
-  let mv, msnap = fire Executor.Materialized in
-  (* Materialized only notices after consuming everything. *)
-  check_bool "materialized fires complete" true mv.Executor.complete;
-  check_int "materialized saw every row" n mv.Executor.actual_rows;
-  check_bool "materialized has no resume" true (mv.Executor.resume = None);
-  (* Streaming fires on the batch that makes the overflow unrecoverable:
+  let sv, ssnap = fire catalog (overflow_guard (scan_all "lineitems")) in
+  let full, fsnap = run catalog (scan_all "lineitems") in
+  (* The guard fires on the batch that makes the overflow unrecoverable:
      the violation carries the partial prefix and a resumable tail. *)
-  check_bool "streaming fires mid-stream" false sv.Executor.complete;
-  check_int "streaming stopped after one batch" Stream_exec.batch_rows
-    sv.Executor.actual_rows;
+  check_bool "fires mid-stream" false sv.Executor.complete;
+  check_int "stopped after one batch" Stream_exec.batch_rows sv.Executor.actual_rows;
   check_int "partial result carries the consumed prefix" Stream_exec.batch_rows
     (Array.length sv.Executor.result.Executor.tuples);
   check_bool "progress is a real fraction" true
@@ -276,15 +300,14 @@ let test_guard_fires_mid_stream () =
   | Some (Plan.Scan_resume { table; from_rid; _ }) ->
       check_bool "resume names the table" true (table = "lineitems");
       check_int "resume starts where the stream stopped" Stream_exec.batch_rows from_rid
-  | _ -> Alcotest.fail "streaming violation should carry a Scan_resume tail");
+  | _ -> Alcotest.fail "violation should carry a Scan_resume tail");
   check_bool
-    (Printf.sprintf "mid-stream firing charged fewer pages (%d < %d)" ssnap.Cost.seq_pages
-       msnap.Cost.seq_pages)
+    (Printf.sprintf "mid-stream firing charged fewer pages than a full drain (%d < %d)"
+       ssnap.Cost.seq_pages fsnap.Cost.seq_pages)
     true
-    (ssnap.Cost.seq_pages < msnap.Cost.seq_pages);
-  (* The prefix + resume tail replays to exactly the full scan, under
-     either engine: this is the continuation the reopt loop builds. *)
-  let full, _ = run_mode Executor.Materialized catalog (scan_all "lineitems") in
+    (ssnap.Cost.seq_pages < fsnap.Cost.seq_pages);
+  (* The prefix + resume tail replays to exactly the full scan: this is
+     the continuation the reopt loop builds. *)
   let continuation =
     Plan.Append
       [
@@ -298,13 +321,12 @@ let test_guard_fires_mid_stream () =
         (match sv.Executor.resume with Some p -> p | None -> assert false);
       ]
   in
-  let cs, _ = run_mode Executor.Streaming catalog continuation in
-  let cm, _ = run_mode Executor.Materialized catalog continuation in
-  check_results "continuation engines agree" cs cm;
+  let cs, _ = run catalog continuation in
   check_bool "prefix + tail = full scan" true (cs.Executor.tuples = full.Executor.tuples)
 
-(* Underflow is only judgeable at drain: both engines fire with the input
-   fully consumed, identical q-errors, identical meters. *)
+(* Underflow is only judgeable at drain: the guard fires with the input
+   fully consumed, in lockstep with a full drain plus the guard's counter
+   pass. *)
 let test_guard_underflow_drain_parity () =
   let catalog = chain_catalog () in
   let lineitems = Catalog.find_table catalog "lineitems" in
@@ -318,20 +340,17 @@ let test_guard_underflow_drain_parity () =
         label = "underflow";
       }
   in
-  let fire mode =
-    let meter = Cost.create ~scale:2.0 () in
-    match Executor.run ~mode catalog meter plan with
-    | _ -> Alcotest.fail "guard did not fire"
-    | exception Executor.Guard_violation v -> (v, Cost.snapshot meter)
-  in
-  let sv, ssnap = fire Executor.Streaming in
-  let mv, msnap = fire Executor.Materialized in
-  check_bool "streaming underflow is complete" true sv.Executor.complete;
+  let sv, ssnap = fire catalog plan in
+  let full, fsnap = run catalog (scan_all "lineitems") in
+  check_bool "underflow is complete" true sv.Executor.complete;
   check_bool "no resume on a complete firing" true (sv.Executor.resume = None);
-  check_int "both saw every row" mv.Executor.actual_rows sv.Executor.actual_rows;
   check_int "every row means every row" n sv.Executor.actual_rows;
-  check_float "identical q-error" mv.Executor.q_error sv.Executor.q_error;
-  check_snapshots "underflow drain" ssnap msnap
+  check_bool "the carried result is the full drain" true
+    (sv.Executor.result.Executor.tuples = full.Executor.tuples);
+  check_float "q-error of the full count"
+    (Plan.q_error ~expected:1e6 ~actual:n)
+    sv.Executor.q_error;
+  check_plus_cpu "underflow drain" ~rows:n ssnap fsnap
 
 (* ------------------------------------------------------------------ *)
 (* Recovery leaves: Scan_resume and Append                             *)
@@ -340,18 +359,15 @@ let test_guard_underflow_drain_parity () =
 let test_scan_resume_from_zero_is_a_scan () =
   let catalog = chain_catalog () in
   let resume = Plan.Scan_resume { table = "lineitems"; pred = qty_pred; from_rid = 0 } in
-  let sres, ssnap = run_mode Executor.Streaming catalog resume in
-  let mres, msnap = run_mode Executor.Materialized catalog resume in
-  check_results "scan-resume-0 engines agree" sres mres;
-  check_snapshots "scan-resume-0 engines agree" ssnap msnap;
-  let scan, scan_snap = run_mode Executor.Materialized catalog (scan_lineitems Plan.Seq_scan) in
+  let sres, ssnap = run catalog resume in
+  let scan, scan_snap = run catalog (scan_lineitems Plan.Seq_scan) in
   check_results "scan-resume-0 = plain scan" sres scan;
   check_snapshots "scan-resume-0 = plain scan" ssnap scan_snap
 
 let test_append_prefix_resume () =
   let catalog = chain_catalog () in
   let split = 600 in
-  let full, _ = run_mode Executor.Materialized catalog (scan_all "lineitems") in
+  let full, _ = run catalog (scan_all "lineitems") in
   let plan =
     Plan.Append
       [
@@ -365,10 +381,7 @@ let test_append_prefix_resume () =
         Plan.Scan_resume { table = "lineitems"; pred = Pred.True; from_rid = split };
       ]
   in
-  let sres, ssnap = run_mode Executor.Streaming catalog plan in
-  let mres, msnap = run_mode Executor.Materialized catalog plan in
-  check_results "append engines agree" sres mres;
-  check_snapshots "append engines agree" ssnap msnap;
+  let sres, ssnap = run catalog plan in
   check_bool "append = full scan" true (sres.Executor.tuples = full.Executor.tuples);
   (* The whole point: the replay does not re-read the prefix's pages. *)
   let lineitems = Catalog.find_table catalog "lineitems" in
@@ -381,8 +394,8 @@ let test_append_prefix_resume () =
 (* ------------------------------------------------------------------ *)
 
 (* Build side on a duplicated key (many lineitems per order): matches for
-   a probe row must come out in build-input order, identically in both
-   engines, and equal to a reference nested loop. *)
+   a probe row must come out in build-input order, equal to a reference
+   nested loop. *)
 let test_hash_join_duplicate_key_order () =
   let catalog = chain_catalog () in
   let plan =
@@ -394,9 +407,7 @@ let test_hash_join_duplicate_key_order () =
         probe_key = "orders.o_id";
       }
   in
-  let sres, _ = run_mode Executor.Streaming catalog plan in
-  let mres, _ = run_mode Executor.Materialized catalog plan in
-  check_results "dup-key join engines agree" sres mres;
+  let sres, _ = run catalog plan in
   let lineitems = Catalog.find_table catalog "lineitems" in
   let orders = Catalog.find_table catalog "orders" in
   let expected = ref [] in
@@ -418,8 +429,7 @@ let test_hash_join_duplicate_key_order () =
 (* ------------------------------------------------------------------ *)
 
 (* Force a bad plan whose guards blow up mid-stream; the reopt loop must
-   still produce the right answer (prefix reuse included) and it must
-   match what the materialized path computes for the same query. *)
+   still produce the right answer (prefix reuse included). *)
 let test_reopt_mid_stream_correctness () =
   let catalog = chain_catalog () in
   let stats = Rq_stats.Stats_store.update_statistics (Rq_math.Rng.create 41) catalog in
@@ -436,20 +446,14 @@ let test_reopt_mid_stream_correctness () =
         inner_pred = Pred.True;
       }
   in
-  let run mode =
-    let opt = Optimizer.create stats (Cardinality.fixed_selectivity catalog 5e-4) in
-    Reopt.execute_plan ~threshold:4.0 ~mode opt query bad_plan
-  in
-  let streaming = run Executor.Streaming in
-  let materialized = run Executor.Materialized in
-  check_bool "a guard fired under streaming" true (streaming.Reopt.events <> []);
-  check_bool "streaming replanned" true
-    (List.exists (fun (e : Reopt.event) -> e.Reopt.replanned) streaming.Reopt.events);
-  check_bool "same answer as the materialized reopt path" true
-    (Rq_experiments.Exp_common.results_equal streaming.Reopt.result materialized.Reopt.result);
-  (* And against a trusted plain plan for the same query. *)
+  let opt = Optimizer.create stats (Cardinality.fixed_selectivity catalog 5e-4) in
+  let outcome = Reopt.execute_plan ~threshold:4.0 opt query bad_plan in
+  check_bool "a guard fired" true (outcome.Reopt.events <> []);
+  check_bool "replanned" true
+    (List.exists (fun (e : Reopt.event) -> e.Reopt.replanned) outcome.Reopt.events);
+  (* Against a trusted plain plan for the same query, and the oracle. *)
   let reference, _ =
-    run_mode Executor.Materialized catalog
+    run catalog
       (Plan.Hash_join
          {
            build = scan_all "orders";
@@ -459,24 +463,28 @@ let test_reopt_mid_stream_correctness () =
          })
   in
   check_bool "same answer as a trusted plan" true
-    (Rq_experiments.Exp_common.results_equal streaming.Reopt.result reference)
+    (Rq_experiments.Exp_common.results_equal outcome.Reopt.result reference);
+  check_bool "same answer as the naive oracle" true
+    (Rq_experiments.Exp_common.results_equal outcome.Reopt.result
+       (Naive.evaluate_query catalog query))
 
 (* ------------------------------------------------------------------ *)
-(* Vectorized-vs-row data plane laws (qcheck)                          *)
+(* Engine invariance under the morsel pool (qcheck)                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The streaming engine carries two data planes: the default vectorized
-   one (column-major batches + selection bitsets) and the row-at-a-time
-   one behind [Vectorize.enabled := false].  The law is total parity:
-   byte-identical tuples and identical cost counters on random
+(* The law: {!Parallel.run} at domains {1, 2, 4} x buffer-pool capacity
+   {one chunk, the default} returns byte-identical tuples and moves every
+   cost counter identically to {!Executor.run}, and a fired guard's
+   violation is identical — prefix rows, progress, resume — on random
    null-bearing data, including empty selections (predicates matching
    nothing), whole chunks disproved by zone maps, and relations sized to
    straddle batch-window and chunk boundaries. *)
 
 (* Five 20-byte string pads push row_bytes to 124, so a chunk holds
    [16 * (8192 / 124)] = 1056 rows — just above [Stream_exec.batch_rows]
-   (1024).  A ~2 200-row table therefore exercises batch splits inside a
-   chunk AND multi-chunk scans without being slow to generate. *)
+   (1024).  Tables of up to three morsels (about 13k rows) therefore
+   exercise batch splits inside a chunk, multi-chunk scans and several
+   morsel batches without being slow to generate. *)
 let vec_schema =
   Schema.create
     ({ Schema.name = "t_id"; ty = Value.T_int }
@@ -487,6 +495,10 @@ let vec_schema =
          [ 1; 2; 3; 4; 5 ])
 
 let vec_chunk_rows = Page.rows_per_chunk vec_schema
+
+(* Morsels are whole chunks covering at least 4 batches: 4 chunks here. *)
+let vec_morsel_rows =
+  vec_chunk_rows * ((4 * Stream_exec.batch_rows + vec_chunk_rows - 1) / vec_chunk_rows)
 
 type vec_case = {
   vc_seed : int;
@@ -513,12 +525,15 @@ let gen_vec_case : vec_case QCheck.Gen.t =
         vec_chunk_rows;
         vec_chunk_rows + 1;
         (2 * vec_chunk_rows) + 17;
+        vec_morsel_rows;
+        vec_morsel_rows + 1;
+        (2 * vec_morsel_rows) + 17;
       ]
   in
   int_bound 1_000_000 >>= fun vc_seed ->
-  oneof [ boundary_sizes; int_range 1 ((2 * vec_chunk_rows) + 300) ] >>= fun vc_big ->
+  oneof [ boundary_sizes; int_range 1 ((3 * vec_morsel_rows) + 300) ] >>= fun vc_big ->
   int_range 1 60 >>= fun vc_dim ->
-  int_bound 7 >>= fun vc_plan ->
+  int_bound 8 >>= fun vc_plan ->
   int_range (-1) (2 * vec_chunk_rows) >>= fun vc_c ->
   int_bound 40 >>= fun vc_k ->
   oneofl [ 1; 7; Stream_exec.batch_rows; Stream_exec.batch_rows + 1; max_int / 2 ]
@@ -587,7 +602,7 @@ let vec_case_plan c =
               { Plan.fn = Plan.Sum (Expr.col "big.t_v"); output_name = "s" };
             ];
         }
-  | _ ->
+  | 7 ->
       (* every batch drained with an empty selection, under a guard *)
       Plan.Guard
         {
@@ -596,28 +611,78 @@ let vec_case_plan c =
           max_q_error = 1e12;
           label = "empty";
         }
+  | _ ->
+      (* a guard that fires mid-scan once the matches outgrow twice the
+         estimate (or at drain when they fall short of half of it) *)
+      Plan.Guard
+        {
+          input = scan keyp;
+          expected_rows = float_of_int (50 * c.vc_k);
+          max_q_error = 2.0;
+          label = "fires";
+        }
 
-let run_plane enabled catalog plan =
-  Vectorize.with_vectorize enabled (fun () ->
-      let meter = Cost.create ~scale:2.0 () in
-      let res = Executor.run ~mode:Executor.Streaming catalog meter plan in
-      (res, Cost.snapshot meter))
 
-let planes_agree ~label catalog plan =
-  let vres, vsnap = run_plane true catalog plan in
-  let rres, rsnap = run_plane false catalog plan in
-  if vres.Executor.tuples <> rres.Executor.tuples then
-    QCheck.Test.fail_reportf "%s: planes returned different tuples (%d vec vs %d row)" label
-      (Array.length vres.Executor.tuples)
-      (Array.length rres.Executor.tuples)
-  else if not (Rq_experiments.Exp_common.snapshots_equal vsnap rsnap) then
-    QCheck.Test.fail_reportf "%s: counters diverge\nvec: %s\nrow: %s" label
-      (Format.asprintf "%a" Cost.pp_snapshot vsnap)
-      (Format.asprintf "%a" Cost.pp_snapshot rsnap)
+let invariance_families = [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ]
+
+(* A run's observable outcome: the tuples, or the violation's prefix rows,
+   progress and resume; plus the meter. *)
+type outcome = Rows of Executor.result | Fired of Executor.violation
+
+let outcome_of run =
+  let meter = Cost.create ~scale:2.0 () in
+  let o =
+    match run meter with
+    | res -> Rows res
+    | exception Executor.Guard_violation v -> Fired v
+  in
+  (o, Cost.snapshot meter)
+
+let outcomes_agree ~label (a, asnap) (b, bsnap) =
+  let same =
+    match (a, b) with
+    | Rows r, Rows s -> r.Executor.tuples = s.Executor.tuples
+    | Fired v, Fired w ->
+        v.Executor.result.Executor.tuples = w.Executor.result.Executor.tuples
+        && v.Executor.actual_rows = w.Executor.actual_rows
+        && v.Executor.complete = w.Executor.complete
+        && v.Executor.progress = w.Executor.progress
+        && v.Executor.resume = w.Executor.resume
+    | _ -> false
+  in
+  if not same then QCheck.Test.fail_reportf "%s: outcomes differ" label
+  else if not (Rq_experiments.Exp_common.snapshots_equal asnap bsnap) then
+    QCheck.Test.fail_reportf "%s: counters diverge\nserial:   %s\nparallel: %s" label
+      (Format.asprintf "%a" Cost.pp_snapshot asnap)
+      (Format.asprintf "%a" Cost.pp_snapshot bsnap)
   else true
 
-let vec_parity_law =
-  QCheck.Test.make ~name:"vectorized plane = row plane (tuples + counters)" ~count:48
+(* The serial run, then every (domains, pool capacity) point. *)
+let invariant pools ~label catalog plan =
+  let serial = outcome_of (fun meter -> Executor.run catalog meter plan) in
+  List.for_all
+    (fun pages ->
+      with_pool_pages pages (fun () ->
+          List.for_all
+            (fun par ->
+              outcomes_agree
+                ~label:
+                  (Printf.sprintf "%s at %d domains, %d-page pool" label (Parallel.domains par)
+                     pages)
+                serial
+                (outcome_of (fun meter -> Parallel.run par catalog meter plan)))
+            pools))
+    [
+      Page.pages_per_chunk;
+      (Buffer_pool.global_stats ()).Buffer_pool.capacity_chunks * Page.pages_per_chunk;
+    ]
+
+let with_pools f =
+  let pools = List.map (fun domains -> Parallel.create ~domains ()) [ 1; 2; 4 ] in
+  Fun.protect ~finally:(fun () -> List.iter Parallel.shutdown pools) (fun () -> f pools)
+
+let invariance_law =
+  QCheck.Test.make ~name:"parallel = serial at every domain count and pool size" ~count:48
     (QCheck.make ~print:render_vec_case gen_vec_case)
     (fun c ->
       let catalog = vec_case_catalog c in
@@ -625,66 +690,78 @@ let vec_parity_law =
       (match Plan.validate catalog plan with
       | Ok () -> ()
       | Error msg -> QCheck.Test.fail_reportf "generator produced invalid plan: %s" msg);
-      planes_agree ~label:(render_vec_case c) catalog plan)
+      with_pools (fun pools -> invariant pools ~label:(render_vec_case c) catalog plan))
 
 (* Deterministic edge sweep: the named boundary shapes, each through every
    plan family.  Redundant with the law above in expectation; pinned here
    so a regression names the exact shape. *)
-let test_vec_edge_shapes () =
-  List.iter
-    (fun (shape, c) ->
+let test_edge_shapes () =
+  with_pools (fun pools ->
       List.iter
-        (fun plan_pick ->
-          let c = { c with vc_plan = plan_pick } in
-          let catalog = vec_case_catalog c in
-          let plan = vec_case_plan c in
-          ignore (planes_agree ~label:(Printf.sprintf "%s/plan%d" shape plan_pick) catalog plan))
-        [ 0; 1; 2; 3; 4; 5; 6; 7 ])
-    [
-      ( "single-row",
-        { vc_seed = 3; vc_big = 1; vc_dim = 1; vc_plan = 0; vc_c = 1; vc_k = 20; vc_limit = 1 }
-      );
-      ( "empty-selection",
-        {
-          vc_seed = 5;
-          vc_big = vec_chunk_rows + 1;
-          vc_dim = 8;
-          vc_plan = 0;
-          vc_c = -1;
-          vc_k = 0;
-          vc_limit = 7;
-        } );
-      ( "batch-boundary",
-        {
-          vc_seed = 7;
-          vc_big = Stream_exec.batch_rows + 1;
-          vc_dim = 8;
-          vc_plan = 0;
-          vc_c = Stream_exec.batch_rows;
-          vc_k = 20;
-          vc_limit = Stream_exec.batch_rows;
-        } );
-      ( "chunk-boundary",
-        {
-          vc_seed = 11;
-          vc_big = vec_chunk_rows;
-          vc_dim = 8;
-          vc_plan = 0;
-          vc_c = vec_chunk_rows - 1;
-          vc_k = 20;
-          vc_limit = vec_chunk_rows;
-        } );
-      ( "multi-chunk-band",
-        {
-          vc_seed = 13;
-          vc_big = (2 * vec_chunk_rows) + 17;
-          vc_dim = 16;
-          vc_plan = 0;
-          vc_c = vec_chunk_rows / 2;
-          vc_k = 20;
-          vc_limit = 100;
-        } );
-    ]
+        (fun (shape, c) ->
+          List.iter
+            (fun plan_pick ->
+              let c = { c with vc_plan = plan_pick } in
+              let catalog = vec_case_catalog c in
+              let plan = vec_case_plan c in
+              ignore
+                (invariant pools ~label:(Printf.sprintf "%s/plan%d" shape plan_pick) catalog plan))
+            invariance_families)
+        [
+          ( "single-row",
+            { vc_seed = 3; vc_big = 1; vc_dim = 1; vc_plan = 0; vc_c = 1; vc_k = 20; vc_limit = 1 }
+          );
+          ( "empty-selection",
+            {
+              vc_seed = 5;
+              vc_big = vec_chunk_rows + 1;
+              vc_dim = 8;
+              vc_plan = 0;
+              vc_c = -1;
+              vc_k = 0;
+              vc_limit = 7;
+            } );
+          ( "batch-boundary",
+            {
+              vc_seed = 7;
+              vc_big = Stream_exec.batch_rows + 1;
+              vc_dim = 8;
+              vc_plan = 0;
+              vc_c = Stream_exec.batch_rows;
+              vc_k = 20;
+              vc_limit = Stream_exec.batch_rows;
+            } );
+          ( "chunk-boundary",
+            {
+              vc_seed = 11;
+              vc_big = vec_chunk_rows;
+              vc_dim = 8;
+              vc_plan = 0;
+              vc_c = vec_chunk_rows - 1;
+              vc_k = 20;
+              vc_limit = vec_chunk_rows;
+            } );
+          ( "multi-morsel",
+            {
+              vc_seed = 17;
+              vc_big = (2 * vec_morsel_rows) + 17;
+              vc_dim = 16;
+              vc_plan = 0;
+              vc_c = vec_morsel_rows + 5;
+              vc_k = 30;
+              vc_limit = vec_morsel_rows + 1;
+            } );
+          ( "multi-chunk-band",
+            {
+              vc_seed = 13;
+              vc_big = (2 * vec_chunk_rows) + 17;
+              vc_dim = 16;
+              vc_plan = 0;
+              vc_c = vec_chunk_rows / 2;
+              vc_k = 20;
+              vc_limit = 100;
+            } );
+        ])
 
 let () =
   Alcotest.run "stream"
@@ -716,10 +793,9 @@ let () =
           Alcotest.test_case "mid-stream reopt returns the right answer" `Quick
             test_reopt_mid_stream_correctness;
         ] );
-      ( "vectorized",
+      ( "invariance",
         [
-          QCheck_alcotest.to_alcotest vec_parity_law;
-          Alcotest.test_case "boundary shapes through every family" `Quick
-            test_vec_edge_shapes;
+          QCheck_alcotest.to_alcotest invariance_law;
+          Alcotest.test_case "boundary shapes through every family" `Quick test_edge_shapes;
         ] );
     ]
