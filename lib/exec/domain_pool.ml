@@ -9,9 +9,8 @@
    idling behind a static partition.
 
    Claims are issued in index order, and a claimed task always runs to
-   completion even when the batch aborts.  Those two facts give the
-   invariant [run_prefix] relies on: at any abort, the set of completed
-   tasks is exactly the contiguous prefix [0, claimed).
+   completion even when the batch aborts, so at any abort the set of
+   completed tasks is exactly the contiguous prefix [0, claimed).
 
    An exception raised by a task aborts the batch (no further claims; tasks
    already in flight on other domains still finish) and is re-raised in the
@@ -141,49 +140,3 @@ let run t n f =
   match b.failure with
   | Some (_, e) -> raise e
   | None -> Array.map Option.get results
-
-(* Like [run], but an abort requested by a task (returning [`Stop]) is not
-   an error: the completed contiguous prefix is returned — tasks already
-   claimed on other domains still finish and are part of it. *)
-let run_prefix t n f =
-  if n < 0 then invalid_arg "Domain_pool.run_prefix: negative task count";
-  let results = Array.make n None in
-  let rec b =
-    {
-      total = n;
-      run =
-        (fun i ->
-          match f i with
-          | `Done v ->
-              results.(i) <- Some v;
-              None
-          | `Stop v ->
-              results.(i) <- Some v;
-              Mutex.lock t.mutex;
-              b.aborted <- true;
-              Mutex.unlock t.mutex;
-              None
-          | exception e -> Some e);
-      next = 0;
-      live = 0;
-      aborted = false;
-      failure = None;
-    }
-  in
-  Mutex.lock t.mutex;
-  t.batch <- Some b;
-  Condition.broadcast t.work;
-  drain_batch t b;
-  while b.live > 0 do
-    Condition.wait t.settled t.mutex
-  done;
-  t.batch <- None;
-  Mutex.unlock t.mutex;
-  (match b.failure with Some (_, e) -> raise e | None -> ());
-  (* Claims are in index order and all claimed tasks completed, so the
-     filled slots are exactly a contiguous prefix. *)
-  let completed = ref 0 in
-  while !completed < n && Option.is_some results.(!completed) do
-    incr completed
-  done;
-  Array.init !completed (fun i -> Option.get results.(i))

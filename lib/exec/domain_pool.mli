@@ -29,9 +29,3 @@ val run : t -> int -> (int -> 'a) -> 'a array
     the results in index order.  If tasks raise, the batch aborts (no new
     claims; in-flight tasks finish) and the exception of the
     smallest-index failed task is re-raised in the caller. *)
-
-val run_prefix : t -> int -> (int -> [ `Done of 'a | `Stop of 'a ]) -> 'a array
-(** Like {!run}, but a task may return [`Stop v] to request an early
-    abort without error: its own result is kept, tasks already in flight
-    finish, no further indices are claimed, and the contiguous completed
-    prefix is returned. *)

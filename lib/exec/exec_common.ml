@@ -37,16 +37,12 @@ let find_index_exn catalog ~table ~column =
    index-intersection cost model: each qualifying record needs a random disk
    read). *)
 let fetch_rids meter rel rids =
-  let count = Rid_set.cardinality rids in
+  let rids = Rid_set.to_array rids in
+  let count = Array.length rids in
   Cost.charge_random_pages meter count;
   Cost.charge_cpu_tuples meter count;
   let out = Array.make count [||] in
-  let i = ref 0 in
-  Rid_set.iter
-    (fun rid ->
-      out.(!i) <- Relation.get rel rid;
-      incr i)
-    rids;
+  Relation.gather rel rids ~lo:0 ~hi:count (fun i tup -> out.(i) <- tup);
   out
 
 let probe_index meter idx { Plan.column = _; lo; hi } =

@@ -314,10 +314,8 @@ let rid_fetch_stream ctx ~table ~pred ~probe_rids =
       let k = stop - !fpos in
       Cost.charge_random_pages ctx.meter k;
       Cost.charge_cpu_tuples ctx.meter k;
-      for i = !fpos to stop - 1 do
-        let tup = Relation.get rel arr.(i) in
-        if check tup then out := tup :: !out
-      done;
+      Relation.gather rel arr ~lo:!fpos ~hi:stop (fun _ tup ->
+          if check tup then out := tup :: !out);
       fpos := stop
     done;
     match !out with [] -> None | rows -> Some (Vbatch.of_tuples (Array.of_list (List.rev rows)))
@@ -690,22 +688,20 @@ let star_semijoin_stream ctx ~fact ~fact_pred ~dims =
       let k = stop - !fpos in
       Cost.charge_random_pages meter k;
       Cost.charge_cpu_tuples meter k;
-      for i = !fpos to stop - 1 do
-        let ftup = Relation.get fact_rel rids.(i) in
-        if check_fact ftup then begin
-          Cost.charge_hash_probe meter nfk;
-          let dim_tuples =
-            List.map (fun (pos, lookup) -> Hashtbl.find_opt lookup ftup.(pos)) fk_positions
-          in
-          if List.for_all Option.is_some dim_tuples then
-            let row =
-              List.fold_left
-                (fun acc d -> Exec_common.concat_tuples acc (Option.get d))
-                ftup dim_tuples
+      Relation.gather fact_rel rids ~lo:!fpos ~hi:stop (fun _ ftup ->
+          if check_fact ftup then begin
+            Cost.charge_hash_probe meter nfk;
+            let dim_tuples =
+              List.map (fun (pos, lookup) -> Hashtbl.find_opt lookup ftup.(pos)) fk_positions
             in
-            out := row :: !out
-        end
-      done;
+            if List.for_all Option.is_some dim_tuples then
+              let row =
+                List.fold_left
+                  (fun acc d -> Exec_common.concat_tuples acc (Option.get d))
+                  ftup dim_tuples
+              in
+              out := row :: !out
+          end);
       fpos := stop
     done;
     finish_batch ctx !out

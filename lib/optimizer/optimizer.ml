@@ -89,21 +89,25 @@ let optimize ?budget ?(rewrite = true) ?record t query =
           | Some p -> [ Enumerate.wrap_top catalog query p ]
           | None -> [])
       in
-      (match wrapped with
+      (* Ranking uses the raw cost function: the fallback plan must still
+         be costable after the budget is spent.  Each candidate is costed
+         once; ranking and [alternatives] share the figures. *)
+      let costed = List.map (fun p -> (p, raw_cost_fn p)) wrapped in
+      (match costed with
       | [] -> Error "no candidate plans (missing indexes or disconnected join graph?)"
       | first :: rest ->
-          (* Ranking uses the raw cost function: the fallback plan must still
-             be costable after the budget is spent. *)
-          let best =
+          (* Strict [<]: the first of equally cheap plans wins. *)
+          let best, _ =
             List.fold_left
-              (fun acc p -> if raw_cost_fn p < raw_cost_fn acc then p else acc)
+              (fun ((_, best_cost) as acc) ((_, cost) as cand) ->
+                if cost < best_cost then cand else acc)
               first rest
           in
           let estimate =
             Costing.estimate catalog ~constants:t.constants ~scale:t.scale t.estimator best
           in
           let alternatives =
-            List.map (fun p -> (Plan.describe p, raw_cost_fn p)) wrapped
+            List.map (fun (p, cost) -> (Plan.describe p, cost)) costed
             |> List.sort (fun (_, a) (_, b) -> Float.compare a b)
           in
           Ok

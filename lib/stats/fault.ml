@@ -221,23 +221,25 @@ let verify_synopsis catalog syn =
           let schema = Relation.schema sample_rel in
           let cols = Array.of_list (Schema.columns schema) in
           let checked = min verify_rows (Relation.row_count sample_rel) in
+          (* The first [checked] rows, each chunk pinned once. *)
+          let iter_checked f =
+            Relation.gather sample_rel (Array.init checked Fun.id) ~lo:0 ~hi:checked f
+          in
           let type_error = ref None in
           (try
-             for r = 0 to checked - 1 do
-               let tup = Relation.get sample_rel r in
-               Array.iteri
-                 (fun i (col : Schema.column) ->
-                   match Value.type_of tup.(i) with
-                   | None -> () (* NULLs are legal in any column *)
-                   | Some ty ->
-                       if ty <> col.Schema.ty && !type_error = None then
-                         type_error :=
-                           Some
-                             (Printf.sprintf "row %d column %s holds %s, declared %s" r
-                                col.Schema.name (Value.ty_to_string ty)
-                                (Value.ty_to_string col.Schema.ty)))
-                 cols
-             done
+             iter_checked (fun r tup ->
+                 Array.iteri
+                   (fun i (col : Schema.column) ->
+                     match Value.type_of tup.(i) with
+                     | None -> () (* NULLs are legal in any column *)
+                     | Some ty ->
+                         if ty <> col.Schema.ty && !type_error = None then
+                           type_error :=
+                             Some
+                               (Printf.sprintf "row %d column %s holds %s, declared %s" r
+                                  col.Schema.name (Value.ty_to_string ty)
+                                  (Value.ty_to_string col.Schema.ty)))
+                   cols)
            with _ -> type_error := Some "sample rows unreadable");
           match !type_error with
           | Some detail -> fail Corrupt detail
@@ -260,14 +262,12 @@ let verify_synopsis catalog syn =
                     let fpos = Schema.index_of schema (fk.from_table ^ "." ^ fk.from_column) in
                     let tpos = Schema.index_of schema (fk.to_table ^ "." ^ fk.to_column) in
                     let bad = ref None in
-                    for r = 0 to checked - 1 do
-                      let tup = Relation.get sample_rel r in
-                      if !bad = None && not (Value.equal tup.(fpos) tup.(tpos)) then
-                        bad :=
-                          Some
-                            (Printf.sprintf "row %d breaks FK %s.%s = %s.%s" r fk.from_table
-                               fk.from_column fk.to_table fk.to_column)
-                    done;
+                    iter_checked (fun r tup ->
+                        if !bad = None && not (Value.equal tup.(fpos) tup.(tpos)) then
+                          bad :=
+                            Some
+                              (Printf.sprintf "row %d breaks FK %s.%s = %s.%s" r
+                                 fk.from_table fk.from_column fk.to_table fk.to_column));
                     !bad)
                   edges
               in

@@ -156,16 +156,32 @@ let evidence t pred = (Pred_index.count (Lazy.force t.kernel) pred, Sample.size 
 let evidence_scan t pred = Sample.evidence t.sample pred
 
 let matching_rows t pred =
-  let idx = Lazy.force t.kernel in
-  let bitmap = Pred_index.eval idx pred in
+  let bitmap = Pred_index.eval (Lazy.force t.kernel) pred in
   let rows = Sample.rows t.sample in
-  let n = Relation.row_count rows in
-  (* Lazily walk the bitmap: downstream consumers (GEE) are single-pass,
-     so the matching rows are never materialized. *)
-  let rec from i () =
-    if i >= n then Seq.Nil
-    else if Bitset.get bitmap i then Seq.Cons (Relation.get rows i, from (i + 1))
-    else from (i + 1) ()
+  let rids = Array.make (Bitset.popcount bitmap) 0 in
+  let k = ref 0 in
+  Bitset.iter_set
+    (fun i ->
+      rids.(!k) <- i;
+      incr k)
+    bitmap;
+  let n = Array.length rids in
+  let rpc = Relation.rows_per_chunk rows in
+  (* Lazily walk the matches one chunk at a time: downstream consumers
+     (GEE) are single-pass, so at most one chunk's matching rows are live,
+     and each chunk is pinned once. *)
+  let rec from lo () =
+    if lo >= n then Seq.Nil
+    else begin
+      let ci = rids.(lo) / rpc in
+      let hi = ref lo in
+      while !hi < n && rids.(!hi) / rpc = ci do
+        incr hi
+      done;
+      let tuples = Array.make (!hi - lo) [||] in
+      Relation.gather rows rids ~lo ~hi:!hi (fun i tup -> tuples.(i - lo) <- tup);
+      Seq.append (Array.to_seq tuples) (from !hi) ()
+    end
   in
   from 0
 

@@ -62,8 +62,8 @@ val evidence_scan : t -> Pred.t -> int * int
 
 val matching_rows : t -> Pred.t -> Relation.tuple Seq.t
 (** The sample rows satisfying [pred], lazily walked off the kernel's
-    satisfaction bitmap — the streaming input to GROUP-BY distinct
-    estimation; nothing is materialized. *)
+    satisfaction bitmap one chunk at a time — the streaming input to
+    GROUP-BY distinct estimation; at most one chunk's matches are live. *)
 
 val kernel_stats : t -> Rq_obs.Metrics.kernel
 (** Cumulative kernel counters; all-zero if no evidence query has forced

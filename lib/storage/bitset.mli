@@ -13,8 +13,8 @@ val full : int -> t
 (** All-ones bitset of the given length. *)
 
 val of_pred : len:int -> (int -> bool) -> t
-(** [of_pred ~len f] sets bit [i] iff [f i] — the one row-at-a-time scan an
-    atomic predicate ever pays. *)
+(** [of_pred ~len f] sets bit [i] iff [f i] — the per-chunk atom kernel
+    behind scans and evidence bitmaps. *)
 
 val length : t -> int
 

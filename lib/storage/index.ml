@@ -8,7 +8,16 @@ type t = {
 let build rel column =
   let pos = Schema.index_of (Relation.schema rel) column in
   let n = Relation.row_count rel in
-  let pairs = Array.init n (fun rid -> ((Relation.get rel rid).(pos), rid)) in
+  let pairs = Array.make n (Value.Null, 0) in
+  (* One sequential pass, reading only the key column of each chunk. *)
+  for ci = 0 to Relation.chunk_count rel - 1 do
+    let base = Relation.chunk_start rel ci in
+    Relation.with_chunk ~seq:true rel ci (fun chunk ->
+        let keys = Chunk.column chunk pos in
+        for r = 0 to Chunk.n_rows chunk - 1 do
+          pairs.(base + r) <- (keys.(r), base + r)
+        done)
+  done;
   Array.sort
     (fun (k1, r1) (k2, r2) ->
       let c = Value.compare k1 k2 in

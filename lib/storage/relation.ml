@@ -183,15 +183,40 @@ let zone_map t ci = t.zone_maps.(ci)
 
 (* -- Row access (all through the buffer pool) ---------------------------- *)
 
-let get t rid =
+let check_rid t rid =
   if rid < 0 || rid >= t.n_rows then
-    invalid_arg (Printf.sprintf "Relation.get %s: rid %d out of range" t.name rid);
+    invalid_arg (Printf.sprintf "Relation.get %s: rid %d out of range" t.name rid)
+
+let get t rid =
+  check_rid t rid;
   let ci = rid / t.rows_per_chunk in
   with_chunk t ci (fun chunk -> Chunk.get chunk (rid mod t.rows_per_chunk))
 
+let gather t rids ~lo ~hi f =
+  if lo < 0 || hi > Array.length rids || lo > hi then
+    invalid_arg
+      (Printf.sprintf "Relation.gather %s: window [%d, %d) outside [0, %d)" t.name lo hi
+         (Array.length rids));
+  let rpc = t.rows_per_chunk in
+  let i = ref lo in
+  while !i < hi do
+    let rid = rids.(!i) in
+    check_rid t rid;
+    let ci = rid / rpc in
+    let base = ci * rpc in
+    let stop = min t.n_rows (base + rpc) in
+    (* One pin covers the whole run of RIDs that stay in this chunk. *)
+    with_chunk t ci (fun chunk ->
+        let in_run = ref true in
+        while !in_run do
+          f !i (Chunk.get chunk (rids.(!i) - base));
+          incr i;
+          in_run := !i < hi && rids.(!i) >= base && rids.(!i) < stop
+        done)
+  done
+
 let column_value t rid col =
-  if rid < 0 || rid >= t.n_rows then
-    invalid_arg (Printf.sprintf "Relation.get %s: rid %d out of range" t.name rid);
+  check_rid t rid;
   let ci = rid / t.rows_per_chunk in
   with_chunk t ci (fun chunk ->
       Chunk.value chunk ~col:(Schema.index_of t.schema col)

@@ -72,7 +72,15 @@ val evict : t -> unit
     reads still work: they fault the chunks in again. *)
 
 val get : t -> int -> tuple
-(** Tuple by RID (0-based); raises [Invalid_argument] out of range. *)
+(** Tuple by RID (0-based); raises [Invalid_argument] out of range.  One
+    pin per call: loops over many RIDs use {!gather}. *)
+
+val gather : t -> int array -> lo:int -> hi:int -> (int -> tuple -> unit) -> unit
+(** [gather t rids ~lo ~hi f] calls [f i (get t rids.(i))] for each
+    [lo <= i < hi], in order, pinning once per run of consecutive RIDs
+    that fall in one chunk rather than once per row.  Raises [Invalid_argument]
+    on a window outside [rids] or, when reached, a RID out of range (rows
+    before it have been delivered); the pin is released if [f] raises. *)
 
 val column_value : t -> int -> string -> Value.t
 (** [column_value t rid col] — a single-cell columnar read. *)

@@ -1,5 +1,5 @@
 (* Morsel-parallel execution suite: the domain pool's claiming discipline
-   (in-order claims, contiguous completed prefix on abort), exact parity
+   (in-order results, smallest-index failure wins), exact parity
    of the prefetching parallel executor with the serial engine — result
    tuples and every cost counter, at every pool size — the parallel
    guard's firing with an exactly-resumable prefix, span/meter
@@ -99,28 +99,6 @@ let test_pool_reraises_smallest_index () =
       (* The pool survives an aborted batch. *)
       let ok = Domain_pool.run pool 4 (fun i -> i) in
       check_int "pool alive after abort" 3 ok.(3))
-
-let test_pool_prefix_is_contiguous () =
-  List.iter
-    (fun domains ->
-      let pool = Domain_pool.create ~domains () in
-      Fun.protect
-        ~finally:(fun () -> Domain_pool.shutdown pool)
-        (fun () ->
-          let stop_at = 7 in
-          let prefix =
-            Domain_pool.run_prefix pool 40 (fun i ->
-                if i = stop_at then `Stop (i * 10) else `Done (i * 10))
-          in
-          let k = Array.length prefix in
-          (* Claims are issued in order and claimed tasks finish, so the
-             stopping task and everything before it are always present. *)
-          check_bool "prefix covers the stopper" true (k > stop_at);
-          check_bool "prefix did not run the whole batch" true (k < 40 || domains = 1);
-          Array.iteri
-            (fun i r -> check_int (Printf.sprintf "prefix slot %d" i) (i * 10) r)
-            prefix))
-    [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Parallel = serial, counter for counter                              *)
@@ -358,8 +336,6 @@ let () =
           Alcotest.test_case "runs every index in order" `Quick test_pool_runs_in_order;
           Alcotest.test_case "re-raises the smallest failed index" `Quick
             test_pool_reraises_smallest_index;
-          Alcotest.test_case "stop yields a contiguous prefix" `Quick
-            test_pool_prefix_is_contiguous;
         ] );
       ( "parity",
         [

@@ -670,34 +670,89 @@ let kernel_fixture () =
   in
   Relation.create ~name:"kernel_fixture" ~schema rows
 
-let test_pred_index_counts () =
-  let rel = kernel_fixture () in
+let kernel_preds =
+  [
+    Pred.le (Expr.col "q") (Expr.int 10);
+    Pred.And [ Pred.le (Expr.col "q") (Expr.int 10); Pred.Contains (Expr.col "tag", "ev") ];
+    Pred.Or [ Pred.eq (Expr.col "q") (Expr.int 3); Pred.Contains (Expr.col "tag", "odd") ];
+    Pred.Not (Pred.le (Expr.col "q") (Expr.int 10));
+    Pred.True;
+    Pred.False;
+  ]
+
+(* Every predicate of [kernel_preds]: the kernel's count over [rel] equals
+   the row scan's over the same rows, cold and then from cached bitmaps,
+   and every bit sits on the row it describes. *)
+let check_kernel_matches_scan label rel =
   let idx = Pred_index.create rel in
+  let rows = Array.of_seq (Relation.to_seq rel) in
   let sample =
-    Sample.of_rows
-      ~rows:(Array.of_seq (Relation.to_seq rel))
-      ~schema:(Relation.schema rel) ~population_size:1000 ~name:"s"
-  in
-  let preds =
-    [
-      Pred.le (Expr.col "q") (Expr.int 10);
-      Pred.And [ Pred.le (Expr.col "q") (Expr.int 10); Pred.Contains (Expr.col "tag", "ev") ];
-      Pred.Or [ Pred.eq (Expr.col "q") (Expr.int 3); Pred.Contains (Expr.col "tag", "odd") ];
-      Pred.Not (Pred.le (Expr.col "q") (Expr.int 10));
-      Pred.True;
-      Pred.False;
-    ]
+    Sample.of_rows ~rows ~schema:(Relation.schema rel)
+      ~population_size:(10 * Relation.row_count rel) ~name:"s"
   in
   List.iter
     (fun pred ->
       let expected = Sample.count_matching sample pred in
-      check_int ("kernel = scan: " ^ Pred.render pred) expected (Pred_index.count idx pred);
+      check_int (label ^ " kernel = scan: " ^ Pred.render pred) expected
+        (Pred_index.count idx pred);
       (* second ask: served from cached bitmaps, same answer *)
-      check_int ("cached: " ^ Pred.render pred) expected (Pred_index.count idx pred))
-    preds;
+      check_int (label ^ " cached: " ^ Pred.render pred) expected (Pred_index.count idx pred);
+      let check = Pred.compile (Relation.schema rel) pred in
+      check_bool (label ^ " bit per row: " ^ Pred.render pred) true
+        (Bitset.equal
+           (Bitset.of_pred ~len:(Array.length rows) (fun i -> check rows.(i)))
+           (Pred_index.eval idx pred)))
+    kernel_preds;
   let stats = Pred_index.stats idx in
   check_bool "bitmaps were built" true (stats.Rq_obs.Metrics.bitmaps_built > 0);
   check_bool "cache hits recorded" true (stats.Rq_obs.Metrics.bitmap_hits > 0)
+
+let test_pred_index_counts () = check_kernel_matches_scan "one chunk" (kernel_fixture ())
+
+(* The kernel builds bitmaps chunk by chunk, so chunk boundaries must not
+   shift or drop bits.  Six padding strings make a row 132 bytes: 62 rows
+   per page and 992 rows per chunk, so every chunk after the first starts
+   mid-word (992 = 15.5 * 64).  Every column holds nulls. *)
+let multi_chunk_schema =
+  Schema.create
+    ([
+       { Schema.name = "q"; ty = Value.T_int };
+       { Schema.name = "tag"; ty = Value.T_string };
+       { Schema.name = "d"; ty = Value.T_date };
+     ]
+    @ List.init 5 (fun i -> { Schema.name = Printf.sprintf "pad%d" i; ty = Value.T_string }))
+
+let multi_chunk_row i =
+  Array.append
+    [|
+      (if i mod 10 = 9 then Value.Null else v_int (i mod 20));
+      (if i mod 7 = 0 then Value.Null else Value.String (if i mod 2 = 0 then "even" else "odd"));
+      (if i mod 13 = 0 then Value.Null else Value.Date (i mod 400));
+    |]
+    (Array.init 5 (fun c -> if (i + c) mod 11 = 0 then Value.Null else Value.String "p"))
+
+let test_pred_index_counts_multi_chunk () =
+  let before =
+    (Buffer_pool.global_stats ()).Buffer_pool.capacity_chunks * Page.pages_per_chunk
+  in
+  (* A pool of one chunk: building a bitmap must not hold two pins. *)
+  Buffer_pool.configure ~capacity_pages:Page.pages_per_chunk;
+  Fun.protect
+    ~finally:(fun () -> Buffer_pool.configure ~capacity_pages:before)
+    (fun () ->
+      List.iter
+        (fun spill ->
+          let b =
+            Relation.Builder.create ~spill ~name:"kernel_chunks" ~schema:multi_chunk_schema ()
+          in
+          for i = 0 to 2_499 do
+            Relation.Builder.add_row b (multi_chunk_row i)
+          done;
+          let rel = Relation.Builder.finish b in
+          check_bool "at least three chunks" true (Relation.chunk_count rel >= 3);
+          check_bool "chunk starts fall mid-word" true (Relation.rows_per_chunk rel mod 64 <> 0);
+          check_kernel_matches_scan (if spill then "spill" else "heap") rel)
+        [ false; true ])
 
 let test_pred_index_eviction () =
   let rel = kernel_fixture () in
@@ -979,6 +1034,8 @@ let () =
             test_lru_reinsert_at_capacity_evicts_nothing;
           Alcotest.test_case "lru remove is silent" `Quick test_lru_remove_is_silent;
           Alcotest.test_case "pred_index counts match scan" `Quick test_pred_index_counts;
+          Alcotest.test_case "pred_index counts match scan across chunks" `Quick
+            test_pred_index_counts_multi_chunk;
           Alcotest.test_case "pred_index eviction" `Quick test_pred_index_eviction;
           Alcotest.test_case "pred_index combined pred after eviction" `Quick
             test_pred_index_combined_after_eviction;

@@ -547,6 +547,77 @@ let test_builder_spill_roundtrip () =
     |> List.fold_left ( + ) 0)
 
 (* ------------------------------------------------------------------ *)
+(* Gather by RID                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Three chunks of 4096, 4096 and 808 rows. *)
+let gather_rows = builder_rows 9_000
+let gather_rel = lazy (Relation.create ~name:"gathered" ~schema:sample_schema gather_rows)
+
+let gen_rid_window =
+  let n = Array.length gather_rows and rpc = 4096 in
+  let sorted cmp l =
+    let a = Array.of_list l in
+    Array.sort cmp a;
+    a
+  in
+  let some_rids = QCheck.Gen.(list_size (int_bound 300) (int_bound (n - 1))) in
+  QCheck.Gen.(
+    oneof
+      [
+        map (sorted compare) some_rids;
+        map (sorted (fun a b -> compare b a)) some_rids;
+        (* duplicates, unsorted: a handful of RIDs drawn again and again *)
+        map Array.of_list (list_size (int_bound 300) (map (fun k -> k * 1_999 mod n) (int_bound 6)));
+        (* one consecutive run straddling a chunk boundary *)
+        map2
+          (fun boundary len ->
+            let start = max 0 ((boundary * rpc) - (len / 2)) in
+            Array.init len (fun i -> min (n - 1) (start + i)))
+          (int_range 1 2) (int_range 1 (2 * rpc));
+        return [||];
+      ]
+    >>= fun rids ->
+    let len = Array.length rids in
+    map2 (fun a b -> (rids, min a b, max a b)) (int_bound len) (int_bound len))
+
+let prop_gather_is_mapped_get =
+  QCheck.Test.make ~name:"gather = Array.map get over the window" ~count:300
+    (QCheck.make
+       ~print:(fun (rids, lo, hi) ->
+         Printf.sprintf "%d rids, window [%d, %d)" (Array.length rids) lo hi)
+       gen_rid_window)
+    (fun (rids, lo, hi) ->
+      let rel = Lazy.force gather_rel in
+      let got = ref [] in
+      Relation.gather rel rids ~lo ~hi (fun i tup -> got := (i, tup) :: !got);
+      List.rev !got
+      = List.init (hi - lo) (fun k -> (lo + k, Relation.get rel rids.(lo + k))))
+
+let test_gather_raises_and_unpins () =
+  let rel = Lazy.force gather_rel in
+  let resident () = (Buffer_pool.global_stats ()).Buffer_pool.resident_chunks in
+  Relation.evict rel;
+  let before = resident () in
+  Alcotest.check_raises "rid out of range"
+    (Invalid_argument "Relation.get gathered: rid 9000 out of range") (fun () ->
+      Relation.gather rel [| 0; 1; 9_000 |] ~lo:0 ~hi:3 (fun _ _ -> ()));
+  Alcotest.check_raises "negative rid"
+    (Invalid_argument "Relation.get gathered: rid -1 out of range") (fun () ->
+      Relation.gather rel [| 4_095; 4_096; -1 |] ~lo:0 ~hi:3 (fun _ _ -> ()));
+  check_bool "window outside the array" true
+    (try
+       Relation.gather rel [| 0 |] ~lo:0 ~hi:2 (fun _ _ -> ());
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.check_raises "f raising mid-run" Exit (fun () ->
+      Relation.gather rel [| 10; 11; 12 |] ~lo:0 ~hi:3 (fun i _ -> if i = 1 then raise Exit));
+  (* Evicting drops only unpinned chunks, so any pin leaked above would
+     leave its chunk resident. *)
+  Relation.evict rel;
+  check_int "no chunk left pinned" before (resident ())
+
+(* ------------------------------------------------------------------ *)
 (* Streaming CSV reader                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -870,6 +941,10 @@ let () =
           Alcotest.test_case "heap matches create" `Quick test_builder_heap_matches_create;
           Alcotest.test_case "spill roundtrip" `Quick test_builder_spill_roundtrip;
         ] );
+      ( "gather",
+        Alcotest.test_case "raises out of range, leaks no pin" `Quick
+          test_gather_raises_and_unpins
+        :: qcheck [ prop_gather_is_mapped_get ] );
       ( "catalog",
         [
           Alcotest.test_case "tables" `Quick test_catalog_tables;
