@@ -82,12 +82,12 @@ let build_bitmap schema pred =
         let compiled = Pred.compile schema atom in
         fun chunk n ->
           (* The scratch tuple is per-invocation: bitmaps are computed
-             on several domains at once by the morsel prefetch. *)
+             on several domains at once by the morsel prefetch.  Only the
+             atom's columns are forced (decoded, for a spilled chunk). *)
           let scratch = Array.make arity Value.Null in
+          let cols = List.map (fun i -> (i, Chunk.column chunk i)) idxs in
           Bitset.of_pred ~len:n (fun r ->
-              List.iter
-                (fun i -> scratch.(i) <- Chunk.value chunk ~col:i ~row:r)
-                idxs;
+              List.iter (fun (i, col) -> scratch.(i) <- col.(r)) cols;
               compiled scratch)
   in
   build pred

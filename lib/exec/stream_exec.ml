@@ -97,12 +97,19 @@ let rec finalize_span node =
 (* Generic plumbing                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Drain to tuples: the breakers' input and the final output. *)
-let drain_all (op : Stream.t) =
+(* Drain to tuples: the breakers' input and the final output.  With
+   [~live], [live.(c)] is set once some batch carries column [c] unpruned. *)
+let drain_all ?live (op : Stream.t) =
   let acc = ref [] in
   let rec go () =
     match op.Stream.next_batch () with
     | Some vb ->
+        Option.iter
+          (fun live ->
+            Array.iteri
+              (fun c col -> if not (Vbatch.pruned col) then live.(c) <- true)
+              vb.Vbatch.cols)
+          live;
         acc := Vbatch.to_tuples vb :: !acc;
         go ()
     | None -> ()
@@ -199,12 +206,16 @@ let prefetch ms ~rel ~bitmap ~m ~first tasks ready =
    the planner's read-page/read-row totals (= page_count/row_count when
    nothing prunes), and stopping early leaves the tail pages unread.
 
-   A window's batch shares the chunk's column arrays zero-copy; its
-   selection is the window ∧ the chunk's predicate bitmap, computed once
-   per chunk (by the morsel pool when there is one).  Zero-match windows
-   are charged but not emitted. *)
-let seq_scan_stream ctx ~table ~pred ~from =
+   A window's batch shares zero-copy the chunk's arrays of the columns
+   [keep_cols] accepts (matched by qualified name) and prunes the rest, so
+   a spilled chunk decodes only the columns the predicate bitmap or some
+   operator above reads; its selection is the window ∧ the chunk's
+   predicate bitmap, computed once per chunk (by the morsel pool when there
+   is one).  Zero-match windows are charged but not emitted. *)
+let seq_scan_stream ctx ~table ~pred ~from ~keep_cols =
   let rel = Catalog.find_table ctx.catalog table in
+  let schema = Exec_common.qualified_schema ctx.catalog table in
+  let keep = Array.of_list (List.map keep_cols (Schema.columns schema)) in
   let n = Relation.row_count rel in
   let from = min (max 0 from) n in
   let rpp = Relation.rows_per_page rel in
@@ -276,15 +287,14 @@ let seq_scan_stream ctx ~table ~pred ~from =
                   | None -> Bitset.window (Chunk.n_rows chunk) ~lo ~hi
                   | Some b -> Bitset.inter_window b ~lo ~hi
                 in
-                if Bitset.popcount sel > 0 then out := Some (Vbatch.of_chunk chunk ~sel));
+                if Bitset.popcount sel > 0 then out := Some (Vbatch.of_chunk chunk ~keep ~sel));
             pos := stop;
             if stop >= t.hi then tasks := rest
           end
     done;
     !out
   in
-  Stream.make
-    ~schema:(Exec_common.qualified_schema ctx.catalog table)
+  Stream.make ~schema
     ~progress:(fun () ->
       if n = from then 1.0 else float_of_int (!pos - from) /. float_of_int (n - from))
     ~resume:(fun () ->
@@ -394,13 +404,16 @@ let hash_join_stream ctx ~(bop : Stream.t) ~(pop : Stream.t) ~build_key ~probe_k
     match !table with
     | Some t -> t
     | None ->
-        let build_rows = drain_all bop in
+        let live = Array.make barity false in
+        let build_rows = drain_all ~live bop in
         let n = Array.length build_rows in
-        (* Columnarize the build side once; buckets hold build row indices
-           (in build-input order) so probing is one [find_opt] plus an
+        (* Columnarize the build side once (columns pruned in every build
+           batch stay pruned); buckets hold build row indices (in
+           build-input order) so probing is one [find_opt] plus an
            allocation-free walk over an int array per probe row. *)
         let bcols =
-          Array.init barity (fun c -> Array.init n (fun r -> build_rows.(r).(c)))
+          Array.init barity (fun c ->
+              if live.(c) then Array.init n (fun r -> build_rows.(r).(c)) else [||])
         in
         let grouped = Hashtbl.create (max 16 n) in
         for r = 0 to n - 1 do
@@ -459,24 +472,20 @@ let hash_join_stream ctx ~(bop : Stream.t) ~(pop : Stream.t) ~build_key ~probe_k
           let k = !len in
           if k > 0 then begin
             let bis = !bis and pis = !pis in
-            let parity = Array.length pcols in
-            let cols = Array.make (barity + parity) [||] in
-            for c = 0 to barity - 1 do
-              let src = bcols.(c) in
-              let dst = Array.make k src.(bis.(0)) in
-              for j = 1 to k - 1 do
-                dst.(j) <- src.(bis.(j))
-              done;
-              cols.(c) <- dst
-            done;
-            for c = 0 to parity - 1 do
-              let src = pcols.(c) in
-              let dst = Array.make k src.(pis.(0)) in
-              for j = 1 to k - 1 do
-                dst.(j) <- src.(pis.(j))
-              done;
-              cols.(barity + c) <- dst
-            done;
+            (* Pruned columns stay pruned: nothing downstream reads them. *)
+            let gather src idx =
+              if Vbatch.pruned src then src
+              else begin
+                let dst = Array.make k src.(idx.(0)) in
+                for j = 1 to k - 1 do
+                  dst.(j) <- src.(idx.(j))
+                done;
+                dst
+              end
+            in
+            let cols = Array.make (barity + Array.length pcols) [||] in
+            Array.iteri (fun c src -> cols.(c) <- gather src bis) bcols;
+            Array.iteri (fun c src -> cols.(barity + c) <- gather src pis) pcols;
             Cost.charge_output_tuples ctx.meter k;
             result := Some { Vbatch.cols; n_rows = k; sel = Bitset.full k }
           end
@@ -923,61 +932,101 @@ let append_stream ~schema parts =
     next_batch
 
 (* ------------------------------------------------------------------ *)
+(* Column requirements                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The qualified columns an operator's consumers read, passed top-down
+   through compilation so sequential scans prune the rest.  A need may
+   over-approximate: one set flows into both join inputs, and a name an
+   input lacks, or does not need, only keeps a column.  A missing name
+   would feed [Null] to its reader. *)
+module Names = Set.Make (String)
+
+type need =
+  | All  (* the root, and a guard's input: violation results are full-width *)
+  | Cols of Names.t
+
+let with_cols need cols =
+  match need with
+  | All -> All
+  | Cols names -> Cols (List.fold_left (fun acc c -> Names.add c acc) names cols)
+
+let only cols = Cols (Names.of_list cols)
+
+let agg_columns aggs =
+  List.concat_map
+    (fun { Plan.fn; _ } ->
+      match fn with
+      | Plan.Count_star -> []
+      | Plan.Count e | Plan.Sum e | Plan.Avg e | Plan.Min e | Plan.Max e -> Expr.columns e)
+    aggs
+
+let needed need { Schema.name; _ } =
+  match need with All -> true | Cols names -> Names.mem name names
+
+(* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
 (* Compile a plan to its operator tree; with a recorder attached, every
    operator is wrapped in a span accumulator whose children follow the
-   same order {!Explain_analyze} walks plan children in. *)
-let rec compile ctx plan : Stream.t * span_node option =
+   same order {!Explain_analyze} walks plan children in.  [need] is what
+   the parent reads of this node's output; each node hands its inputs that
+   plus what it reads itself. *)
+let rec compile ctx need plan : Stream.t * span_node option =
   let op, child_spans =
     match plan with
     | Plan.Scan { table; access; pred } -> (
         match access with
-        | Plan.Seq_scan -> (seq_scan_stream ctx ~table ~pred ~from:0, [])
+        | Plan.Seq_scan ->
+            (seq_scan_stream ctx ~table ~pred ~from:0 ~keep_cols:(needed need), [])
         | Plan.Index_range probe -> (index_range_stream ctx ~table ~pred ~probe, [])
         | Plan.Index_intersect probes -> (index_intersect_stream ctx ~table ~pred ~probes, [])
         | Plan.Index_order { column; descending } ->
             (index_order_stream ctx ~table ~pred ~column ~descending, []))
     | Plan.Scan_resume { table; pred; from_rid } ->
-        (seq_scan_stream ctx ~table ~pred ~from:from_rid, [])
+        (seq_scan_stream ctx ~table ~pred ~from:from_rid ~keep_cols:(needed need), [])
     | Plan.Materialized { schema; tuples; _ } -> (materialized_stream ~schema ~tuples, [])
     | Plan.Hash_join { build; probe; build_key; probe_key } ->
-        let bop, bspan = compile ctx build in
-        let pop, pspan = compile ctx probe in
+        let need = with_cols need [ build_key; probe_key ] in
+        let bop, bspan = compile ctx need build in
+        let pop, pspan = compile ctx need probe in
         (hash_join_stream ctx ~bop ~pop ~build_key ~probe_key, [ bspan; pspan ])
     | Plan.Merge_join { left; right; left_key; right_key } ->
-        let lop, lspan = compile ctx left in
-        let rop, rspan = compile ctx right in
+        let need = with_cols need [ left_key; right_key ] in
+        let lop, lspan = compile ctx need left in
+        let rop, rspan = compile ctx need right in
         ( merge_join_stream ctx ~left_plan:left ~right_plan:right ~lop ~rop ~left_key
             ~right_key,
           [ lspan; rspan ] )
     | Plan.Indexed_nl_join { outer; outer_key; inner_table; inner_key; inner_pred } ->
-        let oop, ospan = compile ctx outer in
+        let oop, ospan = compile ctx (with_cols need [ outer_key ]) outer in
         (inl_join_stream ctx ~oop ~outer_key ~inner_table ~inner_key ~inner_pred, [ ospan ])
     | Plan.Star_semijoin { fact; fact_pred; dims } ->
         (star_semijoin_stream ctx ~fact ~fact_pred ~dims, [])
     | Plan.Filter (input, pred) ->
-        let iop, ispan = compile ctx input in
+        let iop, ispan = compile ctx (with_cols need (Pred.columns pred)) input in
         (filter_stream ctx ~iop ~pred, [ ispan ])
     | Plan.Project (input, cols) ->
-        let iop, ispan = compile ctx input in
+        let iop, ispan = compile ctx (only cols) input in
         (project_stream ctx ~iop ~cols, [ ispan ])
     | Plan.Sort { input; keys } ->
-        let iop, ispan = compile ctx input in
+        let iop, ispan =
+          compile ctx (with_cols need (List.map (fun k -> k.Plan.sort_column) keys)) input
+        in
         (sort_stream ctx ~iop ~keys, [ ispan ])
     | Plan.Limit (input, n) ->
-        let iop, ispan = compile ctx input in
+        let iop, ispan = compile ctx need input in
         (limit_stream ctx ~iop ~n, [ ispan ])
     | Plan.Aggregate { input; group_by; aggs } ->
-        let iop, ispan = compile ctx input in
+        let iop, ispan = compile ctx (only (group_by @ agg_columns aggs)) input in
         (aggregate_stream ctx ~plan ~iop ~group_by ~aggs, [ ispan ])
     | Plan.Guard { input; expected_rows; max_q_error; label } ->
-        let iop, ispan = compile ctx input in
+        let iop, ispan = compile ctx All input in
         ( guard_stream ctx ~iop ~input_plan:input ~expected_rows ~max_q_error ~label,
           [ ispan ] )
     | Plan.Append parts ->
-        let compiled = List.map (compile ctx) parts in
+        let compiled = List.map (compile ctx need) parts in
         let schema =
           match compiled with
           | [] -> invalid_arg "Executor: Append needs at least one input"
@@ -1001,7 +1050,7 @@ let rec compile ctx plan : Stream.t * span_node option =
 
 let run ?obs ?morsels catalog meter plan =
   let ctx = { catalog; meter; obs; morsels } in
-  let op, span = compile ctx plan in
+  let op, span = compile ctx All plan in
   let attach () =
     match (ctx.obs, span) with
     | Some r, Some node -> Rq_obs.Recorder.attach_span r (finalize_span node)

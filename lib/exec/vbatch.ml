@@ -8,6 +8,11 @@
    content of a batch is exactly its selected rows in ascending physical
    order.  Producers never emit a batch with an empty selection.
 
+   A column no operator downstream reads may be pruned: it is the empty
+   array, never decoded from a spilled chunk, and materializes as [Null].
+   Batches are never empty, so a live column always has length >= 1 and
+   "pruned" is tested by length, not by physical equality.
+
    Rows are materialized as tuples only at breaker boundaries (hash build
    sides, sorts, merge inputs) and at final output — late materialization
    is where the wall-clock win comes from; the cost counters never see the
@@ -16,15 +21,18 @@
 open Rq_storage
 
 type t = {
-  cols : Value.t array array;  (* cols.(c).(r), each length >= n_rows *)
+  cols : Value.t array array;  (* cols.(c).(r), each length >= n_rows or 0 (pruned) *)
   n_rows : int;                (* physical rows covered by [sel] *)
   sel : Bitset.t;              (* length = n_rows; the live rows *)
 }
 
 let selected t = Bitset.popcount t.sel
 
-let of_chunk chunk ~sel =
-  { cols = Chunk.columns chunk; n_rows = Chunk.n_rows chunk; sel }
+let pruned col = Array.length col = 0
+
+let of_chunk chunk ~keep ~sel =
+  let cols = Array.mapi (fun c kept -> if kept then Chunk.column chunk c else [||]) keep in
+  { cols; n_rows = Chunk.n_rows chunk; sel }
 
 (* View the physical rows as a chunk so the per-chunk bitmap kernels
    ({!Chunk_scan.bitmap}) run on any batch unchanged.  Zero-copy. *)
@@ -46,7 +54,8 @@ let to_tuples t =
     (fun i ->
       let row = Array.make arity Value.Null in
       for c = 0 to arity - 1 do
-        row.(c) <- t.cols.(c).(i)
+        let col = t.cols.(c) in
+        if not (pruned col) then row.(c) <- col.(i)
       done;
       out.(!j) <- row;
       incr j)

@@ -5,12 +5,17 @@
     order.  Column arrays are shared and never mutated: scan batches alias
     the pinned chunk's columns zero-copy, projection drops column
     references without copying, and filters refine only [sel].  Producers
-    never emit an empty selection. *)
+    never emit an empty selection.
+
+    A column nothing downstream reads may be {e pruned}: the empty array
+    (see {!pruned}).  Scans prune so that a spilled chunk never decodes it;
+    gathers skip it and {!to_tuples} writes [Null] in its place. *)
 
 open Rq_storage
 
 type t = {
-  cols : Value.t array array;  (** [cols.(c).(r)]; each length >= [n_rows] *)
+  cols : Value.t array array;
+      (** [cols.(c).(r)]; each length >= [n_rows], or 0 when pruned *)
   n_rows : int;                (** physical rows covered by [sel] *)
   sel : Bitset.t;              (** length [n_rows]; the live rows *)
 }
@@ -19,13 +24,18 @@ val selected : t -> int
 (** [Bitset.popcount sel] — the batch's logical row count, the amount every
     per-tuple cost charge is denominated in. *)
 
-val of_chunk : Chunk.t -> sel:Bitset.t -> t
-(** Zero-copy over the chunk's columns; [sel] must have length
-    [Chunk.n_rows]. *)
+val pruned : Value.t array -> bool
+(** A pruned column: length 0 (a live column is never empty). *)
+
+val of_chunk : Chunk.t -> keep:bool array -> sel:Bitset.t -> t
+(** Zero-copy over the chunk's columns [c] with [keep.(c)], the others
+    pruned and never forced; [keep] has one entry per column and [sel]
+    length [Chunk.n_rows]. *)
 
 val chunk_view : t -> Chunk.t
 (** Zero-copy chunk view over the physical rows, so {!Chunk_scan.bitmap}
-    kernels evaluate predicate atoms on any batch. *)
+    kernels evaluate predicate atoms on any batch whose predicate columns
+    are live. *)
 
 val of_tuples : Relation.tuple array -> t
 (** Transpose a non-empty row batch; full selection.  How operators that
@@ -34,7 +44,8 @@ val of_tuples : Relation.tuple array -> t
 
 val to_tuples : t -> Relation.tuple array
 (** Materialize the selected rows as fresh tuples, ascending — the late
-    materialization at breaker boundaries and final output. *)
+    materialization at breaker boundaries and final output.  Pruned
+    columns read as [Null]. *)
 
 val project : t -> int array -> t
 (** Keep only the given column positions (shared arrays, no copy). *)

@@ -12,13 +12,17 @@
    [Builder] grows a relation row-by-row with only the current chunk
    buffered; with [~spill:true] sealed chunks are marshalled to a temp
    file, which is what lets a TPC-H SF 1 lineitem (~6M rows) exist without
-   ~6M tuples live on the OCaml heap. *)
+   ~6M tuples live on the OCaml heap.  The spill layout is per column:
+   each column of a sealed chunk is its own marshal at a recorded offset,
+   so a fault hands out a chunk that reads and decodes only the columns
+   somebody touches ({!Chunk.of_decoder}). *)
 
 type tuple = Value.t array
 
 type store =
   | Heap of Chunk.t array
-  | Spill of { path : string; offsets : int array }
+  | Spill of { path : string; offsets : int array array }
+      (* offsets.(ci).(c): file offset of chunk [ci]'s column [c] *)
 
 type t = {
   name : string;
@@ -28,28 +32,34 @@ type t = {
   rows_per_chunk : int;
   zone_maps : Zone_map.t array;
   store : store;
-  id : int;
+  keys : string array;  (* buffer-pool key per chunk, built once *)
 }
 
 let page_size_bytes = Page.size_bytes
 
 let next_id = Atomic.make 0
 
-let pool_key t ci = Printf.sprintf "%s/%d#%d" t.name t.id ci
+(* Reads one column's marshal, and only its bytes. *)
+let read_column path offset =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      seek_in ic offset;
+      (Marshal.from_channel ic : Value.t array))
 
 let load_chunk t ci =
   match t.store with
   | Heap chunks -> chunks.(ci)
   | Spill { path; offsets } ->
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          seek_in ic offsets.(ci);
-          (Marshal.from_channel ic : Chunk.t))
+      let starts = offsets.(ci) in
+      Chunk.of_decoder
+        ~n_rows:(Zone_map.n_rows t.zone_maps.(ci))
+        ~n_columns:(Array.length starts)
+        (fun c -> read_column path starts.(c))
 
 let with_chunk ?(seq = false) t ci f =
-  let key = pool_key t ci in
+  let key = t.keys.(ci) in
   let chunk =
     Buffer_pool.pin ~seq Buffer_pool.global ~key ~load:(fun () -> load_chunk t ci)
   in
@@ -59,7 +69,7 @@ let with_chunk ?(seq = false) t ci f =
 
 let evict t =
   for ci = 0 to Array.length t.zone_maps - 1 do
-    Buffer_pool.drop Buffer_pool.global ~key:(pool_key t ci)
+    Buffer_pool.drop Buffer_pool.global ~key:t.keys.(ci)
   done
 
 (* -- Builder ------------------------------------------------------------- *)
@@ -69,7 +79,7 @@ module Builder = struct
 
   type sink =
     | To_heap of Chunk.t list ref  (* sealed chunks, reversed *)
-    | To_spill of { path : string; oc : out_channel; offsets : int list ref }
+    | To_spill of { path : string; oc : out_channel; offsets : int array list ref }
 
   type t = {
     b_name : string;
@@ -117,8 +127,12 @@ module Builder = struct
       (match b.sink with
       | To_heap chunks -> chunks := chunk :: !chunks
       | To_spill { oc; offsets; _ } ->
-          offsets := pos_out oc :: !offsets;
-          Marshal.to_channel oc chunk []);
+          offsets :=
+            Array.init b.arity (fun c ->
+                let start = pos_out oc in
+                Marshal.to_channel oc (Chunk.column chunk c) [];
+                start)
+            :: !offsets);
       Array.fill b.buf 0 n [||];
       b.buf_len <- 0
     end
@@ -145,15 +159,19 @@ module Builder = struct
           close_out oc;
           Spill { path; offsets = Array.of_list (List.rev !offsets) }
     in
+    let zone_maps = Array.of_list (List.rev b.zone_maps) in
+    let id = Atomic.fetch_and_add next_id 1 in
     {
       name = b.b_name;
       schema = b.b_schema;
       n_rows = b.rows;
       rows_per_page = Page.rows_per_page b.b_schema;
       rows_per_chunk = b.chunk_capacity;
-      zone_maps = Array.of_list (List.rev b.zone_maps);
+      zone_maps;
       store;
-      id = Atomic.fetch_and_add next_id 1;
+      keys =
+        Array.init (Array.length zone_maps) (fun ci ->
+            Printf.sprintf "%s/%d#%d" b.b_name id ci);
     }
 end
 

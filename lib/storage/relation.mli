@@ -24,8 +24,10 @@ val create : name:string -> schema:Schema.t -> tuple array -> t
     Chunks are sealed in heap storage; the input array is not retained. *)
 
 (** Row-at-a-time construction with only the current chunk buffered.
-    [~spill:true] marshals each sealed chunk to a temp file (removed at
-    exit), so building and holding a relation needs O(chunk) heap. *)
+    [~spill:true] marshals each column of each sealed chunk separately to
+    a temp file (removed at exit), so building and holding a relation needs
+    O(chunk) heap, and a chunk faulted back in decodes a column only when
+    something first reads it ({!Chunk.of_decoder}). *)
 module Builder : sig
   type rel = t
   type t

@@ -523,9 +523,15 @@ let sql_queries =
      o_totalprice, l_rowid LIMIT 20";
     "SELECT l_quantity, COUNT(*) AS n FROM lineitem GROUP BY l_quantity ORDER BY n DESC, \
      l_quantity LIMIT 7";
+    "SELECT o_orderdate, SUM(l_extendedprice) AS rev FROM lineitem, orders WHERE l_quantity < \
+     10 AND o_totalprice > 150000 GROUP BY o_orderdate ORDER BY rev DESC, o_orderdate LIMIT 10";
+    "SELECT p_brand, COUNT(*) AS n, AVG(l_quantity) AS q FROM lineitem, part WHERE p_size < 10 \
+     GROUP BY p_brand ORDER BY p_brand";
   ]
 
-let run_sql_naive_differential catalog () =
+(* [oracle] holds the same data as [catalog] (by default it is [catalog]):
+   the reference answer comes from it, the pipeline runs on [catalog]. *)
+let run_sql_naive_differential ?oracle catalog () =
   let scale = 1.0 in
   let stats =
     Rq_stats.Stats_store.update_statistics (Rq_math.Rng.create seed)
@@ -539,7 +545,7 @@ let run_sql_naive_differential catalog () =
         | Ok bound -> bound.Rq_sql.Binder.query
         | Error e -> Alcotest.failf "%s: bind error %s" sql e
       in
-      let reference = Naive.evaluate_query catalog query in
+      let reference = Naive.evaluate_query (Option.value oracle ~default:catalog) query in
       List.iter
         (fun (name, estimator) ->
           match Optimizer.optimize (Optimizer.create ~scale stats estimator) query with
@@ -551,6 +557,28 @@ let run_sql_naive_differential catalog () =
                   ~reference ~candidate:result ())
         (estimator_configs stats))
     sql_queries
+
+(* The same SQL with lineitem and orders moved into spill files and a
+   one-chunk buffer pool, against Naive on the heap twin: every scan faults
+   chunks that decode only the columns the plan reads, and the pool evicts
+   between nearly every pin, so decoding, column pruning and re-faulting
+   all answer for the rows. *)
+let spill_table catalog name =
+  let open Rq_storage in
+  let rel = Catalog.find_table catalog name in
+  let b = Relation.Builder.create ~spill:true ~name ~schema:(Relation.schema rel) () in
+  Relation.iter (fun _ tup -> Relation.Builder.add_row b tup) rel;
+  Catalog.replace_table catalog (Relation.Builder.finish b)
+
+let run_sql_naive_spilled ~heap spilled () =
+  let open Rq_storage in
+  let before =
+    (Buffer_pool.global_stats ()).Buffer_pool.capacity_chunks * Page.pages_per_chunk
+  in
+  Buffer_pool.configure ~capacity_pages:Page.pages_per_chunk;
+  Fun.protect
+    ~finally:(fun () -> Buffer_pool.configure ~capacity_pages:before)
+    (run_sql_naive_differential ~oracle:heap spilled)
 
 (* ------------------------------------------------------------------ *)
 (* Zone-map pruning is invisible                                       *)
@@ -737,7 +765,10 @@ let run_prune_families tpch star () =
 let () =
   let rng = Rq_math.Rng.create (seed + 2) in
   let tpch_params = { Tpch.default_params with scale_factor = 0.003 } in
-  let tpch = Tpch.generate (Rq_math.Rng.split rng) ~params:tpch_params () in
+  let tpch_rng = Rq_math.Rng.split rng in
+  let tpch = Tpch.generate (Rq_math.Rng.copy tpch_rng) ~params:tpch_params () in
+  let tpch_spilled = Tpch.generate (Rq_math.Rng.copy tpch_rng) ~params:tpch_params () in
+  List.iter (spill_table tpch_spilled) [ "lineitem"; "orders" ];
   let star_params = { Star.default_params with fact_rows = 5_000 } in
   let star = Star.generate (Rq_math.Rng.split rng) ~params:star_params () in
   Alcotest.run "differential"
@@ -753,7 +784,11 @@ let () =
           Alcotest.test_case "star" `Quick (run_cache_differential "star" star gen_star_query);
         ] );
       ( "sql agrees with naive",
-        [ Alcotest.test_case "tpch" `Quick (run_sql_naive_differential tpch) ] );
+        [
+          Alcotest.test_case "tpch" `Quick (run_sql_naive_differential tpch);
+          Alcotest.test_case "spilled tpch, one-chunk pool" `Quick
+            (run_sql_naive_spilled ~heap:tpch tpch_spilled);
+        ] );
       ( "evidence kernel matches row scan",
         [
           Alcotest.test_case "tpch" `Quick (run_kernel_differential "tpch" tpch gen_tpch_query);

@@ -547,6 +547,114 @@ let test_builder_spill_roundtrip () =
     |> List.fold_left ( + ) 0)
 
 (* ------------------------------------------------------------------ *)
+(* Per-column spill layout, decode on first touch                      *)
+(* ------------------------------------------------------------------ *)
+
+let spilled_twin name rows =
+  let b = Relation.Builder.create ~spill:true ~name ~schema:sample_schema () in
+  Array.iter (Relation.Builder.add_row b) rows;
+  Relation.Builder.finish b
+
+(* Columns of a spilled chunk read in a random order, single cells read
+   through [column_value], and every column again after an evict and
+   re-fault all equal the heap twin's. *)
+let test_spill_columns_match_heap () =
+  let rows = builder_rows 10_000 in
+  let heap = Relation.create ~name:"heap twin" ~schema:sample_schema rows in
+  let spilled = spilled_twin "spilled twin" rows in
+  check_bool "several chunks" true (Relation.chunk_count spilled > 1);
+  let rng = Rq_math.Rng.create 29 in
+  let arity = Schema.arity sample_schema in
+  let heap_column ci c = Relation.with_chunk heap ci (fun chunk -> Chunk.column chunk c) in
+  let check_chunks label =
+    for ci = 0 to Relation.chunk_count spilled - 1 do
+      let order = Array.init arity Fun.id in
+      Rq_math.Rng.shuffle_in_place rng order;
+      Relation.with_chunk spilled ci (fun chunk ->
+          Array.iter
+            (fun c ->
+              if Chunk.column chunk c <> heap_column ci c then
+                Alcotest.failf "%s: chunk %d column %d differs" label ci c)
+            order)
+    done
+  in
+  check_chunks "first fault";
+  for _ = 1 to 200 do
+    let rid = Rq_math.Rng.int rng (Array.length rows) in
+    List.iter
+      (fun col ->
+        if Relation.column_value spilled rid col <> Relation.column_value heap rid col then
+          Alcotest.failf "column_value rid %d column %s differs" rid col)
+      [ "born"; "id"; "name" ]
+  done;
+  Relation.evict spilled;
+  check_chunks "re-fault after evict";
+  check_same_relation "whole rows" rows spilled
+
+(* Four domains pin one spilled chunk at once and force its columns in
+   four different orders: every domain sees the very same arrays, so each
+   column decoded once, and they equal the heap twin's. *)
+let test_spill_concurrent_first_touch () =
+  let rows = builder_rows 3_000 in
+  let spilled = spilled_twin "raced" rows in
+  let orders = [| [| 0; 1; 2 |]; [| 2; 1; 0 |]; [| 1; 2; 0 |]; [| 2; 0; 1 |] |] in
+  Relation.evict spilled;
+  let seen =
+    Relation.with_chunk spilled 0 (fun _ ->
+        (* All four pin, then all four start forcing together. *)
+        let arrived = Atomic.make 0 in
+        let workers =
+          Array.map
+            (fun order ->
+              Domain.spawn (fun () ->
+                  Relation.with_chunk spilled 0 (fun chunk ->
+                      Atomic.incr arrived;
+                      while Atomic.get arrived < Array.length orders do
+                        Domain.cpu_relax ()
+                      done;
+                      let got = Array.make 3 [||] in
+                      Array.iter (fun c -> got.(c) <- Chunk.column chunk c) order;
+                      got)))
+            orders
+        in
+        Array.map Domain.join workers)
+  in
+  let expected =
+    Chunk.columns (Chunk.of_tuples (Array.sub rows 0 (Relation.chunk_row_count spilled 0)))
+  in
+  Array.iteri
+    (fun d got ->
+      Array.iteri
+        (fun c col ->
+          if col != seen.(0).(c) then Alcotest.failf "domain %d decoded column %d again" d c;
+          if col <> expected.(c) then Alcotest.failf "domain %d: column %d differs" d c)
+        got)
+    seen
+
+(* A decoder runs at most once per column, however the columns are
+   reached, and a failing decode leaves the column to decode again. *)
+let test_chunk_decoder_once () =
+  let calls = Array.make 3 0 in
+  let fail_once = ref true in
+  let chunk =
+    Chunk.of_decoder ~n_rows:4 ~n_columns:3 (fun c ->
+        calls.(c) <- calls.(c) + 1;
+        if c = 2 && !fail_once then begin
+          fail_once := false;
+          failwith "transient"
+        end;
+        Array.init 4 (fun r -> v_int ((10 * c) + r)))
+  in
+  check_bool "value reads column 1" true (Chunk.value chunk ~col:1 ~row:3 = v_int 13);
+  check_int "only column 1 decoded" 0 (calls.(0) + calls.(2));
+  Alcotest.check_raises "decode error propagates" (Failure "transient") (fun () ->
+      ignore (Chunk.column chunk 2));
+  check_bool "get forces the rest" true (Chunk.get chunk 2 = [| v_int 2; v_int 12; v_int 22 |]);
+  ignore (Chunk.columns chunk);
+  Chunk.iter (fun _ _ -> ()) chunk;
+  Alcotest.(check (array int)) "one decode per column (two for the failed one)" [| 1; 1; 2 |] calls
+
+(* ------------------------------------------------------------------ *)
 (* Gather by RID                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -940,6 +1048,11 @@ let () =
         [
           Alcotest.test_case "heap matches create" `Quick test_builder_heap_matches_create;
           Alcotest.test_case "spill roundtrip" `Quick test_builder_spill_roundtrip;
+          Alcotest.test_case "spilled columns match the heap twin" `Quick
+            test_spill_columns_match_heap;
+          Alcotest.test_case "concurrent first touch decodes once" `Quick
+            test_spill_concurrent_first_touch;
+          Alcotest.test_case "decoder runs once per column" `Quick test_chunk_decoder_once;
         ] );
       ( "gather",
         Alcotest.test_case "raises out of range, leaks no pin" `Quick

@@ -472,13 +472,16 @@ let test_reopt_mid_stream_correctness () =
 (* Engine invariance under the morsel pool (qcheck)                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The law: {!Parallel.run} at domains {1, 2, 4} x buffer-pool capacity
-   {one chunk, the default} returns byte-identical tuples and moves every
-   cost counter identically to {!Executor.run}, and a fired guard's
-   violation is identical — prefix rows, progress, resume — on random
-   null-bearing data, including empty selections (predicates matching
-   nothing), whole chunks disproved by zone maps, and relations sized to
-   straddle batch-window and chunk boundaries. *)
+(* The law: with the big table on the heap or in a spill file,
+   {!Executor.run} and {!Parallel.run} at domains {1, 2, 4} x buffer-pool
+   capacity {one chunk, the default} return byte-identical tuples and move
+   every cost counter identically to {!Executor.run} on the heap, and a
+   fired guard's violation is identical — prefix rows, progress, resume —
+   on random null-bearing data, including empty selections (predicates
+   matching nothing), whole chunks disproved by zone maps, and relations
+   sized to straddle batch-window and chunk boundaries.  The spilled store
+   decodes columns on first touch, so the morsel workers' bitmaps and the
+   serial loop's pruned batches race to decode columns of the same chunks. *)
 
 (* Five 20-byte string pads push row_bytes to 124, so a chunk holds
    [16 * (8192 / 124)] = 1056 rows — just above [Stream_exec.batch_rows]
@@ -533,45 +536,54 @@ let gen_vec_case : vec_case QCheck.Gen.t =
   int_bound 1_000_000 >>= fun vc_seed ->
   oneof [ boundary_sizes; int_range 1 ((3 * vec_morsel_rows) + 300) ] >>= fun vc_big ->
   int_range 1 60 >>= fun vc_dim ->
-  int_bound 8 >>= fun vc_plan ->
+  int_bound 9 >>= fun vc_plan ->
   int_range (-1) (2 * vec_chunk_rows) >>= fun vc_c ->
   int_bound 40 >>= fun vc_k ->
   oneofl [ 1; 7; Stream_exec.batch_rows; Stream_exec.batch_rows + 1; max_int / 2 ]
   >>= fun vc_limit -> return { vc_seed; vc_big; vc_dim; vc_plan; vc_c; vc_k; vc_limit }
 
 (* Clustered ascending t_id (so the band predicate disproves whole chunks
-   by zone map), null-bearing t_k and t_v (1 in 8). *)
-let vec_case_catalog c =
+   by zone map), null-bearing t_k and t_v (1 in 8).  The same rows twice:
+   [big] on the heap, and [big] in a spill file. *)
+let vec_case_catalogs c =
   let rng = Rq_math.Rng.create c.vc_seed in
   let pad () =
     String.init (1 + Rq_math.Rng.int rng 6) (fun _ -> Char.chr (97 + Rq_math.Rng.int rng 26))
   in
   let maybe_null v = if Rq_math.Rng.int rng 8 = 0 then Value.Null else v in
-  let catalog = Catalog.create () in
-  Catalog.add_table catalog ~primary_key:"t_id"
-    (Relation.create ~name:"big" ~schema:vec_schema
-       (Array.init c.vc_big (fun i ->
-            [|
-              v_int i;
-              maybe_null (v_int (Rq_math.Rng.int rng 40));
-              maybe_null (Value.Float (Rq_math.Rng.float rng 100.0));
-              Value.String (pad ());
-              Value.String (pad ());
-              Value.String (pad ());
-              Value.String (pad ());
-              Value.String (pad ());
-            |])));
-  Catalog.add_table catalog ~primary_key:"d_id"
-    (Relation.create ~name:"dim"
-       ~schema:
-         (Schema.create
-            [
-              { Schema.name = "d_id"; ty = Value.T_int };
-              { Schema.name = "d_k"; ty = Value.T_int };
-            ])
-       (Array.init c.vc_dim (fun i ->
-            [| v_int i; maybe_null (v_int (Rq_math.Rng.int rng 40)) |])));
-  catalog
+  let big_rows =
+    Array.init c.vc_big (fun i ->
+        [|
+          v_int i;
+          maybe_null (v_int (Rq_math.Rng.int rng 40));
+          maybe_null (Value.Float (Rq_math.Rng.float rng 100.0));
+          Value.String (pad ());
+          Value.String (pad ());
+          Value.String (pad ());
+          Value.String (pad ());
+          Value.String (pad ());
+        |])
+  in
+  let dim_rows =
+    Array.init c.vc_dim (fun i -> [| v_int i; maybe_null (v_int (Rq_math.Rng.int rng 40)) |])
+  in
+  let catalog ~spill =
+    let catalog = Catalog.create () in
+    let b = Relation.Builder.create ~spill ~name:"big" ~schema:vec_schema () in
+    Array.iter (Relation.Builder.add_row b) big_rows;
+    Catalog.add_table catalog ~primary_key:"t_id" (Relation.Builder.finish b);
+    Catalog.add_table catalog ~primary_key:"d_id"
+      (Relation.create ~name:"dim"
+         ~schema:
+           (Schema.create
+              [
+                { Schema.name = "d_id"; ty = Value.T_int };
+                { Schema.name = "d_k"; ty = Value.T_int };
+              ])
+         dim_rows);
+    catalog
+  in
+  [ ("heap", catalog ~spill:false); ("spilled", catalog ~spill:true) ]
 
 let vec_case_plan c =
   let scan pred = Plan.Scan { table = "big"; access = Plan.Seq_scan; pred } in
@@ -602,6 +614,21 @@ let vec_case_plan c =
               { Plan.fn = Plan.Sum (Expr.col "big.t_v"); output_name = "s" };
             ];
         }
+  | 9 ->
+      (* a pruned probe side through a hash join into an aggregate *)
+      Plan.Aggregate
+        {
+          input =
+            Plan.Hash_join
+              {
+                build = Plan.Scan { table = "dim"; access = Plan.Seq_scan; pred = Pred.True };
+                probe = scan keyp;
+                build_key = "dim.d_k";
+                probe_key = "big.t_k";
+              };
+          group_by = [ "dim.d_id" ];
+          aggs = [ { Plan.fn = Plan.Sum (Expr.col "big.t_v"); output_name = "s" } ];
+        }
   | 7 ->
       (* every batch drained with an empty selection, under a guard *)
       Plan.Guard
@@ -623,7 +650,7 @@ let vec_case_plan c =
         }
 
 
-let invariance_families = [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ]
+let invariance_families = [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
 
 (* A run's observable outcome: the tuples, or the violation's prefix rows,
    progress and resume; plus the meter. *)
@@ -657,25 +684,33 @@ let outcomes_agree ~label (a, asnap) (b, bsnap) =
       (Format.asprintf "%a" Cost.pp_snapshot bsnap)
   else true
 
-(* The serial run, then every (domains, pool capacity) point. *)
-let invariant pools ~label catalog plan =
-  let serial = outcome_of (fun meter -> Executor.run catalog meter plan) in
-  List.for_all
-    (fun pages ->
-      with_pool_pages pages (fun () ->
-          List.for_all
-            (fun par ->
-              outcomes_agree
-                ~label:
-                  (Printf.sprintf "%s at %d domains, %d-page pool" label (Parallel.domains par)
-                     pages)
-                serial
-                (outcome_of (fun meter -> Parallel.run par catalog meter plan)))
-            pools))
+(* The serial run on the first store, then every (store, pool capacity,
+   serial or domains) point. *)
+let invariant pools ~label stores plan =
+  let serial = outcome_of (fun meter -> Executor.run (snd (List.hd stores)) meter plan) in
+  let pool_sizes =
     [
       Page.pages_per_chunk;
       (Buffer_pool.global_stats ()).Buffer_pool.capacity_chunks * Page.pages_per_chunk;
     ]
+  in
+  List.for_all
+    (fun (store, catalog) ->
+      List.for_all
+        (fun pages ->
+          with_pool_pages pages (fun () ->
+              let at what = Printf.sprintf "%s, %s store, %s, %d-page pool" label store what pages in
+              outcomes_agree ~label:(at "serial") serial
+                (outcome_of (fun meter -> Executor.run catalog meter plan))
+              && List.for_all
+                   (fun par ->
+                     outcomes_agree
+                       ~label:(at (Printf.sprintf "%d domains" (Parallel.domains par)))
+                       serial
+                       (outcome_of (fun meter -> Parallel.run par catalog meter plan)))
+                   pools))
+        pool_sizes)
+    stores
 
 let with_pools f =
   let pools = List.map (fun domains -> Parallel.create ~domains ()) [ 1; 2; 4 ] in
@@ -685,12 +720,12 @@ let invariance_law =
   QCheck.Test.make ~name:"parallel = serial at every domain count and pool size" ~count:48
     (QCheck.make ~print:render_vec_case gen_vec_case)
     (fun c ->
-      let catalog = vec_case_catalog c in
+      let stores = vec_case_catalogs c in
       let plan = vec_case_plan c in
-      (match Plan.validate catalog plan with
+      (match Plan.validate (snd (List.hd stores)) plan with
       | Ok () -> ()
       | Error msg -> QCheck.Test.fail_reportf "generator produced invalid plan: %s" msg);
-      with_pools (fun pools -> invariant pools ~label:(render_vec_case c) catalog plan))
+      with_pools (fun pools -> invariant pools ~label:(render_vec_case c) stores plan))
 
 (* Deterministic edge sweep: the named boundary shapes, each through every
    plan family.  Redundant with the law above in expectation; pinned here
@@ -702,10 +737,10 @@ let test_edge_shapes () =
           List.iter
             (fun plan_pick ->
               let c = { c with vc_plan = plan_pick } in
-              let catalog = vec_case_catalog c in
+              let stores = vec_case_catalogs c in
               let plan = vec_case_plan c in
               ignore
-                (invariant pools ~label:(Printf.sprintf "%s/plan%d" shape plan_pick) catalog plan))
+                (invariant pools ~label:(Printf.sprintf "%s/plan%d" shape plan_pick) stores plan))
             invariance_families)
         [
           ( "single-row",
