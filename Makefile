@@ -1,6 +1,6 @@
 .PHONY: all test test-parallel test-rewrite fault-test differential fuzz-smoke \
         fuzz-soak fuzz-self-test fuzz-self-test-rewrite bench bench-quick \
-        bench-throughput bench-exec bench-optimizer storage-gate examples trace-demo clean
+        bench-optimizer storage-gate examples trace-demo clean
 
 all:
 	dune build @all
@@ -63,16 +63,6 @@ bench:
 bench-quick:
 	dune exec bench/main.exe -- quick
 
-# Plan-cache throughput bench; writes BENCH_throughput.json.
-bench-throughput: all
-	dune exec bin/robustopt.exe -- bench-throughput
-
-# Executor bench (early-exit page savings against full drains of the same
-# plans, zone-map skipping, GC peak, morsel domains axis); writes
-# BENCH_exec.json.
-bench-exec: all
-	dune exec bin/robustopt.exe -- bench-exec
-
 # Bitset evidence-kernel bench: cold/warm/scan evidence throughput plus
 # plans/sec per estimator arm; writes BENCH_optimizer.json and exits
 # nonzero unless the kernel is bit-identical to the scan path AND warm
@@ -80,17 +70,19 @@ bench-exec: all
 bench-optimizer: all
 	dune exec bin/robustopt.exe -- bench-optimizer
 
-# Paged-storage gate (the CI `storage` job): bench-exec --small with a
-# 256-page buffer pool under a 2 GiB virtual-memory cap.  The bench exits
-# nonzero unless zone-skip page accounting balances and the pool reports
-# hit/miss traffic; the ulimit proves the chunked heap keeps the resident
-# set bounded.  Runs the prebuilt binary so the cap applies to the bench,
-# not the compiler.
+# Paged-storage gate (the CI `storage` job): the analytic-spill end-to-end
+# workload -- lineitem's 706 pages in a spill file behind a 128-page buffer
+# pool -- under a 2 GiB virtual-memory cap.  The run exits nonzero unless
+# every sampled answer matches the Naive evaluator; the ulimit proves the
+# chunked heap and the pool keep the resident set bounded.  Runs the
+# prebuilt binary so the cap applies to the workload, not the compiler, and
+# keeps spill files in .e2e-tmp/ inside the checkout, as bench/e2e/run.sh
+# does.
 storage-gate:
-	dune build bin/robustopt.exe
-	bash -c 'ulimit -v 2097152; \
-	  ./_build/default/bin/robustopt.exe bench-exec --small \
-	    --buffer-pool-pages 256 --out -' > /dev/null
+	dune build bench/e2e/e2e.exe
+	mkdir -p .e2e-tmp
+	bash -c 'ulimit -v 2097152; TMPDIR="$(CURDIR)/.e2e-tmp" \
+	  ./_build/default/bench/e2e/e2e.exe --workload analytic-spill --seconds 3'
 
 examples:
 	dune exec examples/quickstart.exe

@@ -132,24 +132,22 @@ let kernel_totals stats =
     Rq_obs.Metrics.kernel_zero
     (Rq_stats.Stats_store.synopsis_roots stats)
 
-let print_observability ?kernel ~trace ~metrics_json recorder =
+let print_observability ~kernel ~trace ~metrics_json recorder =
   match recorder with
   | None -> ()
   | Some r ->
       if trace then begin
         print_string (Rq_obs.Recorder.render_events (Rq_obs.Recorder.events r));
         print_string (Rq_obs.Recorder.render_spans (Rq_obs.Recorder.roots r));
-        match kernel with
-        | Some k when k.Rq_obs.Metrics.evidence_queries > 0 ->
-            Format.printf "evidence kernel: %a@." Rq_obs.Metrics.pp_kernel k
-        | _ -> ()
+        if kernel.Rq_obs.Metrics.evidence_queries > 0 then
+          Format.printf "evidence kernel: %a@." Rq_obs.Metrics.pp_kernel kernel
       end;
       if metrics_json then begin
         let json =
-          match (kernel, Rq_obs.Recorder.to_json r) with
-          | Some k, Rq_obs.Json.Obj fields ->
-              Rq_obs.Json.Obj (fields @ [ ("kernel", Rq_obs.Metrics.kernel_to_json k) ])
-          | _, json -> json
+          match Rq_obs.Recorder.to_json r with
+          | Rq_obs.Json.Obj fields ->
+              Rq_obs.Json.Obj (fields @ [ ("kernel", Rq_obs.Metrics.kernel_to_json kernel) ])
+          | json -> json
         in
         print_endline (Rq_obs.Json.to_string json)
       end
@@ -628,146 +626,6 @@ let experiment_cmd =
     (Cmd.info "experiment" ~doc:"Run one of the paper's empirical experiments (Figures 9-12).")
     term
 
-(* ---------------- bench-throughput ---------------- *)
-
-let bench_throughput_cmd =
-  let small_arg =
-    Arg.(value & flag & info [ "small" ]
-         ~doc:"CI-sized run: smaller catalogs and fewer replays.")
-  in
-  let seed_arg =
-    Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"N"
-         ~doc:"Override the replay seed (default 7).")
-  in
-  let replays_arg =
-    Arg.(value & opt (some int) None & info [ "replays" ] ~docv:"N"
-         ~doc:"Override the number of replayed queries.")
-  in
-  let out_arg =
-    Arg.(value & opt string "BENCH_throughput.json" & info [ "out" ] ~docv:"FILE"
-         ~doc:"Where to write the JSON report; - for none.")
-  in
-  let domains_arg =
-    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
-         ~doc:"Concurrent replay drivers over the sharded plan cache (default 4).")
-  in
-  let run small seed replays domains out trace metrics_json =
-    let module E = Rq_experiments in
-    let config = if small then E.Exp_throughput.small_config else E.Exp_throughput.default_config in
-    let config =
-      match seed with None -> config | Some seed -> { config with E.Exp_throughput.seed }
-    in
-    let config =
-      match replays with None -> config | Some replays -> { config with E.Exp_throughput.replays }
-    in
-    let config =
-      match domains with None -> config | Some domains -> { config with E.Exp_throughput.domains }
-    in
-    let recorder = make_recorder ~trace ~metrics_json in
-    let result = with_bench_errors (fun () -> E.Exp_throughput.run ?obs:recorder ~config ()) in
-    print_string (E.Exp_throughput.render result);
-    if out <> "-" then begin
-      let oc = open_out out in
-      output_string oc (Rq_obs.Json.to_string (E.Exp_throughput.to_json result));
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s\n" out
-    end;
-    print_observability ~trace ~metrics_json recorder;
-    if not result.E.Exp_throughput.ok then exit 1
-  in
-  let term =
-    Term.(const run $ small_arg $ seed_arg $ replays_arg $ domains_arg $ out_arg
-          $ trace_arg $ metrics_json_arg)
-  in
-  Cmd.v
-    (Cmd.info "bench-throughput"
-       ~doc:"Replay a mixed workload through the plan cache: optimize/execute time split, \
-             hit rate, invalidations, a differential plan-correctness check, and a \
-             concurrent replay over a domain-sharded cache.")
-    term
-
-(* ---------------- bench-exec ---------------- *)
-
-let bench_exec_cmd =
-  let small_arg =
-    Arg.(value & flag & info [ "small" ]
-         ~doc:"CI-sized run: smaller catalog and fewer repetitions.")
-  in
-  let seed_arg =
-    Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"N"
-         ~doc:"Override the workload seed (default 11).")
-  in
-  let out_arg =
-    Arg.(value & opt string "BENCH_exec.json" & info [ "out" ] ~docv:"FILE"
-         ~doc:"Where to write the JSON report; - for none.")
-  in
-  let domains_arg =
-    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
-         ~doc:"Top of the morsel-parallel domains axis (default 4).")
-  in
-  let scale_arg =
-    Arg.(value & opt (some float) None & info [ "scale" ] ~docv:"SF"
-         ~doc:"TPC-H scale factor (default 0.01; 1.0 is the paper's 6M-row \
-               lineitem).  Scales >= 0.1 drop to one repetition unless the \
-               default is overridden by --small.")
-  in
-  let pool_arg =
-    Arg.(value & opt (some int) None & info [ "buffer-pool-pages" ] ~docv:"PAGES"
-         ~doc:"Cap the global buffer pool at this many 8 KiB pages (rounded \
-               down to whole chunks).  Capping well below the data size \
-               exercises out-of-core execution.")
-  in
-  let run small seed domains scale pool_pages out =
-    let module E = Rq_experiments in
-    let config = if small then E.Exp_exec.small_config else E.Exp_exec.default_config in
-    let config =
-      match seed with None -> config | Some seed -> { config with E.Exp_exec.seed }
-    in
-    let config =
-      match domains with None -> config | Some domains -> { config with E.Exp_exec.domains }
-    in
-    let config =
-      match scale with
-      | None -> config
-      | Some scale_factor ->
-          (* Big catalogs: one repetition is already minutes of work, and
-             holding two result sets for the exact tuple compare costs ~1 GB
-             at scale 1 — the digest compare keeps only one result live at a
-             time. *)
-          let repetitions = if scale_factor >= 0.1 then 1 else config.E.Exp_exec.repetitions in
-          let exact_compare = scale_factor < 0.1 in
-          { config with E.Exp_exec.scale_factor; repetitions; exact_compare }
-    in
-    let config =
-      match pool_pages with
-      | None -> config
-      | Some buffer_pool_pages -> { config with E.Exp_exec.buffer_pool_pages }
-    in
-    let result =
-      with_bench_errors (fun () -> E.Exp_exec.run ~config ())
-    in
-    print_string (E.Exp_exec.render result);
-    if out <> "-" then begin
-      let oc = open_out out in
-      output_string oc (Rq_obs.Json.to_string (E.Exp_exec.to_json result));
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s\n" out
-    end;
-    if not result.E.Exp_exec.ok then exit 1
-  in
-  let term =
-    Term.(
-      const run $ small_arg $ seed_arg $ domains_arg $ scale_arg $ pool_arg $ out_arg)
-  in
-  Cmd.v
-    (Cmd.info "bench-exec"
-       ~doc:"Executor bench: early-exit page savings of LIMIT and mid-stream guard \
-             workloads against full drains of the same plans, zone-map skipping, real \
-             runtime/memory, and the morsel-parallel domains axis.")
-    term
-
 (* ---------------- bench-optimizer ---------------- *)
 
 let bench_optimizer_cmd =
@@ -897,6 +755,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ explain_cmd; run_cmd; estimate_cmd; analyze_cmd; experiment_cmd;
-            bench_throughput_cmd; bench_exec_cmd; bench_optimizer_cmd; profile_cmd;
-            sweep_cmd; export_cmd;
-            batch_cmd ]))
+            bench_optimizer_cmd; profile_cmd; sweep_cmd; export_cmd; batch_cmd ]))

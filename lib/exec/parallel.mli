@@ -43,8 +43,8 @@ val run_report :
   Cost.t ->
   Plan.t ->
   Exec_common.result * report
-(** {!run} plus the morsel-level timing decomposition the throughput and
-    exec benches feed into {!makespan}. *)
+(** {!run} plus the morsel-level timing decomposition that {!makespan}
+    schedules. *)
 
 val makespan : domains:int -> report -> float
 (** Deterministic simulated wall-clock of the run on [domains] domains:
@@ -52,4 +52,4 @@ val makespan : domains:int -> report -> float
     domain; the serial remainder is added whole.  [makespan ~domains:1]
     equals [total_seconds] (up to float association), so
     [makespan ~domains:1 r /. makespan ~domains:n r] is the speedup the
-    bench gates report.  Stable on any host, including single-core CI. *)
+    parallel tests gate on.  Stable on any host, including single-core CI. *)

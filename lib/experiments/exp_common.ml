@@ -114,41 +114,6 @@ let results_equal ?(tol = 1e-6) (a : Executor.result) (b : Executor.result) =
   let rows_a = reorder order_a a and rows_b = reorder order_b b in
   Array.for_all2 (fun x y -> List.for_all2 (values_close ~tol) x y) rows_a rows_b
 
-(* Order-insensitive streaming multiset digest of a result: each row hashes
-   (FNV-1a over its canonical rendering) into a count / sum / xor triple, so
-   two results with the same row multiset — in any order — digest equally,
-   and neither result needs to stay live while the other is produced.  The
-   commutative sum+xor pair is what makes the digest order-blind without
-   sorting; a row-hash collision would need to defeat both at once. *)
-
-type digest = { d_count : int; d_sum : int64; d_xor : int64 }
-
-let empty_digest = { d_count = 0; d_sum = 0L; d_xor = 0L }
-
-let fnv64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  !h
-
-let result_digest (r : Executor.result) =
-  let order = column_order r.Executor.schema in
-  let render = function
-    | Value.Float f -> Printf.sprintf "%.6g" f
-    | v -> Value.to_string v
-  in
-  Array.fold_left
-    (fun acc tuple ->
-      let h =
-        fnv64 (String.concat "|" (List.map (fun (_, i) -> render tuple.(i)) order))
-      in
-      { d_count = acc.d_count + 1; d_sum = Int64.add acc.d_sum h; d_xor = Int64.logxor acc.d_xor h })
-    empty_digest r.Executor.tuples
-
-let digests_equal a b =
-  a.d_count = b.d_count && Int64.equal a.d_sum b.d_sum && Int64.equal a.d_xor b.d_xor
-
 (* Field-by-field cost-counter equality (floats under a 1e-9 tolerance). *)
 let snapshots_equal (a : Cost.snapshot) (b : Cost.snapshot) =
   a.Cost.seq_pages = b.Cost.seq_pages

@@ -67,20 +67,6 @@ val canonical_rows : Executor.result -> string array
     query yield equal arrays.  For counterexample printing; equality
     checks should use {!results_equal} (tolerant where this rounds). *)
 
-type digest = { d_count : int; d_sum : int64; d_xor : int64 }
-(** Order-insensitive multiset digest of a result's rows (FNV-1a row hashes
-    folded through a commutative count / sum / xor triple). *)
-
-val empty_digest : digest
-
-val result_digest : Executor.result -> digest
-(** Streaming: consumes the result in one pass and keeps nothing live, so
-    two runs' outputs can be compared at scale without ever holding both
-    row sets in memory.  Uses {!canonical_rows}' rendering, so equal row
-    multisets digest equally regardless of row order. *)
-
-val digests_equal : digest -> digest -> bool
-
 val snapshots_equal : Cost.snapshot -> Cost.snapshot -> bool
 (** Field-by-field cost-counter equality (float fields under a 1e-9
     tolerance): the contract that the serial and the morsel-parallel runs

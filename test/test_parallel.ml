@@ -1,10 +1,12 @@
 (* Morsel-parallel execution suite: the domain pool's claiming discipline
    (in-order results, smallest-index failure wins), exact parity
    of the prefetching parallel executor with the serial engine — result
-   tuples and every cost counter, at every pool size — the parallel
-   guard's firing with an exactly-resumable prefix, span/meter
-   reconciliation under a recorder, and a multi-domain stress of the
-   sharded plan cache and the evidence-kernel memos. *)
+   tuples and every cost counter, at every pool size — the morsel
+   schedule's simulated makespan (at least 2.5x at 4 domains on the TPC-H
+   SF 0.01 lineitem scan), the parallel guard's firing with an
+   exactly-resumable prefix, span/meter reconciliation under a recorder,
+   and a multi-domain stress of the sharded plan cache (every step picks
+   the serial replay's plan) and the evidence-kernel memos. *)
 
 open Rq_storage
 open Rq_exec
@@ -104,9 +106,16 @@ let test_pool_reraises_smallest_index () =
 (* Parallel = serial, counter for counter                              *)
 (* ------------------------------------------------------------------ *)
 
+(* l_id is the insertion order, so a band on it leaves most chunks
+   disprovable by their zone maps. *)
+let zone_band =
+  Plan.Scan
+    { table = "lineitems"; access = Plan.Seq_scan; pred = Pred.lt (Expr.col "l_id") (Expr.int 8000) }
+
 let parity_plans =
   [
     ("full scan", scan "lineitems");
+    ("zone-skipping scan", zone_band);
     ( "filtered scan",
       Plan.Scan
         {
@@ -133,6 +142,10 @@ let parity_plans =
 
 let test_parallel_matches_serial () =
   let catalog = fixture () in
+  (let meter = Cost.create () in
+   ignore (Executor.run catalog meter zone_band);
+   check_bool "zone maps skip chunks of the clustered band" true
+     ((Cost.snapshot meter).Cost.pages_skipped > 0));
   List.iter
     (fun (name, plan) ->
       let serial_meter = Cost.create () in
@@ -178,7 +191,27 @@ let test_morsels_account_for_every_page () =
       check_float "makespan at 1 = total" report.Parallel.total_seconds
         (Parallel.makespan ~domains:1 report);
       check_bool "4 domains beat 1" true
-        (Parallel.makespan ~domains:4 report < Parallel.makespan ~domains:1 report))
+        (Parallel.makespan ~domains:4 report < Parallel.makespan ~domains:1 report));
+  (* At TPC-H scale 0.01 the lineitem scan spans a dozen morsels, enough
+     for the 4-domain schedule to cut the makespan by at least 2.5x. *)
+  let tpch =
+    Rq_workload.Tpch.generate (Rq_math.Rng.create 11)
+      ~params:{ Rq_workload.Tpch.default_params with scale_factor = 0.01 }
+      ()
+  in
+  let par = Parallel.create ~domains:4 () in
+  Fun.protect
+    ~finally:(fun () -> Parallel.shutdown par)
+    (fun () ->
+      let meter = Cost.create ~scale:(Rq_workload.Tpch.cost_scale tpch) () in
+      let _, report = Parallel.run_report par tpch meter (scan "lineitem") in
+      let speedup =
+        Parallel.makespan ~domains:1 report /. Parallel.makespan ~domains:4 report
+      in
+      check_bool
+        (Printf.sprintf "SF 0.01 lineitem: 4-domain makespan speedup %.2fx >= 2.5x over %d morsels"
+           speedup report.Parallel.morsels)
+        true (speedup >= 2.5))
 
 (* ------------------------------------------------------------------ *)
 (* The parallel guard                                                  *)
@@ -265,50 +298,74 @@ let fingerprint_of opt q =
   Rq_sql.Fingerprint.to_key
     (Rq_sql.Fingerprint.of_logical ~estimator:(Optimizer.estimator opt).Cardinality.name q)
 
+let through cache opt q =
+  Result.map fst (Plan_cache.find_or_optimize cache opt ~fingerprint:(fingerprint_of opt q) q)
+
+(* One replay of the stress sequence in a world rebuilt from the same
+   seed: a statistics refresh every 13th step, thresholds cycling through
+   six values.  [lookup] answers each step; the chosen plan's digest per
+   step comes back with the catalog. *)
+let stress_replay ~ops lookup =
+  let catalog = fixture ~lineitems:4000 () in
+  let m = Rq_stats.Maintenance.create (Rq_math.Rng.create 91) catalog in
+  let digests =
+    Array.init ops (fun k ->
+        if k mod 13 = 12 then Rq_stats.Maintenance.refresh m;
+        let opt = Optimizer.robust (Rq_stats.Maintenance.stats m) in
+        match lookup opt (stress_query ~threshold:(5 + (k mod 6))) with
+        | Ok d -> Rq_experiments.Exp_common.plan_digest d.Optimizer.plan
+        | Error e -> failwith e)
+  in
+  (catalog, digests)
+
 let test_sharded_cache_stress () =
   let domains = 4 and ops_per_domain = 40 in
-  let sharded = Plan_cache.Sharded.create ~capacity:(2 * domains) ~shards:domains () in
+  let sharded = Plan_cache.Sharded.create ~capacity:(8 * domains) ~shards:domains () in
   check_int "one shard per domain, same index modulo" (Plan_cache.Sharded.length sharded) 0;
-  (* Serial reference for the evidence kernel: the bitset count every
-     domain's private Pred_index must reproduce. *)
+  (* Serial references: the plan a cold optimizer picks at every step of
+     the same replay (which one unsharded cache must reproduce too), and
+     the bitset count every domain's private Pred_index must reproduce. *)
+  let _, serial_digests =
+    stress_replay ~ops:ops_per_domain (fun opt q -> Optimizer.optimize opt q)
+  in
+  (let cache = Plan_cache.create ~capacity:8 () in
+   let _, cached_digests = stress_replay ~ops:ops_per_domain (through cache) in
+   Alcotest.(check (array string))
+     "serial cached replay: every step's plan = the cold replay's" serial_digests
+     cached_digests);
   let probe_pred = Pred.le (Expr.col "l_qty") (Expr.int 25) in
   let expected_count =
     let rel = Catalog.find_table (fixture ~lineitems:4000 ()) "lineitems" in
     Relation.filter_count rel (Pred.compile (Relation.schema rel) probe_pred)
   in
   let worker d () =
-    (* Each domain owns a full world rebuilt from the same seed, its own
-       statistics maintenance, and its own cache shard. *)
-    let catalog = fixture ~lineitems:4000 () in
-    let m = Rq_stats.Maintenance.create (Rq_math.Rng.create 91) catalog in
+    (* Each domain owns a full world, its own statistics maintenance, and
+       its own cache shard. *)
     let shard = Plan_cache.Sharded.shard sharded d in
-    let ops = ref 0 in
-    for k = 0 to ops_per_domain - 1 do
-      if k mod 13 = 12 then Rq_stats.Maintenance.refresh m;
-      let opt = Optimizer.robust (Rq_stats.Maintenance.stats m) in
-      let q = stress_query ~threshold:(5 + (k mod 6)) in
-      match Plan_cache.find_or_optimize shard opt ~fingerprint:(fingerprint_of opt q) q with
-      | Ok _ -> incr ops
-      | Error e -> failwith e
-    done;
+    let catalog, digests = stress_replay ~ops:ops_per_domain (through shard) in
     let rel = Catalog.find_table catalog "lineitems" in
     let idx = Rq_stats.Pred_index.create rel in
     let count = Rq_stats.Pred_index.count idx probe_pred in
     let again = Rq_stats.Pred_index.count idx probe_pred in
-    (!ops, count, again)
+    (digests, count, again)
   in
   let handles = Array.init domains (fun d -> Domain.spawn (worker d)) in
   let per_domain = Array.map Domain.join handles in
-  let total_ops = Array.fold_left (fun acc (o, _, _) -> acc + o) 0 per_domain in
-  check_int "every lookup answered" (domains * ops_per_domain) total_ops;
+  check_int "every lookup answered" (domains * ops_per_domain)
+    (Array.fold_left (fun acc (digests, _, _) -> acc + Array.length digests) 0 per_domain);
   Array.iteri
-    (fun d (_, count, again) ->
+    (fun d (digests, count, again) ->
+      Alcotest.(check (array string))
+        (Printf.sprintf "domain %d: every step's plan = the serial replay's" d)
+        serial_digests digests;
       check_int (Printf.sprintf "domain %d kernel count = serial scan" d) expected_count count;
       check_int (Printf.sprintf "domain %d cached re-ask" d) expected_count again)
     per_domain;
   (* Merged shard counters must account for every lookup, and the merged
      view must be exactly the per-shard sum. *)
   let merged = Plan_cache.Sharded.stats sharded in
+  check_bool "the replay served hits and invalidations, not only misses" true
+    (merged.Plan_cache.hits > 0 && merged.Plan_cache.invalidations > 0);
   check_int "hits + misses + invalidations = lookups" (domains * ops_per_domain)
     (Plan_cache.lookups merged);
   let manual =

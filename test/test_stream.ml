@@ -262,7 +262,27 @@ let test_limit_early_exit () =
     true
     (lsnap.Cost.seq_pages < fsnap.Cost.seq_pages);
   check_int "LIMIT charges one batch of cpu tuples plus its own pass"
-    (Stream_exec.batch_rows + 10) lsnap.Cost.cpu_tuples
+    (Stream_exec.batch_rows + 10) lsnap.Cost.cpu_tuples;
+  (* Over a hash join the LIMIT stops the probe side too: the build is
+     paid in full, the probe scan only up to the batch that filled it. *)
+  let join =
+    Plan.Hash_join
+      {
+        build = scan_all "orders";
+        probe = scan_all "lineitems";
+        build_key = "orders.o_id";
+        probe_key = "lineitems.l_order";
+      }
+  in
+  let jres, jsnap = run catalog (Plan.Limit (join, 50)) in
+  let _, jfsnap = run catalog join in
+  let pages (s : Cost.snapshot) = s.Cost.seq_pages + s.Cost.random_pages in
+  check_int "join limit honored" 50 (Array.length jres.Executor.tuples);
+  check_bool
+    (Printf.sprintf "LIMIT over a hash join charges strictly fewer pages (%d < %d)"
+       (pages jsnap) (pages jfsnap))
+    true
+    (pages jsnap < pages jfsnap)
 
 (* A LIMIT larger than the input is a full drain plus its counter pass. *)
 let test_limit_full_drain_parity () =
