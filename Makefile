@@ -57,11 +57,14 @@ fuzz-self-test: all
 fuzz-self-test-rewrite: all
 	dune exec bin/robustopt.exe -- experiment fuzz --self-test-rewrite --seed 5
 
+# Every paper figure, table and ablation (Figures 1-12, the Sec. 6.1
+# overhead table, the ablations and the guard-rescue table), in registry
+# order; bench-quick runs each experiment's reduced quick configuration.
 bench:
-	dune exec bench/main.exe
+	dune exec bin/robustopt.exe -- experiment
 
 bench-quick:
-	dune exec bench/main.exe -- quick
+	dune exec bin/robustopt.exe -- experiment --quick
 
 # Bitset evidence-kernel bench: cold/warm/scan evidence throughput plus
 # plans/sec per estimator arm; writes BENCH_optimizer.json and exits

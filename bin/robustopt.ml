@@ -1,10 +1,17 @@
 (* robustopt — command-line front end.
 
    Subcommands:
-     explain     parse + optimize a SQL query, print the chosen plan
-     run         optimize, execute, print results and simulated time
-     estimate    compare selectivity estimates (robust / AVI / truth)
-     analyze     print an analytical figure's data series (fig1..fig8)
+     explain          parse + optimize a SQL query, print the chosen plan
+     run              optimize, execute, print results and simulated time
+     estimate         compare selectivity estimates (robust / AVI / truth)
+     experiment       regenerate the paper's figures, tables and ablations
+                      (all, or the named ones; --quick for reduced sizes),
+                      or run the differential fuzzer (experiment fuzz)
+     bench-optimizer  evidence-kernel throughput and bit-identity gates
+     profile          cost curves and crossovers of a query's access paths
+     sweep            plan-choice diagram over selectivity x threshold
+     export           write a generated workload as schema.sql + CSVs
+     batch            run a file of queries under a robustness policy
 
    Workloads are generated in-memory from a seed: --workload tpch | star. *)
 
@@ -185,6 +192,45 @@ let print_degradations decision =
     (fun e -> Printf.printf "degraded: %s\n" (Rq_stats.Fault.event_to_string e))
     decision.Optimizer.degraded
 
+(* The setup `explain` and `run` share: catalog, statistics, the bound
+   query, its confidence threshold, the observability recorder, and the
+   optimizer (over damaged statistics when --fault-profile is given). *)
+type session = {
+  catalog : Rq_storage.Catalog.t;
+  cost_scale : float;
+  stats : Rq_stats.Stats_store.t;
+  query : Logical.t;
+  confidence : Rq_core.Confidence.t;
+  recorder : Rq_obs.Recorder.t option;
+  opt : Optimizer.t;
+}
+
+let open_session ~workload ~seed ~scale ~sample_size ~confidence ~estimator ~data_dir
+    ~fault_profile ~reopt_threshold ~trace ~metrics_json sql =
+  check_reopt_threshold reopt_threshold;
+  let catalog, cost_scale = obtain_catalog ~workload ~seed ~scale ~data_dir in
+  let stats = build_stats ~seed ~sample_size catalog in
+  let bound = compile_sql catalog sql in
+  let confidence = resolve_confidence ~confidence ~hint:bound.Rq_sql.Binder.confidence_hint in
+  let recorder = make_recorder ~trace ~metrics_json in
+  let opt =
+    match
+      apply_fault_profile ?obs:recorder ~seed ~confidence ~cost_scale ~profile:fault_profile stats
+    with
+    | Some damaged_opt -> damaged_opt
+    | None -> make_optimizer ~estimator ~confidence ~scale:cost_scale stats
+  in
+  { catalog; cost_scale; stats; query = bound.Rq_sql.Binder.query; confidence; recorder; opt }
+
+let optimize_session ~opt_budget s =
+  match
+    Optimizer.optimize ?budget:opt_budget
+      ?record:(Option.map Rq_obs.Recorder.record s.recorder)
+      s.opt s.query
+  with
+  | Ok d -> d
+  | Error msg -> failwith msg
+
 (* ---------------- explain ---------------- *)
 
 let explain_cmd =
@@ -194,49 +240,31 @@ let explain_cmd =
   in
   let run workload seed scale sample_size confidence estimator analyze data_dir fault_profile
       reopt_threshold opt_budget trace metrics_json sql =
-    check_reopt_threshold reopt_threshold;
-    let catalog, cost_scale = obtain_catalog ~workload ~seed ~scale ~data_dir in
-    let stats = build_stats ~seed ~sample_size catalog in
-    let bound = compile_sql catalog sql in
-    let confidence = resolve_confidence ~confidence ~hint:bound.Rq_sql.Binder.confidence_hint in
-    let recorder = make_recorder ~trace ~metrics_json in
-    let opt =
-      match
-        apply_fault_profile ?obs:recorder ~seed ~confidence ~cost_scale ~profile:fault_profile
-          stats
-      with
-      | Some damaged_opt -> damaged_opt
-      | None -> make_optimizer ~estimator ~confidence ~scale:cost_scale stats
+    let s =
+      open_session ~workload ~seed ~scale ~sample_size ~confidence ~estimator ~data_dir
+        ~fault_profile ~reopt_threshold ~trace ~metrics_json sql
     in
-    Printf.printf "confidence threshold: %g%%\n" (Rq_core.Confidence.to_percent confidence);
-    (match Optimizer.explain opt bound.Rq_sql.Binder.query with
+    Printf.printf "confidence threshold: %g%%\n" (Rq_core.Confidence.to_percent s.confidence);
+    (match Optimizer.explain s.opt s.query with
     | Ok report -> print_string report
     | Error msg -> failwith msg);
     if analyze then begin
-      let decision =
-        match
-          Optimizer.optimize ?budget:opt_budget
-            ?record:(Option.map Rq_obs.Recorder.record recorder)
-            opt bound.Rq_sql.Binder.query
-        with
-        | Ok d -> d
-        | Error msg -> failwith msg
-      in
+      let decision = optimize_session ~opt_budget s in
       print_degradations decision;
       (* With a guard threshold, EXPLAIN ANALYZE shows each checkpoint and
          whether it would have fired. *)
       let plan =
         match reopt_threshold with
         | None -> decision.Optimizer.plan
-        | Some threshold -> Reopt.instrument ~threshold opt decision.Optimizer.plan
+        | Some threshold -> Reopt.instrument ~threshold s.opt decision.Optimizer.plan
       in
       print_newline ();
       let report =
-        Explain_analyze.analyze catalog ~scale:cost_scale ?obs:recorder
-          (Optimizer.estimator opt) plan
+        Explain_analyze.analyze s.catalog ~scale:s.cost_scale ?obs:s.recorder
+          (Optimizer.estimator s.opt) plan
       in
       print_string (Explain_analyze.render_report report);
-      print_observability ~kernel:(kernel_totals stats) ~trace ~metrics_json recorder
+      print_observability ~kernel:(kernel_totals s.stats) ~trace ~metrics_json s.recorder
     end
   in
   let term =
@@ -271,36 +299,17 @@ let print_result_rows result =
 let run_cmd =
   let run workload seed scale sample_size confidence estimator data_dir fault_profile
       reopt_threshold opt_budget trace metrics_json sql =
-    check_reopt_threshold reopt_threshold;
-    let catalog, cost_scale = obtain_catalog ~workload ~seed ~scale ~data_dir in
-    let stats = build_stats ~seed ~sample_size catalog in
-    let bound = compile_sql catalog sql in
-    let confidence = resolve_confidence ~confidence ~hint:bound.Rq_sql.Binder.confidence_hint in
-    let recorder = make_recorder ~trace ~metrics_json in
-    let opt =
-      match
-        apply_fault_profile ?obs:recorder ~seed ~confidence ~cost_scale ~profile:fault_profile
-          stats
-      with
-      | Some damaged_opt -> damaged_opt
-      | None -> make_optimizer ~estimator ~confidence ~scale:cost_scale stats
+    let s =
+      open_session ~workload ~seed ~scale ~sample_size ~confidence ~estimator ~data_dir
+        ~fault_profile ~reopt_threshold ~trace ~metrics_json sql
     in
-    let query = bound.Rq_sql.Binder.query in
-    let decision =
-      match
-        Optimizer.optimize ?budget:opt_budget
-          ?record:(Option.map Rq_obs.Recorder.record recorder)
-          opt query
-      with
-      | Ok d -> d
-      | Error msg -> failwith msg
-    in
+    let decision = optimize_session ~opt_budget s in
     print_degradations decision;
     (match reopt_threshold with
     | None ->
-        let meter = Rq_exec.Cost.create ~scale:cost_scale () in
+        let meter = Rq_exec.Cost.create ~scale:s.cost_scale () in
         let result =
-          Rq_exec.Executor.run ?obs:recorder catalog meter decision.Optimizer.plan
+          Rq_exec.Executor.run ?obs:s.recorder s.catalog meter decision.Optimizer.plan
         in
         let snapshot = Rq_exec.Cost.snapshot meter in
         Printf.printf "plan: %s\n" (Rq_exec.Plan.describe decision.Optimizer.plan);
@@ -309,7 +318,7 @@ let run_cmd =
         print_result_rows result
     | Some threshold ->
         let outcome =
-          Reopt.execute_plan ~threshold ?obs:recorder opt query decision.Optimizer.plan
+          Reopt.execute_plan ~threshold ?obs:s.recorder s.opt s.query decision.Optimizer.plan
         in
         Printf.printf "initial plan: %s\n"
           (Rq_exec.Plan.describe outcome.Reopt.initial_plan);
@@ -319,7 +328,7 @@ let run_cmd =
         Format.printf "simulated execution (incl. wasted work): %a@."
           Rq_exec.Cost.pp_snapshot outcome.Reopt.snapshot;
         print_result_rows outcome.Reopt.result);
-    print_observability ~kernel:(kernel_totals stats) ~trace ~metrics_json recorder
+    print_observability ~kernel:(kernel_totals s.stats) ~trace ~metrics_json s.recorder
   in
   let term =
     Term.(const run $ workload_arg $ seed_arg $ scale_arg $ sample_arg $ confidence_arg
@@ -365,39 +374,6 @@ let estimate_cmd =
   Cmd.v
     (Cmd.info "estimate" ~doc:"Compare cardinality estimates against the true cardinality.")
     term
-
-(* ---------------- analyze ---------------- *)
-
-let analyze_cmd =
-  let figure_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FIGURE"
-         ~doc:"One of fig1..fig8.")
-  in
-  let run figure =
-    let print_series series =
-      List.iter
-        (fun { Rq_analysis.Figures.label; points } ->
-          Printf.printf "# %s\n" label;
-          List.iter (fun (x, y) -> Printf.printf "%.6g\t%.6g\n" x y) points)
-        series
-    in
-    match figure with
-    | "fig1" -> print_series (Rq_analysis.Figures.fig1_cost_vs_selectivity ())
-    | "fig2" -> print_series (Rq_analysis.Figures.fig2_cost_pdf ())
-    | "fig3" -> print_series (Rq_analysis.Figures.fig3_cost_cdf ())
-    | "fig4" -> print_series (Rq_analysis.Figures.fig4_prior_comparison ())
-    | "fig5" -> print_series (Rq_analysis.Figures.fig5_confidence_sweep ())
-    | "fig6" ->
-        List.iter
-          (fun (t, s) ->
-            Printf.printf "%g\t%.3f\t%.3f\n" t s.Rq_math.Summary.mean s.Rq_math.Summary.std_dev)
-          (Rq_analysis.Figures.fig6_tradeoff ())
-    | "fig7" -> print_series (Rq_analysis.Figures.fig7_sample_size_sweep ())
-    | "fig8" -> print_series (Rq_analysis.Figures.fig8_high_crossover ())
-    | other -> failwith (Printf.sprintf "unknown figure %S" other)
-  in
-  let term = Term.(const run $ figure_arg) in
-  Cmd.v (Cmd.info "analyze" ~doc:"Print an analytical figure's data series.") term
 
 (* ---------------- batch ---------------- *)
 
@@ -465,11 +441,15 @@ let export_cmd =
 (* ---------------- experiment ---------------- *)
 
 let experiment_cmd =
-  let name_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT"
-         ~doc:"One of fig9, fig10, fig11, fig12, overhead, partial-stats, reopt, fuzz.")
+  let names_arg =
+    Arg.(value & pos_all string [] & info [] ~docv:"NAME"
+         ~doc:(Printf.sprintf "Artifacts to run, in order (default: all of them): %s; or fuzz \
+                               alone, with the (fuzz) options."
+                 (String.concat ", " Rq_experiments.Artifacts.names)))
   in
-  let quick_arg = Arg.(value & flag & info [ "quick" ] ~doc:"Reduced repetitions.") in
+  let quick_arg =
+    Arg.(value & flag & info [ "quick" ] ~doc:"Reduced sizes: each experiment's quick configuration.")
+  in
   let iterations_arg =
     Arg.(value & opt (some int) None & info [ "iterations" ] ~docv:"N"
          ~doc:"(fuzz) Mutation iterations; 0 = unbounded soak.")
@@ -515,77 +495,18 @@ let experiment_cmd =
     Arg.(value & opt string "divergence.fuzz-repro" & info [ "repro-out" ] ~docv:"FILE"
          ~doc:"(fuzz) Where to write the minimal repro on divergence.")
   in
-  let run name quick iterations seed corpus_dir time_budget replay baseline late_after
+  let run names quick iterations seed corpus_dir time_budget replay baseline late_after
       self_test self_test_rewrite repro_out =
     let module E = Rq_experiments in
-    match name with
-    | "fig9" ->
-        let config =
-          if quick then
-            { E.Exp_single_table.default_config with repetitions = 4; offsets = [ 30; 50; 65; 80; 90 ] }
-          else E.Exp_single_table.default_config
-        in
-        let rows = E.Exp_single_table.run ~config () in
-        print_string (E.Report.rows_table rows);
-        print_string (E.Report.plan_mix rows);
-        print_string (E.Report.tradeoff_table (E.Exp_single_table.tradeoff rows))
-    | "fig10" ->
-        let config =
-          if quick then
-            { E.Exp_three_join.default_config with repetitions = 4; buckets = [ 0; 700; 850; 950; 999 ] }
-          else E.Exp_three_join.default_config
-        in
-        let rows = E.Exp_three_join.run ~config () in
-        print_string (E.Report.rows_table rows);
-        print_string (E.Report.plan_mix rows);
-        print_string (E.Report.tradeoff_table (E.Exp_three_join.tradeoff rows))
-    | "fig11" ->
-        let config =
-          if quick then
-            { E.Exp_star_join.default_config with repetitions = 4;
-              join_fractions = [ 0.0; 0.01; 0.04; 0.1 ]; fact_rows = 50_000 }
-          else E.Exp_star_join.default_config
-        in
-        let rows = E.Exp_star_join.run ~config () in
-        print_string (E.Report.rows_table rows);
-        print_string (E.Report.tradeoff_table (E.Exp_star_join.tradeoff rows))
-    | "fig12" ->
-        let config =
-          if quick then
-            { E.Exp_sample_size.default_config with repetitions = 4;
-              sample_sizes = [ 50; 250; 1000 ]; offsets = [ 30; 50; 65; 80; 90 ] }
-          else E.Exp_sample_size.default_config
-        in
-        print_string (E.Report.sample_size_table (E.Exp_sample_size.run ~config ()))
-    | "overhead" ->
-        let config =
-          if quick then { E.Overhead.default_config with iterations = 10 }
-          else E.Overhead.default_config
-        in
-        print_string (E.Report.overhead_table (E.Overhead.run ~config ()))
-    | "partial-stats" ->
-        let config =
-          if quick then { E.Exp_partial_stats.default_config with scale_factor = 0.003 }
-          else E.Exp_partial_stats.default_config
-        in
-        print_string (E.Report.partial_stats_table (E.Exp_partial_stats.run ~config ()))
-    | "reopt" ->
-        let config =
-          if quick then
-            { E.Exp_reopt.default_config with lineitems = 1000; orders = 100; cutoffs = [ 5; 25; 50 ] }
-          else E.Exp_reopt.default_config
-        in
-        print_string (E.Exp_reopt.render (E.Exp_reopt.run ~config ()))
-    | "fuzz" -> (
+    match names with
+    | [ "fuzz" ] -> (
         let module F = E.Exp_fuzz in
+        let base = if quick then F.quick_config else F.default_config in
         let config =
           {
-            F.default_config with
-            iterations =
-              (match iterations with
-              | Some n -> n
-              | None -> if quick then 60 else F.default_config.F.iterations);
-            seed = Option.value seed ~default:F.default_config.F.seed;
+            base with
+            iterations = Option.value iterations ~default:base.F.iterations;
+            seed = Option.value seed ~default:base.F.seed;
             corpus_dir;
             time_budget;
             baseline;
@@ -615,15 +536,35 @@ let experiment_cmd =
             let result = F.run ~log:print_endline ~config () in
             print_string (F.render result);
             if not result.F.r_ok then exit 1)
-    | other -> failwith (Printf.sprintf "unknown experiment %S" other)
+    | names ->
+        let entries =
+          if names = [] then E.Artifacts.all
+          else
+            List.map
+              (fun name ->
+                match E.Artifacts.find name with
+                | Some e -> e
+                | None ->
+                    Printf.eprintf "unknown experiment %S; available: %s, fuzz (alone)\n" name
+                      (String.concat ", " E.Artifacts.names);
+                    exit 2)
+              names
+        in
+        List.iter
+          (fun e ->
+            print_string (e.E.Artifacts.run ~quick);
+            flush stdout)
+          entries
   in
   let term =
-    Term.(const run $ name_arg $ quick_arg $ iterations_arg $ seed_arg $ corpus_dir_arg
+    Term.(const run $ names_arg $ quick_arg $ iterations_arg $ seed_arg $ corpus_dir_arg
           $ time_budget_arg $ replay_arg $ baseline_arg $ late_after_arg $ self_test_arg
           $ self_test_rewrite_arg $ repro_out_arg)
   in
   Cmd.v
-    (Cmd.info "experiment" ~doc:"Run one of the paper's empirical experiments (Figures 9-12).")
+    (Cmd.info "experiment"
+       ~doc:"Regenerate the paper's figures, tables and ablations (all of them, or the named \
+             ones), or run the differential fuzzer.")
     term
 
 (* ---------------- bench-optimizer ---------------- *)
@@ -754,5 +695,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ explain_cmd; run_cmd; estimate_cmd; analyze_cmd; experiment_cmd;
+          [ explain_cmd; run_cmd; estimate_cmd; experiment_cmd;
             bench_optimizer_cmd; profile_cmd; sweep_cmd; export_cmd; batch_cmd ]))

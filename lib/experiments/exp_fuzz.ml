@@ -511,6 +511,8 @@ let default_config =
     shrink_budget = 200;
   }
 
+let quick_config = { default_config with iterations = 60 }
+
 (* ------------------------------------------------------------------ *)
 (* Environments (memoized catalogs + statistics)                       *)
 (* ------------------------------------------------------------------ *)
@@ -1281,7 +1283,7 @@ let pick_level rng ~stagnation =
   max (escalation_floor ~stagnation) stochastic
 
 let run ?(log = fun (_ : string) -> ()) ?(config = default_config) () =
-  let start = Sys.time () in
+  let start = Unix.gettimeofday () in
   let rng = Rng.create config.seed in
   let self_test = config.self_test in
   let self_test_rewrite = config.self_test_rewrite in
@@ -1299,7 +1301,7 @@ let run ?(log = fun (_ : string) -> ()) ?(config = default_config) () =
   let iterations_done = ref 0 in
   let out_of_time () =
     match config.time_budget with
-    | Some budget -> Sys.time () -. start > budget
+    | Some budget -> Unix.gettimeofday () -. start > budget
     | None -> false
   in
   let record_found ~iteration case d =
@@ -1438,7 +1440,7 @@ let run ?(log = fun (_ : string) -> ()) ?(config = default_config) () =
     r_found = !found;
     r_self_test = self_test || self_test_rewrite;
     r_ok = ok;
-    r_seconds = Sys.time () -. start;
+    r_seconds = Unix.gettimeofday () -. start;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -89,6 +89,7 @@ type config = {
 }
 
 val default_config : config
+val quick_config : config  (** reduced sizes, for [experiment --quick] *)
 
 (** {2 Probing (exposed for tests)} *)
 

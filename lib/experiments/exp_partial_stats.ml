@@ -19,6 +19,8 @@ type config = { seed : int; sample_size : int; scale_factor : float; buckets : i
 let default_config =
   { seed = 47; sample_size = 500; scale_factor = 0.01; buckets = [ 0; 700; 900; 975; 999 ] }
 
+let quick_config = { default_config with scale_factor = 0.003 }
+
 let stats_config_of base = function
   | Full_synopses -> base
   | Single_table_samples -> { base with Rq_stats.Stats_store.follow_foreign_keys = false }

@@ -27,5 +27,6 @@ type config = {
 }
 
 val default_config : config
+val quick_config : config  (** reduced sizes, for [experiment --quick] *)
 
 val run : ?config:config -> unit -> row list

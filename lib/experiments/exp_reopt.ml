@@ -41,6 +41,8 @@ let default_config =
     threshold = 4.0;
   }
 
+let quick_config = { default_config with lineitems = 1000; orders = 100; cutoffs = [ 5; 25; 50 ] }
+
 type row = {
   cutoff : int;
   actual_rows : int;  (** rows actually surviving the filter *)

@@ -14,6 +14,7 @@ type config = {
 }
 
 val default_config : config
+val quick_config : config  (** reduced sizes, for [experiment --quick] *)
 
 type row = {
   cutoff : int;

@@ -17,6 +17,14 @@ let default_config =
     scale_factor = 0.01;
   }
 
+let quick_config =
+  {
+    default_config with
+    repetitions = 4;
+    sample_sizes = [ 50; 250; 1000 ];
+    offsets = [ 30; 50; 65; 80; 90 ];
+  }
+
 type point = {
   sample_size : int;
   summary : Rq_math.Summary.t;

@@ -16,6 +16,7 @@ type config = {
 }
 
 val default_config : config
+val quick_config : config  (** reduced sizes, for [experiment --quick] *)
 
 type point = {
   sample_size : int;

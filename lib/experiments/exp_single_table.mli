@@ -17,6 +17,7 @@ type config = {
 }
 
 val default_config : config
+val quick_config : config  (** reduced sizes, for [experiment --quick] *)
 
 val run : ?config:config -> unit -> Exp_common.row list
 (** One row per offset: measured selectivity and, per estimator, the times

@@ -21,6 +21,14 @@ let default_config =
     dim_rows = 1000;
   }
 
+let quick_config =
+  {
+    default_config with
+    repetitions = 4;
+    join_fractions = [ 0.0; 0.01; 0.04; 0.1 ];
+    fact_rows = 50_000;
+  }
+
 let run ?(config = default_config) () =
   let rng = Rq_math.Rng.create config.seed in
   let query = Star.query () in

@@ -18,6 +18,7 @@ type config = {
 }
 
 val default_config : config
+val quick_config : config  (** reduced sizes, for [experiment --quick] *)
 
 val run : ?config:config -> unit -> Exp_common.row list
 

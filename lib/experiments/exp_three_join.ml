@@ -19,6 +19,8 @@ let default_config =
     scale_factor = 0.01;
   }
 
+let quick_config = { default_config with repetitions = 4; buckets = [ 0; 700; 850; 950; 999 ] }
+
 let run ?(config = default_config) () =
   let rng = Rq_math.Rng.create config.seed in
   let params = { Tpch.default_params with scale_factor = config.scale_factor } in

@@ -13,16 +13,18 @@ type config = { seed : int; iterations : int; scale_factor : float; sample_size 
 
 let default_config = { seed = 46; iterations = 50; scale_factor = 0.01; sample_size = 500 }
 
+let quick_config = { default_config with iterations = 10 }
+
 let time_per_call ~iterations f =
   (* Warm up once so synopsis lookups and index structures are hot, then
      time DISTINCT queries: optimizing the same text repeatedly would just
      measure the estimator's memo table. *)
   ignore (f 0);
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   for i = 1 to iterations do
     ignore (f i)
   done;
-  (Sys.time () -. t0) /. float_of_int iterations *. 1000.0
+  (Unix.gettimeofday () -. t0) /. float_of_int iterations *. 1000.0
 
 let run ?(config = default_config) () =
   let rng = Rq_math.Rng.create config.seed in

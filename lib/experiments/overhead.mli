@@ -3,8 +3,8 @@
     The paper reports 30–40% more optimization time with sample-based
     estimation than with histograms.  This module measures wall-clock
     optimization time for both estimators over the three experiment
-    templates (the Bechamel micro-benchmarks in bench/ cover the same
-    comparison with proper statistical machinery). *)
+    templates; [robustopt experiment overhead] prints it as the T-OH
+    table. *)
 
 type measurement = {
   query : string;
@@ -18,5 +18,6 @@ type measurement = {
 type config = { seed : int; iterations : int; scale_factor : float; sample_size : int }
 
 val default_config : config
+val quick_config : config  (** reduced sizes, for [experiment --quick] *)
 
 val run : ?config:config -> unit -> measurement list

@@ -1,5 +1,4 @@
-(** Plain-text rendering of experiment results (shared by the benchmark
-    harness and the CLI). *)
+(** Plain-text rendering of experiment results, used by {!Artifacts}. *)
 
 val rows_table : Exp_common.row list -> string
 (** TSV: parameter, true selectivity %%, and mean/std per series. *)

@@ -134,53 +134,6 @@ let kernel_to_json k =
       ("rows_scan_avoided", Json.Num (float_of_int k.rows_scan_avoided));
     ]
 
-(* ------------------------------------------------------------------ *)
-(* Buffer-pool counters                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Residency accounting for the chunk buffer pool.  Deliberately separate
-   from the simulated-cost record above: under the morsel-parallel executor
-   which domain faults a chunk in first is a race, so hit/miss/eviction
-   totals are schedule-dependent and must not participate in the
-   deterministic counter-parity checks (pages_skipped, by contrast, is
-   deterministic and lives in [t]). *)
-type pool = {
-  pool_hits : int;        (* pins served from the residency table *)
-  pool_misses : int;      (* pins that faulted the chunk in *)
-  pool_evictions : int;   (* unpinned chunks dropped by LRU pressure *)
-  pool_capacity_chunks : int;
-  pool_resident_chunks : int;
-}
-
-let pool_zero =
-  {
-    pool_hits = 0;
-    pool_misses = 0;
-    pool_evictions = 0;
-    pool_capacity_chunks = 0;
-    pool_resident_chunks = 0;
-  }
-
-let pool_hit_rate p =
-  let total = p.pool_hits + p.pool_misses in
-  if total = 0 then 0.0 else float_of_int p.pool_hits /. float_of_int total
-
-let pool_to_json p =
-  Json.Obj
-    [
-      ("hits", Json.Num (float_of_int p.pool_hits));
-      ("misses", Json.Num (float_of_int p.pool_misses));
-      ("evictions", Json.Num (float_of_int p.pool_evictions));
-      ("hit_rate", Json.Num (pool_hit_rate p));
-      ("capacity_chunks", Json.Num (float_of_int p.pool_capacity_chunks));
-      ("resident_chunks", Json.Num (float_of_int p.pool_resident_chunks));
-    ]
-
-let pp_pool fmt p =
-  Format.fprintf fmt "hits=%d misses=%d evictions=%d hit_rate=%.3f resident=%d/%d"
-    p.pool_hits p.pool_misses p.pool_evictions (pool_hit_rate p)
-    p.pool_resident_chunks p.pool_capacity_chunks
-
 let pp_kernel fmt k =
   Format.fprintf fmt
     "evidence=%d bitmaps=%d hits=%d evictions=%d rows_scanned=%d rows_avoided=%d"

@@ -57,26 +57,3 @@ val kernel_add : kernel -> kernel -> kernel
 val kernel_to_json : kernel -> Json.t
 val pp_kernel : Format.formatter -> kernel -> unit
 
-(** {2 Buffer-pool counters}
-
-    Residency accounting for the chunk buffer pool.  Separate from [t]
-    because hit/miss/eviction totals depend on which domain faults a chunk
-    in first under the morsel-parallel executor — schedule-dependent, so
-    excluded from the deterministic counter-parity checks.  The
-    deterministic face of the same machinery, [pages_skipped], lives in
-    [t]. *)
-
-type pool = {
-  pool_hits : int;        (** pins served from the residency table *)
-  pool_misses : int;      (** pins that faulted the chunk in *)
-  pool_evictions : int;   (** unpinned chunks dropped by LRU pressure *)
-  pool_capacity_chunks : int;
-  pool_resident_chunks : int;
-}
-
-val pool_zero : pool
-val pool_hit_rate : pool -> float
-(** [hits / (hits + misses)], 0 when the pool saw no traffic. *)
-
-val pool_to_json : pool -> Json.t
-val pp_pool : Format.formatter -> pool -> unit

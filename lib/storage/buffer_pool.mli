@@ -8,8 +8,8 @@
     All operations are mutex-protected (the morsel prefetch pins from
     several domains).  Hit/miss/eviction counters are therefore
     schedule-dependent and deliberately kept out of the deterministic
-    cost-parity counters; they surface via {!stats} into
-    [Rq_obs.Metrics.pool] and the bench [buffer_pool] section. *)
+    cost-parity counters; they surface via {!stats} into the end-to-end
+    benchmark's [buffer_pool.*] metrics. *)
 
 type t
 

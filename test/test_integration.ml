@@ -259,6 +259,40 @@ let test_workbench () =
       check_bool "bad sql reported" true
         (Result.is_error (Rq_experiments.Workbench.run ~scale catalog [ "SELEC nonsense" ]))
 
+(* ------------------------------------------------------------------ *)
+(* The artifact registry behind `robustopt experiment`                 *)
+(* ------------------------------------------------------------------ *)
+
+let test_artifact_names_unique () =
+  let names = Rq_experiments.Artifacts.names in
+  check_int "no duplicate names" (List.length names)
+    (List.length (List.sort_uniq compare names))
+
+(* A data line of a figure series: at least two tab-separated numbers. *)
+let is_series_line line =
+  match String.split_on_char '\t' line with
+  | _ :: _ :: _ as fields -> List.for_all (fun f -> Float.of_string_opt f <> None) fields
+  | _ -> false
+
+let test_analytical_figures_render () =
+  for n = 1 to 8 do
+    let name = Printf.sprintf "fig%d" n in
+    match Rq_experiments.Artifacts.find name with
+    | None -> Alcotest.failf "%s missing from the registry" name
+    | Some entry ->
+        let out = entry.Rq_experiments.Artifacts.run ~quick:true in
+        let header = Printf.sprintf "\n=== Figure %d — " n in
+        check_bool (name ^ " header") true
+          (String.length out >= String.length header
+          && String.sub out 0 (String.length header) = header);
+        check_bool (name ^ " has a series line") true
+          (List.exists is_series_line (String.split_on_char '\n' out))
+  done
+
+let test_unknown_artifact () =
+  check_bool "unknown name" true (Rq_experiments.Artifacts.find "fig13" = None);
+  check_bool "fuzz is not a registry entry" true (Rq_experiments.Artifacts.find "fuzz" = None)
+
 let () =
   Alcotest.run "integration"
     [
@@ -280,5 +314,11 @@ let () =
           Alcotest.test_case "overhead measurement" `Slow test_overhead_harness;
           Alcotest.test_case "partial statistics (Sec. 3.5)" `Slow test_partial_stats_harness;
           Alcotest.test_case "workbench batch runner" `Slow test_workbench;
+        ] );
+      ( "artifact registry",
+        [
+          Alcotest.test_case "names are unique" `Quick test_artifact_names_unique;
+          Alcotest.test_case "fig1-fig8 render under quick" `Quick test_analytical_figures_render;
+          Alcotest.test_case "unknown name" `Quick test_unknown_artifact;
         ] );
     ]
