@@ -10,7 +10,7 @@ test: all
 
 # Only the morsel-parallel suite: domain-pool claiming discipline,
 # parallel-vs-serial parity across plan families, the parallel guard's
-# resumable prefix, and the sharded plan cache hammered from N domains.
+# resumable prefix, and one plan cache per domain hammered from N domains.
 test-parallel: all
 	dune exec test/test_parallel.exe
 

@@ -139,12 +139,14 @@ let kernel_totals stats =
     Rq_obs.Metrics.kernel_zero
     (Rq_stats.Stats_store.synopsis_roots stats)
 
+let print_events events = List.iter (fun e -> print_endline (Rq_obs.Trace.to_string e)) events
+
 let print_observability ~kernel ~trace ~metrics_json recorder =
   match recorder with
   | None -> ()
   | Some r ->
       if trace then begin
-        print_string (Rq_obs.Recorder.render_events (Rq_obs.Recorder.events r));
+        print_events (Rq_obs.Recorder.events r);
         print_string (Rq_obs.Recorder.render_spans (Rq_obs.Recorder.roots r));
         if kernel.Rq_obs.Metrics.evidence_queries > 0 then
           Format.printf "evidence kernel: %a@." Rq_obs.Metrics.pp_kernel kernel
@@ -225,7 +227,7 @@ let open_session ~workload ~seed ~scale ~sample_size ~confidence ~estimator ~dat
 let optimize_session ~opt_budget s =
   match
     Optimizer.optimize ?budget:opt_budget
-      ?record:(Option.map Rq_obs.Recorder.record s.recorder)
+      ?obs:s.recorder
       s.opt s.query
   with
   | Ok d -> d
@@ -314,7 +316,7 @@ let run_cmd =
         let snapshot = Rq_exec.Cost.snapshot meter in
         Printf.printf "plan: %s\n" (Rq_exec.Plan.describe decision.Optimizer.plan);
         Format.printf "estimated cost: %.3f s; simulated execution: %a@."
-          decision.Optimizer.estimated_cost Rq_exec.Cost.pp_snapshot snapshot;
+          decision.Optimizer.estimated_cost Rq_obs.Metrics.pp snapshot;
         print_result_rows result
     | Some threshold ->
         let outcome =
@@ -322,11 +324,12 @@ let run_cmd =
         in
         Printf.printf "initial plan: %s\n"
           (Rq_exec.Plan.describe outcome.Reopt.initial_plan);
-        print_string (Reopt.render_events outcome.Reopt.events);
+        if outcome.Reopt.events = [] then print_endline "no guard fired"
+        else print_events outcome.Reopt.events;
         if outcome.Reopt.reoptimizations > 0 then
           Printf.printf "final plan: %s\n" (Rq_exec.Plan.describe outcome.Reopt.final_plan);
         Format.printf "simulated execution (incl. wasted work): %a@."
-          Rq_exec.Cost.pp_snapshot outcome.Reopt.snapshot;
+          Rq_obs.Metrics.pp outcome.Reopt.snapshot;
         print_result_rows outcome.Reopt.result);
     print_observability ~kernel:(kernel_totals s.stats) ~trace ~metrics_json s.recorder
   in
@@ -464,7 +467,9 @@ let experiment_cmd =
   in
   let time_budget_arg =
     Arg.(value & opt (some float) None & info [ "time-budget" ] ~docv:"SECONDS"
-         ~doc:"(fuzz) Stop after this much wall-clock time.")
+         ~doc:"(fuzz) Stop the steered search after this much wall-clock time.  The \
+               $(b,--baseline) control is not bounded: it always runs as many probes as \
+               the steered search did.")
   in
   let replay_arg =
     Arg.(value & opt (some string) None & info [ "replay" ] ~docv:"FILE"

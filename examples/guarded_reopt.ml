@@ -73,7 +73,7 @@ let () =
   Printf.printf "unguarded, run to completion:  %.4f simulated seconds\n\n" unguarded.Cost.seconds;
 
   let outcome = Reopt.execute_plan ~threshold:4.0 misled query bad_plan in
-  print_string (Reopt.render_events outcome.Reopt.events);
+  List.iter (fun e -> print_endline (Rq_obs.Trace.to_string e)) outcome.Reopt.events;
   Printf.printf "\nfinal plan after rescue: %s\n" (Plan.describe outcome.Reopt.final_plan);
   Printf.printf "guarded (incl. wasted prefix): %.4f simulated seconds (%.0fx cheaper)\n"
     outcome.Reopt.snapshot.Cost.seconds

@@ -126,7 +126,7 @@ let charge_seconds t s =
   t.extra_seconds <- t.extra_seconds +. (s *. t.scale);
   add t s
 
-type snapshot = {
+type snapshot = Rq_obs.Metrics.t = {
   seconds : float;
   seq_pages : int;
   random_pages : int;
@@ -145,7 +145,7 @@ type snapshot = {
 
 let snapshot (t : t) =
   {
-    seconds = t.seconds;
+    Rq_obs.Metrics.seconds = t.seconds;
     seq_pages = t.seq_pages;
     random_pages = t.random_pages;
     pages_skipped = t.pages_skipped;
@@ -190,27 +190,3 @@ let seconds_of_counters ~constants:c ~scale (s : snapshot) =
      +. s.sort_units *. c.sort_tuple_s
      +. float_of_int s.output_tuples *. c.output_tuple_s)
   +. s.extra_seconds
-
-let to_metrics (s : snapshot) =
-  {
-    Rq_obs.Metrics.seconds = s.seconds;
-    seq_pages = s.seq_pages;
-    random_pages = s.random_pages;
-    pages_skipped = s.pages_skipped;
-    cpu_tuples = s.cpu_tuples;
-    index_probes = s.index_probes;
-    index_entries = s.index_entries;
-    hash_build = s.hash_build;
-    hash_probe = s.hash_probe;
-    merge_tuples = s.merge_tuples;
-    sort_tuples = s.sort_tuples;
-    output_tuples = s.output_tuples;
-    sort_units = s.sort_units;
-    extra_seconds = s.extra_seconds;
-  }
-
-let pp_snapshot fmt s =
-  Format.fprintf fmt
-    "%.4f s (seq=%d pages, rand=%d pages, skipped=%d pages, cpu=%d tuples, probes=%d, entries=%d)"
-    s.seconds s.seq_pages s.random_pages s.pages_skipped s.cpu_tuples s.index_probes
-    s.index_entries

@@ -61,7 +61,7 @@ val charge_output_tuples : t -> int -> unit
 val charge_seconds : t -> float -> unit
 (** Raw charge, already in simulated seconds (still multiplied by scale). *)
 
-type snapshot = {
+type snapshot = Rq_obs.Metrics.t = {
   seconds : float;        (** total simulated time, scale applied *)
   seq_pages : int;
   random_pages : int;
@@ -89,8 +89,3 @@ val reset : t -> unit
 val seconds_of_counters : constants:constants -> scale:float -> snapshot -> float
 (** Recompute the snapshot's simulated seconds from its counters alone;
     matches [snapshot.seconds] up to float-summation-order error. *)
-
-val to_metrics : snapshot -> Rq_obs.Metrics.t
-(** Bridge into the observability layer's counter record (field-for-field). *)
-
-val pp_snapshot : Format.formatter -> snapshot -> unit

@@ -46,9 +46,11 @@ val run : ?obs:Rq_obs.Recorder.t -> Catalog.t -> Cost.t -> Plan.t -> result
     (missing index, key out of scope); run [Plan.validate] first for a
     friendly error.  Raises [Guard_violation] when a guard fires.
 
-    With [?obs], every plan node is wrapped in a recorder span whose metric
-    delta is that subtree's meter movement, accumulated per pull and
-    attached when the root drains (or unwinds); guards emit
+    With [?obs], every plan node gets a recorder span node, children in
+    {!Plan.children} order, whose metric delta is that subtree's meter
+    movement, accumulated per pull; the tree is attached when the root
+    drains (or unwinds), beneath the recorder's running scope if there is
+    one.  Guards emit
     [Guard_ok]/[Guard_fired] trace events, and spans unwound by an exception
     are kept, marked aborted, so wasted work stays attributed.  A fired
     guard's input span is [not] aborted — its partial rows were produced

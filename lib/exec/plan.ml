@@ -440,12 +440,17 @@ let rec strip_guards = function
   | Scan_resume _ as p -> p
   | Append parts -> Append (List.map strip_guards parts)
 
-let rec guard_count = function
-  | Scan _ | Star_semijoin _ | Materialized _ | Scan_resume _ -> 0
-  | Append parts -> List.fold_left (fun acc p -> acc + guard_count p) 0 parts
-  | Hash_join { build; probe; _ } -> guard_count build + guard_count probe
-  | Merge_join { left; right; _ } -> guard_count left + guard_count right
-  | Indexed_nl_join { outer; _ } -> guard_count outer
-  | Filter (input, _) | Project (input, _) | Limit (input, _) -> guard_count input
-  | Aggregate { input; _ } | Sort { input; _ } -> guard_count input
-  | Guard { input; _ } -> 1 + guard_count input
+let children = function
+  | Scan _ | Scan_resume _ | Star_semijoin _ | Materialized _ -> []
+  | Append parts -> parts
+  | Hash_join { build; probe; _ } -> [ build; probe ]
+  | Merge_join { left; right; _ } -> [ left; right ]
+  | Indexed_nl_join { outer; _ } -> [ outer ]
+  | Filter (input, _) | Project (input, _) | Limit (input, _) -> [ input ]
+  | Aggregate { input; _ } | Sort { input; _ } | Guard { input; _ } -> [ input ]
+
+let rec guard_count plan =
+  List.fold_left
+    (fun acc child -> acc + guard_count child)
+    (match plan with Guard _ -> 1 | _ -> 0)
+    (children plan)

@@ -127,6 +127,12 @@ val q_error : expected:float -> actual:int -> float
 val pp : Format.formatter -> t -> unit
 (** Multi-line EXPLAIN-style rendering. *)
 
+val children : t -> t list
+(** A node's direct inputs, in the order the executor runs and spans
+    them: build before probe, left before right, an indexed-NL join's
+    outer only, an [Append]'s parts in order.  Scans, star semijoins and
+    materialized leaves have none. *)
+
 val node_label : t -> string
 (** One-line label for this node alone (children not descended), e.g.
     ["SeqScan(lineitem)"] or ["HashJoin(a = b)"]; used for span labels and

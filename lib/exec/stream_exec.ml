@@ -11,13 +11,11 @@
    rows, so early exit (a satisfied LIMIT, a mid-stream guard violation)
    simply stops pulling and leaves the unperformed work uncharged.
 
-   Span accounting cannot use the recorder's open/close stack: operator
-   windows interleave (a parent's pull nests each child pull inside it, but
-   successive pulls of one operator are not contiguous).  Instead each
-   operator accumulates its inclusive metric delta across all its pulls;
-   child windows always sit inside parent windows, so the accumulated
-   totals nest exactly like stack spans and self = total - children sums
-   telescope back to the meter. *)
+   With a recorder attached, each operator's pulls are measurement windows
+   of its {!Rq_obs.Recorder.node}: successive pulls of one operator are
+   not contiguous, but a child's pulls always sit inside its parent's, so
+   the accumulated totals nest and self = total - children telescopes back
+   to the meter. *)
 
 open Rq_storage
 
@@ -43,55 +41,13 @@ type ctx = {
 let record ctx event =
   match ctx.obs with None -> () | Some r -> Rq_obs.Recorder.record r event
 
-let meter_metrics ctx = Cost.to_metrics (Cost.snapshot ctx.meter)
-
-(* ------------------------------------------------------------------ *)
-(* Span accounting                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type span_node = {
-  sp_label : string;
-  mutable sp_rows : int;
-  mutable sp_total : Rq_obs.Metrics.t;
-  mutable sp_aborted : bool;
-  sp_children : span_node list;
-}
-
-(* Rows are logical (selected) rows. *)
-let wrap_spans ctx node (op : Stream.t) =
-  let next_batch () =
-    let before = meter_metrics ctx in
-    let add () =
-      node.sp_total <-
-        Rq_obs.Metrics.add node.sp_total (Rq_obs.Metrics.sub (meter_metrics ctx) before)
-    in
-    match op.Stream.next_batch () with
-    | r ->
-        add ();
-        Option.iter (fun vb -> node.sp_rows <- node.sp_rows + Vbatch.selected vb) r;
-        r
-    | exception e ->
-        add ();
-        node.sp_aborted <- true;
-        raise e
-  in
+(* Each pull of a spanned operator is one measurement window of its node;
+   rows are logical (selected) rows. *)
+let spanned ctx node (op : Stream.t) =
+  let meter () = Cost.snapshot ctx.meter in
+  let rows = function Some vb -> Vbatch.selected vb | None -> 0 in
+  let next_batch () = Rq_obs.Recorder.measure node ~meter ~rows op.Stream.next_batch in
   { op with Stream.next_batch }
-
-let rec finalize_span node =
-  let children = List.map finalize_span node.sp_children in
-  let self =
-    List.fold_left
-      (fun acc (c : Rq_obs.Recorder.span) -> Rq_obs.Metrics.sub acc c.Rq_obs.Recorder.total)
-      node.sp_total children
-  in
-  {
-    Rq_obs.Recorder.label = node.sp_label;
-    rows = (if node.sp_aborted then -1 else node.sp_rows);
-    aborted = node.sp_aborted;
-    total = node.sp_total;
-    self;
-    children;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Generic plumbing                                                    *)
@@ -968,92 +924,74 @@ let needed need { Schema.name; _ } =
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Compile a plan to its operator tree; with a recorder attached, every
-   operator is wrapped in a span accumulator whose children follow the
-   same order {!Explain_analyze} walks plan children in.  [need] is what
-   the parent reads of this node's output; each node hands its inputs that
-   plus what it reads itself. *)
-let rec compile ctx need plan : Stream.t * span_node option =
-  let op, child_spans =
-    match plan with
-    | Plan.Scan { table; access; pred } -> (
+(* What a node's inputs must supply, given what its parent reads of its
+   own output: the parent's set plus what the node reads itself.  Every
+   input of one node gets the same set. *)
+let input_need need = function
+  | Plan.Hash_join { build_key; probe_key; _ } -> with_cols need [ build_key; probe_key ]
+  | Plan.Merge_join { left_key; right_key; _ } -> with_cols need [ left_key; right_key ]
+  | Plan.Indexed_nl_join { outer_key; _ } -> with_cols need [ outer_key ]
+  | Plan.Filter (_, pred) -> with_cols need (Pred.columns pred)
+  | Plan.Project (_, cols) -> only cols
+  | Plan.Sort { keys; _ } -> with_cols need (List.map (fun k -> k.Plan.sort_column) keys)
+  | Plan.Aggregate { group_by; aggs; _ } -> only (group_by @ agg_columns aggs)
+  | Plan.Guard _ -> All
+  | Plan.Limit _ | Plan.Append _ | Plan.Scan _ | Plan.Scan_resume _ | Plan.Materialized _
+  | Plan.Star_semijoin _ ->
+      need
+
+(* Compile a plan to its operator tree, inputs in {!Plan.children} order.
+   With a recorder attached, every operator's pulls are measured into a
+   span node whose children are its inputs' nodes — so the span tree has
+   the plan's shape, guards included. *)
+let rec compile ctx need plan : Stream.t * Rq_obs.Recorder.node option =
+  let inputs = List.map (compile ctx (input_need need plan)) (Plan.children plan) in
+  let op =
+    match (plan, List.map fst inputs) with
+    | Plan.Scan { table; access; pred }, [] -> (
         match access with
-        | Plan.Seq_scan ->
-            (seq_scan_stream ctx ~table ~pred ~from:0 ~keep_cols:(needed need), [])
-        | Plan.Index_range probe -> (index_range_stream ctx ~table ~pred ~probe, [])
-        | Plan.Index_intersect probes -> (index_intersect_stream ctx ~table ~pred ~probes, [])
+        | Plan.Seq_scan -> seq_scan_stream ctx ~table ~pred ~from:0 ~keep_cols:(needed need)
+        | Plan.Index_range probe -> index_range_stream ctx ~table ~pred ~probe
+        | Plan.Index_intersect probes -> index_intersect_stream ctx ~table ~pred ~probes
         | Plan.Index_order { column; descending } ->
-            (index_order_stream ctx ~table ~pred ~column ~descending, []))
-    | Plan.Scan_resume { table; pred; from_rid } ->
-        (seq_scan_stream ctx ~table ~pred ~from:from_rid ~keep_cols:(needed need), [])
-    | Plan.Materialized { schema; tuples; _ } -> (materialized_stream ~schema ~tuples, [])
-    | Plan.Hash_join { build; probe; build_key; probe_key } ->
-        let need = with_cols need [ build_key; probe_key ] in
-        let bop, bspan = compile ctx need build in
-        let pop, pspan = compile ctx need probe in
-        (hash_join_stream ctx ~bop ~pop ~build_key ~probe_key, [ bspan; pspan ])
-    | Plan.Merge_join { left; right; left_key; right_key } ->
-        let need = with_cols need [ left_key; right_key ] in
-        let lop, lspan = compile ctx need left in
-        let rop, rspan = compile ctx need right in
-        ( merge_join_stream ctx ~left_plan:left ~right_plan:right ~lop ~rop ~left_key
-            ~right_key,
-          [ lspan; rspan ] )
-    | Plan.Indexed_nl_join { outer; outer_key; inner_table; inner_key; inner_pred } ->
-        let oop, ospan = compile ctx (with_cols need [ outer_key ]) outer in
-        (inl_join_stream ctx ~oop ~outer_key ~inner_table ~inner_key ~inner_pred, [ ospan ])
-    | Plan.Star_semijoin { fact; fact_pred; dims } ->
-        (star_semijoin_stream ctx ~fact ~fact_pred ~dims, [])
-    | Plan.Filter (input, pred) ->
-        let iop, ispan = compile ctx (with_cols need (Pred.columns pred)) input in
-        (filter_stream ctx ~iop ~pred, [ ispan ])
-    | Plan.Project (input, cols) ->
-        let iop, ispan = compile ctx (only cols) input in
-        (project_stream ctx ~iop ~cols, [ ispan ])
-    | Plan.Sort { input; keys } ->
-        let iop, ispan =
-          compile ctx (with_cols need (List.map (fun k -> k.Plan.sort_column) keys)) input
-        in
-        (sort_stream ctx ~iop ~keys, [ ispan ])
-    | Plan.Limit (input, n) ->
-        let iop, ispan = compile ctx need input in
-        (limit_stream ctx ~iop ~n, [ ispan ])
-    | Plan.Aggregate { input; group_by; aggs } ->
-        let iop, ispan = compile ctx (only (group_by @ agg_columns aggs)) input in
-        (aggregate_stream ctx ~plan ~iop ~group_by ~aggs, [ ispan ])
-    | Plan.Guard { input; expected_rows; max_q_error; label } ->
-        let iop, ispan = compile ctx All input in
-        ( guard_stream ctx ~iop ~input_plan:input ~expected_rows ~max_q_error ~label,
-          [ ispan ] )
-    | Plan.Append parts ->
-        let compiled = List.map (compile ctx need) parts in
-        let schema =
-          match compiled with
-          | [] -> invalid_arg "Executor: Append needs at least one input"
-          | (op, _) :: _ -> op.Stream.schema
-        in
-        (append_stream ~schema (List.map fst compiled), List.map snd compiled)
+            index_order_stream ctx ~table ~pred ~column ~descending)
+    | Plan.Scan_resume { table; pred; from_rid }, [] ->
+        seq_scan_stream ctx ~table ~pred ~from:from_rid ~keep_cols:(needed need)
+    | Plan.Materialized { schema; tuples; _ }, [] -> materialized_stream ~schema ~tuples
+    | Plan.Hash_join { build_key; probe_key; _ }, [ bop; pop ] ->
+        hash_join_stream ctx ~bop ~pop ~build_key ~probe_key
+    | Plan.Merge_join { left; right; left_key; right_key }, [ lop; rop ] ->
+        merge_join_stream ctx ~left_plan:left ~right_plan:right ~lop ~rop ~left_key ~right_key
+    | Plan.Indexed_nl_join { outer_key; inner_table; inner_key; inner_pred; _ }, [ oop ] ->
+        inl_join_stream ctx ~oop ~outer_key ~inner_table ~inner_key ~inner_pred
+    | Plan.Star_semijoin { fact; fact_pred; dims }, [] ->
+        star_semijoin_stream ctx ~fact ~fact_pred ~dims
+    | Plan.Filter (_, pred), [ iop ] -> filter_stream ctx ~iop ~pred
+    | Plan.Project (_, cols), [ iop ] -> project_stream ctx ~iop ~cols
+    | Plan.Sort { keys; _ }, [ iop ] -> sort_stream ctx ~iop ~keys
+    | Plan.Limit (_, n), [ iop ] -> limit_stream ctx ~iop ~n
+    | Plan.Aggregate { group_by; aggs; _ }, [ iop ] ->
+        aggregate_stream ctx ~plan ~iop ~group_by ~aggs
+    | Plan.Guard { input; expected_rows; max_q_error; label }, [ iop ] ->
+        guard_stream ctx ~iop ~input_plan:input ~expected_rows ~max_q_error ~label
+    | Plan.Append _, (first :: _ as parts) -> append_stream ~schema:first.Stream.schema parts
+    | Plan.Append _, [] -> invalid_arg "Executor: Append needs at least one input"
+    | _ -> assert false (* [Plan.children] fixes each node's input count *)
   in
   match ctx.obs with
   | None -> (op, None)
   | Some _ ->
       let node =
-        {
-          sp_label = Plan.node_label plan;
-          sp_rows = 0;
-          sp_total = Rq_obs.Metrics.zero;
-          sp_aborted = false;
-          sp_children = List.filter_map Fun.id child_spans;
-        }
+        Rq_obs.Recorder.node ~label:(Plan.node_label plan) (List.filter_map snd inputs)
       in
-      (wrap_spans ctx node op, Some node)
+      (spanned ctx node op, Some node)
 
 let run ?obs ?morsels catalog meter plan =
   let ctx = { catalog; meter; obs; morsels } in
   let op, span = compile ctx All plan in
   let attach () =
     match (ctx.obs, span) with
-    | Some r, Some node -> Rq_obs.Recorder.attach_span r (finalize_span node)
+    | Some r, Some node -> Rq_obs.Recorder.attach r node
     | _ -> ()
   in
   let tuples = Fun.protect ~finally:attach (fun () -> drain_all op) in

@@ -754,7 +754,7 @@ let run_case config ~self_test ~self_test_rewrite env case : (probe, string) res
               against_reference "degraded" outcome.Reopt.result;
               if !divergence = None then begin
                 let span_total = Recorder.sum_self (Recorder.roots recorder) in
-                let meter_total = Cost.to_metrics outcome.Reopt.snapshot in
+                let meter_total = outcome.Reopt.snapshot in
                 if not (Rq_obs.Metrics.approx_equal ~tolerance:1e-9 span_total meter_total) then
                   fail "degraded:counter-reconciliation"
                     "observability spans do not sum to the cost-meter snapshot";
@@ -1363,8 +1363,8 @@ let run ?(log = fun (_ : string) -> ()) ?(config = default_config) () =
      let i = ref 0 in
      while (config.iterations = 0 || !i < config.iterations) && !found = None do
        incr i;
-       iterations_done := !i;
        if out_of_time () then raise Exit;
+       iterations_done := !i;
        let parents = Array.of_list !corpus in
        if Array.length parents = 0 then raise Exit;
        (* novelty bias: [corpus] is newest-first, and recent additions sit
@@ -1386,7 +1386,8 @@ let run ?(log = fun (_ : string) -> ()) ?(config = default_config) () =
      done
    with Exit -> ());
   (* The pure-random control: same probe machinery, same case evaluation
-     count, no corpus and no steering. *)
+     count, no corpus and no steering.  The time budget bounds only the
+     steered search; the control always matches its probe count. *)
   let baseline_pairs =
     if not config.baseline then None
     else begin
@@ -1394,15 +1395,13 @@ let run ?(log = fun (_ : string) -> ()) ?(config = default_config) () =
       let bseen = Hashtbl.create 256 in
       let n = config.seed_corpus + !iterations_done in
       for _ = 1 to n do
-        if not (out_of_time ()) then begin
-          let case = gen_case brng config in
-          match probe_case ~self_test ~self_test_rewrite config case with
-          | Ok { divergence = None; coverage } -> Hashtbl.replace bseen (coverage_key coverage) ()
-          | Ok { divergence = Some d; _ } ->
-              (* a divergence is a divergence, whoever finds it *)
-              if !found = None then record_found ~iteration:0 case d
-          | Error _ -> ()
-        end
+        let case = gen_case brng config in
+        match probe_case ~self_test ~self_test_rewrite config case with
+        | Ok { divergence = None; coverage } -> Hashtbl.replace bseen (coverage_key coverage) ()
+        | Ok { divergence = Some d; _ } ->
+            (* a divergence is a divergence, whoever finds it *)
+            if !found = None then record_found ~iteration:0 case d
+        | Error _ -> ()
       done;
       Some (Hashtbl.length bseen)
     end

@@ -69,7 +69,9 @@ val compile_case : case -> Logical.t
 type config = {
   iterations : int;            (** mutation steps; 0 = unbounded (soak) *)
   seed : int;
-  time_budget : float option;  (** wall-clock seconds *)
+  time_budget : float option;
+      (** wall-clock seconds for the steered search; the [baseline]
+          control still runs as many probes as the search did *)
   corpus_dir : string option;  (** persist/reload kept cases as [*.fuzz] *)
   baseline : bool;             (** also run the pure-random control *)
   late_after : int option;     (** require an unseen pair after this iteration *)

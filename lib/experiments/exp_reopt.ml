@@ -171,7 +171,10 @@ let run ?(config = default_config) () =
           wasted_s = wasted_seconds (Rq_obs.Recorder.roots recorder);
           oracle_s = oracle_snap.Cost.seconds;
           fired = outcome.Reopt.events <> [];
-          replanned = List.exists (fun (e : Reopt.event) -> e.Reopt.replanned) outcome.Reopt.events;
+          replanned =
+            List.exists
+              (function Rq_obs.Trace.Reopt_adopted _ -> true | _ -> false)
+              outcome.Reopt.events;
         })
       config.cutoffs
   in

@@ -1,11 +1,11 @@
 (** Per-operator resource counters.
 
-    A mirror of the executor's cost-meter snapshot, kept dependency-free so
-    the meter (in [rq_exec]) can convert into it and everything above can
-    consume spans without a cycle.  A span stores the *delta* of these
-    counters across an operator's execution; deltas are closed under
-    {!add}/{!sub}, and the integer counters subtract exactly, so per-span
-    deltas reconcile against the meter's totals. *)
+    This record is the executor's cost-meter snapshot ([Rq_exec.Cost]
+    re-exports it as [Cost.snapshot]); it lives in this dependency-free
+    library so spans can carry it without a cycle.  A span stores the
+    *delta* of these counters across an operator's execution; deltas are
+    closed under {!add}/{!sub}, and the integer counters subtract exactly,
+    so per-span deltas reconcile against the meter's totals. *)
 
 type t = {
   seconds : float;        (** simulated seconds, scale applied *)

@@ -1,3 +1,11 @@
+type node = {
+  label : string;
+  mutable rows : int;
+  mutable aborted : bool;
+  mutable total : Metrics.t;
+  mutable children_rev : node list;
+}
+
 type span = {
   label : string;
   rows : int;
@@ -7,54 +15,56 @@ type span = {
   children : span list;
 }
 
-type frame = {
-  frame_label : string;
-  start : Metrics.t;
-  mutable children_rev : span list;
-}
-
 type t = {
-  mutable stack : frame list;
+  mutable scope : node option;
   mutable roots_rev : span list;
   mutable events_rev : Trace.event list;
 }
 
-type handle = frame
+let create () = { scope = None; roots_rev = []; events_rev = [] }
 
-let create () = { stack = []; roots_rev = []; events_rev = [] }
+let node ~label children : node =
+  { label; rows = 0; aborted = false; total = Metrics.zero; children_rev = List.rev children }
 
-let open_span t ~label ~metrics =
-  let frame = { frame_label = label; start = metrics; children_rev = [] } in
-  t.stack <- frame :: t.stack;
-  frame
+let measure (n : node) ~meter ~rows f =
+  let before = meter () in
+  let add () = n.total <- Metrics.add n.total (Metrics.sub (meter ()) before) in
+  match f () with
+  | r ->
+      add ();
+      n.rows <- n.rows + rows r;
+      r
+  | exception e ->
+      add ();
+      n.aborted <- true;
+      raise e
 
-let finish t handle ~rows ~aborted ~metrics =
-  match t.stack with
-  | top :: rest when top == handle ->
-      t.stack <- rest;
-      let children = List.rev top.children_rev in
-      let total = Metrics.sub metrics top.start in
-      let self =
-        List.fold_left (fun acc child -> Metrics.sub acc child.total) total children
-      in
-      let span = { label = top.frame_label; rows; aborted; total; self; children } in
-      (match t.stack with
-      | parent :: _ -> parent.children_rev <- span :: parent.children_rev
-      | [] -> t.roots_rev <- span :: t.roots_rev)
-  | _ -> invalid_arg "Recorder: span closed out of order"
+(* The one place a span's self-accounting is computed. *)
+let rec finish (n : node) : span =
+  let children = List.rev_map finish n.children_rev in
+  let self = List.fold_left (fun acc (c : span) -> Metrics.sub acc c.total) n.total children in
+  {
+    label = n.label;
+    rows = (if n.aborted then -1 else n.rows);
+    aborted = n.aborted;
+    total = n.total;
+    self;
+    children;
+  }
 
-let close_span t handle ~rows ~metrics = finish t handle ~rows ~aborted:false ~metrics
-let abort_span t handle ~metrics = finish t handle ~rows:(-1) ~aborted:true ~metrics
+let attach t n =
+  match t.scope with
+  | Some parent -> parent.children_rev <- n :: parent.children_rev
+  | None -> t.roots_rev <- finish n :: t.roots_rev
 
-(* A span tree built outside the stack discipline (the streaming executor
-   accumulates per-operator deltas across interleaved next-batch calls, so
-   it cannot nest open/close windows) lands under whatever frame is
-   currently open — an attemptN span during re-optimization — or becomes a
-   root of its own. *)
-let attach_span t span =
-  match t.stack with
-  | parent :: _ -> parent.children_rev <- span :: parent.children_rev
-  | [] -> t.roots_rev <- span :: t.roots_rev
+let scope t n ~meter ~rows f =
+  let outer = t.scope in
+  t.scope <- Some n;
+  Fun.protect
+    ~finally:(fun () ->
+      t.scope <- outer;
+      attach t n)
+    (fun () -> measure n ~meter ~rows f)
 
 let record t event = t.events_rev <- event :: t.events_rev
 
@@ -102,6 +112,3 @@ let render_spans spans =
   in
   List.iter (go 0) spans;
   Buffer.contents buf
-
-let render_events events =
-  String.concat "" (List.map (fun e -> Trace.to_string e ^ "\n") events)

@@ -1,55 +1,64 @@
 (** The observation substrate: per-operator spans plus a trace-event
     stream, filled in by a single execution.
 
-    The executor opens a span per plan node (snapshotting its cost meter),
-    runs the node, and closes the span with the node's output row count
-    and a fresh snapshot; the span's [total] is the inclusive counter
-    delta and [self] is [total] minus the children's totals.  Because the
-    deltas telescope, the [self] deltas of a run's spans sum back to the
-    meter's totals — the invariant EXPLAIN ANALYZE and the reopt cost
-    attribution rely on.
+    Spans are built in one way.  A {!node} is a span under construction:
+    it accumulates its inclusive counter delta over any number of
+    measurement windows ({!measure}), because a streaming operator is
+    pulled many times and its pulls interleave with other operators'.  A
+    child's windows always sit inside its parent's, so the accumulated
+    totals nest exactly, and when a node tree is finished each span's
+    [self] is its [total] minus its children's totals.  Because the deltas
+    telescope, the [self] deltas of a run's spans sum back to the meter's
+    totals — the invariant EXPLAIN ANALYZE and the reopt cost attribution
+    rely on.
 
     A recorder may hold several root spans: mid-query re-optimization
-    wraps each execution attempt in its own root, so the wasted prefix of
-    an aborted attempt stays attributable.
-
-    Spans nest strictly (a stack); {!close_span}/{!abort_span} must be
-    called on the innermost open span, which the executor's structure
-    guarantees (exceptions unwind innermost-first). *)
+    runs each execution attempt in its own {!scope}, so the wasted prefix
+    of an aborted attempt stays attributable. *)
 
 type span = {
   label : string;         (** operator label, e.g. ["SeqScan(lineitem)"] *)
   rows : int;             (** rows produced; -1 when the span aborted *)
-  aborted : bool;         (** closed by exception unwinding (guard fired) *)
+  aborted : bool;         (** a window ended in an exception (guard fired) *)
   total : Metrics.t;      (** inclusive counter delta (children included) *)
   self : Metrics.t;       (** [total] minus the children's totals *)
   children : span list;   (** in execution order *)
 }
 
 type t
-type handle
 
 val create : unit -> t
 
-val open_span : t -> label:string -> metrics:Metrics.t -> handle
-val close_span : t -> handle -> rows:int -> metrics:Metrics.t -> unit
-val abort_span : t -> handle -> metrics:Metrics.t -> unit
-(** [abort_span] closes the span as [aborted] with [rows = -1]; its cost
-    delta is still recorded (the work happened and stays on the bill). *)
+(** {2 Building spans} *)
 
-val attach_span : t -> span -> unit
-(** Insert an externally-built, already-finalized span tree: as a child of
-    the innermost open span if one exists (e.g. an attempt span during
-    re-optimization), otherwise as a new root.  Used by the streaming
-    executor, whose per-operator windows interleave and therefore cannot
-    use the open/close stack; the caller is responsible for the tree's
-    total/self deltas telescoping like stack-built spans do. *)
+type node
+
+val node : label:string -> node list -> node
+(** A fresh node with zero counters over the given children, in order. *)
+
+val measure : node -> meter:(unit -> Metrics.t) -> rows:('a -> int) -> (unit -> 'a) -> 'a
+(** [measure n ~meter ~rows f] runs [f] as one window of [n]: the change of
+    [meter ()] across [f] is added to [n]'s total and [rows] of the result
+    to its row count.  If [f] raises, the delta is still added (the work
+    happened and stays on the bill), [n] is marked aborted, and the
+    exception propagates. *)
+
+val attach : t -> node -> unit
+(** Hand a finished node tree to the recorder: it becomes a child of the
+    node whose {!scope} is running, if any, otherwise a root span. *)
+
+val scope : t -> node -> meter:(unit -> Metrics.t) -> rows:('a -> int) -> (unit -> 'a) -> 'a
+(** [scope t n ~meter ~rows f] is [measure n ~meter ~rows f] with [n] as
+    the node that {!attach} targets while [f] runs; [n] itself is attached
+    when [f] returns or raises.  Re-optimization runs each execution
+    attempt in a scope, so the executor's tree sits beneath its attempt. *)
+
+(** {2 Events and results} *)
 
 val record : t -> Trace.event -> unit
 
 val roots : t -> span list
-(** Completed root spans, in completion order.  Spans still open (only
-    possible mid-execution) are not included. *)
+(** Attached root spans, in completion order. *)
 
 val events : t -> Trace.event list
 (** In recording order. *)
@@ -68,6 +77,3 @@ val to_json : t -> Json.t
 val render_spans : span list -> string
 (** Indented text tree: one line per span with rows, self and total
     simulated seconds, and the non-zero self counters. *)
-
-val render_events : Trace.event list -> string
-(** One {!Trace.to_string} line per event; empty string for no events. *)

@@ -14,19 +14,6 @@ type report = {
   spans : Rq_obs.Recorder.span list;
 }
 
-let children = function
-  | Plan.Scan _ | Plan.Scan_resume _ | Plan.Star_semijoin _ | Plan.Materialized _ -> []
-  | Plan.Append parts -> parts
-  | Plan.Hash_join { build; probe; _ } -> [ build; probe ]
-  | Plan.Merge_join { left; right; _ } -> [ left; right ]
-  | Plan.Indexed_nl_join { outer; _ } -> [ outer ]
-  | Plan.Filter (input, _)
-  | Plan.Project (input, _)
-  | Plan.Sort { input; _ }
-  | Plan.Limit (input, _)
-  | Plan.Aggregate { input; _ } -> [ input ]
-  | Plan.Guard { input; _ } -> [ input ]
-
 let analyze catalog ?constants ?scale ?obs estimator plan =
   let recorder =
     match obs with Some r -> r | None -> Rq_obs.Recorder.create ()
@@ -52,8 +39,8 @@ let analyze catalog ?constants ?scale ?obs estimator plan =
   (* Walk the original plan and the span tree in parallel.  Guards are
      invisible to the stripped execution, so a guard row reuses its input's
      span; every other node's plan children pair positionally with its
-     span's children (the executor spans each node in execution order, which
-     matches [children] order). *)
+     span's children (the executor spans children in [Plan.children]
+     order). *)
   let rec walk depth plan (span : Rq_obs.Recorder.span) =
     let estimated = estimate plan in
     let actual = span.rows in
@@ -71,7 +58,7 @@ let analyze catalog ?constants ?scale ?obs estimator plan =
     | _ ->
         node
         :: List.concat
-             (List.map2 (walk (depth + 1)) (children plan) span.children)
+             (List.map2 (walk (depth + 1)) (Plan.children plan) span.children)
   in
   {
     nodes = walk 0 plan root;

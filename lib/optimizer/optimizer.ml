@@ -39,14 +39,14 @@ type decision = {
 (* Internal: unwound when the enumeration budget runs out. *)
 exception Budget_hit
 
-let optimize ?budget ?(rewrite = true) ?record t query =
+let optimize ?budget ?(rewrite = true) ?obs t query =
   let catalog = Rq_stats.Stats_store.catalog t.stats in
   match Logical.validate catalog query with
   | Error _ as e -> e
   | Ok () ->
       let query, rewrites =
         if rewrite then
-          let q, report = Rewrite.rewrite ?record catalog query in
+          let q, report = Rewrite.rewrite ?obs catalog query in
           (q, report.Rewrite.applied)
         else (query, [])
       in
@@ -120,8 +120,8 @@ let optimize ?budget ?(rewrite = true) ?record t query =
               rewrites;
             })
 
-let optimize_exn ?budget ?rewrite ?record t query =
-  match optimize ?budget ?rewrite ?record t query with
+let optimize_exn ?budget ?rewrite ?obs t query =
+  match optimize ?budget ?rewrite ?obs t query with
   | Ok d -> d
   | Error msg -> invalid_arg ("Optimizer.optimize_exn: " ^ msg)
 

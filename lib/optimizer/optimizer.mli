@@ -49,14 +49,14 @@ type decision = {
 val optimize :
   ?budget:int ->
   ?rewrite:bool ->
-  ?record:(Rq_obs.Trace.event -> unit) ->
+  ?obs:Rq_obs.Recorder.t ->
   t ->
   Logical.t ->
   (decision, string) result
 (** Validates, rewrites ({!Rewrite.rewrite}, on by default — pass
     [~rewrite:false] to skip), enumerates, costs, picks.  [Error] reports
     validation failures, and queries still carrying scalar subqueries when
-    the rewrite pass is disabled.  [record] receives the
+    the rewrite pass is disabled.  [obs] receives the
     [Rewrite_applied] trace events.  [budget] caps the number of
     candidate-cost evaluations the enumeration may spend; when exceeded,
     the search is abandoned and the deterministic left-deep fallback plan
@@ -67,7 +67,7 @@ val optimize :
 val optimize_exn :
   ?budget:int ->
   ?rewrite:bool ->
-  ?record:(Rq_obs.Trace.event -> unit) ->
+  ?obs:Rq_obs.Recorder.t ->
   t ->
   Logical.t ->
   decision

@@ -58,7 +58,9 @@ val find_or_optimize :
 (** The cache-through entry point: serve a valid entry, otherwise run
     {!Optimizer.optimize} and cache the decision.  [Error]s (validation
     failures) are never cached.  [budget] applies to the underlying
-    optimization only. *)
+    optimization only.  [obs] receives the lookup's [Plan_cache] events
+    and, when the lookup optimizes, that optimization's
+    [Rewrite_applied] events. *)
 
 val mem : t -> Optimizer.t -> fingerprint:string -> bool
 (** Whether an entry exists for this key — valid or not (no version check,
@@ -70,9 +72,6 @@ type stats = { hits : int; misses : int; invalidations : int; evictions : int }
 
 val stats : t -> stats
 
-val zero_stats : stats
-val add_stats : stats -> stats -> stats
-
 val lookups : stats -> int
 (** [hits + misses + invalidations]. *)
 
@@ -80,32 +79,3 @@ val hit_rate : stats -> float
 (** [hits / lookups], 0 when no lookups. *)
 
 val stats_to_json : stats -> Rq_obs.Json.t
-
-(** {2 Per-domain sharding}
-
-    The multicore replay driver gives each domain its own shard
-    (shared-nothing: no locks on the lookup path, no torn counters); the
-    merged statistics are the per-shard sums.  Shard [i] serves domain
-    [i mod shards]. *)
-
-module Sharded : sig
-  type shard = t
-  type t
-
-  val create : ?capacity:int -> shards:int -> unit -> t
-  (** [capacity] (default 256) is the total budget, split evenly with a
-      floor of one entry per shard.  Raises [Invalid_argument] unless both
-      are positive. *)
-
-  val shards : t -> int
-
-  val shard : t -> int -> shard
-  (** The shard owning domain [i] ([i mod shards]); use the plain
-      single-shard API on it from that domain only. *)
-
-  val length : t -> int
-  val stats : t -> stats
-  (** Summed over shards; reconciles exactly with per-shard sums. *)
-
-  val clear : t -> unit
-end

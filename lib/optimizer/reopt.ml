@@ -1,19 +1,11 @@
 open Rq_exec
 
-type event = {
-  label : string;
-  expected_rows : float;
-  actual_rows : int;
-  q_error : float;
-  replanned : bool;
-}
-
 type outcome = {
   result : Executor.result;
   snapshot : Cost.snapshot;
   initial_plan : Plan.t;
   final_plan : Plan.t;
-  events : event list;
+  events : Rq_obs.Trace.event list;
   reoptimizations : int;
 }
 
@@ -129,37 +121,31 @@ let execute_plan ?(threshold = 4.0) ?(max_reopts = 2) ?obs opt query start_plan 
      stays on the bill, so re-optimization pays for itself only when the
      rescue genuinely beats the bad plan. *)
   let meter = Cost.create ~constants ~scale () in
+  (* The outcome keeps the loop's own narration: each firing (the executor
+     records its [Guard_fired] on [obs] itself) and the decisions taken on
+     it, which go to [obs] too. *)
+  let events = ref [] in
   let trace ev =
-    match obs with None -> () | Some r -> Rq_obs.Recorder.record r ev
+    events := ev :: !events;
+    Option.iter (fun r -> Rq_obs.Recorder.record r ev) obs
   in
-  (* Each attempt gets its own root span, so span deltas attribute the cost
-     of every aborted prefix to the attempt that wasted it. *)
-  let with_attempt_span label f =
+  (* Each attempt runs in its own root span, so span deltas attribute the
+     cost of every aborted prefix to the attempt that wasted it. *)
+  let run_attempt label plan =
+    let run () = Executor.run ?obs catalog meter plan in
     match obs with
-    | None -> f ()
-    | Some r -> (
-        let m () = Cost.to_metrics (Cost.snapshot meter) in
-        let h = Rq_obs.Recorder.open_span r ~label ~metrics:(m ()) in
-        match f () with
-        | res ->
-            Rq_obs.Recorder.close_span r h
-              ~rows:(Array.length res.Executor.tuples) ~metrics:(m ());
-            res
-        | exception e ->
-            Rq_obs.Recorder.abort_span r h ~metrics:(m ());
-            raise e)
+    | None -> run ()
+    | Some r ->
+        Rq_obs.Recorder.scope r (Rq_obs.Recorder.node ~label [])
+          ~meter:(fun () -> Cost.snapshot meter)
+          ~rows:(fun res -> Array.length res.Executor.tuples)
+          run
   in
   let fb = Feedback.create () in
-  let events = ref [] in
   let base_est = Optimizer.estimator opt in
   let initial = instrument_with catalog ~constants ~scale base_est ~threshold start_plan in
   let rec attempt plan reopts =
-    let run_attempt () =
-      with_attempt_span
-        (Printf.sprintf "attempt%d" (reopts + 1))
-        (fun () -> Executor.run ?obs catalog meter plan)
-    in
-    match run_attempt () with
+    match run_attempt (Printf.sprintf "attempt%d" (reopts + 1)) plan with
     | res -> (res, plan, reopts)
     | exception
         Executor.Guard_violation
@@ -174,6 +160,8 @@ let execute_plan ?(threshold = 4.0) ?(max_reopts = 2) ?obs opt query start_plan 
             progress;
             resume;
           } ->
+        events :=
+          Rq_obs.Trace.Guard_fired { label; expected_rows; actual_rows; q_error } :: !events;
         let sub_refs = Costing.refs_of subplan in
         let covered = List.map (fun (r : Logical.table_ref) -> r.Logical.table) sub_refs in
         (* A mid-stream overflow only saw part of the input: extrapolate the
@@ -184,16 +172,10 @@ let execute_plan ?(threshold = 4.0) ?(max_reopts = 2) ?obs opt query start_plan 
           else Float.max (float_of_int actual_rows) (float_of_int actual_rows /. progress)
         in
         Feedback.record fb ~tables:covered observed;
-        let finish_plain ~replanned ~reason plan =
-          events := { label; expected_rows; actual_rows; q_error; replanned } :: !events;
+        let finish_plain ~reason plan =
           trace (Rq_obs.Trace.Reopt_abandoned { attempt = reopts + 1; reason });
           let plain = Plan.strip_guards plan in
-          let res =
-            with_attempt_span
-              (Printf.sprintf "attempt%d:final" (reopts + 1))
-              (fun () -> Executor.run ?obs catalog meter plain)
-          in
-          (res, plain, reopts)
+          (run_attempt (Printf.sprintf "attempt%d:final" (reopts + 1)) plain, plain, reopts)
         in
         (* A guard inside a semijoin (or scalar-subquery) build fires over a
            table that is not a FROM-list leaf.  Its checkpoint must not seed
@@ -209,14 +191,12 @@ let execute_plan ?(threshold = 4.0) ?(max_reopts = 2) ?obs opt query start_plan 
         in
         let checkpointable = covered <> [] && List.for_all in_from covered in
         if reopts >= max_reopts then
-          finish_plain ~replanned:false ~reason:"re-optimization budget exhausted" plan
+          finish_plain ~reason:"re-optimization budget exhausted" plan
         else begin
           trace (Rq_obs.Trace.Reopt_planned { attempt = reopts + 1; label });
           let fb_est = Feedback.with_feedback fb base_est in
           let cost_fn p = Costing.plan_cost catalog ~constants ~scale fb_est p in
           let adopt joined =
-            events :=
-              { label; expected_rows; actual_rows; q_error; replanned = true } :: !events;
             let full = Enumerate.wrap_top catalog query joined in
             trace
               (Rq_obs.Trace.Reopt_adopted
@@ -238,7 +218,7 @@ let execute_plan ?(threshold = 4.0) ?(max_reopts = 2) ?obs opt query start_plan 
           in
           let replan_full () =
             match Enumerate.join_plans catalog ~cost_fn query with
-            | [] -> finish_plain ~replanned:false ~reason:"no full replan available" plan
+            | [] -> finish_plain ~reason:"no full replan available" plan
             | first :: rest_plans ->
                 let best =
                   List.fold_left
@@ -254,8 +234,7 @@ let execute_plan ?(threshold = 4.0) ?(max_reopts = 2) ?obs opt query start_plan 
               (* The whole subplan output is in hand: continue from it. *)
               match continuation catalog query ~cost_fn ~mat_plan:mat_leaf ~covered with
               | None ->
-                  finish_plain ~replanned:false
-                    ~reason:"no continuation (disconnected remainder)" plan
+                  finish_plain ~reason:"no continuation (disconnected remainder)" plan
               | Some joined -> adopt joined)
           | false, Some rest -> (
               (* Mid-stream firing over a resumable scan: keep the partial
@@ -264,8 +243,7 @@ let execute_plan ?(threshold = 4.0) ?(max_reopts = 2) ?obs opt query start_plan 
               let mat_plan = Plan.Append [ mat_leaf; rest ] in
               match continuation catalog query ~cost_fn ~mat_plan ~covered with
               | None ->
-                  finish_plain ~replanned:false
-                    ~reason:"no continuation (disconnected remainder)" plan
+                  finish_plain ~reason:"no continuation (disconnected remainder)" plan
               | Some joined -> adopt joined)
           | false, None ->
               (* Mid-stream firing with a non-resumable prefix (index fetch,
@@ -288,17 +266,3 @@ let execute ?threshold ?max_reopts ?obs opt query =
   match Optimizer.optimize opt query with
   | Error _ as e -> e
   | Ok d -> Ok (execute_plan ?threshold ?max_reopts ?obs opt query d.Optimizer.plan)
-
-let render_events events =
-  match events with
-  | [] -> "no guard fired\n"
-  | _ ->
-      let buf = Buffer.create 128 in
-      List.iter
-        (fun e ->
-          Buffer.add_string buf
-            (Printf.sprintf "guard %s: expected ~%.1f rows, saw %d (q-error %.1f) -> %s\n"
-               e.label e.expected_rows e.actual_rows e.q_error
-               (if e.replanned then "re-optimized continuation" else "completed original plan")))
-        events;
-      Buffer.contents buf

@@ -13,23 +13,16 @@
 
 open Rq_exec
 
-type event = {
-  label : string;          (** the fired guard's subplan shape *)
-  expected_rows : float;
-  actual_rows : int;
-  q_error : float;
-  replanned : bool;
-      (** [true] = a continuation was found and executed; [false] = the
-          original plan was completed guard-free (re-optimization budget
-          exhausted or remainder not plannable) *)
-}
-
 type outcome = {
   result : Executor.result;
   snapshot : Cost.snapshot;   (** includes every aborted attempt's work *)
   initial_plan : Plan.t;      (** the optimizer's original choice *)
   final_plan : Plan.t;        (** what ultimately produced the result (guard-free) *)
-  events : event list;        (** guard firings, in order *)
+  events : Rq_obs.Trace.event list;
+      (** each guard firing as [Guard_fired], followed by the decisions
+          taken on it ([Reopt_planned], then [Reopt_adopted] or
+          [Reopt_abandoned]), in order: the same events a recorder passed
+          as [?obs] receives among its others *)
   reoptimizations : int;
 }
 
@@ -57,11 +50,11 @@ val execute_plan :
     already read are not re-charged.  Non-resumable partial prefixes trigger
     a full replan under the corrected estimator instead.
 
-    With [?obs], each attempt executes under a root span
-    (["attempt1"], ["attempt2"], ..., ["attemptN:final"] for a guard-free
-    completion) so aborted prefixes' cost deltas stay attributed to the
-    attempt that wasted them, and [Reopt_planned] / [Reopt_adopted] /
-    [Reopt_abandoned] trace events narrate the replanning decisions. *)
+    With [?obs], each attempt executes in a {!Rq_obs.Recorder.scope} whose
+    root span (["attempt1"], ["attempt2"], ..., ["attemptN:final"] for a
+    guard-free completion) holds the executor's span tree, so aborted
+    prefixes' cost deltas stay attributed to the attempt that wasted them,
+    and the outcome's [events] are recorded there too. *)
 
 val execute :
   ?threshold:float -> ?max_reopts:int -> ?obs:Rq_obs.Recorder.t ->
@@ -69,6 +62,3 @@ val execute :
   (outcome, string) result
 (** [execute_plan] starting from the optimizer's own choice.  [Error] only
     for queries that fail validation/optimization. *)
-
-val render_events : event list -> string
-(** One line per guard firing, for CLI and experiment output. *)

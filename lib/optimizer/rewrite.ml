@@ -382,10 +382,11 @@ let apply_rule catalog name q =
 
 type report = { applied : (string * int) list; fixpoint : bool }
 
-let default_rule_budget = 32
+(* Applications allowed per rule in one pass: a bound on any rule pair
+   that could otherwise undo each other forever. *)
+let max_applications_per_rule = 32
 
-let rewrite ?(record = fun (_ : Rq_obs.Trace.event) -> ()) ?(rule_budget = default_rule_budget)
-    catalog query =
+let rewrite ?obs catalog query =
   let counts = Hashtbl.create 8 in
   let count name = Option.value ~default:0 (Hashtbl.find_opt counts name) in
   (* One sweep: the first non-exhausted rule that fires wins; restarting
@@ -394,13 +395,16 @@ let rewrite ?(record = fun (_ : Rq_obs.Trace.event) -> ()) ?(rule_budget = defau
   let fire_one q =
     List.find_map
       (fun r ->
-        if count r.name >= rule_budget then None
+        if count r.name >= max_applications_per_rule then None
         else
           match r.apply catalog q with
           | None -> None
           | Some (q', detail) ->
               Hashtbl.replace counts r.name (count r.name + 1);
-              record (Rq_obs.Trace.Rewrite_applied { rule = r.name; detail });
+              Option.iter
+                (fun o ->
+                  Rq_obs.Recorder.record o (Rq_obs.Trace.Rewrite_applied { rule = r.name; detail }))
+                obs;
               Some q')
       rules
   in
@@ -411,7 +415,9 @@ let rewrite ?(record = fun (_ : Rq_obs.Trace.event) -> ()) ?(rule_budget = defau
   (* Fixpoint means no rule wants to fire — including any whose budget ran
      out mid-stream. *)
   let starving =
-    List.exists (fun r -> count r.name >= rule_budget && r.apply catalog q <> None) rules
+    List.exists
+      (fun r -> count r.name >= max_applications_per_rule && r.apply catalog q <> None)
+      rules
   in
   let applied =
     List.filter_map

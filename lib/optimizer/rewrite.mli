@@ -44,17 +44,10 @@ val apply_rule : Catalog.t -> string -> Logical.t -> (Logical.t * string) option
     fixpoint on this query.  Raises [Invalid_argument] on unknown names.
     Exposed so the qcheck laws can test each rule in isolation. *)
 
-val default_rule_budget : int
-
-val rewrite :
-  ?record:(Rq_obs.Trace.event -> unit) ->
-  ?rule_budget:int ->
-  Catalog.t ->
-  Logical.t ->
-  Logical.t * report
+val rewrite : ?obs:Rq_obs.Recorder.t -> Catalog.t -> Logical.t -> Logical.t * report
 (** Drive the pass list to fixpoint: repeatedly apply the first
-    non-exhausted rule that fires, at most [rule_budget] (default
-    {!default_rule_budget}) applications per rule. *)
+    non-exhausted rule that fires, at most 32 applications per rule.  Each
+    application is recorded on [obs] as a [Rewrite_applied] trace event. *)
 
 val canonical : Logical.t -> Logical.t
 (** Catalog-free fixpoint of the pure rules (const-fold, simplify,

@@ -18,19 +18,11 @@ let default_config =
     follow_foreign_keys = true;
   }
 
-type chunk_stats = {
-  chunks : int;
-  rows : int;
-  pages : int;
-  clustered_columns : string list;
-}
-
 type t = {
   catalog : Catalog.t;
   config : config;
   histograms : (string * string, Histogram.t) Hashtbl.t;
   synopses : (string, Join_synopsis.t) Hashtbl.t;
-  chunk_profiles : (string, chunk_stats) Hashtbl.t;
   version : int;
   table_versions : (string, int) Hashtbl.t;
 }
@@ -47,47 +39,9 @@ let next_version () =
   incr version_clock;
   !version_clock
 
-(* A column is zone-clustered when its per-chunk [min, max] ranges are
-   pairwise disjoint in chunk order (all-null chunks are unconstrained):
-   a range predicate over such a column zone-map-prunes to a contiguous
-   band of chunks.  This is the chunk-level physical-design fact the
-   paper's UPDATE STATISTICS precomputation phase records — it is derived
-   from the always-resident zone maps, never by scanning chunk data. *)
-let column_is_zone_clustered rel col =
-  let n = Relation.chunk_count rel in
-  let prev_hi = ref Value.Null in
-  let ok = ref true in
-  for ci = 0 to n - 1 do
-    let { Zone_map.lo; hi; _ } = Zone_map.column (Relation.zone_map rel ci) col in
-    match (lo, hi) with
-    | Value.Null, Value.Null -> ()
-    | lo, hi ->
-        if !prev_hi <> Value.Null && Value.compare lo !prev_hi < 0 then ok := false;
-        if Value.compare hi !prev_hi > 0 then prev_hi := hi
-  done;
-  !ok
-
-let chunk_profile rel =
-  let schema = Relation.schema rel in
-  let clustered_columns =
-    if Relation.chunk_count rel = 0 then []
-    else
-      List.filteri
-        (fun i _ -> column_is_zone_clustered rel i)
-        (Schema.columns schema)
-      |> List.map (fun c -> c.Schema.name)
-  in
-  {
-    chunks = Relation.chunk_count rel;
-    rows = Relation.row_count rel;
-    pages = Relation.page_count rel;
-    clustered_columns;
-  }
-
 let update_statistics rng ?(config = default_config) catalog =
   let histograms = Hashtbl.create 64 in
   let synopses = Hashtbl.create 16 in
-  let chunk_profiles = Hashtbl.create 16 in
   let roots =
     match config.synopsis_roots with
     | Some roots -> roots
@@ -96,7 +50,6 @@ let update_statistics rng ?(config = default_config) catalog =
   List.iter
     (fun table ->
       let rel = Catalog.find_table catalog table in
-      Hashtbl.replace chunk_profiles table (chunk_profile rel);
       List.iter
         (fun { Schema.name = column; _ } ->
           Hashtbl.replace histograms (table, column)
@@ -118,12 +71,11 @@ let update_statistics rng ?(config = default_config) catalog =
   List.iter
     (fun table -> Hashtbl.replace table_versions table version)
     (Catalog.table_names catalog);
-  { catalog; config; histograms; synopses; chunk_profiles; version; table_versions }
+  { catalog; config; histograms; synopses; version; table_versions }
 
 let catalog t = t.catalog
 let config t = t.config
 let version t = t.version
-let chunk_stats t table = Hashtbl.find_opt t.chunk_profiles table
 
 let table_version t table =
   (* Unknown tables report the store version: a cache that asks about a

@@ -48,22 +48,6 @@ val table_version : t -> string -> int
     every table's version — per-table granularity only helps consumers
     survive targeted (per-root) synopsis/histogram swaps. *)
 
-type chunk_stats = {
-  chunks : int;               (** sealed column chunks in the table's store *)
-  rows : int;
-  pages : int;
-  clustered_columns : string list;
-      (** columns whose per-chunk zone ranges are pairwise disjoint in
-          chunk order: a range predicate over one zone-map-prunes the scan
-          to a contiguous band of chunks *)
-}
-
-val chunk_stats : t -> string -> chunk_stats option
-(** The chunk-level physical profile recorded for each table at
-    {!update_statistics} — derived from the always-resident zone maps, so
-    recording it never faults chunk data into the buffer pool.  Stamped
-    with the store version like every other statistic. *)
-
 val histogram : t -> table:string -> column:string -> Histogram.t option
 
 val synopsis : t -> root:string -> Join_synopsis.t option

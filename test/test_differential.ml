@@ -637,11 +637,9 @@ let run_prune_differential catalog_name catalog gen () =
       (estimator_configs stats)
   done
 
-(* Fixed plans covering every plan family, with predicates over clustered
-   columns so zone maps genuinely skip chunks (asserted on the seq-scan
-   family): pruning must be invisible in the answers of all of them. *)
-let run_prune_families tpch star () =
-  let scale = 1.0 in
+(* One plan per executor family, over clustered bands the zone maps can
+   prune. *)
+let prune_families tpch star =
   let li pred = Plan.Scan { table = "lineitem"; access = Plan.Seq_scan; pred } in
   let band = Pred.lt (Expr.col "l_orderkey") (Expr.int 300) in
   let orders_band =
@@ -652,115 +650,165 @@ let run_prune_families tpch star () =
         pred = Pred.lt (Expr.col "o_orderkey") (Expr.int 300);
       }
   in
-  let families =
-    [
-      ("seq-scan", tpch, li band);
-      ( "index-range",
-        tpch,
-        Plan.Scan
-          {
-            table = "lineitem";
-            access = Plan.Index_range { column = "l_orderkey"; lo = None; hi = Some (Rq_storage.Value.Int 300) };
-            pred = band;
-          } );
-      ( "index-intersect",
-        tpch,
-        Plan.Scan
-          {
-            table = "lineitem";
-            access =
-              Plan.Index_intersect
-                [
-                  { column = "l_orderkey"; lo = None; hi = Some (Rq_storage.Value.Int 300) };
-                  { column = "l_partkey"; lo = Some (Rq_storage.Value.Int 0); hi = Some (Rq_storage.Value.Int 2000) };
-                ];
-            pred = band;
-          } );
-      ( "hash-join",
-        tpch,
-        Plan.Hash_join
-          {
-            build = orders_band;
-            probe = li band;
-            build_key = "orders.o_orderkey";
-            probe_key = "lineitem.l_orderkey";
-          } );
-      ( "merge-join",
-        tpch,
-        Plan.Merge_join
-          {
-            left = li band;
-            right = orders_band;
-            left_key = "lineitem.l_orderkey";
-            right_key = "orders.o_orderkey";
-          } );
-      ( "indexed-nl-join",
-        tpch,
-        Plan.Indexed_nl_join
-          {
-            outer = li band;
-            outer_key = "lineitem.l_orderkey";
-            inner_table = "orders";
-            inner_key = "o_orderkey";
-            inner_pred = Pred.True;
-          } );
-      ( "star-semijoin",
-        star,
-        Plan.Star_semijoin
-          {
-            fact = "fact";
-            fact_pred = Pred.lt (Expr.col "f_id") (Expr.int 500);
-            dims =
-              List.map
-                (fun i ->
-                  {
-                    Plan.dim_table = Printf.sprintf "dim%d" i;
-                    dim_pred = Pred.eq (Expr.col "d_filter") (Expr.int 0);
-                    fact_fk = Printf.sprintf "f_dim%d" i;
-                  })
-                [ 1; 2; 3 ];
-          } );
-      ( "agg-filter-project-sort",
-        tpch,
-        Plan.Sort
-          {
-            input =
-              Plan.Aggregate
+  [
+    ("seq-scan", tpch, li band);
+    ( "index-range",
+      tpch,
+      Plan.Scan
+        {
+          table = "lineitem";
+          access = Plan.Index_range { column = "l_orderkey"; lo = None; hi = Some (Rq_storage.Value.Int 300) };
+          pred = band;
+        } );
+    ( "index-intersect",
+      tpch,
+      Plan.Scan
+        {
+          table = "lineitem";
+          access =
+            Plan.Index_intersect
+              [
+                { column = "l_orderkey"; lo = None; hi = Some (Rq_storage.Value.Int 300) };
+                { column = "l_partkey"; lo = Some (Rq_storage.Value.Int 0); hi = Some (Rq_storage.Value.Int 2000) };
+              ];
+          pred = band;
+        } );
+    ( "hash-join",
+      tpch,
+      Plan.Hash_join
+        {
+          build = orders_band;
+          probe = li band;
+          build_key = "orders.o_orderkey";
+          probe_key = "lineitem.l_orderkey";
+        } );
+    ( "merge-join",
+      tpch,
+      Plan.Merge_join
+        {
+          left = li band;
+          right = orders_band;
+          left_key = "lineitem.l_orderkey";
+          right_key = "orders.o_orderkey";
+        } );
+    ( "indexed-nl-join",
+      tpch,
+      Plan.Indexed_nl_join
+        {
+          outer = li band;
+          outer_key = "lineitem.l_orderkey";
+          inner_table = "orders";
+          inner_key = "o_orderkey";
+          inner_pred = Pred.True;
+        } );
+    ( "star-semijoin",
+      star,
+      Plan.Star_semijoin
+        {
+          fact = "fact";
+          fact_pred = Pred.lt (Expr.col "f_id") (Expr.int 500);
+          dims =
+            List.map
+              (fun i ->
                 {
-                  input =
-                    Plan.Project
-                      ( Plan.Filter (li band, Pred.True),
-                        [ "lineitem.l_quantity"; "lineitem.l_extendedprice" ] );
-                  group_by = [ "lineitem.l_quantity" ];
-                  aggs =
-                    [
-                      { Plan.fn = Plan.Count_star; output_name = "n" };
-                      { Plan.fn = Plan.Sum (Expr.col "lineitem.l_extendedprice"); output_name = "rev" };
-                    ];
-                };
-            keys = [ { Plan.sort_column = "n"; descending = true } ];
-          } );
-      ( "guard-pass",
-        tpch,
-        Plan.Guard
-          { input = li band; expected_rows = 2000.0; max_q_error = 1e9; label = "wide" } );
-    ]
-  in
+                  Plan.dim_table = Printf.sprintf "dim%d" i;
+                  dim_pred = Pred.eq (Expr.col "d_filter") (Expr.int 0);
+                  fact_fk = Printf.sprintf "f_dim%d" i;
+                })
+              [ 1; 2; 3 ];
+        } );
+    ( "agg-filter-project-sort",
+      tpch,
+      Plan.Sort
+        {
+          input =
+            Plan.Aggregate
+              {
+                input =
+                  Plan.Project
+                    ( Plan.Filter (li band, Pred.True),
+                      [ "lineitem.l_quantity"; "lineitem.l_extendedprice" ] );
+                group_by = [ "lineitem.l_quantity" ];
+                aggs =
+                  [
+                    { Plan.fn = Plan.Count_star; output_name = "n" };
+                    { Plan.fn = Plan.Sum (Expr.col "lineitem.l_extendedprice"); output_name = "rev" };
+                  ];
+              };
+          keys = [ { Plan.sort_column = "n"; descending = true } ];
+        } );
+    ( "guard-pass",
+      tpch,
+      Plan.Guard
+        { input = li band; expected_rows = 2000.0; max_q_error = 1e9; label = "wide" } );
+  ]
+
+(* Fixed plans covering every plan family, with predicates over clustered
+   columns so zone maps genuinely skip chunks (asserted on the seq-scan
+   family): pruning must be invisible in the answers of all of them. *)
+let run_prune_families tpch star () =
+  let scale = 1.0 in
   List.iter
     (fun (name, cat, plan) ->
       (match Plan.validate cat plan with
       | Ok () -> ()
       | Error msg -> Alcotest.fail (name ^ ": fixture plan invalid: " ^ msg));
       check_prune_invisible ~label:name cat scale plan)
-    families;
+    (prune_families tpch star);
   (* The fixture must actually prune: the clustered band leaves most
      lineitem chunks disprovable by their zone maps. *)
   with_prune true (fun () ->
       let meter = Cost.create ~scale () in
-      ignore (Executor.run tpch meter (li band));
+      let band = Pred.lt (Expr.col "l_orderkey") (Expr.int 300) in
+      ignore
+        (Executor.run tpch meter
+           (Plan.Scan { table = "lineitem"; access = Plan.Seq_scan; pred = band }));
       let snap = Cost.snapshot meter in
       if snap.Cost.pages_skipped = 0 then
         Alcotest.fail "seq-scan family: zone maps skipped no pages on the clustered band")
+
+(* An instrumented run spans every plan node once, children in
+   [Plan.children] order: the span tree has the plan's shape.  Each family
+   runs as is and with a never-firing guard above every input. *)
+let rec guard_inputs plan =
+  let guard input =
+    Plan.Guard
+      { input = guard_inputs input; expected_rows = 1.0; max_q_error = infinity; label = "g" }
+  in
+  match plan with
+  | Plan.Hash_join j -> Plan.Hash_join { j with build = guard j.build; probe = guard j.probe }
+  | Plan.Merge_join j -> Plan.Merge_join { j with left = guard j.left; right = guard j.right }
+  | Plan.Indexed_nl_join j -> Plan.Indexed_nl_join { j with outer = guard j.outer }
+  | Plan.Filter (input, pred) -> Plan.Filter (guard input, pred)
+  | Plan.Project (input, cols) -> Plan.Project (guard input, cols)
+  | Plan.Sort s -> Plan.Sort { s with input = guard s.input }
+  | Plan.Aggregate a -> Plan.Aggregate { a with input = guard a.input }
+  | Plan.Limit (input, n) -> Plan.Limit (guard input, n)
+  | Plan.Guard g -> Plan.Guard { g with input = guard_inputs g.input }
+  | Plan.Scan _ | Plan.Scan_resume _ | Plan.Materialized _ | Plan.Star_semijoin _
+  | Plan.Append _ ->
+      plan
+
+let run_span_shape tpch star () =
+  let rec check_shape name plan (span : Rq_obs.Recorder.span) =
+    Alcotest.(check string) (name ^ ": span label") (Plan.node_label plan) span.label;
+    let children = Plan.children plan in
+    Alcotest.(check int)
+      (Printf.sprintf "%s: children of %s" name span.label)
+      (List.length children) (List.length span.children);
+    List.iter2 (check_shape name) children span.children
+  in
+  List.iter
+    (fun (name, cat, plan) ->
+      List.iter
+        (fun (name, plan) ->
+          let obs = Rq_obs.Recorder.create () in
+          ignore (Executor.run ~obs cat (Cost.create ()) plan);
+          match Rq_obs.Recorder.roots obs with
+          | [ root ] -> check_shape name plan root
+          | roots -> Alcotest.failf "%s: %d root spans" name (List.length roots))
+        [ (name, plan); (name ^ " guarded", guard_inputs plan) ])
+    (prune_families tpch star)
 
 let () =
   let rng = Rq_math.Rng.create (seed + 2) in
@@ -811,5 +859,10 @@ let () =
           Alcotest.test_case "tpch" `Quick (run_prune_differential "tpch" tpch gen_tpch_query);
           Alcotest.test_case "star" `Quick (run_prune_differential "star" star gen_star_query);
           Alcotest.test_case "plan families" `Quick (run_prune_families tpch star);
+        ] );
+      ( "spans",
+        [
+          Alcotest.test_case "span tree follows Plan.children" `Quick
+            (run_span_shape tpch star);
         ] );
     ]

@@ -295,6 +295,18 @@ let test_self_test_plants_divergence () =
   in
   hunt 40
 
+(* A spent time budget stops only the steered search: the pure-random
+   control still runs as many probes as the search did (here, the seed
+   corpus), so "at equal probes" is never a comparison against nothing. *)
+let test_baseline_ignores_time_budget () =
+  let config = { tiny_config with F.time_budget = Some 0.0; baseline = true } in
+  let result = F.run ~config () in
+  (match result.F.r_baseline_pairs with
+  | None -> Alcotest.fail "baseline did not run"
+  | Some pairs ->
+      check_bool (Printf.sprintf "baseline reached %d pairs" pairs) true (pairs > 0));
+  check_int "no steered iteration ran" 0 result.F.r_iterations
+
 (* End to end: the self-test run must catch the planted perturbation,
    shrink it to at most three tables, and leave a repro file that both
    replays red and survives a config round-trip through [F.replay]. *)
@@ -371,6 +383,8 @@ let () =
       ( "probing",
         [
           Alcotest.test_case "clean case passes every pass" `Quick test_probe_clean;
+          Alcotest.test_case "baseline ignores the time budget" `Quick
+            test_baseline_ignores_time_budget;
           Alcotest.test_case "self-test perturbation is visible" `Quick
             test_self_test_plants_divergence;
           Alcotest.test_case "self-test run shrinks and replays" `Quick

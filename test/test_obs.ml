@@ -195,7 +195,7 @@ let test_span_reconciliation () =
       check_int (name ^ ": root rows = result rows")
         (Array.length result.Executor.tuples)
         root.Recorder.rows;
-      let metered = Cost.to_metrics (Cost.snapshot meter) in
+      let metered = Cost.snapshot meter in
       check_bool (name ^ ": self deltas sum to the meter") true
         (Metrics.approx_equal ~tolerance:1e-9 (Recorder.sum_self roots) metered);
       check_bool (name ^ ": root total = meter") true
@@ -452,9 +452,9 @@ let test_reopt_events_and_spans () =
      single shared meter. *)
   check_bool "attempt self deltas sum to the shared meter" true
     (Metrics.approx_equal ~tolerance:1e-9 (Recorder.sum_self roots)
-       (Cost.to_metrics outcome.Reopt.snapshot));
+       outcome.Reopt.snapshot);
   check_bool "events render" true
-    (string_contains (Recorder.render_events events) "guard");
+    (List.exists (fun e -> string_contains (Trace.to_string e) "guard") events);
   check_bool "spans render" true
     (string_contains (Recorder.render_spans roots) "attempt1")
 

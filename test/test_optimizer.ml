@@ -652,6 +652,35 @@ let test_cache_invalidated_by_refresh () =
   Alcotest.(check (list string)) "trace records the re-optimization"
     [ "miss"; "hit"; "invalidated"; "hit" ] outcomes
 
+(* A miss optimizes through the cache, so the rewrite pass's events reach
+   the caller's recorder next to the lookup's own; a hit rewrites nothing. *)
+let test_cache_miss_records_rewrites () =
+  let catalog = fixture () in
+  let stats = build_stats catalog 93 in
+  let opt = Optimizer.robust stats in
+  let cache = Plan_cache.create () in
+  let obs = Rq_obs.Recorder.create () in
+  (* The residual conjunct names one table: filter-pushdown moves it. *)
+  let q =
+    Logical.query
+      ~residual:(Pred.ge (Expr.col "readings.temp") (Expr.int 980))
+      [ Logical.scan "readings"; Logical.scan "sites" ]
+  in
+  let lookup () =
+    outcome_of (Plan_cache.find_or_optimize ~obs cache opt ~fingerprint:(fingerprint_of opt q) q)
+  in
+  let rewrites () =
+    List.length
+      (List.filter
+         (function Rq_obs.Trace.Rewrite_applied _ -> true | _ -> false)
+         (Rq_obs.Recorder.events obs))
+  in
+  Alcotest.(check string) "miss" "miss" (lookup ());
+  let after_miss = rewrites () in
+  check_bool "the miss recorded its rewrites" true (after_miss > 0);
+  Alcotest.(check string) "hit" "hit" (lookup ());
+  check_int "the hit rewrote nothing" after_miss (rewrites ())
+
 let test_cache_survives_unrelated_injection () =
   let catalog = fixture () in
   let stats = build_stats catalog 92 in
@@ -795,5 +824,7 @@ let () =
           Alcotest.test_case "re-insert at capacity evicts nothing" `Quick
             test_cache_reinsert_at_capacity_evicts_nothing;
           Alcotest.test_case "errors are not cached" `Quick test_cache_never_caches_errors;
+          Alcotest.test_case "a miss records its rewrite events" `Quick
+            test_cache_miss_records_rewrites;
         ] );
     ]

@@ -284,7 +284,7 @@ let test_parallel_obs_reconciles () =
         [ ("scan", scan "lineitems"); ("join", join); ("limit", Plan.Limit (join, 500)) ])
 
 (* ------------------------------------------------------------------ *)
-(* Sharded plan cache + evidence memos under domains                   *)
+(* Per-domain plan caches + evidence memos under domains               *)
 (* ------------------------------------------------------------------ *)
 
 let stress_query ~threshold =
@@ -320,11 +320,9 @@ let stress_replay ~ops lookup =
 
 let test_sharded_cache_stress () =
   let domains = 4 and ops_per_domain = 40 in
-  let sharded = Plan_cache.Sharded.create ~capacity:(8 * domains) ~shards:domains () in
-  check_int "one shard per domain, same index modulo" (Plan_cache.Sharded.length sharded) 0;
   (* Serial references: the plan a cold optimizer picks at every step of
-     the same replay (which one unsharded cache must reproduce too), and
-     the bitset count every domain's private Pred_index must reproduce. *)
+     the same replay (which a cached replay must reproduce too), and the
+     bitset count every domain's private Pred_index must reproduce. *)
   let _, serial_digests =
     stress_replay ~ops:ops_per_domain (fun opt q -> Optimizer.optimize opt q)
   in
@@ -338,52 +336,36 @@ let test_sharded_cache_stress () =
     let rel = Catalog.find_table (fixture ~lineitems:4000 ()) "lineitems" in
     Relation.filter_count rel (Pred.compile (Relation.schema rel) probe_pred)
   in
-  let worker d () =
+  let worker () =
     (* Each domain owns a full world, its own statistics maintenance, and
-       its own cache shard. *)
-    let shard = Plan_cache.Sharded.shard sharded d in
-    let catalog, digests = stress_replay ~ops:ops_per_domain (through shard) in
+       its own plan cache. *)
+    let cache = Plan_cache.create ~capacity:8 () in
+    let catalog, digests = stress_replay ~ops:ops_per_domain (through cache) in
     let rel = Catalog.find_table catalog "lineitems" in
     let idx = Rq_stats.Pred_index.create rel in
     let count = Rq_stats.Pred_index.count idx probe_pred in
     let again = Rq_stats.Pred_index.count idx probe_pred in
-    (digests, count, again)
+    (digests, count, again, Plan_cache.stats cache)
   in
-  let handles = Array.init domains (fun d -> Domain.spawn (worker d)) in
+  let handles = Array.init domains (fun _ -> Domain.spawn worker) in
   let per_domain = Array.map Domain.join handles in
   check_int "every lookup answered" (domains * ops_per_domain)
-    (Array.fold_left (fun acc (digests, _, _) -> acc + Array.length digests) 0 per_domain);
+    (Array.fold_left (fun acc (digests, _, _, _) -> acc + Array.length digests) 0 per_domain);
   Array.iteri
-    (fun d (digests, count, again) ->
+    (fun d (digests, count, again, stats) ->
       Alcotest.(check (array string))
         (Printf.sprintf "domain %d: every step's plan = the serial replay's" d)
         serial_digests digests;
       check_int (Printf.sprintf "domain %d kernel count = serial scan" d) expected_count count;
-      check_int (Printf.sprintf "domain %d cached re-ask" d) expected_count again)
-    per_domain;
-  (* Merged shard counters must account for every lookup, and the merged
-     view must be exactly the per-shard sum. *)
-  let merged = Plan_cache.Sharded.stats sharded in
-  check_bool "the replay served hits and invalidations, not only misses" true
-    (merged.Plan_cache.hits > 0 && merged.Plan_cache.invalidations > 0);
-  check_int "hits + misses + invalidations = lookups" (domains * ops_per_domain)
-    (Plan_cache.lookups merged);
-  let manual =
-    Array.fold_left
-      (fun acc shard -> Plan_cache.add_stats acc (Plan_cache.stats shard))
-      Plan_cache.zero_stats
-      (Array.init domains (Plan_cache.Sharded.shard sharded))
-  in
-  check_int "merged hits = summed hits" manual.Plan_cache.hits merged.Plan_cache.hits;
-  check_int "merged misses = summed misses" manual.Plan_cache.misses merged.Plan_cache.misses;
-  check_int "merged invalidations = summed"
-    manual.Plan_cache.invalidations merged.Plan_cache.invalidations;
-  check_int "merged evictions = summed" manual.Plan_cache.evictions merged.Plan_cache.evictions;
-  check_bool "identical worlds populated every shard" true
-    (Plan_cache.Sharded.length sharded >= domains);
-  (* Shard routing is total and modular: any domain id lands somewhere. *)
-  ignore (Plan_cache.Sharded.shard sharded (domains + 3));
-  ignore (Plan_cache.Sharded.shard sharded (-1))
+      check_int (Printf.sprintf "domain %d cached re-ask" d) expected_count again;
+      check_bool
+        (Printf.sprintf "domain %d: the replay served hits and invalidations, not only misses" d)
+        true
+        (stats.Plan_cache.hits > 0 && stats.Plan_cache.invalidations > 0);
+      check_int
+        (Printf.sprintf "domain %d: hits + misses + invalidations = lookups" d)
+        ops_per_domain (Plan_cache.lookups stats))
+    per_domain
 
 let () =
   Alcotest.run "rq_parallel"

@@ -317,7 +317,9 @@ let test_guard_fires_and_rescues () =
   let outcome = Reopt.execute_plan ~threshold:4.0 opt query bad in
   check_bool "a guard fired" true (outcome.Reopt.events <> []);
   check_bool "continuation was re-optimized" true
-    (List.exists (fun (e : Reopt.event) -> e.Reopt.replanned) outcome.Reopt.events);
+    (List.exists
+       (function Rq_obs.Trace.Reopt_adopted _ -> true | _ -> false)
+       outcome.Reopt.events);
   check_bool "at least one re-optimization round" true (outcome.Reopt.reoptimizations >= 1);
   (* Same answer as just running the bad plan. *)
   let reference = Executor.run catalog (Cost.create ()) bad in
@@ -376,7 +378,9 @@ let test_reopt_budget_exhaustion_completes () =
   let outcome = Reopt.execute_plan ~threshold:4.0 ~max_reopts:0 opt (two_join_query ()) (bad_inl_plan ()) in
   check_int "no re-optimization happened" 0 outcome.Reopt.reoptimizations;
   check_bool "the firing is still reported" true
-    (List.exists (fun (e : Reopt.event) -> not e.Reopt.replanned) outcome.Reopt.events);
+    (List.exists
+       (function Rq_obs.Trace.Reopt_abandoned _ -> true | _ -> false)
+       outcome.Reopt.events);
   let reference = Executor.run catalog (Cost.create ()) (bad_inl_plan ()) in
   check_int "answer unchanged"
     (Array.length reference.Executor.tuples)
@@ -407,27 +411,35 @@ let test_feedback_cache () =
     "subset anchoring scales the superset" expect
     (est.Cardinality.expression_cardinality [ li; oo ])
 
-let test_render_events () =
-  check_bool "empty" true (Reopt.render_events [] = "no guard fired\n");
-  let s =
-    Reopt.render_events
-      [
-        {
-          Reopt.label = "Scan(lineitems)";
-          expected_rows = 1.0;
-          actual_rows = 981;
-          q_error = 981.0;
-          replanned = true;
-        };
-      ]
-  in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  check_bool "mentions the guard" true (contains s "Scan(lineitems)");
-  check_bool "mentions the rescue" true (contains s "re-optimized")
+(* The outcome's events are the loop's narration, not a second report:
+   on a rescued run and on a budget-exhausted one they are exactly the
+   guard-firing and re-optimization events the recorder saw, in order. *)
+let test_outcome_events_are_trace_events () =
+  let catalog = chain_catalog () in
+  let stats = fresh_stats catalog in
+  let opt = Optimizer.create stats (Cardinality.fixed_selectivity catalog 5e-4) in
+  List.iter
+    (fun (name, max_reopts) ->
+      let recorder = Rq_obs.Recorder.create () in
+      let outcome =
+        Reopt.execute_plan ~threshold:4.0 ~max_reopts ~obs:recorder opt (two_join_query ())
+          (bad_inl_plan ())
+      in
+      let reopt_events =
+        List.filter
+          (function
+            | Rq_obs.Trace.Guard_fired _ | Reopt_planned _ | Reopt_adopted _
+            | Reopt_abandoned _ ->
+                true
+            | _ -> false)
+          (Rq_obs.Recorder.events recorder)
+      in
+      check_bool (name ^ ": a guard fired") true (outcome.Reopt.events <> []);
+      check_bool
+        (name ^ ": events = the recorder's Guard_fired/Reopt_* subsequence")
+        true
+        (outcome.Reopt.events = reopt_events))
+    [ ("rescued", 2); ("budget exhausted", 0) ]
 
 let () =
   Alcotest.run "robustness"
@@ -457,6 +469,7 @@ let () =
           Alcotest.test_case "instrumentation placement" `Quick test_instrument_places_guards;
           Alcotest.test_case "reopt budget exhaustion" `Quick test_reopt_budget_exhaustion_completes;
           Alcotest.test_case "feedback cache" `Quick test_feedback_cache;
-          Alcotest.test_case "render events" `Quick test_render_events;
+          Alcotest.test_case "events are the recorder's reopt events" `Quick
+            test_outcome_events_are_trace_events;
         ] );
     ]

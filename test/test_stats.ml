@@ -563,40 +563,6 @@ let test_refresh_after_parent_emptied () =
   | None -> Alcotest.fail "synopsis should exist"
   | Some syn -> check_int "all dangling join rows dropped" 0 (Join_synopsis.size syn)
 
-(* ---- chunk profiles (zone-map-derived physical stats) ---- *)
-
-let test_chunk_profiles_recorded () =
-  (* Three chunks of the 24-byte schema (rows_per_chunk = 5456): [k] is
-     monotone across chunk boundaries (zone-clustered), [r] interleaves. *)
-  let rows = 12_000 in
-  let schema =
-    Schema.create
-      [
-        { Schema.name = "k"; ty = Value.T_int };
-        { Schema.name = "r"; ty = Value.T_int };
-        { Schema.name = "z"; ty = Value.T_int };
-      ]
-  in
-  let catalog = Catalog.create () in
-  Catalog.add_table catalog ~primary_key:"k"
-    (Relation.create ~name:"t" ~schema
-       (Array.init rows (fun i -> [| v_int i; v_int (i * 7919 mod rows); v_int 0 |])));
-  let stats = Stats_store.update_statistics (Rq_math.Rng.create 57) catalog in
-  match Stats_store.chunk_stats stats "t" with
-  | None -> Alcotest.fail "chunk profile missing for t"
-  | Some p ->
-      check_int "chunks" 3 p.Stats_store.chunks;
-      check_int "rows" rows p.rows;
-      let rel = Catalog.find_table catalog "t" in
-      check_int "pages agree with the relation" (Relation.page_count rel) p.pages;
-      check_bool "monotone column detected as clustered" true
-        (List.mem "k" p.clustered_columns);
-      check_bool "interleaved column is not" false (List.mem "r" p.clustered_columns);
-      (* A constant column's zones all overlap at a point; lo = prev hi is
-         still consistent with clustering (ties allowed). *)
-      check_bool "constant column counts as clustered" true (List.mem "z" p.clustered_columns);
-      check_bool "unknown table has no profile" true (Stats_store.chunk_stats stats "nope" = None)
-
 (* ------------------------------------------------------------------ *)
 (* Bitset / Lru / Pred_index: the evidence kernel                      *)
 (* ------------------------------------------------------------------ *)
@@ -753,6 +719,41 @@ let test_pred_index_counts_multi_chunk () =
           check_bool "chunk starts fall mid-word" true (Relation.rows_per_chunk rel mod 64 <> 0);
           check_kernel_matches_scan (if spill then "spill" else "heap") rel)
         [ false; true ])
+
+(* Statistics read rows through the chunk store, so where a table's chunks
+   live must not change what UPDATE STATISTICS produces: one seed over a
+   spilled table and over the same rows on the heap gives the same store. *)
+let test_spilled_table_statistics () =
+  let store_of spill =
+    let b = Relation.Builder.create ~spill ~name:"spilled" ~schema:multi_chunk_schema () in
+    for i = 0 to 2_499 do
+      Relation.Builder.add_row b (multi_chunk_row i)
+    done;
+    let catalog = Catalog.create () in
+    Catalog.add_table catalog (Relation.Builder.finish b);
+    Stats_store.update_statistics (Rq_math.Rng.create 61) catalog
+  in
+  let heap = store_of false and spilled = store_of true in
+  List.iter
+    (fun { Schema.name = column; _ } ->
+      match
+        ( Stats_store.histogram heap ~table:"spilled" ~column,
+          Stats_store.histogram spilled ~table:"spilled" ~column )
+      with
+      | Some h, Some s ->
+          check_int (column ^ " rows") (Histogram.total_rows h) (Histogram.total_rows s);
+          check_int (column ^ " nulls") (Histogram.null_rows h) (Histogram.null_rows s);
+          check_bool (column ^ " buckets") true (Histogram.buckets h = Histogram.buckets s)
+      | _ -> Alcotest.failf "histogram missing for %s" column)
+    (Schema.columns multi_chunk_schema);
+  match
+    (Stats_store.synopsis heap ~root:"spilled", Stats_store.synopsis spilled ~root:"spilled")
+  with
+  | Some h, Some s ->
+      let rows syn = List.of_seq (Relation.to_seq (Sample.rows (Join_synopsis.sample syn))) in
+      check_int "sample size" (Join_synopsis.size h) (Join_synopsis.size s);
+      check_bool "sample rows" true (rows h = rows s)
+  | _ -> Alcotest.fail "synopsis missing for the spilled table"
 
 let test_pred_index_eviction () =
   let rel = kernel_fixture () in
@@ -1021,8 +1022,11 @@ let () =
           Alcotest.test_case "empty relation yields empty sample" `Quick
             test_empty_sample_of_relation;
         ] );
-      ( "chunk profiles",
-        [ Alcotest.test_case "recorded at rebuild" `Quick test_chunk_profiles_recorded ] );
+      ( "spilled tables",
+        [
+          Alcotest.test_case "statistics equal the heap copy's" `Quick
+            test_spilled_table_statistics;
+        ] );
       ( "kernel",
         [
           Alcotest.test_case "bitset basics across word boundaries" `Quick test_bitset_basics;

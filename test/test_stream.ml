@@ -470,7 +470,9 @@ let test_reopt_mid_stream_correctness () =
   let outcome = Reopt.execute_plan ~threshold:4.0 opt query bad_plan in
   check_bool "a guard fired" true (outcome.Reopt.events <> []);
   check_bool "replanned" true
-    (List.exists (fun (e : Reopt.event) -> e.Reopt.replanned) outcome.Reopt.events);
+    (List.exists
+       (function Rq_obs.Trace.Reopt_adopted _ -> true | _ -> false)
+       outcome.Reopt.events);
   (* Against a trusted plain plan for the same query, and the oracle. *)
   let reference, _ =
     run catalog
@@ -700,8 +702,8 @@ let outcomes_agree ~label (a, asnap) (b, bsnap) =
   if not same then QCheck.Test.fail_reportf "%s: outcomes differ" label
   else if not (Rq_experiments.Exp_common.snapshots_equal asnap bsnap) then
     QCheck.Test.fail_reportf "%s: counters diverge\nserial:   %s\nparallel: %s" label
-      (Format.asprintf "%a" Cost.pp_snapshot asnap)
-      (Format.asprintf "%a" Cost.pp_snapshot bsnap)
+      (Format.asprintf "%a" Rq_obs.Metrics.pp asnap)
+      (Format.asprintf "%a" Rq_obs.Metrics.pp bsnap)
   else true
 
 (* The serial run on the first store, then every (store, pool capacity,
