@@ -25,8 +25,9 @@ test-rewrite: all
 fault-test: all
 	dune exec test/test_robustness.exe
 
-# Differential plan-correctness oracle under three generator seeds (the
-# same matrix CI runs).
+# Differential plan-correctness harness, answers checked against Naive,
+# under three generator seeds (CI runs 42 in `dune runtest` and the other
+# two in its differential matrix).
 differential: all
 	DIFF_SEED=42 dune exec test/test_differential.exe
 	DIFF_SEED=7 dune exec test/test_differential.exe

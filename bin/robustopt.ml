@@ -516,8 +516,7 @@ let experiment_cmd =
             time_budget;
             baseline;
             late_after;
-            self_test;
-            self_test_rewrite;
+            sabotage = F.sabotage_of_flags ~self_test ~self_test_rewrite;
             repro_file = repro_out;
           }
         in

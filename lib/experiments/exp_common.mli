@@ -72,6 +72,9 @@ val snapshots_equal : Cost.snapshot -> Cost.snapshot -> bool
     tolerance): the contract that the serial and the morsel-parallel runs
     of a plan move every counter identically. *)
 
+val values_close : tol:float -> Value.t -> Value.t -> bool
+(** Cell equality with floats under the relative tolerance [tol]. *)
+
 val results_equal : ?tol:float -> Executor.result -> Executor.result -> bool
 (** Multiset equality of results modulo column order, row order and
     float-summation noise ([tol] is relative, default 1e-6).  The

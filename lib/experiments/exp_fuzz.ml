@@ -1,13 +1,11 @@
-(* Feedback-guided differential fuzzer (ROADMAP item 4).
+(* Feedback-guided differential fuzzer.
 
    An evolutionary loop over (data-state mutation, stats-fault profile,
-   query) triples.  Each case runs through every differential oracle the
-   repo has accumulated — four estimators vs the exact oracle, cached vs
-   cold optimization, evidence kernel vs row scan — plus a pass that plans with the *degrading*
-   estimator over deliberately faulted statistics and executes under
-   guard-driven re-optimization, reconciling the observability spans
-   against the cost meter.  Whatever the estimates, the answers must
-   agree with the oracle and the counters must add up.
+   query) triples.  Each case's query goes through Differential.check,
+   which holds every differential pass and takes Naive as the reference
+   answer; the case's faults damage the statistics its degraded pass plans
+   over.  Whatever the estimates, the answers must agree with Naive and
+   the counters must add up.
 
    Coverage is YBFuzz-style Query Plan Guidance: a mutant is kept only if
    it exhibits an unseen (structural plan fingerprint x degradation-tier
@@ -22,7 +20,6 @@ open Rq_optimizer
 open Rq_workload
 module Rng = Rq_math.Rng
 module Json = Rq_obs.Json
-module Recorder = Rq_obs.Recorder
 module Stats_store = Rq_stats.Stats_store
 module Fault = Rq_stats.Fault
 
@@ -102,7 +99,7 @@ let shape_of_string = function
   | s -> Error (Printf.sprintf "unknown shape %S" s)
 
 (* ------------------------------------------------------------------ *)
-(* Workload specs: the same predicate/table space as test_differential  *)
+(* Workload specs: the predicate/table space of every generated query   *)
 (* ------------------------------------------------------------------ *)
 
 type atom_pool = { p_column : string; p_cmps : cmp array; p_draw : Rng.t -> literal }
@@ -255,9 +252,8 @@ let pred_of_atom a = Pred.Cmp (pred_cmp a.cmp, Expr.col a.column, expr_of_litera
 let sum col name = { Plan.fn = Plan.Sum (Expr.col col); output_name = name }
 let count name = { Plan.fn = Plan.Count_star; output_name = name }
 
-let compile_case case =
-  let spec = spec_of case.workload in
-  let q = case.query in
+let compile_query workload q =
+  let spec = spec_of workload in
   let refs =
     List.map
       (fun g -> Logical.scan ~pred:(Pred.conj (List.map pred_of_atom g.atoms)) g.table)
@@ -295,6 +291,8 @@ let compile_case case =
         if List.length q.genes = 1 && semijoins = [] then q.limit else None
       in
       Logical.query ~semijoins ~projection:spec.s_projection ~order_by ?limit refs
+
+let compile_case case = compile_query case.workload case.query
 
 (* ------------------------------------------------------------------ *)
 (* Serialization (corpus entries and .fuzz-repro files)                *)
@@ -477,15 +475,13 @@ type config = {
   corpus_dir : string option;
   baseline : bool;             (* also run the pure-random control *)
   late_after : int option;     (* require a new pair after this iteration *)
-  self_test : bool;
-  self_test_rewrite : bool;    (* plant an unsound rewrite instead *)
+  sabotage : Differential.sabotage option;
   repro_file : string;
   workloads : workload list;
   catalog_seeds : int list;
   tpch_scale : float;
   star_rows : int;
   sample_size : int;
-  reopt_threshold : float;
   seed_corpus : int;           (* initial random cases *)
   shrink_budget : int;         (* max case evaluations while shrinking *)
 }
@@ -498,15 +494,13 @@ let default_config =
     corpus_dir = None;
     baseline = false;
     late_after = None;
-    self_test = false;
-    self_test_rewrite = false;
+    sabotage = None;
     repro_file = "divergence.fuzz-repro";
     workloads = [ Tpch; Star ];
     catalog_seeds = [ 0; 1 ];
     tpch_scale = 0.001;
     star_rows = 2_000;
     sample_size = 150;
-    reopt_threshold = 4.0;
     seed_corpus = 8;
     shrink_budget = 200;
   }
@@ -517,12 +511,6 @@ let quick_config = { default_config with iterations = 60 }
 (* Environments (memoized catalogs + statistics)                       *)
 (* ------------------------------------------------------------------ *)
 
-type env = {
-  e_catalog : Catalog.t;
-  e_scale : float;
-  e_stats : Stats_store.t;     (* healthy, built over the mutated catalog *)
-}
-
 (* Seeds for the deterministic sub-streams.  They depend only on fields
    that survive serialization, so a replayed .fuzz-repro rebuilds the
    byte-identical environment. *)
@@ -530,7 +518,8 @@ let mutation_seed case = (case.catalog_seed * 1_000_003) + 11
 let stats_seed case = (case.catalog_seed * 7919) + 13
 let fault_seed case = (case.catalog_seed * 1_000_003) + 7
 
-let env_cache : (string, (env, string) result) Hashtbl.t = Hashtbl.create 32
+(* Healthy environments, without the case's faulted statistics. *)
+let env_cache : (string, (Differential.env, string) result) Hashtbl.t = Hashtbl.create 32
 
 let env_key config case =
   Printf.sprintf "%s/%d/%g/%d/%d/%s"
@@ -569,7 +558,7 @@ let build_env config case =
                 ~config:{ Stats_store.default_config with sample_size = config.sample_size }
                 catalog
             in
-            Ok { e_catalog = catalog; e_scale = scale; e_stats = stats }
+            Ok { Differential.catalog; scale; stats; faulted = []; pools = [] }
       in
       Hashtbl.add env_cache key env;
       env
@@ -578,223 +567,20 @@ let build_env config case =
 (* One case through every differential pass                            *)
 (* ------------------------------------------------------------------ *)
 
-type divergence = { pass : string; detail : string }
+type divergence = Differential.divergence = { pass : string; detail : string }
 
-type probe = { coverage : string * string; divergence : divergence option }
+type probe = Differential.probe = { coverage : string * string; divergence : divergence option }
 
-let estimator_configs stats =
-  let est () =
-    Rq_core.Robust_estimator.create ~confidence:Rq_core.Confidence.(resolve default_setting) ()
-  in
-  [
-    ("robust-sampling", Cardinality.robust stats (est ()));
-    ("histogram-avi", Cardinality.histogram_avi stats);
-    ("sample-avi", Cardinality.sample_avi stats (est ()));
-    ("sample-ml", Cardinality.sample_ml stats);
-  ]
-
-let fresh_estimator () =
-  Rq_core.Robust_estimator.create ~confidence:Rq_core.Confidence.(resolve default_setting) ()
-
-(* The --self-test sabotage: inflate the quantile the perturbed arm turns
-   into cardinalities and selectivities.  The answers it computes stay
-   correct — only its plan choices drift, which is exactly the class of
-   bug the kernel-vs-scan pass exists to catch. *)
-let perturb_estimator (c : Cardinality.t) =
-  {
-    c with
-    name = c.name ^ "+perturbed";
-    expression_cardinality = (fun refs -> (5.0 *. c.expression_cardinality refs) +. 25.0);
-    table_selectivity =
-      (fun ~table pred -> Float.min 1.0 ((3.0 *. c.table_selectivity ~table pred) +. 0.05));
-  }
-
-let mismatch_detail reference candidate =
-  let render r =
-    let rows = Exp_common.canonical_rows r in
-    let n = Array.length rows in
-    let shown = Array.to_list (Array.sub rows 0 (min 3 n)) in
-    Printf.sprintf "%d rows [%s%s]" n (String.concat " | " shown) (if n > 3 then " ..." else "")
-  in
-  Printf.sprintf "reference %s vs candidate %s" (render reference) (render candidate)
-
-let run_case config ~self_test ~self_test_rewrite env case : (probe, string) result =
-  let query = compile_case case in
-  let scale = env.e_scale in
-  let stats = env.e_stats in
-  let catalog = env.e_catalog in
-  let plans = Buffer.create 128 in
-  let add_plan label plan =
-    if Buffer.length plans > 0 then Buffer.add_char plans ';';
-    Buffer.add_string plans (label ^ "=" ^ Plan.describe plan)
-  in
-  let tier = ref "" in
-  let divergence = ref None in
-  let fail pass detail = if !divergence = None then divergence := Some { pass; detail } in
-  let guarded pass f =
-    if !divergence = None then
-      try f ()
-      with exn -> fail ("crash:" ^ pass) (Printexc.to_string exn)
-  in
-  let execute plan = Executor.run catalog (Cost.create ~scale ()) plan in
-  (* Pass 0: the exact oracle sets the reference answer. *)
-  let oracle_opt = Optimizer.create ~scale stats (Cardinality.oracle catalog) in
-  match Optimizer.optimize oracle_opt query with
-  | Error e ->
-      (* the mutator built an unplannable query: not a divergence, the
-         case is simply invalid *)
-      Error (Printf.sprintf "oracle rejected: %s" e)
-  | Ok od ->
-      let reference = ref None in
-      guarded "oracle-execute" (fun () ->
-          add_plan "o" od.Optimizer.plan;
-          reference := Some ((execute od.Optimizer.plan)));
-      let against_reference pass result =
-        match !reference with
-        | Some r when not (Exp_common.results_equal r result) ->
-            fail pass (mismatch_detail r result)
-        | _ -> ()
-      in
-      (* Pass 1: every estimator's plan answers like the oracle. *)
-      List.iter
-        (fun (name, estimator) ->
-          guarded ("estimator:" ^ name) (fun () ->
-              let opt = Optimizer.create ~scale stats estimator in
-              match Optimizer.optimize opt query with
-              | Error e -> fail ("estimator:" ^ name) ("rejected: " ^ e)
-              | Ok d ->
-                  add_plan name d.Optimizer.plan;
-                  against_reference ("estimator:" ^ name) ((execute d.Optimizer.plan))))
-        (estimator_configs stats);
-      (* Pass 2: cached-vs-cold through a fresh plan cache. *)
-      guarded "cache" (fun () ->
-          let opt = Optimizer.robust ~scale stats in
-          let cache = Plan_cache.create () in
-          let fingerprint =
-            Rq_sql.Fingerprint.to_key
-              (Rq_sql.Fingerprint.of_logical
-                 ~estimator:(Optimizer.estimator opt).Cardinality.name query)
-          in
-          List.iter
-            (fun (pass, expected) ->
-              match Plan_cache.find_or_optimize cache opt ~fingerprint query with
-              | Error e -> fail ("cache:" ^ pass) ("rejected: " ^ e)
-              | Ok (d, outcome) ->
-                  let got = Plan_cache.outcome_to_string outcome in
-                  if got <> expected then
-                    fail ("cache:" ^ pass)
-                      (Printf.sprintf "expected %s lookup, got %s" expected got)
-                  else against_reference ("cache:" ^ pass) ((execute d.Optimizer.plan)))
-            [ ("cold", "miss"); ("cached", "hit") ])
-      ;
-      (* Pass 3: evidence kernel vs row scan (the --self-test sabotage
-         perturbs the scan arm's estimator here). *)
-      guarded "kernel" (fun () ->
-          let names =
-            List.map (fun (r : Logical.table_ref) -> r.Logical.table) query.Logical.tables
-          in
-          (match Rq_stats.Stats_store.synopsis_for stats names with
-          | None -> ()
-          | Some syn ->
-              let pred =
-                Pred.conj
-                  (List.map
-                     (fun (r : Logical.table_ref) ->
-                       Pred.rename_columns (fun c -> r.Logical.table ^ "." ^ c) r.Logical.pred)
-                     query.Logical.tables)
-              in
-              let kk, kn = Rq_stats.Join_synopsis.evidence syn pred in
-              let sk, sn = Rq_stats.Join_synopsis.evidence_scan syn pred in
-              if (kk, kn) <> (sk, sn) then
-                fail "kernel:evidence"
-                  (Printf.sprintf "kernel (%d, %d) <> scan (%d, %d) on %s" kk kn sk sn
-                     (Pred.render pred)));
-          if !divergence = None then begin
-            let kernel_card = Cardinality.robust stats (fresh_estimator ()) in
-            let scan_card =
-              let c = Cardinality.robust ~kernel:false stats (fresh_estimator ()) in
-              if self_test then perturb_estimator c else c
-            in
-            let kernel_opt = Optimizer.create ~scale stats kernel_card in
-            let scan_opt = Optimizer.create ~scale stats scan_card in
-            match (Optimizer.optimize kernel_opt query, Optimizer.optimize scan_opt query) with
-            | Error e, _ -> fail "kernel" ("kernel arm rejected: " ^ e)
-            | _, Error e -> fail "kernel" ("scan arm rejected: " ^ e)
-            | Ok kd, Ok sd ->
-                if
-                  Exp_common.plan_digest kd.Optimizer.plan
-                  <> Exp_common.plan_digest sd.Optimizer.plan
-                then
-                  fail "kernel:plan-mismatch"
-                    (Printf.sprintf "kernel chose %s, scan chose %s"
-                       (Plan.describe kd.Optimizer.plan)
-                       (Plan.describe sd.Optimizer.plan))
-                else begin
-                  let kres = (execute kd.Optimizer.plan) in
-                  let sres = (execute sd.Optimizer.plan) in
-                  if not (Exp_common.results_equal sres kres) then
-                    fail "kernel" (mismatch_detail sres kres)
-                end
-          end);
-      (* Pass 4: the degrading estimator over *faulted* statistics, under
-         guard-driven re-optimization, with span/meter reconciliation.
-         Bad statistics may cost time, never answers or unaccounted work. *)
-      guarded "degraded" (fun () ->
-          let faulted = Fault.apply (Rng.create (fault_seed case)) stats case.faults in
-          let recorder = Recorder.create () in
-          let estimator = Cardinality.degrading ~obs:recorder faulted (fresh_estimator ()) in
-          let opt = Optimizer.create ~scale faulted estimator in
-          match Optimizer.optimize opt query with
-          | Error e -> fail "degraded" ("rejected: " ^ e)
-          | Ok d ->
-              let outcome =
-                Reopt.execute_plan ~threshold:config.reopt_threshold ~obs:recorder opt query
-                  d.Optimizer.plan
-              in
-              against_reference "degraded" outcome.Reopt.result;
-              if !divergence = None then begin
-                let span_total = Recorder.sum_self (Recorder.roots recorder) in
-                let meter_total = outcome.Reopt.snapshot in
-                if not (Rq_obs.Metrics.approx_equal ~tolerance:1e-9 span_total meter_total) then
-                  fail "degraded:counter-reconciliation"
-                    "observability spans do not sum to the cost-meter snapshot";
-                add_plan "deg" outcome.Reopt.final_plan;
-                tier := Trace_digest.of_recorder recorder
-              end);
-      (* Pass 5: the logical rewrite layer.  Optimize the query with the
-         pass list off and on; both plans must produce the same multiset of
-         rows.  The --self-test-rewrite sabotage swaps the rewritten arm's
-         input for one with a dropped filter conjunct, which this pass must
-         catch. *)
-      guarded "rewrite" (fun () ->
-          let opt = Optimizer.robust ~scale stats in
-          let rewritten_query =
-            if self_test_rewrite then Rewrite.unsound_for_tests query else query
-          in
-          match
-            ( Optimizer.optimize ~rewrite:false opt query,
-              Optimizer.optimize opt rewritten_query )
-          with
-          | Error e, _ -> fail "rewrite" ("unrewritten arm rejected: " ^ e)
-          | _, Error e -> fail "rewrite" ("rewritten arm rejected: " ^ e)
-          | Ok plain, Ok rewritten ->
-              add_plan "rw" rewritten.Optimizer.plan;
-              let pres = (execute plain.Optimizer.plan) in
-              let rres = (execute rewritten.Optimizer.plan) in
-              if not (Exp_common.results_equal pres rres) then
-                fail "rewrite"
-                  (Printf.sprintf "%s (plain %s vs rewritten %s)"
-                     (mismatch_detail pres rres)
-                     (Exp_common.plan_digest plain.Optimizer.plan)
-                     (Exp_common.plan_digest rewritten.Optimizer.plan)));
-      Ok { coverage = (Buffer.contents plans, !tier); divergence = !divergence }
-
-let probe_case ?(self_test = false) ?(self_test_rewrite = false) config case =
+let probe_case ?sabotage config case =
   match build_env config case with
   | Error e -> Error e
-  | Ok env ->
+  | Ok env -> (
+      let faulted = Fault.apply (Rng.create (fault_seed case)) env.Differential.stats case.faults in
+      let check () =
+        Differential.check ?sabotage { env with faulted = [ ("case", faulted) ] } (compile_case case)
+      in
       match case.pool_pages with
-      | None -> run_case config ~self_test ~self_test_rewrite env case
+      | None -> check ()
       | Some pages ->
           (* Apply the buffer-pool-capacity gene for the duration of the
              probe, then restore the previous capacity: a starved pool must
@@ -806,7 +592,7 @@ let probe_case ?(self_test = false) ?(self_test_rewrite = false) config case =
           Rq_storage.Buffer_pool.configure ~capacity_pages:pages;
           Fun.protect
             ~finally:(fun () -> Rq_storage.Buffer_pool.configure ~capacity_pages:before)
-            (fun () -> run_case config ~self_test ~self_test_rewrite env case)
+            check)
 
 (* ------------------------------------------------------------------ *)
 (* Random generation and the escalating mutator                        *)
@@ -830,7 +616,7 @@ let gen_semi rng spec ~present =
       let t, _, _ = Rng.pick rng (Array.of_list free) in
       table_spec spec t |> Option.map (fun ts -> gen_table_gene rng ~max_atoms:1 ts)
 
-let gen_query rng spec =
+let gen_query_gene rng spec =
   let root = gen_table_gene rng spec.s_root in
   let sats =
     Array.to_list spec.s_satellites
@@ -848,6 +634,8 @@ let gen_query rng spec =
   let order = shape <> Total && Rng.int rng 3 = 0 in
   let limit = if Rng.int rng 4 = 0 then Some (1 + Rng.int rng 20) else None in
   { genes; shape; semis; order; descending = order && Rng.bool rng; limit }
+
+let gen_query rng workload = compile_query workload (gen_query_gene rng (spec_of workload))
 
 (* Faults and data mutations target tables the query actually touches:
    damage elsewhere leaves both the plan and the tier digest unchanged, so
@@ -879,7 +667,7 @@ let gen_case rng config =
   let workload = Rng.pick rng (Array.of_list config.workloads) in
   let catalog_seed = Rng.pick rng (Array.of_list config.catalog_seeds) in
   let spec = spec_of workload in
-  let query = gen_query rng spec in
+  let query = gen_query_gene rng spec in
   let tables = query_tables query in
   (* the pure-random control can reach fault/mutation states too — the
      steered loop must win on search order, not on a larger gene pool *)
@@ -1179,14 +967,22 @@ let shrink ~probe ~config case0 (div0 : divergence) =
 
 let repro_format = "robustopt-fuzz-repro/1"
 
-let repro_to_json ~seed ~iteration ~self_test ~self_test_rewrite case (d : divergence) =
+(* The planted unsound rewrite fires on every case with a filter, so it
+   takes precedence when both self-tests are armed. *)
+let sabotage_of_flags ~self_test ~self_test_rewrite =
+  if self_test_rewrite then Some Differential.Unsound_rewrite
+  else if self_test then Some Differential.Perturbed_scan_arm
+  else None
+
+(* The sabotage is stored as the two flags of the CLI that plants it. *)
+let repro_to_json ~seed ~iteration ~sabotage case (d : divergence) =
   Json.Obj
     [
       ("format", Json.Str repro_format);
       ("seed", Json.Num (float_of_int seed));
       ("iteration", Json.Num (float_of_int iteration));
-      ("self_test", Json.Bool self_test);
-      ("self_test_rewrite", Json.Bool self_test_rewrite);
+      ("self_test", Json.Bool (sabotage = Some Differential.Perturbed_scan_arm));
+      ("self_test_rewrite", Json.Bool (sabotage = Some Differential.Unsound_rewrite));
       ("divergence", Json.Obj [ ("pass", Json.Str d.pass); ("detail", Json.Str d.detail) ]);
       ("case", case_to_json case);
     ]
@@ -1199,9 +995,8 @@ let read_file path =
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> In_channel.input_all ic)
 
-let write_repro path ~seed ~iteration ~self_test ~self_test_rewrite case d =
-  write_file path
-    (Json.to_string (repro_to_json ~seed ~iteration ~self_test ~self_test_rewrite case d) ^ "\n")
+let write_repro path ~seed ~iteration ~sabotage case d =
+  write_file path (Json.to_string (repro_to_json ~seed ~iteration ~sabotage case d) ^ "\n")
 
 let load_repro path =
   let* json = Json.parse (read_file path) in
@@ -1211,14 +1006,15 @@ let load_repro path =
     let* case_j = jfield "case" json in
     let* case = case_of_json case_j in
     let jbool name = match jfield name json with Ok (Json.Bool b) -> b | _ -> false in
-    let self_test = jbool "self_test" in
-    let self_test_rewrite = jbool "self_test_rewrite" in
+    let sabotage =
+      sabotage_of_flags ~self_test:(jbool "self_test") ~self_test_rewrite:(jbool "self_test_rewrite")
+    in
     let pass = match jfield "divergence" json with Ok d -> Result.value ~default:"" (jstr "pass" d) | Error _ -> "" in
-    Ok (case, self_test, self_test_rewrite, pass)
+    Ok (case, sabotage, pass)
 
 let replay config path =
-  let* case, self_test, self_test_rewrite, expected_pass = load_repro path in
-  let* probe = probe_case ~self_test ~self_test_rewrite config case in
+  let* case, sabotage, expected_pass = load_repro path in
+  let* probe = probe_case ?sabotage config case in
   Ok (case, probe, expected_pass)
 
 (* ------------------------------------------------------------------ *)
@@ -1285,12 +1081,11 @@ let pick_level rng ~stagnation =
 let run ?(log = fun (_ : string) -> ()) ?(config = default_config) () =
   let start = Unix.gettimeofday () in
   let rng = Rng.create config.seed in
-  let self_test = config.self_test in
-  let self_test_rewrite = config.self_test_rewrite in
+  let sabotage = config.sabotage in
   let probes = ref 0 in
   let probe case =
     incr probes;
-    probe_case ~self_test ~self_test_rewrite config case
+    probe_case ?sabotage config case
   in
   let seen = Hashtbl.create 256 in
   let corpus = ref [] in
@@ -1313,8 +1108,7 @@ let run ?(log = fun (_ : string) -> ()) ?(config = default_config) () =
       | Ok { divergence = Some d'; _ } when d'.pass = d.pass -> d'
       | _ -> d
     in
-    write_repro config.repro_file ~seed:config.seed ~iteration ~self_test ~self_test_rewrite
-      shrunk final_d;
+    write_repro config.repro_file ~seed:config.seed ~iteration ~sabotage shrunk final_d;
     let reproduced =
       match replay config config.repro_file with
       | Ok (_, { divergence = Some d'; _ }, _) -> d'.pass = d.pass
@@ -1396,7 +1190,7 @@ let run ?(log = fun (_ : string) -> ()) ?(config = default_config) () =
       let n = config.seed_corpus + !iterations_done in
       for _ = 1 to n do
         let case = gen_case brng config in
-        match probe_case ~self_test ~self_test_rewrite config case with
+        match probe_case ?sabotage config case with
         | Ok { divergence = None; coverage } -> Hashtbl.replace bseen (coverage_key coverage) ()
         | Ok { divergence = Some d; _ } ->
             (* a divergence is a divergence, whoever finds it *)
@@ -1416,14 +1210,11 @@ let run ?(log = fun (_ : string) -> ()) ?(config = default_config) () =
     && f.f_tables <= 3 && f.f_reproduced
   in
   let ok =
-    (* rewrite sabotage takes precedence when both self-tests are armed:
-       the planted unsound rewrite fires on every case, so it is the one
-       the run must catch first *)
-    if self_test_rewrite then
-      match !found with Some f -> caught_by "rewrite" f | None -> false
-    else if self_test then
-      match !found with Some f -> caught_by "kernel" f | None -> false
-    else
+    match sabotage with
+    | Some Differential.Unsound_rewrite -> Option.fold ~none:false ~some:(caught_by "rewrite") !found
+    | Some Differential.Perturbed_scan_arm ->
+        Option.fold ~none:false ~some:(caught_by "kernel") !found
+    | None ->
       !found = None
       && (match config.late_after with None -> true | Some n -> !last_new > n)
       && match baseline_pairs with None -> true | Some b -> pairs > b
@@ -1437,7 +1228,7 @@ let run ?(log = fun (_ : string) -> ()) ?(config = default_config) () =
     r_last_new_pair = !last_new;
     r_kept_by_level = (kept.(0), kept.(1), kept.(2));
     r_found = !found;
-    r_self_test = self_test || self_test_rewrite;
+    r_self_test = sabotage <> None;
     r_ok = ok;
     r_seconds = Unix.gettimeofday () -. start;
   }

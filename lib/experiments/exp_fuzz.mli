@@ -1,12 +1,10 @@
-(** Feedback-guided differential fuzzer (ROADMAP item 4).
+(** Feedback-guided differential fuzzer.
 
     An evolutionary loop over (data-state mutation, stats-fault profile,
-    query) genomes, each executed through every differential pass the repo
-    has: four estimators vs the exact oracle, cached-vs-cold optimization,
-    evidence-kernel-vs-row-scan, a
-    degrading-estimator pass over deliberately faulted statistics with
-    guard-driven re-optimization and span/meter reconciliation, and a
-    rewritten-vs-unrewritten plan pass over the logical rewrite layer.
+    query) genomes.  Each genome's query goes through
+    {!Differential.check}, which holds every differential pass and takes
+    {!Rq_optimizer.Naive} as the reference answer; the genome's faults
+    make the damaged statistics of its degraded pass.
 
     Coverage is the (structural plan fingerprint x degradation-tier
     transition digest) pair; a mutant joins the corpus only if its pair is
@@ -64,6 +62,10 @@ val case_summary : case -> string
 
 val compile_case : case -> Logical.t
 
+val gen_query : Rq_math.Rng.t -> workload -> Logical.t
+(** One random query of the workload, drawn exactly as {!gen_case} draws
+    its genome's. *)
+
 (** {2 Configuration} *)
 
 type config = {
@@ -75,17 +77,15 @@ type config = {
   corpus_dir : string option;  (** persist/reload kept cases as [*.fuzz] *)
   baseline : bool;             (** also run the pure-random control *)
   late_after : int option;     (** require an unseen pair after this iteration *)
-  self_test : bool;            (** plant an estimator perturbation; the run
-                                   only passes if the fuzzer catches it *)
-  self_test_rewrite : bool;    (** plant an unsound logical rewrite instead;
-                                   the rewrite pass must catch it *)
+  sabotage : Differential.sabotage option;
+      (** plant a bug; the run then passes only if the fuzzer catches it
+          in the targeted pass *)
   repro_file : string;
   workloads : workload list;
   catalog_seeds : int list;
   tpch_scale : float;
   star_rows : int;
   sample_size : int;
-  reopt_threshold : float;
   seed_corpus : int;
   shrink_budget : int;         (** max case evaluations while shrinking *)
 }
@@ -95,17 +95,18 @@ val quick_config : config  (** reduced sizes, for [experiment --quick] *)
 
 (** {2 Probing (exposed for tests)} *)
 
-type divergence = { pass : string; detail : string }
+type divergence = Differential.divergence = { pass : string; detail : string }
 
-type probe = { coverage : string * string; divergence : divergence option }
-(** [coverage] = (concatenated structural plan digests, tier-transition
-    digest). *)
+type probe = Differential.probe = { coverage : string * string; divergence : divergence option }
 
-val probe_case :
-  ?self_test:bool -> ?self_test_rewrite:bool -> config -> case -> (probe, string) result
-(** Run one case through every pass.  [Error] means the case itself is
-    invalid (the oracle rejected the query, or a mutation could not apply)
-    — not a divergence. *)
+val sabotage_of_flags : self_test:bool -> self_test_rewrite:bool -> Differential.sabotage option
+(** The CLI's two self-test flags as one sabotage; the unsound rewrite wins
+    when both are set. *)
+
+val probe_case : ?sabotage:Differential.sabotage -> config -> case -> (probe, string) result
+(** {!Differential.check} on the case's query.  [Error] means the case
+    itself is invalid (the query does not validate, or a mutation could not
+    apply) — not a divergence. *)
 
 val gen_case : Rq_math.Rng.t -> config -> case
 
@@ -139,11 +140,10 @@ type result = {
 
 val run : ?log:(string -> unit) -> ?config:config -> unit -> result
 (** [r_ok] means: no divergence (plus the [late_after] and [baseline]
-    checks when configured) — or, under [self_test], that the planted
-    perturbation was caught by the kernel pass, shrunk to at most three
-    tables, and its repro file replays red.  Under [self_test_rewrite]
-    (which takes precedence) the catch must come from the rewrite pass
-    instead. *)
+    checks when configured) — or, under a [sabotage], that the planted bug
+    was caught by its targeted pass (the kernel pass for
+    [Perturbed_scan_arm], the rewrite pass for [Unsound_rewrite]), shrunk
+    to at most three tables, and its repro file replays red. *)
 
 val replay : config -> string -> (case * probe * string, string) Stdlib.result
 (** Re-run a [.fuzz-repro] file; returns the case, the fresh probe and the

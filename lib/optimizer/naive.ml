@@ -116,8 +116,85 @@ let selectivity catalog (refs : Logical.table_ref list) =
   if root_rows = 0 then 0.0
   else float_of_int (cardinality catalog refs) /. float_of_int root_rows
 
+(* [outer_key IN (SELECT inner_key FROM inner)]: the inner side's key set,
+   NULL keys excluded (NULL IN (...) is never true). *)
+let semijoin_filter catalog schema (sj : Logical.semijoin) =
+  let rel = Catalog.find_table catalog sj.Logical.inner.Logical.table in
+  let inner_pred = Pred.compile (Relation.schema rel) sj.Logical.inner.Logical.pred in
+  let key = Schema.index_of (Relation.schema rel) sj.Logical.inner_key in
+  let keys = Hashtbl.create 64 in
+  Relation.iter
+    (fun _ tup ->
+      if inner_pred tup && not (Value.is_null tup.(key)) then Hashtbl.replace keys tup.(key) ())
+    rel;
+  let outer = Schema.index_of schema sj.Logical.outer_key in
+  fun tup -> Hashtbl.mem keys tup.(outer)
+
+(* GROUP BY as a fold over the joined rows: collect each group's rows in
+   arrival order, then evaluate every aggregate over them with SQL's NULL
+   rules (NULL inputs are skipped; SUM/AVG/MIN/MAX of no values are NULL).
+   A grand total yields one row even on empty input. *)
+let aggregate (res : Executor.result) ~group_by ~aggs =
+  let schema = res.Executor.schema in
+  let key_positions = List.map (Schema.index_of schema) group_by in
+  let groups = Hashtbl.create 16 in
+  let keys = ref (if group_by = [] then [ [] ] else []) in
+  if group_by = [] then Hashtbl.replace groups [] [];
+  Array.iter
+    (fun tup ->
+      let key = List.map (fun p -> tup.(p)) key_positions in
+      match Hashtbl.find_opt groups key with
+      | Some rows -> Hashtbl.replace groups key (tup :: rows)
+      | None ->
+          keys := key :: !keys;
+          Hashtbl.replace groups key [ tup ])
+    res.Executor.tuples;
+  let fold rows { Plan.fn; _ } =
+    let values e = List.filter (fun v -> not (Value.is_null v)) (List.map (Expr.compile schema e) rows) in
+    let sum vs = List.fold_left (fun acc v -> acc +. Value.to_float v) 0.0 vs in
+    let extreme keep e =
+      List.fold_left
+        (fun acc v -> if Value.is_null acc || keep (Value.compare v acc) then v else acc)
+        Value.Null (values e)
+    in
+    match fn with
+    | Plan.Count_star -> Value.Int (List.length rows)
+    | Plan.Count e -> Value.Int (List.length (values e))
+    | Plan.Sum e -> ( match values e with [] -> Value.Null | vs -> Value.Float (sum vs))
+    | Plan.Avg e -> (
+        match values e with
+        | [] -> Value.Null
+        | vs -> Value.Float (sum vs /. float_of_int (List.length vs)))
+    | Plan.Min e -> extreme (fun c -> c < 0) e
+    | Plan.Max e -> extreme (fun c -> c > 0) e
+  in
+  let agg_column { Plan.fn; output_name } =
+    let ty = match fn with Plan.Count_star | Plan.Count _ -> Value.T_int | _ -> Value.T_float in
+    { Schema.name = output_name; ty }
+  in
+  {
+    Executor.schema =
+      Schema.create (List.map (Schema.column_at schema) key_positions @ List.map agg_column aggs);
+    tuples =
+      Array.of_list
+        (List.rev_map
+           (fun key -> Array.of_list (key @ List.map (fold (List.rev (Hashtbl.find groups key))) aggs))
+           !keys);
+  }
+
 let evaluate_query catalog (q : Logical.t) =
+  if q.Logical.scalars <> [] then
+    invalid_arg "Naive.evaluate_query: scalar subqueries are outside the oracle's query class";
   let joined = evaluate catalog q.Logical.tables in
+  let joined =
+    let schema = joined.Executor.schema in
+    let keep =
+      Pred.compile schema q.Logical.residual
+      :: List.map (semijoin_filter catalog schema) q.Logical.semijoins
+    in
+    let rows = List.filter (fun tup -> List.for_all (fun f -> f tup) keep) (Array.to_list joined.Executor.tuples) in
+    { joined with Executor.tuples = Array.of_list rows }
+  in
   let apply_projection (res : Executor.result) =
     match q.Logical.projection with
     | None -> res
@@ -169,22 +246,4 @@ let evaluate_query catalog (q : Logical.t) =
      SELECT list drops. *)
   if q.Logical.aggs = [] && q.Logical.group_by = [] then
     apply_projection (apply_order_limit joined)
-  else begin
-    (* Delegate grouping to the executor over the materialized join: register
-       it as a temporary table under a scratch catalog.  The temp table's
-       columns are already qualified, so the scan must not re-qualify them —
-       hence the identity-qualification via already-dotted names. *)
-    let scratch = Catalog.create () in
-    let temp = Executor.result_to_relation ~name:"naive_temp" joined in
-    Catalog.add_table scratch temp;
-    let meter = Cost.create () in
-    let plan =
-      Plan.Aggregate
-        {
-          input = Plan.Scan { table = "naive_temp"; access = Plan.Seq_scan; pred = Pred.True };
-          group_by = q.Logical.group_by;
-          aggs = q.Logical.aggs;
-        }
-    in
-    apply_order_limit (Executor.run scratch meter plan)
-  end
+  else apply_order_limit (aggregate joined ~group_by:q.Logical.group_by ~aggs:q.Logical.aggs)

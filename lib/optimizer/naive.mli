@@ -20,6 +20,9 @@ val selectivity : Catalog.t -> Logical.table_ref list -> float
     estimators are trying to recover. *)
 
 val evaluate_query : Catalog.t -> Logical.t -> Executor.result
-(** Full query evaluation including grouping, aggregation and projection
-    (aggregation is delegated to the executor over the materialized join,
-    which the aggregate-specific unit tests cover independently). *)
+(** Full query evaluation: the join, then the semijoins (key-set filters on
+    the outer rows) and the residual (compiled over the joined schema), then
+    grouping and aggregation by a fold of its own over the joined rows, then
+    ORDER BY, LIMIT and projection.  No executor operator runs, so this is an
+    independent reference for every plan the engine executes.  Raises
+    [Invalid_argument] on a query that still carries scalar subqueries. *)

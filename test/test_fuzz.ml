@@ -284,7 +284,7 @@ let test_self_test_plants_divergence () =
     if tries = 0 then Alcotest.fail "perturbed estimator never changed a plan in 40 cases"
     else
       let case = F.gen_case rng tiny_config in
-      match F.probe_case ~self_test:true tiny_config case with
+      match F.probe_case ~sabotage:Rq_experiments.Differential.Perturbed_scan_arm tiny_config case with
       | Error _ -> hunt (tries - 1)
       | Ok { F.divergence = Some d; _ } ->
           check_bool
@@ -311,7 +311,7 @@ let test_baseline_ignores_time_budget () =
    shrink it to at most three tables, and leave a repro file that both
    replays red and survives a config round-trip through [F.replay]. *)
 let test_self_test_run_and_replay () =
-  let config = { tiny_config with F.self_test = true; iterations = 40; seed = 5 } in
+  let config = { tiny_config with F.sabotage = Some Rq_experiments.Differential.Perturbed_scan_arm; iterations = 40; seed = 5 } in
   let result = F.run ~config () in
   check_bool "self-test run passes" true result.F.r_ok;
   match result.F.r_found with
@@ -334,7 +334,7 @@ let test_self_test_run_and_replay () =
 let test_self_test_rewrite_run_and_replay () =
   let config =
     { tiny_config with
-      F.self_test_rewrite = true;
+      F.sabotage = Some Rq_experiments.Differential.Unsound_rewrite;
       iterations = 40;
       seed = 7;
       repro_file =

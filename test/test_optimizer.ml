@@ -139,6 +139,97 @@ let test_naive_join_filtered () =
   in
   check_int "filtered join" expected (Naive.cardinality catalog refs)
 
+(* A hand-built fixture for the full query surface Naive answers: emp ->
+   dept over an FK, proj as an unrelated IN-subquery source, and NULLs in
+   the aggregated columns and in the subquery's key. *)
+let naive_fixture () =
+  let i = v_int and f x = Value.Float x and null = Value.Null in
+  let catalog = Catalog.create () in
+  let table name key cols rows =
+    Catalog.add_table catalog ~primary_key:key
+      (Relation.create ~name
+         ~schema:(Schema.create (List.map (fun (name, ty) -> { Schema.name; ty }) cols))
+         (Array.of_list (List.map Array.of_list rows)))
+  in
+  table "dept" "d_id" [ ("d_id", Value.T_int); ("d_zone", Value.T_int) ]
+    [ [ i 1; i 10 ]; [ i 2; i 20 ]; [ i 3; i 10 ] ];
+  table "emp" "e_id"
+    [ ("e_id", Value.T_int); ("e_dept", Value.T_int); ("e_salary", Value.T_int); ("e_bonus", Value.T_float) ]
+    [ [ i 1; i 1; i 100; f 1.5 ]; [ i 2; i 1; null; f 2.5 ]; [ i 3; i 2; i 300; null ];
+      [ i 4; i 2; i 50; f 4.0 ]; [ i 5; i 3; null; null ] ];
+  table "proj" "p_id" [ ("p_id", Value.T_int); ("p_dept", Value.T_int); ("p_budget", Value.T_int) ]
+    [ [ i 1; i 1; i 500 ]; [ i 2; i 3; i 50 ]; [ i 3; null; i 900 ] ];
+  Catalog.add_foreign_key catalog
+    { from_table = "emp"; from_column = "e_dept"; to_table = "dept"; to_column = "d_id" };
+  catalog
+
+let check_rows label names rows actual =
+  let expected =
+    {
+      Rq_exec.Executor.schema =
+        Schema.create (List.map (fun name -> { Schema.name; ty = Value.T_float }) names);
+      tuples = Array.of_list (List.map Array.of_list rows);
+    }
+  in
+  let render r = String.concat "\n" (Array.to_list (Rq_experiments.Exp_common.canonical_rows r)) in
+  if not (Rq_experiments.Exp_common.results_equal expected actual) then
+    Alcotest.failf "%s\nexpected:\n%s\ngot:\n%s" label (render expected) (render actual)
+
+(* e_dept IN (SELECT p_dept FROM proj WHERE p_budget > 100) keeps dept 1
+   only (the NULL key never matches); the residual e_salary >= d_zone * 5
+   drops the NULL salaries and employee 4. *)
+let test_naive_semijoin_residual () =
+  let catalog = naive_fixture () and i = v_int in
+  let semijoins =
+    [
+      {
+        Logical.outer_key = "emp.e_dept";
+        inner = Logical.scan ~pred:(Pred.gt (Expr.col "p_budget") (Expr.int 100)) "proj";
+        inner_key = "p_dept";
+      };
+    ]
+  in
+  let residual = Pred.ge (Expr.col "emp.e_salary") (Expr.Mul (Expr.col "dept.d_zone", Expr.int 5)) in
+  let run ?residual ?semijoins ?scalars () =
+    Naive.evaluate_query catalog
+      (Logical.query ?residual ?semijoins ?scalars ~projection:[ "emp.e_id" ]
+         [ Logical.scan "emp"; Logical.scan "dept" ])
+  in
+  check_rows "semijoin" [ "emp.e_id" ] [ [ i 1 ]; [ i 2 ] ] (run ~semijoins ());
+  check_rows "residual" [ "emp.e_id" ] [ [ i 1 ]; [ i 3 ] ] (run ~residual ());
+  check_rows "both" [ "emp.e_id" ] [ [ i 1 ] ] (run ~residual ~semijoins ());
+  let scalar =
+    { Logical.s_expr = Expr.col "emp.e_salary"; s_cmp = Pred.Gt;
+      s_agg = Plan.Avg (Expr.col "emp.e_salary"); s_table = "emp"; s_pred = Pred.True }
+  in
+  match run ~scalars:[ scalar ] () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a scalar subquery must be refused"
+
+(* Every aggregate over NULL-bearing groups, behind a residual
+   (e_id * 10 <> d_zone drops employee 1, leaving dept 1 no non-NULL
+   salary), and the grand total of an empty input. *)
+let test_naive_grouped_aggregates () =
+  let catalog = naive_fixture () in
+  let i = v_int and f x = Value.Float x and null = Value.Null in
+  let agg fn output_name = { Plan.fn; output_name } and col = Expr.col in
+  let aggs =
+    [ agg Plan.Count_star "n"; agg (Plan.Count (col "emp.e_salary")) "c";
+      agg (Plan.Sum (col "emp.e_salary")) "s"; agg (Plan.Avg (col "emp.e_bonus")) "a";
+      agg (Plan.Min (col "emp.e_salary")) "lo"; agg (Plan.Max (col "emp.e_bonus")) "hi" ]
+  in
+  let names = [ "n"; "c"; "s"; "a"; "lo"; "hi" ] in
+  let residual = Pred.Cmp (Pred.Ne, Expr.Mul (col "emp.e_id", Expr.int 10), col "dept.d_zone") in
+  check_rows "grouped" ("emp.e_dept" :: names)
+    [ [ i 1; i 1; i 0; null; f 2.5; null; f 2.5 ];
+      [ i 2; i 2; i 2; f 350.0; f 4.0; i 50; f 4.0 ];
+      [ i 3; i 1; i 0; null; null; null; null ] ]
+    (Naive.evaluate_query catalog
+       (Logical.query ~residual ~group_by:[ "emp.e_dept" ] ~aggs [ Logical.scan "emp"; Logical.scan "dept" ]));
+  check_rows "grand total of nothing" names [ [ i 0; i 0; null; null; null; null ] ]
+    (Naive.evaluate_query catalog
+       (Logical.query ~aggs [ Logical.scan ~pred:(Pred.gt (col "e_id") (Expr.int 100)) "emp" ]))
+
 (* ------------------------------------------------------------------ *)
 (* Cardinality estimators                                              *)
 (* ------------------------------------------------------------------ *)
@@ -779,6 +870,8 @@ let () =
           Alcotest.test_case "single table" `Quick test_naive_single_table;
           Alcotest.test_case "join preserves root" `Quick test_naive_join_cardinality;
           Alcotest.test_case "filtered join" `Quick test_naive_join_filtered;
+          Alcotest.test_case "semijoin and residual" `Quick test_naive_semijoin_residual;
+          Alcotest.test_case "grouped aggregates" `Quick test_naive_grouped_aggregates;
         ] );
       ( "cardinality",
         [
