@@ -33,13 +33,17 @@ differential: all
 	DIFF_SEED=7 dune exec test/test_differential.exe
 	DIFF_SEED=1234 dune exec test/test_differential.exe
 
-# Bounded feedback-guided fuzz (the CI gate): fixed seed, the
-# pure-random control alongside, fails on any divergence, on steered
-# coverage not beating random, or on the corpus stagnating before
-# iteration 50.
+# Bounded feedback-guided fuzz (the CI gate) under three fixed seeds,
+# each with the pure-random control alongside: fails on any divergence,
+# on steered coverage not beating random, or on the corpus stagnating
+# before iteration 50.
 fuzz-smoke: all
 	dune exec bin/robustopt.exe -- experiment fuzz \
 	  --iterations 200 --seed 5 --baseline --require-new-after 50
+	dune exec bin/robustopt.exe -- experiment fuzz \
+	  --iterations 200 --seed 6 --baseline --require-new-after 50
+	dune exec bin/robustopt.exe -- experiment fuzz \
+	  --iterations 200 --seed 7 --baseline --require-new-after 50
 
 # Unbounded soak with a persistent corpus: Ctrl-C to stop, rerun to
 # resume from the saved cases.  Exits nonzero on the first divergence,

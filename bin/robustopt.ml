@@ -465,12 +465,6 @@ let experiment_cmd =
     Arg.(value & opt (some string) None & info [ "corpus-dir" ] ~docv:"DIR"
          ~doc:"(fuzz) Persist kept cases as DIR/*.fuzz and reload them on start.")
   in
-  let time_budget_arg =
-    Arg.(value & opt (some float) None & info [ "time-budget" ] ~docv:"SECONDS"
-         ~doc:"(fuzz) Stop the steered search after this much wall-clock time.  The \
-               $(b,--baseline) control is not bounded: it always runs as many probes as \
-               the steered search did.")
-  in
   let replay_arg =
     Arg.(value & opt (some string) None & info [ "replay" ] ~docv:"FILE"
          ~doc:"(fuzz) Re-run a .fuzz-repro file instead of searching; exits 1 if the \
@@ -500,7 +494,7 @@ let experiment_cmd =
     Arg.(value & opt string "divergence.fuzz-repro" & info [ "repro-out" ] ~docv:"FILE"
          ~doc:"(fuzz) Where to write the minimal repro on divergence.")
   in
-  let run names quick iterations seed corpus_dir time_budget replay baseline late_after
+  let run names quick iterations seed corpus_dir replay baseline late_after
       self_test self_test_rewrite repro_out =
     let module E = Rq_experiments in
     match names with
@@ -513,7 +507,6 @@ let experiment_cmd =
             iterations = Option.value iterations ~default:base.F.iterations;
             seed = Option.value seed ~default:base.F.seed;
             corpus_dir;
-            time_budget;
             baseline;
             late_after;
             sabotage = F.sabotage_of_flags ~self_test ~self_test_rewrite;
@@ -562,7 +555,7 @@ let experiment_cmd =
   in
   let term =
     Term.(const run $ names_arg $ quick_arg $ iterations_arg $ seed_arg $ corpus_dir_arg
-          $ time_budget_arg $ replay_arg $ baseline_arg $ late_after_arg $ self_test_arg
+          $ replay_arg $ baseline_arg $ late_after_arg $ self_test_arg
           $ self_test_rewrite_arg $ repro_out_arg)
   in
   Cmd.v

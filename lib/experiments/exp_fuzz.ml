@@ -4,15 +4,19 @@
    query) triples.  Each case's query goes through Differential.check,
    which holds every differential pass and takes Naive as the reference
    answer; the case's faults damage the statistics its degraded pass plans
-   over.  Whatever the estimates, the answers must agree with Naive and
-   the counters must add up.
+   over, and the rewritten plans also run on a 2-domain morsel pool.
+   Whatever the estimates, the answers must agree with Naive and the
+   counters must add up.
 
    Coverage is YBFuzz-style Query Plan Guidance: a mutant is kept only if
    it exhibits an unseen (structural plan fingerprint x degradation-tier
-   transition digest) pair.  When the search stagnates, the mutator
-   escalates: query tweaks -> statistics faults -> data-state mutations.
-   Any divergence is delta-debugged down to a minimal case and serialized
-   as a replayable .fuzz-repro file carrying the exact seed. *)
+   transition digest) pair.  Parents are drawn by AFL-style energy (the
+   rarer their fingerprint and digest in the corpus, the likelier), and
+   each child comes from one operator of a fixed mix: splice a fresh query
+   into the parent's state, change its statistics faults, or change its
+   data state.  Any divergence is delta-debugged down to a minimal case
+   and serialized as a replayable .fuzz-repro file carrying the exact
+   seed. *)
 
 open Rq_storage
 open Rq_exec
@@ -471,7 +475,6 @@ let case_of_json j =
 type config = {
   iterations : int;            (* mutation steps; 0 = unbounded (soak) *)
   seed : int;
-  time_budget : float option;  (* wall seconds *)
   corpus_dir : string option;
   baseline : bool;             (* also run the pure-random control *)
   late_after : int option;     (* require a new pair after this iteration *)
@@ -490,7 +493,6 @@ let default_config =
   {
     iterations = 200;
     seed = 5;
-    time_budget = None;
     corpus_dir = None;
     baseline = false;
     late_after = None;
@@ -571,13 +573,15 @@ type divergence = Differential.divergence = { pass : string; detail : string }
 
 type probe = Differential.probe = { coverage : string * string; divergence : divergence option }
 
-let probe_case ?sabotage config case =
+let probe_case ?sabotage ?(pools = []) config case =
   match build_env config case with
   | Error e -> Error e
   | Ok env -> (
       let faulted = Fault.apply (Rng.create (fault_seed case)) env.Differential.stats case.faults in
       let check () =
-        Differential.check ?sabotage { env with faulted = [ ("case", faulted) ] } (compile_case case)
+        Differential.check ?sabotage
+          { env with faulted = [ ("case", faulted) ]; pools }
+          (compile_case case)
       in
       match case.pool_pages with
       | None -> check ()
@@ -595,7 +599,7 @@ let probe_case ?sabotage config case =
             check)
 
 (* ------------------------------------------------------------------ *)
-(* Random generation and the escalating mutator                        *)
+(* Random generation and the mutator                                  *)
 (* ------------------------------------------------------------------ *)
 
 let gen_atom rng pool = { column = pool.p_column; cmp = Rng.pick rng pool.p_cmps; value = pool.p_draw rng }
@@ -680,111 +684,22 @@ let gen_case rng config =
 
 let cap_list n l = if List.length l > n then List.tl l else l
 
-let nudge_literal rng = function
-  | L_int n -> L_int (max 0 (n + Rng.int rng 11 - 5))
-  | L_float f -> L_float (f *. Rng.pick rng [| 0.5; 1.5 |])
-  | L_date d -> L_date (d + Rng.int rng 61 - 30)
+type operator = Splice | Fault | Data
 
-let mutate_query rng spec q =
-  let genes = Array.of_list q.genes in
-  let pick_gene () = Rng.int rng (Array.length genes) in
-  match Rng.int rng 9 with
-  | 0 -> (
-      (* redraw or nudge one literal *)
-      let i = pick_gene () in
-      let g = genes.(i) in
-      match g.atoms with
-      | [] -> q
-      | atoms ->
-          let j = Rng.int rng (List.length atoms) in
-          let atoms =
-            List.mapi
-              (fun k a ->
-                if k <> j then a
-                else if Rng.bool rng then { a with value = nudge_literal rng a.value }
-                else
-                  match table_spec spec g.table with
-                  | Some ts -> (
-                      match Array.find_opt (fun p -> p.p_column = a.column) ts.t_pools with
-                      | Some pool -> { a with value = pool.p_draw rng }
-                      | None -> { a with value = nudge_literal rng a.value })
-                  | None -> a)
-              atoms
-          in
-          genes.(i) <- { g with atoms };
-          { q with genes = Array.to_list genes })
-  | 1 -> (
-      (* add an atom *)
-      let i = pick_gene () in
-      let g = genes.(i) in
-      match table_spec spec g.table with
-      | Some ts when List.length g.atoms < 3 ->
-          genes.(i) <- { g with atoms = gen_atom rng (Rng.pick rng ts.t_pools) :: g.atoms };
-          { q with genes = Array.to_list genes }
-      | _ -> q)
-  | 2 -> (
-      (* drop an atom *)
-      let i = pick_gene () in
-      let g = genes.(i) in
-      match g.atoms with
-      | [] -> q
-      | atoms ->
-          let j = Rng.int rng (List.length atoms) in
-          genes.(i) <- { g with atoms = List.filteri (fun k _ -> k <> j) atoms };
-          { q with genes = Array.to_list genes })
-  | 3 -> (
-      (* join in a satellite not yet present *)
-      let present = List.map (fun g -> g.table) q.genes in
-      let missing =
-        Array.to_list spec.s_satellites
-        |> List.filter (fun ts -> not (List.mem ts.t_name present))
-      in
-      match missing with
-      | [] -> q
-      | _ ->
-          let ts = Rng.pick rng (Array.of_list missing) in
-          { q with genes = q.genes @ [ gen_table_gene rng ~max_atoms:1 ts ] })
-  | 4 -> (
-      (* drop a satellite (never the root) *)
-      match q.genes with
-      | _root :: [] -> q
-      | root :: sats ->
-          let j = Rng.int rng (List.length sats) in
-          { q with genes = root :: List.filteri (fun k _ -> k <> j) sats }
-      | [] -> q)
-  | 5 -> (
-      (* add or drop an IN-subquery gene *)
-      match q.semis with
-      | _ :: _ when Rng.bool rng ->
-          let j = Rng.int rng (List.length q.semis) in
-          { q with semis = List.filteri (fun k _ -> k <> j) q.semis }
-      | _ -> (
-          let present = List.map (fun g -> g.table) (q.genes @ q.semis) in
-          match gen_semi rng spec ~present with
-          | Some s when List.length q.semis < 2 -> { q with semis = q.semis @ [ s ] }
-          | _ -> q))
-  | 6 ->
-      (* toggle or flip the ORDER BY gene *)
-      if not q.order then { q with order = true; descending = Rng.bool rng }
-      else if Rng.bool rng then { q with descending = not q.descending }
-      else { q with order = false }
-  | 7 -> (
-      (* set, nudge or clear LIMIT *)
-      match q.limit with
-      | None -> { q with limit = Some (1 + Rng.int rng 20) }
-      | Some n ->
-          if Rng.bool rng then { q with limit = None }
-          else { q with limit = Some (max 1 (n + Rng.int rng 11 - 5)) })
-  | _ ->
-      let shapes = List.filter (fun s -> s <> q.shape) [ Total; Grouped; Projected ] in
-      { q with shape = Rng.pick rng (Array.of_list shapes) }
+let operators = [ Splice; Fault; Data ]
 
-let mutate_case rng ~level _config case =
+let operator_name = function Splice -> "splice" | Fault -> "fault" | Data -> "data"
+
+let mutate_case rng op case =
   let spec = spec_of case.workload in
   let tables = query_tables case.query in
-  match level with
-  | 0 -> { case with query = mutate_query rng spec case.query }
-  | 1 ->
+  match op with
+  | Splice ->
+      (* a fresh query over the parent's data state, faults and pool: new
+         plan shapes come from new queries far more often than from
+         tweaking one gene of an old one *)
+      { case with query = gen_query_gene rng spec }
+  | Fault ->
       if case.faults <> [] && Rng.int rng 6 = 0 then
         let j = Rng.int rng (List.length case.faults) in
         { case with faults = List.filteri (fun k _ -> k <> j) case.faults }
@@ -792,7 +707,7 @@ let mutate_case rng ~level _config case =
         (* stacking faults is the point: compound damage reaches tier
            transition sequences no single injection can produce *)
         { case with faults = cap_list 3 (case.faults @ [ gen_fault rng spec tables ]) }
-  | _ ->
+  | Data ->
       if Rng.int rng 5 = 0 then
         (* toggle or tighten the buffer-pool-capacity gene *)
         { case with
@@ -1012,10 +927,18 @@ let load_repro path =
     let pass = match jfield "divergence" json with Ok d -> Result.value ~default:"" (jstr "pass" d) | Error _ -> "" in
     Ok (case, sabotage, pass)
 
-let replay config path =
+(* One 2-domain morsel pool for the duration of a run or a replay: the
+   rewrite pass also runs each rewritten plan on it. *)
+let with_pools f =
+  let pool = Parallel.create ~domains:2 () in
+  Fun.protect ~finally:(fun () -> Parallel.shutdown pool) (fun () -> f [ pool ])
+
+let replay_on ~pools config path =
   let* case, sabotage, expected_pass = load_repro path in
-  let* probe = probe_case ?sabotage config case in
+  let* probe = probe_case ?sabotage ~pools config case in
   Ok (case, probe, expected_pass)
+
+let replay config path = with_pools (fun pools -> replay_on ~pools config path)
 
 (* ------------------------------------------------------------------ *)
 (* The evolutionary loop                                               *)
@@ -1037,7 +960,7 @@ type result = {
   r_pairs : int;               (* distinct (plan digest x tier digest) pairs *)
   r_baseline_pairs : int option;
   r_last_new_pair : int;       (* iteration that last produced an unseen pair *)
-  r_kept_by_level : int * int * int;
+  r_operators : (operator * int * int) list;  (* operator, probes tried, probes kept *)
   r_found : found option;
   r_self_test : bool;
   r_ok : bool;
@@ -1066,39 +989,45 @@ let save_corpus_case dir case =
   write_file (Filename.concat dir (corpus_filename case))
     (Json.to_string (case_to_json case) ^ "\n")
 
-(* QPG escalation as a *floor*: sustained stagnation forces the mutator up
-   the ladder (query -> stats faults -> data state), but even a productive
-   search keeps a standing chance of jumping tiers — tier digests mostly
-   move when statistics are damaged, and waiting for full stagnation
-   before touching them leaves that axis unexplored. *)
-let escalation_floor ~stagnation = if stagnation >= 16 then 2 else if stagnation >= 8 then 1 else 0
+(* The fixed operator mix, splice : fault : data = 3 : 3 : 1. *)
+let operator_mix = [| Splice; Splice; Splice; Fault; Fault; Fault; Data |]
 
-let pick_level rng ~stagnation =
-  let roll = Rng.int rng 10 in
-  let stochastic = if roll < 4 then 0 else if roll < 8 then 1 else 2 in
-  max (escalation_floor ~stagnation) stochastic
+let count tbl key = Option.value (Hashtbl.find_opt tbl key) ~default:0
+
+(* AFL-style energy: a parent weighs 1 / (entries sharing its plan
+   fingerprint x entries sharing its tier digest), so the rarest
+   behaviour in the corpus is mutated most. *)
+let pick_parent rng ~plan_count ~tier_count corpus =
+  let energy (_, (plans, tier)) =
+    1.0 /. float_of_int (count plan_count plans * count tier_count tier)
+  in
+  let total = List.fold_left (fun acc e -> acc +. energy e) 0.0 corpus in
+  let rec walk x = function
+    | [ (case, _) ] -> case
+    | ((case, _) as e) :: rest -> if x < energy e then case else walk (x -. energy e) rest
+    | [] -> invalid_arg "pick_parent: empty corpus"
+  in
+  walk (Rng.float rng total) corpus
 
 let run ?(log = fun (_ : string) -> ()) ?(config = default_config) () =
+  with_pools @@ fun pools ->
   let start = Unix.gettimeofday () in
   let rng = Rng.create config.seed in
   let sabotage = config.sabotage in
   let probes = ref 0 in
   let probe case =
     incr probes;
-    probe_case ?sabotage config case
+    probe_case ?sabotage ~pools config case
   in
   let seen = Hashtbl.create 256 in
+  let plan_count = Hashtbl.create 64 in
+  let tier_count = Hashtbl.create 64 in
+  (* (case, coverage) pairs, newest first *)
   let corpus = ref [] in
-  let corpus_n = ref 0 in
   let last_new = ref 0 in
-  let kept = [| 0; 0; 0 |] in
+  let tried = Hashtbl.create 3 in
+  let kept = Hashtbl.create 3 in
   let found = ref None in
-  let iterations_done = ref 0 in
-  let out_of_time () =
-    match config.time_budget with
-    | Some budget -> Unix.gettimeofday () -. start > budget
-    | None -> false
-  in
   let record_found ~iteration case d =
     let shrunk = shrink ~probe ~config case d in
     (* the shrunk case may now diverge with a refined detail; re-probe for
@@ -1110,7 +1039,7 @@ let run ?(log = fun (_ : string) -> ()) ?(config = default_config) () =
     in
     write_repro config.repro_file ~seed:config.seed ~iteration ~sabotage shrunk final_d;
     let reproduced =
-      match replay config config.repro_file with
+      match replay_on ~pools config config.repro_file with
       | Ok (_, { divergence = Some d'; _ }, _) -> d'.pass = d.pass
       | _ -> false
     in
@@ -1125,72 +1054,58 @@ let run ?(log = fun (_ : string) -> ()) ?(config = default_config) () =
           f_reproduced = reproduced;
         }
   in
-  let admit ~iteration ~level case =
+  (* [op] is the operator that made the case; seed cases have none *)
+  let admit ~iteration ?op case =
     match probe case with
     | Error _ -> ()   (* invalid case: the mutator overstepped, skip it *)
     | Ok { divergence = Some d; _ } ->
         log (Printf.sprintf "iteration %d: divergence in pass %s — shrinking" iteration d.pass);
         record_found ~iteration case d
-    | Ok { coverage; divergence = None } ->
+    | Ok { coverage = (plans, tier) as coverage; divergence = None } ->
         let key = coverage_key coverage in
         if not (Hashtbl.mem seen key) then begin
           Hashtbl.add seen key ();
-          corpus := case :: !corpus;
-          incr corpus_n;
+          Hashtbl.replace plan_count plans (count plan_count plans + 1);
+          Hashtbl.replace tier_count tier (count tier_count tier + 1);
+          corpus := (case, coverage) :: !corpus;
           if iteration > 0 then last_new := iteration;
-          kept.(level) <- kept.(level) + 1;
+          Option.iter (fun op -> Hashtbl.replace kept op (count kept op + 1)) op;
           Option.iter (fun dir -> save_corpus_case dir case) config.corpus_dir
         end
   in
   (* Seed the corpus: persisted cases first, then fresh random ones. *)
   let persisted = match config.corpus_dir with Some d -> load_corpus d | None -> [] in
-  List.iter (fun c -> if !found = None then admit ~iteration:0 ~level:0 c) persisted;
+  List.iter (fun c -> if !found = None then admit ~iteration:0 c) persisted;
   for _ = 1 to config.seed_corpus do
-    if !found = None then admit ~iteration:0 ~level:0 (gen_case rng config)
+    if !found = None then admit ~iteration:0 (gen_case rng config)
   done;
   if !corpus = [] && !found = None then
     (* pathological but possible if every seed was invalid: retry once *)
-    admit ~iteration:0 ~level:0 (gen_case rng config);
+    admit ~iteration:0 (gen_case rng config);
   (* Evolve. *)
-  let stagnation = ref 0 in
-  (try
-     let i = ref 0 in
-     while (config.iterations = 0 || !i < config.iterations) && !found = None do
-       incr i;
-       if out_of_time () then raise Exit;
-       iterations_done := !i;
-       let parents = Array.of_list !corpus in
-       if Array.length parents = 0 then raise Exit;
-       (* novelty bias: [corpus] is newest-first, and recent additions sit
-          at the frontier of unseen behaviour — prefer them, but keep a
-          uniform floor so old lineages are never starved *)
-       let parent =
-         if Rng.int rng 10 < 7 then parents.(Rng.int rng (min 24 (Array.length parents)))
-         else Rng.pick rng parents
-       in
-       let level = pick_level rng ~stagnation:!stagnation in
-       let child = mutate_case rng ~level config parent in
-       let before = !corpus_n in
-       admit ~iteration:!i ~level child;
-       if !corpus_n > before then stagnation := 0 else incr stagnation;
-       if !i mod 50 = 0 then
-         log
-           (Printf.sprintf "iteration %d: corpus %d, %d distinct pairs, escalation level %d" !i
-              !corpus_n (Hashtbl.length seen) level)
-     done
-   with Exit -> ());
+  let i = ref 0 in
+  while (config.iterations = 0 || !i < config.iterations) && !found = None && !corpus <> [] do
+    incr i;
+    let parent = pick_parent rng ~plan_count ~tier_count !corpus in
+    let op = Rng.pick rng operator_mix in
+    Hashtbl.replace tried op (count tried op + 1);
+    admit ~iteration:!i ~op (mutate_case rng op parent);
+    if !i mod 50 = 0 then
+      log
+        (Printf.sprintf "iteration %d: corpus %d, %d distinct pairs" !i (List.length !corpus)
+           (Hashtbl.length seen))
+  done;
   (* The pure-random control: same probe machinery, same case evaluation
-     count, no corpus and no steering.  The time budget bounds only the
-     steered search; the control always matches its probe count. *)
+     count, no corpus and no steering. *)
   let baseline_pairs =
     if not config.baseline then None
     else begin
       let brng = Rng.create (config.seed + 1009) in
       let bseen = Hashtbl.create 256 in
-      let n = config.seed_corpus + !iterations_done in
+      let n = config.seed_corpus + !i in
       for _ = 1 to n do
         let case = gen_case brng config in
-        match probe_case ?sabotage config case with
+        match probe_case ?sabotage ~pools config case with
         | Ok { divergence = None; coverage } -> Hashtbl.replace bseen (coverage_key coverage) ()
         | Ok { divergence = Some d; _ } ->
             (* a divergence is a divergence, whoever finds it *)
@@ -1220,13 +1135,13 @@ let run ?(log = fun (_ : string) -> ()) ?(config = default_config) () =
       && match baseline_pairs with None -> true | Some b -> pairs > b
   in
   {
-    r_iterations = !iterations_done;
+    r_iterations = !i;
     r_probes = !probes;
-    r_corpus = !corpus_n;
+    r_corpus = List.length !corpus;
     r_pairs = pairs;
     r_baseline_pairs = baseline_pairs;
     r_last_new_pair = !last_new;
-    r_kept_by_level = (kept.(0), kept.(1), kept.(2));
+    r_operators = List.map (fun op -> (op, count tried op, count kept op)) operators;
     r_found = !found;
     r_self_test = sabotage <> None;
     r_ok = ok;
@@ -1254,9 +1169,13 @@ let render r =
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   line "fuzz: %d iterations, %d probes, %.1fs%s" r.r_iterations r.r_probes r.r_seconds
     (if r.r_self_test then " (self-test)" else "");
-  let k0, k1, k2 = r.r_kept_by_level in
-  line "coverage: %d distinct (plan x tier) pairs, corpus %d (query/fault/data keeps %d/%d/%d), last new pair at iteration %d"
-    r.r_pairs r.r_corpus k0 k1 k2 r.r_last_new_pair;
+  line "coverage: %d distinct (plan x tier) pairs, corpus %d, last new pair at iteration %d"
+    r.r_pairs r.r_corpus r.r_last_new_pair;
+  line "operators (kept/tried): %s"
+    (String.concat ", "
+       (List.map
+          (fun (op, tried, kept) -> Printf.sprintf "%s %d/%d" (operator_name op) kept tried)
+          r.r_operators));
   (match r.r_baseline_pairs with
   | Some bp ->
       line "baseline: pure-random search reached %d pairs at equal probes (steered: %d) — %s" bp
@@ -1276,18 +1195,22 @@ let render r =
   Buffer.contents b
 
 let result_to_json r =
-  let k0, k1, k2 = r.r_kept_by_level in
+  let num n = Json.Num (float_of_int n) in
   Json.Obj
     [
-      ("iterations", Json.Num (float_of_int r.r_iterations));
-      ("probes", Json.Num (float_of_int r.r_probes));
-      ("corpus", Json.Num (float_of_int r.r_corpus));
-      ("pairs", Json.Num (float_of_int r.r_pairs));
+      ("iterations", num r.r_iterations);
+      ("probes", num r.r_probes);
+      ("corpus", num r.r_corpus);
+      ("pairs", num r.r_pairs);
       ( "baseline_pairs",
-        match r.r_baseline_pairs with Some b -> Json.Num (float_of_int b) | None -> Json.Null );
-      ("last_new_pair", Json.Num (float_of_int r.r_last_new_pair));
-      ( "kept_by_level",
-        Json.List [ Json.Num (float_of_int k0); Json.Num (float_of_int k1); Json.Num (float_of_int k2) ] );
+        match r.r_baseline_pairs with Some b -> num b | None -> Json.Null );
+      ("last_new_pair", num r.r_last_new_pair);
+      ( "operators",
+        Json.Obj
+          (List.map
+             (fun (op, tried, kept) ->
+               (operator_name op, Json.Obj [ ("tried", num tried); ("kept", num kept) ]))
+             r.r_operators) );
       ( "divergence",
         match r.r_found with
         | None -> Json.Null
@@ -1295,8 +1218,8 @@ let result_to_json r =
             Json.Obj
               [
                 ("pass", Json.Str f.f_divergence.pass);
-                ("iteration", Json.Num (float_of_int f.f_iteration));
-                ("tables", Json.Num (float_of_int f.f_tables));
+                ("iteration", num f.f_iteration);
+                ("tables", num f.f_tables);
                 ("repro", Json.Str f.f_repro_path);
                 ("reproduced", Json.Bool f.f_reproduced);
               ] );

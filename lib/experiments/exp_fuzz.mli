@@ -4,14 +4,15 @@
     query) genomes.  Each genome's query goes through
     {!Differential.check}, which holds every differential pass and takes
     {!Rq_optimizer.Naive} as the reference answer; the genome's faults
-    make the damaged statistics of its degraded pass.
+    make the damaged statistics of its degraded pass, and the rewritten
+    plans also run on a 2-domain morsel pool.
 
     Coverage is the (structural plan fingerprint x degradation-tier
     transition digest) pair; a mutant joins the corpus only if its pair is
-    unseen, and the mutator escalates query -> stats-fault -> data-state
-    when the search stagnates (Query Plan Guidance).  Divergences are
-    delta-debugged to a minimal case and serialized as a replayable
-    [.fuzz-repro] file. *)
+    unseen (Query Plan Guidance).  Parents are drawn by the rarity of
+    their pair's two halves in the corpus, and each child comes from one
+    of three operators (see {!operator}).  Divergences are delta-debugged
+    to a minimal case and serialized as a replayable [.fuzz-repro] file. *)
 
 open Rq_optimizer
 open Rq_workload
@@ -71,9 +72,6 @@ val gen_query : Rq_math.Rng.t -> workload -> Logical.t
 type config = {
   iterations : int;            (** mutation steps; 0 = unbounded (soak) *)
   seed : int;
-  time_budget : float option;
-      (** wall-clock seconds for the steered search; the [baseline]
-          control still runs as many probes as the search did *)
   corpus_dir : string option;  (** persist/reload kept cases as [*.fuzz] *)
   baseline : bool;             (** also run the pure-random control *)
   late_after : int option;     (** require an unseen pair after this iteration *)
@@ -103,15 +101,30 @@ val sabotage_of_flags : self_test:bool -> self_test_rewrite:bool -> Differential
 (** The CLI's two self-test flags as one sabotage; the unsound rewrite wins
     when both are set. *)
 
-val probe_case : ?sabotage:Differential.sabotage -> config -> case -> (probe, string) result
-(** {!Differential.check} on the case's query.  [Error] means the case
-    itself is invalid (the query does not validate, or a mutation could not
-    apply) — not a divergence. *)
+val probe_case :
+  ?sabotage:Differential.sabotage ->
+  ?pools:Rq_exec.Parallel.t list ->
+  config ->
+  case ->
+  (probe, string) result
+(** {!Differential.check} on the case's query, with the rewrite pass also
+    run on each of [pools] (default none; the caller owns them).  [Error]
+    means the case itself is invalid (the query does not validate, or a
+    mutation could not apply) — not a divergence. *)
 
 val gen_case : Rq_math.Rng.t -> config -> case
 
-val mutate_case : Rq_math.Rng.t -> level:int -> config -> case -> case
-(** [level] 0 tweaks the query, 1 the fault set, 2 the data mutations. *)
+type operator =
+  | Splice  (** a fresh query gene; data state, faults and pool gene kept *)
+  | Fault   (** stack one more statistics fault, or drop one *)
+  | Data    (** add or drop a data-state mutation, or change the pool gene *)
+
+val operators : operator list
+val operator_name : operator -> string
+
+val mutate_case : Rq_math.Rng.t -> operator -> case -> case
+(** {!run} draws the operator from a fixed mix, splice : fault : data =
+    3 : 3 : 1. *)
 
 (** {2 The loop} *)
 
@@ -131,7 +144,8 @@ type result = {
   r_pairs : int;               (** distinct (plan x tier) pairs, steered *)
   r_baseline_pairs : int option;
   r_last_new_pair : int;
-  r_kept_by_level : int * int * int;
+  r_operators : (operator * int * int) list;
+      (** per operator in {!operators} order: probes tried, probes kept *)
   r_found : found option;
   r_self_test : bool;
   r_ok : bool;
@@ -139,15 +153,16 @@ type result = {
 }
 
 val run : ?log:(string -> unit) -> ?config:config -> unit -> result
-(** [r_ok] means: no divergence (plus the [late_after] and [baseline]
-    checks when configured) — or, under a [sabotage], that the planted bug
-    was caught by its targeted pass (the kernel pass for
-    [Perturbed_scan_arm], the rewrite pass for [Unsound_rewrite]), shrunk
-    to at most three tables, and its repro file replays red. *)
+(** Runs on one 2-domain morsel pool, shut down on return.  [r_ok] means:
+    no divergence (plus the [late_after] and [baseline] checks when
+    configured) — or, under a [sabotage], that the planted bug was caught
+    by its targeted pass (the kernel pass for [Perturbed_scan_arm], the
+    rewrite pass for [Unsound_rewrite]), shrunk to at most three tables,
+    and its repro file replays red. *)
 
 val replay : config -> string -> (case * probe * string, string) Stdlib.result
-(** Re-run a [.fuzz-repro] file; returns the case, the fresh probe and the
-    originally recorded failing pass. *)
+(** Re-run a [.fuzz-repro] file on its own 2-domain morsel pool; returns the
+    case, the fresh probe and the originally recorded failing pass. *)
 
 val render : result -> string
 val result_to_json : result -> Rq_obs.Json.t

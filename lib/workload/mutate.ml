@@ -1,8 +1,8 @@
-(* QPG-style data-state mutations for the differential fuzzer: when no new
-   plans appear under query and stats mutation, change the *data* so the
-   optimizer's trade-off landscape itself moves.  Mutations go through
-   [Catalog.replace_table], so indexes are rebuilt and the statistics built
-   afterwards are honest — only replayability and integrity matter here:
+(* Data-state mutations for the differential fuzzer's data operator:
+   change the *data*, so the optimizer's trade-off landscape itself
+   moves.  Mutations go through [Catalog.replace_table], so indexes are
+   rebuilt and the statistics built afterwards are honest — only
+   replayability and integrity matter here:
 
    - [Grow] appends duplicated rows with fresh primary keys above the
      current maximum, so clustering on the PK stays sorted; when the table

@@ -1,6 +1,6 @@
-(** Replayable data-state mutations over generated catalogs — the
-    fuzzer's outermost (QPG-style) escalation tier: when query tweaks and
-    statistics faults stop producing unseen plans, move the data itself.
+(** Replayable data-state mutations over generated catalogs — what the
+    fuzzer's data operator changes: rather than the query or the
+    statistics, move the data itself.
 
     Mutations preserve catalog integrity: grown rows get fresh primary
     keys above the current maximum (and inherit the last heap row's value

@@ -160,10 +160,11 @@ let test_json_rejects_garbage () =
 (* Mutation invariants                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Whatever the level and however long the chain, a mutated case keeps
+(* Whatever the operator and however long the chain, a mutated case keeps
    its genome well-formed: the root table survives at the head, joined
    tables stay distinct, atom/fault/mutation counts stay capped, and the
-   query still compiles. *)
+   query still compiles.  A splice changes only the query; the fault and
+   data operators leave the query alone. *)
 let test_mutate_case_invariants () =
   let rng = Rng.create 17 in
   for trial = 1 to 60 do
@@ -174,10 +175,27 @@ let test_mutate_case_invariants () =
       | [] -> Alcotest.fail "generated query has no tables"
     in
     for step = 1 to 12 do
-      let level = Rng.int rng 3 in
-      case := F.mutate_case rng ~level F.default_config !case;
+      let op = List.nth F.operators (step mod List.length F.operators) in
+      let parent = !case in
+      case := F.mutate_case rng op parent;
       let q = !case.F.query in
-      let ctx = Printf.sprintf "trial %d step %d: %s" trial step (F.case_summary !case) in
+      let ctx =
+        Printf.sprintf "trial %d step %d (%s): %s" trial step (F.operator_name op)
+          (F.case_summary !case)
+      in
+      (match op with
+      | F.Splice ->
+          check_bool (ctx ^ ": splice keeps the workload") true
+            (!case.F.workload = parent.F.workload);
+          check_int (ctx ^ ": splice keeps the catalog seed") parent.F.catalog_seed
+            !case.F.catalog_seed;
+          check_bool (ctx ^ ": splice keeps the mutations") true
+            (!case.F.mutations = parent.F.mutations);
+          check_bool (ctx ^ ": splice keeps the faults") true (!case.F.faults = parent.F.faults);
+          check_bool (ctx ^ ": splice keeps pool_pages") true
+            (!case.F.pool_pages = parent.F.pool_pages)
+      | F.Fault | F.Data ->
+          check_bool (ctx ^ ": query kept") true (q = parent.F.query));
       (match q.F.genes with
       | g :: _ -> check_string (ctx ^ ": root preserved") root g.F.table
       | [] -> Alcotest.failf "%s: no tables left" ctx);
@@ -295,17 +313,28 @@ let test_self_test_plants_divergence () =
   in
   hunt 40
 
-(* A spent time budget stops only the steered search: the pure-random
-   control still runs as many probes as the search did (here, the seed
-   corpus), so "at equal probes" is never a comparison against nothing. *)
-let test_baseline_ignores_time_budget () =
-  let config = { tiny_config with F.time_budget = Some 0.0; baseline = true } in
+(* Every steered iteration tries exactly one operator, and every case the
+   corpus holds beyond the seed admissions was kept for one operator. *)
+let test_operator_yield_adds_up () =
+  let config = tiny_config in
   let result = F.run ~config () in
-  (match result.F.r_baseline_pairs with
-  | None -> Alcotest.fail "baseline did not run"
-  | Some pairs ->
-      check_bool (Printf.sprintf "baseline reached %d pairs" pairs) true (pairs > 0));
-  check_int "no steered iteration ran" 0 result.F.r_iterations
+  let sum f = List.fold_left (fun acc t -> acc + f t) 0 result.F.r_operators in
+  check_int "tries add up to the iterations" result.F.r_iterations
+    (sum (fun (_, tried, _) -> tried));
+  (* the seed admissions: the distinct pairs of the seed corpus, drawn
+     first from the run's seed *)
+  let rng = Rng.create config.F.seed in
+  let seed_pairs =
+    List.init config.F.seed_corpus (fun _ -> F.gen_case rng config)
+    |> List.filter_map (fun case ->
+           match F.probe_case config case with
+           | Ok { F.coverage; divergence = None } -> Some coverage
+           | _ -> None)
+    |> List.sort_uniq compare
+  in
+  check_int "keeps add up to the corpus minus the seed admissions"
+    (result.F.r_corpus - List.length seed_pairs)
+    (sum (fun (_, _, kept) -> kept))
 
 (* End to end: the self-test run must catch the planted perturbation,
    shrink it to at most three tables, and leave a repro file that both
@@ -383,13 +412,12 @@ let () =
       ( "probing",
         [
           Alcotest.test_case "clean case passes every pass" `Quick test_probe_clean;
-          Alcotest.test_case "baseline ignores the time budget" `Quick
-            test_baseline_ignores_time_budget;
           Alcotest.test_case "self-test perturbation is visible" `Quick
             test_self_test_plants_divergence;
           Alcotest.test_case "self-test run shrinks and replays" `Quick
             test_self_test_run_and_replay;
           Alcotest.test_case "rewrite self-test run shrinks and replays" `Quick
             test_self_test_rewrite_run_and_replay;
+          Alcotest.test_case "operator yield adds up" `Quick test_operator_yield_adds_up;
         ] );
     ]
