@@ -7,7 +7,6 @@
      experiment       regenerate the paper's figures, tables and ablations
                       (all, or the named ones; --quick for reduced sizes),
                       or run the differential fuzzer (experiment fuzz)
-     bench-optimizer  evidence-kernel throughput and bit-identity gates
      profile          cost curves and crossovers of a query's access paths
      sweep            plan-choice diagram over selectivity x threshold
      export           write a generated workload as schema.sql + CSVs
@@ -118,14 +117,6 @@ let metrics_json_arg =
 
 let make_recorder ~trace ~metrics_json =
   if trace || metrics_json then Some (Rq_obs.Recorder.create ()) else None
-
-(* Bench commands surface input/configuration failures as a one-line
-   message naming the failing query, and exit nonzero — not a backtrace. *)
-let with_bench_errors f =
-  try f ()
-  with Rq_experiments.Exp_common.Bench_error { context; message } ->
-    Printf.eprintf "bench failed at %s: %s\n" context message;
-    exit 1
 
 (* Evidence-kernel counters summed over every live synopsis in the store:
    the optimizer-side work (bitmaps built vs. hit, sample rows scanned vs.
@@ -564,46 +555,6 @@ let experiment_cmd =
              ones), or run the differential fuzzer.")
     term
 
-(* ---------------- bench-optimizer ---------------- *)
-
-let bench_optimizer_cmd =
-  let small_arg =
-    Arg.(value & flag & info [ "small" ]
-         ~doc:"CI-sized run: smaller catalog and fewer repeats.")
-  in
-  let seed_arg =
-    Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"N"
-         ~doc:"Override the world seed (default 11).")
-  in
-  let out_arg =
-    Arg.(value & opt string "BENCH_optimizer.json" & info [ "out" ] ~docv:"FILE"
-         ~doc:"Where to write the JSON report; - for none.")
-  in
-  let run small seed out =
-    let module E = Rq_experiments in
-    let config = if small then E.Exp_optimizer.small_config else E.Exp_optimizer.default_config in
-    let config =
-      match seed with None -> config | Some seed -> { config with E.Exp_optimizer.seed }
-    in
-    let result = with_bench_errors (fun () -> E.Exp_optimizer.run ~config ()) in
-    print_string (E.Exp_optimizer.render result);
-    if out <> "-" then begin
-      let oc = open_out out in
-      output_string oc (Rq_obs.Json.to_string (E.Exp_optimizer.to_json result));
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s\n" out
-    end;
-    if not result.E.Exp_optimizer.ok then exit 1
-  in
-  let term = Term.(const run $ small_arg $ seed_arg $ out_arg) in
-  Cmd.v
-    (Cmd.info "bench-optimizer"
-       ~doc:"Bitset evidence kernel vs. row-scan sampling on the optimizer hot path: \
-             evidence queries/sec (cold/warm/scan), plans/sec per estimator and \
-             confidence, and bit-identity checks on evidence and chosen plans.")
-    term
-
 (* ---------------- profile ---------------- *)
 
 let profile_cmd =
@@ -692,5 +643,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ explain_cmd; run_cmd; estimate_cmd; experiment_cmd;
-            bench_optimizer_cmd; profile_cmd; sweep_cmd; export_cmd; batch_cmd ]))
+          [ explain_cmd; run_cmd; estimate_cmd; experiment_cmd; profile_cmd; sweep_cmd;
+            export_cmd; batch_cmd ]))

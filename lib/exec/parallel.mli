@@ -51,5 +51,6 @@ val makespan : domains:int -> report -> float
     morsels are greedily assigned, in order, to the least-loaded simulated
     domain; the serial remainder is added whole.  [makespan ~domains:1]
     equals [total_seconds] (up to float association), so
-    [makespan ~domains:1 r /. makespan ~domains:n r] is the speedup the
-    parallel tests gate on.  Stable on any host, including single-core CI. *)
+    [makespan ~domains:1 r /. makespan ~domains:n r] is a deterministic
+    scheduling bound, which the parallel tests gate on; it is not a
+    measured speedup.  Stable on any host, including single-core CI. *)

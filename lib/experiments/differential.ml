@@ -27,23 +27,6 @@ type probe = { coverage : string * string; divergence : divergence option }
 let fresh_estimator () =
   Rq_core.Robust_estimator.create ~confidence:Rq_core.Confidence.(resolve default_setting) ()
 
-(* The oracle answers by running Naive joins, and one check asks it the
-   same questions in several passes: [check] shares one memoized instance
-   (keyed by table and canonical predicate rendering) across them. *)
-let memoized (c : Cardinality.t) =
-  let cards = Hashtbl.create 64 in
-  let expression_cardinality refs =
-    let render (r : Logical.table_ref) = r.Logical.table ^ ":" ^ Pred.render r.Logical.pred in
-    let key = String.concat "&" (List.map render refs) in
-    match Hashtbl.find_opt cards key with
-    | Some card -> card
-    | None ->
-        let card = c.Cardinality.expression_cardinality refs in
-        Hashtbl.add cards key card;
-        card
-  in
-  { c with expression_cardinality }
-
 let estimators_with ~oracle stats =
   [
     ("oracle", oracle);
@@ -372,8 +355,8 @@ let check ?(passes = all_passes) ?sabotage env query =
       match Naive.evaluate_query env.catalog query with
       | exception Invalid_argument e -> Error e
       | reference ->
-          (* one memoized oracle serves every pass of this query *)
-          let oracle = memoized (Cardinality.oracle env.catalog) in
+          (* one oracle, and so one memo, serves every pass of this query *)
+          let oracle = Cardinality.oracle env.catalog in
           let estimators () = estimators_with ~oracle env.stats in
           let rewritten =
             lazy

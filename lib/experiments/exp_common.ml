@@ -2,11 +2,6 @@ open Rq_storage
 open Rq_exec
 open Rq_optimizer
 
-exception Bench_error of { context : string; message : string }
-
-let bench_error ~context fmt =
-  Printf.ksprintf (fun message -> raise (Bench_error { context; message })) fmt
-
 type cell = { times : float array; plans : (string * int) list }
 
 let cell_mean cell = (Rq_math.Summary.of_array cell.times).Rq_math.Summary.mean

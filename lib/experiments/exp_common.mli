@@ -12,16 +12,6 @@ open Rq_storage
 open Rq_exec
 open Rq_optimizer
 
-exception Bench_error of { context : string; message : string }
-(** A bench run hit a non-recoverable input/configuration failure —
-    e.g. a pool query the optimizer rejects, or statistics missing the
-    synopsis a bench needs.  [context] names the failing query or bench
-    stage so the CLI can report it and exit nonzero without a backtrace
-    (satisfying "a failed bench run reports the query label"). *)
-
-val bench_error : context:string -> ('a, unit, string, 'b) format4 -> 'a
-(** [bench_error ~context fmt ...] raises {!Bench_error}. *)
-
 type cell = {
   times : float array;          (** simulated seconds, one per sample draw *)
   plans : (string * int) list;  (** distinct chosen plans with pick counts *)

@@ -32,6 +32,18 @@ let expression_selectivity catalog t refs =
   let size = root_size catalog refs in
   if size <= 0.0 then 0.0 else t.expression_cardinality refs /. size
 
+(* Attribute value independence + containment: the per-table
+   selectivities multiplied, times the root's size (FK joins preserve the
+   root's rows). *)
+let avi_cardinality catalog table_selectivity refs =
+  let sel =
+    List.fold_left
+      (fun acc (r : Logical.table_ref) ->
+        acc *. table_selectivity ~table:r.Logical.table r.Logical.pred)
+      1.0 refs
+  in
+  sel *. root_size catalog refs
+
 let qualified_pred (r : Logical.table_ref) =
   Pred.rename_columns (fun c -> r.Logical.table ^ "." ^ c) r.Logical.pred
 
@@ -145,13 +157,7 @@ let robust_with ~memo stats estimator =
         (* Sec.-3.5 fallback: no covering synopsis.  Estimate each table's
            predicate from its own sample (robustly) and combine under AVI +
            containment; the error is confined to this expression. *)
-        let sel =
-          List.fold_left
-            (fun acc (r : Logical.table_ref) ->
-              acc *. table_selectivity ~table:r.Logical.table r.Logical.pred)
-            1.0 refs
-        in
-        sel *. root_size catalog refs
+        avi_cardinality catalog table_selectivity refs
   in
   let group_count refs group_by =
     let names = names_of refs in
@@ -176,15 +182,7 @@ let robust ?kernel stats estimator =
 let histogram_avi stats =
   let catalog = Stats_store.catalog stats in
   let table_selectivity ~table pred = Stats_store.histogram_selectivity stats ~table pred in
-  let expression_cardinality refs =
-    let sel =
-      List.fold_left
-        (fun acc (r : Logical.table_ref) ->
-          acc *. table_selectivity ~table:r.Logical.table r.Logical.pred)
-        1.0 refs
-    in
-    sel *. root_size catalog refs
-  in
+  let expression_cardinality = avi_cardinality catalog table_selectivity in
   let group_count refs group_by =
     (* Product of per-column distinct counts, capped by the expression's
        own cardinality — the conventional estimate. *)
@@ -330,13 +328,7 @@ let degrading ?(log = fun _ -> ()) ?obs stats estimator =
     | None ->
         (* Tiers 2-4: per-table estimates (each table's own best tier)
            combined under AVI + containment. *)
-        let sel =
-          List.fold_left
-            (fun acc (r : Logical.table_ref) ->
-              acc *. table_selectivity ~table:r.Logical.table r.Logical.pred)
-            1.0 refs
-        in
-        sel *. root_size catalog refs
+        avi_cardinality catalog table_selectivity refs
   in
   let group_count refs group_by =
     let names = names_of refs in
@@ -358,15 +350,7 @@ let sample_avi stats estimator =
   let catalog = Stats_store.catalog stats in
   let robust_est = robust stats estimator in
   let table_selectivity = robust_est.table_selectivity in
-  let expression_cardinality refs =
-    let sel =
-      List.fold_left
-        (fun acc (r : Logical.table_ref) ->
-          acc *. table_selectivity ~table:r.Logical.table r.Logical.pred)
-        1.0 refs
-    in
-    sel *. root_size catalog refs
-  in
+  let expression_cardinality = avi_cardinality catalog table_selectivity in
   {
     name = "sample-avi";
     expression_cardinality;
@@ -398,12 +382,7 @@ let sample_ml stats =
         let pred = Pred.conj (List.map qualified_pred refs) in
         ml_of_evidence (Join_synopsis.evidence syn pred)
         *. float_of_int (Join_synopsis.root_size syn)
-    | None ->
-        List.fold_left
-          (fun acc (r : Logical.table_ref) ->
-            acc *. table_selectivity ~table:r.Logical.table r.Logical.pred)
-          1.0 refs
-        *. root_size catalog refs
+    | None -> avi_cardinality catalog table_selectivity refs
   in
   let group_count refs _ = Float.max 1.0 (expression_cardinality refs *. 0.1) in
   { name = "sample-ml"; expression_cardinality; table_selectivity; group_count }
@@ -429,8 +408,24 @@ let fixed_selectivity catalog sel =
     group_count = (fun refs _ -> Float.max 1.0 (0.1 *. expression_cardinality refs));
   }
 
+(* Every answer is a Naive join, and one optimization asks the same
+   expression once per DP subset visit, so each instance memoizes its
+   answers.  The key is the refs themselves, compared structurally:
+   [Pred.render] prints float literals to six significant digits, so two
+   different predicates can share a rendering, and an exact oracle must
+   not answer one with the other's count.  The memo never looks at the
+   catalog again: an instance answers for the catalog contents it first
+   saw. *)
 let oracle catalog =
-  let expression_cardinality refs = float_of_int (Naive.cardinality catalog refs) in
+  let cards : (Logical.table_ref list, float) Hashtbl.t = Hashtbl.create 64 in
+  let expression_cardinality refs =
+    match Hashtbl.find_opt cards refs with
+    | Some card -> card
+    | None ->
+        let card = float_of_int (Naive.cardinality catalog refs) in
+        Hashtbl.add cards refs card;
+        card
+  in
   let table_selectivity ~table pred =
     let rel = Catalog.find_table catalog table in
     let rows = Relation.row_count rel in

@@ -39,8 +39,9 @@ val make_memo :
 (** [capacity] bounds each LRU (default 512); evictions are recorded as
     [Cache_evicted] trace events on [obs].  [kernel] (default [true])
     selects the bitset evidence kernel; [false] forces the reference
-    row-scan path (bit-identical answers, used by the differential oracle
-    and the benchmark baseline). *)
+    row-scan path (bit-identical answers; the scan arm of the
+    differential harness's kernel pass and of the evidence-kernel
+    tests). *)
 
 val robust_with : memo:memo -> Rq_stats.Stats_store.t -> Rq_core.Robust_estimator.t -> t
 (** {!robust} over an explicit (shareable) memo. *)
@@ -88,7 +89,11 @@ val sample_ml : Rq_stats.Stats_store.t -> t
     always gambles on empty evidence. *)
 
 val oracle : Catalog.t -> t
-(** Exact answers via {!Naive}; for tests and error measurement only. *)
+(** Exact answers via {!Naive}; for tests and error measurement only.
+    Each instance memoizes its expression cardinalities (keyed on the
+    refs, compared structurally), so it is bound to the catalog contents
+    it was built on: after {!Rq_stats.Maintenance.apply_update} or any
+    other change to the rows, build a fresh one. *)
 
 val fixed_selectivity : Catalog.t -> float -> t
 (** An estimator that answers every selectivity question with the given

@@ -74,7 +74,7 @@ val set_on_evict : t -> (string -> unit) -> unit
     kernel).  The callback receives the canonical atom rendering. *)
 
 val clear_kernel : t -> unit
-(** Drop any cached bitmaps (benchmark cold runs); a no-op if the kernel
+(** Drop any cached bitmaps (cold timing runs); a no-op if the kernel
     was never forced. *)
 
 (** {2 Tamper hooks}

@@ -245,7 +245,27 @@ let test_oracle_estimator_is_exact () =
   let refs = [ { Logical.table = "readings"; pred = correlated_pred } ] in
   check_close 1e-9 "exact cardinality"
     (float_of_int (Naive.cardinality catalog refs))
-    (oracle.Cardinality.expression_cardinality refs)
+    (oracle.Cardinality.expression_cardinality refs);
+  (* Two literals that straddle a stored value but render alike
+     ([Pred.render] keeps six significant digits): the oracle's memo must
+     keep them apart. *)
+  let stored =
+    match (Relation.get (Catalog.find_table catalog "readings") 0).(2) with
+    | Value.Int t -> float_of_int t
+    | _ -> Alcotest.fail "temp is an int column"
+  in
+  let below t =
+    [ { Logical.table = "readings"; pred = Pred.lt (Expr.col "temp") (Expr.Const (Value.Float t)) } ]
+  in
+  let lo = below (stored -. 1e-7) and hi = below (stored +. 1e-7) in
+  check_bool "the two predicates render alike" true
+    (Pred.render (List.hd lo).Logical.pred = Pred.render (List.hd hi).Logical.pred);
+  List.iter
+    (fun refs ->
+      check_close 1e-9 "memoized answer is exact"
+        (float_of_int (Naive.cardinality catalog refs))
+        (oracle.Cardinality.expression_cardinality refs))
+    [ lo; hi ]
 
 let test_robust_beats_avi_on_correlation () =
   (* The headline behaviour: under perfectly correlated predicates, the
@@ -855,6 +875,145 @@ let test_cache_never_caches_errors () =
   check_bool "error not cached" false (Plan_cache.mem cache opt ~fingerprint);
   check_int "cache stays empty" 0 (Plan_cache.length cache)
 
+(* ------------------------------------------------------------------ *)
+(* The bitset evidence kernel against the row-scan reference           *)
+(* ------------------------------------------------------------------ *)
+
+(* TPC-H SF 0.004 with 500-row synopses (seed 11).  The Experiment-1
+   windows share their base shipdate atom and the Experiment-2 queries
+   share the join template: the repeated atoms the kernel's bitmaps
+   cache. *)
+let kernel_world =
+  lazy
+    (let rng = Rq_math.Rng.create 11 in
+     let params = { Rq_workload.Tpch.default_params with scale_factor = 0.004 } in
+     let catalog = Rq_workload.Tpch.generate (Rq_math.Rng.split rng) ~params () in
+     let config = { Rq_stats.Stats_store.default_config with sample_size = 500 } in
+     let stats = Rq_stats.Stats_store.update_statistics (Rq_math.Rng.split rng) ~config catalog in
+     (Rq_workload.Tpch.cost_scale catalog, stats))
+
+let exp2_queries () =
+  List.map (fun bucket -> Rq_workload.Tpch.exp2_query ~bucket) [ 0; 250; 500; 750; 999 ]
+
+let kernel_synopsis stats =
+  Option.get (Rq_stats.Stats_store.synopsis_for stats [ "lineitem"; "orders"; "part" ])
+
+let evidence_pool () =
+  List.map Logical.combined_predicate
+    (List.map (fun offset -> Rq_workload.Tpch.exp1_query ~offset) [ 30; 45; 60; 75; 90 ]
+    @ exp2_queries ())
+
+let kernel_thresholds = [ 50.0; 80.0; 95.0 ]
+
+let robust_at ?kernel stats percent =
+  Cardinality.robust ?kernel stats
+    (Rq_core.Robust_estimator.create ~confidence:(Rq_core.Confidence.of_percent percent) ())
+
+(* Same (k, n) on every pooled predicate, hence the same costs and the
+   same plan for every Experiment-2 query at every threshold. *)
+let test_kernel_matches_scan () =
+  let scale, stats = Lazy.force kernel_world in
+  let syn = kernel_synopsis stats in
+  List.iter
+    (fun pred ->
+      Alcotest.(check (pair int int))
+        ("evidence of " ^ Pred.render pred)
+        (Rq_stats.Join_synopsis.evidence_scan syn pred)
+        (Rq_stats.Join_synopsis.evidence syn pred))
+    (evidence_pool ());
+  List.iter
+    (fun percent ->
+      let digests ?kernel () =
+        let opt = Optimizer.create ~scale stats (robust_at ?kernel stats percent) in
+        List.map
+          (fun q -> Rq_experiments.Exp_common.plan_digest (Optimizer.optimize_exn opt q).Optimizer.plan)
+          (exp2_queries ())
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "plans at T=%.0f%%" percent)
+        (digests ~kernel:false ()) (digests ()))
+    kernel_thresholds
+
+(* Process CPU seconds of [f], from a collected heap, so that no arm pays
+   for collecting another arm's garbage. *)
+let cpu_seconds f =
+  Gc.full_major ();
+  let t0 = Sys.time () in
+  f ();
+  Sys.time () -. t0
+
+(* Five repetitions of five arms, the arm order reversed on every other
+   repetition; each bound compares per-arm medians.  Evidence arms make
+   60 passes over the pool: cold drops the bitmaps before every pass, warm
+   keeps them, scan is the reference row scan.  Optimization arms make 8
+   passes over the Experiment-2 queries per threshold, a fresh estimator
+   per pass, so only the synopsis bitmaps carry over between passes. *)
+let test_kernel_beats_scan () =
+  let scale, stats = Lazy.force kernel_world in
+  let syn = kernel_synopsis stats in
+  let preds = evidence_pool () in
+  let passes f = for _ = 1 to 60 do List.iter (fun p -> ignore (f syn p)) preds done in
+  let clear_kernels () =
+    List.iter
+      (fun root ->
+        Option.iter Rq_stats.Join_synopsis.clear_kernel (Rq_stats.Stats_store.synopsis stats ~root))
+      (Rq_stats.Stats_store.synopsis_roots stats)
+  in
+  let cold () =
+    cpu_seconds (fun () ->
+        for _ = 1 to 60 do
+          Rq_stats.Join_synopsis.clear_kernel syn;
+          List.iter (fun p -> ignore (Rq_stats.Join_synopsis.evidence syn p)) preds
+        done)
+  in
+  let warm () =
+    List.iter (fun p -> ignore (Rq_stats.Join_synopsis.evidence syn p)) preds;
+    cpu_seconds (fun () -> passes Rq_stats.Join_synopsis.evidence)
+  in
+  let scan () = cpu_seconds (fun () -> passes Rq_stats.Join_synopsis.evidence_scan) in
+  let optimize ~kernel () =
+    List.fold_left
+      (fun acc percent ->
+        clear_kernels ();
+        acc
+        +. cpu_seconds (fun () ->
+               for _ = 1 to 8 do
+                 let opt = Optimizer.create ~scale stats (robust_at ~kernel stats percent) in
+                 List.iter (fun q -> ignore (Optimizer.optimize_exn opt q)) (exp2_queries ())
+               done))
+      0.0 kernel_thresholds
+  in
+  let arms = [ cold; warm; scan; optimize ~kernel:true; optimize ~kernel:false ] in
+  let samples = Array.make (List.length arms) [] in
+  for rep = 0 to 4 do
+    let order = List.mapi (fun i arm -> (i, arm)) arms in
+    List.iter
+      (fun (i, arm) -> samples.(i) <- arm () :: samples.(i))
+      (if rep mod 2 = 0 then order else List.rev order)
+  done;
+  let median i = Rq_math.Summary.percentile (Array.of_list samples.(i)) 0.5 in
+  let cold = median 0 and warm = median 1 and scan = median 2 in
+  let kernel_opt = median 3 and scan_opt = median 4 in
+  let warm_vs_scan = scan /. warm and warm_vs_cold = cold /. warm in
+  let kernel_vs_scan = scan_opt /. kernel_opt in
+  let per_query seconds = 1e6 *. seconds /. float_of_int (60 * List.length preds) in
+  Printf.printf
+    "evidence us/query: cold %.2f warm %.3f scan %.1f; optimization s: kernel %.3f scan %.3f\n\
+     warm/scan %.1fx  warm/cold %.1fx  kernel/scan optimization %.2fx\n"
+    (per_query cold) (per_query warm) (per_query scan) kernel_opt scan_opt warm_vs_scan
+    warm_vs_cold kernel_vs_scan;
+  let bounds =
+    [
+      (warm_vs_scan >= 5.0, Printf.sprintf "warm evidence %.1fx the scan arm (>= 5x)" warm_vs_scan);
+      (warm < cold, Printf.sprintf "warm evidence %.1fx cold (> 1x)" warm_vs_cold);
+      ( kernel_opt < scan_opt,
+        Printf.sprintf "three-join optimization %.2fx faster with the kernel (> 1x)" kernel_vs_scan );
+    ]
+  in
+  Alcotest.(check (list string))
+    "bounds missed" []
+    (List.filter_map (fun (ok, bound) -> if ok then None else Some bound) bounds)
+
 let () =
   Alcotest.run "rq_optimizer"
     [
@@ -919,5 +1078,11 @@ let () =
           Alcotest.test_case "errors are not cached" `Quick test_cache_never_caches_errors;
           Alcotest.test_case "a miss records its rewrite events" `Quick
             test_cache_miss_records_rewrites;
+        ] );
+      ( "kernel",
+        [
+          Alcotest.test_case "matches the row scan (evidence, plans)" `Quick
+            test_kernel_matches_scan;
+          Alcotest.test_case "beats the row scan (median of 5)" `Quick test_kernel_beats_scan;
         ] );
     ]
