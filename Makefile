@@ -95,12 +95,19 @@ examples:
 
 # One guarded, re-optimized query with the full observability surface:
 # trace-event log, per-operator span tree, and the EXPLAIN ANALYZE table
-# from the same single instrumented execution.
+# from the same single instrumented execution; then the same query over
+# chaos-damaged statistics through the degrading estimator chain, whose
+# `degraded:` lines and evidence-kernel totals must still print.
 trace-demo: all
 	dune exec bin/robustopt.exe -- run --trace --reopt-threshold 4 \
 	  "SELECT COUNT(*) FROM lineitem, orders, part WHERE p_bucket = 975"
 	dune exec bin/robustopt.exe -- explain --analyze --trace \
 	  "SELECT COUNT(*) FROM lineitem, orders, part WHERE p_bucket = 975"
+	out="$$(dune exec bin/robustopt.exe -- run --trace --fault-profile chaos \
+	  "SELECT COUNT(*) FROM lineitem, orders, part WHERE p_bucket = 975")" && \
+	  printf '%s\n' "$$out" && \
+	  printf '%s\n' "$$out" | grep -q '^degraded: ' && \
+	  printf '%s\n' "$$out" | grep -q '^evidence kernel: '
 
 clean:
 	dune clean

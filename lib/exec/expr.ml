@@ -110,12 +110,13 @@ and compile_cols_binop schema op a b =
   let fa = compile_cols schema a and fb = compile_cols schema b in
   fun cols r -> arith op (fa cols r) (fb cols r)
 
-(* Canonical one-line rendering for structural keys (evidence memos, plan
-   fingerprints).  Unlike [pp], the output never depends on a formatter
-   margin: equal expressions render identically everywhere. *)
+(* Canonical one-line rendering for structural keys (plan fingerprints).
+   Unlike [pp], the output never depends on a formatter margin, and
+   constants print exactly ([Value.to_key]): equal expressions render
+   identically everywhere, and different literals never render alike. *)
 let rec render = function
   | Col c -> "c:" ^ c
-  | Const v -> "v:" ^ Value.to_string v
+  | Const v -> "v:" ^ Value.to_key v
   | Add (a, b) -> "(+ " ^ render a ^ " " ^ render b ^ ")"
   | Sub (a, b) -> "(- " ^ render a ^ " " ^ render b ^ ")"
   | Mul (a, b) -> "(* " ^ render a ^ " " ^ render b ^ ")"

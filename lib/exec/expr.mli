@@ -49,6 +49,8 @@ val compile_cols : Schema.t -> t -> compiled_cols
 val render : t -> string
 (** Canonical one-line rendering for structural keys.  Unlike {!pp}, the
     output never depends on formatter state: equal expressions render
-    identically across call sites and processes. *)
+    identically across call sites and processes, and constants print
+    exactly ({!Rq_storage.Value.to_key}), so different literals never
+    render alike. *)
 
 val pp : Format.formatter -> t -> unit

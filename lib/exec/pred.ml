@@ -126,9 +126,9 @@ let render_cmp = function
 (* Canonical one-line rendering for structural keys: nested And/Or are
    flattened, operand lists sorted by rendering, and the operands of the
    commutative comparisons (=, <>) ordered — predicates equal modulo
-   commutation render identically.  [Rq_sql.Fingerprint] and the evidence
-   memo both key on this, so a cached bitmap combination and a cached plan
-   agree on what "the same predicate" means. *)
+   commutation render identically.  [Rq_sql.Fingerprint] keys the plan
+   cache on this; literals print exactly ([Expr.render]), so two
+   different constants never share a cached plan. *)
 let rec render p =
   let flatten_and = function And ps -> ps | p -> [ p ] in
   let flatten_or = function Or ps -> ps | p -> [ p ] in

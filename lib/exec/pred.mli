@@ -46,10 +46,11 @@ val rename_columns : (string -> string) -> t -> t
     ["table.column"] above joins). *)
 
 val render : t -> string
-(** Canonical one-line rendering for structural keys (evidence memos,
-    {!Rq_sql.Fingerprint}): nested And/Or flattened, operand lists sorted,
-    [=]/[<>] operands ordered.  Predicates equal modulo conjunct order and
-    comparison commutation render identically, and the output never depends
-    on formatter state. *)
+(** Canonical one-line rendering for structural keys
+    ({!Rq_sql.Fingerprint}): nested And/Or flattened, operand lists sorted,
+    [=]/[<>] operands ordered, literals printed exactly
+    ({!Expr.render}).  Predicates equal modulo conjunct order and
+    comparison commutation render identically, different literals never
+    do, and the output never depends on formatter state. *)
 
 val pp : Format.formatter -> t -> unit

@@ -17,8 +17,8 @@ let quick_config = { default_config with iterations = 10 }
 
 let time_per_call ~iterations f =
   (* Warm up once so synopsis lookups and index structures are hot, then
-     time DISTINCT queries: optimizing the same text repeatedly would just
-     measure the estimator's memo table. *)
+     time DISTINCT queries: optimizing the same text repeatedly would
+     mostly measure warm kernel bitmaps and the quantile table. *)
   ignore (f 0);
   let t0 = Unix.gettimeofday () in
   for i = 1 to iterations do
@@ -41,9 +41,10 @@ let run ?(config = default_config) () =
     in
     let robust_opt = Optimizer.robust ~scale stats in
     let baseline_opt = Optimizer.baseline ~scale stats in
-    (* The degrading chain over healthy statistics should pay the same
-       (memoized) per-request cost as the plain robust estimator — this
-       column is the regression check for that claim. *)
+    (* The degrading chain over healthy statistics answers through an
+       internal robust estimator after its health checks, so it should
+       track the plain robust estimator — this column is the regression
+       check for that claim. *)
     let est =
       Rq_core.Robust_estimator.create
         ~confidence:Rq_core.Confidence.(resolve default_setting) ()

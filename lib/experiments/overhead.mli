@@ -11,7 +11,8 @@ type measurement = {
   histogram_ms : float;   (** mean per-optimization time, milliseconds *)
   robust_ms : float;
   degrading_ms : float;   (** the degradation chain over healthy statistics
-                              — should track [robust_ms] (shared memo) *)
+                              — should track [robust_ms] (tier 1 is an
+                              internal robust estimator) *)
   ratio : float;          (** robust / histogram *)
 }
 

@@ -7,7 +7,6 @@ type event =
   | Degraded of { kind : string; subsystem : string; detail : string }
   | Stats_refresh of { tables : string list }
   | Plan_cache of { outcome : string; fingerprint : string; version : int }
-  | Cache_evicted of { cache : string; key : string }
   | Rewrite_applied of { rule : string; detail : string }
 
 (* Fingerprints are canonical query renderings and can run long; traces
@@ -34,8 +33,6 @@ let to_string = function
       Printf.sprintf "stats-refresh: %s" (String.concat ", " tables)
   | Plan_cache { outcome; fingerprint; version } ->
       Printf.sprintf "plan-cache: %s %s (stats v%d)" outcome (abbreviate fingerprint) version
-  | Cache_evicted { cache; key } ->
-      Printf.sprintf "cache-evicted: %s dropped %s" cache (abbreviate key)
   | Rewrite_applied { rule; detail } -> Printf.sprintf "rewrite: %s %s" rule detail
 
 let to_json event =
@@ -74,7 +71,5 @@ let to_json event =
           ("fingerprint", Json.Str fingerprint);
           ("version", Json.Num (float_of_int version));
         ]
-  | Cache_evicted { cache; key } ->
-      obj "cache_evicted" [ ("cache", Json.Str cache); ("key", Json.Str key) ]
   | Rewrite_applied { rule; detail } ->
       obj "rewrite_applied" [ ("rule", Json.Str rule); ("detail", Json.Str detail) ]

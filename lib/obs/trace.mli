@@ -30,10 +30,6 @@ type event =
           was cached — a re-optimization follows) or ["evicted"] (LRU
           capacity pressure); [version] is the live statistics version at
           the event *)
-  | Cache_evicted of { cache : string; key : string }
-      (** a bounded estimator-side cache (evidence memo, per-synopsis
-          bitmap index, group-count memo) dropped its LRU entry under
-          capacity pressure *)
   | Rewrite_applied of { rule : string; detail : string }
       (** one logical-rewrite rule fired during the pre-enumeration
           fixpoint pass; [detail] says what the rule changed *)

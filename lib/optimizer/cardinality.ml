@@ -51,72 +51,51 @@ let qualified_pred (r : Logical.table_ref) =
 (* Robust (the paper's estimator)                                      *)
 (* ------------------------------------------------------------------ *)
 
-type memo = {
-  memo_evidence : version:int -> Join_synopsis.t -> Pred.t -> int * int;
-  memo_estimate : successes:int -> trials:int -> float;
-  memo_groups :
-    version:int -> Join_synopsis.t -> pred:Pred.t -> columns:string list ->
-    population_size:int -> float;
-}
-
-let default_memo_capacity = 512
-
-(* Optimization repeatedly asks for the same (synopsis, predicate)
-   evidence — once per access path, once per DP subset visit.  The counts
-   are memoized under a *structural* key: the synopsis root, the
-   per-table statistics version, and the predicate's canonical rendering
-   (the same normalization the plan-cache fingerprints use), so conjunct
-   order and comparison commutation hit one entry, and any statistics
-   change that touches the root — fault injection, maintenance refresh —
-   keys differently and can never serve stale evidence, even when one
-   memo outlives the store it first saw (Sec. 6.1 points at exactly this
-   optimization).  Both caches are bounded LRUs so a long-lived memo
-   under predicate churn stays small; evictions surface as
-   [Cache_evicted] trace events when a recorder is attached.  One memo is
-   shared by every path of an estimator that consults synopses —
-   [degrading]'s tier-1 answers and its internal robust estimator hit the
-   same entries. *)
-let make_memo ?obs ?(capacity = default_memo_capacity) ?(kernel = true) estimator =
-  let record_eviction cache key =
-    match obs with
-    | None -> ()
-    | Some r -> Rq_obs.Recorder.record r (Rq_obs.Trace.Cache_evicted { cache; key })
-  in
-  let evidence_cache : (int * int) Lru.t =
-    Lru.create ~on_evict:(record_eviction "evidence-memo") ~capacity ()
-  in
-  let groups_cache : float Lru.t =
-    Lru.create ~on_evict:(record_eviction "group-memo") ~capacity ()
-  in
-  (* Quantile inversion costs microseconds; the distinct (k, n) pairs seen
-     during one optimization are few. *)
-  let quantile_cache : (int * int, float) Hashtbl.t = Hashtbl.create 32 in
-  let memo_estimate ~successes ~trials =
-    match Hashtbl.find_opt quantile_cache (successes, trials) with
-    | Some s -> s
-    | None ->
-        let s = Robust_estimator.estimate estimator ~successes ~trials in
-        Hashtbl.replace quantile_cache (successes, trials) s;
-        s
-  in
-  let structural_key ~version syn pred =
-    Join_synopsis.root syn ^ "@" ^ string_of_int version ^ "|" ^ Pred.render pred
-  in
-  let count_evidence syn pred =
+(* Evidence is cached once, per atom, in the synopsis's own kernel
+   ([Pred_index]): repeated asks — once per access path, once per DP
+   subset visit — cost a bitwise combine and a popcount, so nothing here
+   caches counts again.  Those bitmaps cannot go stale: a synopsis's
+   sample never changes, and fault injection and maintenance refreshes
+   build new synopses with new kernels.  What is left per estimator is
+   the Beta-quantile inversion, memoized on (k, n). *)
+let robust ?(kernel = true) stats estimator =
+  let catalog = Stats_store.catalog stats in
+  let evidence syn pred =
     if kernel then Join_synopsis.evidence syn pred else Join_synopsis.evidence_scan syn pred
   in
-  let memo_evidence ~version syn pred =
-    Lru.find_or_add evidence_cache (structural_key ~version syn pred) (fun () ->
-        count_evidence syn pred)
+  (* Quantile inversion costs microseconds; the distinct (k, n) pairs one
+     estimator sees are few. *)
+  let quantiles : (int * int, float) Hashtbl.t = Hashtbl.create 32 in
+  let estimate (k, n) =
+    match Hashtbl.find_opt quantiles (k, n) with
+    | Some s -> s
+    | None ->
+        let s = Robust_estimator.estimate estimator ~successes:k ~trials:n in
+        Hashtbl.replace quantiles (k, n) s;
+        s
   in
-  let memo_groups ~version syn ~pred ~columns ~population_size =
-    let key =
-      structural_key ~version syn pred
-      ^ "|g:" ^ String.concat "," columns
-      ^ "|N:" ^ string_of_int population_size
-    in
-    Lru.find_or_add groups_cache key (fun () ->
-        let k, _ = memo_evidence ~version syn pred in
+  let table_selectivity ~table pred =
+    match Stats_store.synopsis stats ~root:table with
+    | Some syn -> estimate (evidence syn (Pred.rename_columns (fun c -> table ^ "." ^ c) pred))
+    | None -> Robust_estimator.estimate_no_statistics estimator
+  in
+  let expression_cardinality refs =
+    match Stats_store.synopsis_for stats (names_of refs) with
+    | Some syn ->
+        estimate (evidence syn (Pred.conj (List.map qualified_pred refs)))
+        *. float_of_int (Join_synopsis.root_size syn)
+    | None ->
+        (* Sec.-3.5 fallback: no covering synopsis.  Estimate each table's
+           predicate from its own sample (robustly) and combine under AVI +
+           containment; the error is confined to this expression. *)
+        avi_cardinality catalog table_selectivity refs
+  in
+  let group_count refs group_by =
+    match Stats_store.synopsis_for stats (names_of refs) with
+    | Some syn ->
+        let pred = Pred.conj (List.map qualified_pred refs) in
+        let population_size = int_of_float (Float.max 1.0 (expression_cardinality refs)) in
+        let k, _ = evidence syn pred in
         if k = 0 then 1.0
         else begin
           let sample = Join_synopsis.sample syn in
@@ -128,52 +107,11 @@ let make_memo ?obs ?(capacity = default_memo_capacity) ?(kernel = true) estimato
           in
           Distinct.estimate_groups_seq
             ~schema:(Relation.schema (Sample.rows sample))
-            ~columns ~population_size matching
-        end)
-  in
-  { memo_evidence; memo_estimate; memo_groups }
-
-let robust_with ~memo stats estimator =
-  let catalog = Stats_store.catalog stats in
-  let cached_estimate = memo.memo_estimate in
-  let cached_evidence = memo.memo_evidence in
-  let version_of root = Stats_store.table_version stats root in
-  let table_selectivity ~table pred =
-    match Stats_store.synopsis stats ~root:table with
-    | Some syn ->
-        let qualified = Pred.rename_columns (fun c -> table ^ "." ^ c) pred in
-        let k, n = cached_evidence ~version:(version_of table) syn qualified in
-        cached_estimate ~successes:k ~trials:n
-    | None -> Robust_estimator.estimate_no_statistics estimator
-  in
-  let expression_cardinality refs =
-    let names = names_of refs in
-    match Stats_store.synopsis_for stats names with
-    | Some syn ->
-        let pred = Pred.conj (List.map qualified_pred refs) in
-        let k, n = cached_evidence ~version:(version_of (Join_synopsis.root syn)) syn pred in
-        cached_estimate ~successes:k ~trials:n *. float_of_int (Join_synopsis.root_size syn)
-    | None ->
-        (* Sec.-3.5 fallback: no covering synopsis.  Estimate each table's
-           predicate from its own sample (robustly) and combine under AVI +
-           containment; the error is confined to this expression. *)
-        avi_cardinality catalog table_selectivity refs
-  in
-  let group_count refs group_by =
-    let names = names_of refs in
-    match Stats_store.synopsis_for stats names with
-    | Some syn ->
-        let pred = Pred.conj (List.map qualified_pred refs) in
-        let population = int_of_float (Float.max 1.0 (expression_cardinality refs)) in
-        memo.memo_groups
-          ~version:(version_of (Join_synopsis.root syn))
-          syn ~pred ~columns:group_by ~population_size:population
+            ~columns:group_by ~population_size matching
+        end
     | None -> Float.max 1.0 (expression_cardinality refs *. 0.1)
   in
   { name = "robust-sampling"; expression_cardinality; table_selectivity; group_count }
-
-let robust ?kernel stats estimator =
-  robust_with ~memo:(make_memo ?kernel estimator) stats estimator
 
 (* ------------------------------------------------------------------ *)
 (* Histogram + AVI (the baseline)                                      *)
@@ -249,15 +187,7 @@ let degrading ?(log = fun _ -> ()) ?obs stats estimator =
               None
           | Some syn -> (
               match Fault.verify_synopsis catalog syn with
-              | Ok () ->
-                  (match obs with
-                  | None -> ()
-                  | Some r ->
-                      Join_synopsis.set_on_evict syn (fun key ->
-                          Rq_obs.Recorder.record r
-                            (Rq_obs.Trace.Cache_evicted
-                               { cache = "bitmap-index:" ^ root; key })));
-                  Some syn
+              | Ok () -> Some syn
               | Error event ->
                   log_once event;
                   None)
@@ -265,11 +195,10 @@ let degrading ?(log = fun _ -> ()) ?obs stats estimator =
         Hashtbl.replace health root verdict;
         verdict
   in
-  (* One memo serves both the tier-1 direct answers below and the internal
-     robust estimator, so the degrading chain pays the same (cached)
-     per-request cost as [robust] when statistics are healthy. *)
-  let memo = make_memo ?obs estimator in
-  let robust_est = robust_with ~memo stats estimator in
+  (* Tier 1 is the robust estimator itself, asked only once the synopsis
+     it will resolve has passed the health check, so healthy-stats
+     requests cost what [robust]'s do plus one table lookup. *)
+  let robust_est = robust stats estimator in
   let hist_est = histogram_avi stats in
   (* Tier 3->4 boundary: histogram_selectivity silently substitutes magic
      constants for missing histograms; detect and report that so the chain's
@@ -295,50 +224,29 @@ let degrading ?(log = fun _ -> ()) ?obs stats estimator =
   in
   let table_selectivity ~table pred =
     match healthy_synopsis table with
-    | Some syn ->
-        let qualified = Pred.rename_columns (fun c -> table ^ "." ^ c) pred in
-        let k, n =
-          memo.memo_evidence ~version:(Stats_store.table_version stats table) syn qualified
-        in
-        memo.memo_estimate ~successes:k ~trials:n
+    | Some _ -> robust_est.table_selectivity ~table pred
     | None -> if pred = Pred.True then 1.0 else histogram_tier ~table pred
   in
+  (* Whether a healthy synopsis covers the expression: the one
+     [Stats_store.synopsis_for] resolves for [robust]. *)
+  let covered refs =
+    match root_of catalog refs with
+    | Some root -> (
+        match healthy_synopsis root with
+        | Some syn -> Join_synopsis.covers syn (names_of refs)
+        | None -> false)
+    | None -> false
+  in
   let expression_cardinality refs =
-    let names = names_of refs in
-    let covering =
-      match root_of catalog refs with
-      | Some root -> (
-          match healthy_synopsis root with
-          | Some syn when Join_synopsis.covers syn names -> Some syn
-          | _ -> None)
-      | None -> None
-    in
-    match covering with
-    | Some syn ->
-        (* Tier 1: evidence from the covering join synopsis — the paper's
-           estimator at full strength, through the shared memo. *)
-        let pred = Pred.conj (List.map qualified_pred refs) in
-        let k, n =
-          memo.memo_evidence
-            ~version:(Stats_store.table_version stats (Join_synopsis.root syn))
-            syn pred
-        in
-        memo.memo_estimate ~successes:k ~trials:n
-        *. float_of_int (Join_synopsis.root_size syn)
-    | None ->
-        (* Tiers 2-4: per-table estimates (each table's own best tier)
-           combined under AVI + containment. *)
-        avi_cardinality catalog table_selectivity refs
+    if covered refs then robust_est.expression_cardinality refs
+    else
+      (* Tiers 2-4: per-table estimates (each table's own best tier)
+         combined under AVI + containment. *)
+      avi_cardinality catalog table_selectivity refs
   in
   let group_count refs group_by =
-    let names = names_of refs in
-    match root_of catalog refs with
-    | Some root
-      when (match healthy_synopsis root with
-           | Some syn -> Join_synopsis.covers syn names
-           | None -> false) ->
-        robust_est.group_count refs group_by
-    | _ -> hist_est.group_count refs group_by
+    if covered refs then robust_est.group_count refs group_by
+    else hist_est.group_count refs group_by
   in
   { name = "degrading-chain"; expression_cardinality; table_selectivity; group_count }
 
@@ -410,12 +318,10 @@ let fixed_selectivity catalog sel =
 
 (* Every answer is a Naive join, and one optimization asks the same
    expression once per DP subset visit, so each instance memoizes its
-   answers.  The key is the refs themselves, compared structurally:
-   [Pred.render] prints float literals to six significant digits, so two
-   different predicates can share a rendering, and an exact oracle must
-   not answer one with the other's count.  The memo never looks at the
-   catalog again: an instance answers for the catalog contents it first
-   saw. *)
+   answers.  The key is the refs themselves, compared structurally, so
+   two predicates share an answer only when they are the same value.
+   The memo never looks at the catalog again: an instance answers for
+   the catalog contents it first saw. *)
 let oracle catalog =
   let cards : (Logical.table_ref list, float) Hashtbl.t = Hashtbl.create 64 in
   let expression_cardinality refs =

@@ -24,36 +24,20 @@ type t = {
 val expression_selectivity : Catalog.t -> t -> Logical.table_ref list -> float
 (** [expression_cardinality] divided by the root relation's size. *)
 
-type memo
-(** A shared evidence/quantile/group-count memo for the robust estimator.
-    Evidence is keyed structurally — synopsis root, per-table statistics
-    version, canonical predicate rendering — so a memo may safely outlive
-    the store it first served: a statistics change ({!Rq_stats.Fault.apply},
-    a maintenance refresh) moves the table version and keys past entries
-    out, never serving stale counts.  Both the evidence and group caches
-    are bounded LRUs. *)
-
-val make_memo :
-  ?obs:Rq_obs.Recorder.t -> ?capacity:int -> ?kernel:bool ->
-  Rq_core.Robust_estimator.t -> memo
-(** [capacity] bounds each LRU (default 512); evictions are recorded as
-    [Cache_evicted] trace events on [obs].  [kernel] (default [true])
-    selects the bitset evidence kernel; [false] forces the reference
-    row-scan path (bit-identical answers; the scan arm of the
-    differential harness's kernel pass and of the evidence-kernel
-    tests). *)
-
-val robust_with : memo:memo -> Rq_stats.Stats_store.t -> Rq_core.Robust_estimator.t -> t
-(** {!robust} over an explicit (shareable) memo. *)
-
 val robust : ?kernel:bool -> Rq_stats.Stats_store.t -> Rq_core.Robust_estimator.t -> t
 (** The paper's estimator: evidence from the covering join synopsis,
     Bayesian posterior, quantile at the estimator's confidence threshold.
     Fallbacks (Sec. 3.5): per-table synopses combined under AVI when no
     covering synopsis exists; the magic distribution when a table has no
     statistics at all.  Group counts use GEE over the synopsis, streamed
-    from the kernel's satisfaction bitmap.  [kernel] as in
-    {!make_memo}. *)
+    from the kernel's satisfaction bitmap.  Evidence comes from the
+    synopsis's bitset kernel ({!Rq_stats.Join_synopsis.evidence}), whose
+    per-atom bitmaps are the only evidence cache; each instance memoizes
+    only its posterior quantiles per [(k, n)].  [~kernel:false] asks
+    {!Rq_stats.Join_synopsis.evidence_scan} instead and filters group
+    rows with a compiled checker (bit-identical answers; the scan arm of
+    the differential harness's kernel pass and of the evidence-kernel
+    tests). *)
 
 val degrading :
   ?log:(Rq_stats.Fault.event -> unit) ->
@@ -68,8 +52,8 @@ val degrading :
     mirrored as a [Degraded] trace event when [?obs] is given) instead of
     raising, so damaged statistics degrade estimates but never abort
     optimization.  Health verdicts are memoized per root, and tier-1
-    answers share one evidence/quantile memo with the internal robust
-    estimator, so healthy-stats requests cost the same as {!robust}'s. *)
+    requests are answered by an internal {!robust} estimator over the
+    same store, so healthy-stats requests cost what {!robust}'s do. *)
 
 val histogram_avi : Rq_stats.Stats_store.t -> t
 (** The baseline: per-column equi-depth histograms combined under the AVI

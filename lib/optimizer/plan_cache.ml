@@ -27,7 +27,7 @@ type entry = {
    (a lookup that finds a version-stale entry is an invalidation, not a
    hit or a miss). *)
 type t = {
-  lru : entry Rq_storage.Lru.t;
+  lru : (string, entry) Rq_storage.Lru.t;
   mutable hits : int;
   mutable misses : int;
   mutable invalidations : int;

@@ -9,19 +9,16 @@
 open Rq_obs
 
 let token = function
-  | Trace.Degraded { kind; subsystem; _ } -> Some ("d:" ^ kind ^ ":" ^ subsystem)
-  | Trace.Guard_ok _ -> Some "g+"
-  | Trace.Guard_fired _ -> Some "g!"
-  | Trace.Reopt_planned _ -> Some "r?"
-  | Trace.Reopt_adopted _ -> Some "r+"
-  | Trace.Reopt_abandoned _ -> Some "r-"
-  | Trace.Plan_cache { outcome; _ } -> Some ("c:" ^ outcome)
-  | Trace.Stats_refresh _ -> Some "s"
-  | Trace.Rewrite_applied { rule; _ } -> Some ("w:" ^ rule)
-  (* estimator-side cache pressure depends on memo capacity and visit
-     order, not on the scenario under test: pure noise for coverage *)
-  | Trace.Cache_evicted _ -> None
+  | Trace.Degraded { kind; subsystem; _ } -> "d:" ^ kind ^ ":" ^ subsystem
+  | Trace.Guard_ok _ -> "g+"
+  | Trace.Guard_fired _ -> "g!"
+  | Trace.Reopt_planned _ -> "r?"
+  | Trace.Reopt_adopted _ -> "r+"
+  | Trace.Reopt_abandoned _ -> "r-"
+  | Trace.Plan_cache { outcome; _ } -> "c:" ^ outcome
+  | Trace.Stats_refresh _ -> "s"
+  | Trace.Rewrite_applied { rule; _ } -> "w:" ^ rule
 
-let of_events events = String.concat ";" (List.filter_map token events)
+let of_events events = String.concat ";" (List.map token events)
 
 let of_recorder recorder = of_events (Recorder.events recorder)

@@ -5,13 +5,12 @@
     stream order, which estimation tiers failed their health checks
     ([d:kind:subsystem]), which guards passed or fired ([g+] / [g!]),
     how mid-query re-optimization resolved ([r?] / [r+] / [r-]), plan-cache
-    outcomes ([c:outcome]) and statistics refreshes ([s]).  Numeric payloads
-    (row counts, q-errors) are deliberately dropped so the digest captures
-    the *shape* of a run's robustness behaviour, not its noise; estimator
-    cache evictions are skipped entirely. *)
+    outcomes ([c:outcome]), statistics refreshes ([s]) and rewrite rules
+    ([w:rule]).  Numeric payloads (row counts, q-errors) are deliberately
+    dropped so the digest captures the *shape* of a run's robustness
+    behaviour, not its noise. *)
 
-val token : Rq_obs.Trace.event -> string option
-(** [None] for events that carry no tier-transition information. *)
+val token : Rq_obs.Trace.event -> string
 
 val of_events : Rq_obs.Trace.event list -> string
 

@@ -10,9 +10,8 @@ type t = { key : string; hash : int }
 (* Canonical compact renderers: [Pred.pp]/[Expr.pp] are box-based pretty
    printers whose output depends on the formatter margin, which would make
    equal queries fingerprint differently at different lengths.
-   [Expr.render]/[Pred.render] emit one unambiguous, normalized line; the
-   optimizer's evidence memo keys on the same renderings, so a cache entry
-   here and a bitmap combination there agree on predicate identity. *)
+   [Expr.render]/[Pred.render] emit one unambiguous, normalized line, with
+   float literals printed exactly. *)
 
 let render_expr = Expr.render
 let render_pred = Pred.render
@@ -111,14 +110,6 @@ let of_logical ?(estimator = "") ?confidence (q : Logical.t) =
   | None -> add "T:;"
   | Some c -> add "T:%.6g;" (Rq_core.Confidence.to_percent c));
   let key = Buffer.contents buf in
-  { key; hash = fnv1a key }
-
-(* Fingerprint of a bare (possibly atomic) predicate: the structural key
-   the estimator's evidence memo uses in place of built strings.  Shares
-   {!Pred.render}'s normalization, so a predicate and the same predicate
-   inside a query fingerprint agree on identity. *)
-let of_pred pred =
-  let key = "pred:" ^ render_pred pred in
   { key; hash = fnv1a key }
 
 let to_key t = t.key

@@ -9,7 +9,8 @@
     - predicate order is normalized away (conjuncts/disjuncts are
       flattened and sorted, and the operands of the commutative [=]/[<>]
       comparisons are ordered);
-    - literals are rendered exactly and folded into the key (then hashed),
+    - literals are rendered exactly (floats in a form that parses back,
+      {!Rq_storage.Value.to_key}) and folded into the key (then hashed),
       so distinct constants — and hence potentially distinct best plans —
       never collide.
 
@@ -27,12 +28,6 @@ val of_logical :
   ?estimator:string -> ?confidence:Rq_core.Confidence.t -> Rq_optimizer.Logical.t -> t
 (** [estimator] defaults to [""] and [confidence] to absent — callers
     caching across estimator configurations must pass both. *)
-
-val of_pred : Rq_exec.Pred.t -> t
-(** Fingerprint of a bare predicate — atomic or compound — under the same
-    normalization ({!Rq_exec.Pred.render}) the query fingerprint uses for
-    its predicates.  This is the structural key the optimizer's evidence
-    memo and the bitmap kernel share. *)
 
 val to_key : t -> string
 (** The full canonical key.  Cache lookups compare this string, so hash

@@ -61,8 +61,9 @@ let scale_up ~sample ~population_size =
   end
 
 let composite_key positions tup =
-  (* Encode the composite key as a single string value. *)
-  String.concat "\x00" (List.map (fun p -> Value.to_string tup.(p)) positions)
+  (* Encode the composite key as a single string value; [to_key] keeps
+     floats that agree to six digits apart. *)
+  String.concat "\x00" (List.map (fun p -> Value.to_key tup.(p)) positions)
 
 let key_positions schema columns = List.map (Schema.index_of schema) columns
 

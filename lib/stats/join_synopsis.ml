@@ -189,5 +189,4 @@ let kernel_stats t =
   if Lazy.is_val t.kernel then Pred_index.stats (Lazy.force t.kernel)
   else Rq_obs.Metrics.kernel_zero
 
-let set_on_evict t f = Pred_index.set_on_evict (Lazy.force t.kernel) f
 let clear_kernel t = if Lazy.is_val t.kernel then Pred_index.clear (Lazy.force t.kernel)

@@ -14,11 +14,15 @@
    (nulls included — a null comparison is false in the atom's bitmap, and
    negation flips it exactly as [Not] does).
 
-   Atom identity is the canonical structural rendering ([Pred.render]),
-   shared with the plan-cache fingerprints, so conjunct order and
-   comparison commutation cannot duplicate bitmaps.  The cache is a small
-   LRU: long-running optimizers with adversarial predicate churn stay
-   bounded, at worst re-scanning for an evicted atom. *)
+   Atom identity is the atom itself: the LRU hashes and compares the
+   [Pred.t] structurally, so two atoms share a bitmap exactly when they
+   are the same value — literals included, to the last bit of a float.
+   Commuted spellings of one [=]/[<>] atom are different values and may
+   build separate (equal) bitmaps.  The cache is a small LRU:
+   long-running optimizers with adversarial predicate churn stay
+   bounded, at worst re-scanning for an evicted atom.  Bitmaps never go
+   stale: an index is built over one immutable sample, and every change
+   of sample rows makes a new synopsis with a new index. *)
 
 open Rq_storage
 open Rq_exec
@@ -26,13 +30,7 @@ open Rq_exec
 type t = {
   rows : Relation.t;
   nrows : int;
-  atoms : Bitset.t Lru.t;
-  (* Canonical rendering per atom structure.  Rendering allocates; on the
-     warm path it would dominate the bitwise work itself, so each distinct
-     atom is rendered once and found again by (cheap) structural hash.
-     Entries are a few dozen bytes, but reset anyway if predicate churn
-     ever grows the table past [renders_bound]. *)
-  renders : (Pred.t, string) Hashtbl.t;
+  atoms : (Pred.t, Bitset.t) Lru.t;
   mutable bitmaps_built : int;
   mutable bitmap_hits : int;
   mutable evidence_queries : int;
@@ -41,14 +39,12 @@ type t = {
 }
 
 let default_capacity = 256
-let renders_bound = 4096
 
 let create ?(capacity = default_capacity) rows =
   {
     rows;
     nrows = Relation.row_count rows;
     atoms = Lru.create ~capacity ();
-    renders = Hashtbl.create 64;
     bitmaps_built = 0;
     bitmap_hits = 0;
     evidence_queries = 0;
@@ -58,21 +54,10 @@ let create ?(capacity = default_capacity) rows =
 
 let rows t = t.rows
 let size t = t.nrows
-let set_on_evict t f = Lru.set_on_evict t.atoms f
 let clear t = Lru.clear t.atoms
 
-let atom_key t pred =
-  match Hashtbl.find_opt t.renders pred with
-  | Some key -> key
-  | None ->
-      let key = Pred.render pred in
-      if Hashtbl.length t.renders >= renders_bound then Hashtbl.reset t.renders;
-      Hashtbl.replace t.renders pred key;
-      key
-
 let atomic t pred =
-  let key = atom_key t pred in
-  match Lru.find t.atoms key with
+  match Lru.find t.atoms pred with
   | Some bitmap ->
       t.bitmap_hits <- t.bitmap_hits + 1;
       (* Each hit stands in for the full sample scan the row path would
@@ -90,7 +75,7 @@ let atomic t pred =
       done;
       t.bitmaps_built <- t.bitmaps_built + 1;
       t.rows_scanned <- t.rows_scanned + t.nrows;
-      Lru.insert t.atoms key bitmap;
+      Lru.insert t.atoms pred bitmap;
       bitmap
 
 let rec eval t = function

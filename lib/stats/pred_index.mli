@@ -5,8 +5,9 @@
     AND/OR/NOT plus popcount.  Counts are bit-identical to compiling the
     whole predicate and scanning ({!Sample.count_matching}): a bitmap
     records exactly where the compiled atom holds, and the boolean
-    connectives are pointwise.  Atoms are keyed by their canonical
-    structural rendering ({!Rq_exec.Pred.render}) in a bounded LRU. *)
+    connectives are pointwise.  Atoms are keyed by the {!Rq_exec.Pred.t}
+    value itself (structural equality, float literals exact) in a bounded
+    LRU. *)
 
 open Rq_storage
 open Rq_exec
@@ -28,11 +29,8 @@ val count : t -> Pred.t -> int
 (** [popcount (eval t pred)] — the evidence count [k]. *)
 
 val clear : t -> unit
-(** Drop all cached bitmaps (the bench's "cold" state); counters remain. *)
-
-val set_on_evict : t -> (string -> unit) -> unit
-(** Called with the canonical atom key whenever the LRU drops a bitmap —
-    surfaced as a [Cache_evicted] trace event by estimator owners. *)
+(** Drop all cached bitmaps (the cold arm of the kernel timing test);
+    counters remain. *)
 
 val stats : t -> Rq_obs.Metrics.kernel
 (** Cumulative kernel counters for this index. *)

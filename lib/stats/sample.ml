@@ -3,13 +3,13 @@ open Rq_exec
 
 (* Optimizers probe the same sample with the same predicates many times
    per enumeration; [Pred.compile] is pure per (schema, pred), so compiled
-   checkers are memoized per sample under the canonical structural
-   rendering.  Bounded so predicate churn cannot grow a sample
-   unboundedly. *)
+   checkers are memoized per sample, keyed by the predicate itself
+   (structural equality, so float literals never alias).  Bounded so
+   predicate churn cannot grow a sample unboundedly. *)
 type t = {
   rows : Relation.t;
   population_size : int;
-  checkers : (Relation.tuple -> bool) Lru.t;
+  checkers : (Pred.t, Relation.tuple -> bool) Lru.t;
 }
 
 let checker_cache_capacity = 256
@@ -62,7 +62,7 @@ let size t = Relation.row_count t.rows
 let population_size t = t.population_size
 
 let checker t pred =
-  Lru.find_or_add t.checkers (Pred.render pred) (fun () ->
+  Lru.find_or_add t.checkers pred (fun () ->
       Pred.compile (Relation.schema t.rows) pred)
 
 let count_matching t pred = Relation.filter_count t.rows (checker t pred)

@@ -42,8 +42,8 @@ val population_size : t -> int
 
 val checker : t -> Pred.t -> Relation.tuple -> bool
 (** The compiled checker for [pred] against this sample's schema, served
-    from a per-sample bounded cache keyed by the predicate's canonical
-    rendering, so repeated probes do not recompile. *)
+    from a per-sample bounded cache keyed by the predicate itself, so
+    repeated probes do not recompile. *)
 
 val count_matching : t -> Pred.t -> int
 (** [count_matching s pred] = k, the number of sample tuples satisfying

@@ -36,7 +36,7 @@ type stats = {
 type t = {
   mutable capacity_chunks : int;
   resident : (string, entry) Hashtbl.t;
-  mutable lru : unit Lru.t;  (* unpinned resident keys, recency-ordered *)
+  mutable lru : (string, unit) Lru.t;  (* unpinned resident keys, recency-ordered *)
   mutable hits : int;
   mutable misses : int;
   mutex : Mutex.t;

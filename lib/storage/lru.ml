@@ -1,25 +1,26 @@
-(* A small string-keyed LRU: a hashtable over an intrusive doubly-linked
-   recency list, so find/insert/evict are all O(1) — no victim scan.  The
-   evidence and bitmap caches and the plan cache are bounded with this so
+(* A small LRU over any structurally hashable key: a hashtable over an
+   intrusive doubly-linked recency list, so find/insert/evict are all
+   O(1) — no victim scan.  The kernel's atom bitmaps, the compiled
+   checkers, the buffer pool and the plan cache are bounded with this so
    long throughput runs cannot grow memory without bound; [on_evict] lets
-   the owner surface each eviction as a trace event. *)
+   the owner react to each eviction. *)
 
-type 'a node = {
-  key : string;
+type ('k, 'a) node = {
+  key : 'k;
   mutable value : 'a;
-  mutable prev : 'a node option;  (* toward most-recent *)
-  mutable next : 'a node option;  (* toward least-recent *)
+  mutable prev : ('k, 'a) node option;  (* toward most-recent *)
+  mutable next : ('k, 'a) node option;  (* toward least-recent *)
 }
 
-type 'a t = {
+type ('k, 'a) t = {
   capacity : int;
-  entries : (string, 'a node) Hashtbl.t;
-  mutable head : 'a node option;  (* most recently used *)
-  mutable tail : 'a node option;  (* least recently used *)
+  entries : ('k, ('k, 'a) node) Hashtbl.t;
+  mutable head : ('k, 'a) node option;  (* most recently used *)
+  mutable tail : ('k, 'a) node option;  (* least recently used *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
-  mutable on_evict : string -> unit;
+  mutable on_evict : 'k -> unit;
 }
 
 let create ?(on_evict = fun _ -> ()) ~capacity () =

@@ -90,6 +90,16 @@ let pp fmt = function
 
 let to_string v = Format.asprintf "%a" pp v
 
+(* [%g] keeps six significant digits, so 500.0000001 and 499.9999999 both
+   print "500"; a key must tell them apart.  A float whose [%g] form parses
+   back to it keeps that form, and any other gets the 17 digits that
+   round-trip every binary64. *)
+let to_key = function
+  | Float f ->
+      let short = Printf.sprintf "%g" f in
+      if Float.equal (float_of_string short) f then short else Printf.sprintf "%.17g" f
+  | v -> to_string v
+
 let pp_ty fmt ty =
   Format.pp_print_string fmt
     (match ty with

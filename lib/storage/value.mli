@@ -40,6 +40,13 @@ val ymd_of_date : t -> int * int * int
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+(** For display: floats print with [%g], six significant digits. *)
+
+val to_key : t -> string
+(** {!to_string}, except that a float prints in a form that parses back
+    to the same float ([%g] when that round-trips, else [%.17g]), so two
+    different values never print alike.  For structural keys:
+    {!Rq_exec.Expr.render} and GEE group keys. *)
 
 val pp_ty : Format.formatter -> ty -> unit
 val ty_to_string : ty -> string

@@ -484,7 +484,8 @@ let test_exp_reopt_wasted_column () =
 (* ------------------------------------------------------------------ *)
 
 (* On healthy statistics the degrading chain must answer exactly like the
-   robust estimator (they now share one evidence/quantile memo). *)
+   robust estimator (its tier 1 is an internal robust estimator over the
+   same synopses, hence the same kernel bitmaps). *)
 let test_degrading_robust_parity () =
   let catalog = chain_catalog () in
   let stats = fresh_stats catalog in

@@ -246,9 +246,9 @@ let test_oracle_estimator_is_exact () =
   check_close 1e-9 "exact cardinality"
     (float_of_int (Naive.cardinality catalog refs))
     (oracle.Cardinality.expression_cardinality refs);
-  (* Two literals that straddle a stored value but render alike
-     ([Pred.render] keeps six significant digits): the oracle's memo must
-     keep them apart. *)
+  (* Two literals that straddle a stored value and agree to six
+     significant digits: they render apart, and the oracle's memo keeps
+     them apart. *)
   let stored =
     match (Relation.get (Catalog.find_table catalog "readings") 0).(2) with
     | Value.Int t -> float_of_int t
@@ -258,8 +258,8 @@ let test_oracle_estimator_is_exact () =
     [ { Logical.table = "readings"; pred = Pred.lt (Expr.col "temp") (Expr.Const (Value.Float t)) } ]
   in
   let lo = below (stored -. 1e-7) and hi = below (stored +. 1e-7) in
-  check_bool "the two predicates render alike" true
-    (Pred.render (List.hd lo).Logical.pred = Pred.render (List.hd hi).Logical.pred);
+  check_bool "the two predicates render apart" true
+    (Pred.render (List.hd lo).Logical.pred <> Pred.render (List.hd hi).Logical.pred);
   List.iter
     (fun refs ->
       check_close 1e-9 "memoized answer is exact"
@@ -346,36 +346,43 @@ let test_sample_ml_estimator () =
   check_bool "robust keeps a floor" true (robust_est > 0.0)
 
 let test_memo_invalidated_by_fault () =
-  (* A memo shared across stores must not serve evidence cached against a
-     pre-fault synopsis: memo keys embed the per-table stats version, which
-     [Fault.apply] bumps.  The shared-memo estimate on the damaged store
-     must equal a fresh-memo estimate on the same store, and (the fault
-     being destructive) differ from the pre-damage answer. *)
+  (* Evidence is cached only in each synopsis's kernel, and a damaged
+     synopsis is a new synopsis with a fresh kernel: bitmaps warmed on the
+     healthy store must never answer for the damaged one.  The robust
+     estimate over the damaged store must equal the one computed from a
+     row scan of the damaged synopsis, and the healthy store must still
+     answer as before. *)
   let catalog = fixture ~rows:5000 () in
   let stats = build_stats catalog 81 in
   let estimator =
     Rq_core.Robust_estimator.create ~confidence:Rq_core.Confidence.median ()
   in
-  let memo = Cardinality.make_memo estimator in
   let refs = [ { Logical.table = "readings"; pred = correlated_pred } ] in
   let estimate stats' =
-    (Cardinality.robust_with ~memo stats' estimator).Cardinality.expression_cardinality refs
+    (Cardinality.robust stats' estimator).Cardinality.expression_cardinality refs
   in
+  (* Warms the healthy kernel's bitmaps for every atom of [refs]. *)
   let before = estimate stats in
   let damaged =
     Rq_stats.Fault.apply (Rq_math.Rng.create 94) stats
-      [ Rq_stats.Fault.Truncate_synopsis { root = "readings"; keep = 0 } ]
+      [ Rq_stats.Fault.Truncate_synopsis { root = "readings"; keep = 100 } ]
   in
-  let after_shared = estimate damaged in
-  let after_fresh =
-    (Cardinality.robust damaged estimator).Cardinality.expression_cardinality refs
+  let syn = Option.get (Rq_stats.Stats_store.synopsis damaged ~root:"readings") in
+  let k, n =
+    Rq_stats.Join_synopsis.evidence_scan syn
+      (Pred.rename_columns (fun c -> "readings." ^ c) correlated_pred)
   in
-  check_close 1e-9 "shared memo = fresh memo on damaged store" after_fresh after_shared;
+  check_int "the damaged synopsis keeps 100 rows" 100 n;
+  let from_scan =
+    Rq_core.Robust_estimator.estimate estimator ~successes:k ~trials:n
+    *. float_of_int (Rq_stats.Join_synopsis.root_size syn)
+  in
+  let after = estimate damaged in
+  check_close 1e-9 "damaged store = row scan of the damaged synopsis" from_scan after;
   check_bool
-    (Printf.sprintf "stale evidence not served: before %.1f, after %.1f" before after_shared)
+    (Printf.sprintf "stale evidence not served: before %.1f, after %.1f" before after)
     true
-    (Float.abs (before -. after_shared) > 1e-6);
-  (* The undamaged store still answers as before through the same memo. *)
+    (Float.abs (before -. after) > 1e-6);
   check_close 1e-9 "original store unaffected" before (estimate stats)
 
 let test_group_count_estimates () =
@@ -875,6 +882,37 @@ let test_cache_never_caches_errors () =
   check_bool "error not cached" false (Plan_cache.mem cache opt ~fingerprint);
   check_int "cache stays empty" 0 (Plan_cache.length cache)
 
+(* Two float literals that agree to six significant digits, straddling
+   the stored quantity 25: each lookup must miss and count its own rows.
+   When fingerprints printed literals with [%g], both queries shared one
+   key and the second was served the first one's plan. *)
+let test_cache_keeps_float_literals_apart () =
+  let catalog = Rq_workload.Tpch.generate (Rq_math.Rng.create 1) () in
+  let stats = Rq_stats.Stats_store.update_statistics (Rq_math.Rng.create 2) catalog in
+  let opt = Optimizer.robust stats in
+  let cache = Plan_cache.create () in
+  List.iter
+    (fun literal ->
+      let q =
+        Logical.query
+          [
+            Logical.scan
+              ~pred:(Pred.lt (Expr.col "l_quantity") (Expr.Const (Value.Float literal)))
+              "lineitem";
+          ]
+      in
+      match Plan_cache.find_or_optimize cache opt ~fingerprint:(fingerprint_of opt q) q with
+      | Error e -> Alcotest.fail e
+      | Ok (d, outcome) ->
+          let label = Printf.sprintf "l_quantity < %.7f" literal in
+          Alcotest.(check string) (label ^ " misses") "miss"
+            (Plan_cache.outcome_to_string outcome);
+          let result, _ = Executor.run_timed catalog d.Optimizer.plan in
+          check_int (label ^ " counts its own rows")
+            (Naive.cardinality catalog q.Logical.tables)
+            (Array.length result.Executor.tuples))
+    [ 25.0000001; 24.9999999 ]
+
 (* ------------------------------------------------------------------ *)
 (* The bitset evidence kernel against the row-scan reference           *)
 (* ------------------------------------------------------------------ *)
@@ -933,6 +971,43 @@ let test_kernel_matches_scan () =
         (Printf.sprintf "plans at T=%.0f%%" percent)
         (digests ~kernel:false ()) (digests ()))
     kernel_thresholds
+
+(* GEE group counts stream the matching rows off the kernel's bitmap, or
+   (scan arm) through a compiled checker: both must give the same count,
+   for a predicate no sample row satisfies (k = 0) and on a repeated ask
+   (warm bitmaps) alike. *)
+let test_kernel_group_counts_match_scan () =
+  let _, stats = Lazy.force kernel_world in
+  let kernel = robust_at stats 80.0 and scan = robust_at ~kernel:false stats 80.0 in
+  let lineitem pred = Logical.scan ~pred "lineitem" in
+  let cases =
+    [
+      ([ lineitem Pred.True; Logical.scan "orders"; Logical.scan "part" ], [ "part.p_brand" ]);
+      ( [
+          lineitem (Pred.lt (Expr.col "l_quantity") (Expr.Const (Value.Float 10.5)));
+          Logical.scan "orders";
+        ],
+        [ "orders.o_custkey"; "lineitem.l_quantity" ] );
+      ( [
+          Logical.scan ~pred:(Pred.between (Expr.col "p_bucket") (Expr.int 0) (Expr.int 99)) "part";
+        ],
+        [ "part.p_size" ] );
+      ([ lineitem (Pred.lt (Expr.col "l_quantity") (Expr.Const (Value.Float (-1.0)))) ], [ "lineitem.l_partkey" ]);
+    ]
+  in
+  List.iteri
+    (fun i (refs, group_by) ->
+      for ask = 1 to 2 do
+        Alcotest.(check (float 0.0))
+          (Printf.sprintf "case %d, ask %d" i ask)
+          (scan.Cardinality.group_count refs group_by)
+          (kernel.Cardinality.group_count refs group_by)
+      done)
+    cases;
+  check_close 0.0 "no matching sample row: one group" 1.0
+    (kernel.Cardinality.group_count
+       [ lineitem (Pred.lt (Expr.col "l_quantity") (Expr.Const (Value.Float (-1.0)))) ]
+       [ "lineitem.l_partkey" ])
 
 (* Process CPU seconds of [f], from a collected heap, so that no arm pays
    for collecting another arm's garbage. *)
@@ -1078,11 +1153,15 @@ let () =
           Alcotest.test_case "errors are not cached" `Quick test_cache_never_caches_errors;
           Alcotest.test_case "a miss records its rewrite events" `Quick
             test_cache_miss_records_rewrites;
+          Alcotest.test_case "float literals keep their own plans" `Quick
+            test_cache_keeps_float_literals_apart;
         ] );
       ( "kernel",
         [
           Alcotest.test_case "matches the row scan (evidence, plans)" `Quick
             test_kernel_matches_scan;
           Alcotest.test_case "beats the row scan (median of 5)" `Quick test_kernel_beats_scan;
+          Alcotest.test_case "group counts match the row scan" `Quick
+            test_kernel_group_counts_match_scan;
         ] );
     ]

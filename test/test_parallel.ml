@@ -6,8 +6,8 @@
    SF 0.01 lineitem scan), the parallel guard's firing with an
    exactly-resumable prefix, span/meter reconciliation under a recorder,
    and a multi-domain stress in which every domain owns one plan cache
-   (every step picks the serial replay's plan) and its own evidence-kernel
-   memos. *)
+   (every step picks the serial replay's plan) and its own world, so its
+   own synopses' evidence-kernel bitmaps. *)
 
 open Rq_storage
 open Rq_exec
@@ -285,7 +285,7 @@ let test_parallel_obs_reconciles () =
         [ ("scan", scan "lineitems"); ("join", join); ("limit", Plan.Limit (join, 500)) ])
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain plan caches + evidence memos under domains               *)
+(* Per-domain plan caches + evidence kernels under domains             *)
 (* ------------------------------------------------------------------ *)
 
 let stress_query ~threshold =

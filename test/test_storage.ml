@@ -61,7 +61,15 @@ let test_value_pp () =
   Alcotest.(check string) "date format" "1997-07-01"
     (Value.to_string (Value.date_of_ymd ~year:1997 ~month:7 ~day:1));
   Alcotest.(check string) "null" "NULL" (Value.to_string Value.Null);
-  Alcotest.(check string) "string quoted" "\"hi\"" (Value.to_string (Value.String "hi"))
+  Alcotest.(check string) "string quoted" "\"hi\"" (Value.to_string (Value.String "hi"));
+  (* Keys keep the display form when it is exact, and tell apart floats
+     that display alike. *)
+  Alcotest.(check string) "display keeps six digits" "500" (Value.to_string (Value.Float 500.0000001));
+  Alcotest.(check string) "exact float key" "25.5" (Value.to_key (Value.Float 25.5));
+  List.iter
+    (fun f ->
+      Alcotest.(check (float 0.0)) "key parses back" f (float_of_string (Value.to_key (Value.Float f))))
+    [ 500.0000001; 499.9999999; 0.1; 1e-7; 123456789.0 ]
 
 (* ------------------------------------------------------------------ *)
 (* Schema                                                              *)
