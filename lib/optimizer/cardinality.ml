@@ -51,6 +51,16 @@ let qualified_pred (r : Logical.table_ref) =
 (* Robust (the paper's estimator)                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* The robust estimator, plus its expression and group-count answers for
+   a synopsis the caller has already resolved (and checked to cover the
+   expression): [degrading] resolves it once, for its health check, and
+   hands it over instead of resolving it again. *)
+type robust_parts = {
+  est : t;
+  cardinality_on : Join_synopsis.t -> Logical.table_ref list -> float;
+  groups_on : Join_synopsis.t -> Logical.table_ref list -> string list -> float;
+}
+
 (* Evidence is cached once, per atom, in the synopsis's own kernel
    ([Pred_index]): repeated asks — once per access path, once per DP
    subset visit — cost a bitwise combine and a popcount, so nothing here
@@ -58,7 +68,7 @@ let qualified_pred (r : Logical.table_ref) =
    sample never changes, and fault injection and maintenance refreshes
    build new synopses with new kernels.  What is left per estimator is
    the Beta-quantile inversion, memoized on (k, n). *)
-let robust ?(kernel = true) stats estimator =
+let robust_parts ~kernel stats estimator =
   let catalog = Stats_store.catalog stats in
   let evidence syn pred =
     if kernel then Join_synopsis.evidence syn pred else Join_synopsis.evidence_scan syn pred
@@ -79,11 +89,31 @@ let robust ?(kernel = true) stats estimator =
     | Some syn -> estimate (evidence syn (Pred.rename_columns (fun c -> table ^ "." ^ c) pred))
     | None -> Robust_estimator.estimate_no_statistics estimator
   in
+  let cardinality_on syn refs =
+    estimate (evidence syn (Pred.conj (List.map qualified_pred refs)))
+    *. float_of_int (Join_synopsis.root_size syn)
+  in
+  let groups_on syn refs group_by =
+    let pred = Pred.conj (List.map qualified_pred refs) in
+    let population_size = int_of_float (Float.max 1.0 (cardinality_on syn refs)) in
+    let k, _ = evidence syn pred in
+    if k = 0 then 1.0
+    else begin
+      let sample = Join_synopsis.sample syn in
+      let matching =
+        (* Streamed, never materialized: off the kernel's bitmap, or
+           (scan mode) filtered with the sample's cached checker. *)
+        if kernel then Join_synopsis.matching_rows syn pred
+        else Seq.filter (Sample.checker sample pred) (Relation.to_seq (Sample.rows sample))
+      in
+      Distinct.estimate_groups_seq
+        ~schema:(Relation.schema (Sample.rows sample))
+        ~columns:group_by ~population_size matching
+    end
+  in
   let expression_cardinality refs =
     match Stats_store.synopsis_for stats (names_of refs) with
-    | Some syn ->
-        estimate (evidence syn (Pred.conj (List.map qualified_pred refs)))
-        *. float_of_int (Join_synopsis.root_size syn)
+    | Some syn -> cardinality_on syn refs
     | None ->
         (* Sec.-3.5 fallback: no covering synopsis.  Estimate each table's
            predicate from its own sample (robustly) and combine under AVI +
@@ -92,26 +122,16 @@ let robust ?(kernel = true) stats estimator =
   in
   let group_count refs group_by =
     match Stats_store.synopsis_for stats (names_of refs) with
-    | Some syn ->
-        let pred = Pred.conj (List.map qualified_pred refs) in
-        let population_size = int_of_float (Float.max 1.0 (expression_cardinality refs)) in
-        let k, _ = evidence syn pred in
-        if k = 0 then 1.0
-        else begin
-          let sample = Join_synopsis.sample syn in
-          let matching =
-            (* Streamed, never materialized: off the kernel's bitmap, or
-               (scan mode) filtered with the sample's cached checker. *)
-            if kernel then Join_synopsis.matching_rows syn pred
-            else Seq.filter (Sample.checker sample pred) (Relation.to_seq (Sample.rows sample))
-          in
-          Distinct.estimate_groups_seq
-            ~schema:(Relation.schema (Sample.rows sample))
-            ~columns:group_by ~population_size matching
-        end
+    | Some syn -> groups_on syn refs group_by
     | None -> Float.max 1.0 (expression_cardinality refs *. 0.1)
   in
-  { name = "robust-sampling"; expression_cardinality; table_selectivity; group_count }
+  {
+    est = { name = "robust-sampling"; expression_cardinality; table_selectivity; group_count };
+    cardinality_on;
+    groups_on;
+  }
+
+let robust ?(kernel = true) stats estimator = (robust_parts ~kernel stats estimator).est
 
 (* ------------------------------------------------------------------ *)
 (* Histogram + AVI (the baseline)                                      *)
@@ -195,10 +215,10 @@ let degrading ?(log = fun _ -> ()) ?obs stats estimator =
         Hashtbl.replace health root verdict;
         verdict
   in
-  (* Tier 1 is the robust estimator itself, asked only once the synopsis
-     it will resolve has passed the health check, so healthy-stats
-     requests cost what [robust]'s do plus one table lookup. *)
-  let robust_est = robust stats estimator in
+  (* Tier 1 is the robust estimator itself, handed the synopsis that
+     passed the health check, so a healthy-stats request resolves its
+     root once and costs what [robust]'s does plus one table lookup. *)
+  let robust = robust_parts ~kernel:true stats estimator in
   let hist_est = histogram_avi stats in
   (* Tier 3->4 boundary: histogram_selectivity silently substitutes magic
      constants for missing histograms; detect and report that so the chain's
@@ -224,29 +244,31 @@ let degrading ?(log = fun _ -> ()) ?obs stats estimator =
   in
   let table_selectivity ~table pred =
     match healthy_synopsis table with
-    | Some _ -> robust_est.table_selectivity ~table pred
+    | Some _ -> robust.est.table_selectivity ~table pred
     | None -> if pred = Pred.True then 1.0 else histogram_tier ~table pred
   in
-  (* Whether a healthy synopsis covers the expression: the one
-     [Stats_store.synopsis_for] resolves for [robust]. *)
-  let covered refs =
+  (* The healthy synopsis covering the expression, if any: the one
+     [Stats_store.synopsis_for] would resolve for [robust]. *)
+  let covering refs =
     match root_of catalog refs with
     | Some root -> (
         match healthy_synopsis root with
-        | Some syn -> Join_synopsis.covers syn (names_of refs)
-        | None -> false)
-    | None -> false
+        | Some syn when Join_synopsis.covers syn (names_of refs) -> Some syn
+        | _ -> None)
+    | None -> None
   in
   let expression_cardinality refs =
-    if covered refs then robust_est.expression_cardinality refs
-    else
-      (* Tiers 2-4: per-table estimates (each table's own best tier)
-         combined under AVI + containment. *)
-      avi_cardinality catalog table_selectivity refs
+    match covering refs with
+    | Some syn -> robust.cardinality_on syn refs
+    | None ->
+        (* Tiers 2-4: per-table estimates (each table's own best tier)
+           combined under AVI + containment. *)
+        avi_cardinality catalog table_selectivity refs
   in
   let group_count refs group_by =
-    if covered refs then robust_est.group_count refs group_by
-    else hist_est.group_count refs group_by
+    match covering refs with
+    | Some syn -> robust.groups_on syn refs group_by
+    | None -> hist_est.group_count refs group_by
   in
   { name = "degrading-chain"; expression_cardinality; table_selectivity; group_count }
 

@@ -53,7 +53,8 @@ val degrading :
     raising, so damaged statistics degrade estimates but never abort
     optimization.  Health verdicts are memoized per root, and tier-1
     requests are answered by an internal {!robust} estimator over the
-    same store, so healthy-stats requests cost what {!robust}'s do. *)
+    same store, handed the health-checked synopsis so the root is resolved
+    once per request: healthy-stats requests cost what {!robust}'s do. *)
 
 val histogram_avi : Rq_stats.Stats_store.t -> t
 (** The baseline: per-column equi-depth histograms combined under the AVI

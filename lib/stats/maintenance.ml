@@ -43,8 +43,8 @@ let is_stale t =
 
 let apply_update t ~table f =
   let rel = Catalog.find_table t.catalog table in
-  let old_rows = Relation.fold (fun acc _ tup -> tup :: acc) [] rel |> List.rev in
-  let old_rows = Array.of_list old_rows in
+  let old_rows = Array.make (Relation.row_count rel) [||] in
+  Relation.iter (fun rid tup -> old_rows.(rid) <- tup) rel;
   let new_rows = f old_rows in
   Catalog.replace_table t.catalog
     (Relation.create ~name:table ~schema:(Relation.schema rel) new_rows);

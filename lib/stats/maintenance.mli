@@ -39,7 +39,9 @@ val is_stale : t -> bool
 val apply_update :
   t -> table:string -> (Relation.tuple array -> Relation.tuple array) -> unit
 (** Batched mutation: replaces the table's rows with the function's output
-    (same schema), rebuilds its indexes, and counts one modification per
+    (same schema) through {!Rq_storage.Catalog.replace_table}, which
+    patches its indexes (an index on an unchanged column is kept as is),
+    and counts one modification per
     positionally-changed row (physical inequality: an updated row is a
     fresh tuple array) plus net growth or shrinkage.  Callers applying
     reorderings or out-of-band changes can use {!record_modifications}

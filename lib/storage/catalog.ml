@@ -50,17 +50,18 @@ let replace_table t rel =
       let new_columns = Schema.columns (Relation.schema rel) in
       if old_columns <> new_columns then
         invalid_arg (Printf.sprintf "Catalog.replace_table %s: schema changed" name);
+      (* Registered indexes reflect the heap: patch each against the old
+         version while its chunks are still in the pool.  An index whose
+         column did not change comes back as itself. *)
+      Hashtbl.filter_map_inplace
+        (fun (table, _) idx ->
+          Some (if String.equal table name then Index.refresh idx ~old:entry.relation rel else idx))
+        t.indexes;
       Hashtbl.replace t.tables name { entry with relation = rel };
       (* Pool keys carry the relation id, so nothing would ever hit the old
          relation's chunks again: release them now instead of holding their
          memory until they age out. *)
-      Relation.evict entry.relation;
-      (* Registered indexes reflect the heap; rebuild them in place. *)
-      Hashtbl.iter
-        (fun (table, column) _ ->
-          if String.equal table name then
-            Hashtbl.replace t.indexes (table, column) (Index.build rel column))
-        (Hashtbl.copy t.indexes)
+      Relation.evict entry.relation
 
 let table_names t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.tables [] |> List.sort String.compare

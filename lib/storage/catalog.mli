@@ -29,10 +29,12 @@ val find_table : t -> string -> Relation.t
 
 val replace_table : t -> Relation.t -> unit
 (** Swap in a new version of an existing table (same name and schema);
-    every registered index on it is rebuilt and the old version's chunks
-    leave the global buffer pool ({!Relation.evict}).  This is the mutation
-    primitive behind batched inserts/deletes — and the reason statistics
-    go stale (see {!Rq_stats.Maintenance}). *)
+    every registered index on it is patched to the new rows
+    ({!Index.refresh}: an index whose column did not change is kept as
+    is, the others merge in the changed keys) and the old version's
+    chunks leave the global buffer pool ({!Relation.evict}).  This is the
+    mutation primitive behind batched inserts/deletes — and the reason
+    statistics go stale (see {!Rq_stats.Maintenance}). *)
 
 val find_table_opt : t -> string -> Relation.t option
 val table_names : t -> string list

@@ -5,30 +5,105 @@ type t = {
   rids : int array;      (* parallel to keys *)
 }
 
-let build rel column =
-  let pos = Schema.index_of (Relation.schema rel) column in
+(* Exact cell identity, stricter than [Value.compare = 0]: [Int 1] and
+   [Float 1.0], or [0.0] and [-0.0], compare equal but are different keys,
+   and a kept entry must hold the very key a rebuild would store. *)
+let same_key a b =
+  a == b
+  ||
+  match (a, b) with
+  | Value.Null, Value.Null -> true
+  | Bool x, Bool y -> Bool.equal x y
+  | Int x, Int y | Date x, Date y -> Int.equal x y
+  | Float x, Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | String x, String y -> String.equal x y
+  | _ -> false
+
+(* [patch t ~old_rows ~old_column rel]: the index of [t]'s column over
+   [rel], given that [t] indexes a relation of [old_rows] rows whose chunk
+   [ci] holds that column as [old_column ci] (same schema, so the same
+   chunk geometry).  The column is compared RID by RID over the common
+   prefix; a changed RID, and every RID past the prefix, is fresh.
+   Survivors keep their (key, RID) order, the fresh entries are
+   stable-sorted by key (they are collected in RID order, so ties stay in
+   RID order), and the two runs merge by (key, RID) — the order [build]
+   produces.  With no survivors (a build, or every row changed) the merge
+   is a copy. *)
+let patch t ~old_rows ~old_column rel =
+  let pos = Schema.index_of (Relation.schema rel) t.column in
   let n = Relation.row_count rel in
-  let pairs = Array.make n (Value.Null, 0) in
-  (* One sequential pass, reading only the key column of each chunk. *)
+  let common = min old_rows n in
+  let fresh_rids = Array.make n 0 and fresh_keys = Array.make n Value.Null in
+  let m = ref 0 in
+  let push rid key =
+    fresh_rids.(!m) <- rid;
+    fresh_keys.(!m) <- key;
+    incr m
+  in
+  let changed = Bitset.create common in
   for ci = 0 to Relation.chunk_count rel - 1 do
     let base = Relation.chunk_start rel ci in
-    Relation.with_chunk ~seq:true rel ci (fun chunk ->
-        let keys = Chunk.column chunk pos in
-        for r = 0 to Chunk.n_rows chunk - 1 do
-          pairs.(base + r) <- (keys.(r), base + r)
-        done)
+    let rows = Relation.chunk_row_count rel ci in
+    let col = Relation.with_chunk ~seq:true rel ci (fun chunk -> Chunk.column chunk pos) in
+    let shared = max 0 (min rows (common - base)) in
+    if shared > 0 then begin
+      let old = old_column ci in
+      for r = 0 to shared - 1 do
+        if not (same_key old.(r) col.(r)) then begin
+          Bitset.set changed (base + r);
+          push (base + r) col.(r)
+        end
+      done
+    end;
+    for r = shared to rows - 1 do
+      push (base + r) col.(r)
+    done
   done;
-  Array.sort
-    (fun (k1, r1) (k2, r2) ->
-      let c = Value.compare k1 k2 in
-      if c <> 0 then c else Int.compare r1 r2)
-    pairs;
-  {
-    relation_name = Relation.name rel;
-    column;
-    keys = Array.map fst pairs;
-    rids = Array.map snd pairs;
-  }
+  let m = !m in
+  if m = 0 && old_rows = n then t
+  else begin
+    let order = Array.init m Fun.id in
+    Array.stable_sort (fun a b -> Value.compare fresh_keys.(a) fresh_keys.(b)) order;
+    let keys = Array.make n Value.Null and rids = Array.make n 0 in
+    let out = ref 0 and j = ref 0 in
+    let emit key rid =
+      keys.(!out) <- key;
+      rids.(!out) <- rid;
+      incr out
+    in
+    let emit_fresh () =
+      emit fresh_keys.(order.(!j)) fresh_rids.(order.(!j));
+      incr j
+    in
+    (* Before each survivor, the fresh entries that sort ahead of it. *)
+    let precedes key rid p =
+      let c = Value.compare fresh_keys.(p) key in
+      c < 0 || (c = 0 && fresh_rids.(p) < rid)
+    in
+    Array.iteri
+      (fun i rid ->
+        if rid < common && not (Bitset.get changed rid) then begin
+          while !j < m && precedes t.keys.(i) rid order.(!j) do
+            emit_fresh ()
+          done;
+          emit t.keys.(i) rid
+        end)
+      t.rids;
+    while !j < m do
+      emit_fresh ()
+    done;
+    { t with keys; rids }
+  end
+
+let build rel column =
+  let empty = { relation_name = Relation.name rel; column; keys = [||]; rids = [||] } in
+  patch empty ~old_rows:0 ~old_column:(fun _ -> [||]) rel
+
+let refresh t ~old rel =
+  let pos = Schema.index_of (Relation.schema old) t.column in
+  patch t ~old_rows:(Relation.row_count old)
+    ~old_column:(fun ci -> Relation.with_chunk ~seq:true old ci (fun c -> Chunk.column c pos))
+    rel
 
 let relation_name t = t.relation_name
 let column t = t.column

@@ -8,7 +8,18 @@
 type t
 
 val build : Relation.t -> string -> t
-(** [build rel column].  Null keys are indexed and ordered first. *)
+(** [build rel column].  Null keys are indexed and ordered first; equal
+    keys are ordered by RID. *)
+
+val refresh : t -> old:Relation.t -> Relation.t -> t
+(** [refresh idx ~old rel]: [idx] indexes [old]; the result indexes [rel]
+    (same name and schema) and equals [build rel (column idx)] entry for
+    entry.  Only the indexed column of both relations is read, chunk by
+    chunk, and compared RID by RID; the entries of unchanged RIDs are kept
+    in place and the changed and appended RIDs are sorted and merged in,
+    so the work beyond that one column scan is proportional to what
+    changed.  Returns [idx] itself (physically) when the column is
+    unchanged. *)
 
 val relation_name : t -> string
 val column : t -> string

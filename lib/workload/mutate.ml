@@ -1,8 +1,8 @@
 (* Data-state mutations for the differential fuzzer's data operator:
    change the *data*, so the optimizer's trade-off landscape itself
    moves.  Mutations go through [Catalog.replace_table], so indexes are
-   rebuilt and the statistics built afterwards are honest — only
-   replayability and integrity matter here:
+   patched to the new rows and the statistics built afterwards are
+   honest — only replayability and integrity matter here:
 
    - [Grow] appends duplicated rows with fresh primary keys above the
      current maximum, so clustering on the PK stays sorted; when the table
@@ -36,25 +36,6 @@ let of_string s =
       with
       | Some m -> Ok m
       | None -> Error (Printf.sprintf "unparseable mutation %S (want grow(t,n) or shrink(t,n))" s))
-
-let copy_catalog catalog =
-  let fresh = Catalog.create () in
-  let names = Catalog.table_names catalog in
-  List.iter
-    (fun name ->
-      Catalog.add_table fresh
-        ?primary_key:(Catalog.primary_key catalog name)
-        ?clustered_by:(Catalog.clustered_by catalog name)
-        (Catalog.find_table catalog name))
-    names;
-  List.iter (Catalog.add_foreign_key fresh) (Catalog.all_foreign_keys catalog);
-  List.iter
-    (fun name ->
-      List.iter
-        (fun idx -> Catalog.build_index fresh ~table:name ~column:(Index.column idx))
-        (Catalog.indexes_on catalog name))
-    names;
-  fresh
 
 let growable catalog =
   List.filter

@@ -6,7 +6,8 @@
     keys above the current maximum (and inherit the last heap row's value
     for a non-key clustering column, keeping the heap sorted); shrinking
     is refused on tables with incoming FK edges.  Everything routes
-    through {!Rq_storage.Catalog.replace_table}, so indexes are rebuilt. *)
+    through {!Rq_storage.Catalog.replace_table}, so indexes follow the
+    new rows. *)
 
 open Rq_storage
 
@@ -23,11 +24,6 @@ val to_string : t -> string
     [.fuzz-repro] files. *)
 
 val of_string : string -> (t, string) result
-
-val copy_catalog : Catalog.t -> Catalog.t
-(** Deep-enough copy for mutation: fresh catalog with the same relations,
-    keys, clustering, FK edges and secondary indexes.  Relations are
-    immutable, so sharing them is safe — mutation replaces whole tables. *)
 
 val growable : Catalog.t -> string list
 (** Non-empty tables with an integer primary key. *)

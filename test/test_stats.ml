@@ -455,6 +455,59 @@ let test_maintenance_apply_update () =
   let fresh_view = sel (Maintenance.stats m) in
   Alcotest.(check (float 1e-9)) "fresh stats see the change" 1.0 fresh_view
 
+(* The dashboard workload's update shape: each batch moves 5% of
+   lineitem's l_partkey values (fresh tuples at distinct positions), then
+   asks for a refresh.  Counting and the refresh rule are unchanged by
+   index patching; the l_partkey index equals a rebuild, and the other
+   lineitem indexes come through every batch as the same values. *)
+let test_maintenance_partkey_batches () =
+  let catalog =
+    Rq_workload.Tpch.generate (Rq_math.Rng.create 41)
+      ~params:{ Rq_workload.Tpch.default_params with scale_factor = 0.002 }
+      ()
+  in
+  let m = Maintenance.create ~refresh_fraction:0.2 (Rq_math.Rng.create 42) catalog in
+  let rng = Rq_math.Rng.create 43 in
+  let lineitem () = Catalog.find_table catalog "lineitem" in
+  let n = Relation.row_count (lineitem ()) in
+  let col = Schema.index_of (Relation.schema (lineitem ())) "l_partkey" in
+  let others () =
+    List.filter
+      (fun idx -> Index.column idx <> "l_partkey")
+      (Catalog.indexes_on catalog "lineitem")
+  in
+  check_int "three other lineitem indexes" 3 (List.length (others ()));
+  let moved = n / 20 in
+  List.iteri
+    (fun batch expect_refresh ->
+      let before = others () in
+      let positions = Rq_math.Rng.sample_without_replacement rng moved n in
+      Maintenance.apply_update m ~table:"lineitem" (fun rows ->
+          let rows = Array.copy rows in
+          Array.iter
+            (fun pos ->
+              let row = Array.copy rows.(pos) in
+              row.(col) <- Value.Int (Rq_math.Rng.int rng 400);
+              rows.(pos) <- row)
+            positions;
+          rows);
+      let label what = Printf.sprintf "batch %d: %s" (batch + 1) what in
+      check_int (label "modifications") (moved * (batch + 1))
+        (Maintenance.modifications_since_refresh m ~table:"lineitem");
+      check_bool (label "unchanged indexes kept") true (List.for_all2 ( == ) before (others ()));
+      let rel = lineitem () in
+      let partkey = Option.get (Catalog.find_index catalog ~table:"lineitem" ~column:"l_partkey") in
+      let rebuilt = Index.build rel "l_partkey" in
+      check_bool (label "l_partkey index equals a rebuild") true
+        (Index.ordered_rids partkey ~descending:false
+         = Index.ordered_rids rebuilt ~descending:false
+        && Index.min_key partkey = Index.min_key rebuilt
+        && Index.max_key partkey = Index.max_key rebuilt);
+      check_bool (label "refresh decision") expect_refresh (Maintenance.maybe_refresh m))
+    [ false; false; false; true ];
+  check_int "counter reset by the refresh" 0
+    (Maintenance.modifications_since_refresh m ~table:"lineitem")
+
 let test_maintenance_identity_update_is_free () =
   let catalog = chain_catalog () in
   let m = Maintenance.create (Rq_math.Rng.create 33) catalog in
@@ -1008,6 +1061,8 @@ let () =
           Alcotest.test_case "refresh policy" `Quick test_maintenance_refresh_policy;
           Alcotest.test_case "apply_update counts and refreshes" `Quick
             test_maintenance_apply_update;
+          Alcotest.test_case "5% l_partkey batches patch one index" `Quick
+            test_maintenance_partkey_batches;
           Alcotest.test_case "identity update is free" `Quick
             test_maintenance_identity_update_is_free;
           Alcotest.test_case "empty table" `Quick test_maintenance_empty_table;

@@ -955,7 +955,7 @@ let test_catalog_replace_table () =
     (Relation.create ~name:"child" ~schema:(Relation.schema child) doubled);
   check_int "rows replaced" 12 (Relation.row_count (Catalog.find_table catalog "child"));
   (match Catalog.find_index catalog ~table:"child" ~column:"fk" with
-  | Some idx -> check_int "index rebuilt" 12 (Index.entry_count idx)
+  | Some idx -> check_int "index follows the new rows" 12 (Index.entry_count idx)
   | None -> Alcotest.fail "index lost");
   check_bool "unknown table rejected" true
     (try
@@ -973,6 +973,139 @@ let test_catalog_replace_table () =
             [||]);
        false
      with Invalid_argument _ -> true)
+
+(* Patched indexes.  After [Catalog.replace_table], every registered index
+   must equal [Index.build] on the new relation, whatever the edit: cell
+   changes, growth, shrinkage, an identical copy, heap or spill on either
+   side.  Narrow key domains make equal keys common, so ties between kept
+   and re-inserted entries are exercised; padding columns shrink chunks to
+   192 rows, so edits land in every chunk, the last one included. *)
+
+let patch_key_columns =
+  [ ("i", Value.T_int); ("f", Value.T_float); ("s", Value.T_string); ("d", Value.T_date) ]
+
+let patch_schema =
+  Schema.create
+    (List.map (fun (name, ty) -> { Schema.name; ty }) patch_key_columns
+    @ List.init 30 (fun i -> { Schema.name = Printf.sprintf "pad%d" i; ty = Value.T_string }))
+
+let random_key st ty =
+  if Random.State.int st 5 = 0 then Value.Null
+  else
+    match ty with
+    | Value.T_int -> Value.Int (Random.State.int st 12)
+    | T_float -> (
+        match Random.State.int st 8 with
+        | 0 -> Value.Float 0.0
+        | 1 -> Value.Float (-0.0)
+        | k -> Value.Float (float_of_int k /. 2.0))
+    | T_string -> Value.String (String.make 1 (Char.chr (97 + Random.State.int st 6)))
+    | T_date -> Value.Date (10_000 + Random.State.int st 9)
+    | T_bool -> Value.Bool (Random.State.bool st)
+
+let random_patch_row st =
+  Array.init (Schema.arity patch_schema) (fun c ->
+      match List.nth_opt patch_key_columns c with
+      | Some (_, ty) -> random_key st ty
+      | None -> Value.Null)
+
+let patch_relation ~spill rows =
+  let b = Relation.Builder.create ~spill ~name:"patched" ~schema:patch_schema () in
+  Array.iter (Relation.Builder.add_row b) rows;
+  Relation.Builder.finish b
+
+(* The edited rows: identical copy (same tuples, or structurally equal
+   fresh ones), cell edits, growth or shrinkage (each with edits too). *)
+let edit_rows st rows =
+  let n = Array.length rows in
+  let edit rows =
+    Array.map
+      (fun tup ->
+        if Random.State.int st 4 = 0 then begin
+          let tup = Array.copy tup in
+          let c = Random.State.int st (List.length patch_key_columns) in
+          tup.(c) <- random_key st (snd (List.nth patch_key_columns c));
+          tup
+        end
+        else tup)
+      rows
+  in
+  match Random.State.int st 5 with
+  | 0 -> rows
+  | 1 -> Array.map (Array.map (function Value.Float x -> Value.Float x | v -> v)) rows
+  | 2 -> edit rows
+  | 3 ->
+      edit (Array.append rows (Array.init (1 + Random.State.int st 300) (fun _ -> random_patch_row st)))
+  | _ -> edit (Array.sub rows 0 (Random.State.int st (n + 1)))
+
+(* Exact key identity ([Value.compare] equates 0.0 and -0.0). *)
+let same_value a b = Value.compare a b = 0 && Value.to_key a = Value.to_key b
+
+let index_matches_build idx rel st =
+  let expected = Index.build rel (Index.column idx) in
+  let same_rids a b = Rid_set.to_array a = Rid_set.to_array b in
+  let some_key () =
+    if Random.State.int st 4 = 0 then None
+    else
+      Some
+        (random_key st
+           (List.assoc (Index.column idx) patch_key_columns))
+  in
+  Index.ordered_rids idx ~descending:false = Index.ordered_rids expected ~descending:false
+  && Index.ordered_rids idx ~descending:true = Index.ordered_rids expected ~descending:true
+  && Index.entry_count idx = Index.entry_count expected
+  && Index.leaf_page_count idx = Index.leaf_page_count expected
+  && Option.equal same_value (Index.min_key idx) (Index.min_key expected)
+  && Option.equal same_value (Index.max_key idx) (Index.max_key expected)
+  && List.for_all
+       (fun _ ->
+         let lo = some_key () and hi = some_key () in
+         let eq = Option.value lo ~default:Value.Null in
+         same_rids (Index.probe_eq idx eq) (Index.probe_eq expected eq)
+         && same_rids (Index.probe_range idx ~lo ~hi) (Index.probe_range expected ~lo ~hi))
+       (List.init 8 Fun.id)
+
+let prop_replace_table_patches_indexes =
+  QCheck.Test.make ~name:"replace_table leaves every index equal to a rebuild" ~count:150
+    QCheck.(pair small_nat int)
+    (fun (size, seed) ->
+      let st = Random.State.make [| seed |] in
+      let n = (size * 7) mod 600 in
+      let rows = Array.init n (fun _ -> random_patch_row st) in
+      let catalog = Catalog.create () in
+      Catalog.add_table catalog (patch_relation ~spill:(Random.State.bool st) rows);
+      List.iter
+        (fun (column, _) -> Catalog.build_index catalog ~table:"patched" ~column)
+        patch_key_columns;
+      let rel = patch_relation ~spill:(Random.State.bool st) (edit_rows st rows) in
+      Catalog.replace_table catalog rel;
+      List.for_all (fun idx -> index_matches_build idx rel st) (Catalog.indexes_on catalog "patched"))
+
+let test_replace_table_keeps_unchanged_indexes () =
+  let st = Random.State.make [| 7 |] in
+  let rows = Array.init 500 (fun _ -> random_patch_row st) in
+  let catalog = Catalog.create () in
+  Catalog.add_table catalog (patch_relation ~spill:false rows);
+  Catalog.build_index catalog ~table:"patched" ~column:"i";
+  Catalog.build_index catalog ~table:"patched" ~column:"s";
+  let index column = Option.get (Catalog.find_index catalog ~table:"patched" ~column) in
+  let before_i = index "i" and before_s = index "s" in
+  (* A fresh copy of every row with only column [i] edited in a few. *)
+  let edited =
+    Array.mapi
+      (fun r tup ->
+        let tup = Array.copy tup in
+        if r mod 50 = 3 then tup.(0) <- Value.Int (100 + r);
+        tup)
+      rows
+  in
+  let rel = patch_relation ~spill:true edited in
+  Catalog.replace_table catalog rel;
+  check_bool "index on the unchanged column is the same value" true (index "s" == before_s);
+  check_bool "index on the edited column is new" false (index "i" == before_i);
+  check_bool "and equals a rebuild" true
+    (Index.ordered_rids (index "i") ~descending:false
+    = Index.ordered_rids (Index.build rel "i") ~descending:false)
 
 let test_catalog_reachability () =
   let catalog = two_table_catalog () in
@@ -1074,6 +1207,9 @@ let () =
           Alcotest.test_case "fk cycle rejected" `Quick test_catalog_fk_cycle;
           Alcotest.test_case "indexes" `Quick test_catalog_indexes;
           Alcotest.test_case "replace table" `Quick test_catalog_replace_table;
+          Alcotest.test_case "replace table keeps unchanged indexes" `Quick
+            test_replace_table_keeps_unchanged_indexes;
           Alcotest.test_case "fk reachability" `Quick test_catalog_reachability;
-        ] );
+        ]
+        @ qcheck [ prop_replace_table_patches_indexes ] );
     ]
