@@ -20,25 +20,23 @@ type compiled =
 
 type t = {
   group_positions : int list;
-  agg_fns : compiled list;
+  agg_fns : compiled array;
   group_by : string list;
   groups : (Value.t list, state array) Hashtbl.t;
 }
 
 let create schema ~group_by ~aggs =
   let group_positions = List.map (Schema.index_of schema) group_by in
-  let agg_fns =
-    List.map
-      (fun { Plan.fn; _ } ->
-        match fn with
-        | Plan.Count_star -> `Count
-        | Plan.Count e -> `Count_expr (Expr.compile_cols schema e)
-        | Plan.Sum e -> `Sum (Expr.compile_cols schema e)
-        | Plan.Avg e -> `Avg (Expr.compile_cols schema e)
-        | Plan.Min e -> `Min (Expr.compile_cols schema e)
-        | Plan.Max e -> `Max (Expr.compile_cols schema e))
-      aggs
+  let compile { Plan.fn; _ } =
+    match fn with
+    | Plan.Count_star -> `Count
+    | Plan.Count e -> `Count_expr (Expr.compile_cols schema e)
+    | Plan.Sum e -> `Sum (Expr.compile_cols schema e)
+    | Plan.Avg e -> `Avg (Expr.compile_cols schema e)
+    | Plan.Min e -> `Min (Expr.compile_cols schema e)
+    | Plan.Max e -> `Max (Expr.compile_cols schema e)
   in
+  let agg_fns = Array.of_list (List.map compile aggs) in
   (* Initial size 64 is part of the output contract: the final fold order —
      hence the output row order — depends on the table's size and its
      key-insertion sequence. *)
@@ -50,64 +48,64 @@ let touch t key =
   match Hashtbl.find_opt t.groups key with
   | Some states -> states
   | None ->
-      let states = Array.init (List.length t.agg_fns) (fun _ -> fresh_state ()) in
+      let states = Array.init (Array.length t.agg_fns) (fun _ -> fresh_state ()) in
       Hashtbl.add t.groups key states;
       states
 
+let update agg_fns states cols r =
+  for i = 0 to Array.length agg_fns - 1 do
+    let st = states.(i) in
+    match agg_fns.(i) with
+    | `Count -> st.count <- st.count + 1
+    | `Count_expr f -> (
+        match f cols r with Value.Null -> () | _ -> st.count <- st.count + 1)
+    | `Sum f | `Avg f -> (
+        match f cols r with
+        | Value.Null -> ()
+        | v ->
+            st.count <- st.count + 1;
+            st.sum <- st.sum +. Value.to_float v)
+    | `Min f -> (
+        match f cols r with
+        | Value.Null -> ()
+        | v -> if Value.is_null st.min_v || Value.compare v st.min_v < 0 then st.min_v <- v)
+    | `Max f -> (
+        match f cols r with
+        | Value.Null -> ()
+        | v -> if Value.is_null st.max_v || Value.compare v st.max_v > 0 then st.max_v <- v)
+  done
+
 (* Visits the selected rows in ascending order, so the key-insertion
    sequence into [groups] — and hence the final fold order — depends only on
-   the logical row sequence, never on how it was batched. *)
+   the logical row sequence, never on how it was batched.  A grand total
+   looks its one group up once per non-empty batch, which inserts it where
+   the batch's first row would have. *)
 let feed t cols sel =
-  Bitset.iter_set
-    (fun r ->
-      let key = List.map (fun p -> cols.(p).(r)) t.group_positions in
-      let states = touch t key in
-      List.iteri
-        (fun i fn ->
-          let st = states.(i) in
-          match fn with
-          | `Count -> st.count <- st.count + 1
-          | `Count_expr f -> (
-              match f cols r with Value.Null -> () | _ -> st.count <- st.count + 1)
-          | `Sum f | `Avg f -> (
-              match f cols r with
-              | Value.Null -> ()
-              | v ->
-                  st.count <- st.count + 1;
-                  st.sum <- st.sum +. Value.to_float v)
-          | `Min f -> (
-              match f cols r with
-              | Value.Null -> ()
-              | v ->
-                  if Value.is_null st.min_v || Value.compare v st.min_v < 0 then
-                    st.min_v <- v)
-          | `Max f -> (
-              match f cols r with
-              | Value.Null -> ()
-              | v ->
-                  if Value.is_null st.max_v || Value.compare v st.max_v > 0 then
-                    st.max_v <- v))
-        t.agg_fns)
-    sel
+  match t.group_positions with
+  | [] ->
+      if Bitset.popcount sel > 0 then begin
+        let states = touch t [] in
+        Bitset.iter_set (fun r -> update t.agg_fns states cols r) sel
+      end
+  | positions ->
+      Bitset.iter_set
+        (fun r ->
+          let key = List.map (fun p -> cols.(p).(r)) positions in
+          update t.agg_fns (touch t key) cols r)
+        sel
 
 let finalize t =
   (* SQL semantics: grand-total aggregation yields one row even on empty
      input. *)
   if t.group_by = [] && Hashtbl.length t.groups = 0 then ignore (touch t []);
-  let finalize_states states =
-    List.mapi
-      (fun i fn ->
-        let st = states.(i) in
-        match fn with
-        | `Count | `Count_expr _ -> Value.Int st.count
-        | `Sum _ -> if st.count = 0 then Value.Null else Value.Float st.sum
-        | `Avg _ ->
-            if st.count = 0 then Value.Null
-            else Value.Float (st.sum /. float_of_int st.count)
-        | `Min _ -> st.min_v
-        | `Max _ -> st.max_v)
-      t.agg_fns
+  let finalize_state st = function
+    | `Count | `Count_expr _ -> Value.Int st.count
+    | `Sum _ -> if st.count = 0 then Value.Null else Value.Float st.sum
+    | `Avg _ -> if st.count = 0 then Value.Null else Value.Float (st.sum /. float_of_int st.count)
+    | `Min _ -> st.min_v
+    | `Max _ -> st.max_v
   in
+  let finalize_states states = Array.to_list (Array.map2 finalize_state states t.agg_fns) in
   Hashtbl.fold
     (fun key states acc -> Array.of_list (key @ finalize_states states) :: acc)
     t.groups []

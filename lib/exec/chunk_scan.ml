@@ -78,16 +78,20 @@ let build_bitmap schema pred =
         let f = build p in
         fun chunk n -> Bitset.lognot (f chunk n)
     | atom ->
-        let idxs = List.map (Schema.index_of schema) (Pred.columns atom) in
+        let idxs = Array.of_list (List.map (Schema.index_of schema) (Pred.columns atom)) in
         let compiled = Pred.compile schema atom in
         fun chunk n ->
           (* The scratch tuple is per-invocation: bitmaps are computed
              on several domains at once by the morsel prefetch.  Only the
-             atom's columns are forced (decoded, for a spilled chunk). *)
+             atom's columns are forced (decoded, for a spilled chunk), and
+             the per-row loop allocates nothing. *)
           let scratch = Array.make arity Value.Null in
-          let cols = List.map (fun i -> (i, Chunk.column chunk i)) idxs in
+          let cols = Array.map (Chunk.column chunk) idxs in
+          let m = Array.length idxs in
           Bitset.of_pred ~len:n (fun r ->
-              List.iter (fun (i, col) -> scratch.(i) <- col.(r)) cols;
+              for j = 0 to m - 1 do
+                scratch.(idxs.(j)) <- cols.(j).(r)
+              done;
               compiled scratch)
   in
   build pred

@@ -5,7 +5,10 @@
    operators (scans, joins' probe sides, filter/project/limit/guard) emit
    batches as they are pulled; true pipeline breakers (hash build side,
    sort, aggregate, merge-join inputs) drain their children on the first
-   pull, and tuples materialize only there and at the final output.
+   pull, the first three into columns ({!drain_columns}).  Tuples
+   materialize only at the final output, in the row-at-a-time operators
+   (RID fetches, the indexed-NL join's outer side, the star semijoin), in
+   a fired guard's buffer and as aggregate output rows.
    Every charge is attached to the physical action it pays for, made at
    the moment that action happens and denominated in logical (selected)
    rows, so early exit (a satisfied LIMIT, a mid-stream guard violation)
@@ -53,19 +56,12 @@ let spanned ctx node (op : Stream.t) =
 (* Generic plumbing                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Drain to tuples: the breakers' input and the final output.  With
-   [~live], [live.(c)] is set once some batch carries column [c] unpruned. *)
-let drain_all ?live (op : Stream.t) =
+(* Drain to tuples: the final output. *)
+let drain_all (op : Stream.t) =
   let acc = ref [] in
   let rec go () =
     match op.Stream.next_batch () with
     | Some vb ->
-        Option.iter
-          (fun live ->
-            Array.iteri
-              (fun c col -> if not (Vbatch.pruned col) then live.(c) <- true)
-              vb.Vbatch.cols)
-          live;
         acc := Vbatch.to_tuples vb :: !acc;
         go ()
     | None -> ()
@@ -73,7 +69,43 @@ let drain_all ?live (op : Stream.t) =
   go ();
   Array.concat (List.rev !acc)
 
-(* Emit an already-computed array in batch_rows slices (breaker outputs,
+(* Drain to columns: the breakers' input.  Each batch's selected rows are
+   appended column by column, in arrival order, into [cols.(c)] of length
+   [n].  A column every batch pruned stays pruned; where only some batches
+   pruned it, their rows read [Null] (the rule of {!Vbatch.to_tuples}). *)
+let drain_columns (op : Stream.t) =
+  let pieces = ref [] and n = ref 0 in
+  let rec go () =
+    match op.Stream.next_batch () with
+    | Some vb ->
+        let vb = Vbatch.compact vb in
+        pieces := vb :: !pieces;
+        n := !n + vb.Vbatch.n_rows;
+        go ()
+    | None -> ()
+  in
+  go ();
+  let pieces = List.rev !pieces in
+  let column c =
+    if List.for_all (fun vb -> Vbatch.pruned vb.Vbatch.cols.(c)) pieces then [||]
+    else
+      match pieces with
+      | [ vb ] -> vb.Vbatch.cols.(c)
+      | _ ->
+          Array.concat
+            (List.map
+               (fun vb ->
+                 let col = vb.Vbatch.cols.(c) in
+                 if Vbatch.pruned col then Array.make vb.Vbatch.n_rows Value.Null else col)
+               pieces)
+  in
+  (Array.init (Schema.arity op.Stream.schema) column, !n)
+
+(* A drained column an operator reads itself (a join or sort key); a
+   pruned one reads [Null], as it would from a tuple. *)
+let key_column cols c n = if Vbatch.pruned cols.(c) then Array.make n Value.Null else cols.(c)
+
+(* Emit an already-computed array in batch_rows slices (aggregate output,
    materialized leaves). *)
 let slice_emitter arr =
   let pos = ref 0 in
@@ -360,20 +392,14 @@ let hash_join_stream ctx ~(bop : Stream.t) ~(pop : Stream.t) ~build_key ~probe_k
     match !table with
     | Some t -> t
     | None ->
-        let live = Array.make barity false in
-        let build_rows = drain_all ~live bop in
-        let n = Array.length build_rows in
-        (* Columnarize the build side once (columns pruned in every build
-           batch stay pruned); buckets hold build row indices (in
-           build-input order) so probing is one [find_opt] plus an
-           allocation-free walk over an int array per probe row. *)
-        let bcols =
-          Array.init barity (fun c ->
-              if live.(c) then Array.init n (fun r -> build_rows.(r).(c)) else [||])
-        in
+        (* Buckets hold build row indices (in build-input order) so probing
+           is one [find_opt] plus an allocation-free walk over an int array
+           per probe row. *)
+        let bcols, n = drain_columns bop in
+        let bkey = key_column bcols bpos n in
         let grouped = Hashtbl.create (max 16 n) in
         for r = 0 to n - 1 do
-          let key = build_rows.(r).(bpos) in
+          let key = bkey.(r) in
           if not (Value.is_null key) then
             match Hashtbl.find_opt grouped key with
             | Some l -> Hashtbl.replace grouped key (r :: l)
@@ -429,19 +455,9 @@ let hash_join_stream ctx ~(bop : Stream.t) ~(pop : Stream.t) ~build_key ~probe_k
           if k > 0 then begin
             let bis = !bis and pis = !pis in
             (* Pruned columns stay pruned: nothing downstream reads them. *)
-            let gather src idx =
-              if Vbatch.pruned src then src
-              else begin
-                let dst = Array.make k src.(idx.(0)) in
-                for j = 1 to k - 1 do
-                  dst.(j) <- src.(idx.(j))
-                done;
-                dst
-              end
-            in
             let cols = Array.make (barity + Array.length pcols) [||] in
-            Array.iteri (fun c src -> cols.(c) <- gather src bis) bcols;
-            Array.iteri (fun c src -> cols.(barity + c) <- gather src pis) pcols;
+            Array.iteri (fun c src -> cols.(c) <- Vbatch.gather src bis k) bcols;
+            Array.iteri (fun c src -> cols.(barity + c) <- Vbatch.gather src pis k) pcols;
             Cost.charge_output_tuples ctx.meter k;
             result := Some { Vbatch.cols; n_rows = k; sel = Bitset.full k }
           end
@@ -450,45 +466,54 @@ let hash_join_stream ctx ~(bop : Stream.t) ~(pop : Stream.t) ~build_key ~probe_k
   in
   Stream.make ~schema ~progress:pop.Stream.progress next_batch
 
+(* A drained merge input: its columns, its key in merge order, and the
+   row index at each merge position ([None]: the input order). *)
+type merge_side = { cols : Value.t array array; key : Value.t array; perm : int array option }
+
+let merge_row side a = match side.perm with None -> a | Some perm -> perm.(a)
+
+(* Both inputs drain to columns.  A side not already sorted on its key
+   sorts a permutation of its row indices with the same heap sort and the
+   same key comparisons a tuple sort would make, so equal keys keep the
+   order a tuple sort gives them.  Each equal-key run's cross product is
+   gathered into one output batch, left-major. *)
 let merge_join_stream ctx ~left_plan ~right_plan ~(lop : Stream.t) ~(rop : Stream.t)
     ~left_key ~right_key =
   let schema = Schema.concat lop.Stream.schema rop.Stream.schema in
-  let lpos = Schema.index_of lop.Stream.schema left_key in
-  let rpos = Schema.index_of rop.Stream.schema right_key in
+  let larity = Schema.arity lop.Stream.schema in
+  (* Sorting after both drains keeps the charges in the order a tuple
+     merge made them. *)
+  let side (op : Stream.t) (cols, n) plan key_name =
+    let key = key_column cols (Schema.index_of op.Stream.schema key_name) n in
+    if Exec_common.output_sorted_on ctx.catalog plan = Some key_name then
+      { cols; key; perm = None }
+    else begin
+      Cost.charge_sort ctx.meter n;
+      let perm = Array.init n Fun.id in
+      Array.sort (fun a b -> Value.compare key.(a) key.(b)) perm;
+      { cols; key = Array.map (fun r -> key.(r)) perm; perm = Some perm }
+    end
+  in
   let state = ref None in
   let ensure () =
     match !state with
     | Some s -> s
     | None ->
-        let lrows = drain_all lop in
-        let rrows = drain_all rop in
-        let ensure_sorted rows pos already =
-          if already then rows
-          else begin
-            Cost.charge_sort ctx.meter (Array.length rows);
-            Array.sort (fun a b -> Value.compare a.(pos) b.(pos)) rows;
-            rows
-          end
-        in
-        let ltups =
-          ensure_sorted lrows lpos
-            (Exec_common.output_sorted_on ctx.catalog left_plan = Some left_key)
-        in
-        let rtups =
-          ensure_sorted rrows rpos
-            (Exec_common.output_sorted_on ctx.catalog right_plan = Some right_key)
-        in
-        Cost.charge_merge_tuples ctx.meter (Array.length ltups + Array.length rtups);
-        let s = (ltups, rtups, ref 0, ref 0) in
+        let ldrained = drain_columns lop in
+        let rdrained = drain_columns rop in
+        let l = side lop ldrained left_plan left_key in
+        let r = side rop rdrained right_plan right_key in
+        Cost.charge_merge_tuples ctx.meter (Array.length l.key + Array.length r.key);
+        let s = (l, r, ref 0, ref 0) in
         state := Some s;
         s
   in
   let next_batch () =
-    let ltups, rtups, i, j = ensure () in
-    let nl = Array.length ltups and nr = Array.length rtups in
-    let out = ref [] in
-    while !out = [] && !i < nl && !j < nr do
-      let kv = ltups.(!i).(lpos) and rv = rtups.(!j).(rpos) in
+    let l, r, i, j = ensure () in
+    let nl = Array.length l.key and nr = Array.length r.key in
+    let out = ref None in
+    while !out = None && !i < nl && !j < nr do
+      let kv = l.key.(!i) and rv = r.key.(!j) in
       if Value.is_null kv then incr i
       else if Value.is_null rv then incr j
       else
@@ -498,31 +523,40 @@ let merge_join_stream ctx ~left_plan ~right_plan ~(lop : Stream.t) ~(rop : Strea
         else begin
           (* Emit the cross product of the equal-key runs as one batch. *)
           let i_end = ref !i in
-          while !i_end < nl && Value.compare ltups.(!i_end).(lpos) kv = 0 do
+          while !i_end < nl && Value.compare l.key.(!i_end) kv = 0 do
             incr i_end
           done;
           let j_end = ref !j in
-          while !j_end < nr && Value.compare rtups.(!j_end).(rpos) rv = 0 do
+          while !j_end < nr && Value.compare r.key.(!j_end) rv = 0 do
             incr j_end
           done;
-          for a = !i to !i_end - 1 do
-            for b = !j to !j_end - 1 do
-              out := Exec_common.concat_tuples ltups.(a) rtups.(b) :: !out
+          let ln = !i_end - !i and rn = !j_end - !j in
+          let k = ln * rn in
+          let lis = Array.make k 0 and ris = Array.make k 0 in
+          for a = 0 to ln - 1 do
+            for b = 0 to rn - 1 do
+              lis.((a * rn) + b) <- merge_row l (!i + a);
+              ris.((a * rn) + b) <- merge_row r (!j + b)
             done
           done;
+          let cols = Array.make (Schema.arity schema) [||] in
+          Array.iteri (fun c src -> cols.(c) <- Vbatch.gather src lis k) l.cols;
+          Array.iteri (fun c src -> cols.(larity + c) <- Vbatch.gather src ris k) r.cols;
+          Cost.charge_output_tuples ctx.meter k;
+          out := Some { Vbatch.cols; n_rows = k; sel = Bitset.full k };
           i := !i_end;
           j := !j_end
         end
     done;
-    finish_batch ctx !out
+    !out
   in
   Stream.make ~schema
     ~progress:(fun () ->
       match !state with
       | None -> 0.0
-      | Some (ltups, _, i, _) ->
-          if Array.length ltups = 0 then 1.0
-          else float_of_int !i /. float_of_int (Array.length ltups))
+      | Some (l, _, i, _) ->
+          let nl = Array.length l.key in
+          if nl = 0 then 1.0 else float_of_int !i /. float_of_int nl)
     next_batch
 
 let inl_join_stream ctx ~(oop : Stream.t) ~outer_key ~inner_table ~inner_key ~inner_pred =
@@ -722,6 +756,9 @@ let project_stream ctx ~(iop : Stream.t) ~cols =
   in
   Stream.make ~schema ~progress:iop.Stream.progress next_batch
 
+(* The input drains to columns; a stable sort of row indices under the
+   row comparison (ties keep input order, so the output is deterministic),
+   then [batch_rows] slices gathered in sorted order. *)
 let sort_stream ctx ~(iop : Stream.t) ~keys =
   let positions =
     List.map
@@ -729,31 +766,48 @@ let sort_stream ctx ~(iop : Stream.t) ~keys =
         (Schema.index_of iop.Stream.schema sort_column, descending))
       keys
   in
-  let compare_rows a b =
-    let rec go = function
-      | [] -> 0
-      | (pos, descending) :: rest ->
-          let c = Value.compare a.(pos) b.(pos) in
-          if c <> 0 then if descending then -c else c else go rest
-    in
-    go positions
-  in
-  let sorted = ref [||] in
-  let started = ref false in
-  let emit = slice_emitter sorted in
+  let state = ref None in
   let next_batch () =
-    if not !started then begin
-      started := true;
-      let rows = drain_all iop in
-      Cost.charge_sort ctx.meter (Array.length rows);
-      (* Stable, so ties keep the input order (deterministic output). *)
-      Array.stable_sort compare_rows rows;
-      sorted := rows
-    end;
-    emit ()
+    let cols, perm, pos =
+      match !state with
+      | Some s -> s
+      | None ->
+          let cols, n = drain_columns iop in
+          let keys =
+            List.map (fun (p, descending) -> (key_column cols p n, descending)) positions
+          in
+          let compare_rows a b =
+            let rec go = function
+              | [] -> 0
+              | (key, descending) :: rest ->
+                  let c = Value.compare key.(a) key.(b) in
+                  if c <> 0 then if descending then -c else c else go rest
+            in
+            go keys
+          in
+          Cost.charge_sort ctx.meter n;
+          let perm = Array.init n Fun.id in
+          Array.stable_sort compare_rows perm;
+          let s = (cols, perm, ref 0) in
+          state := Some s;
+          s
+    in
+    let n = Array.length perm in
+    if !pos >= n then None
+    else begin
+      let k = min batch_rows (n - !pos) in
+      let idx = Array.sub perm !pos k in
+      pos := !pos + k;
+      Some
+        {
+          Vbatch.cols = Array.map (fun col -> Vbatch.gather col idx k) cols;
+          n_rows = k;
+          sel = Bitset.full k;
+        }
+    end
   in
   Stream.make ~schema:iop.Stream.schema
-    ~progress:(fun () -> if !started then 1.0 else 0.0)
+    ~progress:(fun () -> if Option.is_some !state then 1.0 else 0.0)
     next_batch
 
 let limit_stream ctx ~(iop : Stream.t) ~n =

@@ -5,11 +5,14 @@
     column-major {!Vbatch.t}s and drains the root.  Scans hand out chunk
     column slices zero-copy with the predicate bitmap as the initial
     selection, filters AND bitsets, expressions/joins/aggregates run
-    per-column loops over selected indices, and tuples materialize only at
-    pipeline breakers (hash build side, sort, aggregate, merge-join inputs)
-    and the final output.  Everything else streams batch by batch, so a
-    satisfied [Limit] or a mid-stream guard violation stops pulling
-    upstream and leaves the unperformed work uncharged. *)
+    per-column loops over selected indices, and the breakers (hash build
+    side, sort, merge-join inputs) drain their inputs into columns and
+    gather their output by row index.  Tuples materialize at the final
+    output and in the row-at-a-time operators: RID fetches, the indexed-NL
+    join's outer side, the star semijoin and a fired guard's buffer.
+    Everything else streams batch by batch, so a satisfied [Limit] or a
+    mid-stream guard violation stops pulling upstream and leaves the
+    unperformed work uncharged. *)
 
 open Rq_storage
 

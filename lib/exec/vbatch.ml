@@ -13,10 +13,12 @@
    Batches are never empty, so a live column always has length >= 1 and
    "pruned" is tested by length, not by physical equality.
 
-   Rows are materialized as tuples only at breaker boundaries (hash build
-   sides, sorts, merge inputs) and at final output — late materialization
-   is where the wall-clock win comes from; the cost counters never see the
-   difference because they charge logical rows, not representation. *)
+   Rows are materialized as tuples only at final output and in the
+   row-at-a-time operators (RID fetches, the indexed-NL join's outer side,
+   the star semijoin, a fired guard's buffer); breakers gather columns by
+   row index instead.  Late materialization is where the wall-clock win
+   comes from; the cost counters never see the difference because they
+   charge logical rows, not representation. *)
 
 open Rq_storage
 
@@ -44,6 +46,35 @@ let of_tuples (tuples : Relation.tuple array) =
   let arity = Array.length tuples.(0) in
   let cols = Array.init arity (fun c -> Array.init n (fun r -> tuples.(r).(c))) in
   { cols; n_rows = n; sel = Bitset.full n }
+
+(* Physical indices of the selected rows, ascending. *)
+let selected_rows t =
+  let out = Array.make (selected t) 0 in
+  let j = ref 0 in
+  Bitset.iter_set
+    (fun i ->
+      out.(!j) <- i;
+      incr j)
+    t.sel;
+  out
+
+let gather col idx k =
+  if pruned col then col
+  else begin
+    let dst = Array.make k col.(idx.(0)) in
+    for j = 1 to k - 1 do
+      dst.(j) <- col.(idx.(j))
+    done;
+    dst
+  end
+
+let compact t =
+  let k = selected t in
+  if k = t.n_rows && Array.for_all (fun col -> pruned col || Array.length col = k) t.cols
+  then t
+  else
+    let idx = selected_rows t in
+    { cols = Array.map (fun col -> gather col idx k) t.cols; n_rows = k; sel = Bitset.full k }
 
 let to_tuples t =
   let k = selected t in

@@ -39,13 +39,22 @@ val chunk_view : t -> Chunk.t
 
 val of_tuples : Relation.tuple array -> t
 (** Transpose a non-empty row batch; full selection.  How operators that
-    build rows (index fetches, merge and indexed-NL joins, star semijoin,
-    sort and aggregate output, materialized leaves) emit batches. *)
+    build rows (index fetches, the indexed-NL join, the star semijoin,
+    aggregate output, materialized leaves) emit batches. *)
+
+val gather : Value.t array -> int array -> int -> Value.t array
+(** [gather col idx k] is the fresh column [col.(idx.(j))] for
+    [0 <= j < k], with [k >= 1]; a pruned [col] stays pruned. *)
+
+val compact : t -> t
+(** The same logical rows with every live column exactly the selected
+    rows, full selection; the batch itself when it already is.  Pruned
+    columns stay pruned. *)
 
 val to_tuples : t -> Relation.tuple array
 (** Materialize the selected rows as fresh tuples, ascending — the late
-    materialization at breaker boundaries and final output.  Pruned
-    columns read as [Null]. *)
+    materialization at final output and in row-at-a-time operators.
+    Pruned columns read as [Null]. *)
 
 val project : t -> int array -> t
 (** Keep only the given column positions (shared arrays, no copy). *)

@@ -12,7 +12,7 @@ let word_count len = (len + 63) lsr 6
 let length t = t.len
 let words t = word_count t.len
 
-let get_word t i = Bytes.get_int64_le t.words (i lsl 3)
+let[@inline] get_word t i = Bytes.get_int64_le t.words (i lsl 3)
 let set_word t i v = Bytes.set_int64_le t.words (i lsl 3) v
 
 (* Bits past [len] in the last word must stay zero: popcount and equal
@@ -73,14 +73,18 @@ let lognot a =
   if w > 0 then set_word out (w - 1) (Int64.logand (get_word out (w - 1)) (tail_mask a.len));
   out
 
-(* SWAR popcount (Hacker's Delight fig. 5-2): no hardware popcnt from
-   OCaml, but 64 bits fold in a handful of int64 ops. *)
-let popcount64 x =
-  let open Int64 in
-  let x = sub x (logand (shift_right_logical x 1) 0x5555555555555555L) in
-  let x = add (logand x 0x3333333333333333L) (logand (shift_right_logical x 2) 0x3333333333333333L) in
-  let x = logand (add x (shift_right_logical x 4)) 0x0f0f0f0f0f0f0f0fL in
-  to_int (shift_right_logical (mul x 0x0101010101010101L) 56)
+(* SWAR popcount (Hacker's Delight fig. 5-2) on 32 bits held in a native
+   int: no hardware popcnt from OCaml, and native ints are never boxed.  A
+   64-bit word folds as its two halves. *)
+let popcount32 x =
+  let x = x - ((x lsr 1) land 0x55555555) in
+  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+  let x = (x + (x lsr 4)) land 0x0f0f0f0f in
+  ((x * 0x01010101) lsr 24) land 0xff
+
+let[@inline] low_half w = Int64.to_int (Int64.logand w 0xFFFF_FFFFL)
+let[@inline] high_half w = Int64.to_int (Int64.shift_right_logical w 32)
+let[@inline] popcount64 w = popcount32 (low_half w) + popcount32 (high_half w)
 
 let popcount t =
   let acc = ref 0 in
@@ -99,16 +103,24 @@ let count_and a b =
 
 let equal a b = a.len = b.len && Bytes.equal a.words b.words
 
+(* Peel off the lowest set bit each round, so iteration cost tracks the
+   popcount, not the universe size; on native-int halves of the word, so
+   it allocates nothing. *)
+let iter_half f base x =
+  let x = ref x in
+  while !x <> 0 do
+    let lowest = !x land - !x in
+    f (base + popcount32 (lowest - 1));
+    x := !x lxor lowest
+  done
+
 let iter_set f t =
   for i = 0 to word_count t.len - 1 do
-    let w = ref (get_word t i) in
-    (* Peel off the lowest set bit each round: iteration cost tracks the
-       popcount, not the universe size. *)
-    while !w <> 0L do
-      let lowest = Int64.logand !w (Int64.neg !w) in
-      f ((i lsl 6) + popcount64 (Int64.sub lowest 1L));
-      w := Int64.logxor !w lowest
-    done
+    let w = get_word t i in
+    if w <> 0L then begin
+      iter_half f (i lsl 6) (low_half w);
+      iter_half f ((i lsl 6) + 32) (high_half w)
+    end
   done
 
 let of_pred ~len pred =

@@ -13,16 +13,23 @@
    buffered; with [~spill:true] sealed chunks are marshalled to a temp
    file, which is what lets a TPC-H SF 1 lineitem (~6M rows) exist without
    ~6M tuples live on the OCaml heap.  The spill layout is per column:
-   each column of a sealed chunk is its own marshal at a recorded offset,
-   so a fault hands out a chunk that reads and decodes only the columns
-   somebody touches ({!Chunk.of_decoder}). *)
+   each column of a sealed chunk is its own marshal at a recorded offset
+   and length, so a fault hands out a chunk that reads and decodes only
+   the columns somebody touches ({!Chunk.of_decoder}). *)
 
 type tuple = Value.t array
 
-type store =
-  | Heap of Chunk.t array
-  | Spill of { path : string; offsets : int array array }
-      (* offsets.(ci).(c): file offset of chunk [ci]'s column [c] *)
+(* A spill file and its one reader: the channel opens on the first fault
+   and stays open until {!evict} or the relation is collected. *)
+type spill = {
+  path : string;
+  offsets : int array array;  (* offsets.(ci).(c): file offset of chunk [ci]'s column [c] *)
+  lengths : int array array;  (* its marshal's byte length *)
+  lock : Mutex.t;  (* guards [reader] and its position *)
+  mutable reader : in_channel option;
+}
+
+type store = Heap of Chunk.t array | Spill of spill
 
 type t = {
   name : string;
@@ -39,24 +46,40 @@ let page_size_bytes = Page.size_bytes
 
 let next_id = Atomic.make 0
 
-(* Reads one column's marshal, and only its bytes. *)
-let read_column path offset =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      seek_in ic offset;
-      (Marshal.from_channel ic : Value.t array))
+(* Reads one column's marshal, and only its bytes.  The lock covers the
+   seek and the read; decoding runs outside it, so domains faulting
+   different columns decode in parallel.  The buffer is fresh per read on
+   purpose: its allocation is what paces the major GC through the decoded
+   columns that evicted chunks leave behind (with one reused buffer per
+   domain, analytic-spill's peak heap doubled). *)
+let read_column sp ci c =
+  let buf = Bytes.create sp.lengths.(ci).(c) in
+  Mutex.protect sp.lock (fun () ->
+      let ic =
+        match sp.reader with
+        | Some ic -> ic
+        | None ->
+            let ic = open_in_bin sp.path in
+            sp.reader <- Some ic;
+            ic
+      in
+      seek_in ic sp.offsets.(ci).(c);
+      really_input ic buf 0 (Bytes.length buf));
+  (Marshal.from_bytes buf 0 : Value.t array)
+
+let close_reader sp =
+  Mutex.protect sp.lock (fun () ->
+      Option.iter close_in_noerr sp.reader;
+      sp.reader <- None)
 
 let load_chunk t ci =
   match t.store with
   | Heap chunks -> chunks.(ci)
-  | Spill { path; offsets } ->
-      let starts = offsets.(ci) in
+  | Spill sp ->
       Chunk.of_decoder
         ~n_rows:(Zone_map.n_rows t.zone_maps.(ci))
-        ~n_columns:(Array.length starts)
-        (fun c -> read_column path starts.(c))
+        ~n_columns:(Array.length sp.offsets.(ci))
+        (read_column sp ci)
 
 let with_chunk ?(seq = false) t ci f =
   let key = t.keys.(ci) in
@@ -70,7 +93,8 @@ let with_chunk ?(seq = false) t ci f =
 let evict t =
   for ci = 0 to Array.length t.zone_maps - 1 do
     Buffer_pool.drop Buffer_pool.global ~key:t.keys.(ci)
-  done
+  done;
+  match t.store with Heap _ -> () | Spill sp -> close_reader sp
 
 (* -- Builder ------------------------------------------------------------- *)
 
@@ -79,7 +103,12 @@ module Builder = struct
 
   type sink =
     | To_heap of Chunk.t list ref  (* sealed chunks, reversed *)
-    | To_spill of { path : string; oc : out_channel; offsets : int array list ref }
+    | To_spill of {
+        path : string;
+        oc : out_channel;
+        offsets : int array list ref;
+        lengths : int array list ref;
+      }
 
   type t = {
     b_name : string;
@@ -100,7 +129,7 @@ module Builder = struct
       if spill then begin
         let path = Filename.temp_file "rq_spill_" ".chunks" in
         at_exit (fun () -> if Sys.file_exists path then Sys.remove path);
-        To_spill { path; oc = open_out_bin path; offsets = ref [] }
+        To_spill { path; oc = open_out_bin path; offsets = ref []; lengths = ref [] }
       end
       else To_heap (ref [])
     in
@@ -126,13 +155,15 @@ module Builder = struct
       b.zone_maps <- Zone_map.of_chunk chunk :: b.zone_maps;
       (match b.sink with
       | To_heap chunks -> chunks := chunk :: !chunks
-      | To_spill { oc; offsets; _ } ->
-          offsets :=
-            Array.init b.arity (fun c ->
-                let start = pos_out oc in
-                Marshal.to_channel oc (Chunk.column chunk c) [];
-                start)
-            :: !offsets);
+      | To_spill { oc; offsets; lengths; _ } ->
+          let starts = Array.make b.arity 0 and lens = Array.make b.arity 0 in
+          for c = 0 to b.arity - 1 do
+            starts.(c) <- pos_out oc;
+            Marshal.to_channel oc (Chunk.column chunk c) [];
+            lens.(c) <- pos_out oc - starts.(c)
+          done;
+          offsets := starts :: !offsets;
+          lengths := lens :: !lengths);
       Array.fill b.buf 0 n [||];
       b.buf_len <- 0
     end
@@ -155,9 +186,19 @@ module Builder = struct
     let store =
       match b.sink with
       | To_heap chunks -> Heap (Array.of_list (List.rev !chunks))
-      | To_spill { path; oc; offsets } ->
+      | To_spill { path; oc; offsets; lengths } ->
           close_out oc;
-          Spill { path; offsets = Array.of_list (List.rev !offsets) }
+          let sp =
+            {
+              path;
+              offsets = Array.of_list (List.rev !offsets);
+              lengths = Array.of_list (List.rev !lengths);
+              lock = Mutex.create ();
+              reader = None;
+            }
+          in
+          Gc.finalise (fun sp -> Option.iter close_in_noerr sp.reader) sp;
+          Spill sp
     in
     let zone_maps = Array.of_list (List.rev b.zone_maps) in
     let id = Atomic.fetch_and_add next_id 1 in

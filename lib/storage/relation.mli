@@ -27,7 +27,9 @@ val create : name:string -> schema:Schema.t -> tuple array -> t
     [~spill:true] marshals each column of each sealed chunk separately to
     a temp file (removed at exit), so building and holding a relation needs
     O(chunk) heap, and a chunk faulted back in decodes a column only when
-    something first reads it ({!Chunk.of_decoder}). *)
+    something first reads it ({!Chunk.of_decoder}).  A spilled relation
+    reads its file through one channel, opened on the first fault and
+    closed by {!evict} or when the relation is collected. *)
 module Builder : sig
   type rel = t
   type t
@@ -70,8 +72,9 @@ val with_chunk : ?seq:bool -> t -> int -> (Chunk.t -> 'a) -> 'a
     {!Buffer_pool.pin}. *)
 
 val evict : t -> unit
-(** Drop the relation's unpinned chunks from the global buffer pool.  Later
-    reads still work: they fault the chunks in again. *)
+(** Drop the relation's unpinned chunks from the global buffer pool and
+    close its spill file's reader.  Later reads still work: they fault the
+    chunks in again, reopening the reader. *)
 
 val get : t -> int -> tuple
 (** Tuple by RID (0-based); raises [Invalid_argument] out of range.  One

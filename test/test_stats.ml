@@ -652,7 +652,22 @@ let test_bitset_basics () =
       Alcotest.(check (list int))
         (Printf.sprintf "iter_set len=%d" len)
         expected (List.rev !seen))
-    [ 0; 1; 63; 64; 65; 130; 200 ]
+    [ 0; 1; 63; 64; 65; 130; 200 ];
+  (* Random words, dense and sparse, with bits on both sides of each
+     word's 32-bit halves: iteration and popcount agree with [get]. *)
+  let rng = Rq_math.Rng.create 61 in
+  for trial = 1 to 200 do
+    let len = Rq_math.Rng.int rng 300 in
+    let density = 1 + Rq_math.Rng.int rng 8 in
+    let b = Bitset.of_pred ~len (fun _ -> Rq_math.Rng.int rng density = 0) in
+    let expected = List.filter (Bitset.get b) (List.init len Fun.id) in
+    let seen = ref [] in
+    Bitset.iter_set (fun i -> seen := i :: !seen) b;
+    Alcotest.(check (list int))
+      (Printf.sprintf "random iter_set %d" trial)
+      expected (List.rev !seen);
+    check_int (Printf.sprintf "random popcount %d" trial) (List.length expected) (Bitset.popcount b)
+  done
 
 let test_bitset_algebra () =
   let len = 130 in

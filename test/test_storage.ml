@@ -599,6 +599,26 @@ let test_spill_columns_match_heap () =
   check_chunks "re-fault after evict";
   check_same_relation "whole rows" rows spilled
 
+(* A spilled relation reads its file through one channel, opened on the
+   first fault and closed by [evict]: 1,500 relations, more than a common
+   1,024-descriptor limit, each faulted and then evicted, all read back
+   and leave no descriptor open (counted where /proc/self/fd exists). *)
+let test_spill_readers_close () =
+  let open_fds () =
+    if Sys.file_exists "/proc/self/fd" then Some (Array.length (Sys.readdir "/proc/self/fd"))
+    else None
+  in
+  let before = open_fds () in
+  let rows = builder_rows 5 in
+  for i = 1 to 1_500 do
+    let rel = spilled_twin (Printf.sprintf "tiny%d" i) rows in
+    if Relation.get rel (i mod 5) <> rows.(i mod 5) then Alcotest.failf "relation %d misread" i;
+    Relation.evict rel
+  done;
+  match (before, open_fds ()) with
+  | Some b, Some a -> check_int "no descriptor left open" b a
+  | _ -> ()
+
 (* Four domains pin one spilled chunk at once and force its columns in
    four different orders: every domain sees the very same arrays, so each
    column decoded once, and they equal the heap twin's. *)
@@ -1193,6 +1213,8 @@ let () =
             test_spill_columns_match_heap;
           Alcotest.test_case "concurrent first touch decodes once" `Quick
             test_spill_concurrent_first_touch;
+          Alcotest.test_case "one spill reader per relation, closed on evict" `Quick
+            test_spill_readers_close;
           Alcotest.test_case "decoder runs once per column" `Quick test_chunk_decoder_once;
         ] );
       ( "gather",

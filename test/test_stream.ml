@@ -409,6 +409,68 @@ let test_append_prefix_resume () =
     (Relation.page_count lineitems - (split / Relation.rows_per_page lineitems))
     ssnap.Cost.seq_pages
 
+(* A reopt continuation hands a breaker batches that prune differently:
+   the materialized prefix is full width, the resumed scan prunes every
+   column nothing above reads.  Sort, merge join and hash build over it
+   give the rows the same plan gives over one scan. *)
+let test_breakers_over_mixed_pruning () =
+  let catalog = chain_catalog () in
+  let full, _ = run catalog (scan_all "lineitems") in
+  let split = 700 in
+  let continuation =
+    Plan.Append
+      [
+        Plan.Materialized
+          {
+            name = "prefix";
+            schema = full.Executor.schema;
+            tuples = Array.sub full.Executor.tuples 0 split;
+            refs = [];
+          };
+        Plan.Scan_resume { table = "lineitems"; pred = Pred.True; from_rid = split };
+      ]
+  in
+  let shapes =
+    [
+      ( "sort",
+        fun input ->
+          Plan.Project
+            ( Plan.Sort
+                { input; keys = [ { Plan.sort_column = "lineitems.l_qty"; descending = true } ] },
+              [ "lineitems.l_id"; "lineitems.l_qty" ] ) );
+      ( "merge join",
+        fun left ->
+          Plan.Project
+            ( Plan.Merge_join
+                {
+                  left;
+                  right = scan_all "orders";
+                  left_key = "lineitems.l_qty";
+                  right_key = "orders.o_status";
+                },
+              [ "lineitems.l_id"; "orders.o_id" ] ) );
+      ( "hash build",
+        fun build ->
+          Plan.Project
+            ( Plan.Hash_join
+                {
+                  build;
+                  probe = scan_all "orders";
+                  build_key = "lineitems.l_order";
+                  probe_key = "orders.o_id";
+                },
+              [ "lineitems.l_qty"; "orders.o_status" ] ) );
+    ]
+  in
+  List.iter
+    (fun (name, shape) ->
+      let whole, _ = run catalog (shape (scan_all "lineitems")) in
+      let resumed, _ = run catalog (shape continuation) in
+      check_bool (name ^ ": rows") true (Array.length whole.Executor.tuples > 0);
+      check_bool (name ^ ": continuation = one scan") true
+        (resumed.Executor.tuples = whole.Executor.tuples))
+    shapes
+
 (* ------------------------------------------------------------------ *)
 (* Hash join duplicate-key ordering                                    *)
 (* ------------------------------------------------------------------ *)
@@ -558,7 +620,7 @@ let gen_vec_case : vec_case QCheck.Gen.t =
   int_bound 1_000_000 >>= fun vc_seed ->
   oneof [ boundary_sizes; int_range 1 ((3 * vec_morsel_rows) + 300) ] >>= fun vc_big ->
   int_range 1 60 >>= fun vc_dim ->
-  int_bound 9 >>= fun vc_plan ->
+  int_bound 12 >>= fun vc_plan ->
   int_range (-1) (2 * vec_chunk_rows) >>= fun vc_c ->
   int_bound 40 >>= fun vc_k ->
   oneofl [ 1; 7; Stream_exec.batch_rows; Stream_exec.batch_rows + 1; max_int / 2 ]
@@ -611,6 +673,13 @@ let vec_case_plan c =
   let scan pred = Plan.Scan { table = "big"; access = Plan.Seq_scan; pred } in
   let band = Pred.lt (Expr.col "t_id") (Expr.int c.vc_c) in
   let keyp = Pred.le (Expr.col "t_k") (Expr.int c.vc_k) in
+  let dim_scan = Plan.Scan { table = "dim"; access = Plan.Seq_scan; pred = Pred.True } in
+  (* Both merge inputs carry duplicate and NULL keys; [big] is clustered
+     on t_id, so a t_id merge reads its left side as already sorted and a
+     t_k merge sorts it. *)
+  let merge left_key =
+    Plan.Merge_join { left = scan keyp; right = dim_scan; left_key; right_key = "dim.d_k" }
+  in
   match c.vc_plan with
   | 0 -> scan band (* zone-skipped chunks; empty when c <= 0 *)
   | 1 -> scan keyp (* scattered selection with null keys *)
@@ -651,6 +720,37 @@ let vec_case_plan c =
           group_by = [ "dim.d_id" ];
           aggs = [ { Plan.fn = Plan.Sum (Expr.col "big.t_v"); output_name = "s" } ];
         }
+  | 10 ->
+      (* an unsorted left side; the projection prunes the string pads *)
+      Plan.Project (merge "big.t_k", [ "big.t_id"; "big.t_v"; "dim.d_id" ])
+  | 11 ->
+      (* two keys, one descending; rows tie when t_k and t_v are both
+         equal (NULL t_v included), and the pads are pruned *)
+      Plan.Project
+        ( Plan.Sort
+            {
+              input = scan keyp;
+              keys =
+                [
+                  { Plan.sort_column = "big.t_k"; descending = true };
+                  { Plan.sort_column = "big.t_v"; descending = false };
+                ];
+            },
+          [ "big.t_id"; "big.t_k"; "big.t_v" ] )
+  | 12 ->
+      (* a grand total over a merge join whose left side is already sorted *)
+      Plan.Aggregate
+        {
+          input = merge "big.t_id";
+          group_by = [];
+          aggs =
+            [
+              { Plan.fn = Plan.Count_star; output_name = "n" };
+              { Plan.fn = Plan.Sum (Expr.col "big.t_v"); output_name = "s" };
+              { Plan.fn = Plan.Min (Expr.col "dim.d_id"); output_name = "lo" };
+              { Plan.fn = Plan.Max (Expr.col "big.t_k"); output_name = "hi" };
+            ];
+        }
   | 7 ->
       (* every batch drained with an empty selection, under a guard *)
       Plan.Guard
@@ -672,7 +772,7 @@ let vec_case_plan c =
         }
 
 
-let invariance_families = [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
+let invariance_families = [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ]
 
 (* A run's observable outcome: the tuples, or the violation's prefix rows,
    progress and resume; plus the meter. *)
@@ -820,6 +920,78 @@ let test_edge_shapes () =
             } );
         ])
 
+(* Pinned outcomes of the breaker families (a merge join with an unsorted
+   left side, a two-key sort with ties, a grand total over a merge join) on
+   fixed cases: the row count, an MD5 of the ordered rows (floats in hex,
+   so bit-exact) and every counter of the serial run on the heap store.
+   The values were recorded while the breakers still drained their inputs
+   into tuples; the invariance law shows the engines agree with one
+   another, these pins show they still agree with that answer. *)
+let render_value = function
+  | Value.Null -> "N"
+  | Value.Bool b -> if b then "T" else "F"
+  | Value.Int i -> "i" ^ string_of_int i
+  | Value.Float f -> Printf.sprintf "f%h" f
+  | Value.String s -> Printf.sprintf "s%S" s
+  | Value.Date d -> "d" ^ string_of_int d
+
+let render_outcome (res : Executor.result) (m : Cost.snapshot) =
+  let row t = String.concat "," (Array.to_list (Array.map render_value t)) in
+  let rows = String.concat "\n" (Array.to_list (Array.map row res.Executor.tuples)) in
+  Printf.sprintf
+    "rows=%d md5=%s seq=%d rnd=%d skip=%d cpu=%d probes=%d entries=%d build=%d \
+     probe=%d merge=%d sort=%d out=%d units=%h extra=%h s=%h"
+    (Array.length res.Executor.tuples)
+    (Digest.to_hex (Digest.string rows))
+    m.Cost.seq_pages m.Cost.random_pages m.Cost.pages_skipped m.Cost.cpu_tuples
+    m.Cost.index_probes m.Cost.index_entries m.Cost.hash_build m.Cost.hash_probe
+    m.Cost.merge_tuples m.Cost.sort_tuples m.Cost.output_tuples m.Cost.sort_units
+    m.Cost.extra_seconds m.Cost.seconds
+
+let golden_cases =
+  let a =
+    { vc_seed = 31; vc_big = 2129; vc_dim = 24; vc_plan = 0; vc_c = 0; vc_k = 20; vc_limit = 1 }
+  in
+  let b =
+    { vc_seed = 47; vc_big = 1025; vc_dim = 60; vc_plan = 0; vc_c = 0; vc_k = 39; vc_limit = 1 }
+  in
+  List.concat_map
+    (fun family ->
+      [
+        (Printf.sprintf "family %d, case a" family, { a with vc_plan = family });
+        (Printf.sprintf "family %d, case b" family, { b with vc_plan = family });
+      ])
+    [ 10; 11; 12 ]
+
+let golden_outcomes =
+  [
+    ("family 10, case a",
+      "rows=533 md5=3735266bf4a9587b5dc815cf58b51056 seq=34 rnd=0 skip=0 cpu=2686 probes=0 entries=0 build=0 probe=0 merge=1021 sort=1021 out=533 units=0x1.39ccd5e76f33ep+13 extra=0x0p+0 s=0x1.1b02964fc21e8p-4");
+    ("family 10, case b",
+      "rows=1244 md5=157ffc4540ed9fd1e9ca46a1e795c7a6 seq=17 rnd=0 skip=0 cpu=2329 probes=0 entries=0 build=0 probe=0 merge=955 sort=955 out=1244 units=0x1.1d546f0118facp+13 extra=0x0p+0 s=0x1.1f231c8d0172bp-5");
+    ("family 11, case a",
+      "rows=997 md5=0b07e9cd10c254bc989e708ee6896fad seq=33 rnd=0 skip=0 cpu=3126 probes=0 entries=0 build=0 probe=0 merge=0 sort=997 out=0 units=0x1.365c85d3c3b7p+13 extra=0x0p+0 s=0x1.12862550611b7p-4");
+    ("family 11, case b",
+      "rows=895 md5=411634cf0277bfa593db5e36f9f096c8 seq=16 rnd=0 skip=0 cpu=1920 probes=0 entries=0 build=0 probe=0 merge=0 sort=895 out=0 units=0x1.12412049b3c04p+13 extra=0x0p+0 s=0x1.0c2a5dcd54bc1p-5");
+    ("family 12, case a",
+      "rows=1 md5=6eb6ad0441234e14e41e560d340f594b seq=34 rnd=0 skip=0 cpu=2153 probes=0 entries=0 build=11 probe=0 merge=1021 sort=24 out=12 units=0x1.b82809d5be708p+6 extra=0x0p+0 s=0x1.18c03b598cc8bp-4");
+    ("family 12, case b",
+      "rows=1 md5=fe0b9492d38a731623abe95edc814b1b seq=17 rnd=0 skip=0 cpu=1085 probes=0 entries=0 build=47 probe=0 merge=955 sort=60 out=48 units=0x1.6269d6eca7502p+8 extra=0x0p+0 s=0x1.1965c04ac731cp-5");
+  ]
+
+let test_breaker_golden () =
+  let actual =
+    List.map
+      (fun (label, c) ->
+        let catalog = List.assoc "heap" (vec_case_catalogs c) in
+        let res, snap = run catalog (vec_case_plan c) in
+        (label, render_outcome res snap))
+      golden_cases
+  in
+  if actual <> golden_outcomes then
+    Alcotest.failf "breaker outcomes moved; now:\n%s"
+      (String.concat "\n" (List.map (fun (l, o) -> Printf.sprintf "(%S,\n %S);" l o) actual))
+
 let () =
   Alcotest.run "stream"
     [
@@ -847,6 +1019,8 @@ let () =
             test_append_prefix_resume;
           Alcotest.test_case "hash join keeps build-input order on duplicate keys" `Quick
             test_hash_join_duplicate_key_order;
+          Alcotest.test_case "breakers over a prefix + resumed-scan continuation" `Quick
+            test_breakers_over_mixed_pruning;
           Alcotest.test_case "mid-stream reopt returns the right answer" `Quick
             test_reopt_mid_stream_correctness;
         ] );
@@ -854,5 +1028,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest invariance_law;
           Alcotest.test_case "boundary shapes through every family" `Quick test_edge_shapes;
+          Alcotest.test_case "breaker outcomes pinned" `Quick test_breaker_golden;
         ] );
     ]
