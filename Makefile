@@ -1,5 +1,5 @@
 .PHONY: all test test-parallel test-rewrite fault-test differential fuzz-smoke \
-        fuzz-soak fuzz-self-test fuzz-self-test-rewrite bench bench-quick \
+        fuzz-soak fuzz-self-test fuzz-self-test-rewrite bench bench-quick bench-golden \
         storage-gate examples trace-demo clean
 
 all:
@@ -70,6 +70,16 @@ bench:
 
 bench-quick:
 	dune exec bin/robustopt.exe -- experiment --quick
+
+# bench-quick checked against its committed output: every figure, table and
+# ablation is deterministic except the three wall-clock rows of the Sec. 6.1
+# optimization-time table, which are dropped before the diff.  Regenerate
+# test/golden/experiment-quick.txt (same pipeline, minus the diff) only when
+# a change is meant to move a figure, and say which rows moved.
+bench-golden: all
+	bash -o pipefail -c 'dune exec bin/robustopt.exe -- experiment --quick \
+	  | sed "/^=== Table: estimation overhead (Sec. 6.1)/,/^$$/{/^exp[0-9]/d}" \
+	  | diff -u test/golden/experiment-quick.txt -'
 
 # Paged-storage gate (the CI `storage` job): the analytic-spill end-to-end
 # workload -- lineitem's 706 pages in a spill file behind a 128-page buffer

@@ -103,8 +103,8 @@ let reopt_threshold_arg =
 
 let opt_budget_arg =
   Arg.(value & opt (some int) None & info [ "opt-budget" ]
-       ~doc:"Cap on candidate-cost evaluations during plan search; when exceeded the \
-             optimizer answers with the deterministic left-deep fallback plan.")
+       ~doc:"Cap on the candidate plans the join search costs, each once; when \
+             exceeded the optimizer answers with the deterministic left-deep fallback plan.")
 
 let trace_arg =
   Arg.(value & flag & info [ "trace" ]

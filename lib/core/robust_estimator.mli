@@ -25,10 +25,6 @@ val estimate : t -> successes:int -> trials:int -> float
 (** The headline operation: selectivity = posterior quantile at the
     confidence threshold. *)
 
-val estimate_from_distribution : t -> Beta.t -> float
-(** Interpret an externally-supplied selectivity distribution at this
-    estimator's threshold (the procedure is orthogonal to sampling). *)
-
 val magic_distribution : Beta.t
 (** Beta(1, 9): mean 10%, the classic magic number, with mass spread so the
     estimate responds to the confidence threshold. *)

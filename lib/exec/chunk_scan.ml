@@ -44,12 +44,12 @@ let tasks ?(from = 0) rel pred =
     !acc
   end
 
-let totals rel pred =
+let totals ?from rel pred =
   List.fold_left
     (fun (read_pages, skipped_pages, read_rows) t ->
       if t.skip then (read_pages, skipped_pages + t.pages, read_rows)
       else (read_pages + t.pages, skipped_pages, read_rows + (t.hi - t.lo)))
-    (0, 0, 0) (tasks rel pred)
+    (0, 0, 0) (tasks ?from rel pred)
 
 (* -- Per-chunk bitmap filtering ------------------------------------------ *)
 

@@ -27,9 +27,10 @@ val tasks : ?from:int -> Relation.t -> Pred.t -> task list
     is re-read, as before).  Honors {!Prune.enabled}; [Pred.True] never
     consults zone maps. *)
 
-val totals : Relation.t -> Pred.t -> int * int * int
-(** [(read_pages, skipped_pages, read_rows)] of a fresh scan — the
-    optimizer-facing summary ([read_pages + skipped_pages = page_count]). *)
+val totals : ?from:int -> Relation.t -> Pred.t -> int * int * int
+(** [(read_pages, skipped_pages, read_rows)] of {!tasks} — the
+    optimizer-facing summary ([read_pages + skipped_pages = page_count]
+    for a fresh scan). *)
 
 val bitmap : Schema.t -> Pred.t -> (Chunk.t -> Bitset.t) option
 (** The per-chunk match bitmap underlying {!matcher}: [None] for

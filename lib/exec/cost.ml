@@ -111,9 +111,10 @@ let charge_merge_tuples t n =
   t.merge_tuples <- t.merge_tuples + n;
   add t (float_of_int n *. t.constants.merge_tuple_s)
 
+let sort_units n = n *. (log (Float.max 2.0 n) /. log 2.0)
+
 let charge_sort t n =
-  let nf = float_of_int (max n 2) in
-  let units = float_of_int n *. (log nf /. log 2.0) in
+  let units = sort_units (float_of_int n) in
   t.sort_tuples <- t.sort_tuples + n;
   t.sort_units <- t.sort_units +. units;
   add t (units *. t.constants.sort_tuple_s)
@@ -177,16 +178,71 @@ let reset (t : t) =
   t.sort_units <- 0.0;
   t.extra_seconds <- 0.0
 
-let seconds_of_counters ~constants:c ~scale (s : snapshot) =
+type work = {
+  mutable seq_pages : float;
+  mutable random_pages : float;
+  mutable cpu_tuples : float;
+  mutable index_entries : float;
+  mutable index_probes : float;
+  mutable hash_build : float;
+  mutable hash_probe : float;
+  mutable merge_tuples : float;
+  mutable sort_units : float;
+  mutable output_tuples : float;
+}
+
+let work () =
+  {
+    seq_pages = 0.0;
+    random_pages = 0.0;
+    cpu_tuples = 0.0;
+    index_entries = 0.0;
+    index_probes = 0.0;
+    hash_build = 0.0;
+    hash_probe = 0.0;
+    merge_tuples = 0.0;
+    sort_units = 0.0;
+    output_tuples = 0.0;
+  }
+
+let add_scaled (w : work) f (d : work) =
+  w.seq_pages <- w.seq_pages +. (f *. d.seq_pages);
+  w.random_pages <- w.random_pages +. (f *. d.random_pages);
+  w.cpu_tuples <- w.cpu_tuples +. (f *. d.cpu_tuples);
+  w.index_entries <- w.index_entries +. (f *. d.index_entries);
+  w.index_probes <- w.index_probes +. (f *. d.index_probes);
+  w.hash_build <- w.hash_build +. (f *. d.hash_build);
+  w.hash_probe <- w.hash_probe +. (f *. d.hash_probe);
+  w.merge_tuples <- w.merge_tuples +. (f *. d.merge_tuples);
+  w.sort_units <- w.sort_units +. (f *. d.sort_units);
+  w.output_tuples <- w.output_tuples +. (f *. d.output_tuples)
+
+let price c ~scale (w : work) =
   scale
-  *. (float_of_int s.seq_pages *. c.seq_page_read_s
-     +. float_of_int s.random_pages *. c.random_page_read_s
-     +. float_of_int s.cpu_tuples *. c.cpu_tuple_s
-     +. float_of_int s.index_entries *. c.cpu_index_entry_s
-     +. float_of_int s.index_probes *. c.index_probe_s
-     +. float_of_int s.hash_build *. c.hash_build_s
-     +. float_of_int s.hash_probe *. c.hash_probe_s
-     +. float_of_int s.merge_tuples *. c.merge_tuple_s
-     +. s.sort_units *. c.sort_tuple_s
-     +. float_of_int s.output_tuples *. c.output_tuple_s)
-  +. s.extra_seconds
+  *. (w.seq_pages *. c.seq_page_read_s
+     +. w.random_pages *. c.random_page_read_s
+     +. w.cpu_tuples *. c.cpu_tuple_s
+     +. w.index_entries *. c.cpu_index_entry_s
+     +. w.index_probes *. c.index_probe_s
+     +. w.hash_build *. c.hash_build_s
+     +. w.hash_probe *. c.hash_probe_s
+     +. w.merge_tuples *. c.merge_tuple_s
+     +. w.sort_units *. c.sort_tuple_s
+     +. w.output_tuples *. c.output_tuple_s)
+
+let work_of_snapshot (s : snapshot) : work =
+  {
+    seq_pages = float_of_int s.seq_pages;
+    random_pages = float_of_int s.random_pages;
+    cpu_tuples = float_of_int s.cpu_tuples;
+    index_entries = float_of_int s.index_entries;
+    index_probes = float_of_int s.index_probes;
+    hash_build = float_of_int s.hash_build;
+    hash_probe = float_of_int s.hash_probe;
+    merge_tuples = float_of_int s.merge_tuples;
+    sort_units = s.sort_units;
+    output_tuples = float_of_int s.output_tuples;
+  }
+
+let seconds_of_counters ~constants ~scale (s : snapshot) =
+  price constants ~scale (work_of_snapshot s) +. s.extra_seconds

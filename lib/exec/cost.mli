@@ -54,7 +54,10 @@ val charge_hash_build : t -> int -> unit
 val charge_hash_probe : t -> int -> unit
 val charge_merge_tuples : t -> int -> unit
 val charge_sort : t -> int -> unit
-(** [charge_sort t n] charges n·log2(max n 2) sort-tuple units. *)
+(** [charge_sort t n] charges [sort_units (float_of_int n)] sort-tuple units. *)
+
+val sort_units : float -> float
+(** [sort_units n] = n·log2(max n 2): the work of sorting [n] tuples. *)
 
 val charge_output_tuples : t -> int -> unit
 
@@ -86,6 +89,40 @@ type snapshot = Rq_obs.Metrics.t = {
 val snapshot : t -> snapshot
 val reset : t -> unit
 
+(** {1 Pricing}
+
+    Seconds from a vector of counts.  The optimizer's cost model
+    ([Costing]) predicts the meter's counts from estimated cardinalities
+    and prices them with {!price}; {!seconds_of_counters} prices a
+    snapshot the same way.  The meter's running [seconds] applies the same
+    constants one charge at a time, so grading and choosing plans cannot
+    use different prices. *)
+
+type work = {
+  mutable seq_pages : float;
+  mutable random_pages : float;
+  mutable cpu_tuples : float;
+  mutable index_entries : float;
+  mutable index_probes : float;
+  mutable hash_build : float;
+  mutable hash_probe : float;
+  mutable merge_tuples : float;
+  mutable sort_units : float;   (** n·log2(max n 2) per sorted input *)
+  mutable output_tuples : float;
+}
+(** The priced counters, as floats: a prediction is fractional.  Zone-map
+    skipped pages cost nothing and have no field. *)
+
+val work : unit -> work
+(** A fresh all-zero accumulator. *)
+
+val add_scaled : work -> float -> work -> unit
+(** [add_scaled w f d] adds [f] times every counter of [d] into [w]. *)
+
+val price : constants -> scale:float -> work -> float
+(** Simulated seconds of [work]: each counter times its constant, summed,
+    times [scale]. *)
+
 val seconds_of_counters : constants:constants -> scale:float -> snapshot -> float
-(** Recompute the snapshot's simulated seconds from its counters alone;
-    matches [snapshot.seconds] up to float-summation-order error. *)
+(** [price] of the snapshot's counters plus its [extra_seconds]; matches
+    [snapshot.seconds] up to float-summation-order error. *)

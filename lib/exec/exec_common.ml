@@ -20,13 +20,14 @@ let qualified_schema catalog table =
   Schema.qualify table (Relation.schema (Catalog.find_table catalog table))
 
 (* Pages of index leaf level touched when [entries] of [total] entries are
-   read: the matching entries are contiguous in key order. *)
+   read: the matching entries are contiguous in key order.  In floats, so
+   the cost model can ask it of an estimated entry count. *)
 let leaf_pages_touched idx entries =
   let total = Index.entry_count idx in
-  if total = 0 || entries = 0 then 0
+  if total = 0 || entries <= 0.0 then 0.0
   else
     let pages = Index.leaf_page_count idx in
-    max 1 (int_of_float (ceil (float_of_int entries /. float_of_int total *. float_of_int pages)))
+    Float.max 1.0 (ceil (entries /. float_of_int total *. float_of_int pages))
 
 let find_index_exn catalog ~table ~column =
   match Catalog.find_index catalog ~table ~column with
@@ -49,7 +50,7 @@ let probe_index meter idx { Plan.column = _; lo; hi } =
   Cost.charge_index_probes meter 1;
   let count = Index.probe_range_count idx ~lo ~hi in
   Cost.charge_index_entries meter count;
-  Cost.charge_seq_pages meter (leaf_pages_touched idx count);
+  Cost.charge_seq_pages meter (int_of_float (leaf_pages_touched idx (float_of_int count)));
   Index.probe_range idx ~lo ~hi
 
 (* The physical order a plan's output arrives in, if it is a clustered-key

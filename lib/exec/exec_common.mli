@@ -1,7 +1,8 @@
 (** Types and helpers of the execution engine: the result representation,
-    the guard violation it raises, and the exact cost charged per index
-    probe and heap fetch — shared with the optimizer's cost model so
-    estimates and executed charges agree by construction. *)
+    the guard violation it raises, and the charges of an index probe and a
+    heap fetch.  The optimizer's cost model predicts those charges with
+    {!leaf_pages_touched} and {!output_sorted_on} from here, and prices
+    them with {!Cost.price}. *)
 
 open Rq_storage
 
@@ -29,9 +30,10 @@ exception Guard_violation of violation
 
 val qualified_schema : Catalog.t -> string -> Schema.t
 
-val leaf_pages_touched : Index.t -> int -> int
+val leaf_pages_touched : Index.t -> float -> float
 (** Leaf pages read when [entries] contiguous entries of the index are
-    scanned; at least 1 when any entry is touched. *)
+    scanned; at least 1 when any entry is touched.  Whole for a whole
+    [entries]. *)
 
 val find_index_exn : Catalog.t -> table:string -> column:string -> Index.t
 (** Raises [Invalid_argument] when the index does not exist. *)

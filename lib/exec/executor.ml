@@ -26,5 +26,3 @@ let run_timed catalog ?constants ?scale ?obs plan =
   let meter = Cost.create ?constants ?scale () in
   let res = run ?obs catalog meter plan in
   (res, Cost.snapshot meter)
-
-let result_to_relation ~name { schema; tuples } = Relation.create ~name ~schema tuples

@@ -64,5 +64,3 @@ val run_timed :
   Plan.t ->
   result * Cost.snapshot
 (** Convenience: fresh meter, run, snapshot. *)
-
-val result_to_relation : name:string -> result -> Relation.t

@@ -32,9 +32,6 @@ type pass =
   | Prune       (** {!prune_mismatch} on each rewritten plan *)
   | Cert        (** an added conjunct never raises an estimate *)
 
-val all_passes : pass list
-(** In the order {!check} runs them. *)
-
 type sabotage =
   | Perturbed_scan_arm  (** inflated row-scan estimates: the kernel pass must report *)
   | Unsound_rewrite
@@ -55,10 +52,10 @@ val estimators : Catalog.t -> Rq_stats.Stats_store.t -> (string * Cardinality.t)
 
 val check :
   ?passes:pass list -> ?sabotage:sabotage -> env -> Logical.t -> (probe, string) result
-(** Run the query through [passes] (default {!all_passes}) and stop at the
-    first divergence.  [Error] means the query itself is outside the
-    harness's class (it does not validate, or [Naive] refuses it) — not a
-    divergence.  The degraded pass re-optimizes at {!Rq_optimizer.Reopt}'s
+(** Run the query through [passes] (default: every pass, in declaration
+    order) and stop at the first divergence.  [Error] means the query
+    itself is outside the harness's class (it does not validate, or
+    [Naive] refuses it) — not a divergence.  The degraded pass re-optimizes at {!Rq_optimizer.Reopt}'s
     default guard threshold. *)
 
 val answer_mismatch : Logical.t -> reference:Executor.result -> Executor.result -> string option

@@ -1193,37 +1193,3 @@ let render r =
   | None -> line "no divergence found");
   line "verdict: %s" (if r.r_ok then "OK" else "FAIL");
   Buffer.contents b
-
-let result_to_json r =
-  let num n = Json.Num (float_of_int n) in
-  Json.Obj
-    [
-      ("iterations", num r.r_iterations);
-      ("probes", num r.r_probes);
-      ("corpus", num r.r_corpus);
-      ("pairs", num r.r_pairs);
-      ( "baseline_pairs",
-        match r.r_baseline_pairs with Some b -> num b | None -> Json.Null );
-      ("last_new_pair", num r.r_last_new_pair);
-      ( "operators",
-        Json.Obj
-          (List.map
-             (fun (op, tried, kept) ->
-               (operator_name op, Json.Obj [ ("tried", num tried); ("kept", num kept) ]))
-             r.r_operators) );
-      ( "divergence",
-        match r.r_found with
-        | None -> Json.Null
-        | Some f ->
-            Json.Obj
-              [
-                ("pass", Json.Str f.f_divergence.pass);
-                ("iteration", num f.f_iteration);
-                ("tables", num f.f_tables);
-                ("repro", Json.Str f.f_repro_path);
-                ("reproduced", Json.Bool f.f_reproduced);
-              ] );
-      ("self_test", Json.Bool r.r_self_test);
-      ("ok", Json.Bool r.r_ok);
-      ("seconds", Json.Num r.r_seconds);
-    ]

@@ -165,4 +165,3 @@ val replay : config -> string -> (case * probe * string, string) Stdlib.result
     case, the fresh probe and the originally recorded failing pass. *)
 
 val render : result -> string
-val result_to_json : result -> Rq_obs.Json.t

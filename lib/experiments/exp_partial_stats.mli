@@ -11,8 +11,6 @@
 
 type tier = Full_synopses | Single_table_samples | No_statistics
 
-val tier_label : tier -> string
-
 type row = {
   bucket : int;             (** the Experiment-2 free parameter *)
   true_rows : int;

@@ -24,7 +24,6 @@ val mode : t -> float option
 (** Interior mode, defined when both shapes exceed 1. *)
 
 val pdf : t -> float -> float
-val log_pdf : t -> float -> float
 
 val cdf : t -> float -> float
 (** Regularized incomplete beta I_x(alpha, beta). *)

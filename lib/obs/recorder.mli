@@ -70,7 +70,6 @@ val sum_self : span list -> Metrics.t
 (** Sum of [self] deltas over the given trees (all spans, recursively);
     for the roots of one run this reconciles with the meter's snapshot. *)
 
-val span_to_json : span -> Json.t
 val to_json : t -> Json.t
 (** [{"spans": [...], "events": [...]}]. *)
 

@@ -1,7 +1,7 @@
 open Rq_storage
 open Rq_exec
 
-type estimate = { cost : float; card : float }
+type estimate = { work : Cost.work; card : float }
 
 let pred_of_probe { Plan.column; lo; hi } =
   match (lo, hi) with
@@ -45,8 +45,12 @@ let rec refs_of plan : Logical.table_ref list =
           | Some i -> Some (String.sub c 0 i)
           | None -> None
         in
-        match List.filter_map owner_of cols with
-        | owner :: rest when List.for_all (String.equal owner) rest ->
+        match (List.filter_map owner_of cols, refs) with
+        | [], (r : Logical.table_ref) :: others when cols = [] ->
+            (* A constant conjunct keeps all rows or none: any one table
+               may carry it. *)
+            { r with Logical.pred = Pred.conj [ r.Logical.pred; conjunct ] } :: others
+        | owner :: rest, _ when List.for_all (String.equal owner) rest ->
             List.map
               (fun (r : Logical.table_ref) ->
                 if String.equal r.Logical.table owner then
@@ -59,7 +63,7 @@ let rec refs_of plan : Logical.table_ref list =
                   }
                 else r)
               refs
-        | _ -> refs
+        | _, _ -> refs
       in
       List.fold_left merge_conjunct refs (Pred.conjuncts pred)
   | Plan.Project (input, _) -> refs_of input
@@ -69,192 +73,122 @@ let rec refs_of plan : Logical.table_ref list =
   | Plan.Materialized { refs; _ } ->
       List.map (fun (table, pred) -> { Logical.table; pred }) refs
 
-let estimate catalog ?(constants = Cost.default_constants) ?(scale = 1.0) est plan =
-  let c = constants in
+(* Each case adds the counts the executor charges for the same operator
+   (lib/exec/stream_exec.ml), with estimated cardinalities in place of
+   observed ones; [Cost.price] alone turns them into seconds.  [go] adds
+   into one accumulator and returns the subplan's cardinality. *)
+let estimate catalog est plan =
   let card_of refs = Float.max 0.0 (est.Cardinality.expression_cardinality refs) in
   let table_sel table pred =
     Float.max 0.0 (Float.min 1.0 (est.Cardinality.table_selectivity ~table pred))
   in
-  let seq_pages n = float_of_int n *. c.Cost.seq_page_read_s in
-  let rand_fetch rows = rows *. (c.Cost.random_page_read_s +. c.Cost.cpu_tuple_s) in
-  let leaf_pages_cost idx entries =
-    let total = float_of_int (Index.entry_count idx) in
-    if total <= 0.0 || entries <= 0.0 then 0.0
-    else
-      let pages = float_of_int (Index.leaf_page_count idx) in
-      Float.max 1.0 (ceil (entries /. total *. pages)) *. c.Cost.seq_page_read_s
+  let index_of table column = Exec_common.find_index_exn catalog ~table ~column in
+  let rows_of table = float_of_int (Relation.row_count (Catalog.find_table catalog table)) in
+  (* The task planner the engine scans with: skipped chunks cost nothing. *)
+  let seq_scan (w : Cost.work) ?from rel pred =
+    let pages, _skipped, rows = Chunk_scan.totals ?from rel pred in
+    w.seq_pages <- w.seq_pages +. float_of_int pages;
+    w.cpu_tuples <- w.cpu_tuples +. float_of_int rows
   in
-  let index_of table column =
-    match Catalog.find_index catalog ~table ~column with
-    | Some idx -> idx
-    | None -> invalid_arg (Printf.sprintf "Costing: no index on %s.%s" table column)
+  (* [Exec_common.fetch_rids]: a random page and a cpu tuple per row. *)
+  let fetch (w : Cost.work) rows =
+    w.random_pages <- w.random_pages +. rows;
+    w.cpu_tuples <- w.cpu_tuples +. rows
   in
-  let probe_cost table probe =
+  (* [Exec_common.probe_index]; returns the entries it touches. *)
+  let probe_index (w : Cost.work) table probe =
     let idx = index_of table probe.Plan.column in
-    let rel = Catalog.find_table catalog table in
-    let entries =
-      float_of_int (Relation.row_count rel) *. table_sel table (pred_of_probe probe)
-    in
-    let cost =
-      c.Cost.index_probe_s
-      +. (entries *. c.Cost.cpu_index_entry_s)
-      +. leaf_pages_cost idx entries
-    in
-    (cost, entries)
+    let entries = rows_of table *. table_sel table (pred_of_probe probe) in
+    w.index_probes <- w.index_probes +. 1.0;
+    w.index_entries <- w.index_entries +. entries;
+    w.seq_pages <- w.seq_pages +. Exec_common.leaf_pages_touched idx entries;
+    entries
   in
-  let rec go plan =
+  let rec go (w : Cost.work) plan =
     match plan with
-    | Plan.Scan { table; access; pred } -> (
-        let rel = Catalog.find_table catalog table in
-        let rows = float_of_int (Relation.row_count rel) in
+    | Plan.Scan { table; access; pred } ->
         let card = card_of [ { Logical.table; pred } ] in
-        match access with
-        | Plan.Seq_scan ->
-            (* The scan cost reads zone-map prunability through the same
-               task planner the engines execute: skipped chunks cost
-               nothing, so the estimate and the meter agree exactly. *)
-            let read_pages, _skipped, read_rows = Chunk_scan.totals rel pred in
-            {
-              cost =
-                seq_pages read_pages +. (float_of_int read_rows *. c.Cost.cpu_tuple_s);
-              card;
-            }
-        | Plan.Index_range probe ->
-            let pcost, entries = probe_cost table probe in
-            { cost = pcost +. rand_fetch entries; card }
+        (match access with
+        | Plan.Seq_scan -> seq_scan w (Catalog.find_table catalog table) pred
+        | Plan.Index_range probe -> fetch w (probe_index w table probe)
         | Plan.Index_order { column; descending = _ } ->
-            (* Full leaf-level walk plus a random fetch per row: expensive
-               in isolation, but the pipeline streams in key order, so a
-               LIMIT above pays only its surfaced fraction (see below). *)
+            (* The whole leaf level, then every row in key order: a LIMIT
+               above pays only its surfaced fraction (see below). *)
             let idx = index_of table column in
-            {
-              cost =
-                c.Cost.index_probe_s
-                +. (float_of_int (Index.entry_count idx) *. c.Cost.cpu_index_entry_s)
-                +. seq_pages (Index.leaf_page_count idx)
-                +. rand_fetch rows;
-              card;
-            }
+            w.index_probes <- w.index_probes +. 1.0;
+            w.index_entries <- w.index_entries +. float_of_int (Index.entry_count idx);
+            w.seq_pages <- w.seq_pages +. float_of_int (Index.leaf_page_count idx);
+            fetch w (rows_of table)
         | Plan.Index_intersect probes ->
-            let pcosts = List.map (probe_cost table) probes in
-            let probes_cost = List.fold_left (fun acc (pc, _) -> acc +. pc) 0.0 pcosts in
-            let total_entries = List.fold_left (fun acc (_, e) -> acc +. e) 0.0 pcosts in
+            let entries =
+              List.fold_left (fun acc probe -> acc +. probe_index w table probe) 0.0 probes
+            in
+            w.cpu_tuples <- w.cpu_tuples +. entries;
             (* Joint selectivity of all probe conditions together: the
                estimate where AVI and sampling part ways. *)
             let joint = table_sel table (Pred.conj (List.map pred_of_probe probes)) in
-            let surviving = rows *. joint in
-            {
-              cost =
-                probes_cost
-                +. (total_entries *. c.Cost.cpu_tuple_s)
-                +. rand_fetch surviving;
-              card;
-            })
+            fetch w (rows_of table *. joint));
+        card
     | Plan.Scan_resume { table; pred; from_rid } ->
         let rel = Catalog.find_table catalog table in
         let n = Relation.row_count rel in
         let from = min (max 0 from_rid) n in
-        (* The resumed tail scans (n - from) rows; its cardinality is the
-           full scan's estimate scaled by the unscanned fraction. *)
-        let frac = float_of_int (n - from) /. float_of_int (max 1 n) in
-        let read_pages, read_rows =
-          List.fold_left
-            (fun (p, r) (t : Chunk_scan.task) ->
-              if t.skip then (p, r) else (p + t.pages, r + (t.hi - t.lo)))
-            (0, 0)
-            (Chunk_scan.tasks ~from rel pred)
-        in
-        {
-          cost =
-            seq_pages read_pages +. (float_of_int read_rows *. c.Cost.cpu_tuple_s);
-          card = card_of [ { Logical.table; pred } ] *. frac;
-        }
-    | Plan.Append parts ->
-        List.fold_left
-          (fun acc part ->
-            let e = go part in
-            { cost = acc.cost +. e.cost; card = acc.card +. e.card })
-          { cost = 0.0; card = 0.0 } parts
+        seq_scan w ~from rel pred;
+        (* The full scan's estimate scaled by the unscanned fraction. *)
+        card_of [ { Logical.table; pred } ]
+        *. (float_of_int (n - from) /. float_of_int (max 1 n))
+    | Plan.Append parts -> List.fold_left (fun acc part -> acc +. go w part) 0.0 parts
     | Plan.Hash_join { build; probe; _ } ->
-        let b = go build and p = go probe in
+        let b = go w build in
+        let p = go w probe in
         let card = card_of (refs_of plan) in
-        {
-          cost =
-            b.cost +. p.cost
-            +. (b.card *. c.Cost.hash_build_s)
-            +. (p.card *. c.Cost.hash_probe_s)
-            +. (card *. c.Cost.output_tuple_s);
-          card;
-        }
+        w.hash_build <- w.hash_build +. b;
+        w.hash_probe <- w.hash_probe +. p;
+        w.output_tuples <- w.output_tuples +. card;
+        card
     | Plan.Merge_join { left; right; left_key; right_key } ->
-        let l = go left and r = go right in
-        let rec sorted_on sub =
-          match sub with
-          | Plan.Scan { table; _ } -> (
-              match Catalog.clustered_by catalog table with
-              | Some col -> Some (table ^ "." ^ col)
-              | None -> None)
-          | Plan.Guard { input; _ } -> sorted_on input
-          | _ -> None
-        in
-        let sort_cost sub (e : estimate) key =
-          if sorted_on sub = Some key then 0.0
-          else e.card *. (log (Float.max 2.0 e.card) /. log 2.0) *. c.Cost.sort_tuple_s
-        in
+        let l = go w left in
+        let r = go w right in
         let card = card_of (refs_of plan) in
-        {
-          cost =
-            l.cost +. r.cost
-            +. sort_cost left l left_key
-            +. sort_cost right r right_key
-            +. ((l.card +. r.card) *. c.Cost.merge_tuple_s)
-            +. (card *. c.Cost.output_tuple_s);
-          card;
-        }
+        let sort sub n key =
+          if Exec_common.output_sorted_on catalog sub <> Some key then
+            w.sort_units <- w.sort_units +. Cost.sort_units n
+        in
+        sort left l left_key;
+        sort right r right_key;
+        w.merge_tuples <- w.merge_tuples +. (l +. r);
+        w.output_tuples <- w.output_tuples +. card;
+        card
     | Plan.Indexed_nl_join { outer; inner_table; inner_pred; _ } ->
-        let o = go outer in
+        let o = go w outer in
         let fetched =
           card_of (refs_of outer @ [ { Logical.table = inner_table; pred = Pred.True } ])
         in
         let card =
           card_of (refs_of outer @ [ { Logical.table = inner_table; pred = inner_pred } ])
         in
-        {
-          cost =
-            o.cost
-            +. (o.card *. c.Cost.index_probe_s)
-            +. (fetched *. c.Cost.cpu_index_entry_s)
-            +. rand_fetch fetched
-            +. (card *. c.Cost.output_tuple_s);
-          card;
-        }
+        w.index_probes <- w.index_probes +. o;
+        w.index_entries <- w.index_entries +. fetched;
+        fetch w fetched;
+        w.output_tuples <- w.output_tuples +. card;
+        card
     | Plan.Star_semijoin { fact; fact_pred = _; dims } ->
-        let dim_cost =
-          List.fold_left
-            (fun acc { Plan.dim_table; dim_pred; _ } ->
-              let dim_rel = Catalog.find_table catalog dim_table in
-              let dim_rows = float_of_int (Relation.row_count dim_rel) in
-              let qualifying = dim_rows *. table_sel dim_table dim_pred in
-              (* The per-dimension semijoin: probe the fact FK index once per
-                 qualifying dimension key; total entries returned is the size
-                 of fact >< dim_i. *)
-              let semijoin_entries =
-                card_of
-                  [ { Logical.table = fact; pred = Pred.True };
-                    { Logical.table = dim_table; pred = dim_pred } ]
-              in
-              let dim_read_pages, _, dim_read_rows =
-                Chunk_scan.totals dim_rel dim_pred
-              in
-              acc
-              +. seq_pages dim_read_pages
-              +. (float_of_int dim_read_rows *. c.Cost.cpu_tuple_s)
-              +. (qualifying *. c.Cost.hash_build_s)
-              +. (qualifying *. c.Cost.index_probe_s)
-              +. (semijoin_entries *. c.Cost.cpu_index_entry_s)
-              +. (semijoin_entries *. c.Cost.cpu_tuple_s))
-            0.0 dims
-        in
+        List.iter
+          (fun { Plan.dim_table; dim_pred; _ } ->
+            let qualifying = rows_of dim_table *. table_sel dim_table dim_pred in
+            (* Probe the fact FK index once per qualifying dimension key;
+               the entries returned are fact >< dim_i. *)
+            let semijoin_entries =
+              card_of
+                [ { Logical.table = fact; pred = Pred.True };
+                  { Logical.table = dim_table; pred = dim_pred } ]
+            in
+            seq_scan w (Catalog.find_table catalog dim_table) dim_pred;
+            w.hash_build <- w.hash_build +. qualifying;
+            w.index_probes <- w.index_probes +. qualifying;
+            w.index_entries <- w.index_entries +. semijoin_entries;
+            w.cpu_tuples <- w.cpu_tuples +. semijoin_entries)
+          dims;
         let fetched =
           card_of
             ({ Logical.table = fact; pred = Pred.True }
@@ -264,71 +198,63 @@ let estimate catalog ?(constants = Cost.default_constants) ?(scale = 1.0) est pl
                  dims)
         in
         let card = card_of (refs_of plan) in
-        {
-          cost =
-            dim_cost +. rand_fetch fetched
-            +. (card *. float_of_int (List.length dims) *. c.Cost.hash_probe_s)
-            +. (card *. c.Cost.output_tuple_s);
-          card;
-        }
+        fetch w fetched;
+        w.hash_probe <- w.hash_probe +. (card *. float_of_int (List.length dims));
+        w.output_tuples <- w.output_tuples +. card;
+        card
     | Plan.Filter (input, _) ->
-        let i = go input in
+        let i = go w input in
         let card = card_of (refs_of plan) in
-        { cost = i.cost +. (i.card *. c.Cost.cpu_tuple_s); card }
-    | Plan.Project (input, _) ->
-        let i = go input in
-        { cost = i.cost +. (i.card *. c.Cost.cpu_tuple_s); card = i.card }
+        w.cpu_tuples <- w.cpu_tuples +. i;
+        card
+    | Plan.Project (input, _) | Plan.Guard { input; _ } ->
+        let i = go w input in
+        w.cpu_tuples <- w.cpu_tuples +. i;
+        i
     | Plan.Sort { input; _ } ->
-        let i = go input in
-        {
-          cost =
-            i.cost
-            +. (i.card *. (log (Float.max 2.0 i.card) /. log 2.0) *. c.Cost.sort_tuple_s);
-          card = i.card;
-        }
+        let i = go w input in
+        w.sort_units <- w.sort_units +. Cost.sort_units i;
+        i
     | Plan.Limit (input, n) ->
-        let i = go input in
-        let card = Float.min i.card (float_of_int n) in
         (* A pipeline of order-preserving operators over an ordered index
            scan streams without blocking, so a satisfied LIMIT stops
            pulling: only the surfaced fraction of the input is paid for.
            Any other input (sorts, joins, aggregates block; plain scans
-           are cheap anyway) keeps the conservative full cost. *)
+           are cheap anyway) keeps the conservative full count. *)
         let rec ordered_pipeline = function
           | Plan.Scan { access = Plan.Index_order _; _ } -> true
           | Plan.Filter (p, _) | Plan.Project (p, _) -> ordered_pipeline p
           | _ -> false
         in
-        let input_cost =
-          if ordered_pipeline input then
-            i.cost *. Float.min 1.0 (float_of_int n /. Float.max 1.0 i.card)
-          else i.cost
+        let i =
+          if ordered_pipeline input then begin
+            let sub = Cost.work () in
+            let i = go sub input in
+            Cost.add_scaled w (Float.min 1.0 (float_of_int n /. Float.max 1.0 i)) sub;
+            i
+          end
+          else go w input
         in
-        { cost = input_cost +. (card *. c.Cost.cpu_tuple_s); card }
-    | Plan.Guard { input; _ } ->
-        (* Guard cost model mirrors execution: one cpu-tuple inspection per
-           materialized row. *)
-        let i = go input in
-        { cost = i.cost +. (i.card *. c.Cost.cpu_tuple_s); card = i.card }
-    | Plan.Materialized { tuples; _ } ->
-        { cost = 0.0; card = float_of_int (Array.length tuples) }
+        let card = Float.min i (float_of_int n) in
+        w.cpu_tuples <- w.cpu_tuples +. card;
+        card
+    | Plan.Materialized { tuples; _ } -> float_of_int (Array.length tuples)
     | Plan.Aggregate { input; group_by; _ } ->
-        let i = go input in
+        let i = go w input in
         let groups =
           if group_by = [] then 1.0
-          else Float.max 1.0 (est.Cardinality.group_count (refs_of input) group_by)
+          else Float.max 0.0 (est.Cardinality.group_count (refs_of input) group_by)
         in
-        {
-          cost =
-            i.cost +. (i.card *. c.Cost.hash_build_s) +. (groups *. c.Cost.output_tuple_s);
-          card = groups;
-        }
+        w.hash_build <- w.hash_build +. i;
+        w.output_tuples <- w.output_tuples +. groups;
+        groups
   in
-  let e = go plan in
-  { e with cost = e.cost *. scale }
+  let work = Cost.work () in
+  let card = go work plan in
+  { work; card }
 
-let plan_cost catalog ?constants ?scale est plan =
-  (estimate catalog ?constants ?scale est plan).cost
+let plan_cost catalog ?(constants = Cost.default_constants) ?(scale = 1.0) est plan =
+  Cost.price constants ~scale (estimate catalog est plan).work
 
 let cost_curve catalog ?constants ?scale ~selectivities plan =
   List.map

@@ -1,10 +1,15 @@
-(** Plan cost estimation.
+(** Plan cost estimation: predicts the meter's counters; {!Cost.price}
+    turns them into seconds.
 
-    Mirrors the executor's cost accounting, with estimated cardinalities in
-    place of observed ones.  Every operator's estimated cost is monotone
-    non-decreasing in the cardinalities of its inputs — the assumption
-    (paper Sec. 3.1.1, footnote 2) under which percentile-of-selectivity
-    transfers to percentile-of-cost.
+    Each operator records the counts the executor charges for it (pages,
+    cpu tuples, index probes and entries, hash builds and probes, merge
+    tuples, sort units, output tuples), with estimated cardinalities in
+    place of observed ones.  Under an exact estimator the predicted
+    counters equal the metered ones, apart from the exceptions test_stream's
+    counter-parity law names.  Every counter is monotone non-decreasing in
+    the cardinalities of the operator's inputs, and so is its price — the
+    assumption (paper Sec. 3.1.1, footnote 2) under which
+    percentile-of-selectivity transfers to percentile-of-cost.
 
     Costing consults the cardinality estimator for three kinds of numbers:
     per-table predicate selectivities (access-path sizing), SPJ expression
@@ -14,8 +19,8 @@
 open Rq_storage
 open Rq_exec
 
-type estimate = { cost : float; card : float }
-(** Simulated seconds and output rows. *)
+type estimate = { work : Cost.work; card : float }
+(** Predicted counters and output rows. *)
 
 val refs_of : Plan.t -> Logical.table_ref list
 (** The logical table refs a subplan covers, with single-table filter
@@ -23,14 +28,13 @@ val refs_of : Plan.t -> Logical.table_ref list
     leaves report the refs they were built from; guards are transparent.
     Used by the re-optimizer to key observed cardinalities. *)
 
-val estimate :
-  Catalog.t -> ?constants:Cost.constants -> ?scale:float -> Cardinality.t -> Plan.t ->
-  estimate
-(** [scale] is the same logical-size multiplier the executor uses. *)
+val estimate : Catalog.t -> Cardinality.t -> Plan.t -> estimate
 
 val plan_cost :
   Catalog.t -> ?constants:Cost.constants -> ?scale:float -> Cardinality.t -> Plan.t ->
   float
+(** [Cost.price] of the estimate's work; [constants] and [scale] (the
+    executor's logical-size multiplier) default as {!Cost.create}'s do. *)
 
 val cost_curve :
   Catalog.t -> ?constants:Cost.constants -> ?scale:float ->

@@ -264,7 +264,9 @@ let star_plans catalog query ~cost_fn ~best_single =
                      probe_key = root ^ "." ^ fk.from_column;
                    })
                base remaining)
-      |> List.sort (fun a b -> Float.compare (cost_fn a) (cost_fn b))
+      |> List.map (fun plan -> (plan, cost_fn plan))
+      |> List.stable_sort (fun (_, a) (_, b) -> Float.compare a b)
+      |> List.map fst
 
 (* When the rewrite layer marked the query [index_order], offer an ordered
    index scan over the (single) table's ORDER BY column; [wrap_top] elides
@@ -283,52 +285,57 @@ let ordered_access query =
 
 let join_plans catalog ~cost_fn query =
   let ordered = ordered_access query in
-  let subsets_list = Logical.connected_subsets catalog query in
-  let all_tables = List.sort String.compare (Logical.table_names query) in
-  (* Canonical table-set encoding for the DP table: bit i = i-th table in
-     sorted name order.  Subset keys become single ints, so the hot inner
-     loop (one lookup per split side per subset) does integer hashing
-     instead of allocating and structurally hashing string lists. *)
-  let bit_of = Hashtbl.create 8 in
-  List.iteri (fun i table -> Hashtbl.replace bit_of table (1 lsl i)) all_tables;
-  let mask_of tables =
-    List.fold_left (fun mask table -> mask lor Hashtbl.find bit_of table) 0 tables
-  in
-  let best : (int, Plan.t) Hashtbl.t = Hashtbl.create 16 in
-  let pick_best plans =
-    match plans with
-    | [] -> None
-    | _ ->
-        Some
-          (List.fold_left
-             (fun acc p -> if cost_fn p < cost_fn acc then p else acc)
-             (List.hd plans) (List.tl plans))
-  in
-  List.iter
-    (fun tables ->
-      let candidates =
-        match tables with
-        | [ single ] -> access_paths ?ordered catalog (ref_of query single)
-        | _ ->
-            List.concat_map
-              (fun (left, right) ->
-                match
-                  (Hashtbl.find_opt best (mask_of left), Hashtbl.find_opt best (mask_of right))
-                with
-                | Some left_plan, Some right_plan ->
-                    join_candidates catalog query ~left_tables:left ~left_plan
-                      ~right_tables:right ~right_plan
-                | _ -> [])
-              (splits tables)
-      in
-      match pick_best candidates with
-      | Some plan -> Hashtbl.replace best (mask_of tables) plan
-      | None -> ())
-    subsets_list;
-  match all_tables with
+  match List.sort String.compare (Logical.table_names query) with
   | [ single ] -> access_paths ?ordered catalog (ref_of query single)
-  | _ -> (
-      let dp_best = Hashtbl.find_opt best (mask_of all_tables) in
+  | all_tables ->
+      (* Canonical table-set encoding for the DP table: bit i = i-th table
+         in sorted name order.  Subset keys become single ints, so the hot
+         inner loop (one lookup per split side per subset) does integer
+         hashing instead of allocating and structurally hashing string
+         lists. *)
+      let bit_of = Hashtbl.create 8 in
+      List.iteri (fun i table -> Hashtbl.replace bit_of table (1 lsl i)) all_tables;
+      let mask_of tables =
+        List.fold_left (fun mask table -> mask lor Hashtbl.find bit_of table) 0 tables
+      in
+      let best : (int, Plan.t) Hashtbl.t = Hashtbl.create 16 in
+      (* Each candidate is costed once; strict [<] keeps the first of equally
+         cheap plans. *)
+      let pick_best = function
+        | [] -> None
+        | [ only ] -> Some only
+        | first :: rest ->
+            let best, _ =
+              List.fold_left
+                (fun ((_, best_cost) as acc) p ->
+                  let cost = cost_fn p in
+                  if cost < best_cost then (p, cost) else acc)
+                (first, cost_fn first) rest
+            in
+            Some best
+      in
+      List.iter
+        (fun tables ->
+          let candidates =
+            match tables with
+            | [ single ] -> access_paths ?ordered catalog (ref_of query single)
+            | _ ->
+                List.concat_map
+                  (fun (left, right) ->
+                    match
+                      ( Hashtbl.find_opt best (mask_of left),
+                        Hashtbl.find_opt best (mask_of right) )
+                    with
+                    | Some left_plan, Some right_plan ->
+                        join_candidates catalog query ~left_tables:left ~left_plan
+                          ~right_tables:right ~right_plan
+                    | _ -> [])
+                  (splits tables)
+          in
+          match pick_best candidates with
+          | Some plan -> Hashtbl.replace best (mask_of tables) plan
+          | None -> ())
+        (Logical.connected_subsets catalog query);
       let best_single table =
         match Hashtbl.find_opt best (Hashtbl.find bit_of table) with
         | Some plan -> plan
@@ -336,7 +343,7 @@ let join_plans catalog ~cost_fn query =
             Plan.Scan { table; access = Plan.Seq_scan; pred = (ref_of query table).Logical.pred }
       in
       let stars = star_plans catalog query ~cost_fn ~best_single in
-      match dp_best with
+      (match Hashtbl.find_opt best (mask_of all_tables) with
       | Some plan -> plan :: stars
       | None -> stars)
 

@@ -48,8 +48,9 @@ val left_deep_plan : Catalog.t -> Logical.t -> Plan.t option
 val join_plans :
   Catalog.t -> cost_fn:(Plan.t -> float) -> Logical.t -> Plan.t list
 (** Complete join plans (no aggregation/projection on top): the DP winner
-    plus, for star-shaped queries, every semijoin/hybrid alternative.
-    Singleton queries return all access paths. *)
+    plus, for star-shaped queries, every semijoin/hybrid alternative,
+    cheapest first.  [cost_fn] is called once per candidate compared.
+    Singleton queries return all access paths and cost none of them. *)
 
 val wrap_top : Catalog.t -> Logical.t -> Plan.t -> Plan.t
 (** Adds everything above the join: residual filter, semijoin lowering

@@ -34,7 +34,7 @@ let analyze catalog ?constants ?scale ?obs estimator plan =
     (* A guard's row of the report compares its *instrumentation-time*
        expectation against reality — that is the check it performs. *)
     | Plan.Guard { expected_rows; _ } -> expected_rows
-    | _ -> (Costing.estimate catalog ?constants ?scale estimator plan).Costing.card
+    | _ -> (Costing.estimate catalog estimator plan).Costing.card
   in
   (* Walk the original plan and the span tree in parallel.  Guards are
      invisible to the stripped execution, so a guard row reuses its input's

@@ -11,10 +11,6 @@ let record t ~tables rows = Hashtbl.replace t.observations (key tables) rows
 
 let observed t ~tables = Hashtbl.find_opt t.observations (key tables)
 
-let observations t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.observations []
-  |> List.sort compare
-
 let names_of refs = List.map (fun (r : Logical.table_ref) -> r.Logical.table) refs
 
 let with_feedback t (base : Cardinality.t) =

@@ -17,9 +17,6 @@ val record : t -> tables:string list -> float -> unit
 
 val observed : t -> tables:string list -> float option
 
-val observations : t -> (string list * float) list
-(** All recorded observations, sorted; for reports. *)
-
 val with_feedback : t -> Cardinality.t -> Cardinality.t
 (** Wrap an estimator so expression cardinalities are corrected by the
     recorded observations.  [table_selectivity] and [group_count] pass

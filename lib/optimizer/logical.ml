@@ -45,13 +45,6 @@ let query ?(residual = Pred.True) ?(semijoins = []) ?(scalars = []) ?(group_by =
 
 let table_names t = List.map (fun r -> r.table) t.tables
 
-let join_edges catalog t =
-  let names = table_names t in
-  List.filter
-    (fun (fk : Catalog.foreign_key) ->
-      List.mem fk.from_table names && List.mem fk.to_table names)
-    (Catalog.all_foreign_keys catalog)
-
 let root catalog t =
   Rq_stats.Stats_store.root_of_expression catalog (table_names t)
 

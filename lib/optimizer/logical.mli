@@ -69,9 +69,6 @@ val root : Catalog.t -> t -> string option
 (** The root relation: the table whose primary key is not joined to by
     another query table (paper Sec. 3.2). *)
 
-val join_edges : Catalog.t -> t -> Catalog.foreign_key list
-(** FK edges with both endpoints in the query. *)
-
 val combined_predicate : t -> Pred.t
 (** Conjunction of all per-table predicates with columns qualified — the
     predicate evaluated against a join synopsis. *)

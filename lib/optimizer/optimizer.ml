@@ -53,16 +53,15 @@ let optimize ?budget ?(rewrite = true) ?obs t query =
       if query.Logical.scalars <> [] then
         Error "scalar subqueries require the rewrite pass (rewrite:false given)"
       else
-      let raw_cost_fn plan =
-        Costing.plan_cost catalog ~constants:t.constants ~scale:t.scale t.estimator plan
-      in
+      let estimate plan = Costing.estimate catalog t.estimator plan in
+      let price (e : Costing.estimate) = Cost.price t.constants ~scale:t.scale e.Costing.work in
       (* The budget is counted in cost_fn invocations — the unit of
          enumeration work (every candidate inspected costs exactly one). *)
       let calls = ref 0 in
       let cost_fn plan =
         incr calls;
         (match budget with Some b when !calls > b -> raise Budget_hit | _ -> ());
-        raw_cost_fn plan
+        price (estimate plan)
       in
       let degraded = ref [] in
       (* Candidates are complete join plans; aggregation cost is identical
@@ -89,32 +88,36 @@ let optimize ?budget ?(rewrite = true) ?obs t query =
           | Some p -> [ Enumerate.wrap_top catalog query p ]
           | None -> [])
       in
-      (* Ranking uses the raw cost function: the fallback plan must still
-         be costable after the budget is spent.  Each candidate is costed
-         once; ranking and [alternatives] share the figures. *)
-      let costed = List.map (fun p -> (p, raw_cost_fn p)) wrapped in
+      (* Ranking is outside the budget: the fallback plan must still be
+         costable after the budget is spent.  Each candidate is estimated
+         once; ranking, [alternatives] and the decision share the
+         figures. *)
+      let costed =
+        List.map
+          (fun p ->
+            let e = estimate p in
+            (p, e, price e))
+          wrapped
+      in
       (match costed with
       | [] -> Error "no candidate plans (missing indexes or disconnected join graph?)"
       | first :: rest ->
           (* Strict [<]: the first of equally cheap plans wins. *)
-          let best, _ =
+          let best, best_estimate, best_cost =
             List.fold_left
-              (fun ((_, best_cost) as acc) ((_, cost) as cand) ->
+              (fun ((_, _, best_cost) as acc) ((_, _, cost) as cand) ->
                 if cost < best_cost then cand else acc)
               first rest
           in
-          let estimate =
-            Costing.estimate catalog ~constants:t.constants ~scale:t.scale t.estimator best
-          in
           let alternatives =
-            List.map (fun (p, cost) -> (Plan.describe p, cost)) costed
+            List.map (fun (p, _, cost) -> (Plan.describe p, cost)) costed
             |> List.sort (fun (_, a) (_, b) -> Float.compare a b)
           in
           Ok
             {
               plan = best;
-              estimated_cost = estimate.Costing.cost;
-              estimated_card = estimate.Costing.card;
+              estimated_cost = best_cost;
+              estimated_card = best_estimate.Costing.card;
               alternatives;
               degraded = !degraded;
               rewrites;

@@ -58,7 +58,7 @@ val optimize :
     validation failures, and queries still carrying scalar subqueries when
     the rewrite pass is disabled.  [obs] receives the
     [Rewrite_applied] trace events.  [budget] caps the number of
-    candidate-cost evaluations the enumeration may spend; when exceeded,
+    candidates the join enumeration costs, each exactly once; when exceeded,
     the search is abandoned and the deterministic left-deep fallback plan
     ({!Enumerate.left_deep_plan}) is returned instead, with a
     [Budget_exceeded] event in [degraded] — an optimizer that is late is a

@@ -17,9 +17,9 @@ type outcome = {
    tree: scans and join outputs.  The join-tree root itself is not guarded
    (nothing left to replan above it), and [Materialized] leaves are never
    guarded (their cardinality is a fact, not an estimate). *)
-let instrument_with catalog ~constants ~scale est ~threshold plan =
+let instrument_with catalog est ~threshold plan =
   let guard sub =
-    let expected = (Costing.estimate catalog ~constants ~scale est sub).Costing.card in
+    let expected = (Costing.estimate catalog est sub).Costing.card in
     Plan.Guard
       { input = sub; expected_rows = expected; max_q_error = threshold; label = Plan.describe sub }
   in
@@ -61,8 +61,7 @@ let instrument_with catalog ~constants ~scale est ~threshold plan =
 let instrument ?estimator ~threshold opt plan =
   let catalog = Rq_stats.Stats_store.catalog (Optimizer.stats opt) in
   let est = Option.value estimator ~default:(Optimizer.estimator opt) in
-  instrument_with catalog ~constants:(Optimizer.constants opt) ~scale:(Optimizer.scale opt) est
-    ~threshold plan
+  instrument_with catalog est ~threshold plan
 
 (* ------------------------------------------------------------------ *)
 (* Continuation planning                                                *)
@@ -143,7 +142,7 @@ let execute_plan ?(threshold = 4.0) ?(max_reopts = 2) ?obs opt query start_plan 
   in
   let fb = Feedback.create () in
   let base_est = Optimizer.estimator opt in
-  let initial = instrument_with catalog ~constants ~scale base_est ~threshold start_plan in
+  let initial = instrument_with catalog base_est ~threshold start_plan in
   let rec attempt plan reopts =
     match run_attempt (Printf.sprintf "attempt%d" (reopts + 1)) plan with
     | res -> (res, plan, reopts)
@@ -201,7 +200,7 @@ let execute_plan ?(threshold = 4.0) ?(max_reopts = 2) ?obs opt query start_plan 
             trace
               (Rq_obs.Trace.Reopt_adopted
                  { attempt = reopts + 1; plan = Plan.describe full });
-            let guarded = instrument_with catalog ~constants ~scale fb_est ~threshold full in
+            let guarded = instrument_with catalog fb_est ~threshold full in
             attempt guarded (reopts + 1)
           in
           let mat_leaf =

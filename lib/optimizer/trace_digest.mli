@@ -12,7 +12,5 @@
 
 val token : Rq_obs.Trace.event -> string
 
-val of_events : Rq_obs.Trace.event list -> string
-
 val of_recorder : Rq_obs.Recorder.t -> string
 (** Digest of the recorder's event stream so far. *)

@@ -61,5 +61,4 @@ type statement = {
   hints : string list;  (** raw hint comment bodies, in source order *)
 }
 
-val pp_expr : Format.formatter -> expr -> unit
 val pp_condition : Format.formatter -> condition -> unit

@@ -7,12 +7,6 @@ val frequency_profile : Value.t array -> (int * int) list
 (** [(j, f_j)] pairs: [f_j] = number of distinct values occurring exactly
     [j] times in the sample, ascending in [j].  Nulls count as a value. *)
 
-val gee_of_keys : string Seq.t -> population_size:int -> float
-(** GEE over an already-encoded key stream, in one pass — nothing is
-    materialized beyond the per-key count table, so feeding it the rows
-    selected by a predicate costs memory proportional to the number of
-    distinct keys, not the number of matching rows. *)
-
 val gee : sample:Value.t array -> population_size:int -> float
 (** The Guaranteed-Error Estimator:
     D̂ = sqrt(N/n)·f₁ + Σ_{j≥2} f_j,

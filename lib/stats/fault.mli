@@ -21,7 +21,6 @@ type event = { kind : kind; subsystem : string; detail : string }
     The estimation chain emits these instead of raising. *)
 
 val kind_to_string : kind -> string
-val pp_event : Format.formatter -> event -> unit
 val event_to_string : event -> string
 
 (** {2 Injections} *)

@@ -1,5 +1,4 @@
 type t = {
-  relation_name : string;
   column : string;
   keys : Value.t array;  (* sorted ascending, Nulls first *)
   rids : int array;      (* parallel to keys *)
@@ -96,7 +95,7 @@ let patch t ~old_rows ~old_column rel =
   end
 
 let build rel column =
-  let empty = { relation_name = Relation.name rel; column; keys = [||]; rids = [||] } in
+  let empty = { column; keys = [||]; rids = [||] } in
   patch empty ~old_rows:0 ~old_column:(fun _ -> [||]) rel
 
 let refresh t ~old rel =
@@ -105,7 +104,6 @@ let refresh t ~old rel =
     ~old_column:(fun ci -> Relation.with_chunk ~seq:true old ci (fun c -> Chunk.column c pos))
     rel
 
-let relation_name t = t.relation_name
 let column t = t.column
 let entry_count t = Array.length t.keys
 

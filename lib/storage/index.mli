@@ -21,7 +21,6 @@ val refresh : t -> old:Relation.t -> Relation.t -> t
     changed.  Returns [idx] itself (physically) when the column is
     unchanged. *)
 
-val relation_name : t -> string
 val column : t -> string
 val entry_count : t -> int
 

@@ -312,7 +312,3 @@ let to_seq t =
 
 let filter_count t pred =
   fold (fun acc _rid tup -> if pred tup then acc + 1 else acc) 0 t
-
-let pp_brief fmt t =
-  Format.fprintf fmt "%s[%d rows, %d pages] %a" t.name (row_count t) (page_count t)
-    Schema.pp t.schema

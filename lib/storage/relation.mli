@@ -100,5 +100,3 @@ val to_seq : t -> tuple Seq.t
 val filter_count : t -> (tuple -> bool) -> int
 (** Number of tuples satisfying a predicate (used on samples, where the
     relation is small). *)
-
-val pp_brief : Format.formatter -> t -> unit

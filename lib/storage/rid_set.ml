@@ -1,7 +1,5 @@
 type t = int array
 
-let of_sorted_unsafe arr = arr
-
 let of_unsorted arr =
   Array.sort Int.compare arr;
   let n = Array.length arr in

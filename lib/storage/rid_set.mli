@@ -8,10 +8,6 @@ type t
 val of_unsorted : int array -> t
 (** Sorts and deduplicates; takes ownership of the array. *)
 
-val of_sorted_unsafe : int array -> t
-(** Caller guarantees strictly increasing order (e.g. an index range probe
-    over a clustered key). *)
-
 val empty : t
 val cardinality : t -> int
 val is_empty : t -> bool

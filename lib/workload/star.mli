@@ -20,16 +20,13 @@ type params = {
 
 val default_params : params
 
-val paper_fact_rows : int
-(** 10_000_000. *)
-
 val generate : Rq_math.Rng.t -> ?params:params -> unit -> Catalog.t
 (** Tables [fact], [dim1], [dim2], [dim3]; FK edges fact.f_dimN -> dimN;
     nonclustered indexes on each fact FK column (the paper's physical
     design for the semijoin strategy). *)
 
 val cost_scale : Catalog.t -> float
-(** paper_fact_rows / generated fact rows. *)
+(** The paper's 10M fact rows / generated fact rows. *)
 
 val query : ?filter_value:int -> unit -> Logical.t
 (** The Experiment-3 template: four-way join with the filter
