@@ -53,14 +53,21 @@ fuzz-soak: all
 	  --iterations 0 --corpus-dir _fuzz_corpus
 
 # Prove the harness can actually catch a bug: perturb one estimator and
-# require the fuzzer to find, shrink, and replay the planted divergence.
+# require the fuzzer to find, shrink, and replay the planted divergence;
+# then replay the repro it wrote in a fresh process, which must exit 1
+# ("still reproduces").
 fuzz-self-test: all
 	dune exec bin/robustopt.exe -- experiment fuzz --self-test --seed 5
+	status=0; dune exec bin/robustopt.exe -- experiment fuzz \
+	  --replay divergence.fuzz-repro || status=$$?; test $$status -eq 1
 
 # Same proof for the logical rewrite layer: plant an unsound rewrite and
-# require the rewrite pass to catch, shrink, and replay it.
+# require the rewrite pass to catch, shrink, and replay it, in this
+# process and in a fresh one.
 fuzz-self-test-rewrite: all
 	dune exec bin/robustopt.exe -- experiment fuzz --self-test-rewrite --seed 5
+	status=0; dune exec bin/robustopt.exe -- experiment fuzz \
+	  --replay divergence.fuzz-repro || status=$$?; test $$status -eq 1
 
 # Every paper figure, table and ablation (Figures 1-12, the Sec. 6.1
 # overhead table, the ablations and the guard-rescue table), in registry

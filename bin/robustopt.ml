@@ -17,6 +17,15 @@
 open Cmdliner
 open Rq_optimizer
 
+(* Bad user input — a flag value, a data directory, a query file or SQL
+   text — ends the run with one line on stderr and exit code 1. *)
+let user_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("robustopt: " ^ msg);
+      exit 1)
+    fmt
+
 let generate_workload ~workload ~seed ~scale =
   let rng = Rq_math.Rng.create seed in
   match workload with
@@ -27,7 +36,7 @@ let generate_workload ~workload ~seed ~scale =
   | "star" ->
       let catalog = Rq_workload.Star.generate rng () in
       (catalog, Rq_workload.Star.cost_scale catalog)
-  | other -> failwith (Printf.sprintf "unknown workload %S (expected tpch or star)" other)
+  | other -> user_error "unknown workload %S (expected tpch or star)" other
 
 (* A --data-dir overrides the generated workload; user data runs at scale 1
    (its costs are whatever its actual size implies). *)
@@ -36,7 +45,7 @@ let obtain_catalog ~workload ~seed ~scale ~data_dir =
   | Some dir -> (
       match Rq_sql.Loader.load_directory dir with
       | Ok catalog -> (catalog, 1.0)
-      | Error msg -> failwith (Printf.sprintf "loading %s: %s" dir msg))
+      | Error msg -> user_error "loading %s: %s" dir msg)
   | None -> generate_workload ~workload ~seed ~scale
 
 let build_stats ~seed ~sample_size catalog =
@@ -49,12 +58,12 @@ let make_optimizer ~estimator ~confidence ~scale stats =
   match estimator with
   | "robust" -> Optimizer.robust ~scale ~confidence stats
   | "histogram" -> Optimizer.baseline ~scale stats
-  | other -> failwith (Printf.sprintf "unknown estimator %S (expected robust or histogram)" other)
+  | other -> user_error "unknown estimator %S (expected robust or histogram)" other
 
 let compile_sql catalog sql =
   match Rq_sql.Binder.compile catalog sql with
   | Ok bound -> bound
-  | Error msg -> failwith ("SQL error: " ^ msg)
+  | Error msg -> user_error "SQL error: %s" msg
 
 let resolve_confidence ~confidence ~hint =
   match hint with
@@ -154,7 +163,7 @@ let print_observability ~kernel ~trace ~metrics_json recorder =
 
 let check_reopt_threshold = function
   | Some t when t < 1.0 ->
-      failwith (Printf.sprintf "--reopt-threshold must be >= 1.0 (a q-error), got %g" t)
+      user_error "--reopt-threshold must be >= 1.0 (a q-error), got %g" t
   | _ -> ()
 
 (* Apply --fault-profile: damage a copy of the stats and switch to the
@@ -165,7 +174,7 @@ let apply_fault_profile ?obs ~seed ~confidence ~cost_scale ~profile stats =
   | Some p ->
       let rng = Rq_math.Rng.create (seed + 7) in
       (match Rq_stats.Fault.profile_injections rng stats p with
-      | Error msg -> failwith msg
+      | Error msg -> user_error "%s" msg
       | Ok injections ->
           List.iter
             (fun i -> Printf.printf "fault: %s\n" (Rq_stats.Fault.injection_to_string i))
@@ -222,7 +231,7 @@ let optimize_session ~opt_budget s =
       s.opt s.query
   with
   | Ok d -> d
-  | Error msg -> failwith msg
+  | Error msg -> user_error "%s" msg
 
 (* ---------------- explain ---------------- *)
 
@@ -240,7 +249,7 @@ let explain_cmd =
     Printf.printf "confidence threshold: %g%%\n" (Rq_core.Confidence.to_percent s.confidence);
     (match Optimizer.explain s.opt s.query with
     | Ok report -> print_string report
-    | Error msg -> failwith msg);
+    | Error msg -> user_error "%s" msg);
     if analyze then begin
       let decision = optimize_session ~opt_budget s in
       print_degradations decision;
@@ -385,9 +394,9 @@ let batch_cmd =
     let setting =
       match Rq_core.Confidence.policy_of_string policy with
       | Ok p -> { Rq_core.Confidence.system_default = Rq_core.Confidence.of_policy p }
-      | Error msg -> failwith msg
+      | Error msg -> user_error "%s" msg
     in
-    let ic = open_in file in
+    let ic = try open_in file with Sys_error msg -> user_error "%s" msg in
     let sqls = ref [] in
     (try
        while true do
@@ -401,7 +410,7 @@ let batch_cmd =
         (List.rev !sqls)
     with
     | Ok report -> print_string (Rq_experiments.Workbench.render report)
-    | Error msg -> failwith msg
+    | Error msg -> user_error "%s" msg
   in
   let term =
     Term.(const run $ workload_arg $ seed_arg $ scale_arg $ sample_arg $ data_dir_arg
@@ -424,7 +433,7 @@ let export_cmd =
     match Rq_sql.Loader.export_directory catalog dir with
     | Ok () -> Printf.printf "wrote schema.sql and %d CSV files to %s\n"
                  (List.length (Rq_storage.Catalog.table_names catalog)) dir
-    | Error msg -> failwith msg
+    | Error msg -> user_error "%s" msg
   in
   let term = Term.(const run $ workload_arg $ seed_arg $ scale_arg $ dir_arg) in
   Cmd.v
@@ -588,7 +597,7 @@ let profile_cmd =
                            (List.map (fun s -> Printf.sprintf "%.4f%%" (100.0 *. s)) crossings)))
               plans)
           plans
-    | _ -> failwith "profile expects a single-table query"
+    | _ -> user_error "profile expects a single-table query"
   in
   let term = Term.(const run $ workload_arg $ seed_arg $ scale_arg $ sql_arg) in
   Cmd.v

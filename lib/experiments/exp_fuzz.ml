@@ -1,10 +1,12 @@
 (* Feedback-guided differential fuzzer.
 
    An evolutionary loop over (data-state mutation, stats-fault profile,
-   query) triples.  Each case's query goes through Differential.check,
-   which holds every differential pass and takes Naive as the reference
-   answer; the case's faults damage the statistics its degraded pass plans
-   over, and the rewritten plans also run on a 2-domain morsel pool.
+   SQL query) triples.  Each case's query is an Ast.statement, stored as
+   SQL text and bound by the binder into the logical query that
+   Differential.check takes; the check holds every differential pass and
+   takes Naive as the reference answer.  The case's faults damage the
+   statistics its degraded pass plans over, and the rewritten plans also
+   run on a 2-domain morsel pool.
    Whatever the estimates, the answers must agree with Naive and the
    counters must add up.
 
@@ -20,7 +22,7 @@
 
 open Rq_storage
 open Rq_exec
-open Rq_optimizer
+open Rq_sql
 open Rq_workload
 module Rng = Rq_math.Rng
 module Json = Rq_obs.Json
@@ -28,41 +30,17 @@ module Stats_store = Rq_stats.Stats_store
 module Fault = Rq_stats.Fault
 
 (* ------------------------------------------------------------------ *)
-(* Genome                                                              *)
+(* Cases                                                               *)
 (* ------------------------------------------------------------------ *)
 
 type workload = Tpch | Star
-
-type cmp = C_le | C_lt | C_gt | C_ge | C_eq
-
-type literal = L_int of int | L_float of float | L_date of int
-
-type atom = { column : string; cmp : cmp; value : literal }
-
-type table_gene = { table : string; atoms : atom list }
-
-type shape = Total | Grouped | Projected
-
-type query_gene = {
-  genes : table_gene list;
-  shape : shape;
-  semis : table_gene list;
-      (* IN-subquery genes: each rides one of the spec's FK triples; a semi
-         whose table is already joined in FROM is dropped at compile time
-         (the logical layer rejects disguised self-joins) *)
-  order : bool;  (* ORDER BY the shape's sort column *)
-  descending : bool;
-  limit : int option;
-      (* honored only where every candidate plan emits one canonical row
-         order: single-table Projected queries without semijoins *)
-}
 
 type case = {
   workload : workload;
   catalog_seed : int;
   mutations : Mutate.t list;
   faults : Fault.injection list;
-  query : query_gene;
+  query : Ast.statement;
   pool_pages : int option;
       (* buffer-pool-capacity gene: cap the global pool (in 8 KiB pages)
          while the case's passes run.  Eviction pressure must never change
@@ -76,51 +54,31 @@ let workload_of_string = function
   | "star" -> Ok Star
   | s -> Error (Printf.sprintf "unknown workload %S" s)
 
-let cmp_to_string = function
-  | C_le -> "le"
-  | C_lt -> "lt"
-  | C_gt -> "gt"
-  | C_ge -> "ge"
-  | C_eq -> "eq"
-
-let cmp_of_string = function
-  | "le" -> Ok C_le
-  | "lt" -> Ok C_lt
-  | "gt" -> Ok C_gt
-  | "ge" -> Ok C_ge
-  | "eq" -> Ok C_eq
-  | s -> Error (Printf.sprintf "unknown comparison %S" s)
-
-let shape_to_string = function
-  | Total -> "total"
-  | Grouped -> "grouped"
-  | Projected -> "projected"
-
-let shape_of_string = function
-  | "total" -> Ok Total
-  | "grouped" -> Ok Grouped
-  | "projected" -> Ok Projected
-  | s -> Error (Printf.sprintf "unknown shape %S" s)
-
 (* ------------------------------------------------------------------ *)
 (* Workload specs: the predicate/table space of every generated query   *)
 (* ------------------------------------------------------------------ *)
 
-type atom_pool = { p_column : string; p_cmps : cmp array; p_draw : Rng.t -> literal }
+type atom_pool = { p_column : string; p_cmps : Ast.cmp array; p_draw : Rng.t -> Ast.expr }
 
 type table_spec = { t_name : string; t_pools : atom_pool array }
 
 type spec = {
   s_root : table_spec;
   s_satellites : table_spec array;
-  s_group : string;        (* qualified GROUP BY column *)
-  s_agg : string;          (* qualified SUM target *)
-  s_projection : string list;
-  s_order : string;        (* Projected-shape sort column; in s_projection *)
-  s_semis : (string * string * string) array;
-      (* (inner table, qualified outer key, inner key) FK triples the
-         IN-subquery genes draw from *)
+  s_group : Ast.column;
+  s_agg : Ast.column;         (* SUM target *)
+  s_projection : Ast.column list;
+  s_order : Ast.column;       (* projection sort column; in s_projection *)
+  s_semis : (string * Ast.column * string) array;
+      (* (inner table, outer key, inner key) FK triples the IN subqueries
+         draw from *)
 }
+
+let col table name = { Ast.table = Some table; name }
+
+let date_lit days =
+  let y, m, d = Value.ymd_of_date (Value.Date days) in
+  Ast.Date_lit (y, m, d)
 
 let ship_day0 = match fst Tpch.ship_window with Value.Date d -> d | _ -> 0
 
@@ -133,18 +91,18 @@ let tpch_spec =
           [|
             {
               p_column = "l_quantity";
-              p_cmps = [| C_le; C_gt; C_ge; C_lt |];
-              p_draw = (fun rng -> L_int (1 + Rng.int rng 50));
+              p_cmps = [| Ast.Le; Ast.Gt; Ast.Ge; Ast.Lt |];
+              p_draw = (fun rng -> Ast.Int_lit (1 + Rng.int rng 50));
             };
             {
               p_column = "l_extendedprice";
-              p_cmps = [| C_gt; C_le |];
-              p_draw = (fun rng -> L_float (Rng.float rng 120_000.0));
+              p_cmps = [| Ast.Gt; Ast.Le |];
+              p_draw = (fun rng -> Ast.Float_lit (Rng.float rng 120_000.0));
             };
             {
               p_column = "l_shipdate";
-              p_cmps = [| C_le; C_gt |];
-              p_draw = (fun rng -> L_date (ship_day0 - 200 + Rng.int rng 600));
+              p_cmps = [| Ast.Le; Ast.Gt |];
+              p_draw = (fun rng -> date_lit (ship_day0 - 200 + Rng.int rng 600));
             };
           |];
       };
@@ -156,8 +114,8 @@ let tpch_spec =
             [|
               {
                 p_column = "o_totalprice";
-                p_cmps = [| C_gt; C_le |];
-                p_draw = (fun rng -> L_float (Rng.float rng 250_000.0));
+                p_cmps = [| Ast.Gt; Ast.Le |];
+                p_draw = (fun rng -> Ast.Float_lit (Rng.float rng 250_000.0));
               };
             |];
         };
@@ -167,25 +125,25 @@ let tpch_spec =
             [|
               {
                 p_column = "p_size";
-                p_cmps = [| C_lt; C_ge |];
-                p_draw = (fun rng -> L_int (1 + Rng.int rng 50));
+                p_cmps = [| Ast.Lt; Ast.Ge |];
+                p_draw = (fun rng -> Ast.Int_lit (1 + Rng.int rng 50));
               };
               {
                 p_column = "p_bucket";
-                p_cmps = [| C_eq |];
-                p_draw = (fun rng -> L_int (Rng.int rng 1000));
+                p_cmps = [| Ast.Eq |];
+                p_draw = (fun rng -> Ast.Int_lit (Rng.int rng 1000));
               };
             |];
         };
       |];
-    s_group = "lineitem.l_quantity";
-    s_agg = "lineitem.l_extendedprice";
-    s_projection = [ "lineitem.l_rowid"; "lineitem.l_extendedprice" ];
-    s_order = "lineitem.l_extendedprice";
+    s_group = col "lineitem" "l_quantity";
+    s_agg = col "lineitem" "l_extendedprice";
+    s_projection = [ col "lineitem" "l_rowid"; col "lineitem" "l_extendedprice" ];
+    s_order = col "lineitem" "l_extendedprice";
     s_semis =
       [|
-        ("orders", "lineitem.l_orderkey", "o_orderkey");
-        ("part", "lineitem.l_partkey", "p_partkey");
+        ("orders", col "lineitem" "l_orderkey", "o_orderkey");
+        ("part", col "lineitem" "l_partkey", "p_partkey");
       |];
   }
 
@@ -197,8 +155,8 @@ let star_spec =
         [|
           {
             p_column = "d_filter";
-            p_cmps = [| C_eq |];
-            p_draw = (fun rng -> L_int (Rng.int rng 10));
+            p_cmps = [| Ast.Eq |];
+            p_draw = (fun rng -> Ast.Int_lit (Rng.int rng 10));
           };
         |];
     }
@@ -211,21 +169,21 @@ let star_spec =
           [|
             {
               p_column = "f_m1";
-              p_cmps = [| C_gt; C_le |];
-              p_draw = (fun rng -> L_float (Rng.float rng 1000.0));
+              p_cmps = [| Ast.Gt; Ast.Le |];
+              p_draw = (fun rng -> Ast.Float_lit (Rng.float rng 1000.0));
             };
           |];
       };
     s_satellites = [| dim 1; dim 2; dim 3 |];
-    s_group = "fact.f_dim1";
-    s_agg = "fact.f_m1";
-    s_projection = [ "fact.f_id"; "fact.f_m1" ];
-    s_order = "fact.f_m1";
+    s_group = col "fact" "f_dim1";
+    s_agg = col "fact" "f_m1";
+    s_projection = [ col "fact" "f_id"; col "fact" "f_m1" ];
+    s_order = col "fact" "f_m1";
     s_semis =
       [|
-        ("dim1", "fact.f_dim1", "d_key");
-        ("dim2", "fact.f_dim2", "d_key");
-        ("dim3", "fact.f_dim3", "d_key");
+        ("dim1", col "fact" "f_dim1", "d_key");
+        ("dim2", col "fact" "f_dim2", "d_key");
+        ("dim3", col "fact" "f_dim3", "d_key");
       |];
   }
 
@@ -235,91 +193,29 @@ let table_spec spec name =
   if spec.s_root.t_name = name then Some spec.s_root
   else Array.find_opt (fun t -> t.t_name = name) spec.s_satellites
 
-(* ------------------------------------------------------------------ *)
-(* Genome -> logical query                                             *)
-(* ------------------------------------------------------------------ *)
+(* The three query shapes — total, grouped, projected — as (SELECT list,
+   GROUP BY, the column an ORDER BY may sort on). *)
+let shapes spec =
+  let sum_total = Ast.Agg_item (Ast.Sum, Some (Ast.Column spec.s_agg), Some "total") in
+  [|
+    ([ sum_total; Ast.Agg_item (Ast.Count_star, None, Some "n") ], [], None);
+    ( [ Ast.Expr_item (Ast.Column spec.s_group, None); sum_total ],
+      [ spec.s_group ],
+      Some { Ast.table = None; name = "total" } );
+    (List.map (fun c -> Ast.Expr_item (Ast.Column c, None)) spec.s_projection, [], Some spec.s_order);
+  |]
 
-let expr_of_literal = function
-  | L_int n -> Expr.int n
-  | L_float f -> Expr.float f
-  | L_date d -> Expr.Const (Value.Date d)
+(* A WHERE clause as its top-level conjuncts, and back. *)
+let conjuncts (q : Ast.statement) =
+  match q.where with None -> [] | Some (Ast.And cs) -> cs | Some c -> [ c ]
 
-let pred_cmp = function
-  | C_le -> Pred.Le
-  | C_lt -> Pred.Lt
-  | C_gt -> Pred.Gt
-  | C_ge -> Pred.Ge
-  | C_eq -> Pred.Eq
+let conjunction = function [] -> None | [ c ] -> Some c | cs -> Some (Ast.And cs)
 
-let pred_of_atom a = Pred.Cmp (pred_cmp a.cmp, Expr.col a.column, expr_of_literal a.value)
-
-let sum col name = { Plan.fn = Plan.Sum (Expr.col col); output_name = name }
-let count name = { Plan.fn = Plan.Count_star; output_name = name }
-
-let compile_query workload q =
-  let spec = spec_of workload in
-  let refs =
-    List.map
-      (fun g -> Logical.scan ~pred:(Pred.conj (List.map pred_of_atom g.atoms)) g.table)
-      q.genes
-  in
-  let from_tables = List.map (fun g -> g.table) q.genes in
-  let semijoins =
-    List.filter_map
-      (fun g ->
-        if List.mem g.table from_tables then None
-        else
-          Array.find_opt (fun (t, _, _) -> t = g.table) spec.s_semis
-          |> Option.map (fun (_, outer_key, inner_key) ->
-                 {
-                   Logical.outer_key;
-                   inner = Logical.scan ~pred:(Pred.conj (List.map pred_of_atom g.atoms)) g.table;
-                   inner_key;
-                 }))
-      q.semis
-  in
-  let sort col = [ { Plan.sort_column = col; descending = q.descending } ] in
-  match q.shape with
-  | Total -> Logical.query ~semijoins ~aggs:[ sum spec.s_agg "total"; count "n" ] refs
-  | Grouped ->
-      let order_by = if q.order then sort "total" else [] in
-      Logical.query ~semijoins ~group_by:[ spec.s_group ]
-        ~aggs:[ sum spec.s_agg "total" ] ~order_by refs
-  | Projected ->
-      let order_by = if q.order then sort spec.s_order else [] in
-      let limit =
-        (* every candidate plan for a single-table, semijoin-free query
-           emits one canonical row order (RID order, or the identical
-           stable-sorted order), so LIMIT stays deterministic across the
-           differential arms *)
-        if List.length q.genes = 1 && semijoins = [] then q.limit else None
-      in
-      Logical.query ~semijoins ~projection:spec.s_projection ~order_by ?limit refs
-
-let compile_case case = compile_query case.workload case.query
+let with_conjuncts (q : Ast.statement) cs = { q with where = conjunction cs }
 
 (* ------------------------------------------------------------------ *)
 (* Serialization (corpus entries and .fuzz-repro files)                *)
 (* ------------------------------------------------------------------ *)
-
-let literal_to_json = function
-  | L_int n -> Json.Obj [ ("int", Json.Num (float_of_int n)) ]
-  | L_float f -> Json.Obj [ ("float", Json.Num f) ]
-  | L_date d -> Json.Obj [ ("date", Json.Num (float_of_int d)) ]
-
-let literal_of_json = function
-  | Json.Obj [ ("int", Json.Num n) ] -> Ok (L_int (int_of_float n))
-  | Json.Obj [ ("float", Json.Num f) ] -> Ok (L_float f)
-  | Json.Obj [ ("date", Json.Num d) ] -> Ok (L_date (int_of_float d))
-  | j -> Error ("bad literal: " ^ Json.to_string j)
-
-let atom_to_json a =
-  Json.Obj
-    [
-      ("column", Json.Str a.column);
-      ("cmp", Json.Str (cmp_to_string a.cmp));
-      ("value", literal_to_json a.value);
-    ]
 
 let ( let* ) = Result.bind
 
@@ -356,57 +252,22 @@ let map_result f l =
       Ok (y :: acc))
     l (Ok [])
 
-let atom_of_json j =
-  let* column = jstr "column" j in
-  let* cmp_s = jstr "cmp" j in
-  let* cmp = cmp_of_string cmp_s in
-  let* value_j = jfield "value" j in
-  let* value = literal_of_json value_j in
-  Ok { column; cmp; value }
-
 let case_to_json case =
   Json.Obj
-    ([
+    [
       ("workload", Json.Str (workload_to_string case.workload));
       ("catalog_seed", Json.Num (float_of_int case.catalog_seed));
       ("mutations", Json.List (List.map (fun m -> Json.Str (Mutate.to_string m)) case.mutations));
       ("faults", Json.List (List.map Fault.injection_to_json case.faults));
+      ( "pool_pages",
+        match case.pool_pages with None -> Json.Null | Some n -> Json.Num (float_of_int n) );
+      ("sql", Json.Str (Ast.to_sql case.query));
     ]
-    @ (* emitted only when set, so corpora from older builds round-trip *)
-    (match case.pool_pages with
-    | None -> []
-    | Some n -> [ ("pool_pages", Json.Num (float_of_int n)) ])
-    @ [
-      ( "query",
-        let gene_json g =
-          Json.Obj
-            [
-              ("table", Json.Str g.table);
-              ("atoms", Json.List (List.map atom_to_json g.atoms));
-            ]
-        in
-        let q = case.query in
-        Json.Obj
-          ([
-             ("shape", Json.Str (shape_to_string q.shape));
-             ("tables", Json.List (List.map gene_json q.genes));
-           ]
-          (* widened-surface genes are emitted only when set, so corpora
-             written by older builds parse and vice versa *)
-          @ (if q.semis = [] then [] else [ ("semis", Json.List (List.map gene_json q.semis)) ])
-          @ (if not q.order then []
-             else [ ("order", Json.Str (if q.descending then "desc" else "asc")) ])
-          @
-          match q.limit with
-          | None -> []
-          | Some n -> [ ("limit", Json.Num (float_of_int n)) ]) );
-    ])
 
 let case_of_json j =
   let* workload_s = jstr "workload" j in
   let* workload = workload_of_string workload_s in
-  let* catalog_seed_f = jnum "catalog_seed" j in
-  let catalog_seed = int_of_float catalog_seed_f in
+  let* catalog_seed = jnum "catalog_seed" j in
   let* mutation_js = jlist "mutations" j in
   let* mutations =
     map_result
@@ -415,58 +276,16 @@ let case_of_json j =
   in
   let* fault_js = jlist "faults" j in
   let* faults = map_result Fault.injection_of_json fault_js in
-  let* query_j = jfield "query" j in
-  let* shape_s = jstr "shape" query_j in
-  let* shape = shape_of_string shape_s in
-  let gene_of_json g =
-    let* table = jstr "table" g in
-    let* atom_js = jlist "atoms" g in
-    let* atoms = map_result atom_of_json atom_js in
-    Ok { table; atoms }
-  in
-  let* table_js = jlist "tables" query_j in
-  let* genes = map_result gene_of_json table_js in
-  (* optional widened-surface genes: absent in corpora from older builds *)
-  let jopt name = match query_j with Json.Obj fields -> List.assoc_opt name fields | _ -> None in
-  let* semis =
-    match jopt "semis" with
-    | None -> Ok []
-    | Some (Json.List l) -> map_result gene_of_json l
-    | Some _ -> Error "field \"semis\" must be a list"
-  in
-  let* order, descending =
-    match jopt "order" with
-    | None -> Ok (false, false)
-    | Some (Json.Str "asc") -> Ok (true, false)
-    | Some (Json.Str "desc") -> Ok (true, true)
-    | Some _ -> Error "field \"order\" must be \"asc\" or \"desc\""
-  in
-  let* limit =
-    match jopt "limit" with
-    | None -> Ok None
-    | Some (Json.Num n) -> Ok (Some (int_of_float n))
-    | Some _ -> Error "field \"limit\" must be a number"
-  in
-  (* optional top-level genes: absent in corpora from older builds *)
   let* pool_pages =
-    match (match j with Json.Obj fields -> List.assoc_opt "pool_pages" fields | _ -> None) with
-    | None -> Ok None
-    | Some (Json.Num n) -> Ok (Some (int_of_float n))
-    | Some _ -> Error "field \"pool_pages\" must be a number"
+    match jfield "pool_pages" j with
+    | Ok Json.Null -> Ok None
+    | Ok (Json.Num n) -> Ok (Some (int_of_float n))
+    | Ok _ -> Error "field \"pool_pages\" must be a number or null"
+    | Error e -> Error e
   in
-  (* Corpora from older builds may also carry a retired "vectorize" field;
-     it is ignored. *)
-  if genes = [] then Error "query has no tables"
-  else
-    Ok
-      {
-        workload;
-        catalog_seed;
-        mutations;
-        faults;
-        query = { genes; shape; semis; order; descending; limit };
-        pool_pages;
-      }
+  let* sql = jstr "sql" j in
+  let* query = Parser.parse sql in
+  Ok { workload; catalog_seed = int_of_float catalog_seed; mutations; faults; query; pool_pages }
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
@@ -574,41 +393,45 @@ type divergence = Differential.divergence = { pass : string; detail : string }
 type probe = Differential.probe = { coverage : string * string; divergence : divergence option }
 
 let probe_case ?sabotage ?(pools = []) config case =
-  match build_env config case with
-  | Error e -> Error e
-  | Ok env -> (
-      let faulted = Fault.apply (Rng.create (fault_seed case)) env.Differential.stats case.faults in
-      let check () =
-        Differential.check ?sabotage
-          { env with faulted = [ ("case", faulted) ]; pools }
-          (compile_case case)
+  let* env = build_env config case in
+  let* { Binder.query; _ } = Binder.bind env.Differential.catalog case.query in
+  let faulted = Fault.apply (Rng.create (fault_seed case)) env.Differential.stats case.faults in
+  let check () =
+    Differential.check ?sabotage { env with faulted = [ ("case", faulted) ]; pools } query
+  in
+  match case.pool_pages with
+  | None -> check ()
+  | Some pages ->
+      (* Apply the buffer-pool-capacity gene for the duration of the
+         probe, then restore the previous capacity: a starved pool must
+         only add fault-ins, never change an answer. *)
+      let before =
+        (Rq_storage.Buffer_pool.global_stats ()).Rq_storage.Buffer_pool.capacity_chunks
+        * Rq_storage.Page.pages_per_chunk
       in
-      match case.pool_pages with
-      | None -> check ()
-      | Some pages ->
-          (* Apply the buffer-pool-capacity gene for the duration of the
-             probe, then restore the previous capacity: a starved pool must
-             only add fault-ins, never change an answer. *)
-          let before =
-            (Rq_storage.Buffer_pool.global_stats ()).Rq_storage.Buffer_pool.capacity_chunks
-            * Rq_storage.Page.pages_per_chunk
-          in
-          Rq_storage.Buffer_pool.configure ~capacity_pages:pages;
-          Fun.protect
-            ~finally:(fun () -> Rq_storage.Buffer_pool.configure ~capacity_pages:before)
-            check)
+      Rq_storage.Buffer_pool.configure ~capacity_pages:pages;
+      Fun.protect
+        ~finally:(fun () -> Rq_storage.Buffer_pool.configure ~capacity_pages:before)
+        check
 
 (* ------------------------------------------------------------------ *)
 (* Random generation and the mutator                                  *)
 (* ------------------------------------------------------------------ *)
 
-let gen_atom rng pool = { column = pool.p_column; cmp = Rng.pick rng pool.p_cmps; value = pool.p_draw rng }
+(* The literal is drawn before the comparison: the draw order fixes every
+   seed's search. *)
+let gen_atom rng ts pool =
+  let value = pool.p_draw rng in
+  let op = Rng.pick rng pool.p_cmps in
+  Ast.Cmp (op, Ast.Column (col ts.t_name pool.p_column), value)
 
-let gen_table_gene rng ?(max_atoms = 2) ts =
+let gen_conjuncts rng ?(max_atoms = 2) ts =
   let n = Rng.int rng (max_atoms + 1) in
-  let atoms = List.init n (fun _ -> gen_atom rng (Rng.pick rng ts.t_pools)) in
-  { table = ts.t_name; atoms }
+  List.init n (fun _ -> gen_atom rng ts (Rng.pick rng ts.t_pools))
 
+(* One [outer_key IN (SELECT inner_key FROM t ...)] over an FK edge whose
+   table the query does not already join (the logical layer rejects
+   disguised self-joins). *)
 let gen_semi rng spec ~present =
   let free =
     Array.to_list spec.s_semis
@@ -617,29 +440,49 @@ let gen_semi rng spec ~present =
   match free with
   | [] -> None
   | _ ->
-      let t, _, _ = Rng.pick rng (Array.of_list free) in
-      table_spec spec t |> Option.map (fun ts -> gen_table_gene rng ~max_atoms:1 ts)
+      let t, outer_key, inner_key = Rng.pick rng (Array.of_list free) in
+      table_spec spec t
+      |> Option.map (fun ts ->
+             let sub_where = conjunction (gen_conjuncts rng ~max_atoms:1 ts) in
+             Ast.In_subquery
+               ( Ast.Column outer_key,
+                 {
+                   Ast.sub_item = Ast.Sub_column { table = None; name = inner_key };
+                   sub_from = t;
+                   sub_where;
+                 } ))
 
-let gen_query_gene rng spec =
-  let root = gen_table_gene rng spec.s_root in
+let gen_statement rng spec =
+  let root = gen_conjuncts rng spec.s_root in
   let sats =
     Array.to_list spec.s_satellites
-    |> List.filter_map (fun ts -> if Rng.bool rng then Some (gen_table_gene rng ~max_atoms:1 ts) else None)
+    |> List.filter_map (fun ts ->
+           if Rng.bool rng then Some (ts.t_name, gen_conjuncts rng ~max_atoms:1 ts) else None)
   in
-  let genes = root :: sats in
+  let from = spec.s_root.t_name :: List.map fst sats in
   let semis =
-    if Rng.int rng 3 = 0 then
-      match gen_semi rng spec ~present:(List.map (fun g -> g.table) genes) with
-      | Some s -> [ s ]
-      | None -> []
-    else []
+    if Rng.int rng 3 = 0 then Option.to_list (gen_semi rng spec ~present:from) else []
   in
-  let shape = Rng.pick rng [| Total; Grouped; Projected |] in
-  let order = shape <> Total && Rng.int rng 3 = 0 in
+  let select, group_by, sort_column = Rng.pick rng (shapes spec) in
+  let order = sort_column <> None && Rng.int rng 3 = 0 in
   let limit = if Rng.int rng 4 = 0 then Some (1 + Rng.int rng 20) else None in
-  { genes; shape; semis; order; descending = order && Rng.bool rng; limit }
+  let desc = order && Rng.bool rng in
+  let order_by =
+    match sort_column with Some order_column when order -> [ { Ast.order_column; desc } ] | _ -> []
+  in
+  let q =
+    with_conjuncts
+      { Ast.select; from; where = None; group_by; order_by; limit = None; hints = [] }
+      (root @ List.concat_map snd sats @ semis)
+  in
+  (* every candidate plan for a single-table projection without a
+     semijoin emits one canonical row order (RID order, or the identical
+     stable-sorted order), so only there does LIMIT stay deterministic
+     across the differential arms *)
+  let projected = not (List.exists (function Ast.Agg_item _ -> true | _ -> false) select) in
+  if List.length from = 1 && semis = [] && projected then { q with limit } else q
 
-let gen_query rng workload = compile_query workload (gen_query_gene rng (spec_of workload))
+let gen_query rng workload = gen_statement rng (spec_of workload)
 
 (* Faults and data mutations target tables the query actually touches:
    damage elsewhere leaves both the plan and the tier digest unchanged, so
@@ -665,14 +508,12 @@ let gen_mutation rng spec tables =
   else
     Mutate.Grow { table = Rng.pick rng (Array.of_list tables); percent = Rng.pick rng [| 40; 120 |] }
 
-let query_tables q = List.map (fun g -> g.table) q.genes
-
 let gen_case rng config =
   let workload = Rng.pick rng (Array.of_list config.workloads) in
   let catalog_seed = Rng.pick rng (Array.of_list config.catalog_seeds) in
   let spec = spec_of workload in
-  let query = gen_query_gene rng spec in
-  let tables = query_tables query in
+  let query = gen_statement rng spec in
+  let tables = query.Ast.from in
   (* the pure-random control can reach fault/mutation states too — the
      steered loop must win on search order, not on a larger gene pool *)
   let faults = if Rng.int rng 4 = 0 then [ gen_fault rng spec tables ] else [] in
@@ -692,13 +533,13 @@ let operator_name = function Splice -> "splice" | Fault -> "fault" | Data -> "da
 
 let mutate_case rng op case =
   let spec = spec_of case.workload in
-  let tables = query_tables case.query in
+  let tables = case.query.Ast.from in
   match op with
   | Splice ->
       (* a fresh query over the parent's data state, faults and pool: new
          plan shapes come from new queries far more often than from
          tweaking one gene of an old one *)
-      { case with query = gen_query_gene rng spec }
+      { case with query = gen_statement rng spec }
   | Fault ->
       if case.faults <> [] && Rng.int rng 6 = 0 then
         let j = Rng.int rng (List.length case.faults) in
@@ -726,9 +567,13 @@ let mutate_case rng op case =
 (* ------------------------------------------------------------------ *)
 
 let shrink_literal = function
-  | L_int n -> if n = 0 then [] else [ L_int (n / 2); L_int 0 ]
-  | L_float f -> if f = 0.0 then [] else [ L_float (f /. 2.0); L_float 0.0 ]
-  | L_date d -> [ L_date (d - 100) ]
+  | Ast.Int_lit n -> if n = 0 then [] else [ Ast.Int_lit (n / 2); Ast.Int_lit 0 ]
+  | Ast.Float_lit f -> if f = 0.0 then [] else [ Ast.Float_lit (f /. 2.0); Ast.Float_lit 0.0 ]
+  | Ast.Date_lit (year, month, day) -> (
+      match Value.date_of_ymd ~year ~month ~day with
+      | Value.Date d -> [ date_lit (d - 100) ]
+      | _ -> [])
+  | _ -> []
 
 let weaken_fault = function
   | Fault.Truncate_synopsis { root; keep } when keep < 16 ->
@@ -749,24 +594,40 @@ let weaken_mutation = function
 let shrink_candidates case =
   let q = case.query in
   let with_query q' = { case with query = q' } in
+  let cs = conjuncts q in
+  let is_semi = function Ast.In_subquery _ -> true | _ -> false in
+  let filters t = function
+    | Ast.Cmp (_, Ast.Column { table = Some t'; _ }, _) -> t = t'
+    | _ -> false
+  in
+  let drop_conjunct j = with_query (with_conjuncts q (List.filteri (fun k _ -> k <> j) cs)) in
+  let drop_conjuncts_if p =
+    List.concat (List.mapi (fun j c -> if p c then [ drop_conjunct j ] else []) cs)
+  in
   let drop_tables =
-    match q.genes with
-    | root :: sats when sats <> [] ->
-        List.mapi
-          (fun j _ -> with_query { q with genes = root :: List.filteri (fun k _ -> k <> j) sats })
+    match q.from with
+    | _root :: sats ->
+        List.map
+          (fun t ->
+            with_query
+              (with_conjuncts
+                 { q with from = List.filter (( <> ) t) q.from }
+                 (List.filter (fun c -> not (filters t c)) cs)))
           sats
-    | _ -> []
+    | [] -> []
   in
-  let drop_semis =
-    List.mapi
-      (fun j _ -> with_query { q with semis = List.filteri (fun k _ -> k <> j) q.semis })
-      q.semis
-  in
-  let drop_order = if q.order then [ with_query { q with order = false } ] else [] in
+  let drop_semis = drop_conjuncts_if is_semi in
+  let drop_order = if q.order_by <> [] then [ with_query { q with order_by = [] } ] else [] in
   let drop_limit =
     if q.limit <> None then [ with_query { q with limit = None } ] else []
   in
-  let simplify_shape = if q.shape <> Total then [ with_query { q with shape = Total } ] else [] in
+  let simplify_shape =
+    (* the total shape, which has no ORDER BY and no LIMIT *)
+    let select, group_by, _ = (shapes (spec_of case.workload)).(0) in
+    if q.select <> select then
+      [ with_query { q with select; group_by; order_by = []; limit = None } ]
+    else []
+  in
   let drop_mutations =
     List.mapi
       (fun j _ -> { case with mutations = List.filteri (fun k _ -> k <> j) case.mutations })
@@ -798,50 +659,21 @@ let shrink_candidates case =
              (weaken_fault f))
          case.faults)
   in
-  let drop_atoms =
-    List.concat
-      (List.mapi
-         (fun i g ->
-           List.mapi
-             (fun j _ ->
-               let genes =
-                 List.mapi
-                   (fun k g0 ->
-                     if k <> i then g0
-                     else { g0 with atoms = List.filteri (fun l _ -> l <> j) g0.atoms })
-                   q.genes
-               in
-               with_query { q with genes })
-             g.atoms)
-         q.genes)
-  in
+  let drop_atoms = drop_conjuncts_if (fun c -> not (is_semi c)) in
   let shrink_literals =
     List.concat
       (List.mapi
-         (fun i g ->
-           List.concat
-             (List.mapi
-                (fun j a ->
-                  List.map
-                    (fun v ->
-                      let genes =
-                        List.mapi
-                          (fun k g0 ->
-                            if k <> i then g0
-                            else
-                              {
-                                g0 with
-                                atoms =
-                                  List.mapi
-                                    (fun l a0 -> if l = j then { a0 with value = v } else a0)
-                                    g0.atoms;
-                              })
-                          q.genes
-                      in
-                      with_query { q with genes })
-                    (shrink_literal a.value))
-                g.atoms))
-         q.genes)
+         (fun j c ->
+           match c with
+           | Ast.Cmp (op, lhs, lit) ->
+               List.map
+                 (fun v ->
+                   with_query
+                     (with_conjuncts q
+                        (List.mapi (fun k c0 -> if k = j then Ast.Cmp (op, lhs, v) else c0) cs)))
+                 (shrink_literal lit)
+           | _ -> [])
+         cs)
   in
   (* most aggressive first: whole tables and subqueries, then decoration
      (ORDER BY / LIMIT), then whole faults/mutations, then conjuncts, then
@@ -880,7 +712,7 @@ let shrink ~probe ~config case0 (div0 : divergence) =
 (* Repro files                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let repro_format = "robustopt-fuzz-repro/1"
+let repro_format = "robustopt-fuzz-repro/2"
 
 (* The planted unsound rewrite fires on every case with a filter, so it
    takes precedence when both self-tests are armed. *)
@@ -972,16 +804,18 @@ let coverage_key (plans, tier) = plans ^ "|" ^ tier
 let corpus_filename case =
   Printf.sprintf "%08x.fuzz" (Hashtbl.hash (Json.to_string (case_to_json case)))
 
-let load_corpus dir =
+let load_corpus ~log dir =
   if Sys.file_exists dir && Sys.is_directory dir then
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".fuzz")
     |> List.sort String.compare
     |> List.filter_map (fun f ->
            let path = Filename.concat dir f in
-           match Json.parse (read_file path) with
-           | Ok j -> ( match case_of_json j with Ok c -> Some c | Error _ -> None)
-           | Error _ -> None)
+           match Result.bind (Json.parse (read_file path)) case_of_json with
+           | Ok c -> Some c
+           | Error e ->
+               log (Printf.sprintf "corpus: skipping %s: %s" path e);
+               None)
   else []
 
 let save_corpus_case dir case =
@@ -1048,7 +882,7 @@ let run ?(log = fun (_ : string) -> ()) ?(config = default_config) () =
         {
           f_divergence = final_d;
           f_case = shrunk;
-          f_tables = List.length shrunk.query.genes;
+          f_tables = List.length shrunk.query.Ast.from;
           f_iteration = iteration;
           f_repro_path = config.repro_file;
           f_reproduced = reproduced;
@@ -1074,7 +908,7 @@ let run ?(log = fun (_ : string) -> ()) ?(config = default_config) () =
         end
   in
   (* Seed the corpus: persisted cases first, then fresh random ones. *)
-  let persisted = match config.corpus_dir with Some d -> load_corpus d | None -> [] in
+  let persisted = match config.corpus_dir with Some d -> load_corpus ~log d | None -> [] in
   List.iter (fun c -> if !found = None then admit ~iteration:0 c) persisted;
   for _ = 1 to config.seed_corpus do
     if !found = None then admit ~iteration:0 (gen_case rng config)
@@ -1153,16 +987,13 @@ let run ?(log = fun (_ : string) -> ()) ?(config = default_config) () =
 (* ------------------------------------------------------------------ *)
 
 let case_summary case =
-  Printf.sprintf "%s/seed%d tables=[%s] shape=%s faults=[%s] mutations=[%s]"
+  Printf.sprintf "%s/seed%d faults=[%s] mutations=[%s]%s: %s"
     (workload_to_string case.workload)
     case.catalog_seed
-    (String.concat ","
-       (List.map
-          (fun g -> Printf.sprintf "%s(%d atoms)" g.table (List.length g.atoms))
-          case.query.genes))
-    (shape_to_string case.query.shape)
     (String.concat "," (List.map Fault.injection_to_string case.faults))
     (String.concat "," (List.map Mutate.to_string case.mutations))
+    (match case.pool_pages with None -> "" | Some n -> Printf.sprintf " pool=%d" n)
+    (Ast.to_sql case.query)
 
 let render r =
   let b = Buffer.create 512 in

@@ -1,11 +1,12 @@
 (** Feedback-guided differential fuzzer.
 
     An evolutionary loop over (data-state mutation, stats-fault profile,
-    query) genomes.  Each genome's query goes through
-    {!Differential.check}, which holds every differential pass and takes
-    {!Rq_optimizer.Naive} as the reference answer; the genome's faults
-    make the damaged statistics of its degraded pass, and the rewritten
-    plans also run on a 2-domain morsel pool.
+    SQL query) cases.  Each case's query, an {!Rq_sql.Ast.statement}, is
+    bound by {!Rq_sql.Binder.bind} and goes through {!Differential.check},
+    which holds every differential pass and takes {!Rq_optimizer.Naive} as
+    the reference answer; the case's faults make the damaged statistics
+    of its degraded pass, and the rewritten plans also run on a 2-domain
+    morsel pool.
 
     Coverage is the (structural plan fingerprint x degradation-tier
     transition digest) pair; a mutant joins the corpus only if its pair is
@@ -14,58 +15,39 @@
     of three operators (see {!operator}).  Divergences are delta-debugged
     to a minimal case and serialized as a replayable [.fuzz-repro] file. *)
 
-open Rq_optimizer
 open Rq_workload
 
-(** {2 Genome} *)
+(** {2 Cases} *)
 
 type workload = Tpch | Star
-
-type cmp = C_le | C_lt | C_gt | C_ge | C_eq
-
-type literal = L_int of int | L_float of float | L_date of int  (** days since epoch *)
-
-type atom = { column : string; cmp : cmp; value : literal }
-
-type table_gene = { table : string; atoms : atom list }
-
-type shape = Total | Grouped | Projected
-
-type query_gene = {
-  genes : table_gene list;
-  shape : shape;
-  semis : table_gene list;     (** IN-subquery (semijoin) genes over FK edges *)
-  order : bool;                (** emit an ORDER BY clause *)
-  descending : bool;
-  limit : int option;          (** only honoured where results are deterministic *)
-}
-(** [genes] is never empty; its head is the workload's root table.  [semis]
-    name tables that must not also appear in [genes] — the compiler drops
-    any that do. *)
 
 type case = {
   workload : workload;
   catalog_seed : int;
   mutations : Mutate.t list;          (** applied to the catalog, in order *)
   faults : Rq_stats.Fault.injection list;  (** applied to the statistics *)
-  query : query_gene;
+  query : Rq_sql.Ast.statement;
+      (** FROM starts with the workload's root table; WHERE is a conjunction
+          of column-vs-literal comparisons and [IN] subqueries over FK
+          edges *)
   pool_pages : int option;
       (** buffer-pool-capacity gene: global pool capped at this many pages
           (restored afterwards) while the case's passes run — eviction
-          pressure must never change an answer.  Emitted to JSON only when
-          set, so older corpora round-trip. *)
+          pressure must never change an answer. *)
 }
 
 val workload_to_string : workload -> string
+
 val case_to_json : case -> Rq_obs.Json.t
+(** One JSON object: the workload, seed, mutation, fault and pool genes,
+    and the query as SQL text. *)
+
 val case_of_json : Rq_obs.Json.t -> (case, string) result
 val case_summary : case -> string
 
-val compile_case : case -> Logical.t
-
-val gen_query : Rq_math.Rng.t -> workload -> Logical.t
+val gen_query : Rq_math.Rng.t -> workload -> Rq_sql.Ast.statement
 (** One random query of the workload, drawn exactly as {!gen_case} draws
-    its genome's. *)
+    its case's. *)
 
 (** {2 Configuration} *)
 
@@ -109,13 +91,13 @@ val probe_case :
   (probe, string) result
 (** {!Differential.check} on the case's query, with the rewrite pass also
     run on each of [pools] (default none; the caller owns them).  [Error]
-    means the case itself is invalid (the query does not validate, or a
+    means the case itself is invalid (the query does not bind, or a
     mutation could not apply) — not a divergence. *)
 
 val gen_case : Rq_math.Rng.t -> config -> case
 
 type operator =
-  | Splice  (** a fresh query gene; data state, faults and pool gene kept *)
+  | Splice  (** a fresh query; data state, faults and pool gene kept *)
   | Fault   (** stack one more statistics fault, or drop one *)
   | Data    (** add or drop a data-state mutation, or change the pool gene *)
 
@@ -125,6 +107,11 @@ val operator_name : operator -> string
 val mutate_case : Rq_math.Rng.t -> operator -> case -> case
 (** {!run} draws the operator from a fixed mix, splice : fault : data =
     3 : 3 : 1. *)
+
+val load_corpus : log:(string -> unit) -> string -> case list
+(** The [*.fuzz] entries of a corpus directory, in file-name order (none
+    if it does not exist); each file that does not decode is logged and
+    skipped. *)
 
 (** {2 The loop} *)
 

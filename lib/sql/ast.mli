@@ -61,4 +61,7 @@ type statement = {
   hints : string list;  (** raw hint comment bodies, in source order *)
 }
 
-val pp_condition : Format.formatter -> condition -> unit
+val to_sql : statement -> string
+(** The statement as one line of SQL that {!Parser.parse} reads back to an
+    equal statement.  Float literals print as the shortest exponent-free
+    decimal that reads back to the same float. *)

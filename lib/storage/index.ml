@@ -116,7 +116,7 @@ let leaf_page_count t =
       | Some ty -> Value.byte_width ty + 8
       | None -> 12
   in
-  let per_page = max 1 (Relation.page_size_bytes / entry_bytes) in
+  let per_page = max 1 (Page.size_bytes / entry_bytes) in
   let n = entry_count t in
   if n = 0 then 0 else ((n - 1) / per_page) + 1
 

@@ -42,8 +42,6 @@ type t = {
   keys : string array;  (* buffer-pool key per chunk, built once *)
 }
 
-let page_size_bytes = Page.size_bytes
-
 let next_id = Atomic.make 0
 
 (* Reads one column's marshal, and only its bytes.  The lock covers the

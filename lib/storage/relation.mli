@@ -16,9 +16,6 @@ type tuple = Value.t array
 
 type t
 
-val page_size_bytes : int
-(** [Page.size_bytes] (8192) — re-exported for compatibility. *)
-
 val create : name:string -> schema:Schema.t -> tuple array -> t
 (** Validates tuple arity (not per-value types, which generators guarantee).
     Chunks are sealed in heap storage; the input array is not retained. *)

@@ -1,7 +1,8 @@
 (* Differential plan-correctness suite.
 
-   Queries drawn from the fuzzer's generator ({!Rq_experiments.Exp_fuzz.gen_query})
-   go through {!Rq_experiments.Differential.check}, which holds every
+   Queries drawn from the fuzzer's generator ({!Rq_experiments.Exp_fuzz.gen_query}),
+   SQL statements bound by {!Rq_sql.Binder.bind}, go through
+   {!Rq_experiments.Differential.check}, which holds every
    differential pass and takes {!Naive.evaluate_query} as the reference
    answer.  Each generated-query group runs one pass, with one damaged
    statistics store per fault profile and morsel pools at 1, 2 and 4
@@ -24,8 +25,6 @@ let seed =
   match Sys.getenv_opt "DIFF_SEED" with
   | Some s -> ( match int_of_string_opt s with Some n -> n | None -> 42)
   | None -> 42
-
-let render_query query = Format.asprintf "%a" Logical.pp query
 
 (* ------------------------------------------------------------------ *)
 (* Generated queries through the harness                               *)
@@ -56,12 +55,16 @@ let make_env catalog pools =
 let run_pass pass ~offset workload env () =
   let rng = Rq_math.Rng.create (seed + offset) in
   for i = 1 to queries_per_catalog do
-    let query = F.gen_query rng workload in
+    let statement = F.gen_query rng workload in
     let context =
       Printf.sprintf "%s query %d (DIFF_SEED=%d)\nquery: %s" (F.workload_to_string workload) i
-        seed (render_query query)
+        seed (Rq_sql.Ast.to_sql statement)
     in
-    match D.check ~passes:[ pass ] (Lazy.force env) query with
+    let env = Lazy.force env in
+    match
+      Result.bind (Rq_sql.Binder.bind env.D.catalog statement) (fun { Rq_sql.Binder.query; _ } ->
+          D.check ~passes:[ pass ] env query)
+    with
     | Error e -> Alcotest.failf "%s: the harness refused the query: %s" context e
     | Ok { D.divergence = None; _ } -> ()
     | Ok { D.divergence = Some d; _ } ->
@@ -154,8 +157,19 @@ let run_sql_naive_differential ?oracle catalog () =
   in
   List.iter
     (fun sql ->
+      let statement =
+        match Rq_sql.Parser.parse sql with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "%s: %s" sql e
+      in
+      (* the printing law, on the fixed SQL: to_sql reads back to the
+         statement it printed *)
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: parse (to_sql s) = s" sql)
+        true
+        (Rq_sql.Parser.parse (Rq_sql.Ast.to_sql statement) = Ok statement);
       let query =
-        match Rq_sql.Binder.compile catalog sql with
+        match Rq_sql.Binder.bind catalog statement with
         | Ok bound -> bound.Rq_sql.Binder.query
         | Error e -> Alcotest.failf "%s: bind error %s" sql e
       in

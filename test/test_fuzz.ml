@@ -1,10 +1,12 @@
-(* The fuzzer's own harness: genome serialization round-trips, mutation
-   invariants, data-state mutation integrity, a clean probe through every
-   differential pass, and the planted-divergence self-test end to end
-   (catch -> shrink -> replayable repro). *)
+(* The fuzzer's own harness: case serialization round-trips, the SQL
+   printing law on generated statements, mutation invariants, data-state
+   mutation integrity, a clean probe through every differential pass, and
+   the planted-divergence self-test end to end (catch -> shrink ->
+   replayable repro). *)
 
 open Rq_storage
 open Rq_workload
+open Rq_sql
 module F = Rq_experiments.Exp_fuzz
 module Json = Rq_obs.Json
 module Rng = Rq_math.Rng
@@ -24,7 +26,7 @@ let tiny_config =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Genome serialization                                                *)
+(* Case serialization                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let roundtrip case =
@@ -39,7 +41,7 @@ let roundtrip case =
           check_bool
             (Printf.sprintf "round-trip preserves the case\n%s" text)
             true
-            (Json.equal json (F.case_to_json case')))
+            (Json.equal json (F.case_to_json case') && case'.F.query = case.F.query))
 
 let test_json_roundtrip_generated () =
   let rng = Rng.create 91 in
@@ -47,8 +49,12 @@ let test_json_roundtrip_generated () =
     roundtrip (F.gen_case rng F.default_config)
   done
 
+let parse_ok sql =
+  match Parser.parse sql with Ok s -> s | Error e -> Alcotest.failf "%s: %s" sql e
+
 (* A handcrafted case exercising every fault constructor, both mutation
-   constructors and a multi-table grouped query in one genome. *)
+   constructors, the pool gene and a multi-table grouped query with an IN
+   subquery, ORDER BY and LIMIT. *)
 let test_json_roundtrip_dense () =
   let open Rq_stats in
   roundtrip
@@ -70,73 +76,30 @@ let test_json_roundtrip_dense () =
           Fault.Dangling_fk { root = "lineitem"; break = 25 };
         ];
       query =
-        {
-          F.genes =
-            [
-              {
-                F.table = "lineitem";
-                atoms =
-                  [
-                    { F.column = "l_quantity"; cmp = F.C_le; value = F.L_int 30 };
-                    { F.column = "l_shipdate"; cmp = F.C_gt; value = F.L_date 9000 };
-                    { F.column = "l_extendedprice"; cmp = F.C_lt; value = F.L_float 5e4 };
-                  ];
-              };
-              {
-                F.table = "part";
-                atoms = [ { F.column = "p_bucket"; cmp = F.C_eq; value = F.L_int 7 } ];
-              };
-            ];
-          shape = F.Grouped;
-          semis = [ { F.table = "orders"; atoms = [] } ];
-          order = true;
-          descending = true;
-          limit = Some 7;
-        };
+        parse_ok
+          "SELECT lineitem.l_quantity, SUM(lineitem.l_extendedprice) AS total FROM lineitem, \
+           part WHERE lineitem.l_quantity <= 30 AND lineitem.l_shipdate > DATE '1994-08-22' AND \
+           lineitem.l_extendedprice < 50000.25 AND part.p_bucket = 7 AND lineitem.l_orderkey IN \
+           (SELECT o_orderkey FROM orders) GROUP BY lineitem.l_quantity ORDER BY total DESC \
+           LIMIT 7";
       pool_pages = Some 256;
     }
 
-(* Corpus entries from older builds must keep parsing: one written before
-   the pool-capacity gene has no "pool_pages" field and runs uncapped, and
-   one carrying the retired "vectorize" data-plane gene parses with the
-   field ignored. *)
-let test_json_old_corpora_parse () =
-  let old_json extra =
+let test_json_rejects_garbage () =
+  let entry sql =
     Json.Obj
-      ([
-        ("workload", Json.Str "tpch");
-        ("catalog_seed", Json.Num 1.0);
+      [
+        ("workload", Json.Str "star");
+        ("catalog_seed", Json.Num 0.0);
         ("mutations", Json.List []);
         ("faults", Json.List []);
-        ( "query",
-          Json.Obj
-            [
-              ("shape", Json.Str "total");
-              ( "tables",
-                Json.List
-                  [
-                    Json.Obj
-                      [ ("table", Json.Str "lineitem"); ("atoms", Json.List []) ];
-                  ] );
-            ] );
+        ("pool_pages", Json.Null);
+        ("sql", Json.Str sql);
       ]
-      @ extra)
   in
-  List.iter
-    (fun (label, extra) ->
-      match F.case_of_json (old_json extra) with
-      | Error e -> Alcotest.failf "%s corpus entry rejected: %s" label e
-      | Ok case ->
-          Alcotest.(check bool) (label ^ ": no pool cap") true (case.F.pool_pages = None);
-          Alcotest.(check bool)
-            (label ^ ": re-serializes without retired fields")
-            false
-            (match F.case_to_json case with
-            | Json.Obj fields -> List.mem_assoc "vectorize" fields
-            | _ -> true))
-    [ ("pre-gene", []); ("retired-gene", [ ("vectorize", Json.Bool false) ]) ]
-
-let test_json_rejects_garbage () =
+  (match F.case_of_json (entry "SELECT COUNT(*) FROM fact") with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "the well-formed entry must decode: %s" e);
   List.iter
     (fun (label, json) ->
       match F.case_of_json json with
@@ -154,24 +117,83 @@ let test_json_rejects_garbage () =
             ("mutations", Json.List []);
             ("faults", Json.List [ Json.Obj [ ("kind", Json.Str "set-on-fire") ] ]);
           ] );
+      ("unparsable SQL", entry "SELECT FROM fact WHERE");
+      ("query as JSON", Json.Obj [ ("workload", Json.Str "star"); ("query", Json.Obj []) ]);
     ]
+
+(* The schemas generated statements bind against (row counts do not
+   matter to the binder). *)
+let catalogs =
+  lazy
+    [
+      ( F.Tpch,
+        Tpch.generate (Rng.create 1)
+          ~params:{ Tpch.default_params with scale_factor = 0.001 }
+          () );
+      (F.Star, Star.generate (Rng.create 2) ~params:{ Star.default_params with fact_rows = 500 } ());
+    ]
+
+let bind_case case =
+  match Binder.bind (List.assoc case.F.workload (Lazy.force catalogs)) case.F.query with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "%s does not bind: %s" (F.case_summary case) e
+
+(* The printing law over the generator: every statement it draws prints as
+   SQL that parses back to the same statement, and binds. *)
+let test_generated_sql_roundtrip () =
+  let rng = Rng.create 37 in
+  for _ = 1 to 1000 do
+    let case = F.gen_case rng F.default_config in
+    let sql = Ast.to_sql case.F.query in
+    (match Parser.parse sql with
+    | Ok s when s = case.F.query -> ()
+    | Ok _ -> Alcotest.failf "%s parses to a different statement" sql
+    | Error e -> Alcotest.failf "%s does not parse: %s" sql e);
+    bind_case case
+  done
+
+(* A corpus directory holding one valid entry and one garbage entry loads
+   the valid one and names the other in the log. *)
+let test_load_corpus_logs_garbage () =
+  let dir = Filename.temp_dir "test-fuzz-corpus" "" in
+  let write name contents =
+    Out_channel.with_open_text (Filename.concat dir name) (fun oc -> output_string oc contents)
+  in
+  let case = F.gen_case (Rng.create 3) F.default_config in
+  write "a.fuzz" (Json.to_string (F.case_to_json case));
+  write "b.fuzz" "{\"workload\": \"tpch\", \"query\": {\"shape\": \"total\"}}";
+  let logged = ref [] in
+  let loaded = F.load_corpus ~log:(fun l -> logged := l :: !logged) dir in
+  List.iter (fun f -> Sys.remove (Filename.concat dir f)) [ "a.fuzz"; "b.fuzz" ];
+  Sys.rmdir dir;
+  check_int "the valid entry loads" 1 (List.length loaded);
+  check_bool "it is the case written" true ((List.hd loaded).F.query = case.F.query);
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  match !logged with
+  | [ line ] -> check_bool (Printf.sprintf "the log names the garbage file: %s" line) true (contains line "b.fuzz")
+  | l -> Alcotest.failf "expected one log line, got %d" (List.length l)
 
 (* ------------------------------------------------------------------ *)
 (* Mutation invariants                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Whatever the operator and however long the chain, a mutated case keeps
-   its genome well-formed: the root table survives at the head, joined
-   tables stay distinct, atom/fault/mutation counts stay capped, and the
-   query still compiles.  A splice changes only the query; the fault and
-   data operators leave the query alone. *)
+(* Whatever the operator and however long the chain, a mutated case stays
+   well-formed: the root table survives at the head of FROM, joined tables
+   stay distinct, no IN subquery reads a joined table, conjuncts per table
+   and fault/mutation counts stay capped, and the query still binds.  A
+   splice changes only the query; the fault and data operators leave the
+   query alone. *)
 let test_mutate_case_invariants () =
   let rng = Rng.create 17 in
   for trial = 1 to 60 do
     let case = ref (F.gen_case rng F.default_config) in
     let root =
-      match !case.F.query.F.genes with
-      | g :: _ -> g.F.table
+      match !case.F.query.Ast.from with
+      | t :: _ -> t
       | [] -> Alcotest.fail "generated query has no tables"
     in
     for step = 1 to 12 do
@@ -196,21 +218,37 @@ let test_mutate_case_invariants () =
             (!case.F.pool_pages = parent.F.pool_pages)
       | F.Fault | F.Data ->
           check_bool (ctx ^ ": query kept") true (q = parent.F.query));
-      (match q.F.genes with
-      | g :: _ -> check_string (ctx ^ ": root preserved") root g.F.table
+      let tables = q.Ast.from in
+      (match tables with
+      | t :: _ -> check_string (ctx ^ ": root preserved") root t
       | [] -> Alcotest.failf "%s: no tables left" ctx);
-      let tables = List.map (fun g -> g.F.table) q.F.genes in
       check_int
         (ctx ^ ": joined tables distinct")
         (List.length tables)
         (List.length (List.sort_uniq compare tables));
+      let conjuncts =
+        match q.Ast.where with None -> [] | Some (Ast.And cs) -> cs | Some c -> [ c ]
+      in
       List.iter
-        (fun g ->
-          check_bool (ctx ^ ": atom cap") true (List.length g.F.atoms <= 3))
-        q.F.genes;
+        (fun t ->
+          let on_t =
+            List.filter
+              (function
+                | Ast.Cmp (_, Ast.Column { Ast.table = Some t'; _ }, _) -> t = t' | _ -> false)
+              conjuncts
+          in
+          check_bool (ctx ^ ": conjunct cap on " ^ t) true (List.length on_t <= 3))
+        tables;
+      List.iter
+        (function
+          | Ast.In_subquery (_, sub) ->
+              check_bool (ctx ^ ": IN reads a table outside FROM") false
+                (List.mem sub.Ast.sub_from tables)
+          | _ -> ())
+        conjuncts;
       check_bool (ctx ^ ": fault cap") true (List.length !case.F.faults <= 3);
       check_bool (ctx ^ ": mutation cap") true (List.length !case.F.mutations <= 3);
-      ignore (F.compile_case !case)
+      bind_case !case
     done
   done
 
@@ -354,7 +392,7 @@ let test_self_test_run_and_replay () =
           check_bool "replayed case still diverges" true (probe.F.divergence <> None);
           check_string "replay reports the recorded pass" found.F.f_divergence.F.pass
             recorded_pass;
-          check_bool "shrunk case is small" true (List.length case.F.query.F.genes <= 3));
+          check_bool "shrunk case is small" true (List.length case.F.query.Ast.from <= 3));
       Sys.remove found.F.f_repro_path
 
 (* Same end-to-end contract for the planted unsound rewrite: the rewrite
@@ -397,9 +435,11 @@ let () =
           Alcotest.test_case "generated cases round-trip" `Quick test_json_roundtrip_generated;
           Alcotest.test_case "dense handcrafted case round-trips" `Quick
             test_json_roundtrip_dense;
-          Alcotest.test_case "pre-gene corpora default to no pool cap, retired genes ignored"
-            `Quick test_json_old_corpora_parse;
           Alcotest.test_case "garbage rejected" `Quick test_json_rejects_garbage;
+          Alcotest.test_case "generated statements print, parse back and bind" `Quick
+            test_generated_sql_roundtrip;
+          Alcotest.test_case "load_corpus logs and skips undecodable files" `Quick
+            test_load_corpus_logs_garbage;
         ] );
       ( "mutation",
         [

@@ -6,6 +6,30 @@ open Rq_storage
 open Rq_exec
 open Rq_sql
 
+(* Every statement this suite parses also passes the printing law:
+   [Ast.to_sql] prints SQL that parses back to the same statement. *)
+module Parser = struct
+  include Parser
+
+  let parse input =
+    let result = parse input in
+    (match result with
+    | Error _ -> ()
+    | Ok s -> (
+        let printed = Ast.to_sql s in
+        match parse printed with
+        | Ok s' when s' = s -> ()
+        | Ok _ -> Alcotest.failf "%S prints as %S, which parses to another statement" input printed
+        | Error e -> Alcotest.failf "%S prints as %S, which does not parse: %s" input printed e));
+    result
+end
+
+module Binder = struct
+  include Binder
+
+  let compile catalog input = Result.bind (Parser.parse input) (bind catalog)
+end
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -141,6 +165,46 @@ let test_parser_order_limit () =
 
 let test_parser_trailing_semicolon () =
   check_bool "semicolon accepted" true (Result.is_ok (Parser.parse "SELECT * FROM t;"))
+
+(* One statement holding every constructor to_sql prints; the law itself
+   runs inside [Parser.parse] above. *)
+let test_to_sql_every_constructor () =
+  List.iter
+    (fun sql -> ignore (parse_ok sql))
+    [
+      "SELECT * FROM t";
+      "/*+ CONFIDENCE(90) */ SELECT t.g, (a + 2) * -3 AS x, COUNT(*), COUNT(b) AS nb, SUM(c), \
+       AVG(d / 2.5), MIN(e - -1.25), MAX(f) AS top FROM t, u WHERE (a = 1 OR NOT b <> 2) AND c \
+       BETWEEN -4 AND 4 AND d LIKE '%it''s%' AND e >= DATE '1997-07-01' AND f < 'x''y' AND g IN \
+       (SELECT k FROM v WHERE v.w > 0.1) AND EXISTS (SELECT * FROM v WHERE v.k = t.k AND (v.w \
+       <= 1 OR v.w > 2)) AND h > (SELECT AVG(w) FROM v) AND i = (SELECT COUNT(*) FROM v) GROUP \
+       BY t.g, h ORDER BY x DESC, t.g LIMIT 0";
+    ]
+
+(* Floats print as the shortest exponent-free decimal that reads back to
+   the same float (the lexer reads no exponent). *)
+let test_to_sql_floats () =
+  List.iter
+    (fun f ->
+      let stmt =
+        {
+          Ast.select = [ Ast.Star ];
+          from = [ "t" ];
+          where = Some (Ast.Cmp (Ast.Eq, Ast.Column { Ast.table = None; name = "x" }, Ast.Float_lit f));
+          group_by = [];
+          order_by = [];
+          limit = None;
+          hints = [];
+        }
+      in
+      let sql = Ast.to_sql stmt in
+      match Parser.parse sql with
+      | Ok { Ast.where = Some (Ast.Cmp (_, _, Ast.Float_lit f')); _ } ->
+          check_bool (Printf.sprintf "%h reads back from %s" f sql) true (Float.equal f f')
+      | _ -> Alcotest.failf "%s does not read back a float" sql)
+    [ 0.0; 0.1; 1.5e3; 1234567.891; 1e22; 1e-7; -2.5; 5e-324; Float.max_float; 119_999.99999999999 ];
+  check_bool "1500.0 prints without an exponent" true
+    (Ast.to_sql (parse_ok "SELECT * FROM t WHERE x = 1500.0") = "SELECT * FROM t WHERE x = 1500.0")
 
 (* ------------------------------------------------------------------ *)
 (* Hints                                                               *)
@@ -639,6 +703,8 @@ let () =
           Alcotest.test_case "errors" `Quick test_parser_errors;
           Alcotest.test_case "ORDER BY and LIMIT" `Quick test_parser_order_limit;
           Alcotest.test_case "trailing semicolon" `Quick test_parser_trailing_semicolon;
+          Alcotest.test_case "to_sql prints every constructor" `Quick test_to_sql_every_constructor;
+          Alcotest.test_case "to_sql prints floats exactly" `Quick test_to_sql_floats;
         ] );
       ( "hint",
         [

@@ -318,7 +318,6 @@ let test_csv_typed_conversion () =
 
 let test_page_geometry () =
   check_int "8 KiB pages" 8192 Page.size_bytes;
-  check_int "Relation re-exports the constant" Page.size_bytes Relation.page_size_bytes;
   check_int "32-byte rows -> 256 per page" 256 (Page.rows_per_page sample_schema);
   check_int "16 pages per chunk" 16 Page.pages_per_chunk;
   check_int "rows per chunk" (16 * 256) (Page.rows_per_chunk sample_schema);
