@@ -30,6 +30,7 @@ let generate_workload ~workload ~seed ~scale =
   let rng = Rq_math.Rng.create seed in
   match workload with
   | "tpch" ->
+      if not (scale > 0.0) then user_error "--scale must be positive (got %g)" scale;
       let params = { Rq_workload.Tpch.default_params with scale_factor = scale } in
       let catalog = Rq_workload.Tpch.generate rng ~params () in
       (catalog, Rq_workload.Tpch.cost_scale catalog)
@@ -48,7 +49,11 @@ let obtain_catalog ~workload ~seed ~scale ~data_dir =
       | Error msg -> user_error "loading %s: %s" dir msg)
   | None -> generate_workload ~workload ~seed ~scale
 
+let check_sample_size sample_size =
+  if sample_size < 1 then user_error "--sample-size must be at least 1 (got %d)" sample_size
+
 let build_stats ~seed ~sample_size catalog =
+  check_sample_size sample_size;
   Rq_stats.Stats_store.update_statistics
     (Rq_math.Rng.create (seed + 1))
     ~config:{ Rq_stats.Stats_store.default_config with sample_size }
@@ -66,6 +71,8 @@ let compile_sql catalog sql =
   | Error msg -> user_error "SQL error: %s" msg
 
 let resolve_confidence ~confidence ~hint =
+  if not (confidence > 0.0 && confidence < 100.0) then
+    user_error "--confidence must be strictly between 0 and 100 (got %g)" confidence;
   match hint with
   | Some h -> h
   | None -> Rq_core.Confidence.of_percent confidence
@@ -390,6 +397,7 @@ let batch_cmd =
          ~doc:"System robustness policy: conservative, moderate or aggressive.")
   in
   let run workload seed scale sample_size data_dir policy file =
+    check_sample_size sample_size;
     let catalog, cost_scale = obtain_catalog ~workload ~seed ~scale ~data_dir in
     let setting =
       match Rq_core.Confidence.policy_of_string policy with
@@ -482,11 +490,6 @@ let experiment_cmd =
   in
   let self_test_arg =
     Arg.(value & flag & info [ "self-test" ]
-         ~doc:"(fuzz) Perturb one estimator's quantile and require the fuzzer to catch \
-               and shrink the planted divergence.")
-  in
-  let self_test_rewrite_arg =
-    Arg.(value & flag & info [ "self-test-rewrite" ]
          ~doc:"(fuzz) Plant an unsound logical rewrite and require the fuzzer's rewrite \
                pass to catch and shrink the planted divergence.")
   in
@@ -495,7 +498,7 @@ let experiment_cmd =
          ~doc:"(fuzz) Where to write the minimal repro on divergence.")
   in
   let run names quick iterations seed corpus_dir replay baseline late_after
-      self_test self_test_rewrite repro_out =
+      self_test repro_out =
     let module E = Rq_experiments in
     match names with
     | [ "fuzz" ] -> (
@@ -509,7 +512,7 @@ let experiment_cmd =
             corpus_dir;
             baseline;
             late_after;
-            sabotage = F.sabotage_of_flags ~self_test ~self_test_rewrite;
+            sabotage = (if self_test then Some E.Differential.Unsound_rewrite else None);
             repro_file = repro_out;
           }
         in
@@ -555,8 +558,7 @@ let experiment_cmd =
   in
   let term =
     Term.(const run $ names_arg $ quick_arg $ iterations_arg $ seed_arg $ corpus_dir_arg
-          $ replay_arg $ baseline_arg $ late_after_arg $ self_test_arg
-          $ self_test_rewrite_arg $ repro_out_arg)
+          $ replay_arg $ baseline_arg $ late_after_arg $ self_test_arg $ repro_out_arg)
   in
   Cmd.v
     (Cmd.info "experiment"

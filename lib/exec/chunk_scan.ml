@@ -30,7 +30,7 @@ let tasks ?(from = 0) rel pred =
     let rpp = Relation.rows_per_page rel in
     let rpc = Relation.rows_per_chunk rel in
     let schema = Relation.schema rel in
-    let prune = !Prune.enabled && pred <> Pred.True in
+    let prune = pred <> Pred.True in
     let acc = ref [] in
     for ci = Relation.chunk_count rel - 1 downto from / rpc do
       let lo = max from (ci * rpc) in

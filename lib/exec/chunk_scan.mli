@@ -24,8 +24,7 @@ val tasks : ?from:int -> Relation.t -> Pred.t -> task list
 (** In chunk order.  Page charges telescope: they sum to
     [Relation.page_count] for a fresh scan and to
     [Exec_common.resume_pages] when resuming from [from] (the split page
-    is re-read, as before).  Honors {!Prune.enabled}; [Pred.True] never
-    consults zone maps. *)
+    is re-read, as before).  [Pred.True] never consults zone maps. *)
 
 val totals : ?from:int -> Relation.t -> Pred.t -> int * int * int
 (** [(read_pages, skipped_pages, read_rows)] of {!tasks} — the

@@ -16,10 +16,6 @@
 
 open Rq_storage
 
-(* Global toggle so the differential suite can re-run identical plans with
-   pruning off and assert multiset-identical results. *)
-let enabled = ref true
-
 type col_zone = { lo : Value.t; hi : Value.t; nulls : int; n_rows : int }
 
 let col_zone schema zm c =

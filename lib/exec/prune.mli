@@ -8,11 +8,6 @@
 
 open Rq_storage
 
-val enabled : bool ref
-(** Global toggle (default [true]).  The differential suite re-runs
-    identical plans with pruning off and asserts multiset-identical
-    results; {!Chunk_scan} consults this when planning scan tasks. *)
-
 val chunk_may_match : Schema.t -> Zone_map.t -> Pred.t -> bool
 (** Conservative: [false] only when provably no row in the summarized
     chunk satisfies the predicate.  Raises [Not_found] if the predicate

@@ -14,11 +14,11 @@ type env = {
   pools : Parallel.t list;
 }
 
-type pass = Estimators | Rewrites | Cache | Kernel | Degraded | Prune | Cert
+type pass = Estimators | Rewrites | Cache | Degraded | Cert
 
-let all_passes = [ Estimators; Rewrites; Cache; Kernel; Degraded; Prune; Cert ]
+let all_passes = [ Estimators; Rewrites; Cache; Degraded; Cert ]
 
-type sabotage = Perturbed_scan_arm | Unsound_rewrite
+type sabotage = Unsound_rewrite
 
 type divergence = { pass : string; detail : string }
 
@@ -37,18 +37,6 @@ let estimators_with ~oracle stats =
   ]
 
 let estimators catalog stats = estimators_with ~oracle:(Cardinality.oracle catalog) stats
-
-(* The [Perturbed_scan_arm] sabotage: inflated cardinalities and
-   selectivities.  The answers stay correct — only plan choices drift, the
-   class of bug the kernel pass's plan-digest check exists to catch. *)
-let perturb (c : Cardinality.t) =
-  {
-    c with
-    name = c.name ^ "+perturbed";
-    expression_cardinality = (fun refs -> (5.0 *. c.expression_cardinality refs) +. 25.0);
-    table_selectivity =
-      (fun ~table pred -> Float.min 1.0 ((3.0 *. c.table_selectivity ~table pred) +. 0.05));
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Comparing one answer with the reference                             *)
@@ -130,41 +118,16 @@ let cert_violation (c : Cardinality.t) (q : Logical.t) =
 (* One query through the passes                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* A skipped chunk charges zero read pages and zero seconds, so the pruned
-   run's read + skipped sequential pages equal the unpruned run's reads. *)
-let prune_mismatch catalog ~scale plan =
-  let run enabled =
-    let saved = !Prune.enabled in
-    Prune.enabled := enabled;
-    Fun.protect
-      ~finally:(fun () -> Prune.enabled := saved)
-      (fun () ->
-        let meter = Cost.create ~scale () in
-        let res = Executor.run catalog meter plan in
-        (res, Cost.snapshot meter))
-  in
-  let pres, psnap = run true in
-  let fres, fsnap = run false in
-  if pres.Executor.tuples <> fres.Executor.tuples then
-    Some (Printf.sprintf "pruned %s vs unpruned %s" (render_rows pres) (render_rows fres))
-  else if fsnap.Cost.pages_skipped <> 0 then
-    Some (Printf.sprintf "unpruned run reported %d skipped pages" fsnap.Cost.pages_skipped)
-  else if psnap.Cost.seq_pages + psnap.Cost.pages_skipped <> fsnap.Cost.seq_pages then
-    Some
-      (Printf.sprintf "page accounting broke: pruned read %d + skipped %d <> unpruned read %d"
-         psnap.Cost.seq_pages psnap.Cost.pages_skipped fsnap.Cost.seq_pages)
-  else None
-
 (* One query's run through the passes: the first divergence wins, and a
    pass is skipped once one is recorded. *)
 type ctx = {
   env : env;
   query : Logical.t;
   reference : Executor.result;  (* Naive's answer *)
-  sabotage : sabotage option;
   estimators : unit -> (string * Cardinality.t) list;
   rewritten : (string * (Optimizer.decision, string) result) list Lazy.t;
-      (* each estimator's rewrite-on decision, shared by three passes *)
+      (* each estimator's rewrite-on decision: the rewrite pass's plans and
+         the coverage key *)
   mutable divergence : divergence option;
   mutable degraded : (Plan.t * string) list;  (* final plan, tier digest; newest first *)
 }
@@ -186,39 +149,57 @@ let decided ctx pass = function
 
 let execute ctx plan = Executor.run ctx.env.catalog (Cost.create ~scale:ctx.env.scale ()) plan
 
-let optimizer ctx est = Optimizer.create ~scale:ctx.env.scale ctx.env.stats est
+(* The synopsis evidence k for the query's combined predicate: the
+   kernel's count must equal a row scan of the sample under
+   [Pred.compile]. *)
+let evidence_check ctx =
+  guarded ctx "evidence" (fun () ->
+      match Rq_stats.Stats_store.synopsis_for ctx.env.stats (Logical.table_names ctx.query) with
+      | None -> ()
+      | Some syn ->
+          let pred = Logical.combined_predicate ctx.query in
+          let rows = Rq_stats.Sample.rows (Rq_stats.Join_synopsis.sample syn) in
+          let sk = Relation.filter_count rows (Pred.compile (Relation.schema rows) pred) in
+          let sn = Relation.row_count rows in
+          let k, n = Rq_stats.Join_synopsis.evidence syn pred in
+          if (k, n) <> (sk, sn) then
+            fail ctx "evidence"
+              (Printf.sprintf "kernel (%d, %d) <> row scan (%d, %d) on %s" k n sk sn
+                 (Pred.render pred)))
 
 let estimators_pass ctx =
+  evidence_check ctx;
   List.iter
     (fun (name, est) ->
       let pass = "estimator:" ^ name in
       guarded ctx pass (fun () ->
-          Optimizer.optimize ~rewrite:false (optimizer ctx est) ctx.query
+          Optimizer.optimize ~rewrite:false
+            (Optimizer.create ~scale:ctx.env.scale ctx.env.stats est)
+            ctx.query
           |> decided ctx pass
           |> Option.iter (fun d -> against ctx pass (execute ctx d.Optimizer.plan))))
     (ctx.estimators ())
 
-(* [f pass decision] for each estimator's rewritten plan, as pass
-   "<prefix>:<estimator>". *)
-let each_rewritten ctx prefix f =
-  guarded ctx prefix (fun () ->
+(* Each estimator's rewritten plan, serially and on every pool, as pass
+   "rewrite:<estimator>". *)
+let rewrites_pass ctx =
+  guarded ctx "rewrite" (fun () ->
       List.iter
         (fun (name, decision) ->
-          let pass = prefix ^ ":" ^ name in
-          guarded ctx pass (fun () -> decided ctx pass decision |> Option.iter (f pass)))
-        (Lazy.force ctx.rewritten))
-
-let rewrites_pass ctx =
-  each_rewritten ctx "rewrite" (fun pass d ->
-      against ctx pass (execute ctx d.Optimizer.plan);
-      List.iter
-        (fun pool ->
-          let pass = Printf.sprintf "%s:morsel(%d)" pass (Parallel.domains pool) in
+          let pass = "rewrite:" ^ name in
           guarded ctx pass (fun () ->
-              against ctx pass
-                (Parallel.run pool ctx.env.catalog (Cost.create ~scale:ctx.env.scale ())
-                   d.Optimizer.plan)))
-        ctx.env.pools)
+              decided ctx pass decision
+              |> Option.iter (fun d ->
+                     against ctx pass (execute ctx d.Optimizer.plan);
+                     List.iter
+                       (fun pool ->
+                         let pass = Printf.sprintf "%s:morsel(%d)" pass (Parallel.domains pool) in
+                         guarded ctx pass (fun () ->
+                             against ctx pass
+                               (Parallel.run pool ctx.env.catalog
+                                  (Cost.create ~scale:ctx.env.scale ()) d.Optimizer.plan)))
+                       ctx.env.pools)))
+        (Lazy.force ctx.rewritten))
 
 let cache_pass ctx =
   guarded ctx "cache" (fun () ->
@@ -240,36 +221,6 @@ let cache_pass ctx =
                 fail ctx pass (Printf.sprintf "expected %s lookup, got %s" expected got)
               else against ctx pass (execute ctx d.Optimizer.plan))
         [ ("cold", "miss"); ("cached", "hit") ])
-
-let kernel_pass ctx =
-  guarded ctx "kernel" (fun () ->
-      let stats = ctx.env.stats in
-      (match Rq_stats.Stats_store.synopsis_for stats (Logical.table_names ctx.query) with
-      | None -> ()
-      | Some syn ->
-          let pred = Logical.combined_predicate ctx.query in
-          let kk, kn = Rq_stats.Join_synopsis.evidence syn pred in
-          let sk, sn = Rq_stats.Join_synopsis.evidence_scan syn pred in
-          if (kk, kn) <> (sk, sn) then
-            fail ctx "kernel:evidence"
-              (Printf.sprintf "kernel (%d, %d) <> scan (%d, %d) on %s" kk kn sk sn
-                 (Pred.render pred)));
-      let scan = Cardinality.robust ~kernel:false stats (fresh_estimator ()) in
-      let scan = if ctx.sabotage = Some Perturbed_scan_arm then perturb scan else scan in
-      let optimize est = Optimizer.optimize (optimizer ctx est) ctx.query in
-      if ctx.divergence = None then
-        match (optimize (Cardinality.robust stats (fresh_estimator ())), optimize scan) with
-        | Error e, _ -> fail ctx "kernel" ("kernel arm rejected: " ^ e)
-        | _, Error e -> fail ctx "kernel" ("scan arm rejected: " ^ e)
-        | Ok kd, Ok sd ->
-            (* equal digests mean one plan: running the scan arm's copy
-               again would test nothing new *)
-            if Exp_common.plan_digest kd.Optimizer.plan <> Exp_common.plan_digest sd.Optimizer.plan
-            then
-              fail ctx "kernel:plan-mismatch"
-                (Printf.sprintf "kernel chose %s, scan chose %s" (Plan.describe kd.Optimizer.plan)
-                   (Plan.describe sd.Optimizer.plan))
-            else against ctx "kernel" (execute ctx kd.Optimizer.plan))
 
 (* Bad statistics may cost time, never answers or unaccounted work. *)
 let degraded_pass ctx =
@@ -297,21 +248,11 @@ let degraded_pass ctx =
                    (outcome.Reopt.final_plan, Trace_digest.of_recorder recorder) :: ctx.degraded)))
     ctx.env.faulted
 
-let prune_pass ctx =
-  each_rewritten ctx "prune" (fun pass d ->
-      Option.iter (fail ctx pass)
-        (prune_mismatch ctx.env.catalog ~scale:ctx.env.scale d.Optimizer.plan))
-
-(* Seven estimators on healthy statistics, and the degrading chain on each
+(* Six estimators on healthy statistics, and the degrading chain on each
    damaged store: a violation there is a finding too. *)
 let cert_pass ctx =
-  let stats = ctx.env.stats in
   let healthy =
-    ctx.estimators ()
-    @ [
-        ("robust-scan", Cardinality.robust ~kernel:false stats (fresh_estimator ()));
-        ("degrading", Cardinality.degrading stats (fresh_estimator ()));
-      ]
+    ctx.estimators () @ [ ("degrading", Cardinality.degrading ctx.env.stats (fresh_estimator ())) ]
   in
   let faulted =
     List.map
@@ -363,7 +304,7 @@ let check ?(passes = all_passes) ?sabotage env query =
               (let q =
                  match sabotage with
                  | Some Unsound_rewrite -> Rewrite.unsound_for_tests query
-                 | Some Perturbed_scan_arm | None -> query
+                 | None -> query
                in
                List.map
                  (fun (name, est) ->
@@ -371,16 +312,14 @@ let check ?(passes = all_passes) ?sabotage env query =
                  (estimators ()))
           in
           let ctx =
-            { env; query; reference; sabotage; estimators; rewritten; divergence = None; degraded = [] }
+            { env; query; reference; estimators; rewritten; divergence = None; degraded = [] }
           in
           List.iter
             (function
               | Estimators -> estimators_pass ctx
               | Rewrites -> rewrites_pass ctx
               | Cache -> cache_pass ctx
-              | Kernel -> kernel_pass ctx
               | Degraded -> degraded_pass ctx
-              | Prune -> prune_pass ctx
               | Cert -> cert_pass ctx)
             passes;
           Ok { coverage = coverage ctx; divergence = ctx.divergence })

@@ -3,7 +3,9 @@
     A bad estimate may cost time, never an answer.  {!check} runs one
     logical query through every candidate the engine can answer it with and
     compares each answer with {!Rq_optimizer.Naive.evaluate_query}, which
-    shares no executor operator with the engine.  A CERT pass (Cardinality
+    shares no executor operator with the engine and never prunes chunks by
+    zone map, so each comparison also checks that pruning is invisible.  A
+    CERT pass (Cardinality
     Estimation Restriction Testing) checks, without running a query, that
     no estimator's estimate rises when a conjunct is added.  The fuzzer
     ({!Exp_fuzz}) and the differential test suite both call {!check}; the
@@ -23,17 +25,18 @@ type env = {
 }
 
 type pass =
-  | Estimators  (** the oracle's and each estimator's plan, rewrites off *)
+  | Estimators
+      (** the synopsis evidence for the query's predicate against a row scan
+          of the sample (pass [evidence]), then the oracle's and each
+          estimator's plan, rewrites off *)
   | Rewrites    (** the same plans with rewrites on, serially and on every pool *)
   | Cache       (** the robust optimizer through a fresh plan cache: miss, then hit *)
-  | Kernel      (** bitset evidence kernel vs row scan: evidence, plan, answers *)
   | Degraded    (** per faulted store: the degrading estimator under guards and
                     re-optimization, with the 1e-9 span/meter reconciliation *)
-  | Prune       (** {!prune_mismatch} on each rewritten plan *)
   | Cert        (** an added conjunct never raises an estimate *)
 
+(** A planted bug, to prove the harness catches one. *)
 type sabotage =
-  | Perturbed_scan_arm  (** inflated row-scan estimates: the kernel pass must report *)
   | Unsound_rewrite
       (** the rewritten arms optimize {!Rewrite.unsound_for_tests} of the
           query: the rewrite pass must report *)
@@ -63,11 +66,6 @@ val answer_mismatch : Logical.t -> reference:Executor.result -> Executor.result 
     ({!Exp_common.results_equal}) and, under ORDER BY, in the sequence of
     the ORDER BY columns that appear in the output (ties may reorder
     rows); otherwise a short description of the difference. *)
-
-val prune_mismatch : Catalog.t -> scale:float -> Plan.t -> string option
-(** Run the plan with zone-map pruning on and off.  [None] when both
-    return the same rows in the same order, the unpruned run skips no page,
-    and the pruned run's read + skipped pages equal the unpruned reads. *)
 
 val cert_violation : Cardinality.t -> Logical.t -> string option
 (** For each non-trivial conjunct of each table's predicate: the estimates

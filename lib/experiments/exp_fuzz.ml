@@ -712,24 +712,16 @@ let shrink ~probe ~config case0 (div0 : divergence) =
 (* Repro files                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let repro_format = "robustopt-fuzz-repro/2"
+let repro_format = "robustopt-fuzz-repro/3"
 
-(* The planted unsound rewrite fires on every case with a filter, so it
-   takes precedence when both self-tests are armed. *)
-let sabotage_of_flags ~self_test ~self_test_rewrite =
-  if self_test_rewrite then Some Differential.Unsound_rewrite
-  else if self_test then Some Differential.Perturbed_scan_arm
-  else None
-
-(* The sabotage is stored as the two flags of the CLI that plants it. *)
+(* [self_test] records whether the unsound rewrite was planted. *)
 let repro_to_json ~seed ~iteration ~sabotage case (d : divergence) =
   Json.Obj
     [
       ("format", Json.Str repro_format);
       ("seed", Json.Num (float_of_int seed));
       ("iteration", Json.Num (float_of_int iteration));
-      ("self_test", Json.Bool (sabotage = Some Differential.Perturbed_scan_arm));
-      ("self_test_rewrite", Json.Bool (sabotage = Some Differential.Unsound_rewrite));
+      ("self_test", Json.Bool (sabotage = Some Differential.Unsound_rewrite));
       ("divergence", Json.Obj [ ("pass", Json.Str d.pass); ("detail", Json.Str d.detail) ]);
       ("case", case_to_json case);
     ]
@@ -752,9 +744,10 @@ let load_repro path =
   else
     let* case_j = jfield "case" json in
     let* case = case_of_json case_j in
-    let jbool name = match jfield name json with Ok (Json.Bool b) -> b | _ -> false in
     let sabotage =
-      sabotage_of_flags ~self_test:(jbool "self_test") ~self_test_rewrite:(jbool "self_test_rewrite")
+      match jfield "self_test" json with
+      | Ok (Json.Bool true) -> Some Differential.Unsound_rewrite
+      | _ -> None
     in
     let pass = match jfield "divergence" json with Ok d -> Result.value ~default:"" (jstr "pass" d) | Error _ -> "" in
     Ok (case, sabotage, pass)
@@ -950,19 +943,15 @@ let run ?(log = fun (_ : string) -> ()) ?(config = default_config) () =
     end
   in
   let pairs = Hashtbl.length seen in
-  let caught_by prefix f =
-    (* a clean catch: the divergence must surface in the targeted pass, not
-       as a crash elsewhere — "crash:kernel" deliberately does not count *)
-    let n = String.length prefix in
-    String.length f.f_divergence.pass >= n
-    && String.sub f.f_divergence.pass 0 n = prefix
+  let caught f =
+    (* a clean catch: the divergence must surface in the rewrite pass, not
+       as a crash elsewhere — "crash:rewrite" deliberately does not count *)
+    String.starts_with ~prefix:"rewrite" f.f_divergence.pass
     && f.f_tables <= 3 && f.f_reproduced
   in
   let ok =
     match sabotage with
-    | Some Differential.Unsound_rewrite -> Option.fold ~none:false ~some:(caught_by "rewrite") !found
-    | Some Differential.Perturbed_scan_arm ->
-        Option.fold ~none:false ~some:(caught_by "kernel") !found
+    | Some Differential.Unsound_rewrite -> Option.fold ~none:false ~some:caught !found
     | None ->
       !found = None
       && (match config.late_after with None -> true | Some n -> !last_new > n)

@@ -79,10 +79,6 @@ type divergence = Differential.divergence = { pass : string; detail : string }
 
 type probe = Differential.probe = { coverage : string * string; divergence : divergence option }
 
-val sabotage_of_flags : self_test:bool -> self_test_rewrite:bool -> Differential.sabotage option
-(** The CLI's two self-test flags as one sabotage; the unsound rewrite wins
-    when both are set. *)
-
 val probe_case :
   ?sabotage:Differential.sabotage ->
   ?pools:Rq_exec.Parallel.t list ->
@@ -142,10 +138,9 @@ type result = {
 val run : ?log:(string -> unit) -> ?config:config -> unit -> result
 (** Runs on one 2-domain morsel pool, shut down on return.  [r_ok] means:
     no divergence (plus the [late_after] and [baseline] checks when
-    configured) — or, under a [sabotage], that the planted bug was caught
-    by its targeted pass (the kernel pass for [Perturbed_scan_arm], the
-    rewrite pass for [Unsound_rewrite]), shrunk to at most three tables,
-    and its repro file replays red. *)
+    configured) — or, under the [Unsound_rewrite] sabotage, that the
+    planted bug was caught by the rewrite pass, shrunk to at most three
+    tables, and its repro file replays red. *)
 
 val replay : config -> string -> (case * probe * string, string) Stdlib.result
 (** Re-run a [.fuzz-repro] file on its own 2-domain morsel pool; returns the

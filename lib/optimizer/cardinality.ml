@@ -68,11 +68,8 @@ type robust_parts = {
    sample never changes, and fault injection and maintenance refreshes
    build new synopses with new kernels.  What is left per estimator is
    the Beta-quantile inversion, memoized on (k, n). *)
-let robust_parts ~kernel stats estimator =
+let robust_parts stats estimator =
   let catalog = Stats_store.catalog stats in
-  let evidence syn pred =
-    if kernel then Join_synopsis.evidence syn pred else Join_synopsis.evidence_scan syn pred
-  in
   (* Quantile inversion costs microseconds; the distinct (k, n) pairs one
      estimator sees are few. *)
   let quantiles : (int * int, float) Hashtbl.t = Hashtbl.create 32 in
@@ -86,30 +83,26 @@ let robust_parts ~kernel stats estimator =
   in
   let table_selectivity ~table pred =
     match Stats_store.synopsis stats ~root:table with
-    | Some syn -> estimate (evidence syn (Pred.rename_columns (fun c -> table ^ "." ^ c) pred))
+    | Some syn ->
+        estimate
+          (Join_synopsis.evidence syn (Pred.rename_columns (fun c -> table ^ "." ^ c) pred))
     | None -> Robust_estimator.estimate_no_statistics estimator
   in
   let cardinality_on syn refs =
-    estimate (evidence syn (Pred.conj (List.map qualified_pred refs)))
+    estimate (Join_synopsis.evidence syn (Pred.conj (List.map qualified_pred refs)))
     *. float_of_int (Join_synopsis.root_size syn)
   in
   let groups_on syn refs group_by =
     let pred = Pred.conj (List.map qualified_pred refs) in
     let population_size = int_of_float (Float.max 1.0 (cardinality_on syn refs)) in
-    let k, _ = evidence syn pred in
+    let k, _ = Join_synopsis.evidence syn pred in
     if k = 0 then 1.0
-    else begin
-      let sample = Join_synopsis.sample syn in
-      let matching =
-        (* Streamed, never materialized: off the kernel's bitmap, or
-           (scan mode) filtered with the sample's cached checker. *)
-        if kernel then Join_synopsis.matching_rows syn pred
-        else Seq.filter (Sample.checker sample pred) (Relation.to_seq (Sample.rows sample))
-      in
+    else
+      (* Streamed off the kernel's bitmap, never materialized. *)
       Distinct.estimate_groups_seq
-        ~schema:(Relation.schema (Sample.rows sample))
-        ~columns:group_by ~population_size matching
-    end
+        ~schema:(Relation.schema (Sample.rows (Join_synopsis.sample syn)))
+        ~columns:group_by ~population_size
+        (Join_synopsis.matching_rows syn pred)
   in
   let expression_cardinality refs =
     match Stats_store.synopsis_for stats (names_of refs) with
@@ -131,7 +124,7 @@ let robust_parts ~kernel stats estimator =
     groups_on;
   }
 
-let robust ?(kernel = true) stats estimator = (robust_parts ~kernel stats estimator).est
+let robust stats estimator = (robust_parts stats estimator).est
 
 (* ------------------------------------------------------------------ *)
 (* Histogram + AVI (the baseline)                                      *)
@@ -218,7 +211,7 @@ let degrading ?(log = fun _ -> ()) ?obs stats estimator =
   (* Tier 1 is the robust estimator itself, handed the synopsis that
      passed the health check, so a healthy-stats request resolves its
      root once and costs what [robust]'s does plus one table lookup. *)
-  let robust = robust_parts ~kernel:true stats estimator in
+  let robust = robust_parts stats estimator in
   let hist_est = histogram_avi stats in
   (* Tier 3->4 boundary: histogram_selectivity silently substitutes magic
      constants for missing histograms; detect and report that so the chain's

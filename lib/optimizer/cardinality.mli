@@ -24,7 +24,7 @@ type t = {
 val expression_selectivity : Catalog.t -> t -> Logical.table_ref list -> float
 (** [expression_cardinality] divided by the root relation's size. *)
 
-val robust : ?kernel:bool -> Rq_stats.Stats_store.t -> Rq_core.Robust_estimator.t -> t
+val robust : Rq_stats.Stats_store.t -> Rq_core.Robust_estimator.t -> t
 (** The paper's estimator: evidence from the covering join synopsis,
     Bayesian posterior, quantile at the estimator's confidence threshold.
     Fallbacks (Sec. 3.5): per-table synopses combined under AVI when no
@@ -33,11 +33,7 @@ val robust : ?kernel:bool -> Rq_stats.Stats_store.t -> Rq_core.Robust_estimator.
     from the kernel's satisfaction bitmap.  Evidence comes from the
     synopsis's bitset kernel ({!Rq_stats.Join_synopsis.evidence}), whose
     per-atom bitmaps are the only evidence cache; each instance memoizes
-    only its posterior quantiles per [(k, n)].  [~kernel:false] asks
-    {!Rq_stats.Join_synopsis.evidence_scan} instead and filters group
-    rows with a compiled checker (bit-identical answers; the scan arm of
-    the differential harness's kernel pass and of the evidence-kernel
-    tests). *)
+    only its posterior quantiles per [(k, n)]. *)
 
 val degrading :
   ?log:(Rq_stats.Fault.event -> unit) ->

@@ -451,7 +451,7 @@ let canonical query =
   loop query 0
 
 (* Deliberately unsound: drops the first real filter it finds.  The
-   fuzzer's --self-test-rewrite mode plants this on the rewritten arm and
+   fuzzer's --self-test mode plants this on the rewritten arm and
    must catch the divergence and shrink it — proving the equivalence
    harness would notice a genuinely broken rule. *)
 let unsound_for_tests q =

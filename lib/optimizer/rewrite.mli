@@ -58,5 +58,5 @@ val canonical : Logical.t -> Logical.t
 val unsound_for_tests : Logical.t -> Logical.t
 (** Deliberately broken "rewrite" that drops the first filter conjunct it
     finds (identity when there is none).  Used by the fuzzer's
-    [--self-test-rewrite] mode to prove the equivalence harness catches a
+    [--self-test] mode to prove the equivalence harness catches a
     bad rule. *)

@@ -39,8 +39,7 @@ let closure catalog root =
 
 exception Dangling of string
 
-let build ?(with_replacement = true) ?(follow_fks = true) ?(lenient = false) rng catalog ~size
-    ~root =
+let build ?(follow_fks = true) ?(lenient = false) rng catalog ~size ~root =
   let root_rel =
     match Catalog.find_table_opt catalog root with
     | Some rel -> rel
@@ -67,7 +66,7 @@ let build ?(with_replacement = true) ?(follow_fks = true) ?(lenient = false) rng
         Hashtbl.replace pk_lookup table (rel, lookup)
       end)
     tables;
-  let base_sample = Sample.of_relation rng ~with_replacement ~size root_rel in
+  let base_sample = Sample.of_relation rng ~size root_rel in
   (* Expand one root-sample tuple into the full joined row by following every
      FK edge in traversal order. *)
   let joined_schema =
@@ -153,7 +152,6 @@ let size t = Sample.size t.sample
 let root_size t = t.root_size
 
 let evidence t pred = (Pred_index.count (Lazy.force t.kernel) pred, Sample.size t.sample)
-let evidence_scan t pred = Sample.evidence t.sample pred
 
 let matching_rows t pred =
   let bitmap = Pred_index.eval (Lazy.force t.kernel) pred in

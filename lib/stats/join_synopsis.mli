@@ -17,7 +17,7 @@ open Rq_exec
 type t
 
 val build :
-  ?with_replacement:bool -> ?follow_fks:bool -> ?lenient:bool -> Rq_math.Rng.t -> Catalog.t ->
+  ?follow_fks:bool -> ?lenient:bool -> Rq_math.Rng.t -> Catalog.t ->
   size:int -> root:string -> t
 (** Samples the root and follows every outgoing FK edge transitively.
     With [~follow_fks:false] the synopsis degenerates to a plain
@@ -53,13 +53,8 @@ val evidence : t -> Pred.t -> int * int
 (** [(k, n)] for a predicate over qualified columns of covered tables.
     Answered by the bitset evidence kernel ({!Pred_index}): each atomic
     predicate is scanned at most once per synopsis, then combined
-    bitwise — bit-identical to {!evidence_scan}. *)
-
-val evidence_scan : t -> Pred.t -> int * int
-(** The reference row-scan implementation of {!evidence} (compile the
-    whole predicate, scan the sample): the [~kernel:false] arm of
-    {!Rq_optimizer.Cardinality.robust}, against which differential and
-    kernel tests check the bitset path. *)
+    bitwise — bit-identical to counting the sample rows that satisfy
+    [Pred.compile] of the whole predicate. *)
 
 val matching_rows : t -> Pred.t -> Relation.tuple Seq.t
 (** The sample rows satisfying [pred], lazily walked off the kernel's

@@ -3,7 +3,7 @@
     Evaluates each atomic predicate exactly once over the sample into a
     {!Bitset}; evidence for any boolean combination is then bitwise
     AND/OR/NOT plus popcount.  Counts are bit-identical to compiling the
-    whole predicate and scanning ({!Sample.count_matching}): a bitmap
+    whole predicate with [Pred.compile] and scanning: a bitmap
     records exactly where the compiled atom holds, and the boolean
     connectives are pointwise.  Atoms are keyed by the {!Rq_exec.Pred.t}
     value itself (structural equality, float literals exact) in a bounded

@@ -7,7 +7,6 @@
     (Sec. 3.3). *)
 
 open Rq_storage
-open Rq_exec
 
 type t
 
@@ -40,20 +39,3 @@ val rows : t -> Relation.t
 val size : t -> int
 val population_size : t -> int
 
-val checker : t -> Pred.t -> Relation.tuple -> bool
-(** The compiled checker for [pred] against this sample's schema, served
-    from a per-sample bounded cache keyed by the predicate itself, so
-    repeated probes do not recompile. *)
-
-val count_matching : t -> Pred.t -> int
-(** [count_matching s pred] = k, the number of sample tuples satisfying
-    [pred] — the evidence fed to the Bayesian posterior.  Uses the cached
-    compiled checker. *)
-
-val evidence : t -> Pred.t -> int * int
-(** [(k, n)]: matching count and sample size. *)
-
-val naive_selectivity : t -> Pred.t -> float
-(** Maximum-likelihood estimate k/n (what [1]'s join synopses would
-    report); the robust estimator replaces this with a posterior quantile.
-    0 on an empty sample. *)

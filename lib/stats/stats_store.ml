@@ -3,8 +3,6 @@ open Rq_exec
 
 type config = {
   sample_size : int;
-  histogram_buckets : int;
-  with_replacement : bool;
   synopsis_roots : string list option;
   follow_foreign_keys : bool;
 }
@@ -12,8 +10,6 @@ type config = {
 let default_config =
   {
     sample_size = 500;
-    histogram_buckets = Histogram.default_bucket_count;
-    with_replacement = true;
     synopsis_roots = None;
     follow_foreign_keys = true;
   }
@@ -53,7 +49,7 @@ let update_statistics rng ?(config = default_config) catalog =
       List.iter
         (fun { Schema.name = column; _ } ->
           Hashtbl.replace histograms (table, column)
-            (Histogram.build ~buckets:config.histogram_buckets rel column))
+            (Histogram.build rel column))
         (Schema.columns (Relation.schema rel)))
     (Catalog.table_names catalog);
   List.iter
@@ -63,7 +59,6 @@ let update_statistics rng ?(config = default_config) catalog =
          constants, instead of the build raising on an empty sample. *)
       Hashtbl.replace synopses root
         (Join_synopsis.build (Rq_math.Rng.split rng) catalog ~lenient:true
-           ~with_replacement:config.with_replacement
            ~follow_fks:config.follow_foreign_keys ~size:config.sample_size ~root))
     roots;
   let version = next_version () in

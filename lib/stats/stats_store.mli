@@ -11,8 +11,6 @@ open Rq_exec
 
 type config = {
   sample_size : int;          (** tuples per synopsis; paper default 500 *)
-  histogram_buckets : int;    (** paper-default 250 *)
-  with_replacement : bool;
   synopsis_roots : string list option;
       (** [None] = every table (Sec. 3.5 discusses partial coverage) *)
   follow_foreign_keys : bool;

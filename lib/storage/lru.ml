@@ -1,9 +1,9 @@
 (* A small LRU over any structurally hashable key: a hashtable over an
    intrusive doubly-linked recency list, so find/insert/evict are all
-   O(1) — no victim scan.  The kernel's atom bitmaps, the compiled
-   checkers, the buffer pool and the plan cache are bounded with this so
-   long throughput runs cannot grow memory without bound; [on_evict] lets
-   the owner react to each eviction. *)
+   O(1) — no victim scan.  The kernel's atom bitmaps, the buffer pool
+   and the plan cache are bounded with this so long throughput runs
+   cannot grow memory without bound; [on_evict] lets the owner react to
+   each eviction. *)
 
 type ('k, 'a) node = {
   key : 'k;

@@ -4,8 +4,8 @@
     counters, and an eviction callback.  Keys are compared and hashed
     structurally (the polymorphic [Hashtbl]), so any immutable value
     without closures can key it.  Backs the evidence kernel's atom
-    bitmaps ({!Rq_stats.Pred_index}, keyed by the atom itself), compiled
-    checkers, the {!Buffer_pool} and the {!Rq_optimizer.Plan_cache}. *)
+    bitmaps ({!Rq_stats.Pred_index}, keyed by the atom itself), the
+    {!Buffer_pool} and the {!Rq_optimizer.Plan_cache}. *)
 
 type ('k, 'a) t
 

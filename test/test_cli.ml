@@ -49,6 +49,11 @@ let sql_case label sql =
   Alcotest.test_case label `Quick (fun () ->
       rejected [ "run"; "-d"; Lazy.force data_dir; sql ] ())
 
+(* [run] over the data directory with one statistics flag set. *)
+let flag_case label flags =
+  Alcotest.test_case label `Quick (fun () ->
+      rejected ([ "run"; "-d"; Lazy.force data_dir ] @ flags @ [ "SELECT COUNT(*) FROM t" ]) ())
+
 let () =
   Alcotest.run "cli"
     [
@@ -72,6 +77,12 @@ let () =
                 ());
           Alcotest.test_case "missing data directory" `Quick
             (rejected [ "run"; "-d"; "/nonexistent/robustopt-data"; "SELECT COUNT(*) FROM t" ]);
+          flag_case "sample size 0" [ "--sample-size"; "0" ];
+          flag_case "negative sample size" [ "--sample-size=-5" ];
+          flag_case "confidence above 100" [ "--confidence"; "150" ];
+          flag_case "confidence 0" [ "--confidence"; "0" ];
+          Alcotest.test_case "scale 0" `Quick
+            (rejected [ "run"; "--scale=0"; "SELECT COUNT(*) FROM lineitem" ]);
           Alcotest.test_case "profile of a join" `Quick
             (rejected
                [ "profile"; "--workload"; "star"; "SELECT COUNT(*) FROM fact, dim1 WHERE d_filter = 1" ]);

@@ -334,23 +334,6 @@ let test_probe_clean () =
   (* the degraded pass always contributes at least one guard token *)
   check_bool "tier digest non-empty" true (String.length tiers > 0)
 
-let test_self_test_plants_divergence () =
-  let rng = Rng.create 29 in
-  let rec hunt tries =
-    if tries = 0 then Alcotest.fail "perturbed estimator never changed a plan in 40 cases"
-    else
-      let case = F.gen_case rng tiny_config in
-      match F.probe_case ~sabotage:Rq_experiments.Differential.Perturbed_scan_arm tiny_config case with
-      | Error _ -> hunt (tries - 1)
-      | Ok { F.divergence = Some d; _ } ->
-          check_bool
-            (Printf.sprintf "planted fault lands in the kernel pass, got %s" d.F.pass)
-            true
-            (String.length d.F.pass >= 6 && String.sub d.F.pass 0 6 = "kernel")
-      | Ok { F.divergence = None; _ } -> hunt (tries - 1)
-  in
-  hunt 40
-
 (* Every steered iteration tries exactly one operator, and every case the
    corpus holds beyond the seed admissions was kept for one operator. *)
 let test_operator_yield_adds_up () =
@@ -374,16 +357,22 @@ let test_operator_yield_adds_up () =
     (result.F.r_corpus - List.length seed_pairs)
     (sum (fun (_, _, kept) -> kept))
 
-(* End to end: the self-test run must catch the planted perturbation,
-   shrink it to at most three tables, and leave a repro file that both
-   replays red and survives a config round-trip through [F.replay]. *)
+(* End to end: the self-test run must catch the planted unsound rewrite
+   in the rewrite pass, shrink it to at most three tables, and leave a
+   repro file that replays red with the sabotage restored from disk. *)
 let test_self_test_run_and_replay () =
-  let config = { tiny_config with F.sabotage = Some Rq_experiments.Differential.Perturbed_scan_arm; iterations = 40; seed = 5 } in
+  let config =
+    { tiny_config with F.sabotage = Some Rq_experiments.Differential.Unsound_rewrite; iterations = 40; seed = 7 }
+  in
   let result = F.run ~config () in
   check_bool "self-test run passes" true result.F.r_ok;
   match result.F.r_found with
   | None -> Alcotest.fail "self-test run reported no divergence"
   | Some found ->
+      check_bool
+        (Printf.sprintf "caught by the rewrite pass, got %s" found.F.f_divergence.F.pass)
+        true
+        (String.starts_with ~prefix:"rewrite" found.F.f_divergence.F.pass);
       check_bool "shrunk to <= 3 tables" true (found.F.f_tables <= 3);
       check_bool "repro file replays red" true found.F.f_reproduced;
       (match F.replay config found.F.f_repro_path with
@@ -395,37 +384,18 @@ let test_self_test_run_and_replay () =
           check_bool "shrunk case is small" true (List.length case.F.query.Ast.from <= 3));
       Sys.remove found.F.f_repro_path
 
-(* Same end-to-end contract for the planted unsound rewrite: the rewrite
-   pass must catch it, the shrink must keep the catch in that pass, and
-   the repro file must replay red with the flag restored from disk. *)
-let test_self_test_rewrite_run_and_replay () =
-  let config =
-    { tiny_config with
-      F.sabotage = Some Rq_experiments.Differential.Unsound_rewrite;
-      iterations = 40;
-      seed = 7;
-      repro_file =
-        Filename.concat (Filename.get_temp_dir_name ()) "test-fuzz-rewrite.fuzz-repro";
-    }
-  in
-  let result = F.run ~config () in
-  check_bool "rewrite self-test run passes" true result.F.r_ok;
-  match result.F.r_found with
-  | None -> Alcotest.fail "rewrite self-test run reported no divergence"
-  | Some found ->
-      check_bool
-        (Printf.sprintf "caught by the rewrite pass, got %s" found.F.f_divergence.F.pass)
-        true
-        (String.length found.F.f_divergence.F.pass >= 7
-        && String.sub found.F.f_divergence.F.pass 0 7 = "rewrite");
-      check_bool "repro file replays red" true found.F.f_reproduced;
-      (match F.replay config found.F.f_repro_path with
-      | Error e -> Alcotest.failf "replay failed: %s" e
-      | Ok (_, probe, recorded_pass) ->
-          check_bool "replayed case still diverges" true (probe.F.divergence <> None);
-          check_string "replay reports the recorded pass" found.F.f_divergence.F.pass
-            recorded_pass);
-      Sys.remove found.F.f_repro_path
+(* A repro file of an older format is refused, not replayed under a
+   sabotage its flags no longer name. *)
+let test_old_repro_format_refused () =
+  let path = Filename.temp_file "test-fuzz" ".fuzz-repro" in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc
+        {|{"format": "robustopt-fuzz-repro/2", "self_test": true, "self_test_rewrite": false}|});
+  let outcome = F.replay tiny_config path in
+  Sys.remove path;
+  match outcome with
+  | Ok _ -> Alcotest.fail "a robustopt-fuzz-repro/2 file was replayed"
+  | Error e -> check_string "refused by the format check" "unsupported repro format \"robustopt-fuzz-repro/2\"" e
 
 let () =
   Alcotest.run "fuzz"
@@ -452,12 +422,9 @@ let () =
       ( "probing",
         [
           Alcotest.test_case "clean case passes every pass" `Quick test_probe_clean;
-          Alcotest.test_case "self-test perturbation is visible" `Quick
-            test_self_test_plants_divergence;
           Alcotest.test_case "self-test run shrinks and replays" `Quick
             test_self_test_run_and_replay;
-          Alcotest.test_case "rewrite self-test run shrinks and replays" `Quick
-            test_self_test_rewrite_run_and_replay;
           Alcotest.test_case "operator yield adds up" `Quick test_operator_yield_adds_up;
+          Alcotest.test_case "older repro format refused" `Quick test_old_repro_format_refused;
         ] );
     ]

@@ -345,6 +345,13 @@ let test_sample_ml_estimator () =
   in
   check_bool "robust keeps a floor" true (robust_est > 0.0)
 
+
+(* The evidence [(k, n)] of a synopsis by a row scan of its sample under
+   [Pred.compile]: the reference the bitset kernel must reproduce. *)
+let scan_evidence syn pred =
+  let rows = Rq_stats.Sample.rows (Rq_stats.Join_synopsis.sample syn) in
+  (Relation.filter_count rows (Pred.compile (Relation.schema rows) pred), Relation.row_count rows)
+
 let test_memo_invalidated_by_fault () =
   (* Evidence is cached only in each synopsis's kernel, and a damaged
      synopsis is a new synopsis with a fresh kernel: bitmaps warmed on the
@@ -369,8 +376,7 @@ let test_memo_invalidated_by_fault () =
   in
   let syn = Option.get (Rq_stats.Stats_store.synopsis damaged ~root:"readings") in
   let k, n =
-    Rq_stats.Join_synopsis.evidence_scan syn
-      (Pred.rename_columns (fun c -> "readings." ^ c) correlated_pred)
+    scan_evidence syn (Pred.rename_columns (fun c -> "readings." ^ c) correlated_pred)
   in
   check_int "the damaged synopsis keeps 100 rows" 100 n;
   let from_scan =
@@ -885,8 +891,7 @@ let kernel_world =
      let params = { Rq_workload.Tpch.default_params with scale_factor = 0.004 } in
      let catalog = Rq_workload.Tpch.generate (Rq_math.Rng.split rng) ~params () in
      let config = { Rq_stats.Stats_store.default_config with sample_size = 500 } in
-     let stats = Rq_stats.Stats_store.update_statistics (Rq_math.Rng.split rng) ~config catalog in
-     (Rq_workload.Tpch.cost_scale catalog, stats))
+     Rq_stats.Stats_store.update_statistics (Rq_math.Rng.split rng) ~config catalog)
 
 let exp2_queries () =
   List.map (fun bucket -> Rq_workload.Tpch.exp2_query ~bucket) [ 0; 250; 500; 750; 999 ]
@@ -899,45 +904,35 @@ let evidence_pool () =
     (List.map (fun offset -> Rq_workload.Tpch.exp1_query ~offset) [ 30; 45; 60; 75; 90 ]
     @ exp2_queries ())
 
-let kernel_thresholds = [ 50.0; 80.0; 95.0 ]
-
-let robust_at ?kernel stats percent =
-  Cardinality.robust ?kernel stats
+let robust_at stats percent =
+  Cardinality.robust stats
     (Rq_core.Robust_estimator.create ~confidence:(Rq_core.Confidence.of_percent percent) ())
 
-(* Same (k, n) on every pooled predicate, hence the same costs and the
-   same plan for every Experiment-2 query at every threshold. *)
+(* Same (k, n) as the row scan on every pooled predicate, cold and from
+   cached bitmaps. *)
 let test_kernel_matches_scan () =
-  let scale, stats = Lazy.force kernel_world in
+  let stats = Lazy.force kernel_world in
   let syn = kernel_synopsis stats in
-  List.iter
-    (fun pred ->
-      Alcotest.(check (pair int int))
-        ("evidence of " ^ Pred.render pred)
-        (Rq_stats.Join_synopsis.evidence_scan syn pred)
-        (Rq_stats.Join_synopsis.evidence syn pred))
-    (evidence_pool ());
-  List.iter
-    (fun percent ->
-      let digests ?kernel () =
-        let opt = Optimizer.create ~scale stats (robust_at ?kernel stats percent) in
-        List.map
-          (fun q -> Rq_experiments.Exp_common.plan_digest (Optimizer.optimize_exn opt q).Optimizer.plan)
-          (exp2_queries ())
-      in
-      Alcotest.(check (list string))
-        (Printf.sprintf "plans at T=%.0f%%" percent)
-        (digests ~kernel:false ()) (digests ()))
-    kernel_thresholds
+  for ask = 1 to 2 do
+    List.iter
+      (fun pred ->
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "evidence of %s, ask %d" (Pred.render pred) ask)
+          (scan_evidence syn pred)
+          (Rq_stats.Join_synopsis.evidence syn pred))
+      (evidence_pool ())
+  done
 
-(* GEE group counts stream the matching rows off the kernel's bitmap, or
-   (scan arm) through a compiled checker: both must give the same count,
-   for a predicate no sample row satisfies (k = 0) and on a repeated ask
-   (warm bitmaps) alike. *)
+(* GEE group counts stream the matching rows off the kernel's bitmap: the
+   stream must be exactly the sample rows the compiled predicate accepts,
+   in sample order, and the group count GEE's estimate over them — for a
+   predicate no sample row satisfies (k = 0) and on a repeated ask (warm
+   bitmaps) alike. *)
 let test_kernel_group_counts_match_scan () =
-  let _, stats = Lazy.force kernel_world in
-  let kernel = robust_at stats 80.0 and scan = robust_at ~kernel:false stats 80.0 in
+  let stats = Lazy.force kernel_world in
+  let kernel = robust_at stats 80.0 in
   let lineitem pred = Logical.scan ~pred "lineitem" in
+  let never = [ lineitem (Pred.lt (Expr.col "l_quantity") (Expr.Const (Value.Float (-1.0)))) ] in
   let cases =
     [
       ([ lineitem Pred.True; Logical.scan "orders"; Logical.scan "part" ], [ "part.p_brand" ]);
@@ -950,22 +945,44 @@ let test_kernel_group_counts_match_scan () =
           Logical.scan ~pred:(Pred.between (Expr.col "p_bucket") (Expr.int 0) (Expr.int 99)) "part";
         ],
         [ "part.p_size" ] );
-      ([ lineitem (Pred.lt (Expr.col "l_quantity") (Expr.Const (Value.Float (-1.0)))) ], [ "lineitem.l_partkey" ]);
+      (never, [ "lineitem.l_partkey" ]);
     ]
   in
   List.iteri
     (fun i (refs, group_by) ->
+      let syn =
+        Option.get (Rq_stats.Stats_store.synopsis_for stats (Logical.table_names (Logical.query refs)))
+      in
+      let pred =
+        Pred.conj
+          (List.map
+             (fun (r : Logical.table_ref) ->
+               Pred.rename_columns (fun c -> r.Logical.table ^ "." ^ c) r.Logical.pred)
+             refs)
+      in
+      let rows = Rq_stats.Sample.rows (Rq_stats.Join_synopsis.sample syn) in
+      let scanned =
+        List.of_seq (Seq.filter (Pred.compile (Relation.schema rows) pred) (Relation.to_seq rows))
+      in
       for ask = 1 to 2 do
-        Alcotest.(check (float 0.0))
-          (Printf.sprintf "case %d, ask %d" i ask)
-          (scan.Cardinality.group_count refs group_by)
+        let context = Printf.sprintf "case %d, ask %d" i ask in
+        check_bool (context ^ ": matching rows = row scan, in order") true
+          (List.of_seq (Rq_stats.Join_synopsis.matching_rows syn pred) = scanned);
+        let expected =
+          if scanned = [] then 1.0
+          else
+            let population_size =
+              int_of_float (Float.max 1.0 (kernel.Cardinality.expression_cardinality refs))
+            in
+            Rq_stats.Distinct.estimate_groups_seq ~schema:(Relation.schema rows) ~columns:group_by
+              ~population_size (List.to_seq scanned)
+        in
+        Alcotest.(check (float 0.0)) (context ^ ": group count") expected
           (kernel.Cardinality.group_count refs group_by)
       done)
     cases;
   check_close 0.0 "no matching sample row: one group" 1.0
-    (kernel.Cardinality.group_count
-       [ lineitem (Pred.lt (Expr.col "l_quantity") (Expr.Const (Value.Float (-1.0)))) ]
-       [ "lineitem.l_partkey" ])
+    (kernel.Cardinality.group_count never [ "lineitem.l_partkey" ])
 
 (* Process CPU seconds of [f], from a collected heap, so that no arm pays
    for collecting another arm's garbage. *)
@@ -975,23 +992,17 @@ let cpu_seconds f =
   f ();
   Sys.time () -. t0
 
-(* Five repetitions of five arms, the arm order reversed on every other
-   repetition; each bound compares per-arm medians.  Evidence arms make
-   60 passes over the pool: cold drops the bitmaps before every pass, warm
-   keeps them, scan is the reference row scan.  Optimization arms make 8
-   passes over the Experiment-2 queries per threshold, a fresh estimator
-   per pass, so only the synopsis bitmaps carry over between passes. *)
+(* Five repetitions of three arms, the arm order reversed on every other
+   repetition; each bound compares per-arm medians.  Each arm makes 60
+   passes over the pool: cold drops the bitmaps before every pass, warm
+   keeps them, scan counts the sample rows that satisfy each predicate,
+   compiled once before timing. *)
 let test_kernel_beats_scan () =
-  let scale, stats = Lazy.force kernel_world in
+  let stats = Lazy.force kernel_world in
   let syn = kernel_synopsis stats in
   let preds = evidence_pool () in
-  let passes f = for _ = 1 to 60 do List.iter (fun p -> ignore (f syn p)) preds done in
-  let clear_kernels () =
-    List.iter
-      (fun root ->
-        Option.iter Rq_stats.Join_synopsis.clear_kernel (Rq_stats.Stats_store.synopsis stats ~root))
-      (Rq_stats.Stats_store.synopsis_roots stats)
-  in
+  let rows = Rq_stats.Sample.rows (Rq_stats.Join_synopsis.sample syn) in
+  let checks = List.map (Pred.compile (Relation.schema rows)) preds in
   let cold () =
     cpu_seconds (fun () ->
         for _ = 1 to 60 do
@@ -1001,22 +1012,18 @@ let test_kernel_beats_scan () =
   in
   let warm () =
     List.iter (fun p -> ignore (Rq_stats.Join_synopsis.evidence syn p)) preds;
-    cpu_seconds (fun () -> passes Rq_stats.Join_synopsis.evidence)
+    cpu_seconds (fun () ->
+        for _ = 1 to 60 do
+          List.iter (fun p -> ignore (Rq_stats.Join_synopsis.evidence syn p)) preds
+        done)
   in
-  let scan () = cpu_seconds (fun () -> passes Rq_stats.Join_synopsis.evidence_scan) in
-  let optimize ~kernel () =
-    List.fold_left
-      (fun acc percent ->
-        clear_kernels ();
-        acc
-        +. cpu_seconds (fun () ->
-               for _ = 1 to 8 do
-                 let opt = Optimizer.create ~scale stats (robust_at ~kernel stats percent) in
-                 List.iter (fun q -> ignore (Optimizer.optimize_exn opt q)) (exp2_queries ())
-               done))
-      0.0 kernel_thresholds
+  let scan () =
+    cpu_seconds (fun () ->
+        for _ = 1 to 60 do
+          List.iter (fun check -> ignore (Relation.filter_count rows check)) checks
+        done)
   in
-  let arms = [ cold; warm; scan; optimize ~kernel:true; optimize ~kernel:false ] in
+  let arms = [ cold; warm; scan ] in
   let samples = Array.make (List.length arms) [] in
   for rep = 0 to 4 do
     let order = List.mapi (fun i arm -> (i, arm)) arms in
@@ -1026,21 +1033,14 @@ let test_kernel_beats_scan () =
   done;
   let median i = Rq_math.Summary.percentile (Array.of_list samples.(i)) 0.5 in
   let cold = median 0 and warm = median 1 and scan = median 2 in
-  let kernel_opt = median 3 and scan_opt = median 4 in
   let warm_vs_scan = scan /. warm and warm_vs_cold = cold /. warm in
-  let kernel_vs_scan = scan_opt /. kernel_opt in
   let per_query seconds = 1e6 *. seconds /. float_of_int (60 * List.length preds) in
-  Printf.printf
-    "evidence us/query: cold %.2f warm %.3f scan %.1f; optimization s: kernel %.3f scan %.3f\n\
-     warm/scan %.1fx  warm/cold %.1fx  kernel/scan optimization %.2fx\n"
-    (per_query cold) (per_query warm) (per_query scan) kernel_opt scan_opt warm_vs_scan
-    warm_vs_cold kernel_vs_scan;
+  Printf.printf "evidence us/query: cold %.2f warm %.3f scan %.1f\nwarm/scan %.1fx  warm/cold %.1fx\n"
+    (per_query cold) (per_query warm) (per_query scan) warm_vs_scan warm_vs_cold;
   let bounds =
     [
-      (warm_vs_scan >= 5.0, Printf.sprintf "warm evidence %.1fx the scan arm (>= 5x)" warm_vs_scan);
+      (warm_vs_scan >= 5.0, Printf.sprintf "warm evidence %.1fx the row scan (>= 5x)" warm_vs_scan);
       (warm < cold, Printf.sprintf "warm evidence %.1fx cold (> 1x)" warm_vs_cold);
-      ( kernel_opt < scan_opt,
-        Printf.sprintf "three-join optimization %.2fx faster with the kernel (> 1x)" kernel_vs_scan );
     ]
   in
   Alcotest.(check (list string))
@@ -1115,8 +1115,7 @@ let () =
         ] );
       ( "kernel",
         [
-          Alcotest.test_case "matches the row scan (evidence, plans)" `Quick
-            test_kernel_matches_scan;
+          Alcotest.test_case "matches the row scan (evidence)" `Quick test_kernel_matches_scan;
           Alcotest.test_case "beats the row scan (median of 5)" `Quick test_kernel_beats_scan;
           Alcotest.test_case "group counts match the row scan" `Quick
             test_kernel_group_counts_match_scan;

@@ -53,20 +53,17 @@ let chain_catalog () =
 (* Sample                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The number of rows of [rel] satisfying [pred], by a row scan under
+   [Pred.compile]: the reference count k. *)
+let scan_count rel pred = Relation.filter_count rel (Pred.compile (Relation.schema rel) pred)
+
 let test_sample_basics () =
   let catalog = chain_catalog () in
   let rel = Catalog.find_table catalog "lineitems" in
   let rng = Rq_math.Rng.create 3 in
   let sample = Sample.of_relation rng ~size:100 rel in
   check_int "size" 100 (Sample.size sample);
-  check_int "population" 1000 (Sample.population_size sample);
-  let pred = Pred.le (Expr.col "l_qty") (Expr.int 25) in
-  let k, n = Sample.evidence sample pred in
-  check_int "n is sample size" 100 n;
-  check_bool "k in range" true (k >= 0 && k <= 100);
-  check_close 1e-9 "naive selectivity = k/n"
-    (float_of_int k /. 100.0)
-    (Sample.naive_selectivity sample pred)
+  check_int "population" 1000 (Sample.population_size sample)
 
 let test_sample_without_replacement_distinct () =
   let catalog = chain_catalog () in
@@ -99,7 +96,10 @@ let test_sample_statistical_accuracy () =
   let rel = Catalog.find_table catalog "lineitems" in
   let rng = Rq_math.Rng.create 6 in
   let sample = Sample.of_relation rng ~size:500 rel in
-  let sel = Sample.naive_selectivity sample (Pred.le (Expr.col "l_qty") (Expr.int 25)) in
+  let sel =
+    float_of_int (scan_count (Sample.rows sample) (Pred.le (Expr.col "l_qty") (Expr.int 25)))
+    /. float_of_int (Sample.size sample)
+  in
   check_bool "roughly half" true (sel > 0.35 && sel < 0.65)
 
 let test_sample_reservoir () =
@@ -731,13 +731,9 @@ let kernel_preds =
 let check_kernel_matches_scan label rel =
   let idx = Pred_index.create rel in
   let rows = Array.of_seq (Relation.to_seq rel) in
-  let sample =
-    Sample.of_rows ~rows ~schema:(Relation.schema rel)
-      ~population_size:(10 * Relation.row_count rel) ~name:"s"
-  in
   List.iter
     (fun pred ->
-      let expected = Sample.count_matching sample pred in
+      let expected = scan_count rel pred in
       check_int (label ^ " kernel = scan: " ^ Pred.render pred) expected
         (Pred_index.count idx pred);
       (* second ask: served from cached bitmaps, same answer *)
@@ -929,15 +925,10 @@ let test_lru_remove_is_silent () =
 let test_pred_index_combined_after_eviction () =
   let rel = kernel_fixture () in
   let idx = Pred_index.create ~capacity:2 rel in
-  let sample =
-    Sample.of_rows
-      ~rows:(Array.of_seq (Relation.to_seq rel))
-      ~schema:(Relation.schema rel) ~population_size:1000 ~name:"s"
-  in
   let combined =
     Pred.And [ Pred.le (Expr.col "q") (Expr.int 10); Pred.Contains (Expr.col "tag", "ev") ]
   in
-  let expected = Sample.count_matching sample combined in
+  let expected = scan_count rel combined in
   check_int "combined correct when cold" expected (Pred_index.count idx combined);
   (* Force out one of the atoms the conjunction combines: the two slots
      hold its atoms, so two fresh atoms evict both. *)
@@ -1009,15 +1000,8 @@ let prop_kernel_matches_scan =
        QCheck.Gen.(pair (list_size (int_range 0 40) gen_row) (gen_pred 3)))
     (fun (rows, pred) ->
       let rel = Relation.create ~name:"prop" ~schema:prop_schema (Array.of_list rows) in
-      let sample =
-        Sample.of_rows
-          ~rows:(Array.of_list rows)
-          ~schema:prop_schema
-          ~population_size:(10 * List.length rows)
-          ~name:"prop_sample"
-      in
       let idx = Pred_index.create rel in
-      let expected = Sample.count_matching sample pred in
+      let expected = scan_count rel pred in
       Pred_index.count idx pred = expected && Pred_index.count idx pred = expected)
 
 let test_empty_sample_of_relation () =
@@ -1028,8 +1012,7 @@ let test_empty_sample_of_relation () =
   in
   let s = Sample.of_relation (Rq_math.Rng.create 57) ~size:100 rel in
   check_int "empty sample" 0 (Sample.size s);
-  check_int "population zero" 0 (Sample.population_size s);
-  check_close 1e-9 "selectivity over nothing" 0.0 (Sample.naive_selectivity s Pred.True)
+  check_int "population zero" 0 (Sample.population_size s)
 
 let () =
   Alcotest.run "rq_stats"

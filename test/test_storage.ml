@@ -884,6 +884,59 @@ let prop_zone_map_skip_is_sound =
          not required — may_match=true with zero matches is fine.) *)
       may_match || not any_row_matches)
 
+(* Page accounting of a (possibly resumed) sequential scan: the pages of
+   its chunk tasks, read or skipped, telescope to the resume geometry
+   whatever the zone maps decide, and an executed scan charges exactly
+   those pages as read + skipped.  Column [a] ascends across the relation,
+   so chunks cover disjoint ranges of it and the predicates skip some. *)
+let prop_scan_pages_telescope =
+  let rpc = Page.rows_per_chunk prune_schema in
+  let gen =
+    QCheck.Gen.(
+      int_range 1 (3 * rpc) >>= fun n ->
+      quad (return n) (int_range 0 n) int gen_prune_pred)
+  in
+  QCheck.Test.make ~name:"scan pages telescope, read + skipped" ~count:40
+    (QCheck.make
+       ~print:(fun (n, from, seed, pred) ->
+         Printf.sprintf "%d rows from %d, seed %d, pred %s" n from seed (Rq_exec.Pred.render pred))
+       gen)
+    (fun (n, from, seed, pred) ->
+      let st = Random.State.make [| seed |] in
+      let rows =
+        Array.init n (fun i ->
+            [|
+              v_int (-20 + (41 * i / n));
+              (if Random.State.int st 7 = 0 then Value.Null
+               else v_int (Random.State.int st 41 - 20));
+              (if Random.State.bool st then Value.Null
+               else Value.String (Printf.sprintf "s%d" (Random.State.int st 6)));
+            |])
+      in
+      let agrees ~spill =
+        let b = Relation.Builder.create ~spill ~name:"paged" ~schema:prune_schema () in
+        Array.iter (Relation.Builder.add_row b) rows;
+        let rel = Relation.Builder.finish b in
+        let planned =
+          List.fold_left
+            (fun acc (t : Rq_exec.Chunk_scan.task) -> acc + t.pages)
+            0
+            (Rq_exec.Chunk_scan.tasks ~from rel pred)
+        in
+        let catalog = Catalog.create () in
+        Catalog.add_table catalog rel;
+        let meter = Rq_exec.Cost.create () in
+        let plan =
+          if from = 0 then Rq_exec.Plan.Scan { table = "paged"; access = Rq_exec.Plan.Seq_scan; pred }
+          else Rq_exec.Plan.Scan_resume { table = "paged"; pred; from_rid = from }
+        in
+        ignore (Rq_exec.Executor.run catalog meter plan);
+        let snap = Rq_exec.Cost.snapshot meter in
+        planned = Rq_exec.Exec_common.resume_pages rel ~from
+        && snap.Rq_exec.Cost.seq_pages + snap.Rq_exec.Cost.pages_skipped = planned
+      in
+      agrees ~spill:false && agrees ~spill:true)
+
 (* ------------------------------------------------------------------ *)
 (* Catalog                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -1193,7 +1246,7 @@ let () =
           Alcotest.test_case "columnar roundtrip" `Quick test_chunk_roundtrip;
           Alcotest.test_case "zone-map stats" `Quick test_zone_map_stats;
         ]
-        @ qcheck [ prop_zone_map_skip_is_sound ] );
+        @ qcheck [ prop_zone_map_skip_is_sound; prop_scan_pages_telescope ] );
       ( "buffer pool",
         [
           Alcotest.test_case "hits and LRU eviction" `Quick test_buffer_pool_hits_and_eviction;
