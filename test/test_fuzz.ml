@@ -362,7 +362,7 @@ let test_operator_yield_adds_up () =
    repro file that replays red with the sabotage restored from disk. *)
 let test_self_test_run_and_replay () =
   let config =
-    { tiny_config with F.sabotage = Some Rq_experiments.Differential.Unsound_rewrite; iterations = 40; seed = 7 }
+    { tiny_config with F.sabotage = Some Rq_experiments.Differential.Unsound_rewrite; iterations = 40; seed = 5 }
   in
   let result = F.run ~config () in
   check_bool "self-test run passes" true result.F.r_ok;
@@ -382,6 +382,38 @@ let test_self_test_run_and_replay () =
           check_string "replay reports the recorded pass" found.F.f_divergence.F.pass
             recorded_pass;
           check_bool "shrunk case is small" true (List.length case.F.query.Ast.from <= 3));
+      Sys.remove found.F.f_repro_path
+
+(* Same end-to-end contract from a second seed, with the repro file at a
+   path of its own: the rewrite pass must catch it, the shrink must keep
+   the catch in that pass, and the repro file must replay red with the
+   flag restored from disk. *)
+let test_self_test_rewrite_run_and_replay () =
+  let config =
+    { tiny_config with
+      F.sabotage = Some Rq_experiments.Differential.Unsound_rewrite;
+      iterations = 40;
+      seed = 7;
+      repro_file =
+        Filename.concat (Filename.get_temp_dir_name ()) "test-fuzz-rewrite.fuzz-repro";
+    }
+  in
+  let result = F.run ~config () in
+  check_bool "rewrite self-test run passes" true result.F.r_ok;
+  match result.F.r_found with
+  | None -> Alcotest.fail "rewrite self-test run reported no divergence"
+  | Some found ->
+      check_bool
+        (Printf.sprintf "caught by the rewrite pass, got %s" found.F.f_divergence.F.pass)
+        true
+        (String.starts_with ~prefix:"rewrite" found.F.f_divergence.F.pass);
+      check_bool "repro file replays red" true found.F.f_reproduced;
+      (match F.replay config found.F.f_repro_path with
+      | Error e -> Alcotest.failf "replay failed: %s" e
+      | Ok (_, probe, recorded_pass) ->
+          check_bool "replayed case still diverges" true (probe.F.divergence <> None);
+          check_string "replay reports the recorded pass" found.F.f_divergence.F.pass
+            recorded_pass);
       Sys.remove found.F.f_repro_path
 
 (* A repro file of an older format is refused, not replayed under a
@@ -424,6 +456,8 @@ let () =
           Alcotest.test_case "clean case passes every pass" `Quick test_probe_clean;
           Alcotest.test_case "self-test run shrinks and replays" `Quick
             test_self_test_run_and_replay;
+          Alcotest.test_case "rewrite self-test run shrinks and replays" `Quick
+            test_self_test_rewrite_run_and_replay;
           Alcotest.test_case "operator yield adds up" `Quick test_operator_yield_adds_up;
           Alcotest.test_case "older repro format refused" `Quick test_old_repro_format_refused;
         ] );
