@@ -622,16 +622,15 @@ let gen_vec_case : vec_case QCheck.Gen.t =
   int_bound 1_000_000 >>= fun vc_seed ->
   oneof [ boundary_sizes; int_range 1 ((3 * vec_morsel_rows) + 300) ] >>= fun vc_big ->
   int_range 1 60 >>= fun vc_dim ->
-  int_bound 12 >>= fun vc_plan ->
+  int_bound 19 >>= fun vc_plan ->
   int_range (-1) (2 * vec_chunk_rows) >>= fun vc_c ->
   int_bound 40 >>= fun vc_k ->
   oneofl [ 1; 7; Stream_exec.batch_rows; Stream_exec.batch_rows + 1; max_int / 2 ]
   >>= fun vc_limit -> return { vc_seed; vc_big; vc_dim; vc_plan; vc_c; vc_k; vc_limit }
 
 (* Clustered ascending t_id (so the band predicate disproves whole chunks
-   by zone map), null-bearing t_k and t_v (1 in 8).  The same rows twice:
-   [big] on the heap, and [big] in a spill file. *)
-let vec_case_catalogs c =
+   by zone map), null-bearing t_k and t_v (1 in 8). *)
+let vec_case_rows c =
   let rng = Rq_math.Rng.create c.vc_seed in
   let pad () =
     String.init (1 + Rq_math.Rng.int rng 6) (fun _ -> Char.chr (97 + Rq_math.Rng.int rng 26))
@@ -653,20 +652,30 @@ let vec_case_catalogs c =
   let dim_rows =
     Array.init c.vc_dim (fun i -> [| v_int i; maybe_null (v_int (Rq_math.Rng.int rng 40)) |])
   in
+  (big_rows, dim_rows)
+
+let dim_schema =
+  Schema.create
+    [ { Schema.name = "d_id"; ty = Value.T_int }; { Schema.name = "d_k"; ty = Value.T_int } ]
+
+(* The same rows twice: on the heap, and in spill files.  big.t_k is a
+   foreign key into dim, and every column the row-operator families probe
+   is indexed. *)
+let vec_case_catalogs c =
+  let big_rows, dim_rows = vec_case_rows c in
   let catalog ~spill =
     let catalog = Catalog.create () in
-    let b = Relation.Builder.create ~spill ~name:"big" ~schema:vec_schema () in
-    Array.iter (Relation.Builder.add_row b) big_rows;
-    Catalog.add_table catalog ~primary_key:"t_id" (Relation.Builder.finish b);
-    Catalog.add_table catalog ~primary_key:"d_id"
-      (Relation.create ~name:"dim"
-         ~schema:
-           (Schema.create
-              [
-                { Schema.name = "d_id"; ty = Value.T_int };
-                { Schema.name = "d_k"; ty = Value.T_int };
-              ])
-         dim_rows);
+    let add ~name ~schema ~primary_key rows =
+      let b = Relation.Builder.create ~spill ~name ~schema () in
+      Array.iter (Relation.Builder.add_row b) rows;
+      Catalog.add_table catalog ~primary_key (Relation.Builder.finish b)
+    in
+    add ~name:"big" ~schema:vec_schema ~primary_key:"t_id" big_rows;
+    add ~name:"dim" ~schema:dim_schema ~primary_key:"d_id" dim_rows;
+    Catalog.add_foreign_key catalog
+      { from_table = "big"; from_column = "t_k"; to_table = "dim"; to_column = "d_id" };
+    List.iter (fun column -> Catalog.build_index catalog ~table:"big" ~column) [ "t_id"; "t_k"; "t_v" ];
+    Catalog.build_index catalog ~table:"dim" ~column:"d_id";
     catalog
   in
   [ ("heap", catalog ~spill:false); ("spilled", catalog ~spill:true) ]
@@ -753,6 +762,102 @@ let vec_case_plan c =
               { Plan.fn = Plan.Max (Expr.col "big.t_k"); output_name = "hi" };
             ];
         }
+  | 13 ->
+      (* an index range whose fetched rows fail the rest of the predicate *)
+      Plan.Project
+        ( Plan.Scan
+            {
+              table = "big";
+              access = Plan.Index_range { column = "t_k"; lo = None; hi = Some (v_int c.vc_k) };
+              pred = Pred.And [ keyp; Pred.lt (Expr.col "t_v") (Expr.float 50.0) ];
+            },
+          [ "big.t_id"; "big.t_v" ] )
+  | 14 ->
+      Plan.Project
+        ( Plan.Scan
+            {
+              table = "big";
+              access =
+                Plan.Index_intersect
+                  [
+                    { column = "t_id"; lo = None; hi = Some (v_int c.vc_c) };
+                    { column = "t_k"; lo = None; hi = Some (v_int c.vc_k) };
+                    { column = "t_v"; lo = Some (Value.Float 10.0); hi = None };
+                  ];
+              pred = Pred.And [ band; keyp; Pred.ge (Expr.col "t_v") (Expr.float 10.0) ];
+            },
+          [ "big.t_k"; "big.t_s1" ] )
+  | 15 ->
+      (* ordered fetches ramping up under a LIMIT *)
+      Plan.Project
+        ( Plan.Limit
+            ( Plan.Scan
+                {
+                  table = "big";
+                  access = Plan.Index_order { column = "t_v"; descending = true };
+                  pred = keyp;
+                },
+              c.vc_limit ),
+          [ "big.t_id"; "big.t_v" ] )
+  | 16 ->
+      (* NULL outer keys, and an inner predicate over a NULL-bearing column *)
+      Plan.Project
+        ( Plan.Indexed_nl_join
+            {
+              outer = scan band;
+              outer_key = "big.t_k";
+              inner_table = "dim";
+              inner_key = "d_id";
+              inner_pred = Pred.le (Expr.col "d_k") (Expr.int c.vc_k);
+            },
+          [ "big.t_id"; "dim.d_k" ] )
+  | 17 ->
+      Plan.Project
+        ( Plan.Star_semijoin
+            {
+              fact = "big";
+              fact_pred = band;
+              dims =
+                [
+                  {
+                    Plan.dim_table = "dim";
+                    dim_pred = Pred.le (Expr.col "d_k") (Expr.int c.vc_k);
+                    fact_fk = "t_k";
+                  };
+                ];
+            },
+          [ "big.t_v"; "dim.d_id" ] )
+  | 18 ->
+      (* one group per row: more groups than a batch holds *)
+      Plan.Project
+        ( Plan.Aggregate
+            {
+              input = scan keyp;
+              group_by = [ "big.t_id" ];
+              aggs =
+                [
+                  { Plan.fn = Plan.Count_star; output_name = "n" };
+                  { Plan.fn = Plan.Sum (Expr.col "big.t_v"); output_name = "s" };
+                ];
+            },
+          [ "big.t_id"; "s" ] )
+  | 19 ->
+      (* a replayed prefix of the first c rows, then the resumed scan *)
+      let big_rows, _ = vec_case_rows c in
+      let m = max 0 (min c.vc_c c.vc_big) in
+      Plan.Project
+        ( Plan.Append
+            [
+              Plan.Materialized
+                {
+                  name = "prefix";
+                  schema = Schema.qualify "big" vec_schema;
+                  tuples = Array.sub big_rows 0 m;
+                  refs = [ ("big", Pred.True) ];
+                };
+              Plan.Scan_resume { table = "big"; pred = keyp; from_rid = m };
+            ],
+          [ "big.t_id"; "big.t_k" ] )
   | 7 ->
       (* every batch drained with an empty selection, under a guard *)
       Plan.Guard
@@ -774,7 +879,10 @@ let vec_case_plan c =
         }
 
 
-let invariance_families = [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ]
+(* The families the cost-model parity law covers; the row-operator
+   families (13-19) are checked for invariance and pinned outcomes. *)
+let parity_families = [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ]
+let invariance_families = parity_families @ [ 13; 14; 15; 16; 17; 18; 19 ]
 
 (* A run's observable outcome: the tuples, or the violation's prefix rows,
    progress and resume; plus the meter. *)
@@ -998,6 +1106,103 @@ let test_breaker_golden () =
     Alcotest.failf "breaker outcomes moved; now:\n%s"
       (String.concat "\n" (List.map (fun (l, o) -> Printf.sprintf "(%S,\n %S);" l o) actual))
 
+(* Pinned outcomes of the row operators (index range, intersection and
+   ordered scans, the indexed-NL join, the star semijoin, aggregate output
+   wider than a batch, a materialized prefix replayed before a resumed
+   scan), each under a narrow projection.  Every case runs on heap tables
+   and again on spilled tables behind a one-chunk pool, and both runs must
+   give the pinned outcome (rendered as for the breaker pins).  The values
+   were recorded while these operators still built tuples. *)
+
+(* The same tables in spill files, with the same keys, foreign keys and
+   indexes. *)
+let spilled_copy catalog =
+  let copy = Catalog.create () in
+  let names = Catalog.table_names catalog in
+  List.iter
+    (fun name ->
+      let rel = Catalog.find_table catalog name in
+      let b = Relation.Builder.create ~spill:true ~name ~schema:(Relation.schema rel) () in
+      Relation.iter (fun _ tup -> Relation.Builder.add_row b tup) rel;
+      Catalog.add_table copy
+        ?primary_key:(Catalog.primary_key catalog name)
+        ?clustered_by:(Catalog.clustered_by catalog name)
+        (Relation.Builder.finish b))
+    names;
+  List.iter (Catalog.add_foreign_key copy) (Catalog.all_foreign_keys catalog);
+  List.iter
+    (fun table ->
+      List.iter
+        (fun idx -> Catalog.build_index copy ~table ~column:(Index.column idx))
+        (Catalog.indexes_on catalog table))
+    names;
+  copy
+
+let star_pin dims cols =
+  let heap = star_catalog () in
+  ( [ ("heap", heap); ("spilled", spilled_copy heap) ],
+    Plan.Project
+      ( Plan.Star_semijoin
+          {
+            fact = "fact";
+            fact_pred = Pred.lt (Expr.col "f_m1") (Expr.float 600.0);
+            dims = List.map star_dim dims;
+          },
+        cols ) )
+
+let row_pin_cases () =
+  let vec c family = (vec_case_catalogs c, vec_case_plan { c with vc_plan = family }) in
+  [
+    ("index range", vec case_a 13);
+    ("index intersect, 3 probes", vec { case_a with vc_c = 1500 } 14);
+    ("index order under LIMIT", vec { case_a with vc_limit = 300 } 15);
+    ("indexed-NL join, NULL outer keys", vec { case_a with vc_c = 2000 } 16);
+    ("star semijoin, 1 dim", star_pin [ 1 ] [ "fact.f_id"; "dim1.d_payload" ]);
+    ("star semijoin, 3 dims", star_pin [ 1; 2; 3 ] [ "fact.f_m2"; "dim1.d_key"; "dim3.d_payload" ]);
+    ("group by, more groups than a batch", vec { case_a with vc_k = 39 } 18);
+    ("materialized prefix + resumed scan", vec { case_a with vc_c = 1500 } 19);
+  ]
+
+let row_pins =
+  [
+    ("index range",
+     "rows=434 md5=3e69320be7866bbf7c92346b2d394038 seq=3 rnd=997 skip=0 cpu=1431 probes=1 entries=997 build=0 probe=0 merge=0 sort=0 out=0 units=0x0p+0 extra=0x0p+0 s=0x1.bf13d6e1f984dp+2");
+    ("index intersect, 3 probes",
+     "rows=554 md5=fe17cd24b4ea4bd175059bd16f46aa4f seq=11 rnd=555 skip=0 cpu=5999 probes=3 entries=4168 build=0 probe=0 merge=0 sort=0 out=0 units=0x0p+0 extra=0x0p+0 s=0x1.f46135a4fd7bp+1");
+    ("index order under LIMIT",
+     "rows=300 md5=08b5b1e8fdc13931c8ee473427dd8430 seq=5 rnd=960 skip=0 cpu=1560 probes=1 entries=2129 build=0 probe=0 merge=0 sort=0 out=0 units=0x0p+0 extra=0x0p+0 s=0x1.aec4325ef7dd3p+2");
+    ("indexed-NL join, NULL outer keys",
+     "rows=493 md5=ea1eecaa5b88b4d097b7784817960764 seq=32 rnd=1076 skip=1 cpu=3681 probes=1739 entries=1076 build=0 probe=0 merge=0 sort=0 out=493 units=0x0p+0 extra=0x0p+0 s=0x1.fc75da0c507b5p+2");
+    ("star semijoin, 1 dim",
+     "rows=269 md5=a1a3d9edc72531cb4f4f88e7387c7577 seq=1 rnd=470 skip=0 cpu=839 probes=10 entries=470 build=10 probe=269 merge=0 sort=0 out=269 units=0x0p+0 extra=0x0p+0 s=0x1.a5ab9b23dd594p+1");
+    ("star semijoin, 3 dims",
+     "rows=27 md5=118284cd164d0e3eec75e2ffd7ca60ac seq=3 rnd=49 skip=0 cpu=1936 probes=30 entries=1511 build=30 probe=81 merge=0 sort=0 out=27 units=0x0p+0 extra=0x0p+0 s=0x1.6c1a5515dc0afp-2");
+    ("group by, more groups than a batch",
+     "rows=1850 md5=3ce347db6c4646297587ab43b1ccf284 seq=33 rnd=0 skip=0 cpu=3979 probes=0 entries=0 build=1850 probe=0 merge=0 sort=0 out=1850 units=0x0p+0 extra=0x0p+0 s=0x1.156267d424affp-4");
+    ("materialized prefix + resumed scan",
+     "rows=1776 md5=a7d216612289a2d7828df312390cc905 seq=11 rnd=0 skip=0 cpu=2405 probes=0 entries=0 build=0 probe=0 merge=0 sort=0 out=0 units=0x0p+0 extra=0x0p+0 s=0x1.705425f202107p-6");
+  ]
+
+let test_row_golden () =
+  let actual =
+    List.map
+      (fun (label, (stores, plan)) ->
+        let outcome store =
+          let res, snap = run (List.assoc store stores) plan in
+          render_outcome res snap
+        in
+        let heap = outcome "heap" in
+        let spilled = with_pool_pages Page.pages_per_chunk (fun () -> outcome "spilled") in
+        if spilled <> heap then
+          Alcotest.failf "%s: spilled outcome differs from heap\nheap:    %s\nspilled: %s" label
+            heap spilled;
+        (label, heap))
+      (row_pin_cases ())
+  in
+  if actual <> row_pins then
+    Alcotest.failf "row-operator outcomes moved; now:\n%s"
+      (String.concat "\n" (List.map (fun (l, o) -> Printf.sprintf "(%S,\n %S);" l o) actual))
+
 (* ------------------------------------------------------------------ *)
 (* Predicted counters = metered counters                               *)
 (* ------------------------------------------------------------------ *)
@@ -1156,7 +1361,7 @@ let parity_cases () =
             ( Printf.sprintf "%s/family %d" shape family,
               catalog,
               vec_case_plan { c with vc_plan = family } ))
-          invariance_families)
+          parity_families)
       (edge_cases @ [ ("case a", case_a); ("case b", case_b) ])
   in
   plan_families () @ extra_parity_cases () @ vec
@@ -1226,5 +1431,6 @@ let () =
           QCheck_alcotest.to_alcotest invariance_law;
           Alcotest.test_case "boundary shapes through every family" `Quick test_edge_shapes;
           Alcotest.test_case "breaker outcomes pinned" `Quick test_breaker_golden;
+          Alcotest.test_case "row-operator outcomes pinned" `Quick test_row_golden;
         ] );
     ]
