@@ -1,4 +1,4 @@
-.PHONY: all test test-parallel test-rewrite fault-test differential fuzz-smoke \
+.PHONY: all test test-parallel differential fuzz-smoke \
         fuzz-soak fuzz-self-test bench bench-quick bench-golden \
         storage-gate examples trace-demo clean
 
@@ -13,17 +13,6 @@ test: all
 # resumable prefix, and one plan cache per domain hammered from N domains.
 test-parallel: all
 	dune exec test/test_parallel.exe
-
-# Only the logical-rewrite suite: qcheck soundness laws for every rule,
-# fixpoint idempotence, rule-order insensitivity on commuting pairs, the
-# LIMIT-pushdown page-drop assertion, and fingerprint key stability.
-test-rewrite: all
-	dune exec test/test_rewrite.exe
-
-# Only the robustness suite: fault injection, degradation chain,
-# optimization budget, and guard-driven re-optimization.
-fault-test: all
-	dune exec test/test_robustness.exe
 
 # Differential plan-correctness harness, answers checked against Naive,
 # under three generator seeds (CI runs 42 in `dune runtest` and the other

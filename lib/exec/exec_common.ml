@@ -34,18 +34,6 @@ let find_index_exn catalog ~table ~column =
   | Some idx -> idx
   | None -> invalid_arg (Printf.sprintf "Executor: no index on %s.%s" table column)
 
-(* Fetch heap rows by RID, charging one random page read per row (the paper's
-   index-intersection cost model: each qualifying record needs a random disk
-   read). *)
-let fetch_rids meter rel rids =
-  let rids = Rid_set.to_array rids in
-  let count = Array.length rids in
-  Cost.charge_random_pages meter count;
-  Cost.charge_cpu_tuples meter count;
-  let out = Array.make count [||] in
-  Relation.gather rel rids ~lo:0 ~hi:count (fun i tup -> out.(i) <- tup);
-  out
-
 let probe_index meter idx { Plan.column = _; lo; hi } =
   Cost.charge_index_probes meter 1;
   let count = Index.probe_range_count idx ~lo ~hi in
@@ -63,12 +51,6 @@ let rec output_sorted_on catalog = function
       | None -> None)
   | Plan.Guard { input; _ } -> output_sorted_on catalog input
   | _ -> None
-
-let concat_tuples a b =
-  let out = Array.make (Array.length a + Array.length b) Value.Null in
-  Array.blit a 0 out 0 (Array.length a);
-  Array.blit b 0 out (Array.length a) (Array.length b);
-  out
 
 (* Page geometry of a scan resumed at [from]: the remainder re-reads the
    page the split point sits in (it was genuinely fetched twice), then the

@@ -38,10 +38,6 @@ val leaf_pages_touched : Index.t -> float -> float
 val find_index_exn : Catalog.t -> table:string -> column:string -> Index.t
 (** Raises [Invalid_argument] when the index does not exist. *)
 
-val fetch_rids : Cost.t -> Relation.t -> Rid_set.t -> Relation.tuple array
-(** Heap rows by RID in RID order, charging one random page read and one
-    CPU tuple per row. *)
-
 val probe_index : Cost.t -> Index.t -> Plan.probe -> Rid_set.t
 (** One B-tree range probe: charges the descent, the entries touched and
     the leaf pages covered. *)
@@ -49,8 +45,6 @@ val probe_index : Cost.t -> Index.t -> Plan.probe -> Rid_set.t
 val output_sorted_on : Catalog.t -> Plan.t -> string option
 (** Qualified clustered-key column the plan's output is physically ordered
     by, when the merge join may skip its sort; guards are transparent. *)
-
-val concat_tuples : Relation.tuple -> Relation.tuple -> Relation.tuple
 
 val resume_pages : Relation.t -> from:int -> int
 (** Sequential pages a scan resumed at RID [from] reads: 0 when nothing

@@ -4,12 +4,14 @@
     Compiles a plan into a tree of {!Stream.t} operators carrying
     column-major {!Vbatch.t}s and drains the root.  Scans hand out chunk
     column slices zero-copy with the predicate bitmap as the initial
-    selection, filters AND bitsets, expressions/joins/aggregates run
-    per-column loops over selected indices, and the breakers (hash build
-    side, sort, merge-join inputs) drain their inputs into columns and
-    gather their output by row index.  Tuples materialize at the final
-    output and in the row-at-a-time operators: RID fetches, the indexed-NL
-    join's outer side, the star semijoin and a fired guard's buffer.
+    selection; RID fetches (index scans, the indexed-NL join's inner side,
+    the star semijoin's fact fetch) copy only the columns the plan keeps
+    and select by the predicate's bitmap over them; filters AND bitsets;
+    expressions, joins and aggregates run per-column loops over selected
+    indices; and the breakers (hash build side, sort, merge-join inputs,
+    star dimensions) drain their inputs into columns and gather their
+    output by row index.  Tuples materialize only at the final output, in
+    a fired guard's buffer and in a materialized leaf's one transposition.
     Everything else streams batch by batch, so a satisfied [Limit] or a
     mid-stream guard violation stops pulling upstream and leaves the
     unperformed work uncharged. *)

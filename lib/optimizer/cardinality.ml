@@ -362,6 +362,6 @@ let oracle catalog =
     Array.iter
       (fun tup -> Hashtbl.replace seen (List.map (fun p -> tup.(p)) positions) ())
       result.Executor.tuples;
-    float_of_int (max 1 (Hashtbl.length seen))
+    float_of_int (Hashtbl.length seen)
   in
   { name = "oracle"; expression_cardinality; table_selectivity; group_count }

@@ -90,7 +90,7 @@ let estimate catalog est plan =
     w.seq_pages <- w.seq_pages +. float_of_int pages;
     w.cpu_tuples <- w.cpu_tuples +. float_of_int rows
   in
-  (* [Exec_common.fetch_rids]: a random page and a cpu tuple per row. *)
+  (* A heap fetch by RID: a random page and a cpu tuple per row. *)
   let fetch (w : Cost.work) rows =
     w.random_pages <- w.random_pages +. rows;
     w.cpu_tuples <- w.cpu_tuples +. rows

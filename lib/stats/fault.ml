@@ -223,7 +223,8 @@ let verify_synopsis catalog syn =
           let checked = min verify_rows (Relation.row_count sample_rel) in
           (* The first [checked] rows, each chunk pinned once. *)
           let iter_checked f =
-            Relation.gather sample_rel (Array.init checked Fun.id) ~lo:0 ~hi:checked f
+            Relation.gather sample_rel (Array.init checked Fun.id) ~lo:0 ~hi:checked
+              (fun r chunk row -> f r (Chunk.get chunk row))
           in
           let type_error = ref None in
           (try

@@ -177,7 +177,8 @@ let matching_rows t pred =
         incr hi
       done;
       let tuples = Array.make (!hi - lo) [||] in
-      Relation.gather rows rids ~lo ~hi:!hi (fun i tup -> tuples.(i - lo) <- tup);
+      Relation.gather rows rids ~lo ~hi:!hi (fun i chunk r ->
+          tuples.(i - lo) <- Chunk.get chunk r);
       Seq.append (Array.to_seq tuples) (from !hi) ()
     end
   in

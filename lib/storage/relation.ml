@@ -266,7 +266,7 @@ let gather t rids ~lo ~hi f =
     with_chunk t ci (fun chunk ->
         let in_run = ref true in
         while !in_run do
-          f !i (Chunk.get chunk (rids.(!i) - base));
+          f !i chunk (rids.(!i) - base);
           incr i;
           in_run := !i < hi && rids.(!i) >= base && rids.(!i) < stop
         done)

@@ -77,12 +77,16 @@ val get : t -> int -> tuple
 (** Tuple by RID (0-based); raises [Invalid_argument] out of range.  One
     pin per call: loops over many RIDs use {!gather}. *)
 
-val gather : t -> int array -> lo:int -> hi:int -> (int -> tuple -> unit) -> unit
-(** [gather t rids ~lo ~hi f] calls [f i (get t rids.(i))] for each
-    [lo <= i < hi], in order, pinning once per run of consecutive RIDs
-    that fall in one chunk rather than once per row.  Raises [Invalid_argument]
-    on a window outside [rids] or, when reached, a RID out of range (rows
-    before it have been delivered); the pin is released if [f] raises. *)
+val gather : t -> int array -> lo:int -> hi:int -> (int -> Chunk.t -> int -> unit) -> unit
+(** [gather t rids ~lo ~hi f] calls [f i chunk r] for each [lo <= i < hi],
+    in order, where [chunk] is the pinned chunk holding RID [rids.(i)] and
+    [r] that row's index within it: [Chunk.get chunk r = get t rids.(i)].
+    It pins once per run of consecutive RIDs that fall in one chunk rather
+    than once per row, and [f] reads only the columns it wants (a spilled
+    chunk decodes just those).  [chunk] must not outlive the call.  Raises
+    [Invalid_argument] on a window outside [rids] or, when reached, a RID
+    out of range (rows before it have been delivered); the pin is
+    released if [f] raises. *)
 
 val column_value : t -> int -> string -> Value.t
 (** [column_value t rid col] — a single-cell columnar read. *)

@@ -83,6 +83,10 @@ let () =
           flag_case "confidence 0" [ "--confidence"; "0" ];
           Alcotest.test_case "scale 0" `Quick
             (rejected [ "run"; "--scale=0"; "SELECT COUNT(*) FROM lineitem" ]);
+          Alcotest.test_case "scale with the star workload" `Quick
+            (rejected [ "run"; "--workload"; "star"; "--scale=-3"; "SELECT COUNT(*) FROM fact" ]);
+          Alcotest.test_case "scale with a data directory" `Quick (fun () ->
+              rejected [ "run"; "-d"; Lazy.force data_dir; "--scale"; "5"; "SELECT COUNT(*) FROM t" ] ());
           Alcotest.test_case "profile of a join" `Quick
             (rejected
                [ "profile"; "--workload"; "star"; "SELECT COUNT(*) FROM fact, dim1 WHERE d_filter = 1" ]);

@@ -265,7 +265,23 @@ let test_oracle_estimator_is_exact () =
       check_close 1e-9 "memoized answer is exact"
         (float_of_int (Naive.cardinality catalog refs))
         (oracle.Cardinality.expression_cardinality refs))
-    [ lo; hi ]
+    [ lo; hi ];
+  (* A GROUP BY over an empty input has no groups: the executor emits no
+     row, and the oracle must say so too. *)
+  let none = Pred.gt (Expr.col "temp") (Expr.int 1000) in
+  let grouped =
+    Plan.Aggregate
+      {
+        input = Plan.Scan { table = "readings"; access = Plan.Seq_scan; pred = none };
+        group_by = [ "readings.site" ];
+        aggs = [ { Plan.fn = Plan.Count_star; output_name = "n" } ];
+      }
+  in
+  check_close 1e-9 "empty-input group count"
+    (float_of_int (Array.length (Executor.run catalog (Cost.create ()) grouped).Executor.tuples))
+    (oracle.Cardinality.group_count
+       [ { Logical.table = "readings"; pred = none } ]
+       [ "readings.site" ])
 
 let test_robust_beats_avi_on_correlation () =
   (* The headline behaviour: under perfectly correlated predicates, the

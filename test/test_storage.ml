@@ -725,7 +725,7 @@ let prop_gather_is_mapped_get =
     (fun (rids, lo, hi) ->
       let rel = Lazy.force gather_rel in
       let got = ref [] in
-      Relation.gather rel rids ~lo ~hi (fun i tup -> got := (i, tup) :: !got);
+      Relation.gather rel rids ~lo ~hi (fun i chunk r -> got := (i, Chunk.get chunk r) :: !got);
       List.rev !got
       = List.init (hi - lo) (fun k -> (lo + k, Relation.get rel rids.(lo + k))))
 
@@ -736,17 +736,17 @@ let test_gather_raises_and_unpins () =
   let before = resident () in
   Alcotest.check_raises "rid out of range"
     (Invalid_argument "Relation.get gathered: rid 9000 out of range") (fun () ->
-      Relation.gather rel [| 0; 1; 9_000 |] ~lo:0 ~hi:3 (fun _ _ -> ()));
+      Relation.gather rel [| 0; 1; 9_000 |] ~lo:0 ~hi:3 (fun _ _ _ -> ()));
   Alcotest.check_raises "negative rid"
     (Invalid_argument "Relation.get gathered: rid -1 out of range") (fun () ->
-      Relation.gather rel [| 4_095; 4_096; -1 |] ~lo:0 ~hi:3 (fun _ _ -> ()));
+      Relation.gather rel [| 4_095; 4_096; -1 |] ~lo:0 ~hi:3 (fun _ _ _ -> ()));
   check_bool "window outside the array" true
     (try
-       Relation.gather rel [| 0 |] ~lo:0 ~hi:2 (fun _ _ -> ());
+       Relation.gather rel [| 0 |] ~lo:0 ~hi:2 (fun _ _ _ -> ());
        false
      with Invalid_argument _ -> true);
   Alcotest.check_raises "f raising mid-run" Exit (fun () ->
-      Relation.gather rel [| 10; 11; 12 |] ~lo:0 ~hi:3 (fun i _ -> if i = 1 then raise Exit));
+      Relation.gather rel [| 10; 11; 12 |] ~lo:0 ~hi:3 (fun i _ _ -> if i = 1 then raise Exit));
   (* Evicting drops only unpinned chunks, so any pin leaked above would
      leave its chunk resident. *)
   Relation.evict rel;
