@@ -18,7 +18,11 @@ let quick_config = { default_config with iterations = 10 }
 let time_per_call ~iterations f =
   (* Warm up once so synopsis lookups and index structures are hot, then
      time DISTINCT queries: optimizing the same text repeatedly would
-     mostly measure warm kernel bitmaps and the quantile table. *)
+     mostly measure warm kernel bitmaps and the quantile table.  Histograms
+     are built on first use; every iteration of a template names the same
+     columns, so the warm-up builds all the histograms the baseline reads
+     and the timed calls compare warm statistics on both sides, as when
+     they were built at [update_statistics]. *)
   ignore (f 0);
   let t0 = Unix.gettimeofday () in
   for i = 1 to iterations do

@@ -219,7 +219,7 @@ let degrading ?(log = fun _ -> ()) ?obs stats estimator =
   let histogram_tier ~table pred =
     let missing =
       List.filter
-        (fun column -> Stats_store.histogram stats ~table ~column = None)
+        (fun column -> not (Stats_store.has_histogram stats ~table ~column))
         (List.sort_uniq String.compare (Pred.columns pred))
     in
     (match missing with

@@ -16,15 +16,31 @@ let build ?(buckets = default_bucket_count) rel column =
   if buckets <= 0 then invalid_arg "Histogram.build: bucket count must be positive";
   let pos = Schema.index_of (Relation.schema rel) column in
   let total_rows = Relation.row_count rel in
+  (* One column, chunk by chunk: a spilled chunk decodes only this column.
+     Non-null values fill the array from the back, so its last slots hold
+     them in reverse RID order, the order a fold consing them into a list
+     gives.  [Array.sort] is not stable and values equal under
+     [Value.compare] can differ ([Int 1], [Float 1.]), so a bucket bound
+     depends on that input order: it is fixed here, not left to the read. *)
+  let values = Array.make total_rows Value.Null in
+  let next = ref total_rows in
+  for ci = 0 to Relation.chunk_count rel - 1 do
+    Relation.with_chunk ~seq:true rel ci (fun chunk ->
+        let col = Chunk.column chunk pos in
+        for r = 0 to Chunk.n_rows chunk - 1 do
+          let v = col.(r) in
+          if not (Value.is_null v) then begin
+            decr next;
+            values.(!next) <- v
+          end
+        done)
+  done;
+  let null_rows = !next in
   let values =
-    Relation.fold
-      (fun acc _ tup -> if Value.is_null tup.(pos) then acc else tup.(pos) :: acc)
-      [] rel
+    if null_rows = 0 then values else Array.sub values null_rows (total_rows - null_rows)
   in
-  let values = Array.of_list values in
   Array.sort Value.compare values;
   let n = Array.length values in
-  let null_rows = total_rows - n in
   let bucket_array =
     if n = 0 then [||]
     else begin

@@ -66,7 +66,7 @@ let build ?(follow_fks = true) ?(lenient = false) rng catalog ~size ~root =
         Hashtbl.replace pk_lookup table (rel, lookup)
       end)
     tables;
-  let base_sample = Sample.of_relation rng ~size root_rel in
+  let drawn = Sample.draw rng ~size root_rel in
   (* Expand one root-sample tuple into the full joined row by following every
      FK edge in traversal order. *)
   let joined_schema =
@@ -106,15 +106,17 @@ let build ?(follow_fks = true) ?(lenient = false) rng catalog ~size ~root =
     if follow_fks then follow root root_tuple;
     Array.concat (List.map (fun table -> Hashtbl.find parts table) tables)
   in
-  let rows =
-    Array.of_seq (Relation.to_seq (Sample.rows base_sample))
-    |> Array.to_list
-    |> List.filter_map (fun tuple ->
-           match expand tuple with
-           | joined -> Some joined
-           | exception Dangling _ -> None)
-    |> Array.of_list
-  in
+  let rows = Array.make (Array.length drawn) [||] in
+  let kept = ref 0 in
+  Array.iter
+    (fun tuple ->
+      match expand tuple with
+      | joined ->
+          rows.(!kept) <- joined;
+          incr kept
+      | exception Dangling _ -> ())
+    drawn;
+  let rows = if !kept = Array.length rows then rows else Array.sub rows 0 !kept in
   let sample =
     Sample.of_rows ~rows ~schema:joined_schema
       ~population_size:(Relation.row_count root_rel)

@@ -19,6 +19,12 @@ val of_relation :
     estimation (to the magic-constants tier) instead of aborting the
     statistics rebuild. *)
 
+val draw :
+  Rq_math.Rng.t -> ?with_replacement:bool -> size:int -> Relation.t -> Relation.tuple array
+(** The tuples {!of_relation} wraps, in draw order: the same RNG draws,
+    read with one {!Relation.gather} in RID order (one pin per run of
+    draws in a chunk). *)
+
 val of_rows :
   rows:Relation.tuple array -> schema:Schema.t -> population_size:int -> name:string -> t
 (** Wraps already-drawn rows (used by the join-synopsis builder, whose rows

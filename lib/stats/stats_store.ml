@@ -17,7 +17,9 @@ let default_config =
 type t = {
   catalog : Catalog.t;
   config : config;
-  histograms : (string * string, Histogram.t) Hashtbl.t;
+  histograms : (string * string, Histogram.t Lazy.t) Hashtbl.t;
+  force_lock : Mutex.t;  (* shared with every store derived from this build *)
+  built : int Atomic.t;  (* histogram thunks forced, likewise shared *)
   synopses : (string, Join_synopsis.t) Hashtbl.t;
   version : int;
   table_versions : (string, int) Hashtbl.t;
@@ -37,19 +39,26 @@ let next_version () =
 
 let update_statistics rng ?(config = default_config) catalog =
   let histograms = Hashtbl.create 64 in
+  let built = Atomic.make 0 in
   let synopses = Hashtbl.create 16 in
   let roots =
     match config.synopsis_roots with
     | Some roots -> roots
     | None -> Catalog.table_names catalog
   in
+  (* Histograms are built on first use.  Each thunk holds the relation
+     value read here, not the catalog, so an update that replaces the
+     table before the first use cannot change what the histogram
+     describes. *)
   List.iter
     (fun table ->
       let rel = Catalog.find_table catalog table in
       List.iter
         (fun { Schema.name = column; _ } ->
           Hashtbl.replace histograms (table, column)
-            (Histogram.build rel column))
+            (lazy
+              (Atomic.incr built;
+               Histogram.build rel column)))
         (Schema.columns (Relation.schema rel)))
     (Catalog.table_names catalog);
   List.iter
@@ -66,7 +75,16 @@ let update_statistics rng ?(config = default_config) catalog =
   List.iter
     (fun table -> Hashtbl.replace table_versions table version)
     (Catalog.table_names catalog);
-  { catalog; config; histograms; synopses; version; table_versions }
+  {
+    catalog;
+    config;
+    histograms;
+    force_lock = Mutex.create ();
+    built;
+    synopses;
+    version;
+    table_versions;
+  }
 
 let catalog t = t.catalog
 let config t = t.config
@@ -76,7 +94,18 @@ let table_version t table =
   (* Unknown tables report the store version: a cache that asks about a
      table the store has never seen must stay conservative. *)
   Option.value ~default:t.version (Hashtbl.find_opt t.table_versions table)
-let histogram t ~table ~column = Hashtbl.find_opt t.histograms (table, column)
+
+(* OCaml 5 raises [Lazy.Undefined] in a domain that forces a thunk another
+   domain is forcing, so every force, built or not, goes under the lock:
+   [Lazy.is_val] already answers true while the thunk is being forced, so
+   it cannot guard a lock-free path. *)
+let histogram t ~table ~column =
+  Option.map
+    (fun h -> Mutex.protect t.force_lock (fun () -> Lazy.force h))
+    (Hashtbl.find_opt t.histograms (table, column))
+
+let has_histogram t ~table ~column = Hashtbl.mem t.histograms (table, column)
+let histograms_built t = Atomic.get t.built
 let synopsis t ~root = Hashtbl.find_opt t.synopses root
 
 (* Copy-on-write setters: the fault harness derives damaged stores without
@@ -100,7 +129,7 @@ let with_synopsis t ~root replacement =
 let with_histogram t ~table ~column replacement =
   let histograms = Hashtbl.copy t.histograms in
   (match replacement with
-  | Some h -> Hashtbl.replace histograms (table, column) h
+  | Some h -> Hashtbl.replace histograms (table, column) (Lazy.from_val h)
   | None -> Hashtbl.remove histograms (table, column));
   let version, table_versions = bump t ~table in
   { t with histograms; version; table_versions }
@@ -143,7 +172,7 @@ let magic_other = 1.0 /. 3.0
 let clamp01 x = Float.max 0.0 (Float.min 1.0 x)
 
 let histogram_selectivity t ~table pred =
-  let hist column = Hashtbl.find_opt t.histograms (table, column) in
+  let hist column = histogram t ~table ~column in
   let range column ~lo ~hi =
     match hist column with
     | Some h -> Histogram.selectivity_range h ~lo ~hi

@@ -4,7 +4,12 @@
     Holds, per catalog: one equi-depth histogram per (table, column) for the
     baseline estimator, and one join synopsis per table with outgoing FK
     edges (plus plain samples for FK-less tables, which are their own
-    degenerate synopses). *)
+    degenerate synopses).
+
+    Join synopses are built by {!update_statistics}.  Histograms are built
+    on first use ({!histogram}), each from its relation as it was when
+    {!update_statistics} ran: the robust estimator reads only synopses, so
+    a store it alone reads never builds a histogram. *)
 
 open Rq_storage
 open Rq_exec
@@ -23,7 +28,11 @@ val default_config : config
 type t
 
 val update_statistics : Rq_math.Rng.t -> ?config:config -> Catalog.t -> t
-(** Rebuilds everything from the current catalog contents. *)
+(** Rebuilds everything from the current catalog contents: draws every
+    join synopsis now, and records for each (table, column) a histogram
+    to be built on first use from the relation value the catalog holds
+    now.  A later {!Catalog.replace_table} (e.g. {!Maintenance.apply_update})
+    does not change what those histograms describe. *)
 
 val catalog : t -> Catalog.t
 val config : t -> config
@@ -47,6 +56,22 @@ val table_version : t -> string -> int
     survive targeted (per-root) synopsis/histogram swaps. *)
 
 val histogram : t -> table:string -> column:string -> Histogram.t option
+(** The column's histogram, built on the first call from the relation as
+    it was at {!update_statistics} and kept.  Safe from several domains at
+    once: builds run one at a time under the store's lock, and every
+    caller sees the same (physically equal) histogram.  [None] if the
+    store has none for the column (unknown, or removed by
+    {!with_histogram}). *)
+
+val has_histogram : t -> table:string -> column:string -> bool
+(** Whether {!histogram} would answer [Some], without building anything:
+    the degradation chain's presence check. *)
+
+val histograms_built : t -> int
+(** How many histograms this store's {!update_statistics} has built so
+    far, counted across every store derived from it ({!with_synopsis},
+    {!with_histogram}).  A store only the robust estimator reads stays
+    at 0. *)
 
 val synopsis : t -> root:string -> Join_synopsis.t option
 
@@ -59,7 +84,9 @@ val with_synopsis : t -> root:string -> Join_synopsis.t option -> t
     is untouched — used by the fault-injection harness. *)
 
 val with_histogram : t -> table:string -> column:string -> Histogram.t option -> t
-(** Copy-on-write histogram replacement/removal, as {!with_synopsis}. *)
+(** Copy-on-write histogram replacement ([Some], installed already built)
+    or removal ([None]), as {!with_synopsis}.  Other columns' histograms
+    are shared with [t], built or not. *)
 
 val synopsis_for : t -> string list -> Join_synopsis.t option
 (** The synopsis able to answer an SPJ expression over the given tables:

@@ -20,10 +20,18 @@ let eager_lock = Mutex.create ()
 
 let no_decode _ = invalid_arg "Chunk: eager chunk has no decoder"
 
+(* Every empty column of an eager chunk shares this slot.  Sharing is
+   safe because only [decode] writes a slot, and an eager chunk's slots
+   are all full, so it never decodes. *)
+let empty_slot = Atomic.make (Some [||])
+
 let eager n_rows columns =
   {
     n_rows;
-    slots = Array.map (fun col -> Atomic.make (Some col)) columns;
+    slots =
+      Array.map
+        (fun col -> if Array.length col = 0 then empty_slot else Atomic.make (Some col))
+        columns;
     decode = no_decode;
     lock = eager_lock;
   }
