@@ -9,7 +9,9 @@ test: all
 	dune runtest
 
 # Only the morsel-parallel suite: domain-pool claiming discipline,
-# parallel-vs-serial parity across plan families, the parallel guard's
+# parallel-vs-serial parity across plan families, span totals node for
+# node, float aggregates and group order folded in row order, probes and
+# aggregate evaluation running inside morsels, the parallel guard's
 # resumable prefix, and one plan cache per domain hammered from N domains.
 test-parallel: all
 	dune exec test/test_parallel.exe

@@ -65,7 +65,7 @@ let atom_bitmap schema atom =
   let compiled = Pred.compile schema atom in
   fun chunk ->
     (* The scratch tuple is per-invocation: bitmaps are computed on several
-       domains at once by the morsel prefetch.  Only the atom's columns are
+       domains at once by morsel workers.  Only the atom's columns are
        forced (decoded, for a spilled chunk), and the per-row loop
        allocates nothing. *)
     let scratch = Array.make arity Value.Null in

@@ -1,5 +1,5 @@
 (** The one sequential-scan planner shared by the streaming engine (its
-    scans, resumed scans, morsel prefetch and star-semijoin dimension
+    scans and resumed scans, per morsel, and star-semijoin dimension
     scans) and by the optimizer's cost model: a scan becomes a list of
     per-chunk tasks, each either read (sequential pages + per-row CPU) or
     skipped because its zone map disproves the predicate (pages_skipped

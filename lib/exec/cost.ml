@@ -28,9 +28,24 @@ let default_constants =
     output_tuple_s = 5.0e-8;
   }
 
+type charge =
+  | Seq_pages of int
+  | Random_pages of int
+  | Pages_skipped of int
+  | Cpu_tuples of int
+  | Index_entries of int
+  | Index_probes of int
+  | Hash_build of int
+  | Hash_probe of int
+  | Merge_tuples of int
+  | Sort of int
+  | Output_tuples of int
+  | Seconds of float
+
 type t = {
   constants : constants;
   scale : float;
+  sink : (charge -> unit) option;  (* a recording meter hands charges here *)
   mutable seconds : float;
   mutable seq_pages : int;
   mutable random_pages : int;
@@ -47,11 +62,11 @@ type t = {
   mutable extra_seconds : float;
 }
 
-let create ?(constants = default_constants) ?(scale = 1.0) () =
-  if scale <= 0.0 then invalid_arg "Cost.create: scale must be positive";
+let make ~constants ~scale sink =
   {
     constants;
     scale;
+    sink;
     seconds = 0.0;
     seq_pages = 0;
     random_pages = 0;
@@ -68,64 +83,75 @@ let create ?(constants = default_constants) ?(scale = 1.0) () =
     extra_seconds = 0.0;
   }
 
+let create ?(constants = default_constants) ?(scale = 1.0) () =
+  if scale <= 0.0 then invalid_arg "Cost.create: scale must be positive";
+  make ~constants ~scale None
+
+let recording sink = make ~constants:default_constants ~scale:1.0 (Some sink)
+
 let constants t = t.constants
 let scale t = t.scale
 let seconds (t : t) = t.seconds
 
 let add t s = t.seconds <- t.seconds +. (s *. t.scale)
 
-let charge_seq_pages t n =
-  t.seq_pages <- t.seq_pages + n;
-  add t (float_of_int n *. t.constants.seq_page_read_s)
-
-let charge_random_pages t n =
-  t.random_pages <- t.random_pages + n;
-  add t (float_of_int n *. t.constants.random_page_read_s)
-
-(* Pages a zone map proved the scan need not read: pure bookkeeping, zero
-   simulated seconds — skipping is the whole point — but counted so tests
-   can assert read + skipped = total and benches can report the savings. *)
-let charge_pages_skipped t n = t.pages_skipped <- t.pages_skipped + n
-
-let charge_cpu_tuples t n =
-  t.cpu_tuples <- t.cpu_tuples + n;
-  add t (float_of_int n *. t.constants.cpu_tuple_s)
-
-let charge_index_entries t n =
-  t.index_entries <- t.index_entries + n;
-  add t (float_of_int n *. t.constants.cpu_index_entry_s)
-
-let charge_index_probes t n =
-  t.index_probes <- t.index_probes + n;
-  add t (float_of_int n *. t.constants.index_probe_s)
-
-let charge_hash_build t n =
-  t.hash_build <- t.hash_build + n;
-  add t (float_of_int n *. t.constants.hash_build_s)
-
-let charge_hash_probe t n =
-  t.hash_probe <- t.hash_probe + n;
-  add t (float_of_int n *. t.constants.hash_probe_s)
-
-let charge_merge_tuples t n =
-  t.merge_tuples <- t.merge_tuples + n;
-  add t (float_of_int n *. t.constants.merge_tuple_s)
-
 let sort_units n = n *. (log (Float.max 2.0 n) /. log 2.0)
 
-let charge_sort t n =
-  let units = sort_units (float_of_int n) in
-  t.sort_tuples <- t.sort_tuples + n;
-  t.sort_units <- t.sort_units +. units;
-  add t (units *. t.constants.sort_tuple_s)
+(* The one place counters move.  Pages a zone map proved the scan need not
+   read are pure bookkeeping, zero simulated seconds -- skipping is the
+   whole point -- but counted so tests can assert read + skipped = total
+   and benches can report the savings. *)
+let apply t = function
+  | Seq_pages n ->
+      t.seq_pages <- t.seq_pages + n;
+      add t (float_of_int n *. t.constants.seq_page_read_s)
+  | Random_pages n ->
+      t.random_pages <- t.random_pages + n;
+      add t (float_of_int n *. t.constants.random_page_read_s)
+  | Pages_skipped n -> t.pages_skipped <- t.pages_skipped + n
+  | Cpu_tuples n ->
+      t.cpu_tuples <- t.cpu_tuples + n;
+      add t (float_of_int n *. t.constants.cpu_tuple_s)
+  | Index_entries n ->
+      t.index_entries <- t.index_entries + n;
+      add t (float_of_int n *. t.constants.cpu_index_entry_s)
+  | Index_probes n ->
+      t.index_probes <- t.index_probes + n;
+      add t (float_of_int n *. t.constants.index_probe_s)
+  | Hash_build n ->
+      t.hash_build <- t.hash_build + n;
+      add t (float_of_int n *. t.constants.hash_build_s)
+  | Hash_probe n ->
+      t.hash_probe <- t.hash_probe + n;
+      add t (float_of_int n *. t.constants.hash_probe_s)
+  | Merge_tuples n ->
+      t.merge_tuples <- t.merge_tuples + n;
+      add t (float_of_int n *. t.constants.merge_tuple_s)
+  | Sort n ->
+      let units = sort_units (float_of_int n) in
+      t.sort_tuples <- t.sort_tuples + n;
+      t.sort_units <- t.sort_units +. units;
+      add t (units *. t.constants.sort_tuple_s)
+  | Output_tuples n ->
+      t.output_tuples <- t.output_tuples + n;
+      add t (float_of_int n *. t.constants.output_tuple_s)
+  | Seconds s ->
+      t.extra_seconds <- t.extra_seconds +. (s *. t.scale);
+      add t s
 
-let charge_output_tuples t n =
-  t.output_tuples <- t.output_tuples + n;
-  add t (float_of_int n *. t.constants.output_tuple_s)
-
-let charge_seconds t s =
-  t.extra_seconds <- t.extra_seconds +. (s *. t.scale);
-  add t s
+let charge t c = match t.sink with None -> apply t c | Some sink -> sink c
+let charge_seq_pages t n = charge t (Seq_pages n)
+let charge_random_pages t n = charge t (Random_pages n)
+let charge_pages_skipped t n = charge t (Pages_skipped n)
+let charge_cpu_tuples t n = charge t (Cpu_tuples n)
+let charge_index_entries t n = charge t (Index_entries n)
+let charge_index_probes t n = charge t (Index_probes n)
+let charge_hash_build t n = charge t (Hash_build n)
+let charge_hash_probe t n = charge t (Hash_probe n)
+let charge_merge_tuples t n = charge t (Merge_tuples n)
+let charge_sort t n = charge t (Sort n)
+let charge_output_tuples t n = charge t (Output_tuples n)
+let charge_seconds t s = charge t (Seconds s)
 
 type snapshot = Rq_obs.Metrics.t = {
   seconds : float;

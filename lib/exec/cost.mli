@@ -64,6 +64,37 @@ val charge_output_tuples : t -> int -> unit
 val charge_seconds : t -> float -> unit
 (** Raw charge, already in simulated seconds (still multiplied by scale). *)
 
+(** {1 Recorded charges}
+
+    A pipeline running on a worker domain charges a {e recording} meter:
+    each [charge_*] call is handed, in call order, to a sink instead of
+    moving counters.  The consumer later applies the log to the query's
+    meter with {!charge}, so every charge lands in the serial engine's
+    sequence with the serial engine's amount. *)
+
+type charge =
+  | Seq_pages of int
+  | Random_pages of int
+  | Pages_skipped of int
+  | Cpu_tuples of int
+  | Index_entries of int
+  | Index_probes of int
+  | Hash_build of int
+  | Hash_probe of int
+  | Merge_tuples of int
+  | Sort of int  (** tuples sorted; priced as {!sort_units} *)
+  | Output_tuples of int
+  | Seconds of float
+(** One [charge_*] call: [Seq_pages n] is [charge_seq_pages t n], and so
+    on. *)
+
+val charge : t -> charge -> unit
+(** The [charge_*] function the value names. *)
+
+val recording : (charge -> unit) -> t
+(** A meter whose charges go to the sink, in call order; its own counters
+    stay zero. *)
+
 type snapshot = Rq_obs.Metrics.t = {
   seconds : float;        (** total simulated time, scale applied *)
   seq_pages : int;

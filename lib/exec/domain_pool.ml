@@ -25,6 +25,7 @@
 type batch = {
   total : int;
   run : int -> exn option;  (* returns the task's exception, if any *)
+  finished : bool array;    (* task [i] has returned or raised *)
   mutable next : int;       (* next unclaimed index *)
   mutable live : int;       (* claimed, still running *)
   mutable aborted : bool;   (* stop claiming (failure or early exit) *)
@@ -35,7 +36,7 @@ type t = {
   size : int;
   mutex : Mutex.t;
   work : Condition.t;   (* workers: a batch was published or stop was set *)
-  settled : Condition.t;  (* caller: the current batch fully settled *)
+  settled : Condition.t;  (* caller: a task of the current batch finished *)
   mutable batch : batch option;
   mutable stop : bool;
   mutable workers : unit Domain.t list;
@@ -43,30 +44,33 @@ type t = {
 
 let size t = t.size
 
-(* Claim and run tasks until the current batch is exhausted or aborted.
-   Caller holds the mutex; returns with the mutex held. *)
+let claimable b = b.next < b.total && not b.aborted
+
+(* Claim and run the next task.  Caller holds the mutex, and holds it
+   again on return. *)
+let run_one t b =
+  let i = b.next in
+  b.next <- b.next + 1;
+  b.live <- b.live + 1;
+  Mutex.unlock t.mutex;
+  let failed = b.run i in
+  Mutex.lock t.mutex;
+  b.live <- b.live - 1;
+  b.finished.(i) <- true;
+  (match failed with
+  | None -> ()
+  | Some e ->
+      b.aborted <- true;
+      (match b.failure with
+      | Some (j, _) when j <= i -> ()
+      | _ -> b.failure <- Some (i, e)));
+  Condition.broadcast t.settled
+
+(* Claim and run tasks until the current batch is exhausted or aborted. *)
 let drain_batch t b =
-  let rec go () =
-    if b.next < b.total && not b.aborted then begin
-      let i = b.next in
-      b.next <- b.next + 1;
-      b.live <- b.live + 1;
-      Mutex.unlock t.mutex;
-      let failed = b.run i in
-      Mutex.lock t.mutex;
-      b.live <- b.live - 1;
-      (match failed with
-      | None -> ()
-      | Some e ->
-          b.aborted <- true;
-          (match b.failure with
-          | Some (j, _) when j <= i -> ()
-          | _ -> b.failure <- Some (i, e)));
-      go ()
-    end
-  in
-  go ();
-  if b.live = 0 then Condition.broadcast t.settled
+  while claimable b do
+    run_one t b
+  done
 
 let worker t () =
   Mutex.lock t.mutex;
@@ -74,7 +78,7 @@ let worker t () =
     if t.stop then Mutex.unlock t.mutex
     else begin
       (match t.batch with
-      | Some b when b.next < b.total && not b.aborted -> drain_batch t b
+      | Some b when claimable b -> drain_batch t b
       | _ -> Condition.wait t.work t.mutex);
       loop ()
     end
@@ -105,12 +109,15 @@ let shutdown t =
   List.iter Domain.join t.workers;
   t.workers <- []
 
-(* Run [f 0 .. f (n-1)] across the pool, returning the results in index
-   order.  Raises the smallest-index task exception after the batch has
-   settled (all in-flight tasks finished); tasks never claimed after an
-   abort are left unrun and their slots are dropped by the caller. *)
-let run t n f =
-  if n < 0 then invalid_arg "Domain_pool.run: negative task count";
+(* Run [f 0 .. f (n-1)] across the pool, handing each result to [consume]
+   on the caller in index order, as soon as it and every result before it
+   are ready: the caller consumes when it can and otherwise claims tasks
+   itself, so consuming overlaps the workers' tasks.  A task exception
+   (the smallest-index one) or a [consume] exception aborts the batch and
+   is re-raised once the batch has settled (all in-flight tasks
+   finished); tasks never claimed after an abort are left unrun. *)
+let iter t n f consume =
+  if n < 0 then invalid_arg "Domain_pool.iter: negative task count";
   let results = Array.make n None in
   let b =
     {
@@ -122,6 +129,7 @@ let run t n f =
               results.(i) <- Some v;
               None
           | exception e -> Some e);
+      finished = Array.make n false;
       next = 0;
       live = 0;
       aborted = false;
@@ -131,12 +139,39 @@ let run t n f =
   Mutex.lock t.mutex;
   t.batch <- Some b;
   Condition.broadcast t.work;
-  drain_batch t b;
+  let consumed = ref 0 and raised = ref None in
+  while !consumed < n && !raised = None do
+    let i = !consumed in
+    if b.finished.(i) then begin
+      match results.(i) with
+      | None ->
+          (* Task [i] raised: the smallest failed index, since tasks are
+             claimed in order and consumed in order. *)
+          raised := Option.map snd b.failure
+      | Some v -> (
+          results.(i) <- None;
+          Mutex.unlock t.mutex;
+          let outcome = match consume i v with () -> None | exception e -> Some e in
+          Mutex.lock t.mutex;
+          match outcome with
+          | None -> incr consumed
+          | Some e ->
+              b.aborted <- true;
+              raised := Some e)
+    end
+    else if claimable b then run_one t b
+    else Condition.wait t.settled t.mutex
+  done;
   while b.live > 0 do
     Condition.wait t.settled t.mutex
   done;
   t.batch <- None;
   Mutex.unlock t.mutex;
-  match b.failure with
-  | Some (_, e) -> raise e
-  | None -> Array.map Option.get results
+  Option.iter raise !raised
+
+(* [iter], collecting the results in index order. *)
+let run t n f =
+  if n < 0 then invalid_arg "Domain_pool.run: negative task count";
+  let results = Array.make n None in
+  iter t n f (fun i v -> results.(i) <- Some v);
+  Array.map Option.get results

@@ -24,6 +24,16 @@ val shutdown : t -> unit
 (** Stop and join the worker domains.  Must not be called while a batch
     is running; idempotent. *)
 
+val iter : t -> int -> (int -> 'a) -> (int -> 'a -> unit) -> unit
+(** [iter t n f consume] evaluates [f 0 .. f (n - 1)] across the pool and
+    calls [consume i (f i)] on the caller, in index order, as soon as
+    [f i] and every result before it are ready; while the next result is
+    not ready, the caller claims tasks itself.  So the caller's consuming
+    overlaps the workers' tasks.  If a task raises, the batch aborts and
+    the exception of the smallest-index failed task is re-raised when the
+    consumer reaches it; if [consume] raises, the batch aborts and that
+    exception is re-raised.  Either way the batch settles first. *)
+
 val run : t -> int -> (int -> 'a) -> 'a array
 (** [run t n f] evaluates [f 0 .. f (n - 1)] across the pool and returns
     the results in index order.  If tasks raise, the batch aborts (no new

@@ -1,10 +1,12 @@
-(* Morsel-driven parallel execution: the streaming engine with a morsel
-   prefetcher on a domain pool.  The plan runs through {!Stream_exec.run}
-   unchanged; only sequential scans read ahead, handing their next
-   [domains] morsels to the pool to pin chunks and compute predicate
-   bitmaps while the serial pipeline does all charging.  Results, counters,
-   guard fire points and resume positions are therefore those of the
-   serial engine by construction. *)
+(* Morsel-driven parallel execution: the streaming engine with its
+   segments' morsels on a domain pool.  The plan runs through
+   {!Stream_exec.run}; each sequential scan and the pipelined operators
+   above it (filter, project, hash-join probe), plus the per-row work of
+   the breaker or aggregate it feeds, run one morsel at a time on the
+   pool's workers against recording meters, and the consumer replays
+   their logs in morsel order.  Results, counters, guard fire points,
+   resume positions and span totals are therefore those of the serial
+   engine by construction. *)
 
 type t = { pool : Domain_pool.t }
 
@@ -15,14 +17,15 @@ let shutdown t = Domain_pool.shutdown t.pool
 type report = {
   morsels : int;
   morsel_seconds : float array;
+  morsel_stages : string list array;
   serial_seconds : float;
   total_seconds : float;
 }
 
-let run_report ?obs t catalog meter plan =
-  let morsels = { Stream_exec.pool = t.pool; charged = [] } in
+let run_report ?obs ?batch_rows t catalog meter plan =
+  let morsels = Stream_exec.morsels t.pool in
   let before = Cost.seconds meter in
-  let res = Stream_exec.run ?obs ~morsels catalog meter plan in
+  let res = Stream_exec.run ?obs ~morsels ?batch_rows catalog meter plan in
   let total = Cost.seconds meter -. before in
   let morsel_seconds = Array.of_list (List.rev_map ( ! ) morsels.Stream_exec.charged) in
   let parallel = Array.fold_left ( +. ) 0.0 morsel_seconds in
@@ -30,11 +33,13 @@ let run_report ?obs t catalog meter plan =
     {
       morsels = Array.length morsel_seconds;
       morsel_seconds;
+      morsel_stages = Array.of_list (List.rev morsels.Stream_exec.stages);
       serial_seconds = Float.max 0.0 (total -. parallel);
       total_seconds = total;
     } )
 
-let run ?obs t catalog meter plan = fst (run_report ?obs t catalog meter plan)
+let run ?obs ?batch_rows t catalog meter plan =
+  fst (run_report ?obs ?batch_rows t catalog meter plan)
 
 (* Deterministic simulated makespan: morsels are assigned greedily, in
    morsel order, to the least-loaded of [domains] simulated domains; the

@@ -1,15 +1,18 @@
 (** Morsel-driven parallel execution on OCaml 5 domains.
 
-    {!run} is {!Stream_exec.run} with a morsel prefetcher on the executor's
-    {!Domain_pool}: sequential scans (and resumed scans) hand their next
-    [domains] morsels — chunk-aligned row ranges — to the pool, whose
-    workers pin each read chunk and compute its predicate bitmap.  The scan
-    consumes the bitmaps in order through its unchanged serial loop, which
-    does all charging, window slicing, selection, progress and resume;
-    workers never touch the {!Cost} meter.  Results, every cost counter,
-    guard fire points and [Scan_resume] positions are therefore identical
-    to {!Executor.run}'s at any domain count, and the span tree is the
-    serial engine's. *)
+    {!run} is {!Stream_exec.run} with its segments' morsels on the
+    executor's {!Domain_pool}.  A segment is a sequential (or resumed)
+    scan and the filters, projections and hash-join probes above it; a
+    worker runs one morsel of it, a chunk-aligned row range, end to end,
+    together with the per-row work of its consumer: gathering a breaker's
+    input into columns, or grouping and evaluating an aggregate's rows.
+    Probes read a build table forced before any probe morsel is
+    dispatched.  Workers charge recording meters, never the query's
+    {!Cost} meter; the consumer replays their logs in morsel order and
+    folds aggregates row by row.  Results, every cost counter, float
+    aggregate bits, group order, guard fire points, [Scan_resume]
+    positions and span totals are therefore identical to
+    {!Executor.run}'s at any domain count. *)
 
 open Rq_storage
 
@@ -23,21 +26,31 @@ val domains : t -> int
 val shutdown : t -> unit
 
 val run :
-  ?obs:Rq_obs.Recorder.t -> t -> Catalog.t -> Cost.t -> Plan.t -> Exec_common.result
+  ?obs:Rq_obs.Recorder.t ->
+  ?batch_rows:int ->
+  t ->
+  Catalog.t ->
+  Cost.t ->
+  Plan.t ->
+  Exec_common.result
 (** Execute the plan, charging the meter exactly as {!Executor.run} does.
-    Raises {!Exec_common.Guard_violation} when a guard fires. *)
+    Raises {!Exec_common.Guard_violation} when a guard fires.
+    [batch_rows] is {!Stream_exec.run}'s. *)
 
 type report = {
   morsels : int;           (** morsels dispatched to the pool *)
   morsel_seconds : float array;
-      (** per-morsel simulated seconds: the scan charges for each morsel's
-          rows, in dispatch order *)
+      (** per-morsel simulated seconds: what each morsel's replayed log
+          charges, in dispatch order *)
+  morsel_stages : string list array;
+      (** per-morsel work, in dispatch order (see {!Stream_exec.morsels}) *)
   serial_seconds : float;  (** simulated seconds charged outside morsels *)
   total_seconds : float;   (** the meter's movement across the whole run *)
 }
 
 val run_report :
   ?obs:Rq_obs.Recorder.t ->
+  ?batch_rows:int ->
   t ->
   Catalog.t ->
   Cost.t ->

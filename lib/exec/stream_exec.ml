@@ -18,6 +18,11 @@
    rows, so early exit (a satisfied LIMIT, a mid-stream guard violation)
    simply stops pulling and leaves the unperformed work uncharged.
 
+   Sequential scans run as segments (see "Segments" below): the scan and
+   the pipelined operators above it run one morsel at a time, on the
+   domain pool when there is one, against a recording meter whose log the
+   consumer replays in morsel order.
+
    With a recorder attached, each operator's pulls are measurement windows
    of its {!Rq_obs.Recorder.node}: successive pulls of one operator are
    not contiguous, but a child's pulls always sit inside its parent's, so
@@ -36,25 +41,61 @@ let batch_rows = 1024
    either way. *)
 let fetch_ramp_rows = 64
 
-type morsels = { pool : Domain_pool.t; mutable charged : float ref list }
+type morsels = {
+  pool : Domain_pool.t;
+  mutable charged : float ref list;
+  mutable stages : string list list;
+}
+
+let morsels pool = { pool; charged = []; stages = [] }
+
+(* What a pipeline running in a morsel does that the consumer must see, in
+   order: its charges, its operators' measurement windows, and the batches
+   it hands on with the scan position after each. *)
+type event =
+  | Charge of Cost.charge
+  | Enter of Rq_obs.Recorder.node
+  | Exit of Rq_obs.Recorder.node * int
+  | Abort of Rq_obs.Recorder.node
+  | Emit of Vbatch.t * int
+  | Raise of exn * Printexc.raw_backtrace
 
 type ctx = {
   catalog : Catalog.t;
-  meter : Cost.t;
+  meter : Cost.t;  (* in a morsel: a recording meter *)
   obs : Rq_obs.Recorder.t option;
   morsels : morsels option;
+  batch_rows : int;
+  log : (event -> unit) option;  (* in a morsel: where its events go *)
 }
 
 let record ctx event =
   match ctx.obs with None -> () | Some r -> Rq_obs.Recorder.record r event
 
+let rows_of = function Some vb -> Vbatch.selected vb | None -> 0
+
 (* Each pull of a spanned operator is one measurement window of its node;
-   rows are logical (selected) rows. *)
+   rows are logical (selected) rows.  In a morsel the window is logged for
+   the consumer to replay. *)
 let spanned ctx node (op : Stream.t) =
-  let meter () = Cost.snapshot ctx.meter in
-  let rows = function Some vb -> Vbatch.selected vb | None -> 0 in
-  let next_batch () = Rq_obs.Recorder.measure node ~meter ~rows op.Stream.next_batch in
-  { op with Stream.next_batch }
+  match (node, ctx.log) with
+  | None, _ -> op
+  | Some n, Some log ->
+      let next_batch () =
+        log (Enter n);
+        match op.Stream.next_batch () with
+        | r ->
+            log (Exit (n, rows_of r));
+            r
+        | exception e ->
+            log (Abort n);
+            raise e
+      in
+      { op with Stream.next_batch }
+  | Some n, None ->
+      let meter () = Cost.snapshot ctx.meter in
+      let next_batch () = Rq_obs.Recorder.measure n ~meter ~rows:rows_of op.Stream.next_batch in
+      { op with Stream.next_batch }
 
 (* ------------------------------------------------------------------ *)
 (* Generic plumbing                                                    *)
@@ -73,39 +114,73 @@ let drain_all (op : Stream.t) =
   go ();
   Array.concat (List.rev !acc)
 
-(* Append compacted batches column by column, in order: [n] rows in
-   [cols.(c)].  A column every batch pruned stays pruned; where only some
-   batches pruned it, their rows read [Null] (the rule of
-   {!Vbatch.to_tuples}). *)
-let concat_batches arity pieces =
-  let n = List.fold_left (fun n vb -> n + vb.Vbatch.n_rows) 0 pieces in
-  let column c =
-    if List.for_all (fun vb -> Vbatch.pruned vb.Vbatch.cols.(c)) pieces then [||]
-    else
-      match pieces with
-      | [ vb ] -> vb.Vbatch.cols.(c)
-      | _ ->
-          Array.concat
-            (List.map
-               (fun vb ->
-                 let col = vb.Vbatch.cols.(c) in
-                 if Vbatch.pruned col then Array.make vb.Vbatch.n_rows Value.Null else col)
-               pieces)
-  in
-  (Array.init arity column, n)
+(* A lone batch whose live columns are exactly its selected rows. *)
+let compact_batch = function
+  | [ vb ]
+    when vb.Vbatch.n_rows = Vbatch.selected vb
+         && Array.for_all
+              (fun col -> Vbatch.pruned col || Array.length col = vb.Vbatch.n_rows)
+              vb.Vbatch.cols ->
+      Some (vb.Vbatch.cols, vb.Vbatch.n_rows)
+  | _ -> None
 
-(* Drain to columns: the breakers' input, rows in arrival order. *)
+(* Columns for [n] drained rows: a column every batch pruned stays pruned;
+   where only some batches pruned it, their rows read [Null] (the rule of
+   {!Vbatch.to_tuples}). *)
+let output_columns arity n batches =
+  let live c = List.exists (fun vb -> not (Vbatch.pruned vb.Vbatch.cols.(c))) batches in
+  Array.init arity (fun c -> if n > 0 && live c then Array.make n Value.Null else [||])
+
+(* Copy the selected rows of [batches], in order, into [cols] from row
+   [at] on. *)
+let gather_into cols ~at batches =
+  List.fold_left
+    (fun base vb ->
+      let k = Vbatch.selected vb in
+      if k = vb.Vbatch.n_rows then
+        Array.iteri
+          (fun c dst ->
+            let src = vb.Vbatch.cols.(c) in
+            if not (Vbatch.pruned dst || Vbatch.pruned src) then Array.blit src 0 dst base k)
+          cols
+      else begin
+        let idx = Vbatch.selected_rows vb in
+        Array.iteri
+          (fun c dst ->
+            let src = vb.Vbatch.cols.(c) in
+            if not (Vbatch.pruned dst || Vbatch.pruned src) then
+              for j = 0 to k - 1 do
+                Array.unsafe_set dst (base + j) src.(idx.(j))
+              done)
+          cols
+      end;
+      base + k)
+    at batches
+  |> ignore
+
+(* Gather the selected rows of [batches] straight into fresh columns: one
+   copy, none for a lone compact batch. *)
+let gather_batches arity batches =
+  match compact_batch batches with
+  | Some drained -> drained
+  | None ->
+      let n = List.fold_left (fun n vb -> n + Vbatch.selected vb) 0 batches in
+      let cols = output_columns arity n batches in
+      gather_into cols ~at:0 batches;
+      (cols, n)
+
+(* Drain a stream to columns: a breaker's input, rows in arrival order. *)
 let drain_columns (op : Stream.t) =
-  let pieces = ref [] in
+  let batches = ref [] in
   let rec go () =
     match op.Stream.next_batch () with
     | Some vb ->
-        pieces := Vbatch.compact vb :: !pieces;
+        batches := vb :: !batches;
         go ()
     | None -> ()
   in
   go ();
-  concat_batches (Schema.arity op.Stream.schema) (List.rev !pieces)
+  gather_batches (Schema.arity op.Stream.schema) (List.rev !batches)
 
 (* A drained column an operator reads itself (a join or sort key); a
    pruned one reads [Null], as it would from a tuple. *)
@@ -114,13 +189,13 @@ let key_column cols c n = if Vbatch.pruned cols.(c) then Array.make n Value.Null
 (* Hand out rows [order] of drained columns [batch_rows] at a time, each
    slice gathered into fresh columns: the output of sort, aggregate and
    materialized leaves. *)
-let slices cols order =
+let slices ctx cols order =
   let pos = ref 0 in
   fun () ->
     let n = Array.length order in
     if !pos >= n then None
     else begin
-      let k = min batch_rows (n - !pos) in
+      let k = min ctx.batch_rows (n - !pos) in
       let idx = Array.sub order !pos k in
       pos := !pos + k;
       Some
@@ -162,118 +237,125 @@ let fetcher ctx table ~schema ~pred ~keep_cols =
     (Array.mapi (fun c col -> if keep.(c) then col else [||]) cols, sel)
 
 (* ------------------------------------------------------------------ *)
-(* Morsel prefetch                                                     *)
+(* Segments                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Under {!Parallel}, sequential scans read ahead on a domain pool.  The
-   scan's remaining chunk tasks are grouped into morsels — row ranges on an
-   absolute grid of [morsel_rows], a whole number of chunks (hence pages)
-   of at least 4 x [batch_rows] — and the next [Domain_pool.size] morsels
-   are handed to the pool together: each worker pins its morsel's read
-   chunks and computes their predicate bitmaps.  The scan's serial loop
-   then consumes those bitmaps in order and does everything else —
-   charging, window slicing, selection, progress and resume — exactly as
-   without a pool.  Workers never touch the cost meter, so counters, guard
-   fire points and resume positions cannot depend on the pool.
+(* A segment is a sequential scan plus the pipelined operators above it
+   (filter, project, hash-join probe), up to the first operator that is
+   not one of those.  Its scan tasks are grouped into morsels — row ranges
+   on an absolute grid of [morsel_rows], a whole number of chunks (hence
+   pages) of at least 4 x [batch_rows] — and each morsel runs the whole
+   segment, end to end, over fresh operator instances: on a worker of the
+   domain pool under {!Parallel}, inline otherwise.  Whatever consumes the
+   segment does its per-row work in the morsel too: a breaker's drained
+   input is gathered into columns there, an aggregate's rows are grouped
+   and evaluated there ({!Agg.part}).
 
-   Each dispatched morsel gets a cell in [charged] (newest first) that the
-   serial loop credits with the scan seconds it charges for the morsel's
-   tasks: the per-morsel work {!Parallel.makespan} schedules. *)
+   A morsel charges a recording meter, and with a recorder attached it
+   logs its operators' measurement windows in place of measuring them.
+   The consumer replays the logs into the query's meter in morsel order,
+   crediting each window to its node as it closes, so every charge
+   happens in the serial engine's sequence with the serial engine's
+   amount, and every span total is the serial run's.  Morsel boundaries
+   are invisible to the serial engine: the windows a segment's operators
+   open on their first pull are opened by the consumer before the first
+   morsel (forcing each probe's build table where the serial engine
+   forces it, on the probe's first pull), the windows their final pull
+   closes are closed after the last, and each morsel's log leaves out its
+   own first opening and last closing.
 
-let morsel_target_rows = 4 * batch_rows
+   A segment feeding a breaker dispatches all its morsels in one
+   {!Domain_pool.iter}; one under a consumer that may stop early — the
+   root, [Limit], [Guard], a join's outer side, [Append] — dispatches a
+   window of [Domain_pool.size] morsels at a time, and a morsel whose
+   batches are never pulled charges nothing.  Counters, guard fire
+   points and resume positions therefore cannot depend on the pool.
 
-let morsel_rows rel =
+   Each dispatched morsel gets a cell in [charged] (newest first) that
+   the replay credits with the seconds it applies: the per-morsel work
+   {!Parallel.makespan} schedules; [stages] names the work it ran. *)
+
+let morsel_rows ctx rel =
   let rpc = Relation.rows_per_chunk rel in
-  rpc * max 1 ((morsel_target_rows + rpc - 1) / rpc)
+  rpc * max 1 (((4 * ctx.batch_rows) + rpc - 1) / rpc)
 
-(* Dispatch morsels [first, first + size pool) of the remaining [tasks]
-   (clipped to the table), storing each read chunk's bitmap in [ready];
-   returns the batch's charge cells. *)
-let prefetch ms ~rel ~bitmap ~m ~first tasks ready =
-  let n = Relation.row_count rel in
-  let count = min (Domain_pool.size ms.pool) (((n - 1) / m) - first + 1) in
-  let groups = Array.make count [] in
-  let rec collect = function
-    | (t : Chunk_scan.task) :: rest when (t.lo / m) - first < count ->
-        if not t.skip then groups.((t.lo / m) - first) <- t :: groups.((t.lo / m) - first);
-        collect rest
-    | _ -> ()
+(* The scan a segment starts from: its tasks grouped into morsels. *)
+type scan = {
+  table : string;
+  pred : Pred.t;
+  qualified : Schema.t;
+  rel : Relation.t;
+  from : int;
+  keep : bool array;
+  bitmap : (Chunk.t -> Bitset.t) option;
+  groups : Chunk_scan.task list array;
+}
+
+(* One operator of a segment: what it is, its span node, and what the
+   serial engine does on its first pull before pulling its input. *)
+type link = { stage : string; node : Rq_obs.Recorder.node option; force : unit -> unit }
+
+type segment = {
+  schema : Schema.t;
+  scan : scan;
+  links : link list;  (* top first; the scan last *)
+  pipe : ctx -> Stream.t -> Stream.t;  (* the operators, over a morsel's scan *)
+}
+
+type compiled = Op of Stream.t | Seg of segment
+
+let schema_of = function Op op -> op.Stream.schema | Seg seg -> seg.schema
+
+(* Consecutive tasks on one grid cell form a morsel; a cell whose chunks
+   the zone maps all skip joins the morsel before it (or, at the start,
+   the one after), so it costs no dispatch of its own. *)
+let morsel_groups ~m tasks =
+  let rec cells acc cur k = function
+    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
+    | (t : Chunk_scan.task) :: rest ->
+        if cur <> [] && t.lo / m <> k then cells (List.rev cur :: acc) [ t ] (t.lo / m) rest
+        else cells acc (t :: cur) (t.lo / m) rest
   in
-  collect tasks;
-  let found =
-    Domain_pool.run ms.pool count (fun k ->
-        List.map
-          (fun (t : Chunk_scan.task) ->
-            ( t.ci,
-              Relation.with_chunk ~seq:true rel t.ci (fun chunk ->
-                  Option.map (fun bm -> bm chunk) bitmap) ))
-          groups.(k))
+  let skipped = List.for_all (fun (t : Chunk_scan.task) -> t.skip) in
+  let rec merge acc pending = function
+    | [] -> List.rev (if pending = [] then acc else pending :: acc)
+    | cell :: rest when skipped cell -> (
+        match acc with
+        | prev :: acc -> merge ((prev @ cell) :: acc) pending rest
+        | [] -> merge acc (pending @ cell) rest)
+    | cell :: rest -> merge ((pending @ cell) :: acc) [] rest
   in
-  Array.iter (List.iter (fun (ci, bits) -> Hashtbl.replace ready ci bits)) found;
-  let cells = Array.init count (fun _ -> ref 0.0) in
-  Array.iter (fun c -> ms.charged <- c :: ms.charged) cells;
-  cells
+  Array.of_list (merge [] [] (cells [] [] (-1) tasks))
 
-(* ------------------------------------------------------------------ *)
-(* Leaf operators                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Sequential scan starting at [from] (0 for a whole-table scan), walking
-   the shared chunk-task plan: a zone-map-skipped chunk charges
+(* The scan of one morsel's tasks: a zone-map-skipped chunk charges
    pages_skipped (free) and is stepped over whole; a read chunk is pulled
    pinned from the buffer pool and sliced into (chunk ∩ [batch_rows]
    window) batches, charging CPU per source row and each heap page the
    first time a row on it is touched.  A full drain thus charges exactly
    the planner's read-page/read-row totals (= page_count/row_count when
    nothing prunes), and stopping early leaves the tail pages unread.
+   Morsels start on chunk boundaries, which are page-aligned, so each
+   morsel's page frontier starts where the serial scan's stands; a resumed
+   scan's first morsel starts at the page holding [from], so a resume
+   re-reads the split page.
 
    A window's batch shares zero-copy the chunk's arrays of the columns
-   [keep_cols] accepts (matched by qualified name) and prunes the rest, so
-   a spilled chunk decodes only the columns the predicate bitmap or some
-   operator above reads; its selection is the window ∧ the chunk's
-   predicate bitmap, computed once per chunk (by the morsel pool when there
-   is one).  Zero-match windows are charged but not emitted. *)
-let seq_scan_stream ctx ~table ~pred ~from ~keep_cols =
-  let rel = Catalog.find_table ctx.catalog table in
-  let schema = Exec_common.qualified_schema ctx.catalog table in
-  let keep = Array.of_list (List.map keep_cols (Schema.columns schema)) in
-  let n = Relation.row_count rel in
-  let from = min (max 0 from) n in
-  let rpp = Relation.rows_per_page rel in
-  let bitmap = Chunk_scan.bitmap (Relation.schema rel) pred in
-  let tasks = ref (Chunk_scan.tasks ~from rel pred) in
-  let pos = ref from in
-  (* Absolute index of the next page to charge; starts at the page holding
-     [from], so a resume re-reads the split page. *)
-  let page_frontier = ref (from / rpp) in
-  (* Bitmaps computed ahead by the morsel pool, by chunk index. *)
-  let ready = Hashtbl.create 8 in
-  let cell_of =
-    match ctx.morsels with
-    | None -> fun _ -> None
-    | Some ms ->
-        let m = morsel_rows rel in
-        let first = ref 0 and cells = ref [||] in
-        fun (t : Chunk_scan.task) ->
-          let k = t.lo / m in
-          if k >= !first + Array.length !cells then begin
-            cells := prefetch ms ~rel ~bitmap ~m ~first:k !tasks ready;
-            first := k
-          end;
-          Some !cells.(k - !first)
-  in
+   [keep] accepts and prunes the rest, so a spilled chunk decodes only the
+   columns the predicate bitmap or some operator above reads; its
+   selection is the window ∧ the chunk's predicate bitmap, computed once
+   per chunk.  Zero-match windows are charged but not emitted.  [pos] is
+   the next row to read. *)
+let scan_stream ctx sc tasks =
+  let rpp = Relation.rows_per_page sc.rel in
+  let tasks = ref tasks in
+  let pos = ref (match !tasks with (t : Chunk_scan.task) :: _ -> t.lo | [] -> sc.from) in
+  let page_frontier = ref (!pos / rpp) in
   let cached_bits = ref (-1, None) in
   let bits_of (t : Chunk_scan.task) chunk =
     match !cached_bits with
     | ci, bits when ci = t.ci -> bits
     | _ ->
-        let bits =
-          match Hashtbl.find_opt ready t.ci with
-          | Some bits ->
-              Hashtbl.remove ready t.ci;
-              bits
-          | None -> Option.map (fun bm -> bm chunk) bitmap
-        in
+        let bits = Option.map (fun bm -> bm chunk) sc.bitmap in
         cached_bits := (t.ci, bits);
         bits
   in
@@ -290,37 +372,297 @@ let seq_scan_stream ctx ~table ~pred ~from ~keep_cols =
             tasks := rest
           end
           else begin
-            let stop = min t.hi (!pos + batch_rows) in
-            let cell = cell_of t in
-            let before = Cost.seconds ctx.meter in
+            let stop = min t.hi (!pos + ctx.batch_rows) in
             Cost.charge_cpu_tuples ctx.meter (stop - !pos);
             let pages_now = Chunk_scan.pages_upto rpp stop in
             if pages_now > !page_frontier then begin
               Cost.charge_seq_pages ctx.meter (pages_now - !page_frontier);
               page_frontier := pages_now
             end;
-            Option.iter (fun c -> c := !c +. (Cost.seconds ctx.meter -. before)) cell;
-            let base = Relation.chunk_start rel t.ci in
-            Relation.with_chunk ~seq:true rel t.ci (fun chunk ->
+            let base = Relation.chunk_start sc.rel t.ci in
+            Relation.with_chunk ~seq:true sc.rel t.ci (fun chunk ->
                 let lo = !pos - base and hi = stop - base in
                 let sel =
                   match bits_of t chunk with
                   | None -> Bitset.window (Chunk.n_rows chunk) ~lo ~hi
                   | Some b -> Bitset.inter_window b ~lo ~hi
                 in
-                if Bitset.popcount sel > 0 then out := Some (Vbatch.of_chunk chunk ~keep ~sel));
+                if Bitset.popcount sel > 0 then out := Some (Vbatch.of_chunk chunk ~keep:sc.keep ~sel));
             pos := stop;
             if stop >= t.hi then tasks := rest
           end
     done;
     !out
   in
-  Stream.make ~schema
+  (Stream.make ~schema:sc.qualified next_batch, pos)
+
+let scan_segment ctx ~node ~table ~pred ~from ~keep_cols =
+  let rel = Catalog.find_table ctx.catalog table in
+  let schema = Exec_common.qualified_schema ctx.catalog table in
+  let from = min (max 0 from) (Relation.row_count rel) in
+  let scan =
+    {
+      table;
+      pred;
+      qualified = schema;
+      rel;
+      from;
+      keep = Array.of_list (List.map keep_cols (Schema.columns schema));
+      bitmap = Chunk_scan.bitmap (Relation.schema rel) pred;
+      groups = morsel_groups ~m:(morsel_rows ctx rel) (Chunk_scan.tasks ~from rel pred);
+    }
+  in
+  {
+    schema;
+    scan;
+    links = [ { stage = "scan"; node; force = ignore } ];
+    pipe = (fun mctx op -> spanned mctx node op);
+  }
+
+(* A pipelined operator [f] over its compiled input: a segment grows by
+   one operator, a stream gets one more operator. *)
+let pipelined ctx ~stage ~node ?(force = ignore) ~schema input f =
+  match input with
+  | Op iop -> Op (spanned ctx node (f ctx iop))
+  | Seg seg ->
+      Seg
+        {
+          seg with
+          schema;
+          links = { stage; node; force } :: seg.links;
+          pipe = (fun mctx op -> spanned mctx node (f mctx (seg.pipe mctx op)));
+        }
+
+(* Run one morsel of [seg] over fresh operators, handing each output batch
+   and the scan position after it to [on_batch]; an exception ends the
+   log.  Without the windows the consumer opens and closes itself, the
+   log starts with as many [Enter]s as the segment has spanned operators
+   and a completed one ends with as many [Exit]s. *)
+let run_morsel ctx seg tasks ~on_batch =
+  let events = ref [] in
+  let log e = events := e :: !events in
+  let mctx =
+    { ctx with meter = Cost.recording (fun c -> log (Charge c)); morsels = None; log = Some log }
+  in
+  let completed =
+    match
+      let scan, pos = scan_stream mctx seg.scan tasks in
+      let op = seg.pipe mctx scan in
+      let rec go () =
+        match op.Stream.next_batch () with
+        | Some vb ->
+            on_batch mctx vb !pos;
+            go ()
+        | None -> ()
+      in
+      go ()
+    with
+    | () -> true
+    | exception e ->
+        log (Raise (e, Printexc.get_raw_backtrace ()));
+        false
+  in
+  let events = Array.of_list (List.rev !events) in
+  let depth = List.length (List.filter (fun l -> Option.is_some l.node) seg.links) in
+  let hi = Array.length events - if completed then depth else 0 in
+  Array.sub events depth (hi - depth)
+
+(* Run tasks [0, count) and hand each result to [consume] in index order,
+   as soon as it is ready: on the pool, the consumer works while the
+   workers run later tasks; inline, each task's data is still in cache
+   when it is consumed. *)
+let each_task ctx count f consume =
+  match ctx.morsels with
+  | Some ms -> Domain_pool.iter ms.pool count f consume
+  | None ->
+      for k = 0 to count - 1 do
+        consume k (f k)
+      done
+
+(* One charge cell per dispatched morsel, recorded with its stages. *)
+let cells ctx seg ~consumer count =
+  match ctx.morsels with
+  | None -> Array.init count (fun _ -> ref 0.0)
+  | Some ms ->
+      let stages = List.rev_map (fun l -> l.stage) seg.links @ consumer in
+      Array.init count (fun _ ->
+          let cell = ref 0.0 in
+          ms.charged <- cell :: ms.charged;
+          ms.stages <- stages :: ms.stages;
+          cell)
+
+(* The consumer's side of a replay: the windows open so far, innermost
+   first, each with the meter as it stood when it opened. *)
+type replay = {
+  into : Cost.t;
+  mutable windows : (Rq_obs.Recorder.node * Rq_obs.Metrics.t) list;
+}
+
+let enter r n = r.windows <- (n, Cost.snapshot r.into) :: r.windows
+
+let leave r ?aborted n rows =
+  match r.windows with
+  | (m, before) :: rest when m == n ->
+      r.windows <- rest;
+      Rq_obs.Recorder.credit n ?aborted ~rows (Rq_obs.Metrics.sub (Cost.snapshot r.into) before)
+  | _ -> invalid_arg "Stream_exec: operator windows out of order"
+
+let apply r cell = function
+  | Charge c ->
+      let before = Cost.seconds r.into in
+      Cost.charge r.into c;
+      cell := !cell +. (Cost.seconds r.into -. before)
+  | Enter n -> enter r n
+  | Exit (n, rows) -> leave r n rows
+  | Abort n -> leave r ~aborted:true n 0
+  | Emit _ -> ()
+  | Raise (e, bt) -> Printexc.raise_with_backtrace e bt
+
+(* The serial engine's first pull of the segment, up to its scan: each
+   operator's window opens, top first, and a probe forces its build
+   table.  If a build fails, the windows open so far end aborted. *)
+let open_segment r seg =
+  match
+    List.iter
+      (fun l ->
+        Option.iter (enter r) l.node;
+        l.force ())
+      seg.links
+  with
+  | () -> ()
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      List.iter (fun (n, _) -> leave r ~aborted:true n 0) r.windows;
+      Printexc.raise_with_backtrace e bt
+
+(* The serial engine's last pull: the scan, then each operator above it,
+   returns nothing. *)
+let close_segment r seg =
+  List.iter (fun l -> Option.iter (fun n -> leave r n 0) l.node) (List.rev seg.links)
+
+(* Run every morsel of [seg] at once, each reducing its batches with
+   [on_batch] into the accumulator [init ()] makes and handing it to
+   [finish]; then, in morsel order, replay each log and [merge] what
+   [finish] returned. *)
+let reduce_segment ctx seg ~consumer ~init ~on_batch ~finish ~merge =
+  let r = { into = ctx.meter; windows = [] } in
+  open_segment r seg;
+  let groups = seg.scan.groups in
+  let cells = cells ctx seg ~consumer:[ consumer ] (Array.length groups) in
+  each_task ctx (Array.length groups)
+    (fun k ->
+      let acc = init () in
+      let events = run_morsel ctx seg groups.(k) ~on_batch:(fun mctx vb _ -> on_batch mctx acc vb) in
+      (events, finish acc))
+    (fun k (events, out) ->
+      Array.iter (apply r cells.(k)) events;
+      merge out);
+  close_segment r seg
+
+(* A breaker's input from a segment, copied once: the morsels keep their
+   batches; then, with every morsel's offset known, each copies its rows
+   straight into the output columns, again on the pool. *)
+let drain_segment ctx seg =
+  let morsels = ref [] in
+  reduce_segment ctx seg ~consumer:"compact"
+    ~init:(fun () -> ref [])
+    ~on_batch:(fun _ batches vb -> batches := vb :: !batches)
+    ~finish:(fun batches -> List.rev !batches)
+    ~merge:(fun batches -> morsels := batches :: !morsels);
+  let morsels = Array.of_list (List.rev !morsels) in
+  let all = List.concat (Array.to_list morsels) in
+  match compact_batch all with
+  | Some drained -> drained
+  | None ->
+      let offsets = Array.make (Array.length morsels + 1) 0 in
+      Array.iteri
+        (fun k batches ->
+          offsets.(k + 1) <-
+            List.fold_left (fun n vb -> n + Vbatch.selected vb) offsets.(k) batches)
+        morsels;
+      let n = offsets.(Array.length morsels) in
+      let cols = output_columns (Schema.arity seg.schema) n all in
+      each_task ctx (Array.length morsels)
+        (fun k -> gather_into cols ~at:offsets.(k) morsels.(k))
+        (fun _ () -> ());
+      (cols, n)
+
+(* A segment as a stream, a window of morsels at a time. *)
+let segment_stream ctx seg =
+  let r = { into = ctx.meter; windows = [] } in
+  let sc = seg.scan in
+  let n = Relation.row_count sc.rel in
+  let window = match ctx.morsels with None -> 1 | Some ms -> Domain_pool.size ms.pool in
+  let groups = sc.groups in
+  let dispatched = ref 0 in
+  let ready = Queue.create () in
+  let events = ref [||] and at = ref 0 and cell = ref (ref 0.0) in
+  let started = ref false and finished = ref false in
+  let pos = ref sc.from in
+  let rec next_batch () =
+    if !finished then None
+    else if not !started then begin
+      started := true;
+      open_segment r seg;
+      next_batch ()
+    end
+    else if !at < Array.length !events then begin
+      let ev = !events.(!at) in
+      incr at;
+      match ev with
+      | Emit (vb, p) ->
+          pos := p;
+          Some vb
+      | ev ->
+          apply r !cell ev;
+          next_batch ()
+    end
+    else if not (Queue.is_empty ready) then begin
+      let evs, c = Queue.pop ready in
+      events := evs;
+      at := 0;
+      cell := c;
+      next_batch ()
+    end
+    else if !dispatched < Array.length groups then begin
+      let first = !dispatched in
+      let count = min window (Array.length groups - first) in
+      let cs = cells ctx seg ~consumer:[] count in
+      each_task ctx count
+        (fun k ->
+          run_morsel ctx seg groups.(first + k) ~on_batch:(fun mctx vb p ->
+              Option.iter (fun log -> log (Emit (vb, p))) mctx.log))
+        (fun k evs -> Queue.push (evs, cs.(k)) ready);
+      dispatched := first + count;
+      next_batch ()
+    end
+    else begin
+      finished := true;
+      close_segment r seg;
+      pos := n;
+      None
+    end
+  in
+  let resume =
+    match seg.links with
+    | [ _ ] ->
+        (* a bare scan resumes where its last batch ended *)
+        fun () ->
+          if !pos >= n then None
+          else Some (Plan.Scan_resume { table = sc.table; pred = sc.pred; from_rid = !pos })
+    | _ -> fun () -> None
+  in
+  Stream.make ~schema:seg.schema
     ~progress:(fun () ->
-      if n = from then 1.0 else float_of_int (!pos - from) /. float_of_int (n - from))
-    ~resume:(fun () ->
-      if !pos >= n then None else Some (Plan.Scan_resume { table; pred; from_rid = !pos }))
-    next_batch
+      if n = sc.from then 1.0 else float_of_int (!pos - sc.from) /. float_of_int (n - sc.from))
+    ~resume next_batch
+
+let stream ctx = function Op op -> op | Seg seg -> segment_stream ctx seg
+let drain ctx = function Op op -> drain_columns op | Seg seg -> drain_segment ctx seg
+
+(* ------------------------------------------------------------------ *)
+(* Leaf operators                                                      *)
+(* ------------------------------------------------------------------ *)
 
 (* Index access paths probe up-front (the B-tree descent is one action),
    then fetch matching RIDs window by window ({!fetcher}); the predicate's
@@ -331,14 +673,14 @@ let rid_fetch_stream ctx ~table ~pred ~keep_cols ~probe_rids =
   let fetch = fetcher ctx table ~schema ~pred ~keep_cols in
   let rids = lazy (probe_rids ()) in
   let fpos = ref 0 in
-  let chunk = ref fetch_ramp_rows in
+  let chunk = ref (min ctx.batch_rows fetch_ramp_rows) in
   let next_batch () =
     let arr = Lazy.force rids in
     let total = Array.length arr in
     let out = ref None in
     while !out = None && !fpos < total do
       let stop = min total (!fpos + !chunk) in
-      chunk := min batch_rows (2 * !chunk);
+      chunk := min ctx.batch_rows (2 * !chunk);
       let k = stop - !fpos in
       Cost.charge_random_pages ctx.meter k;
       Cost.charge_cpu_tuples ctx.meter k;
@@ -394,10 +736,10 @@ let index_intersect_stream ctx ~table ~pred ~keep_cols ~probes =
 (* Already paid for when it was first produced; reading it back is free in
    the simulated model.  The violation result it replays is transposed to
    columns once. *)
-let materialized_stream ~schema ~tuples =
+let materialized_stream ctx ~schema ~tuples =
   let n = Array.length tuples in
   let cols = Array.init (Schema.arity schema) (fun c -> Array.init n (fun r -> tuples.(r).(c))) in
-  let emit = slices cols (Array.init n Fun.id) in
+  let emit = slices ctx cols (Array.init n Fun.id) in
   let emitted = ref 0 in
   Stream.make ~schema
     ~progress:(fun () -> if n = 0 then 1.0 else float_of_int !emitted /. float_of_int n)
@@ -410,35 +752,30 @@ let materialized_stream ~schema ~tuples =
 (* Joins                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Build side materializes (a hash table is a breaker); probing reads the
-   key column directly at each selected index and the output batch is
-   assembled column-major.  One output batch per match-bearing probe batch,
-   matches in probe order × build-input order. *)
-let hash_join_stream ctx ~(bop : Stream.t) ~(pop : Stream.t) ~build_key ~probe_key =
-  let schema = Schema.concat bop.Stream.schema pop.Stream.schema in
-  let bpos = Schema.index_of bop.Stream.schema build_key in
-  let ppos = Schema.index_of pop.Stream.schema probe_key in
-  let barity = Schema.arity bop.Stream.schema in
-  (* Buckets hold build row indices (in build-input order) so probing is
-     one [find_opt] plus an allocation-free walk over an int array per
-     probe row. *)
-  let table =
-    lazy
-      (let bcols, n = drain_columns bop in
-       let bkey = key_column bcols bpos n in
-       let grouped = Hashtbl.create (max 16 n) in
-       for r = 0 to n - 1 do
-         let key = bkey.(r) in
-         if not (Value.is_null key) then
-           match Hashtbl.find_opt grouped key with
-           | Some l -> Hashtbl.replace grouped key (r :: l)
-           | None -> Hashtbl.replace grouped key [ r ]
-       done;
-       let buckets = Hashtbl.create (Hashtbl.length grouped) in
-       Hashtbl.iter (fun key l -> Hashtbl.replace buckets key (Array.of_list (List.rev l))) grouped;
-       Cost.charge_hash_build ctx.meter n;
-       (bcols, buckets))
-  in
+(* The build side materializes (a hash table is a breaker).  Buckets hold
+   build row indices (in build-input order) so probing is one [find_opt]
+   plus an allocation-free walk over an int array per probe row. *)
+let build_table ctx (bcols, n) ~bpos =
+  let bkey = key_column bcols bpos n in
+  let grouped = Hashtbl.create (max 16 n) in
+  for r = 0 to n - 1 do
+    let key = bkey.(r) in
+    if not (Value.is_null key) then
+      match Hashtbl.find_opt grouped key with
+      | Some l -> Hashtbl.replace grouped key (r :: l)
+      | None -> Hashtbl.replace grouped key [ r ]
+  done;
+  let buckets = Hashtbl.create (Hashtbl.length grouped) in
+  Hashtbl.iter (fun key l -> Hashtbl.replace buckets key (Array.of_list (List.rev l))) grouped;
+  Cost.charge_hash_build ctx.meter n;
+  (bcols, buckets)
+
+(* Probing reads the key column directly at each selected index and the
+   output batch is assembled column-major.  One output batch per
+   match-bearing probe batch, matches in probe order × build-input order.
+   The table is forced on the first pull — before any morsel of a probe
+   segment runs, and read-only after. *)
+let probe_stream ctx ~table ~barity ~ppos ~schema (pop : Stream.t) =
   let drained = ref false in
   let next_batch () =
     let bcols, buckets = Lazy.force table in
@@ -473,7 +810,10 @@ let hash_join_stream ctx ~(bop : Stream.t) ~(pop : Stream.t) ~build_key ~probe_k
               let key = pkey.(i) in
               if not (Value.is_null key) then
                 match Hashtbl.find_opt buckets key with
-                | Some rows -> Array.iter (fun r -> push r i) rows
+                | Some rows ->
+                    for m = 0 to Array.length rows - 1 do
+                      push rows.(m) i
+                    done
                 | None -> ())
             vb.Vbatch.sel;
           let k = !len in
@@ -502,14 +842,14 @@ let merge_row side a = match side.perm with None -> a | Some perm -> perm.(a)
    same key comparisons a tuple sort would make, so equal keys keep the
    order a tuple sort gives them.  Each equal-key run's cross product is
    gathered into one output batch, left-major. *)
-let merge_join_stream ctx ~left_plan ~right_plan ~(lop : Stream.t) ~(rop : Stream.t)
-    ~left_key ~right_key =
-  let schema = Schema.concat lop.Stream.schema rop.Stream.schema in
-  let larity = Schema.arity lop.Stream.schema in
+let merge_join_stream ctx ~left_plan ~right_plan ~left ~right ~left_key ~right_key =
+  let lschema = schema_of left and rschema = schema_of right in
+  let schema = Schema.concat lschema rschema in
+  let larity = Schema.arity lschema in
   (* Sorting after both drains keeps the charges in the order a tuple
      merge made them. *)
-  let side (op : Stream.t) (cols, n) plan key_name =
-    let key = key_column cols (Schema.index_of op.Stream.schema key_name) n in
+  let side sschema (cols, n) plan key_name =
+    let key = key_column cols (Schema.index_of sschema key_name) n in
     if Exec_common.output_sorted_on ctx.catalog plan = Some key_name then
       { cols; key; perm = None }
     else begin
@@ -521,10 +861,10 @@ let merge_join_stream ctx ~left_plan ~right_plan ~(lop : Stream.t) ~(rop : Strea
   in
   let state =
     lazy
-      (let ldrained = drain_columns lop in
-       let rdrained = drain_columns rop in
-       let l = side lop ldrained left_plan left_key in
-       let r = side rop rdrained right_plan right_key in
+      (let ldrained = drain ctx left in
+       let rdrained = drain ctx right in
+       let l = side lschema ldrained left_plan left_key in
+       let r = side rschema rdrained right_plan right_key in
        Cost.charge_merge_tuples ctx.meter (Array.length l.key + Array.length r.key);
        (l, r))
   in
@@ -662,7 +1002,7 @@ let star_semijoin_stream ctx ~fact ~fact_pred ~dims ~keep_cols =
       Array.of_list (List.mapi (fun c col -> c = pk_pos || keep_cols col) (Schema.columns qualified))
     in
     let bitmap = Chunk_scan.bitmap (Relation.schema rel) dim_pred in
-    let pieces = ref [] in
+    let batches = ref [] in
     List.iter
       (fun (t : Chunk_scan.task) ->
         if t.skip then Cost.charge_pages_skipped meter t.pages
@@ -674,10 +1014,10 @@ let star_semijoin_stream ctx ~fact ~fact_pred ~dims ~keep_cols =
                 match bitmap with None -> Bitset.full (Chunk.n_rows chunk) | Some bm -> bm chunk
               in
               if Bitset.popcount sel > 0 then
-                pieces := Vbatch.compact (Vbatch.of_chunk chunk ~keep ~sel) :: !pieces)
+                batches := Vbatch.of_chunk chunk ~keep ~sel :: !batches)
         end)
       (Chunk_scan.tasks rel dim_pred);
-    let cols, n = concat_batches (Array.length keep) (List.rev !pieces) in
+    let cols, n = gather_batches (Array.length keep) (List.rev !batches) in
     let key = key_column cols pk_pos n in
     let lookup = Hashtbl.create 64 in
     for r = 0 to n - 1 do
@@ -716,7 +1056,7 @@ let star_semijoin_stream ctx ~fact ~fact_pred ~dims ~keep_cols =
     let total = Array.length rids in
     let out = ref None in
     while !out = None && !fpos < total do
-      let stop = min total (!fpos + batch_rows) in
+      let stop = min total (!fpos + ctx.batch_rows) in
       let k = stop - !fpos in
       Cost.charge_random_pages meter k;
       Cost.charge_cpu_tuples meter k;
@@ -772,8 +1112,7 @@ let star_semijoin_stream ctx ~fact ~fact_pred ~dims ~keep_cols =
    physical rows; the result ANDs into the selection.  Rows already
    deselected are evaluated by the kernel but never observed — the charge
    is the arriving logical rows. *)
-let filter_stream ctx ~(iop : Stream.t) ~pred =
-  let bitmap = Chunk_scan.bitmap iop.Stream.schema pred in
+let filter_stream ctx ~bitmap (iop : Stream.t) =
   let drained = ref false in
   let next_batch () =
     let out = ref None in
@@ -796,9 +1135,7 @@ let filter_stream ctx ~(iop : Stream.t) ~pred =
   Stream.make ~schema:iop.Stream.schema ~progress:iop.Stream.progress next_batch
 
 (* Projection drops column references — no per-row work at all. *)
-let project_stream ctx ~(iop : Stream.t) ~cols =
-  let positions = Array.of_list (List.map (Schema.index_of iop.Stream.schema) cols) in
-  let schema = Schema.project iop.Stream.schema cols in
+let project_stream ctx ~positions ~schema (iop : Stream.t) =
   let next_batch () =
     match iop.Stream.next_batch () with
     | None -> None
@@ -811,16 +1148,16 @@ let project_stream ctx ~(iop : Stream.t) ~cols =
 (* The input drains to columns; a stable sort of row indices under the
    row comparison (ties keep input order, so the output is deterministic),
    then [batch_rows] slices gathered in sorted order. *)
-let sort_stream ctx ~(iop : Stream.t) ~keys =
+let sort_stream ctx ~input ~keys =
+  let schema = schema_of input in
   let positions =
     List.map
-      (fun { Plan.sort_column; descending } ->
-        (Schema.index_of iop.Stream.schema sort_column, descending))
+      (fun { Plan.sort_column; descending } -> (Schema.index_of schema sort_column, descending))
       keys
   in
   let emit =
     lazy
-      (let cols, n = drain_columns iop in
+      (let cols, n = drain ctx input in
        let keys = List.map (fun (p, descending) -> (key_column cols p n, descending)) positions in
        let compare_rows a b =
          let rec go = function
@@ -834,9 +1171,9 @@ let sort_stream ctx ~(iop : Stream.t) ~keys =
        Cost.charge_sort ctx.meter n;
        let perm = Array.init n Fun.id in
        Array.stable_sort compare_rows perm;
-       slices cols perm)
+       slices ctx cols perm)
   in
-  Stream.make ~schema:iop.Stream.schema
+  Stream.make ~schema
     ~progress:(fun () -> if Lazy.is_val emit then 1.0 else 0.0)
     (fun () -> Lazy.force emit ())
 
@@ -859,22 +1196,41 @@ let limit_stream ctx ~(iop : Stream.t) ~n =
   in
   Stream.make ~schema:iop.Stream.schema ~progress:iop.Stream.progress next_batch
 
-let aggregate_stream ctx ~plan ~(iop : Stream.t) ~group_by ~aggs =
+(* Each input batch charges its rows to the hash table and is grouped and
+   evaluated into a part; over a segment that happens in the morsels, over
+   any other input a part folds once it holds [batch_rows] rows. *)
+let aggregate_stream ctx ~plan ~input ~group_by ~aggs =
+  let spec = Agg.spec (schema_of input) ~group_by ~aggs in
   let emit =
     lazy
-      (let agg = Agg.create iop.Stream.schema ~group_by ~aggs in
-       let rec pull () =
-         match iop.Stream.next_batch () with
-         | Some vb ->
-             Cost.charge_hash_build ctx.meter (Vbatch.selected vb);
-             Agg.feed agg vb.Vbatch.cols vb.Vbatch.sel;
-             pull ()
-         | None -> ()
+      (let agg = Agg.create spec in
+       let feed meter part vb =
+         Cost.charge_hash_build meter (Vbatch.selected vb);
+         Agg.add part vb.Vbatch.cols vb.Vbatch.sel
        in
-       pull ();
+       (match input with
+       | Op iop ->
+           let rec pull part rows =
+             match iop.Stream.next_batch () with
+             | Some vb ->
+                 feed ctx.meter part vb;
+                 let rows = rows + Vbatch.selected vb in
+                 if rows < ctx.batch_rows then pull part rows
+                 else begin
+                   Agg.fold agg part;
+                   pull (Agg.part spec) 0
+                 end
+             | None -> Agg.fold agg part
+           in
+           pull (Agg.part spec) 0
+       | Seg seg ->
+           reduce_segment ctx seg ~consumer:"aggregate"
+             ~init:(fun () -> Agg.part spec)
+             ~on_batch:(fun mctx part vb -> feed mctx.meter part vb)
+             ~finish:Fun.id ~merge:(Agg.fold agg));
        let cols, n = Agg.finalize agg in
        Cost.charge_output_tuples ctx.meter n;
-       slices cols (Array.init n Fun.id))
+       slices ctx cols (Array.init n Fun.id))
   in
   Stream.make
     ~schema:(Plan.schema_of ctx.catalog plan)
@@ -1018,61 +1374,88 @@ let input_need need = function
   | Plan.Star_semijoin _ ->
       need
 
-(* Compile a plan to its operator tree, inputs in {!Plan.children} order.
-   With a recorder attached, every operator's pulls are measured into a
-   span node whose children are its inputs' nodes — so the span tree has
-   the plan's shape, guards included. *)
-let rec compile ctx need plan : Stream.t * Rq_obs.Recorder.node option =
+(* Compile a plan to its operator tree, inputs in {!Plan.children} order:
+   a sequential scan and the pipelined operators above it to a segment,
+   everything else to a stream.  With a recorder attached, every
+   operator's pulls are measured into a span node whose children are its
+   inputs' nodes — so the span tree has the plan's shape, guards
+   included. *)
+let rec compile ctx need plan : compiled * Rq_obs.Recorder.node option =
   let inputs = List.map (compile ctx (input_need need plan)) (Plan.children plan) in
+  let node =
+    Option.map
+      (fun _ -> Rq_obs.Recorder.node ~label:(Plan.node_label plan) (List.filter_map snd inputs))
+      ctx.obs
+  in
   let keep_cols = needed need in
-  let op =
+  let op o = Op (spanned ctx node o) in
+  let compiled =
     match (plan, List.map fst inputs) with
     | Plan.Scan { table; access; pred }, [] -> (
         match access with
-        | Plan.Seq_scan -> seq_scan_stream ctx ~table ~pred ~from:0 ~keep_cols
-        | Plan.Index_range probe -> index_range_stream ctx ~table ~pred ~keep_cols ~probe
+        | Plan.Seq_scan -> Seg (scan_segment ctx ~node ~table ~pred ~from:0 ~keep_cols)
+        | Plan.Index_range probe -> op (index_range_stream ctx ~table ~pred ~keep_cols ~probe)
         | Plan.Index_intersect probes ->
-            index_intersect_stream ctx ~table ~pred ~keep_cols ~probes
+            op (index_intersect_stream ctx ~table ~pred ~keep_cols ~probes)
         | Plan.Index_order { column; descending } ->
-            index_order_stream ctx ~table ~pred ~keep_cols ~column ~descending)
+            op (index_order_stream ctx ~table ~pred ~keep_cols ~column ~descending))
     | Plan.Scan_resume { table; pred; from_rid }, [] ->
-        seq_scan_stream ctx ~table ~pred ~from:from_rid ~keep_cols
-    | Plan.Materialized { schema; tuples; _ }, [] -> materialized_stream ~schema ~tuples
-    | Plan.Hash_join { build_key; probe_key; _ }, [ bop; pop ] ->
-        hash_join_stream ctx ~bop ~pop ~build_key ~probe_key
-    | Plan.Merge_join { left; right; left_key; right_key }, [ lop; rop ] ->
-        merge_join_stream ctx ~left_plan:left ~right_plan:right ~lop ~rop ~left_key ~right_key
-    | Plan.Indexed_nl_join { outer_key; inner_table; inner_key; inner_pred; _ }, [ oop ] ->
-        inl_join_stream ctx ~oop ~outer_key ~inner_table ~inner_key ~inner_pred ~keep_cols
+        Seg (scan_segment ctx ~node ~table ~pred ~from:from_rid ~keep_cols)
+    | Plan.Materialized { schema; tuples; _ }, [] -> op (materialized_stream ctx ~schema ~tuples)
+    | Plan.Hash_join { build_key; probe_key; _ }, [ build; probe ] ->
+        let bschema = schema_of build and pschema = schema_of probe in
+        let bpos = Schema.index_of bschema build_key in
+        let table = lazy (build_table ctx (drain ctx build) ~bpos) in
+        let schema = Schema.concat bschema pschema in
+        pipelined ctx ~stage:"probe" ~node
+          ~force:(fun () -> ignore (Lazy.force table))
+          ~schema probe
+          (fun c pop ->
+            probe_stream c ~table ~barity:(Schema.arity bschema)
+              ~ppos:(Schema.index_of pschema probe_key) ~schema pop)
+    | Plan.Merge_join { left = left_plan; right = right_plan; left_key; right_key }, [ left; right ]
+      ->
+        op (merge_join_stream ctx ~left_plan ~right_plan ~left ~right ~left_key ~right_key)
+    | Plan.Indexed_nl_join { outer_key; inner_table; inner_key; inner_pred; _ }, [ outer ] ->
+        op
+          (inl_join_stream ctx ~oop:(stream ctx outer) ~outer_key ~inner_table ~inner_key
+             ~inner_pred ~keep_cols)
     | Plan.Star_semijoin { fact; fact_pred; dims }, [] ->
-        star_semijoin_stream ctx ~fact ~fact_pred ~dims ~keep_cols
-    | Plan.Filter (_, pred), [ iop ] -> filter_stream ctx ~iop ~pred
-    | Plan.Project (_, cols), [ iop ] -> project_stream ctx ~iop ~cols
-    | Plan.Sort { keys; _ }, [ iop ] -> sort_stream ctx ~iop ~keys
-    | Plan.Limit (_, n), [ iop ] -> limit_stream ctx ~iop ~n
-    | Plan.Aggregate { group_by; aggs; _ }, [ iop ] ->
-        aggregate_stream ctx ~plan ~iop ~group_by ~aggs
-    | Plan.Guard { input; expected_rows; max_q_error; label }, [ iop ] ->
-        guard_stream ctx ~iop ~input_plan:input ~expected_rows ~max_q_error ~label
-    | Plan.Append _, (first :: _ as parts) -> append_stream ~schema:first.Stream.schema parts
+        op (star_semijoin_stream ctx ~fact ~fact_pred ~dims ~keep_cols)
+    | Plan.Filter (_, pred), [ input ] ->
+        let schema = schema_of input in
+        let bitmap = Chunk_scan.bitmap schema pred in
+        pipelined ctx ~stage:"filter" ~node ~schema input (fun c iop -> filter_stream c ~bitmap iop)
+    | Plan.Project (_, cols), [ input ] ->
+        let ischema = schema_of input in
+        let positions = Array.of_list (List.map (Schema.index_of ischema) cols) in
+        let schema = Schema.project ischema cols in
+        pipelined ctx ~stage:"project" ~node ~schema input (fun c iop ->
+            project_stream c ~positions ~schema iop)
+    | Plan.Sort { keys; _ }, [ input ] -> op (sort_stream ctx ~input ~keys)
+    | Plan.Limit (_, n), [ input ] -> op (limit_stream ctx ~iop:(stream ctx input) ~n)
+    | Plan.Aggregate { group_by; aggs; _ }, [ input ] ->
+        op (aggregate_stream ctx ~plan ~input ~group_by ~aggs)
+    | Plan.Guard { input = input_plan; expected_rows; max_q_error; label }, [ input ] ->
+        op
+          (guard_stream ctx ~iop:(stream ctx input) ~input_plan ~expected_rows ~max_q_error
+             ~label)
+    | Plan.Append _, (first :: _ as parts) ->
+        op (append_stream ~schema:(schema_of first) (List.map (stream ctx) parts))
     | Plan.Append _, [] -> invalid_arg "Executor: Append needs at least one input"
     | _ -> assert false (* [Plan.children] fixes each node's input count *)
   in
-  match ctx.obs with
-  | None -> (op, None)
-  | Some _ ->
-      let node =
-        Rq_obs.Recorder.node ~label:(Plan.node_label plan) (List.filter_map snd inputs)
-      in
-      (spanned ctx node op, Some node)
+  (compiled, node)
 
-let run ?obs ?morsels catalog meter plan =
-  let ctx = { catalog; meter; obs; morsels } in
-  let op, span = compile ctx All plan in
+let run ?obs ?morsels ?(batch_rows = batch_rows) catalog meter plan =
+  if batch_rows < 1 then invalid_arg "Stream_exec.run: batch_rows must be >= 1";
+  let ctx = { catalog; meter; obs; morsels; batch_rows; log = None } in
+  let compiled, span = compile ctx All plan in
   let attach () =
     match (ctx.obs, span) with
     | Some r, Some node -> Rq_obs.Recorder.attach r node
     | _ -> ()
   in
+  let op = stream ctx compiled in
   let tuples = Fun.protect ~finally:attach (fun () -> drain_all op) in
   { Exec_common.schema = op.Stream.schema; tuples }

@@ -56,14 +56,6 @@ let gather col idx k =
     dst
   end
 
-let compact t =
-  let k = selected t in
-  if k = t.n_rows && Array.for_all (fun col -> pruned col || Array.length col = k) t.cols
-  then t
-  else
-    let idx = selected_rows t in
-    { cols = Array.map (fun col -> gather col idx k) t.cols; n_rows = k; sel = Bitset.full k }
-
 let to_tuples t =
   let k = selected t in
   let arity = Array.length t.cols in

@@ -34,14 +34,12 @@ val of_chunk : Chunk.t -> keep:bool array -> sel:Bitset.t -> t
     pruned and never forced; [keep] has one entry per column and [sel]
     length [Chunk.n_rows]. *)
 
+val selected_rows : t -> int array
+(** Physical indices of the selected rows, ascending. *)
+
 val gather : Value.t array -> int array -> int -> Value.t array
 (** [gather col idx k] is the fresh column [col.(idx.(j))] for
     [0 <= j < k], with [k >= 1]; a pruned [col] stays pruned. *)
-
-val compact : t -> t
-(** The same logical rows with every live column exactly the selected
-    rows, full selection; the batch itself when it already is.  Pruned
-    columns stay pruned. *)
 
 val to_tuples : t -> Relation.tuple array
 (** Materialize the selected rows as fresh tuples, ascending — the late

@@ -26,17 +26,20 @@ let create () = { scope = None; roots_rev = []; events_rev = [] }
 let node ~label children : node =
   { label; rows = 0; aborted = false; total = Metrics.zero; children_rev = List.rev children }
 
+let credit (n : node) ?(aborted = false) ~rows delta =
+  n.total <- Metrics.add n.total delta;
+  n.rows <- n.rows + rows;
+  if aborted then n.aborted <- true
+
 let measure (n : node) ~meter ~rows f =
   let before = meter () in
-  let add () = n.total <- Metrics.add n.total (Metrics.sub (meter ()) before) in
+  let delta () = Metrics.sub (meter ()) before in
   match f () with
   | r ->
-      add ();
-      n.rows <- n.rows + rows r;
+      credit n ~rows:(rows r) (delta ());
       r
   | exception e ->
-      add ();
-      n.aborted <- true;
+      credit n ~aborted:true ~rows:0 (delta ());
       raise e
 
 (* The one place a span's self-accounting is computed. *)

@@ -43,6 +43,13 @@ val measure : node -> meter:(unit -> Metrics.t) -> rows:('a -> int) -> (unit -> 
     happened and stays on the bill), [n] is marked aborted, and the
     exception propagates. *)
 
+val credit : node -> ?aborted:bool -> rows:int -> Metrics.t -> unit
+(** [credit n ~rows delta] adds one window's counter delta and rows to
+    [n], as {!measure} does; [~aborted:true] marks the window as ended by
+    an exception.  A pipeline that ran on another domain charged a log,
+    not the meter; replaying the log into the meter, the consumer credits
+    each operator's windows with this. *)
+
 val attach : t -> node -> unit
 (** Hand a finished node tree to the recorder: it becomes a child of the
     node whose {!scope} is running, if any, otherwise a root span. *)

@@ -8,7 +8,7 @@
    Inserting a newly-loaded chunk while the pool is at capacity evicts the
    least-recently-unpinned resident chunk.
 
-   All operations are mutex-protected: the morsel prefetch pins chunks from
+   All operations are mutex-protected: morsel workers pin chunks from
    several domains at once.  Hit/miss/eviction counters are
    schedule-dependent under that concurrency (which domain faults a chunk
    in first is a race), so they are *not* part of the deterministic cost

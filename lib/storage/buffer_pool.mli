@@ -5,8 +5,8 @@
     to the LRU recency list, where an insert at capacity evicts the
     least-recently-unpinned chunk.  Pinned chunks are never evicted.
 
-    All operations are mutex-protected (the morsel prefetch pins from
-    several domains).  Hit/miss/eviction counters are therefore
+    All operations are mutex-protected (morsel workers pin from several
+    domains).  Hit/miss/eviction counters are therefore
     schedule-dependent and deliberately kept out of the deterministic
     cost-parity counters; they surface via {!stats} into the end-to-end
     benchmark's [buffer_pool.*] metrics. *)

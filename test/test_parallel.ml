@@ -1,10 +1,12 @@
 (* Morsel-parallel execution suite: the domain pool's claiming discipline
    (in-order results, smallest-index failure wins), exact parity
-   of the prefetching parallel executor with the serial engine — result
+   of the per-morsel parallel executor with the serial engine — result
    tuples and every cost counter, at every pool size — the morsel
    schedule's simulated makespan (at least 2.5x at 4 domains on the TPC-H
    SF 0.01 lineitem scan), the parallel guard's firing with an
-   exactly-resumable prefix, span/meter reconciliation under a recorder,
+   exactly-resumable prefix, span/meter reconciliation under a recorder
+   and span totals equal node for node, float aggregates and group order
+   folded in row order, probes and aggregate evaluation inside morsels,
    and a multi-domain stress in which every domain owns one plan cache
    (every step picks the serial replay's plan) and its own world, so its
    own synopses' evidence-kernel bitmaps. *)
@@ -285,6 +287,202 @@ let test_parallel_obs_reconciles () =
         [ ("scan", scan "lineitems"); ("join", join); ("limit", Plan.Limit (join, 500)) ])
 
 (* ------------------------------------------------------------------ *)
+(* Per-morsel pipelines                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A float column whose first value is 1e16 and every other value 1.0, and
+   a scattered group key: four morsels (one 5456-row chunk each) at the
+   default batch size.  In row order every 1.0 after the 1e16 rounds away;
+   summed per morsel first, the later morsels' 1.0s survive. *)
+let readings_rows = 20_000
+
+let readings_x i = if i = 0 then 1e16 else 1.0
+let readings_g i = i * 7919 mod 3000
+
+let readings () =
+  let catalog = Catalog.create () in
+  Catalog.add_table catalog ~primary_key:"r_id"
+    (Relation.create ~name:"readings"
+       ~schema:
+         (Schema.create
+            [
+              { Schema.name = "r_id"; ty = Value.T_int };
+              { Schema.name = "r_g"; ty = Value.T_int };
+              { Schema.name = "r_x"; ty = Value.T_float };
+            ])
+       (Array.init readings_rows (fun i ->
+            [| v_int i; v_int (readings_g i); Value.Float (readings_x i) |])));
+  catalog
+
+let aggregate ?(group_by = []) aggs =
+  Plan.Aggregate
+    {
+      input = scan "readings";
+      group_by;
+      aggs = List.map (fun (fn, output_name) -> { Plan.fn; output_name }) aggs;
+    }
+
+(* Serial, then Parallel at 1, 2 and 4 domains. *)
+let every_engine catalog plan =
+  ("serial", Executor.run catalog (Cost.create ()) plan)
+  :: List.map
+       (fun domains ->
+         let par = Parallel.create ~domains () in
+         Fun.protect
+           ~finally:(fun () -> Parallel.shutdown par)
+           (fun () ->
+             (Printf.sprintf "%d domains" domains, Parallel.run par catalog (Cost.create ()) plan)))
+       [ 1; 2; 4 ]
+
+let bits = function Value.Float x -> Int64.bits_of_float x | _ -> Alcotest.fail "not a float"
+
+(* Planted fault caught: merging per-morsel partial sums instead of
+   folding every row in order gives 1e16 + 15008 here, not 1e16. *)
+let test_float_sum_in_row_order () =
+  let catalog = readings () in
+  let sum = ref 0.0 in
+  for i = 0 to readings_rows - 1 do
+    sum := !sum +. readings_x i
+  done;
+  let avg = !sum /. float_of_int readings_rows in
+  let plan = aggregate [ (Plan.Sum (Expr.col "readings.r_x"), "s"); (Plan.Avg (Expr.col "readings.r_x"), "a") ] in
+  List.iter
+    (fun (engine, res) ->
+      match res.Executor.tuples with
+      | [| [| s; a |] |] ->
+          Alcotest.(check int64) (engine ^ ": SUM bits = the row-order fold's") (Int64.bits_of_float !sum) (bits s);
+          Alcotest.(check int64) (engine ^ ": AVG bits = the row-order fold's") (Int64.bits_of_float avg) (bits a)
+      | _ -> Alcotest.fail (engine ^ ": expected one row"))
+    (every_engine catalog plan)
+
+(* Planted fault caught: entering a morsel's groups into the global table
+   in its local hash-fold order rather than their first-appearance order
+   reorders the keys that share a bucket. *)
+let test_group_order () =
+  let catalog = readings () in
+  let plan =
+    aggregate ~group_by:[ "readings.r_g" ]
+      [ (Plan.Count_star, "n"); (Plan.Sum (Expr.col "readings.r_x"), "s") ]
+  in
+  (* The output contract: keys enter a 64-bucket table in first-appearance
+     order, and rows come out in the reverse of its fold order. *)
+  let table = Hashtbl.create 64 in
+  for i = 0 to readings_rows - 1 do
+    let key = [ v_int (readings_g i) ] in
+    if not (Hashtbl.mem table key) then Hashtbl.add table key ()
+  done;
+  let expected = Hashtbl.fold (fun key () acc -> List.hd key :: acc) table [] in
+  List.iter
+    (fun (engine, res) ->
+      Alcotest.(check bool)
+        (engine ^ ": groups in the first-appearance table's order")
+        true
+        (Array.to_list (Array.map (fun row -> row.(0)) res.Executor.tuples) = expected))
+    (every_engine catalog plan)
+
+let spans_of run =
+  let obs = Rq_obs.Recorder.create () in
+  (match run obs with _ -> () | exception Executor.Guard_violation _ -> ());
+  List.concat_map Rq_obs.Recorder.flatten (Rq_obs.Recorder.roots obs)
+
+let rec subplans plan = plan :: List.concat_map subplans (Plan.children plan)
+
+(* A span's rows and integer counters, as [Metrics.pp] prints them with
+   the float fields dropped. *)
+let counts (m : Rq_obs.Metrics.t) rows =
+  ( rows,
+    [ m.seq_pages; m.random_pages; m.pages_skipped; m.cpu_tuples; m.index_probes;
+      m.index_entries; m.hash_build; m.hash_probe; m.merge_tuples; m.sort_tuples;
+      m.output_tuples ] )
+
+(* Every span equals the serial run's node for node; and where every
+   operator drains its input, each span holds exactly what its subplan
+   charges and returns when run alone — a reference the segment replay
+   does not share.  Planted fault caught: crediting every replayed charge
+   to the segment's top operator leaves the scan and the operators under
+   it empty. *)
+let test_spans_node_for_node () =
+  let catalog = fixture () in
+  let plans =
+    [
+      ("aggregate over join", List.assoc "aggregate over join" parity_plans);
+      ("limit over join", Plan.Limit (join, 500));
+      ("sort over scan", List.assoc "sort over scan" parity_plans);
+      ( "filtered projection",
+        Plan.Project
+          ( Plan.Filter (zone_band, Pred.le (Expr.col "lineitems.l_qty") (Expr.int 25)),
+            [ "lineitems.l_id" ] ) );
+      ( "guard fires",
+        Plan.Guard
+          { input = scan "lineitems"; expected_rows = 4.0; max_q_error = 2.0; label = "t" } );
+    ]
+  in
+  List.iter
+    (fun (name, plan) ->
+      let serial = spans_of (fun obs -> Executor.run ~obs catalog (Cost.create ()) plan) in
+      List.iter
+        (fun domains ->
+          let par = Parallel.create ~domains () in
+          Fun.protect
+            ~finally:(fun () -> Parallel.shutdown par)
+            (fun () ->
+              let spans = spans_of (fun obs -> Parallel.run ~obs par catalog (Cost.create ()) plan) in
+              check_int (Printf.sprintf "%s: span count at %d domains" name domains)
+                (List.length serial) (List.length spans);
+              List.iter2
+                (fun (a : Rq_obs.Recorder.span) (b : Rq_obs.Recorder.span) ->
+                  check_bool
+                    (Printf.sprintf "%s: %s at %d domains = serial" name a.label domains)
+                    true
+                    (a.label = b.label && a.rows = b.rows && a.aborted = b.aborted
+                    && a.total = b.total))
+                serial spans))
+        [ 2; 4 ];
+      if not (List.mem name [ "limit over join"; "guard fires" ]) then
+        List.iter2
+          (fun (span : Rq_obs.Recorder.span) sub ->
+            let meter = Cost.create () in
+            let alone = Executor.run catalog meter sub in
+            check_bool
+              (Printf.sprintf "%s: %s = its subplan run alone" name span.label)
+              true
+              (counts span.total span.rows
+              = counts (Cost.snapshot meter) (Array.length alone.Executor.tuples)))
+          serial (subplans plan))
+    plans
+
+(* Planted fault caught: ending segments at the scan leaves the probe and
+   the aggregate's per-row work out of the morsels. *)
+let test_segments_run_in_morsels () =
+  let catalog = fixture () in
+  let par = Parallel.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Parallel.shutdown par)
+    (fun () ->
+      let _, report =
+        Parallel.run_report par catalog (Cost.create ()) (List.assoc "aggregate over join" parity_plans)
+      in
+      let ran stages = Array.fold_left (fun n s -> if s = stages then n + 1 else n) 0 report.Parallel.morsel_stages in
+      let probe_morsels = ran [ "scan"; "probe"; "aggregate" ] in
+      check_int "one build morsel: orders' scan compacted for the hash table" 1
+        (ran [ "scan"; "compact" ]);
+      check_bool "several morsels ran scan, probe and aggregate" true (probe_morsels > 1);
+      check_int "every other morsel did" (report.Parallel.morsels - 1) probe_morsels;
+      (* Early exit: a LIMIT or a guard over a scan stops at the serial
+         engine's batch, however many morsels ran ahead. *)
+      let meter = Cost.create () in
+      ignore (Parallel.run par catalog meter (Plan.Limit (scan "lineitems", 10)));
+      check_int "LIMIT 10 pays for one batch and ten rows" (Stream_exec.batch_rows + 10)
+        (Cost.snapshot meter).Cost.cpu_tuples;
+      match
+        Parallel.run par catalog (Cost.create ())
+          (Plan.Guard { input = scan "lineitems"; expected_rows = 4.0; max_q_error = 2.0; label = "t" })
+      with
+      | _ -> Alcotest.fail "guard should have fired"
+      | exception Executor.Guard_violation v ->
+          check_int "the guard fires on the first batch" Stream_exec.batch_rows v.Executor.actual_rows)
+
+(* ------------------------------------------------------------------ *)
 (* Per-domain plan caches + evidence kernels under domains             *)
 (* ------------------------------------------------------------------ *)
 
@@ -393,6 +591,16 @@ let () =
         [
           Alcotest.test_case "spans reconcile with the meter" `Quick
             test_parallel_obs_reconciles;
+          Alcotest.test_case "span totals = serial, node for node" `Quick
+            test_spans_node_for_node;
+        ] );
+      ( "pipelines",
+        [
+          Alcotest.test_case "float SUM and AVG fold in row order" `Quick
+            test_float_sum_in_row_order;
+          Alcotest.test_case "GROUP BY order is domain-independent" `Quick test_group_order;
+          Alcotest.test_case "probe and aggregate run in morsels" `Quick
+            test_segments_run_in_morsels;
         ] );
       ( "sharded",
         [

@@ -137,7 +137,7 @@ let star_dim i =
   }
 
 (* Index scans, merge and indexed-NL joins, the star semijoin and sort
-   build rows themselves; scans feed them through the morsel prefetch. *)
+   build rows themselves; scans feed them as per-morsel segments. *)
 let plan_families () =
   let catalog = chain_catalog () in
   let star = star_catalog () in
@@ -917,9 +917,11 @@ let outcomes_agree ~label (a, asnap) (b, bsnap) =
   else true
 
 (* The serial run on the first store, then every (store, pool capacity,
-   serial or domains) point. *)
-let invariant pools ~label stores plan =
-  let serial = outcome_of (fun meter -> Executor.run (snd (List.hd stores)) meter plan) in
+   serial or domains) point, all at [batch_rows]. *)
+let invariant ?(batch_rows = Stream_exec.batch_rows) pools ~label stores plan =
+  let serial_at catalog = outcome_of (fun meter -> Stream_exec.run ~batch_rows catalog meter plan) in
+  let label = Printf.sprintf "%s, batch %d" label batch_rows in
+  let serial = serial_at (snd (List.hd stores)) in
   let pool_sizes =
     [
       Page.pages_per_chunk;
@@ -932,14 +934,13 @@ let invariant pools ~label stores plan =
         (fun pages ->
           with_pool_pages pages (fun () ->
               let at what = Printf.sprintf "%s, %s store, %s, %d-page pool" label store what pages in
-              outcomes_agree ~label:(at "serial") serial
-                (outcome_of (fun meter -> Executor.run catalog meter plan))
+              outcomes_agree ~label:(at "serial") serial (serial_at catalog)
               && List.for_all
                    (fun par ->
                      outcomes_agree
                        ~label:(at (Printf.sprintf "%d domains" (Parallel.domains par)))
                        serial
-                       (outcome_of (fun meter -> Parallel.run par catalog meter plan)))
+                       (outcome_of (fun meter -> Parallel.run ~batch_rows par catalog meter plan)))
                    pools))
         pool_sizes)
     stores
@@ -948,16 +949,60 @@ let with_pools f =
   let pools = List.map (fun domains -> Parallel.create ~domains ()) [ 1; 2; 4 ] in
   Fun.protect ~finally:(fun () -> List.iter Parallel.shutdown pools) (fun () -> f pools)
 
+(* Batch sizes of one row, a few rows, and the default. *)
+let batch_sizes = [ 1; 7; Stream_exec.batch_rows ]
+
+(* Where an operator stops early — a satisfied [Limit], a guard — depends
+   on the batch size by design, and so do its counters. *)
+let rec stops_early = function
+  | Plan.Limit _ | Plan.Guard _ -> true
+  | plan -> List.exists stops_early (Plan.children plan)
+
+(* Across batch sizes, an unguarded plan returns the same rows, and one
+   that never stops early moves every integer counter alike. *)
+let sizes_agree ~label plan outcomes =
+  let counters (s : Cost.snapshot) =
+    [ s.seq_pages; s.random_pages; s.pages_skipped; s.cpu_tuples; s.index_probes;
+      s.index_entries; s.hash_build; s.hash_probe; s.merge_tuples; s.sort_tuples;
+      s.output_tuples ]
+  in
+  match outcomes with
+  | [] -> true
+  | (b0, (o0, s0)) :: rest ->
+      List.for_all
+        (fun (b, (o, s)) ->
+          match (o0, o) with
+          | Rows r0, Rows r when r0.Executor.tuples <> r.Executor.tuples ->
+              QCheck.Test.fail_reportf "%s: rows differ at batch %d and %d" label b0 b
+          | Rows _, Rows _ when (not (stops_early plan)) && counters s0 <> counters s ->
+              QCheck.Test.fail_reportf "%s: counters differ at batch %d and %d\n%s\n%s" label b0
+                b
+                (Format.asprintf "%a" Rq_obs.Metrics.pp s0)
+                (Format.asprintf "%a" Rq_obs.Metrics.pp s)
+          | Rows _, Rows _ -> true
+          | _ -> stops_early plan || QCheck.Test.fail_reportf "%s: a guard fired" label)
+        rest
+
 let invariance_law =
-  QCheck.Test.make ~name:"parallel = serial at every domain count and pool size" ~count:48
+  QCheck.Test.make
+    ~name:"parallel = serial at every domain count, pool size and batch size" ~count:48
     (QCheck.make ~print:render_vec_case gen_vec_case)
     (fun c ->
       let stores = vec_case_catalogs c in
       let plan = vec_case_plan c in
+      let label = render_vec_case c in
       (match Plan.validate (snd (List.hd stores)) plan with
       | Ok () -> ()
       | Error msg -> QCheck.Test.fail_reportf "generator produced invalid plan: %s" msg);
-      with_pools (fun pools -> invariant pools ~label:(render_vec_case c) stores plan))
+      with_pools (fun pools ->
+          List.for_all (fun batch_rows -> invariant ~batch_rows pools ~label stores plan) batch_sizes)
+      && sizes_agree ~label plan
+           (List.map
+              (fun batch_rows ->
+                ( batch_rows,
+                  outcome_of (fun meter ->
+                      Stream_exec.run ~batch_rows (snd (List.hd stores)) meter plan) ))
+              batch_sizes))
 
 (* The named boundary shapes. *)
 let edge_cases =
