@@ -267,7 +267,8 @@ let fetcher ctx table ~schema ~pred ~keep_cols =
    A segment feeding a breaker dispatches all its morsels in one
    {!Domain_pool.iter}; one under a consumer that may stop early — the
    root, [Limit], [Guard], a join's outer side, [Append] — dispatches a
-   window of [Domain_pool.size] morsels at a time, and a morsel whose
+   window of [Domain_pool.size] morsels at a time (without a pool, one
+   morsel, run batch by batch as the consumer pulls), and a morsel whose
    batches are never pulled charges nothing.  Counters, guard fire
    points and resume positions therefore cannot depend on the pool.
 
@@ -433,39 +434,62 @@ let pipelined ctx ~stage ~node ?(force = ignore) ~schema input f =
           pipe = (fun mctx op -> spanned mctx node (f mctx (seg.pipe mctx op)));
         }
 
-(* Run one morsel of [seg] over fresh operators, handing each output batch
-   and the scan position after it to [on_batch]; an exception ends the
-   log.  Without the windows the consumer opens and closes itself, the
-   log starts with as many [Enter]s as the segment has spanned operators
-   and a completed one ends with as many [Exit]s. *)
+(* Start one morsel of [seg] over fresh operators, its events handed to
+   [sink]: [pull ()] runs the segment to its next output batch and
+   returns it with the scan position after it, or [None] once the morsel
+   is done. *)
+let start_morsel ctx seg tasks sink =
+  let mctx =
+    { ctx with meter = Cost.recording (fun c -> sink (Charge c)); morsels = None; log = Some sink }
+  in
+  let scan, pos = scan_stream mctx seg.scan tasks in
+  let op = seg.pipe mctx scan in
+  (mctx, fun () -> Option.map (fun vb -> (vb, !pos)) (op.Stream.next_batch ()))
+
+(* A morsel's events for [emit], less the windows the consumer opens and
+   closes itself: the first [Enter] of each spanned operator and, once
+   [completed] is called, the last [Exit] of each.  Exits are held back
+   until another event follows, so the last ones can still be dropped. *)
+let trimmed seg emit =
+  let depth = List.length (List.filter (fun l -> Option.is_some l.node) seg.links) in
+  let entered = ref 0 and held = ref [] in
+  let flush () =
+    List.iter emit (List.rev !held);
+    held := []
+  in
+  let sink = function
+    | _ when !entered < depth -> incr entered
+    | Exit _ as e -> held := e :: !held
+    | e ->
+        flush ();
+        emit e
+  in
+  let completed () =
+    held := List.filteri (fun i _ -> i >= depth) !held;
+    flush ()
+  in
+  (sink, completed)
+
+(* Run one morsel of [seg] to its end, handing each output batch and the
+   scan position after it to [on_batch], and return its trimmed log; an
+   exception ends the log. *)
 let run_morsel ctx seg tasks ~on_batch =
   let events = ref [] in
-  let log e = events := e :: !events in
-  let mctx =
-    { ctx with meter = Cost.recording (fun c -> log (Charge c)); morsels = None; log = Some log }
-  in
-  let completed =
-    match
-      let scan, pos = scan_stream mctx seg.scan tasks in
-      let op = seg.pipe mctx scan in
-      let rec go () =
-        match op.Stream.next_batch () with
-        | Some vb ->
-            on_batch mctx vb !pos;
-            go ()
-        | None -> ()
-      in
-      go ()
-    with
-    | () -> true
-    | exception e ->
-        log (Raise (e, Printexc.get_raw_backtrace ()));
-        false
-  in
-  let events = Array.of_list (List.rev !events) in
-  let depth = List.length (List.filter (fun l -> Option.is_some l.node) seg.links) in
-  let hi = Array.length events - if completed then depth else 0 in
-  Array.sub events depth (hi - depth)
+  let sink, completed = trimmed seg (fun e -> events := e :: !events) in
+  (match
+     let mctx, pull = start_morsel ctx seg tasks sink in
+     let rec go () =
+       match pull () with
+       | Some (vb, p) ->
+           on_batch mctx vb p;
+           go ()
+       | None -> ()
+     in
+     go ()
+   with
+  | () -> completed ()
+  | exception e -> sink (Raise (e, Printexc.get_raw_backtrace ())));
+  Array.of_list (List.rev !events)
 
 (* Run tasks [0, count) and hand each result to [consume] in index order,
    as soon as it is ready: on the pool, the consumer works while the
@@ -587,16 +611,61 @@ let drain_segment ctx seg =
         (fun _ () -> ());
       (cols, n)
 
-(* A segment as a stream, a window of morsels at a time. *)
+(* A segment as a stream.  On the pool, a window of morsels runs at a
+   time and each finished log is replayed up to its next [Emit] as the
+   consumer pulls; inline, one morsel runs at a time, up to its next batch
+   per pull, its events applied as they happen, so a consumer that stops
+   early stops the morsel too. *)
 let segment_stream ctx seg =
   let r = { into = ctx.meter; windows = [] } in
   let sc = seg.scan in
   let n = Relation.row_count sc.rel in
-  let window = match ctx.morsels with None -> 1 | Some ms -> Domain_pool.size ms.pool in
   let groups = sc.groups in
+  let emit mctx vb p = Option.iter (fun log -> log (Emit (vb, p))) mctx.log in
+  let replay events cell =
+    let at = ref 0 in
+    let rec pull () =
+      if !at >= Array.length events then None
+      else begin
+        let ev = events.(!at) in
+        incr at;
+        match ev with Emit (vb, p) -> Some (vb, p) | ev -> apply r cell ev; pull ()
+      end
+    in
+    pull
+  in
+  let live tasks cell =
+    let sink, completed = trimmed seg (apply r cell) in
+    let mctx, pull = start_morsel ctx seg tasks sink in
+    fun () ->
+      match pull () with
+      | Some (vb, p) as b ->
+          emit mctx vb p;
+          b
+      | None ->
+          completed ();
+          None
+      | exception e ->
+          (* applying [Raise] re-raises it, after the held exits *)
+          sink (Raise (e, Printexc.get_raw_backtrace ()));
+          None
+  in
   let dispatched = ref 0 in
   let ready = Queue.create () in
-  let events = ref [||] and at = ref 0 and cell = ref (ref 0.0) in
+  let dispatch () =
+    let first = !dispatched in
+    match ctx.morsels with
+    | None ->
+        Queue.push (live groups.(first) (cells ctx seg ~consumer:[] 1).(0)) ready;
+        dispatched := first + 1
+    | Some ms ->
+        let count = min (Domain_pool.size ms.pool) (Array.length groups - first) in
+        let cs = cells ctx seg ~consumer:[] count in
+        each_task ctx count
+          (fun k -> run_morsel ctx seg groups.(first + k) ~on_batch:emit)
+          (fun k events -> Queue.push (replay events cs.(k)) ready);
+        dispatched := first + count
+  in
   let started = ref false and finished = ref false in
   let pos = ref sc.from in
   let rec next_batch () =
@@ -606,42 +675,24 @@ let segment_stream ctx seg =
       open_segment r seg;
       next_batch ()
     end
-    else if !at < Array.length !events then begin
-      let ev = !events.(!at) in
-      incr at;
-      match ev with
-      | Emit (vb, p) ->
-          pos := p;
-          Some vb
-      | ev ->
-          apply r !cell ev;
+    else
+      match Queue.peek_opt ready with
+      | Some pull -> (
+          match pull () with
+          | Some (vb, p) ->
+              pos := p;
+              Some vb
+          | None ->
+              let (_ : unit -> _) = Queue.pop ready in
+              next_batch ())
+      | None when !dispatched < Array.length groups ->
+          dispatch ();
           next_batch ()
-    end
-    else if not (Queue.is_empty ready) then begin
-      let evs, c = Queue.pop ready in
-      events := evs;
-      at := 0;
-      cell := c;
-      next_batch ()
-    end
-    else if !dispatched < Array.length groups then begin
-      let first = !dispatched in
-      let count = min window (Array.length groups - first) in
-      let cs = cells ctx seg ~consumer:[] count in
-      each_task ctx count
-        (fun k ->
-          run_morsel ctx seg groups.(first + k) ~on_batch:(fun mctx vb p ->
-              Option.iter (fun log -> log (Emit (vb, p))) mctx.log))
-        (fun k evs -> Queue.push (evs, cs.(k)) ready);
-      dispatched := first + count;
-      next_batch ()
-    end
-    else begin
-      finished := true;
-      close_segment r seg;
-      pos := n;
-      None
-    end
+      | None ->
+          finished := true;
+          close_segment r seg;
+          pos := n;
+          None
   in
   let resume =
     match seg.links with
