@@ -7,7 +7,7 @@
    Page charges telescope exactly: a task's pages are counted from the
    page containing its first row to the page containing its last, so
    summing over tasks gives [Relation.page_count] for a fresh scan and
-   [Exec_common.resume_pages] for a resume — whether or not chunks in
+   [resume_pages] for a resume — whether or not chunks in
    between are skipped (chunk boundaries are page-aligned by
    construction). *)
 
@@ -22,6 +22,14 @@ type task = {
 }
 
 let pages_upto rpp pos = if pos = 0 then 0 else ((pos - 1) / rpp) + 1
+
+(* Page geometry of a scan resumed at [from]: the remainder re-reads the
+   page the split point sits in (it was genuinely fetched twice), then the
+   untouched tail.  [resume_pages rel ~from:0] equals [page_count rel]. *)
+let resume_pages rel ~from =
+  let rows = Relation.row_count rel in
+  if from >= rows then 0
+  else Relation.page_count rel - (from / Relation.rows_per_page rel)
 
 let tasks ?(from = 0) rel pred =
   let rows = Relation.row_count rel in

@@ -20,11 +20,16 @@ type task = {
 val pages_upto : int -> int -> int
 (** [pages_upto rows_per_page pos]: pages covering RIDs [0, pos). *)
 
+val resume_pages : Relation.t -> from:int -> int
+(** Sequential pages a scan resumed at RID [from] reads: 0 when nothing
+    remains, [page_count] when [from = 0], and one page of overlap when
+    [from] falls mid-page (that page really is read twice). *)
+
 val tasks : ?from:int -> Relation.t -> Pred.t -> task list
 (** In chunk order.  Page charges telescope: they sum to
     [Relation.page_count] for a fresh scan and to
-    [Exec_common.resume_pages] when resuming from [from] (the split page
-    is re-read, as before).  [Pred.True] never consults zone maps. *)
+    {!resume_pages} when resuming from [from] (the split page is
+    re-read, as before).  [Pred.True] never consults zone maps. *)
 
 val totals : ?from:int -> Relation.t -> Pred.t -> int * int * int
 (** [(read_pages, skipped_pages, read_rows)] of {!tasks} — the

@@ -1,6 +1,6 @@
 (* Morsel-driven parallel execution: the streaming engine with its
    segments' morsels on a domain pool.  The plan runs through
-   {!Stream_exec.run}; each sequential scan and the pipelined operators
+   {!Executor.run}; each sequential scan and the pipelined operators
    above it (filter, project, hash-join probe), plus the per-row work of
    the breaker or aggregate it feeds, run one morsel at a time on the
    pool's workers against recording meters, and the consumer replays
@@ -23,17 +23,17 @@ type report = {
 }
 
 let run_report ?obs ?batch_rows t catalog meter plan =
-  let morsels = Stream_exec.morsels t.pool in
+  let morsels = Executor.morsels t.pool in
   let before = Cost.seconds meter in
-  let res = Stream_exec.run ?obs ~morsels ?batch_rows catalog meter plan in
+  let res = Executor.run ?obs ~morsels ?batch_rows catalog meter plan in
   let total = Cost.seconds meter -. before in
-  let morsel_seconds = Array.of_list (List.rev_map ( ! ) morsels.Stream_exec.charged) in
+  let morsel_seconds = Array.of_list (List.rev_map ( ! ) morsels.Executor.charged) in
   let parallel = Array.fold_left ( +. ) 0.0 morsel_seconds in
   ( res,
     {
       morsels = Array.length morsel_seconds;
       morsel_seconds;
-      morsel_stages = Array.of_list (List.rev morsels.Stream_exec.stages);
+      morsel_stages = Array.of_list (List.rev morsels.Executor.stages);
       serial_seconds = Float.max 0.0 (total -. parallel);
       total_seconds = total;
     } )

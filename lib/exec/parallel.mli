@@ -1,6 +1,6 @@
 (** Morsel-driven parallel execution on OCaml 5 domains.
 
-    {!run} is {!Stream_exec.run} with its segments' morsels on the
+    {!run} is {!Executor.run} with its segments' morsels on the
     executor's {!Domain_pool}.  A segment is a sequential (or resumed)
     scan and the filters, projections and hash-join probes above it; a
     worker runs one morsel of it, a chunk-aligned row range, end to end,
@@ -32,10 +32,10 @@ val run :
   Catalog.t ->
   Cost.t ->
   Plan.t ->
-  Exec_common.result
+  Executor.result
 (** Execute the plan, charging the meter exactly as {!Executor.run} does.
-    Raises {!Exec_common.Guard_violation} when a guard fires.
-    [batch_rows] is {!Stream_exec.run}'s. *)
+    Raises {!Executor.Guard_violation} when a guard fires.
+    [batch_rows] is {!Executor.run}'s. *)
 
 type report = {
   morsels : int;           (** morsels dispatched to the pool *)
@@ -43,7 +43,7 @@ type report = {
       (** per-morsel simulated seconds: what each morsel's replayed log
           charges, in dispatch order *)
   morsel_stages : string list array;
-      (** per-morsel work, in dispatch order (see {!Stream_exec.morsels}) *)
+      (** per-morsel work, in dispatch order (see {!Executor.morsels}) *)
   serial_seconds : float;  (** simulated seconds charged outside morsels *)
   total_seconds : float;   (** the meter's movement across the whole run *)
 }
@@ -55,7 +55,7 @@ val run_report :
   Catalog.t ->
   Cost.t ->
   Plan.t ->
-  Exec_common.result * report
+  Executor.result * report
 (** {!run} plus the morsel-level timing decomposition that {!makespan}
     schedules. *)
 

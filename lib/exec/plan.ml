@@ -44,7 +44,8 @@ type t =
   | Materialized of {
       name : string;
       schema : Schema.t;
-      tuples : Value.t array array;
+      cols : Value.t array array;
+      n_rows : int;
       refs : (string * Pred.t) list;
     }
   | Append of t list
@@ -228,10 +229,11 @@ let validate catalog plan =
         if max_q_error < 1.0 then fail "guard max_q_error must be >= 1.0"
         else if expected_rows < 0.0 then fail "guard expected_rows must be >= 0"
         else go input
-    | Materialized { schema; tuples; _ } ->
-        let width = List.length (Schema.columns schema) in
-        if Array.exists (fun tup -> Array.length tup <> width) tuples then
-          fail "materialized tuples do not match schema width"
+    | Materialized { schema; cols; n_rows; _ } ->
+        if Array.length cols <> Schema.arity schema then
+          fail "materialized columns do not match schema width"
+        else if Array.exists (fun col -> Array.length col <> n_rows) cols then
+          fail "materialized column lengths do not match its %d rows" n_rows
         else Ok ()
     | Scan_resume { table; pred = _; from_rid } -> (
         match Catalog.find_table_opt catalog table with
@@ -344,8 +346,8 @@ let rec pp_indented fmt depth plan =
       Format.fprintf fmt "Guard expect ~%.1f rows, max q-error %.1f@." expected_rows
         max_q_error;
       pp_indented fmt (depth + 1) input
-  | Materialized { name; tuples; _ } ->
-      Format.fprintf fmt "Materialized(%s: %d rows)@." name (Array.length tuples)
+  | Materialized { name; n_rows; _ } ->
+      Format.fprintf fmt "Materialized(%s: %d rows)@." name n_rows
   | Scan_resume { table; pred; from_rid } ->
       Format.fprintf fmt "ResumeScan(%s from rid %d) filter: %a@." table from_rid Pred.pp pred
   | Append parts ->

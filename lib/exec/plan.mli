@@ -87,14 +87,17 @@ type t =
       (** cardinality checkpoint: passes the input through unchanged, but if
           the q-error between [expected_rows] and the actual row count
           exceeds [max_q_error] the executor raises
-          {!Executor.Guard_violation} carrying the already-materialized
-          rows, so a re-optimizer can resume from them.  Order-transparent:
+          {!Executor.Guard_violation} carrying the rows already seen, as
+          columns, so a re-optimizer can resume from them.  Order-transparent:
           a guard over a clustered scan still satisfies a merge join's sort
           requirement. *)
   | Materialized of {
       name : string;
       schema : Schema.t;
-      tuples : Value.t array array;
+      cols : Value.t array array;
+          (** one column per schema column, each of length [n_rows]: a
+              fired guard's [columns], passed on unchanged *)
+      n_rows : int;
       refs : (string * Pred.t) list;
           (** the base-table predicates this intermediate covers (base-schema
               column names), so costing above it can still form logical
@@ -108,6 +111,10 @@ type t =
           [Append [Materialized prefix; Scan_resume rest]] replays a
           partially-drained scan without repeating its pages *)
 
+val qualified_schema : Catalog.t -> string -> Schema.t
+(** A base table's schema with every column named ["table.column"]: the
+    output schema of a scan of it. *)
+
 val schema_of : Catalog.t -> t -> Schema.t
 (** Output schema (qualified names).  Raises if the plan is ill-formed
     (unknown tables/columns). *)
@@ -117,7 +124,9 @@ val base_tables : t -> string list
 
 val validate : Catalog.t -> t -> (unit, string) result
 (** Structural checks: indexes exist for every probe, intersect has >= 2
-    probes, FK edges exist for star dims, keys are in scope. *)
+    probes, FK edges exist for star dims, keys are in scope, and a
+    materialized leaf has one column per schema column, each [n_rows]
+    long. *)
 
 val q_error : expected:float -> actual:int -> float
 (** max(est/act, act/est) with 0.5 floors so empty results stay finite;

@@ -13,11 +13,12 @@
    Batches are never empty, so a live column always has length >= 1 and
    "pruned" is tested by length, not by physical equality.
 
-   Rows are materialized as tuples only at final output and in a fired
-   guard's buffer; every operator builds its batches from columns, and
-   breakers and joins gather columns by row index.  Late materialization is where the wall-clock win
-   comes from; the cost counters never see the difference because they
-   charge logical rows, not representation. *)
+   Rows are materialized as tuples only by the executor's final drain;
+   every operator builds its batches from columns, breakers and joins
+   gather columns by row index, and a fired guard hands on columns.  Late
+   materialization is where the wall-clock win comes from; the cost
+   counters never see the difference because they charge logical rows,
+   not representation. *)
 
 open Rq_storage
 
@@ -55,23 +56,6 @@ let gather col idx k =
     done;
     dst
   end
-
-let to_tuples t =
-  let k = selected t in
-  let arity = Array.length t.cols in
-  let out = Array.make k [||] in
-  let j = ref 0 in
-  Bitset.iter_set
-    (fun i ->
-      let row = Array.make arity Value.Null in
-      for c = 0 to arity - 1 do
-        let col = t.cols.(c) in
-        if not (pruned col) then row.(c) <- col.(i)
-      done;
-      out.(!j) <- row;
-      incr j)
-    t.sel;
-  out
 
 let project t positions =
   { t with cols = Array.map (fun p -> t.cols.(p)) positions }

@@ -1,5 +1,5 @@
 (** Column-major vector batches with selection bitsets — the data unit of
-    streaming engine ({!Stream}).
+    the streaming engine ({!Executor}).
 
     A batch's logical content is its selected rows in ascending physical
     order.  Column arrays are shared and never mutated: scan batches alias
@@ -9,9 +9,10 @@
 
     A column nothing downstream reads may be {e pruned}: the empty array
     (see {!pruned}).  Scans and RID fetches prune so that a spilled chunk
-    never decodes it; gathers skip it and {!to_tuples} writes [Null] in
-    its place.  Every operator builds batches from columns; rows become
-    tuples only at final output and in a fired guard's buffer. *)
+    never decodes it; gathers skip it and the final drain writes [Null]
+    in its place.  Every operator builds batches from columns, and a
+    fired guard hands on columns; rows become tuples only in
+    {!Executor.run}'s final drain, and this module offers no conversion. *)
 
 open Rq_storage
 
@@ -40,11 +41,6 @@ val selected_rows : t -> int array
 val gather : Value.t array -> int array -> int -> Value.t array
 (** [gather col idx k] is the fresh column [col.(idx.(j))] for
     [0 <= j < k], with [k >= 1]; a pruned [col] stays pruned. *)
-
-val to_tuples : t -> Relation.tuple array
-(** Materialize the selected rows as fresh tuples, ascending — the late
-    materialization at final output and in a fired guard's result.
-    Pruned columns read as [Null]. *)
 
 val project : t -> int array -> t
 (** Keep only the given column positions (shared arrays, no copy). *)

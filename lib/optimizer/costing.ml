@@ -74,7 +74,7 @@ let rec refs_of plan : Logical.table_ref list =
       List.map (fun (table, pred) -> { Logical.table; pred }) refs
 
 (* Each case adds the counts the executor charges for the same operator
-   (lib/exec/stream_exec.ml), with estimated cardinalities in place of
+   (lib/exec/executor.ml), with estimated cardinalities in place of
    observed ones; [Cost.price] alone turns them into seconds.  [go] adds
    into one accumulator and returns the subplan's cardinality. *)
 let estimate catalog est plan =
@@ -82,7 +82,7 @@ let estimate catalog est plan =
   let table_sel table pred =
     Float.max 0.0 (Float.min 1.0 (est.Cardinality.table_selectivity ~table pred))
   in
-  let index_of table column = Exec_common.find_index_exn catalog ~table ~column in
+  let index_of table column = Executor.find_index_exn catalog ~table ~column in
   let rows_of table = float_of_int (Relation.row_count (Catalog.find_table catalog table)) in
   (* The task planner the engine scans with: skipped chunks cost nothing. *)
   let seq_scan (w : Cost.work) ?from rel pred =
@@ -95,13 +95,14 @@ let estimate catalog est plan =
     w.random_pages <- w.random_pages +. rows;
     w.cpu_tuples <- w.cpu_tuples +. rows
   in
-  (* [Exec_common.probe_index]; returns the entries it touches. *)
+  (* What the engine charges for an index probe; returns the entries it
+     touches. *)
   let probe_index (w : Cost.work) table probe =
     let idx = index_of table probe.Plan.column in
     let entries = rows_of table *. table_sel table (pred_of_probe probe) in
     w.index_probes <- w.index_probes +. 1.0;
     w.index_entries <- w.index_entries +. entries;
-    w.seq_pages <- w.seq_pages +. Exec_common.leaf_pages_touched idx entries;
+    w.seq_pages <- w.seq_pages +. Executor.leaf_pages_touched idx entries;
     entries
   in
   let rec go (w : Cost.work) plan =
@@ -151,7 +152,7 @@ let estimate catalog est plan =
         let r = go w right in
         let card = card_of (refs_of plan) in
         let sort sub n key =
-          if Exec_common.output_sorted_on catalog sub <> Some key then
+          if Executor.output_sorted_on catalog sub <> Some key then
             w.sort_units <- w.sort_units +. Cost.sort_units n
         in
         sort left l left_key;
@@ -238,7 +239,7 @@ let estimate catalog est plan =
         let card = Float.min i (float_of_int n) in
         w.cpu_tuples <- w.cpu_tuples +. card;
         card
-    | Plan.Materialized { tuples; _ } -> float_of_int (Array.length tuples)
+    | Plan.Materialized { n_rows; _ } -> float_of_int n_rows
     | Plan.Aggregate { input; group_by; _ } ->
         let i = go w input in
         let groups =

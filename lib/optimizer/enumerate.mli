@@ -52,6 +52,10 @@ val join_plans :
     cheapest first.  [cost_fn] is called once per candidate compared.
     Singleton queries return all access paths and cost none of them. *)
 
+val qualified_columns : Catalog.t -> string -> string list
+(** A base table's column names qualified as ["table.column"], in schema
+    order: the columns [SELECT *] over the table names. *)
+
 val wrap_top : Catalog.t -> Logical.t -> Plan.t -> Plan.t
 (** Adds everything above the join: residual filter, semijoin lowering
     (distinct-build hash joins plus a schema-restoring projection),

@@ -153,7 +153,7 @@ let execute_plan ?(threshold = 4.0) ?(max_reopts = 2) ?obs opt query start_plan 
             expected_rows;
             actual_rows;
             q_error;
-            result;
+            columns;
             subplan;
             complete;
             progress;
@@ -207,8 +207,9 @@ let execute_plan ?(threshold = 4.0) ?(max_reopts = 2) ?obs opt query start_plan 
             Plan.Materialized
               {
                 name = Printf.sprintf "checkpoint%d[%s]" (reopts + 1) label;
-                schema = result.Executor.schema;
-                tuples = result.Executor.tuples;
+                schema = Plan.schema_of catalog subplan;
+                cols = columns;
+                n_rows = actual_rows;
                 refs =
                   List.map
                     (fun (r : Logical.table_ref) -> (r.Logical.table, r.Logical.pred))

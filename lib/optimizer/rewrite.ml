@@ -193,11 +193,6 @@ let r_filter_pushdown q =
               Printf.sprintf "pushed %d single-table conjunct(s) below the join"
                 (List.length moved) ))
 
-let qualified_columns catalog table =
-  List.map
-    (fun (c : Schema.column) -> table ^ "." ^ c.Schema.name)
-    (Schema.columns (Relation.schema (Catalog.find_table catalog table)))
-
 let r_project_prune catalog q =
   match q.Logical.projection with
   | None -> None
@@ -208,7 +203,7 @@ let r_project_prune catalog q =
             "dropped projection shadowed by aggregation" )
       else
         let full =
-          List.concat_map (fun (r : Logical.table_ref) -> qualified_columns catalog r.Logical.table) q.Logical.tables
+          List.concat_map (fun (r : Logical.table_ref) -> Enumerate.qualified_columns catalog r.Logical.table) q.Logical.tables
         in
         if cols = full then
           Some ({ q with Logical.projection = None }, "projection covers the full schema")
@@ -276,7 +271,7 @@ let r_decorrelate catalog q =
             if q.Logical.aggs = [] && q.Logical.group_by = [] then
               Some
                 (List.concat_map
-                   (fun (r : Logical.table_ref) -> qualified_columns catalog r.Logical.table)
+                   (fun (r : Logical.table_ref) -> Enumerate.qualified_columns catalog r.Logical.table)
                    q.Logical.tables)
             else None
       in

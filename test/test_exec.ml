@@ -625,7 +625,26 @@ let test_plan_validate () =
   check_bool "good plan accepted" true (Result.is_ok (Plan.validate catalog good));
   check_bool "unknown table rejected" true
     (Result.is_error
-       (Plan.validate catalog (Plan.Scan { table = "zz"; access = Plan.Seq_scan; pred = Pred.True })))
+       (Plan.validate catalog (Plan.Scan { table = "zz"; access = Plan.Seq_scan; pred = Pred.True })));
+  (* A materialized leaf holds one column per schema column, each n_rows
+     long. *)
+  let schema = Plan.schema_of catalog good in
+  let mat cols n_rows = Plan.Materialized { name = "m"; schema; cols; n_rows; refs = [] } in
+  let column n = Array.init n (fun i -> Value.Int i) in
+  let arity = Schema.arity schema in
+  check_bool "materialized leaf accepted" true
+    (Result.is_ok (Plan.validate catalog (mat (Array.init arity (fun _ -> column 3)) 3)));
+  check_bool "zero-row materialized leaf accepted" true
+    (Result.is_ok (Plan.validate catalog (mat (Array.make arity [||]) 0)));
+  check_bool "materialized leaf missing a column rejected" true
+    (Result.is_error (Plan.validate catalog (mat (Array.init (arity - 1) (fun _ -> column 3)) 3)));
+  check_bool "materialized leaf with an extra column rejected" true
+    (Result.is_error (Plan.validate catalog (mat (Array.init (arity + 1) (fun _ -> column 3)) 3)));
+  check_bool "materialized column shorter than n_rows rejected" true
+    (Result.is_error
+       (Plan.validate catalog (mat (Array.init arity (fun c -> column (if c = 0 then 2 else 3))) 3)));
+  check_bool "materialized columns longer than n_rows rejected" true
+    (Result.is_error (Plan.validate catalog (mat (Array.init arity (fun _ -> column 4)) 3)))
 
 let test_plan_describe_and_tables () =
   let scan t = Plan.Scan { table = t; access = Plan.Seq_scan; pred = Pred.True } in

@@ -110,8 +110,13 @@ let guarded_mat_plan catalog =
                         schema =
                           Schema.qualify "orders"
                             (Relation.schema (Catalog.find_table catalog "orders"));
-                        tuples =
-                          Array.init 50 (fun i -> [| v_int i; v_int (i mod 20); v_int 0 |]);
+                        cols =
+                          [|
+                            Array.init 50 v_int;
+                            Array.init 50 (fun i -> v_int (i mod 20));
+                            Array.make 50 (v_int 0);
+                          |];
+                        n_rows = 50;
                         refs = [];
                       };
                   probe = scan_lineitems Plan.Seq_scan;
@@ -303,9 +308,6 @@ let test_guard_boundary_agreement () =
   in
   let expected = 2.0 *. float_of_int actual in
   check_float "q-error at the boundary" 2.0 (Plan.q_error ~expected ~actual);
-  check_float "Executor.q_error is the same definition"
-    (Plan.q_error ~expected ~actual)
-    (Executor.q_error ~expected ~actual);
   let guarded max_q_error =
     Plan.Guard
       { input = scan_lineitems Plan.Seq_scan; expected_rows = expected; max_q_error; label = "b" }

@@ -932,7 +932,7 @@ let prop_scan_pages_telescope =
         in
         ignore (Rq_exec.Executor.run catalog meter plan);
         let snap = Rq_exec.Cost.snapshot meter in
-        planned = Rq_exec.Exec_common.resume_pages rel ~from
+        planned = Rq_exec.Chunk_scan.resume_pages rel ~from
         && snap.Rq_exec.Cost.seq_pages + snap.Rq_exec.Cost.pages_skipped = planned
       in
       agrees ~spill:false && agrees ~spill:true)
