@@ -86,10 +86,15 @@ let cmp_symbol = function Eq -> "=" | Ne -> "<>" | Lt -> "<" | Le -> "<=" | Gt -
 
 let pp_list sep pp = Format.pp_print_list ~pp_sep:(fun fmt () -> Format.pp_print_string fmt sep) pp
 
+let agg_name = function
+  | Count_star -> "COUNT"
+  | Sum -> "SUM"
+  | Avg -> "AVG"
+  | Min -> "MIN"
+  | Max -> "MAX"
+
 let pp_agg fmt (kind, arg) =
-  let name =
-    match kind with Count_star -> "COUNT" | Sum -> "SUM" | Avg -> "AVG" | Min -> "MIN" | Max -> "MAX"
-  in
+  let name = agg_name kind in
   match arg with
   | None -> Format.fprintf fmt "%s(*)" name
   | Some e -> Format.fprintf fmt "%s(%a)" name pp_expr e

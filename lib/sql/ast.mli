@@ -65,3 +65,9 @@ val to_sql : statement -> string
 (** The statement as one line of SQL that {!Parser.parse} reads back to an
     equal statement.  Float literals print as the shortest exponent-free
     decimal that reads back to the same float. *)
+
+val binop_symbol : binop -> string
+(** The operator as SQL spells it: ["+"], ["-"], ["*"] or ["/"]. *)
+
+val agg_name : agg_kind -> string
+(** The aggregate's SQL name, e.g. ["SUM"]. *)
